@@ -15,6 +15,7 @@ import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List
 
+from .. import knobs
 from ..acc.timing import measure
 from ..telemetry.spans import sim_interval, span
 
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 #: Environment variable overriding where bench reports are written.
-REPORT_DIR_ENV = "REPRO_BENCH_REPORT_DIR"
+REPORT_DIR_ENV = knobs.BENCH_REPORT_DIR
 
 
 def measure_wall(fn: Callable[[], None], repeat: int = 3, warmup: int = 1) -> float:
@@ -77,7 +78,7 @@ def launch_stats() -> Iterator["CountingObserver"]:
 
 
 def _report_dir() -> str:
-    base = os.environ.get(REPORT_DIR_ENV)
+    base = knobs.get(REPORT_DIR_ENV)
     if base is None:
         base = os.path.join(os.path.dirname(os.path.dirname(
             os.path.dirname(os.path.dirname(os.path.abspath(__file__))))),

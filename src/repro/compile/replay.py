@@ -28,12 +28,12 @@ also run interpreted and compares the store targets bit-for-bit.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import knobs
 from ..core.errors import CompileCrossCheckError, KernelError
 from . import metrics
 from .exprs import (
@@ -57,16 +57,14 @@ __all__ = [
     "kernel_name",
 ]
 
-#: Environment variable: any truthy value makes every compiled launch
-#: also run interpreted and assert bit-identity of all store targets.
-CROSSCHECK_ENV = "REPRO_COMPILE_CROSSCHECK"
-
-_FALSEY = ("", "0", "false", "no", "off")
+#: Environment variable: a true value makes every compiled launch also
+#: run interpreted and assert bit-identity of all store targets.
+CROSSCHECK_ENV = knobs.COMPILE_CROSSCHECK
 
 
 def crosscheck_active() -> bool:
     """Is compiled-vs-interpreted cross-checking requested?"""
-    return os.environ.get(CROSSCHECK_ENV, "").strip().lower() not in _FALSEY
+    return knobs.get(CROSSCHECK_ENV)
 
 
 def kernel_name(kernel) -> str:

@@ -20,7 +20,7 @@ accelerator's executor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from .errors import KernelError
 from .workdiv import WorkDivMembers
@@ -89,6 +89,11 @@ class KernelTask:
     #: launch parameter / alpaka's BlockSharedMemDyn).  Retrieved inside
     #: the kernel with ``acc.shared_mem_dyn(dtype)``.
     shared_mem_bytes: int = 0
+    #: Block schedule this one task is planned under, ahead of
+    #: ``REPRO_SCHEDULER`` and any tuned schedule.  Internal: the
+    #: autotuner sets it on the tasks it measures, so comparing
+    #: schedules never changes how other threads' launches are planned.
+    schedule: Optional[str] = None
 
     def __post_init__(self):
         if self.shared_mem_bytes < 0:

@@ -27,12 +27,12 @@ impossible by construction.
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .. import knobs
 from ..core.errors import GraphError
 from ..mem.buf import Buffer
 from ..mem.view import ViewSubView
@@ -53,7 +53,7 @@ __all__ = ["GraphExec", "GraphRunStats", "REPLAY_ENV"]
 #: Set to ``0`` to force the queued path even for single-device graphs
 #: (A/B-testing the replay fast path, or debugging with full queue
 #: semantics).
-REPLAY_ENV = "REPRO_GRAPH_REPLAY"
+REPLAY_ENV = knobs.GRAPH_REPLAY
 
 _graph_ids = itertools.count(1)
 
@@ -236,7 +236,7 @@ class GraphExec:
         inline_ok = (
             len(self.devices) == 1
             and not _sanitize_state.active()
-            and os.environ.get(REPLAY_ENV, "1") != "0"
+            and knobs.get(REPLAY_ENV)
         )
         if inline_ok:
             self._run_inline(replayed)

@@ -1,0 +1,380 @@
+"""The one configuration surface: every ``REPRO_*`` environment knob.
+
+A declarative table of the variables the library honours, and the only
+code under ``src/repro/`` that touches the environment.  Each knob has
+a typed parser, a default, one line of documentation and a policy for
+malformed values: **strict** knobs raise :class:`KnobError` naming the
+variable; the others log one warning and use the default (an ops
+listener or a sampling rate must not take the process down).
+
+:func:`get` reads the **live** environment on every call — nothing is
+snapshotted, so ``monkeypatch.setenv`` and :func:`pinned` apply at
+once.  :func:`effective` is "the effective configuration of this
+process" (embedded in ``/healthz``, the serve and fleet ``stats`` ops,
+flight dumps and the ``REPRO_TELEMETRY`` exit report);
+``python -m repro.knobs [--check README.md]`` generates and verifies
+README's table.  Blank counts as unset, and all booleans share one
+rule: ``0/false/no/off`` = off, ``1/true/yes/on`` = on.
+"""
+
+from __future__ import annotations
+
+import logging
+import os
+import sys
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional
+
+__all__ = [
+    "Knob", "KnobError", "KNOBS", "PREFIX", "get", "parse", "effective",
+    "describe", "pinned", "export_env", "import_env", "readme_table", "main",
+]
+
+#: Every variable of the library starts with this.
+PREFIX = "REPRO_"
+
+#: Port of the tuning-fleet daemon when its address names none.
+FLEET_DAEMON_PORT = 7412
+
+_log = logging.getLogger("repro.knobs")
+
+
+class KnobError(ValueError):
+    """A ``REPRO_*`` variable holds a value its knob cannot parse."""
+
+
+class Knob(NamedTuple):
+    """One declared environment variable."""
+
+    env: str
+    #: Non-blank raw string -> value; ``ValueError(reason)`` if malformed.
+    parse: Callable[[str], object]
+    default: object
+    #: One line of markdown for README's table.
+    doc: str
+    #: Malformed value: raise (True) or warn once and use the default.
+    strict: bool = True
+
+
+_BOOLS = {"0": False, "false": False, "no": False, "off": False,
+          "1": True, "true": True, "yes": True, "on": True}
+
+
+def _bool(raw: str) -> bool:
+    try:
+        return _BOOLS[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("is not a boolean (1/true/yes/on, 0/false/no/off)") from None
+
+
+def _int(minimum: Optional[int] = None) -> Callable[[str], int]:
+    """Integer parser; values below ``minimum`` clamp up to it."""
+
+    def parse_int(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError("is not an integer") from None
+        return value if minimum is None else max(minimum, value)
+
+    return parse_int
+
+
+def _choice(**aliases: str) -> Callable[[str], str]:
+    """``canonical="alias alias ..."`` -> case-insensitive parser."""
+    table = {a: name for name, names in aliases.items() for a in names.split()}
+
+    def parse_choice(raw: str) -> str:
+        try:
+            return table[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"unknown; accepted: {sorted(table)}") from None
+
+    return parse_choice
+
+
+def _host_port(default_port: Optional[int] = None):
+    """``host:port`` -> ``(host, port)``; an empty host is loopback, a
+    bare host takes ``default_port`` when there is one."""
+
+    def parse_host_port(raw: str):
+        value = raw.strip()
+        host, sep, port = value.rpartition(":")
+        if not sep:
+            if default_port is None:
+                raise ValueError("is not host:port")
+            return (value or "127.0.0.1", default_port)
+        try:
+            port_no = int(port)
+        except ValueError:
+            raise ValueError(f"port is not an integer: {port!r}") from None
+        if not 0 <= port_no <= 65535:
+            raise ValueError(f"port out of range: {port_no}")
+        return (host or "127.0.0.1", port_no)
+
+    return parse_host_port
+
+
+def _weights(raw: str) -> Dict[str, float]:
+    """``"gold:4,free:1"`` -> ``{"gold": 4.0, "free": 1.0}``."""
+    weights: Dict[str, float] = {}
+    for part in filter(None, (p.strip() for p in raw.split(","))):
+        name, sep, value = part.partition(":")
+        name = name.strip()
+        if not sep or not name:
+            raise ValueError(f"entry {part!r} is not 'name:weight'")
+        try:
+            weights[name] = float(value)
+        except ValueError:
+            raise ValueError(f"weight for {name!r} is not a number: {value!r}") from None
+        if weights[name] <= 0:
+            raise ValueError(f"weight for {name!r} must be positive, got {value}")
+    return weights
+
+
+#: env name -> :class:`Knob`, in README order.
+KNOBS: Dict[str, Knob] = {}
+
+
+def _declare(env, parse, default, doc, strict=True) -> str:
+    KNOBS[env] = Knob(env, parse, default, doc, strict)
+    return env
+
+
+TUNING_CACHE = _declare(
+    "REPRO_TUNING_CACHE", str, None,
+    "path of the autotuner's persistent result cache (default `./.repro-tuning-cache.json`); "
+    "share it to reuse tuned work divisions, point it somewhere throwaway to isolate runs.")
+MAX_BLOCK_WORKERS = _declare(
+    "REPRO_MAX_BLOCK_WORKERS", _int(minimum=1), None,
+    "worker cap of the pooled block schedulers and `AccDevProps.max_block_workers`; "
+    "authoritative when set (default: host CPU count, 2 to 16).")
+SCHEDULER = _declare(
+    "REPRO_SCHEDULER",
+    _choice(sequential="sequential", pooled="pooled threads",
+            processes="processes process", compiled="compiled compile"),
+    None,
+    "remaps block dispatch on pooled back-ends: `sequential`, `threads`, `processes` (spawned "
+    "workers over `shm=True` buffers) or `compiled` (trace-vectorized replay, `repro.compile`); "
+    "launches a mode cannot serve fall back to the thread pool with a logged reason.")
+COMPILE_CROSSCHECK = _declare(
+    "REPRO_COMPILE_CROSSCHECK", _bool, False,
+    "boolean; every `compiled` launch also runs interpreted and must match **bit for bit** "
+    "(`CompileCrossCheckError`) — what `python -m repro.sanitize crosscheck` sweeps.")
+PROCESS_WORKERS = _declare(
+    "REPRO_PROCESS_WORKERS", _int(minimum=1), None,
+    "worker count of the process-pool scheduler (default: host CPU count, at most 16).")
+SHM_BUFFERS = _declare(
+    "REPRO_SHM_BUFFERS", _bool, False,
+    "boolean; `mem.alloc` defaults to `multiprocessing.shared_memory` buffers, the zero-copy "
+    "mapping process dispatch needs; per-call `shm=` still wins.")
+GRAPH_REPLAY = _declare(
+    "REPRO_GRAPH_REPLAY", _bool, True,
+    "boolean, default on; `0` forces `repro.graph` graphs onto the queued path (full "
+    "queue/event semantics) even on a single device.")
+SANITIZE = _declare(
+    "REPRO_SANITIZE", _bool, False,
+    "boolean; routes every launch through the dynamic sanitizer (`repro.sanitize`: data races, "
+    "out-of-bounds, barrier divergence); findings are summarised at interpreter exit.")
+SANITIZE_SEED = _declare(
+    "REPRO_SANITIZE_SEED", _int(), None,
+    "integer seed of the sanitizer's fuzzed cooperative schedule; replays an interleaving.")
+UNGUARDED_KERNEL_ARRAYS = _declare(
+    "REPRO_UNGUARDED_KERNEL_ARRAYS", _bool, False,
+    "boolean; disables the kernel-side negative-index guard, restoring numpy wrap-around.")
+TELEMETRY = _declare(
+    "REPRO_TELEMETRY", _bool, False,
+    "boolean; collects telemetry for the whole process (`repro.telemetry`) and prints the "
+    "report and the effective configuration at exit; off, a launch pays one falsy check.")
+TELEMETRY_EXPORT = _declare(
+    "REPRO_TELEMETRY_EXPORT", str, None,
+    "path written at exit when telemetry is on: `*.json` = Chrome `trace_event` file "
+    "(Perfetto), anything else = Prometheus text.")
+TRACEPARENT = _declare(
+    "REPRO_TRACEPARENT", str, None,
+    "W3C `traceparent` (`00-<32 hex>-<16 hex>-01`) seeding this process's distributed-trace "
+    "context; malformed values degrade to untraced, never error.")
+TRACE_SAMPLE = _declare(
+    "REPRO_TRACE_SAMPLE", _int(minimum=1), 1,
+    "keep 1 in N completed OK traces in the `/traces` store (default `1`; errors always "
+    "kept); a malformed value warns and keeps all.", strict=False)
+TELEMETRY_HTTP = _declare(
+    "REPRO_TELEMETRY_HTTP", _host_port(), None,
+    "`host:port` of the ops listener shared by gateway and fleet daemon: `/metrics`, `/healthz` "
+    "(readiness + this table's effective values), `/traces`; port `0` is ephemeral; a "
+    "malformed value warns and leaves it off.", strict=False)
+FLIGHT_RECORDER_DIR = _declare(
+    "REPRO_FLIGHT_RECORDER_DIR", str, None,
+    "directory arming the crash flight recorder: every process (pool workers too) dumps its "
+    "recent events as `flight-<pid>-<seq>.json` on kernel crashes, sanitizer findings and "
+    "poisoned queues.")
+SERVE_HOST = _declare(
+    "REPRO_SERVE_HOST", str, "127.0.0.1",
+    "bind host of `python -m repro.serve` (default `127.0.0.1`); in-process gateways ignore it.")
+SERVE_PORT = _declare(
+    "REPRO_SERVE_PORT", _int(), 7411,
+    "bind port of `python -m repro.serve` (default `7411`).")
+SERVE_TENANT_WEIGHTS = _declare(
+    "REPRO_SERVE_TENANT_WEIGHTS", _weights, None,
+    "fair-share admission weights, e.g. `gold:4,free:1`; unlisted tenants weigh `1`.")
+SERVE_ONLINE_TUNING = _declare(
+    "REPRO_SERVE_ONLINE_TUNING", _bool, False,
+    "boolean; attaches the online tuner to the gateway: sustained latency drift triggers a "
+    "background re-tune, hot-swapped bit-identically (thresholds: `FleetConfig.drift_*`).")
+TUNING_FLEET = _declare(
+    "REPRO_TUNING_FLEET",
+    _choice(off="0 off no false", lock="1 lock file flock yes true",
+            daemon="daemon socket serve"),
+    "off",
+    "fleet coordination for `autotune`: `off` (default), `lock` (lease files next to the "
+    "shared cache) or `daemon` (`python -m repro.tuning.fleet serve`); N workers tuning one "
+    "key run exactly one measurement, the rest adopt the winner.")
+TUNING_FLEET_ADDR = _declare(
+    "REPRO_TUNING_FLEET_ADDR", _host_port(FLEET_DAEMON_PORT), None,
+    f"`host:port` of the tuning daemon (default `127.0.0.1:{FLEET_DAEMON_PORT}`); "
+    "unreachable = standalone tuning, not an error.")
+TUNING_HOF = _declare(
+    "REPRO_TUNING_HOF", str, None,
+    "path of the evolutionary search's hall of fame (default `./.repro-tuning-hof.json`); "
+    "render it with `python -m repro.tuning.fleet hof`.")
+BENCH_REPORT_DIR = _declare(
+    "REPRO_BENCH_REPORT_DIR", str, None,
+    "directory for the benchmarks' tables and `BENCH_<name>.json` (default `benchmarks/out/`).")
+
+_UNSET = object()
+_warned: set = set()
+
+
+def parse(env: str, raw: str, error: type = KnobError):
+    """``raw`` as knob ``env`` reads it; raises ``error`` (naming the
+    variable) when malformed, whatever the knob's own policy."""
+    try:
+        return KNOBS[env].parse(raw)
+    except ValueError as exc:
+        raise error(f"{env}={raw!r} {exc}") from None
+
+
+def get(env: str, default=_UNSET, error: type = KnobError):
+    """The current value of knob ``env`` from the live environment.
+
+    Unset or blank gives ``default`` when passed, else the declared
+    default; a malformed value raises ``error`` (strict knobs) or warns
+    once and gives the default.
+    """
+    knob = KNOBS[env]
+    fallback = knob.default if default is _UNSET else default
+    raw = os.environ.get(env)
+    if raw is None or not raw.strip():
+        return fallback
+    try:
+        return parse(env, raw, error)
+    except error as exc:
+        if knob.strict:
+            raise
+        if (env, raw) not in _warned:
+            _warned.add((env, raw))
+            _log.warning("%s; using the default", exc)
+        return fallback
+
+
+def effective() -> Dict[str, object]:
+    """Every knob's value, raw string and source (``default``/``env``)
+    plus the ``REPRO_*`` names set that no knob declares.  Never raises:
+    a malformed value shows as ``error`` next to the default."""
+    knobs: Dict[str, Dict[str, object]] = {}
+    for env, knob in KNOBS.items():
+        raw = os.environ.get(env)
+        knobs[env] = entry = {"value": knob.default, "raw": raw, "source": "default"}
+        if raw is not None and raw.strip():
+            entry["source"] = "env"
+            try:
+                entry["value"] = knob.parse(raw)
+            except ValueError as exc:
+                entry["error"] = str(exc)
+    unrecognised = sorted(n for n in export_env() if n not in KNOBS)
+    return {"knobs": knobs, "unrecognised": unrecognised}
+
+
+def describe() -> str:
+    """:func:`effective` as text: one line per knob set from the
+    environment, then the unrecognised names."""
+    config = effective()
+    chosen = {e: k for e, k in config["knobs"].items() if k["source"] == "env"}
+    lines = [f"Effective configuration: {len(chosen)} of {len(KNOBS)} "
+             f"{PREFIX}* knobs set from the environment"]
+    lines += [f"  {env}={k['raw']} -> {k.get('error') or repr(k['value'])}"
+              for env, k in chosen.items()]
+    if config["unrecognised"]:
+        lines.append("  unrecognised: " + ", ".join(config["unrecognised"]))
+    return "\n".join(lines)
+
+
+def export_env() -> Dict[str, str]:
+    """The ``REPRO_*`` slice of the environment — what a spawned pool
+    worker mirrors so its :func:`get` agrees with the parent's."""
+    return {k: v for k, v in os.environ.items() if k.startswith(PREFIX)}
+
+
+def import_env(values: Mapping[str, Optional[object]]) -> None:
+    """Write ``values`` into the environment (``None`` = unset): the
+    pool-worker mirror of a parent's :func:`export_env`."""
+    for env, value in values.items():
+        if value is None:
+            os.environ.pop(env, None)
+        else:
+            os.environ[env] = str(value)
+
+
+@contextmanager
+def pinned(**values) -> Iterator[None]:
+    """Set knobs (``None`` = unset) for a ``with`` block and restore the
+    previous values on exit, also on error; nests.
+
+    This writes the process environment, so launches on *other* threads
+    see the pinned values too: it is for whole-process CLI sweeps and
+    tests, never for passing a parameter to one call.
+    """
+    undeclared = sorted(set(values) - set(KNOBS))
+    if undeclared:
+        raise KeyError(f"undeclared knobs: {undeclared}")
+    saved = {env: os.environ.get(env) for env in values}
+    import_env(values)
+    try:
+        yield
+    finally:
+        import_env(saved)
+
+
+TABLE_BEGIN = "<!-- knobs:begin (python -m repro.knobs) -->"
+TABLE_END = "<!-- knobs:end -->"
+
+
+def readme_table() -> str:
+    """README's environment table, generated from :data:`KNOBS`."""
+    rows = ["| Variable | Effect |", "|---|---|"]
+    return "\n".join(rows + [f"| `{k.env}` | {k.doc} |" for k in KNOBS.values()])
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """``python -m repro.knobs`` prints the table; ``--check FILE``
+    exits 1 when the table between FILE's markers has drifted."""
+    import argparse
+
+    ap = argparse.ArgumentParser(prog="python -m repro.knobs")
+    ap.add_argument("--check", metavar="FILE")
+    path = ap.parse_args(argv).check
+    if path is None:
+        print(readme_table())
+        return 0
+    with open(path) as fh:
+        _, begin, rest = fh.read().partition(TABLE_BEGIN)
+    current, end, _ = rest.partition(TABLE_END)
+    if begin and end and current.strip() == readme_table():
+        return 0
+    print(f"{path}: environment table missing or different from repro.knobs; "
+          "regenerate it with `python -m repro.knobs`", file=sys.stderr)
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -21,16 +21,15 @@ kernels).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from .. import knobs
 from ..core.errors import ExtentError
 
 __all__ = ["GuardedArray", "guard", "check_index_key", "UNGUARDED_ENV"]
 
-#: Set to a non-empty value to hand kernels raw (unguarded) arrays.
-UNGUARDED_ENV = "REPRO_UNGUARDED_KERNEL_ARRAYS"
+#: Set to a true value to hand kernels raw (unguarded) arrays.
+UNGUARDED_ENV = knobs.UNGUARDED_KERNEL_ARRAYS
 
 
 def _reject(index, key) -> None:
@@ -93,6 +92,6 @@ class GuardedArray(np.ndarray):
 def guard(arr: np.ndarray) -> np.ndarray:
     """``arr`` as a :class:`GuardedArray` view (same memory), unless
     ``REPRO_UNGUARDED_KERNEL_ARRAYS`` disables guarding."""
-    if os.environ.get(UNGUARDED_ENV):
+    if knobs.get(UNGUARDED_ENV):
         return arr
     return arr.view(GuardedArray)

@@ -34,6 +34,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from .. import knobs
+
 __all__ = [
     "SHM_BUFFERS_ENV",
     "SHM_NAME_PREFIX",
@@ -48,7 +50,7 @@ __all__ = [
 
 #: Any non-empty value makes :func:`repro.mem.alloc` back every buffer
 #: with shared memory by default (per-call ``shm=`` still wins).
-SHM_BUFFERS_ENV = "REPRO_SHM_BUFFERS"
+SHM_BUFFERS_ENV = knobs.SHM_BUFFERS
 
 #: Segment names start with this prefix + pid, so a leak check can tell
 #: this process's segments apart from unrelated ``/dev/shm`` entries.
@@ -64,7 +66,7 @@ _live: Dict[str, "ShmBacking"] = {}
 def shm_buffers_default() -> bool:
     """Whether buffers default to shared-memory backing
     (``REPRO_SHM_BUFFERS``)."""
-    return bool(os.environ.get(SHM_BUFFERS_ENV))
+    return knobs.get(SHM_BUFFERS_ENV)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,12 @@ class LaunchPlan:
         )
 
 
+def _forced_schedule(task) -> Optional[str]:
+    """The schedule ``task`` must be planned under regardless of
+    tuning: its own, else the ``REPRO_SCHEDULER`` override, else None."""
+    return getattr(task, "schedule", None) or resolve_scheduler_override()
+
+
 def build_plan(task, device) -> LaunchPlan:
     """Validate and assemble a fresh plan for ``task`` on ``device``.
 
@@ -213,8 +219,9 @@ def _build_plan(task, device) -> LaunchPlan:
         # Only pool-capable back-ends accept a different strategy:
         # sequential back-ends' block order is semantic (fibers'
         # determinism) and must survive any override.  Precedence:
+        # the task's own schedule (a tuner measurement) >
         # REPRO_SCHEDULER > tuned schedule > back-end default.
-        override = resolve_scheduler_override()
+        override = _forced_schedule(task)
         if override is not None:
             schedule = override
         elif tuned_sched is not None:
@@ -381,10 +388,11 @@ def _key(task, device) -> tuple:
         wd,
         device.uid,
         getattr(task, "shared_mem_bytes", 0),
-        # The env override changes what _build_plan resolves, so it is
-        # part of plan identity — flipping REPRO_SCHEDULER mid-process
-        # (the tuner's schedule sweep does) must miss, not poison.
-        resolve_scheduler_override(),
+        # The forced schedule changes what _build_plan resolves, so it
+        # is part of plan identity — a tuner measurement under another
+        # schedule, or flipping REPRO_SCHEDULER mid-process, must miss,
+        # not poison.
+        _forced_schedule(task),
     )
 
 

@@ -38,6 +38,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from .. import knobs
 from ..atomic.ops import AtomicDomain
 from ..core.errors import KernelError
 
@@ -69,6 +70,8 @@ class ProcessLaunchState:
     eligible: bool
     #: Why the launch cannot run multi-process ("" when eligible).
     reason: str
+    #: Classified form of ``reason`` — the fallback metric/log key.
+    slug: str = ""
     #: Pickled launch payload (kernel, work-div, props, shared-mem
     #: bytes, args spec); None when ineligible.
     blob: Optional[bytes] = None
@@ -76,8 +79,8 @@ class ProcessLaunchState:
     digest: str = ""
 
 
-def _ineligible(reason: str) -> ProcessLaunchState:
-    return ProcessLaunchState(eligible=False, reason=reason)
+def _ineligible(slug: str, reason: str) -> ProcessLaunchState:
+    return ProcessLaunchState(eligible=False, reason=reason, slug=slug)
 
 
 def marshal_launch(plan, task) -> ProcessLaunchState:
@@ -104,6 +107,7 @@ def marshal_launch(plan, task) -> ProcessLaunchState:
         and plan.work_div.block_thread_count != 1
     ):
         return _ineligible(
+            "multi-thread-blocks",
             "multi-thread blocks need in-process barriers "
             f"(thread_execute={getattr(plan.acc_type, 'thread_execute', '?')!r})"
         )
@@ -114,6 +118,7 @@ def marshal_launch(plan, task) -> ProcessLaunchState:
             s = a.shm_spec()
             if s is None:
                 return _ineligible(
+                    "private-buffer",
                     f"argument {i} is a private-memory Buffer; allocate it "
                     "with mem.alloc(..., shm=True) (or REPRO_SHM_BUFFERS=1) "
                     "for zero-copy process dispatch"
@@ -124,6 +129,7 @@ def marshal_launch(plan, task) -> ProcessLaunchState:
             s = a.buf.shm_spec()
             if s is None:
                 return _ineligible(
+                    "private-buffer",
                     f"argument {i} is a view of a private-memory Buffer; "
                     "allocate the base buffer with shm=True"
                 )
@@ -147,6 +153,7 @@ def marshal_launch(plan, task) -> ProcessLaunchState:
     except Exception as exc:  # noqa: BLE001 - any pickling failure falls back
         kname = getattr(task.kernel, "__name__", type(task.kernel).__name__)
         return _ineligible(
+            "unpicklable",
             f"kernel {kname!r} (or an argument) does not pickle under the "
             f"spawn start method: {exc!r}"
         )
@@ -229,7 +236,7 @@ def worker_init(locks, env: Optional[Dict[str, str]] = None) -> None:
     global _locks
     _locks = tuple(locks)
     if env:
-        os.environ.update(env)
+        knobs.import_env(env)
 
 
 def reset_worker_state() -> None:

@@ -30,6 +30,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .. import knobs
 from ..core.errors import KernelError
 from ..core.vec import Vec
 from .instrument import (
@@ -66,7 +67,7 @@ _log = logging.getLogger("repro.runtime.scheduler")
 MAX_BLOCK_WORKERS = 16
 
 #: Environment variable overriding :data:`MAX_BLOCK_WORKERS`.
-MAX_BLOCK_WORKERS_ENV = "REPRO_MAX_BLOCK_WORKERS"
+MAX_BLOCK_WORKERS_ENV = knobs.MAX_BLOCK_WORKERS
 
 #: Environment variable forcing a block-scheduling strategy onto every
 #: *pool-capable* back-end: ``sequential``, ``threads`` (alias
@@ -76,50 +77,24 @@ MAX_BLOCK_WORKERS_ENV = "REPRO_MAX_BLOCK_WORKERS"
 #: ``block_schedule="sequential"`` (serial, fibers, the thread-level
 #: CPU back-ends) are never remapped — their block order is part of
 #: their semantics.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
+SCHEDULER_ENV = knobs.SCHEDULER
 
 #: Environment variable sizing the process pool (default: core count
 #: capped at :data:`MAX_BLOCK_WORKERS`).
-PROCESS_WORKERS_ENV = "REPRO_PROCESS_WORKERS"
-
-#: Accepted ``REPRO_SCHEDULER`` values -> canonical schedule keys.
-_SCHEDULE_ALIASES = {
-    "sequential": "sequential",
-    "threads": "pooled",
-    "pooled": "pooled",
-    "processes": "processes",
-    "process": "processes",
-    "compiled": "compiled",
-    "compile": "compiled",
-}
+PROCESS_WORKERS_ENV = knobs.PROCESS_WORKERS
 
 
 def resolve_scheduler_override() -> Optional[str]:
     """The canonical schedule forced by ``REPRO_SCHEDULER``, or None."""
-    raw = os.environ.get(SCHEDULER_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        return _SCHEDULE_ALIASES[raw.strip().lower()]
-    except KeyError:
-        raise ValueError(
-            f"{SCHEDULER_ENV}={raw!r} unknown; "
-            f"accepted: {sorted(_SCHEDULE_ALIASES)}"
-        ) from None
+    return knobs.get(SCHEDULER_ENV)
 
 
 def resolve_process_workers() -> int:
     """Worker count for a new process pool (``REPRO_PROCESS_WORKERS``;
     default: host core count capped at :data:`MAX_BLOCK_WORKERS`)."""
-    raw = os.environ.get(PROCESS_WORKERS_ENV)
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(
-                f"{PROCESS_WORKERS_ENV}={raw!r} is not an integer"
-            ) from None
-    return min(MAX_BLOCK_WORKERS, max(1, os.cpu_count() or 1))
+    return knobs.get(PROCESS_WORKERS_ENV) or min(
+        MAX_BLOCK_WORKERS, max(1, os.cpu_count() or 1)
+    )
 
 
 _worker_label = threading.local()
@@ -141,15 +116,9 @@ def resolve_max_block_workers() -> int:
     default is :data:`MAX_BLOCK_WORKERS` bounded by the host's core
     count.
     """
-    raw = os.environ.get(MAX_BLOCK_WORKERS_ENV)
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ValueError(
-                f"{MAX_BLOCK_WORKERS_ENV}={raw!r} is not an integer"
-            ) from None
-    return min(MAX_BLOCK_WORKERS, max(2, os.cpu_count() or 1))
+    return knobs.get(MAX_BLOCK_WORKERS_ENV) or min(
+        MAX_BLOCK_WORKERS, max(2, os.cpu_count() or 1)
+    )
 
 
 def chunk_indices(indices: Sequence[Vec], workers: int) -> List[Sequence[Vec]]:
@@ -162,6 +131,10 @@ def chunk_indices(indices: Sequence[Vec], workers: int) -> List[Sequence[Vec]]:
     return [indices[i : i + size] for i in range(0, n, size)]
 
 
+def _kernel_name(kernel) -> str:
+    return getattr(kernel, "__name__", type(kernel).__name__)
+
+
 def _run_block(plan, grid, bidx: Vec, task, observed: bool) -> None:
     if observed:
         notify_block(plan, bidx)
@@ -171,7 +144,7 @@ def _run_block(plan, grid, bidx: Vec, task, observed: bool) -> None:
     except KernelError:
         raise
     except BaseException as exc:  # noqa: BLE001 - wrapped for the launcher
-        kname = getattr(task.kernel, "__name__", type(task.kernel).__name__)
+        kname = _kernel_name(task.kernel)
         raise KernelError(
             f"kernel {kname!r} failed in block {bidx!r}"
         ) from exc
@@ -189,6 +162,7 @@ class Scheduler:
 
     def __init__(self, device):
         self.device = device
+        self._logged_fallbacks = set()
 
     @property
     def worker_count(self) -> int:
@@ -198,6 +172,49 @@ class Scheduler:
     def dispatch(self, plan, grid, block_indices: Sequence[Vec], task) -> None:
         """Run every block of the launch; returns when all completed."""
         raise NotImplementedError
+
+    def _fall_back(
+        self, plan, grid, block_indices, task, reason: str, detail: str
+    ) -> None:
+        """Run a launch this strategy cannot serve on the thread pool.
+
+        ``reason`` is a classified slug, ``detail`` the explanation.
+        Counted in ``repro_scheduler_fallbacks_total``, logged once per
+        (kernel, reason) and flight-recorded.  Callers fall back
+        strictly before any argument byte changes, so the result is
+        always a correct launch, never a partial one.
+        """
+        from ..telemetry import flight
+        from ..telemetry.metrics import registry
+
+        kname = _kernel_name(task.kernel)
+        registry().counter(
+            "repro_scheduler_fallbacks_total",
+            "Launches a block schedule handed to the thread pool, "
+            "by schedule, kernel and classified reason",
+            schedule=self.schedule,
+            kernel=kname,
+            reason=reason,
+        ).inc()
+        key = (kname, reason)
+        if key not in self._logged_fallbacks:
+            self._logged_fallbacks.add(key)
+            _log.info(
+                "%s dispatch of %s falls back to the thread pool [%s]: %s",
+                self.schedule,
+                kname,
+                reason,
+                detail,
+            )
+        flight.maybe_record(
+            "scheduler_fallback",
+            schedule=self.schedule,
+            kernel=kname,
+            reason=reason,
+        )
+        scheduler_for(self.device, "pooled").dispatch(
+            plan, grid, block_indices, task
+        )
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} on {self.device.name}>"
@@ -304,7 +321,6 @@ class ProcessPoolScheduler(Scheduler):
         self._workers = resolve_process_workers()
         self._pool = None
         self._pool_lock = threading.Lock()
-        self._logged_reasons = set()
 
     @property
     def worker_count(self) -> int:
@@ -323,33 +339,13 @@ class ProcessPoolScheduler(Scheduler):
 
                 ctx = mp.get_context("spawn")
                 locks = [ctx.Lock() for _ in range(ATOMIC_STRIPES)]
-                env = {
-                    k: v
-                    for k, v in os.environ.items()
-                    if k.startswith("REPRO_")
-                }
                 self._pool = ProcessPoolExecutor(
                     max_workers=self._workers,
                     mp_context=ctx,
                     initializer=worker_init,
-                    initargs=(locks, env),
+                    initargs=(locks, knobs.export_env()),
                 )
             return self._pool
-
-    def _fallback(self, plan, grid, block_indices, task, reason: str) -> None:
-        if reason not in self._logged_reasons:
-            self._logged_reasons.add(reason)
-            kname = getattr(
-                task.kernel, "__name__", type(task.kernel).__name__
-            )
-            _log.info(
-                "process dispatch of %s falls back to the thread pool: %s",
-                kname,
-                reason,
-            )
-        scheduler_for(self.device, "pooled").dispatch(
-            plan, grid, block_indices, task
-        )
 
     def dispatch(self, plan, grid, block_indices, task) -> None:
         import multiprocessing as mp
@@ -366,8 +362,9 @@ class ProcessPoolScheduler(Scheduler):
             # or a kernel launched from a worker): spawning
             # grandchildren here would abort the child's bootstrap and
             # break the parent's pool.
-            self._fallback(
+            self._fall_back(
                 plan, grid, block_indices, task,
+                "child-process",
                 "launch happens inside a child process — guard the "
                 "script's entry point with `if __name__ == \"__main__\":` "
                 "so spawned workers do not re-execute it",
@@ -377,14 +374,17 @@ class ProcessPoolScheduler(Scheduler):
             # Workers address blocks by linear index into the plan's
             # full C-order list; a caller-selected subset has no such
             # addressing and runs on the thread pool instead.
-            self._fallback(
+            self._fall_back(
                 plan, grid, block_indices, task,
+                "custom-block-subset",
                 "launch uses a custom block-index subset",
             )
             return
         state = process_launch_state(plan, task)
         if not state.eligible:
-            self._fallback(plan, grid, block_indices, task, state.reason)
+            self._fall_back(
+                plan, grid, block_indices, task, state.slug, state.reason
+            )
             return
 
         observed = bool(observers())
@@ -503,11 +503,8 @@ class CompiledScheduler(Scheduler):
     Launches the vectorizer cannot represent — divergent control flow,
     barriers, atomics, shared memory, per-thread RNG, sanitizer-
     instrumented grids, custom block subsets — fall back to the thread
-    pool with the reason classified, logged once per (kernel, reason),
-    counted in ``repro_compile_fallbacks_total`` and flight-recorded
-    (mirroring the process scheduler's classifier).  Fallbacks happen
-    strictly before any argument byte changes, so they are always
-    correct, never a partial launch.
+    pool through :meth:`Scheduler._fall_back`, additionally counted in
+    ``repro_compile_fallbacks_total`` and ``compile_stats()``.
 
     ``REPRO_COMPILE_CROSSCHECK=1`` additionally runs every compiled
     launch through the interpreter and asserts the two agree
@@ -516,34 +513,13 @@ class CompiledScheduler(Scheduler):
 
     schedule = "compiled"
 
-    def __init__(self, device):
-        super().__init__(device)
-        self._logged_reasons = set()
-
-    def _fallback(self, plan, grid, block_indices, task, reason: str,
-                  detail: str) -> None:
+    def _fall_back(
+        self, plan, grid, block_indices, task, reason: str, detail: str
+    ) -> None:
         from ..compile.metrics import note_fallback
-        from ..compile.replay import kernel_name
-        from ..telemetry import flight
 
-        kname = kernel_name(task.kernel)
-        note_fallback(kname, reason)
-        key = (kname, reason)
-        if key not in self._logged_reasons:
-            self._logged_reasons.add(key)
-            _log.info(
-                "compiled dispatch of %s falls back to interpretation "
-                "[%s]: %s",
-                kname,
-                reason,
-                detail,
-            )
-        flight.maybe_record(
-            "compile_fallback", kernel=kname, reason=reason
-        )
-        scheduler_for(self.device, "pooled").dispatch(
-            plan, grid, block_indices, task
-        )
+        note_fallback(_kernel_name(task.kernel), reason)
+        super()._fall_back(plan, grid, block_indices, task, reason, detail)
 
     def dispatch(self, plan, grid, block_indices, task) -> None:
         from ..compile.replay import crosscheck_active, execute_compiled
@@ -552,7 +528,7 @@ class CompiledScheduler(Scheduler):
         if block_indices is not plan.block_indices:
             # The replay covers the whole grid; a caller-selected block
             # subset has no compiled equivalent.
-            self._fallback(
+            self._fall_back(
                 plan, grid, block_indices, task,
                 "custom-block-subset",
                 "launch uses a custom block-index subset",
@@ -562,7 +538,7 @@ class CompiledScheduler(Scheduler):
             # Sanitizer-instrumented launches must interpret: the
             # monitor observes per-thread accesses, which a fused
             # replay by design does not perform.
-            self._fallback(
+            self._fall_back(
                 plan, grid, block_indices, task,
                 "sanitizer",
                 "sanitizer-instrumented launch needs per-thread "
@@ -579,7 +555,7 @@ class CompiledScheduler(Scheduler):
         try:
             execute_compiled(plan, grid, task, interpret=interpret)
         except CompileFallback as cf:
-            self._fallback(
+            self._fall_back(
                 plan, grid, block_indices, task, cf.reason, cf.detail
             )
 

@@ -8,8 +8,8 @@ dataclasses are imported.
 Activation has two sources, either of which routes launches through the
 instrumented path:
 
-* the ``REPRO_SANITIZE`` environment variable (non-empty ⇒ on) — the
-  zero-code-change entry for scripts and CI;
+* the ``REPRO_SANITIZE`` environment variable (a boolean knob, see
+  :mod:`repro.knobs`) — the zero-code-change entry for scripts and CI;
 * the :func:`enabled` context manager — the programmatic opt-in
   ``testing.run_on_all_backends(sanitize=True)`` and the test-suite
   use.
@@ -22,12 +22,12 @@ their back-end's declared deterministic runner.
 from __future__ import annotations
 
 import atexit
-import os
 import sys
 import threading
 from contextlib import contextmanager
 from typing import Iterator, List, Optional
 
+from .. import knobs
 from .report import LaunchRecord, SanitizerReport
 
 __all__ = [
@@ -35,16 +35,17 @@ __all__ = [
     "SANITIZE_SEED_ENV",
     "active",
     "env_seed",
+    "pinned_seed",
     "enabled",
     "session_report",
     "add_record",
 ]
 
-#: Environment variable: any non-empty value sanitizes every launch.
-SANITIZE_ENV = "REPRO_SANITIZE"
+#: Environment variable: a true value sanitizes every launch.
+SANITIZE_ENV = knobs.SANITIZE
 #: Environment variable: integer seed for fuzzed schedules (implies a
 #: seeded cooperative scheduler on sync-capable launches).
-SANITIZE_SEED_ENV = "REPRO_SANITIZE_SEED"
+SANITIZE_SEED_ENV = knobs.SANITIZE_SEED
 
 _lock = threading.Lock()
 _forced = 0
@@ -56,19 +57,17 @@ _atexit_armed = False
 
 def active() -> bool:
     """Should the runtime route launches through the sanitizer?"""
-    return _forced > 0 or bool(os.environ.get(SANITIZE_ENV))
+    return _forced > 0 or knobs.get(SANITIZE_ENV)
 
 
 def env_seed() -> Optional[int]:
-    raw = os.environ.get(SANITIZE_SEED_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SANITIZE_SEED_ENV}={raw!r} is not an integer seed"
-        ) from None
+    return knobs.get(SANITIZE_SEED_ENV)
+
+
+def pinned_seed(seed: Optional[int]):
+    """Pin ``REPRO_SANITIZE_SEED`` for a whole-process CLI sweep
+    (context manager; ``None`` leaves the environment alone)."""
+    return knobs.pinned(**({} if seed is None else {SANITIZE_SEED_ENV: seed}))
 
 
 def session_report() -> SanitizerReport:
@@ -88,7 +87,7 @@ def add_record(rec: LaunchRecord) -> None:
         _session.launches.append(rec)
         for collector in _collectors:
             collector.launches.append(rec)
-        if os.environ.get(SANITIZE_ENV):
+        if knobs.get(SANITIZE_ENV):
             # Environment-driven runs have no caller holding a report;
             # collect separately and summarise on interpreter exit so
             # findings cannot vanish.

@@ -21,7 +21,7 @@ import runpy
 import sys
 from typing import List, Optional
 
-from ._state import enabled
+from ._state import enabled, pinned_seed
 from .report import SanitizerReport
 
 
@@ -77,22 +77,6 @@ def _parser() -> argparse.ArgumentParser:
     r.add_argument("args", nargs=argparse.REMAINDER, help="script argv")
     r.add_argument("--seed", type=int, help="schedule seed (replay a failing seed)")
     return p
-
-
-def _with_seed(seed: Optional[int]):
-    from .sweep import _state_set_seed
-
-    class _Ctx:
-        def __enter__(self):
-            self.old = _state_set_seed(seed) if seed is not None else None
-            return self
-
-        def __exit__(self, *exc):
-            if seed is not None:
-                _state_set_seed(self.old)
-            return False
-
-    return _Ctx()
 
 
 def _finish(report: SanitizerReport, *, expect_findings: bool) -> int:
@@ -190,7 +174,7 @@ def _cmd_examples(ns) -> int:
         print("no example scripts found", file=sys.stderr)
         return 1
     report = SanitizerReport(label="examples")
-    with _with_seed(ns.seed):
+    with pinned_seed(ns.seed):
         for path in scripts:
             print(f"[sanitize] {path}", file=sys.stderr)
             argv = _FAST_EXAMPLE_ARGV.get(os.path.basename(path))
@@ -214,7 +198,7 @@ def _cmd_crosscheck(ns) -> int:
 
 def _cmd_run(ns) -> int:
     report = SanitizerReport(label=ns.script)
-    with _with_seed(ns.seed):
+    with pinned_seed(ns.seed):
         _run_script(ns.script, report, ns.args)
     return _finish(report, expect_findings=False)
 

@@ -22,8 +22,6 @@ false-positive regression.  CI runs it via
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -75,20 +73,6 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
-@contextmanager
-def _pinned_env(**pairs: str):
-    saved = {k: os.environ.get(k) for k in pairs}
-    os.environ.update(pairs)
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
 def sweep_crosscheck(
     backends: Optional[Iterable[str]] = None,
     *,
@@ -101,18 +85,20 @@ def sweep_crosscheck(
     true — a mismatch means the vectorizer miscompiled a kernel, an
     unclassified crash means a fallback path is missing.
     """
+    from .. import knobs
     from ..acc.registry import accelerator
-    from ..compile import CROSSCHECK_ENV, compile_stats, reset_compile_stats
+    from ..compile import compile_stats, reset_compile_stats
     from ..core.errors import CompileCrossCheckError
     from ..dev.manager import get_dev_by_idx
     from ..queue.queue import QueueBlocking
     from ..runtime import clear_plan_cache
-    from ..runtime.scheduler import SCHEDULER_ENV
     from .sweep import KERNEL_SWEEP
 
     names = set(only) if only is not None else None
     report = CrossCheckReport()
-    with _pinned_env(**{SCHEDULER_ENV: "compiled", CROSSCHECK_ENV: "1"}):
+    with knobs.pinned(
+        **{knobs.SCHEDULER: "compiled", knobs.COMPILE_CROSSCHECK: 1}
+    ):
         clear_plan_cache()
         reset_compile_stats()
         for backend in backends or DEFAULT_CROSSCHECK_BACKENDS:

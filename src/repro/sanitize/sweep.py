@@ -19,7 +19,7 @@ from ..core.vec import Vec
 from ..core.workdiv import WorkDivMembers
 from ..dev.manager import get_dev_by_idx
 from ..queue.queue import QueueBlocking
-from ._state import enabled
+from ._state import enabled, pinned_seed
 from .report import SanitizerReport
 
 __all__ = ["KERNEL_SWEEP", "sweep_kernels", "DEFAULT_SWEEP_BACKENDS"]
@@ -294,10 +294,7 @@ def sweep_kernels(
 
     names = set(only) if only is not None else None
     report = SanitizerReport(label="kernel sweep")
-    old_seed = None
-    if seed is not None:
-        old_seed = _state_set_seed(seed)
-    try:
+    with pinned_seed(seed):
         for backend in backends or DEFAULT_SWEEP_BACKENDS:
             acc = accelerator(backend)
             device = get_dev_by_idx(acc, 0)
@@ -308,22 +305,5 @@ def sweep_kernels(
                 with enabled(label=f"{kernel_name}@{backend}") as rep:
                     fn(acc, device, queue)
                 report.launches.extend(rep.launches)
-    finally:
-        if seed is not None:
-            _state_set_seed(old_seed)
     return report
 
-
-def _state_set_seed(value) -> Optional[str]:
-    """Set/restore ``REPRO_SANITIZE_SEED`` around a sweep; returns the
-    previous value (``None`` = unset)."""
-    import os
-
-    from ._state import SANITIZE_SEED_ENV
-
-    old = os.environ.get(SANITIZE_SEED_ENV)
-    if value is None:
-        os.environ.pop(SANITIZE_SEED_ENV, None)
-    else:
-        os.environ[SANITIZE_SEED_ENV] = str(value)
-    return old

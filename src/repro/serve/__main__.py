@@ -1,7 +1,7 @@
 """CLI entry point: ``python -m repro.serve``.
 
-Flags override ``REPRO_SERVE_*`` environment variables, which override
-the built-in defaults (see :mod:`repro.serve.config`).
+Flags override the ``REPRO_SERVE_*`` knobs of :mod:`repro.knobs`, which
+override the built-in defaults (see :mod:`repro.serve.config`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--online-tuning",
         action="store_true",
         help="re-tune drifted workloads in the background "
-        "(REPRO_TUNING_DRIFT_* set the thresholds)",
+        "(FleetConfig drift_* fields set the thresholds)",
     )
     return parser
 

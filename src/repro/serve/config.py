@@ -1,21 +1,22 @@
-"""Gateway configuration and its ``REPRO_SERVE_*`` environment surface.
+"""Gateway configuration: :class:`ServeConfig` and its environment knobs.
 
-Every knob of the serving gateway is settable three ways, in priority
-order: explicit :class:`ServeConfig` field < environment variable <
-keyword override.  The environment names mirror the rest of the
-project's ``REPRO_*`` family so an operator configures the whole stack
-in one place::
+Every setting is a :class:`ServeConfig` field (and a
+``python -m repro.serve`` flag).  The deployment settings — bind
+address, tenant weights, the online-tuning switch — are also
+environment knobs of :mod:`repro.knobs`, applied by
+:func:`config_from_env` in priority order field < environment variable
+< keyword override::
 
-    REPRO_SERVE_PORT=7411 REPRO_SERVE_BATCH_WINDOW=0.002 \
-        REPRO_SERVE_TENANT_WEIGHTS=gold:4,free:1 python -m repro.serve
+    REPRO_SERVE_PORT=7411 REPRO_SERVE_TENANT_WEIGHTS=gold:4,free:1 \
+        python -m repro.serve --batch-window 0.002
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from .. import knobs
 from ..core.errors import ServeError
 
 __all__ = [
@@ -26,25 +27,15 @@ __all__ = [
     "parse_lanes",
     "HOST_ENV",
     "PORT_ENV",
-    "BATCH_WINDOW_ENV",
-    "BATCH_MAX_ENV",
-    "QUEUE_BOUND_ENV",
-    "INFLIGHT_ENV",
     "TENANT_WEIGHTS_ENV",
-    "LANES_ENV",
     "ONLINE_TUNING_ENV",
     "DEFAULT_BACKEND",
 ]
 
-HOST_ENV = "REPRO_SERVE_HOST"
-PORT_ENV = "REPRO_SERVE_PORT"
-BATCH_WINDOW_ENV = "REPRO_SERVE_BATCH_WINDOW"
-BATCH_MAX_ENV = "REPRO_SERVE_BATCH_MAX"
-QUEUE_BOUND_ENV = "REPRO_SERVE_QUEUE_BOUND"
-INFLIGHT_ENV = "REPRO_SERVE_INFLIGHT"
-TENANT_WEIGHTS_ENV = "REPRO_SERVE_TENANT_WEIGHTS"
-LANES_ENV = "REPRO_SERVE_LANES"
-ONLINE_TUNING_ENV = "REPRO_SERVE_ONLINE_TUNING"
+HOST_ENV = knobs.SERVE_HOST
+PORT_ENV = knobs.SERVE_PORT
+TENANT_WEIGHTS_ENV = knobs.SERVE_TENANT_WEIGHTS
+ONLINE_TUNING_ENV = knobs.SERVE_ONLINE_TUNING
 
 #: Back-end a request (and the default lane set) falls back to when it
 #: does not name one.  Serial keeps the smallest per-launch footprint,
@@ -62,28 +53,7 @@ def parse_tenant_weights(spec: str) -> Dict[str, float]:
     Weights are relative fair-share ratios; unknown tenants default to
     weight 1.0 at admission time, so the map only needs the exceptions.
     """
-    weights: Dict[str, float] = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, sep, value = part.partition(":")
-        if not sep or not name.strip():
-            raise ServeConfigError(
-                f"tenant weight entry {part!r} is not 'name:weight'"
-            )
-        try:
-            w = float(value)
-        except ValueError:
-            raise ServeConfigError(
-                f"tenant weight for {name.strip()!r} is not a number: {value!r}"
-            ) from None
-        if w <= 0:
-            raise ServeConfigError(
-                f"tenant weight for {name.strip()!r} must be positive, got {w}"
-            )
-        weights[name.strip()] = w
-    return weights
+    return knobs.parse(TENANT_WEIGHTS_ENV, spec, ServeConfigError)
 
 
 def parse_lanes(spec: str) -> List[Tuple[str, int]]:
@@ -155,7 +125,8 @@ class ServeConfig:
     #: Feed completed-request latencies into a
     #: :class:`repro.tuning.fleet.DriftMonitor` and re-tune drifted
     #: workloads in the background (``REPRO_SERVE_ONLINE_TUNING=1``;
-    #: drift thresholds come from ``REPRO_TUNING_DRIFT_*``).
+    #: drift thresholds are :class:`~repro.tuning.fleet.FleetConfig`
+    #: fields).
     online_tuning: bool = False
 
     def __post_init__(self):
@@ -193,58 +164,17 @@ class ServeConfig:
             raise ServeConfigError(str(exc)) from None
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ServeConfigError(f"{name} is not a number: {raw!r}") from None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ServeConfigError(f"{name} is not an integer: {raw!r}") from None
-
-
-def _env_bool(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    value = raw.strip().lower()
-    if value in ("1", "yes", "true", "on"):
-        return True
-    if value in ("0", "no", "false", "off"):
-        return False
-    raise ServeConfigError(f"{name} is not a boolean: {raw!r}")
-
-
 def config_from_env(base: Optional[ServeConfig] = None) -> ServeConfig:
-    """A :class:`ServeConfig` with every ``REPRO_SERVE_*`` variable
-    applied on top of ``base`` (default-constructed when omitted)."""
+    """A :class:`ServeConfig` with the ``REPRO_SERVE_*`` knobs that are
+    set applied on top of ``base`` (default-constructed when omitted)."""
     cfg = base or ServeConfig()
-    weights = cfg.tenant_weights
-    raw_weights = os.environ.get(TENANT_WEIGHTS_ENV)
-    if raw_weights is not None and raw_weights.strip():
-        weights = parse_tenant_weights(raw_weights)
-    lanes = cfg.lanes
-    raw_lanes = os.environ.get(LANES_ENV)
-    if raw_lanes is not None and raw_lanes.strip():
-        lanes = tuple(parse_lanes(raw_lanes))
+
+    def env(name, field):
+        return knobs.get(name, getattr(cfg, field), ServeConfigError)
+
     return cfg.with_overrides(
-        host=os.environ.get(HOST_ENV, cfg.host),
-        port=_env_int(PORT_ENV, cfg.port),
-        batch_window=_env_float(BATCH_WINDOW_ENV, cfg.batch_window),
-        batch_max=_env_int(BATCH_MAX_ENV, cfg.batch_max),
-        queue_bound=_env_int(QUEUE_BOUND_ENV, cfg.queue_bound),
-        tenant_inflight=_env_int(INFLIGHT_ENV, cfg.tenant_inflight),
-        tenant_weights=weights,
-        lanes=lanes,
-        online_tuning=_env_bool(ONLINE_TUNING_ENV, cfg.online_tuning),
+        host=env(HOST_ENV, "host"),
+        port=env(PORT_ENV, "port"),
+        tenant_weights=env(TENANT_WEIGHTS_ENV, "tenant_weights"),
+        online_tuning=env(ONLINE_TUNING_ENV, "online_tuning"),
     )

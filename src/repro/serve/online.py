@@ -20,7 +20,7 @@ the work division changes, never the arithmetic.
 
 Enable with ``REPRO_SERVE_ONLINE_TUNING=1`` (or
 ``Gateway(online_tuning=True)``); drift thresholds and budgets come
-from the ``REPRO_TUNING_DRIFT_*`` family.
+from the :class:`~repro.tuning.fleet.FleetConfig` ``drift_*`` fields.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ import asyncio
 import contextlib
 from typing import Optional
 
+from .. import knobs
 from .config import ServeConfig, config_from_env
 from .gateway import Gateway
 from .protocol import (
@@ -143,7 +144,8 @@ class ServeServer:
         if op == "ping":
             return {"id": msg_id, "ok": True, "pong": True}
         if op == "stats":
-            return {"id": msg_id, "ok": True, "stats": self.gateway.stats()}
+            stats = dict(self.gateway.stats(), config=knobs.effective())
+            return {"id": msg_id, "ok": True, "stats": stats}
         if op in ("launch", "graph"):
             from ..telemetry import tracing
 

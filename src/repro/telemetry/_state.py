@@ -3,11 +3,12 @@
 Activation has three front doors, all landing on the same collector
 machinery:
 
-* **environment** — ``REPRO_TELEMETRY`` non-empty installs a session
-  collector at import time (zero code changes) and prints the report
-  at interpreter exit; ``REPRO_TELEMETRY_EXPORT`` additionally writes
-  an export file at exit (``*.json`` → Chrome trace, ``*.prom`` /
-  ``*.txt`` → Prometheus text);
+* **environment** — ``REPRO_TELEMETRY`` (a boolean knob, see
+  :mod:`repro.knobs`) installs a session collector at import time
+  (zero code changes) and prints the report and the effective
+  configuration at interpreter exit; ``REPRO_TELEMETRY_EXPORT``
+  additionally writes an export file at exit (``*.json`` → Chrome
+  trace, ``*.prom`` / ``*.txt`` → Prometheus text);
 * **programmatic** — :func:`repro.telemetry.collect` scopes a private
   collector to a ``with`` block;
 * **CLI** — ``python -m repro.telemetry`` (see
@@ -21,10 +22,11 @@ numpy-free dependencies load only when telemetry is actually on.
 from __future__ import annotations
 
 import atexit
-import os
 import sys
 import threading
 from typing import Optional
+
+from .. import knobs
 
 __all__ = [
     "TELEMETRY_ENV",
@@ -36,13 +38,13 @@ __all__ = [
     "maybe_activate_from_env",
 ]
 
-#: Environment variable: any non-empty value collects telemetry for the
-#: whole process and renders the report at exit.
-TELEMETRY_ENV = "REPRO_TELEMETRY"
+#: Environment variable: a true value collects telemetry for the whole
+#: process and renders the report at exit.
+TELEMETRY_ENV = knobs.TELEMETRY
 
 #: Environment variable: path written at interpreter exit — ``*.json``
 #: exports the Chrome trace, ``*.prom`` / ``*.txt`` the Prometheus text.
-TELEMETRY_EXPORT_ENV = "REPRO_TELEMETRY_EXPORT"
+TELEMETRY_EXPORT_ENV = knobs.TELEMETRY_EXPORT
 
 _lock = threading.Lock()
 _session = None  # type: Optional[object]
@@ -51,7 +53,7 @@ _atexit_armed = False
 
 def enabled() -> bool:
     """Is environment-driven telemetry requested?"""
-    return bool(os.environ.get(TELEMETRY_ENV))
+    return knobs.get(TELEMETRY_ENV)
 
 
 def session_collector():
@@ -101,7 +103,7 @@ def maybe_activate_from_env():
         return None
     return activate(
         label=f"{TELEMETRY_ENV} session",
-        export_path=os.environ.get(TELEMETRY_EXPORT_ENV) or None,
+        export_path=knobs.get(TELEMETRY_EXPORT_ENV),
     )
 
 
@@ -125,6 +127,7 @@ def _report_at_exit(export_path: Optional[str]) -> None:  # pragma: no cover
         return
     try:
         print(collector.render(), file=sys.stderr)
+        print(knobs.describe(), file=sys.stderr)
         if export_path:
             written = export_to(collector, export_path)
             print(f"telemetry export written to {written}", file=sys.stderr)

@@ -206,6 +206,9 @@ class TelemetryCollector(ExecutionObserver):
                         "work_div": str(plan.work_div),
                         "schedule": plan.schedule,
                         "modeled_s": modeled,
+                        # Device clock at launch begin: lays the modeled
+                        # timeline over the wall-clock one.
+                        "sim_time_fs": sim_begin,
                     }
                 ),
             )

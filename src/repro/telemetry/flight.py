@@ -38,6 +38,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
+from .. import knobs
 from ..runtime.instrument import ExecutionObserver
 
 __all__ = [
@@ -56,7 +57,7 @@ __all__ = [
 #: Environment variable: directory flight dumps are written to; setting
 #: it activates the recorder in this process and (via the REPRO_* env
 #: mirror) in spawned pool workers.
-FLIGHT_ENV = "REPRO_FLIGHT_RECORDER_DIR"
+FLIGHT_ENV = knobs.FLIGHT_RECORDER_DIR
 
 #: Events kept in the ring (per process).
 RING_CAPACITY = 256
@@ -127,6 +128,7 @@ class FlightRecorder(ExecutionObserver):
             "ts": time.time(),
             "event_count": len(events),
             "events": events,
+            "config": knobs.effective(),
         }
         path = os.path.join(
             self.directory, f"flight-{os.getpid()}-{seq}.json"
@@ -196,7 +198,7 @@ def maybe_activate_from_env() -> Optional["FlightRecorder"]:
     makes the process "observed" — that is the deal: a flight recorder
     that sees nothing records nothing.
     """
-    directory = os.environ.get(FLIGHT_ENV)
+    directory = knobs.get(FLIGHT_ENV)
     if not directory:
         return None
     return activate(directory)

@@ -38,6 +38,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from .. import knobs
+
 __all__ = [
     "TELEMETRY_HTTP_ENV",
     "OpsServer",
@@ -51,7 +53,7 @@ __all__ = [
 
 #: Environment variable: ``host:port`` to serve the ops endpoints on
 #: (``127.0.0.1:0`` binds an OS-assigned free port).
-TELEMETRY_HTTP_ENV = "REPRO_TELEMETRY_HTTP"
+TELEMETRY_HTTP_ENV = knobs.TELEMETRY_HTTP
 
 #: Health providers: name -> callable returning ``(ok, detail_dict)``.
 _health_lock = threading.Lock()
@@ -126,6 +128,7 @@ class _OpsHandler(BaseHTTPRequestHandler):
                         "ok": ok,
                         "pid": os.getpid(),
                         "components": components,
+                        "config": knobs.effective(),
                     },
                 )
             elif route == "/traces":
@@ -227,26 +230,16 @@ def maybe_start_from_env() -> Optional[OpsServer]:
     """Start (or return) the shared ops server iff
     ``REPRO_TELEMETRY_HTTP=host:port`` is set.  Idempotent — the
     gateway and fleet daemon both call this and share one listener.
-    A bind failure is reported on stderr, never raised: the ops
-    surface must not take the serving path down with it."""
+    A malformed address or a bind failure is reported, never raised:
+    the ops surface must not take the serving path down with it."""
     global _shared
-    spec = os.environ.get(TELEMETRY_HTTP_ENV)
-    if not spec:
+    addr = knobs.get(TELEMETRY_HTTP_ENV)
+    if addr is None:
         return None
     with _shared_lock:
         if _shared is not None:
             return _shared
-        host, _, port_s = spec.rpartition(":")
-        host = host or "127.0.0.1"
-        try:
-            port = int(port_s)
-        except ValueError:
-            print(
-                f"{TELEMETRY_HTTP_ENV}={spec!r} is not host:port; "
-                "ops endpoints disabled",
-                file=sys.stderr,
-            )
-            return None
+        host, port = addr
         server = OpsServer(host, port)
         try:
             bound_host, bound_port = server.start()

@@ -40,6 +40,8 @@ import threading
 from collections import deque
 from typing import Dict, Iterator, List, Optional
 
+from .. import knobs
+
 __all__ = [
     "TRACEPARENT_ENV",
     "TraceContext",
@@ -55,7 +57,7 @@ __all__ = [
 
 #: Environment variable carrying a W3C ``traceparent`` into child
 #: processes: ``00-<32 hex trace_id>-<16 hex span_id>-01``.
-TRACEPARENT_ENV = "REPRO_TRACEPARENT"
+TRACEPARENT_ENV = knobs.TRACEPARENT
 
 _TRACEPARENT_RE = re.compile(
     r"^[0-9a-f]{2}-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}$"
@@ -144,7 +146,7 @@ def from_traceparent(value: Optional[str]) -> Optional[TraceContext]:
 
 def from_env() -> Optional[TraceContext]:
     """The context seeded by ``REPRO_TRACEPARENT``, or None."""
-    return from_traceparent(os.environ.get(TRACEPARENT_ENV))
+    return from_traceparent(knobs.get(TRACEPARENT_ENV))
 
 
 def current() -> Optional[TraceContext]:
@@ -260,7 +262,7 @@ _store_lock = threading.Lock()
 _store: Optional[TraceStore] = None
 
 #: Environment variable: keep 1-in-N OK traces (errors always kept).
-TRACE_SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
+TRACE_SAMPLE_ENV = knobs.TRACE_SAMPLE
 
 
 def trace_store() -> TraceStore:
@@ -272,10 +274,5 @@ def trace_store() -> TraceStore:
         return store
     with _store_lock:
         if _store is None:
-            raw = os.environ.get(TRACE_SAMPLE_ENV, "")
-            try:
-                sample = max(1, int(raw)) if raw else 1
-            except ValueError:
-                sample = 1
-            _store = TraceStore(sample_every=sample)
+            _store = TraceStore(sample_every=knobs.get(TRACE_SAMPLE_ENV))
         return _store

@@ -42,6 +42,7 @@ try:  # advisory locking is POSIX-only; elsewhere saves stay best-effort
 except ImportError:  # pragma: no cover - non-POSIX hosts
     fcntl = None
 
+from .. import knobs
 from ..core.vec import Vec, as_vec
 from ..core.workdiv import WorkDivMembers
 
@@ -65,7 +66,7 @@ __all__ = [
 ]
 
 #: Environment variable overriding where the tuning cache lives.
-TUNING_CACHE_ENV = "REPRO_TUNING_CACHE"
+TUNING_CACHE_ENV = knobs.TUNING_CACHE
 
 #: Default cache file, created in the current working directory.
 DEFAULT_CACHE_FILENAME = ".repro-tuning-cache.json"
@@ -137,10 +138,9 @@ def file_lock(path: str, *, exclusive: bool = True) -> Iterator[None]:
 def default_cache_path() -> str:
     """The resolved cache location: ``$REPRO_TUNING_CACHE`` when set,
     else :data:`DEFAULT_CACHE_FILENAME` in the working directory."""
-    env = os.environ.get(TUNING_CACHE_ENV)
-    if env:
-        return env
-    return os.path.join(os.getcwd(), DEFAULT_CACHE_FILENAME)
+    return knobs.get(TUNING_CACHE_ENV) or os.path.join(
+        os.getcwd(), DEFAULT_CACHE_FILENAME
+    )
 
 
 def kernel_id(kernel) -> str:

@@ -1,4 +1,4 @@
-"""Fleet-tuning configuration and its ``REPRO_TUNING_*`` env surface.
+"""Fleet-tuning configuration and its ``REPRO_TUNING_FLEET*`` knobs.
 
 One immutable record configures all three fleet features:
 
@@ -10,18 +10,17 @@ One immutable record configures all three fleet features:
 * **leases** — how long a tuning lease is honoured before siblings may
   break it, and how long a worker that lost the race waits for the
   winner before proceeding with the Table 2 heuristic.
-* **drift** — the ``REPRO_TUNING_DRIFT_*`` family tuning the online
-  re-tuner: EWMA smoothing, drift threshold ratio, sample window,
-  cooldown between re-tunes and the measurement budget of a background
-  re-tune.
+* **drift** — the ``drift_*`` fields tuning the online re-tuner: EWMA
+  smoothing, drift threshold ratio, sample window, cooldown between
+  re-tunes and the measurement budget of a background re-tune.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from ... import knobs
 from ...core.errors import TuningFleetError
 
 __all__ = [
@@ -32,28 +31,18 @@ __all__ = [
     "parse_addr",
     "FLEET_ENV",
     "FLEET_ADDR_ENV",
-    "DRIFT_THRESHOLD_ENV",
-    "DRIFT_WINDOW_ENV",
-    "DRIFT_COOLDOWN_ENV",
-    "DRIFT_BUDGET_ENV",
-    "DRIFT_EWMA_ENV",
     "HOF_ENV",
     "DEFAULT_DAEMON_PORT",
     "FLEET_MODES",
 ]
 
-FLEET_ENV = "REPRO_TUNING_FLEET"
-FLEET_ADDR_ENV = "REPRO_TUNING_FLEET_ADDR"
-DRIFT_THRESHOLD_ENV = "REPRO_TUNING_DRIFT_THRESHOLD"
-DRIFT_WINDOW_ENV = "REPRO_TUNING_DRIFT_WINDOW"
-DRIFT_COOLDOWN_ENV = "REPRO_TUNING_DRIFT_COOLDOWN"
-DRIFT_BUDGET_ENV = "REPRO_TUNING_DRIFT_BUDGET"
-DRIFT_EWMA_ENV = "REPRO_TUNING_DRIFT_EWMA"
+FLEET_ENV = knobs.TUNING_FLEET
+FLEET_ADDR_ENV = knobs.TUNING_FLEET_ADDR
 #: Hall-of-fame file of the evolutionary search (see fleet.evolve).
-HOF_ENV = "REPRO_TUNING_HOF"
+HOF_ENV = knobs.TUNING_HOF
 
 #: Port the fleet daemon binds when the address names none.
-DEFAULT_DAEMON_PORT = 7412
+DEFAULT_DAEMON_PORT = knobs.FLEET_DAEMON_PORT
 
 FLEET_MODES = ("off", "lock", "daemon")
 
@@ -63,41 +52,20 @@ class FleetConfigError(TuningFleetError, ValueError):
 
 
 def parse_fleet_mode(raw: Optional[str]) -> str:
-    """Map the ``REPRO_TUNING_FLEET`` value to a mode name.
+    """Map a ``REPRO_TUNING_FLEET`` value to a mode name.
 
     Unset / empty / ``0`` / ``off`` → ``off``; ``1`` / ``lock`` /
     ``file`` → ``lock`` (file locking is the no-daemon default);
     ``daemon`` / ``socket`` → ``daemon``.
     """
-    if raw is None:
+    if raw is None or not raw.strip():
         return "off"
-    value = raw.strip().lower()
-    if value in ("", "0", "off", "no", "false"):
-        return "off"
-    if value in ("1", "lock", "file", "flock", "yes", "true"):
-        return "lock"
-    if value in ("daemon", "socket", "serve"):
-        return "daemon"
-    raise FleetConfigError(
-        f"{FLEET_ENV}={raw!r} not understood; use one of off|lock|daemon"
-    )
+    return knobs.parse(FLEET_ENV, raw, FleetConfigError)
 
 
 def parse_addr(raw: str) -> Tuple[str, int]:
     """``"host:port"`` (or bare ``"host"`` / bare ``":port"``) → tuple."""
-    value = raw.strip()
-    host, sep, port = value.rpartition(":")
-    if not sep:
-        return (value or "127.0.0.1", DEFAULT_DAEMON_PORT)
-    try:
-        port_no = int(port)
-    except ValueError:
-        raise FleetConfigError(
-            f"{FLEET_ADDR_ENV} port is not an integer: {port!r}"
-        ) from None
-    if not 0 <= port_no <= 65535:
-        raise FleetConfigError(f"{FLEET_ADDR_ENV} port out of range: {port_no}")
-    return (host or "127.0.0.1", port_no)
+    return knobs.parse(FLEET_ADDR_ENV, raw, FleetConfigError)
 
 
 @dataclass(frozen=True)
@@ -187,45 +155,11 @@ class FleetConfig:
             raise FleetConfigError(str(exc)) from None
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise FleetConfigError(f"{name} is not a number: {raw!r}") from None
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise FleetConfigError(f"{name} is not an integer: {raw!r}") from None
-
-
 def fleet_config_from_env(base: Optional[FleetConfig] = None) -> FleetConfig:
-    """A :class:`FleetConfig` with every ``REPRO_TUNING_FLEET*`` /
-    ``REPRO_TUNING_DRIFT_*`` variable applied on top of ``base``."""
+    """A :class:`FleetConfig` with the ``REPRO_TUNING_FLEET`` /
+    ``REPRO_TUNING_FLEET_ADDR`` knobs that are set applied on top of
+    ``base``."""
     cfg = base or FleetConfig()
-    mode = cfg.mode
-    raw_mode = os.environ.get(FLEET_ENV)
-    if raw_mode is not None:
-        mode = parse_fleet_mode(raw_mode)
-    host, port = cfg.host, cfg.port
-    raw_addr = os.environ.get(FLEET_ADDR_ENV)
-    if raw_addr is not None and raw_addr.strip():
-        host, port = parse_addr(raw_addr)
-    return cfg.with_overrides(
-        mode=mode,
-        host=host,
-        port=port,
-        drift_threshold=_env_float(DRIFT_THRESHOLD_ENV, cfg.drift_threshold),
-        drift_window=_env_int(DRIFT_WINDOW_ENV, cfg.drift_window),
-        drift_cooldown=_env_float(DRIFT_COOLDOWN_ENV, cfg.drift_cooldown),
-        drift_budget=_env_int(DRIFT_BUDGET_ENV, cfg.drift_budget),
-        drift_ewma_alpha=_env_float(DRIFT_EWMA_ENV, cfg.drift_ewma_alpha),
-    )
+    host, port = knobs.get(FLEET_ADDR_ENV, cfg.addr, FleetConfigError)
+    mode = knobs.get(FLEET_ENV, cfg.mode, FleetConfigError)
+    return cfg.with_overrides(mode=mode, host=host, port=port)

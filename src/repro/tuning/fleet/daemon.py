@@ -30,6 +30,7 @@ import time
 import uuid
 from typing import Any, Dict, Optional, Tuple
 
+from ... import knobs
 from ...serve.protocol import MAX_LINE_BYTES, decode_message, encode_message
 from ...telemetry import flight, tracing
 from ...telemetry import http as ops_http
@@ -340,5 +341,6 @@ class FleetDaemon:
                 "ops": ops,
                 "uptime": time.monotonic() - self._started_at,
                 "cache_path": self.cache.path,
+                "config": knobs.effective(),
             }
         }

@@ -30,6 +30,7 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ... import knobs
 from ...core.workdiv import WorkDivMembers
 from ..cache import file_lock
 from ..search import (
@@ -57,10 +58,9 @@ HOF_FORMAT_VERSION = 1
 
 
 def default_hof_path() -> str:
-    env = os.environ.get(HOF_ENV)
-    if env:
-        return env
-    return os.path.join(os.getcwd(), DEFAULT_HOF_FILENAME)
+    return knobs.get(HOF_ENV) or os.path.join(
+        os.getcwd(), DEFAULT_HOF_FILENAME
+    )
 
 
 def _wd_payload(wd: WorkDivMembers) -> dict:

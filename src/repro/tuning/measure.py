@@ -22,41 +22,16 @@ Two clocks, chosen automatically per kernel:
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from .. import knobs
 from ..acc.timing import measure
-from ..core.kernel import create_task_kernel
+from ..core.kernel import KernelTask
 from ..core.workdiv import WorkDivMembers
 from ..telemetry.spans import sim_interval, span
 
 __all__ = ["MeasuredTime", "measure_division", "measure_task"]
-
-
-@contextmanager
-def _forced_schedule(schedule: Optional[str]):
-    """Pin ``REPRO_SCHEDULER`` for the duration of one measurement.
-
-    The launch-plan cache folds the override into its key, so plans
-    measured under a forced schedule never collide with plans of the
-    surrounding application.
-    """
-    if schedule is None:
-        yield
-        return
-    from ..runtime.scheduler import SCHEDULER_ENV
-
-    prev = os.environ.get(SCHEDULER_ENV)
-    os.environ[SCHEDULER_ENV] = schedule
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(SCHEDULER_ENV, None)
-        else:
-            os.environ[SCHEDULER_ENV] = prev
 
 
 @dataclass(frozen=True)
@@ -143,11 +118,13 @@ def measure_division(
     ``"compiled"``); the schedule leg of the autotuner sweeps it with
     ``clock="wall"``.
     """
-    task = create_task_kernel(
-        acc_type, work_div, kernel, *args, shared_mem_bytes=shared_mem_bytes
+    if schedule is not None:
+        # Same names (and aliases) ``REPRO_SCHEDULER`` accepts.
+        schedule = knobs.parse(knobs.SCHEDULER, schedule)
+    task = KernelTask(
+        acc_type, work_div, kernel, tuple(args),
+        shared_mem_bytes=shared_mem_bytes, schedule=schedule,
     )
-    with _forced_schedule(schedule):
-        return measure_task(
-            task, device, queue=queue, warmup=warmup, repeat=repeat,
-            clock=clock,
-        )
+    return measure_task(
+        task, device, queue=queue, warmup=warmup, repeat=repeat, clock=clock
+    )

@@ -175,20 +175,26 @@ class TestCopyAndQueueHooks:
         assert stats.per_backend["AccCpuSerial"] == 2
 
     def test_timeline_observer_records_ordered_events(self):
-        from repro.trace import trace_execution
+        # The telemetry collector's Chrome-trace buffer is the timeline.
+        from repro import telemetry
 
         dev = get_dev_by_idx(AccCpuSerial, 0)
         q = QueueBlocking(dev)
         task = create_task_kernel(AccCpuSerial, WorkDivMembers.make(2, 1, 1), _noop)
         buf = mem.alloc(dev, 4)
-        with trace_execution(record_blocks=True) as tl:
+        with telemetry.collect(record_blocks=True) as t:
             q.enqueue(task)
             mem.memset(q, buf, 1.0)
-        kinds = [e.kind for e in tl.events]
-        assert kinds[0] == "launch_begin"
-        assert kinds.count("block") == 2
-        assert "launch_end" in kinds
-        assert "copy" in kinds
-        assert tl.span(0) is not None and tl.span(0) >= 0.0
-        assert "AccCpuSerial" in tl.render()
+        (launch,) = [e for e in t.events if e.cat == "launch"]
+        blocks = [e for e in t.events if e.cat == "block"]
+        assert len(blocks) == 2
+        # Launch begin precedes its blocks; they finish before its end.
+        assert launch.dur >= 0.0
+        for b in blocks:
+            assert launch.ts <= b.ts
+            assert b.ts + b.dur <= launch.ts + launch.dur
+        assert launch.args["backend"] == "AccCpuSerial"
+        assert "AccCpuSerial" in t.render()
+        copies = t.registry.instruments("repro_copies_total")
+        assert sum(c.value for c in copies) == 1
         buf.free()

@@ -294,6 +294,41 @@ class TestDispatch:
         x.free()
         y.free()
 
+    def test_fallbacks_are_counted_and_flight_recorded(
+        self, dev, monkeypatch, tmp_path
+    ):
+        from repro.telemetry import flight
+        from repro.telemetry.metrics import registry
+
+        def count():
+            return registry().counter(
+                "repro_scheduler_fallbacks_total",
+                "",
+                schedule="processes",
+                kernel="AxpyElementsKernel",
+                reason="private-buffer",
+            ).value
+
+        monkeypatch.setenv(SCHEDULER_ENV, "processes")
+        task, x, y = _axpy_task(dev, shm=False)
+        queue = QueueBlocking(dev)
+        before = count()
+        rec = flight.activate(str(tmp_path))
+        try:
+            queue.enqueue(task)
+            queue.enqueue(task)
+            events = [
+                e for e in rec.events() if e["kind"] == "scheduler_fallback"
+            ]
+        finally:
+            flight.deactivate()
+        assert count() - before == 2
+        assert len(events) == 2
+        assert events[0]["schedule"] == "processes"
+        assert events[0]["reason"] == "private-buffer"
+        x.free()
+        y.free()
+
     def test_custom_block_subset_falls_back(self, dev, monkeypatch):
         monkeypatch.setenv(PROCESS_WORKERS_ENV, "2")
         task, x, y = _axpy_task(dev, n=256, blocks=4)

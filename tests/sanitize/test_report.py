@@ -1,4 +1,4 @@
-"""Reports, activation paths, observer/timeline integration, CLI."""
+"""Reports, activation paths, observer/telemetry integration, CLI."""
 
 from __future__ import annotations
 
@@ -117,14 +117,15 @@ class TestObserverIntegration:
         assert seen[0].kernel == "RacyKernel" and seen[0].findings
 
     def test_timeline_records_sanitize_event(self):
-        from repro.trace.timeline import trace_execution
+        from repro import telemetry
 
-        with trace_execution() as tl:
-            with enabled():
+        with telemetry.collect() as t:
+            with enabled() as report:
                 _launch(RacyKernel())
-        ev = [e for e in tl.events if e.kind == "sanitize"]
+        ev = [e for e in t.events if e.name == "sanitize"]
         assert len(ev) == 1
-        assert "data-race" in ev[0].detail
+        assert ev[0].args["kernel"] == "RacyKernel"
+        assert ev[0].args["findings"] == len(report.launches[0].findings) > 0
 
     def test_launch_begin_end_still_fire_when_sanitized(self):
         from repro import CountingObserver

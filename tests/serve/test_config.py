@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import knobs
 from repro.serve import (
     ServeConfig,
     ServeConfigError,
@@ -12,14 +13,23 @@ from repro.serve import (
     parse_tenant_weights,
 )
 from repro.serve.config import (
-    BATCH_MAX_ENV,
-    BATCH_WINDOW_ENV,
-    INFLIGHT_ENV,
-    LANES_ENV,
+    HOST_ENV,
+    ONLINE_TUNING_ENV,
     PORT_ENV,
-    QUEUE_BOUND_ENV,
     TENANT_WEIGHTS_ENV,
 )
+
+#: Retired in favour of the ServeConfig field / ``python -m repro.serve``
+#: flag of the same meaning.
+RETIRED = {
+    "REPRO_SERVE_BATCH_WINDOW": ("--batch-window", "0.01", "batch_window", 0.01),
+    "REPRO_SERVE_BATCH_MAX": ("--batch-max", "32", "batch_max", 32),
+    "REPRO_SERVE_QUEUE_BOUND": ("--queue-bound", "77", "queue_bound", 77),
+    "REPRO_SERVE_INFLIGHT": ("--inflight", "3", "tenant_inflight", 3),
+    "REPRO_SERVE_LANES": (
+        "--lanes", "AccCpuSerial:0", "lanes", [("AccCpuSerial", 0)]
+    ),
+}
 
 
 class TestDefaults:
@@ -90,33 +100,54 @@ class TestParsers:
 
 class TestEnv:
     def test_env_overrides(self, monkeypatch):
+        monkeypatch.setenv(HOST_ENV, "0.0.0.0")
         monkeypatch.setenv(PORT_ENV, "8123")
-        monkeypatch.setenv(BATCH_WINDOW_ENV, "0.01")
-        monkeypatch.setenv(BATCH_MAX_ENV, "32")
-        monkeypatch.setenv(QUEUE_BOUND_ENV, "77")
-        monkeypatch.setenv(INFLIGHT_ENV, "3")
         monkeypatch.setenv(TENANT_WEIGHTS_ENV, "gold:2")
-        monkeypatch.setenv(LANES_ENV, "AccCpuSerial:0")
+        monkeypatch.setenv(ONLINE_TUNING_ENV, "on")
         cfg = config_from_env()
+        assert cfg.host == "0.0.0.0"
         assert cfg.port == 8123
-        assert cfg.batch_window == 0.01
-        assert cfg.batch_max == 32
-        assert cfg.queue_bound == 77
-        assert cfg.tenant_inflight == 3
         assert cfg.tenant_weights == {"gold": 2.0}
-        assert cfg.lanes == (("AccCpuSerial", 0),)
+        assert cfg.online_tuning is True
 
     def test_env_bad_value_raises(self, monkeypatch):
-        monkeypatch.setenv(PORT_ENV, "not_a_port")
-        with pytest.raises(ServeConfigError):
-            config_from_env()
+        for var, value in (
+            (PORT_ENV, "not_a_port"),
+            (PORT_ENV, "99999"),
+            (TENANT_WEIGHTS_ENV, "gold=4"),
+            (ONLINE_TUNING_ENV, "maybe"),
+        ):
+            with monkeypatch.context() as m:
+                m.setenv(var, value)
+                with pytest.raises(ServeConfigError):
+                    config_from_env()
 
     def test_env_untouched_uses_defaults(self, monkeypatch):
-        for var in (
-            PORT_ENV,
-            BATCH_WINDOW_ENV,
-            TENANT_WEIGHTS_ENV,
-            LANES_ENV,
-        ):
+        for var in (HOST_ENV, PORT_ENV, TENANT_WEIGHTS_ENV, ONLINE_TUNING_ENV):
             monkeypatch.delenv(var, raising=False)
-        assert config_from_env().port == ServeConfig().port
+        assert config_from_env() == ServeConfig()
+
+    def test_base_survives_where_env_is_silent(self, monkeypatch):
+        monkeypatch.delenv(PORT_ENV, raising=False)
+        monkeypatch.setenv(HOST_ENV, "")  # blank counts as unset
+        base = ServeConfig(host="10.0.0.1", port=9000, batch_max=7)
+        assert config_from_env(base) == base
+
+    def test_retired_variables_are_inert_flags_still_work(self, monkeypatch):
+        from repro.serve import __main__ as cli
+
+        argv = []
+        for var, (flag, value, _, _) in RETIRED.items():
+            monkeypatch.setenv(var, value)
+            argv += [flag, value]
+        assert config_from_env() == ServeConfig()
+        assert set(RETIRED) <= set(knobs.effective()["unrecognised"])
+
+        seen = {}
+        monkeypatch.setattr(
+            cli, "serve_forever", lambda config: seen.setdefault("cfg", config)
+        )
+        monkeypatch.setattr(cli.asyncio, "run", lambda _: None)
+        assert cli.main(argv) == 0
+        for _, _, field, want in RETIRED.values():
+            assert getattr(seen["cfg"], field) == want

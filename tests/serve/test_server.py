@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.core.errors import ServeError
 from repro.serve import Gateway, ServeConfig
 from repro.serve.client import ServeClient
@@ -104,6 +105,7 @@ class TestServer:
             stats = await client.stats()
             assert stats["requests"]["completed"] >= 1
             assert "lanes" in stats
+            assert stats["config"] == json.loads(json.dumps(knobs.effective()))
 
         run(_with_server(server_config, check))
 

@@ -13,6 +13,7 @@ from repro import (
     create_task_kernel,
     fn_acc,
     get_dev_by_idx,
+    knobs,
     mem,
 )
 from repro.telemetry import flight, tracing
@@ -71,6 +72,7 @@ def test_dump_writes_ring_atomically(rec, tmp_path):
     assert payload["error"] == "synthetic"
     assert payload["event_count"] == 2
     assert [e["kind"] for e in payload["events"]] == ["one", "two"]
+    assert payload["config"] == json.loads(json.dumps(knobs.effective()))
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
 

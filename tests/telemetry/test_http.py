@@ -53,13 +53,22 @@ def test_metrics_endpoint_serves_prometheus(server):
     assert "repro_test_http_total 3" in text
 
 
-def test_healthz_aggregates_components(server):
+def test_healthz_aggregates_components(server, monkeypatch):
     register_health("up_component", lambda: (True, {"detail": 1}))
+    monkeypatch.setenv("REPRO_SCHEDULER", "compiled")
+    monkeypatch.setenv("REPRO_SCHEDULAR", "compiled")
     try:
         status, payload = _get_json(server, "/healthz")
         assert status == 200
         assert payload["ok"] is True
         assert payload["components"]["up_component"]["ok"] is True
+        # The process's effective configuration rides along.
+        config = payload["config"]
+        assert config["knobs"]["REPRO_SCHEDULER"] == {
+            "value": "compiled", "raw": "compiled", "source": "env",
+        }
+        assert config["knobs"]["REPRO_SANITIZE"]["source"] == "default"
+        assert "REPRO_SCHEDULAR" in config["unrecognised"]
 
         register_health("down_component", lambda: (False, {"why": "broken"}))
         try:

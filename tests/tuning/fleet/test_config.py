@@ -2,14 +2,10 @@
 
 import pytest
 
+from repro import knobs
 from repro.core.errors import TuningFleetError
 from repro.tuning.fleet.config import (
     DEFAULT_DAEMON_PORT,
-    DRIFT_BUDGET_ENV,
-    DRIFT_COOLDOWN_ENV,
-    DRIFT_EWMA_ENV,
-    DRIFT_THRESHOLD_ENV,
-    DRIFT_WINDOW_ENV,
     FLEET_ADDR_ENV,
     FLEET_ENV,
     FleetConfig,
@@ -115,18 +111,27 @@ class TestFromEnv:
         assert cfg.mode == "daemon"
         assert cfg.addr == ("127.0.0.1", 7777)
 
-    def test_drift_family(self, monkeypatch):
-        monkeypatch.setenv(DRIFT_THRESHOLD_ENV, "2.5")
-        monkeypatch.setenv(DRIFT_WINDOW_ENV, "16")
-        monkeypatch.setenv(DRIFT_COOLDOWN_ENV, "5")
-        monkeypatch.setenv(DRIFT_BUDGET_ENV, "4")
-        monkeypatch.setenv(DRIFT_EWMA_ENV, "0.5")
-        cfg = fleet_config_from_env()
-        assert cfg.drift_threshold == 2.5
-        assert cfg.drift_window == 16
-        assert cfg.drift_cooldown == 5.0
-        assert cfg.drift_budget == 4
-        assert cfg.drift_ewma_alpha == 0.5
+    def test_retired_drift_variables_are_inert_fields_still_work(
+        self, monkeypatch
+    ):
+        fields = {
+            "drift_threshold": 2.5,
+            "drift_window": 16,
+            "drift_cooldown": 5.0,
+            "drift_budget": 4,
+            "drift_ewma_alpha": 0.5,
+        }
+        retired = [
+            f"REPRO_TUNING_DRIFT_{suffix}"
+            for suffix in ("THRESHOLD", "WINDOW", "COOLDOWN", "BUDGET", "EWMA")
+        ]
+        for var in retired:
+            monkeypatch.setenv(var, "7")
+        assert fleet_config_from_env() == FleetConfig()
+        assert set(retired) <= set(knobs.effective()["unrecognised"])
+        cfg = fleet_config_from_env(FleetConfig(**fields))
+        for name, want in fields.items():
+            assert getattr(cfg, name) == want
 
     def test_base_survives_where_env_is_silent(self, monkeypatch):
         monkeypatch.delenv(FLEET_ENV, raising=False)
@@ -136,6 +141,11 @@ class TestFromEnv:
         assert cfg.wait_timeout == 7.0
 
     def test_bad_number_raises(self, monkeypatch):
-        monkeypatch.setenv(DRIFT_WINDOW_ENV, "many")
-        with pytest.raises(FleetConfigError, match=DRIFT_WINDOW_ENV):
+        monkeypatch.setenv(FLEET_ADDR_ENV, "host:many")
+        with pytest.raises(FleetConfigError, match=FLEET_ADDR_ENV):
+            fleet_config_from_env()
+
+    def test_bad_mode_raises(self, monkeypatch):
+        monkeypatch.setenv(FLEET_ENV, "cluster")
+        with pytest.raises(FleetConfigError, match=FLEET_ENV):
             fleet_config_from_env()

@@ -1,10 +1,12 @@
 """The fleet daemon and its JSON-lines client, exercised in-process."""
 
+import json
 import threading
 import time
 
 import pytest
 
+from repro import knobs
 from repro.core.errors import TuningFleetError
 from repro.core.vec import Vec
 from repro.core.workdiv import WorkDivMembers
@@ -81,6 +83,7 @@ class TestOps:
         assert stats["ops"]["put"] == 1
         assert stats["uptime"] >= 0
         assert stats["cache_path"]
+        assert stats["config"] == json.loads(json.dumps(knobs.effective()))
 
     def test_unknown_op_rejected_but_connection_survives(self, client):
         with pytest.raises(TuningFleetError, match="unknown op"):

@@ -133,3 +133,69 @@ class TestMeasureDivision:
         sa = measure_division(k, acc, dev, wd_a).seconds
         sb = measure_division(k, acc, dev, wd_b).seconds
         assert sa > 0 and sb > 0
+
+    def test_forced_schedule_stays_on_the_measured_task(self, monkeypatch):
+        """A schedule measurement must not re-plan launches on other
+        threads: the schedule rides the measured KernelTask, not
+        ``REPRO_SCHEDULER`` (which the measurement used to set for its
+        whole duration, for every thread)."""
+        import threading
+
+        from repro import mem
+        from repro.acc.cpu import AccCpuOmp2Blocks
+        from repro.core.workdiv import WorkDivMembers
+        from repro.kernels.axpy import AxpyElementsKernel
+        from repro.runtime import clear_plan_cache, get_plan, observe
+        from repro.runtime.instrument import ExecutionObserver
+        from repro.runtime.scheduler import SCHEDULER_ENV
+
+        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+        acc = AccCpuOmp2Blocks
+        dev = get_dev_by_idx(acc)
+        n, blocks = 256, 4
+        wd = WorkDivMembers.make(blocks, 1, n // blocks)
+        kernel = AxpyElementsKernel()
+        x, y = mem.alloc(dev, n), mem.alloc(dev, n)
+        x.as_numpy()[:] = 1.0
+        y.as_numpy()[:] = 0.0
+        args = (n, 2.0, x, y)
+        clear_plan_cache()
+        default = get_plan(create_task_kernel(acc, wd, kernel, *args), dev)
+        assert default.schedule == acc.block_schedule == "pooled"
+
+        measured = []
+
+        class Schedules(ExecutionObserver):
+            def on_launch_begin(self, plan, task, device):
+                if getattr(task, "schedule", None) is not None:
+                    measured.append(plan.schedule)
+
+        stop = threading.Event()
+        env_seen = set()
+
+        def tuner():
+            import os
+
+            while not stop.is_set():
+                measure_division(
+                    kernel, acc, dev, wd, args,
+                    schedule="compiled", clock="wall", repeat=1,
+                )
+                env_seen.add(os.environ.get(SCHEDULER_ENV))
+
+        thread = threading.Thread(target=tuner)
+        with observe(Schedules()):
+            thread.start()
+            try:
+                task = create_task_kernel(acc, wd, kernel, *args)
+                seen = {get_plan(task, dev).schedule for _ in range(2000)}
+            finally:
+                stop.set()
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen == {"pooled"}
+        assert measured and set(measured) == {"compiled"}
+        assert env_seen == {None}
+        x.free()
+        y.free()
+        clear_plan_cache()
