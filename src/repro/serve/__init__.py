@@ -8,7 +8,7 @@ into a multi-tenant service:
   sharding across device lanes, with graceful draining shutdown.
 * :class:`ServeHandle` — the awaitable per-request handle (sync
   ``result()`` and ``await handle`` both work).
-* ``python -m repro.serve`` — a TCP/JSON-lines server exposing the
+* ``python -m repro.serve`` — a TCP server (binary frames) exposing the
   gateway to remote clients; :class:`ServeClient` is the matching
   asyncio client.
 * Workloads are named server-side recipes (:func:`register_workload`)

@@ -17,7 +17,7 @@ from .server import serve_forever
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="Async kernel-launch gateway (TCP, JSON lines).",
+        description="Async kernel-launch gateway (TCP, binary frames).",
     )
     parser.add_argument("--host", help="bind address (default 127.0.0.1)")
     parser.add_argument("--port", type=int, help="TCP port (default 7411)")

@@ -1,7 +1,7 @@
 """Async client for ``python -m repro.serve``.
 
 :class:`ServeClient` multiplexes any number of concurrent requests over
-one TCP connection: a background reader task routes each response line
+one TCP connection: a background reader task routes each response frame
 to the matching awaiter by correlation id.  :class:`RetryAfter`
 backpressure from the server is honoured transparently by
 :meth:`launch`/:meth:`submit_graph` (sleep for the server's hint, then
@@ -19,11 +19,12 @@ import numpy as np
 
 from ..core.errors import ServeError
 from .protocol import (
-    MAX_LINE_BYTES,
+    MAX_FRAME_BYTES,
     decode_arrays,
     decode_message,
     encode_arrays,
     encode_message,
+    read_frame,
 )
 from .types import DEFAULT_TENANT, GatewayClosed, RetryAfter, ServeResult
 
@@ -34,7 +35,7 @@ DEFAULT_MAX_RETRIES = 50
 
 
 class ServeClient:
-    """JSON-lines gateway client.  Use as ``async with ServeClient(...)``."""
+    """Framed gateway client.  Use as ``async with ServeClient(...)``."""
 
     def __init__(
         self,
@@ -56,10 +57,10 @@ class ServeClient:
     # -- connection -------------------------------------------------------
 
     async def connect(self) -> "ServeClient":
-        # Match the protocol frame bound — the asyncio default stream
-        # limit (64 KiB) would reject large array responses.
+        # Same stream limit as the server: a whole response frame
+        # arrives without the transport pausing.
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=MAX_LINE_BYTES
+            self.host, self.port, limit=MAX_FRAME_BYTES
         )
         self._write_lock = asyncio.Lock()
         self._reader_task = asyncio.ensure_future(self._read_loop())
@@ -93,10 +94,10 @@ class ServeClient:
         assert self._reader is not None
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
+                frame = await read_frame(self._reader)
+                if frame is None:
                     break
-                message = decode_message(line)
+                message = decode_message(frame)
                 waiter = self._waiters.pop(message.get("id"), None)
                 if waiter is not None and not waiter.done():
                     waiter.set_result(message)

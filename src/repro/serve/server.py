@@ -1,7 +1,7 @@
 """asyncio TCP front-end for the gateway.
 
 One :class:`ServeServer` wraps one :class:`~repro.serve.gateway.Gateway`
-and speaks the JSON-lines protocol of :mod:`repro.serve.protocol`.
+and speaks the binary frames of :mod:`repro.serve.protocol`.
 Each client connection is an independent reader task; responses are
 written as the underlying handles resolve, so a connection can have any
 number of requests in flight and receives completions out of order.
@@ -15,17 +15,22 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import time
 from typing import Optional
 
 from .. import knobs
+from ..core.errors import ServeError
+from ..telemetry import tracing
+from ..telemetry.spans import record_span
 from .config import ServeConfig, config_from_env
 from .gateway import Gateway
 from .protocol import (
-    MAX_LINE_BYTES,
+    MAX_FRAME_BYTES,
     decode_arrays,
     decode_message,
     encode_message,
     error_payload,
+    read_frame,
     result_payload,
 )
 from .types import DEFAULT_TENANT, GraphRequest, LaunchRequest
@@ -55,14 +60,14 @@ class ServeServer:
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> None:
-        # The stream limit must match the protocol's frame bound — the
-        # asyncio default (64 KiB) would sever any connection sending a
-        # modestly sized array payload.
+        # The stream limit only paces the transport here (frames are
+        # read with readexactly); at the frame bound a whole frame
+        # arrives without pause/resume churn.
         self._server = await asyncio.start_server(
             self._handle_connection,
             self.config.host,
             self.config.port,
-            limit=MAX_LINE_BYTES,
+            limit=MAX_FRAME_BYTES,
         )
 
     @property
@@ -101,18 +106,21 @@ class ServeServer:
         try:
             while True:
                 try:
-                    line = await reader.readline()
-                except (ConnectionResetError, asyncio.IncompleteReadError):
+                    frame = await read_frame(reader)
+                except OSError:
                     break
-                except ValueError:
-                    # Line exceeds the stream limit: the framing is
-                    # unrecoverable, so drop the connection rather than
-                    # crash the callback.
+                except ServeError as exc:
+                    # The framing is lost (refused prefix, stream ended
+                    # mid-frame): say why, then drop the connection.
+                    await self._send(
+                        encode_message(error_payload(None, exc)),
+                        writer, write_lock,
+                    )
                     break
-                if not line:
+                if frame is None:
                     break
                 task = asyncio.ensure_future(
-                    self._handle_line(line, writer, write_lock)
+                    self._handle_frame(frame, writer, write_lock)
                 )
                 pending.add(task)
                 task.add_done_callback(pending.discard)
@@ -123,22 +131,35 @@ class ServeServer:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _handle_line(self, line: bytes, writer, write_lock) -> None:
-        msg_id = None
+    async def _handle_frame(self, frame: bytes, writer, write_lock) -> None:
+        msg_id = trace = None
         try:
-            message = decode_message(line)
+            t0 = time.perf_counter()
+            message = decode_message(frame)
             msg_id = message.get("id")
-            response = await self._dispatch(message)
-        except BaseException as exc:  # every failure becomes a reply
-            response = error_payload(msg_id, exc)
+            # A malformed traceparent degrades to untraced — the
+            # gateway then applies its own capture rules.
+            trace = tracing.from_traceparent(message.get("trace"))
+            message["arrays"] = decode_arrays(message.get("arrays") or {})
+            _wire_span("serve.wire.decode", t0, trace, len(frame))
+            response = await self._dispatch(message, trace)
+            t0 = time.perf_counter()
+            reply = encode_message(response)
+            _wire_span("serve.wire.encode", t0, trace, len(reply))
+        except Exception as exc:  # a failed request is still a reply
+            reply = encode_message(error_payload(msg_id, exc))
+        await self._send(reply, writer, write_lock)
+
+    @staticmethod
+    async def _send(frame: bytes, writer, write_lock) -> None:
         async with write_lock:
             try:
-                writer.write(encode_message(response))
+                writer.write(frame)
                 await writer.drain()
-            except (ConnectionResetError, RuntimeError):
+            except (ConnectionError, RuntimeError):
                 pass  # client went away; the work already ran
 
-    async def _dispatch(self, message: dict) -> dict:
+    async def _dispatch(self, message: dict, trace) -> dict:
         op = message.get("op")
         msg_id = message.get("id")
         if op == "ping":
@@ -147,25 +168,27 @@ class ServeServer:
             stats = dict(self.gateway.stats(), config=knobs.effective())
             return {"id": msg_id, "ok": True, "stats": stats}
         if op in ("launch", "graph"):
-            from ..telemetry import tracing
-
             cls = LaunchRequest if op == "launch" else GraphRequest
             request = cls(
                 workload=message.get("workload", ""),
                 tenant=message.get("tenant", DEFAULT_TENANT),
                 backend=message.get("backend", ""),
                 params=message.get("params") or {},
-                arrays=decode_arrays(message.get("arrays") or {}),
-                # A malformed traceparent degrades to untraced — the
-                # gateway then applies its own capture rules.
-                trace=tracing.from_traceparent(message.get("trace")),
+                arrays=message["arrays"],
+                trace=trace,
             )
             handle = self.gateway.submit(request)
             result = await asyncio.wrap_future(handle.future)
             return result_payload(msg_id, result, trace=request.trace)
-        from ..core.errors import ServeError
-
         raise ServeError(f"unknown op {op!r}")
+
+
+def _wire_span(name: str, t0: float, trace, nbytes: int) -> None:
+    """Codec time as a child span of the request — free when unobserved."""
+    record_span(
+        name, t0, time.perf_counter(), cat="serve",
+        trace=trace.child() if trace is not None else None, bytes=nbytes,
+    )
 
 
 async def serve_forever(config: Optional[ServeConfig] = None, **overrides):

@@ -127,6 +127,24 @@ def _fetch(queue, buf, shape, dtype) -> np.ndarray:
     return out
 
 
+def _launch(queue, task) -> None:
+    """Run ``task`` on the blocking ``queue``, then let go of its
+    arguments.
+
+    A workload holds one kernel instance, so every same-shape request
+    resolves to one cached :class:`~repro.runtime.plan.LaunchPlan` (the
+    plan cache keys on kernel identity).  That plan memoises the last
+    unwrapped argument tuple; memoising the empty tuple in its place
+    keeps a finished request's device arrays from outliving
+    ``Buffer.free()``.
+    """
+    from ..runtime import launch
+
+    ran = []
+    queue.enqueue(lambda: ran.append(launch(task, queue.dev)))
+    ran[0].unwrap_args(())
+
+
 def _elementwise_workdiv(
     acc_type, device, n: int, kernel=None
 ) -> WorkDivMembers:
@@ -200,6 +218,7 @@ class AxpyWorkload(Workload):
     """``y <- alpha * x + y`` (params: ``alpha``; arrays: ``x``, ``y``)."""
 
     name = "axpy"
+    kernel = AxpyElementsKernel()
 
     def validate(self, req) -> None:
         x = _array(req, "x", 1)
@@ -227,13 +246,12 @@ class AxpyWorkload(Workload):
         x = _stage(queue, device, x_host)
         y = _stage(queue, device, y_host)
         try:
-            kernel = AxpyElementsKernel()
             task = create_task_kernel(
                 acc_type,
-                _elementwise_workdiv(acc_type, device, n, kernel),
-                kernel, n, alpha, x, y,
+                _elementwise_workdiv(acc_type, device, n, self.kernel),
+                self.kernel, n, alpha, x, y,
             )
-            queue.enqueue(task)
+            _launch(queue, task)
             merged = _fetch(queue, y, y_host.shape, y_host.dtype)
         finally:
             x.free()
@@ -247,7 +265,7 @@ class AxpyWorkload(Workload):
 
     def retune(self, acc_type, device, n: int, budget: int) -> bool:
         return _retune_elementwise(
-            AxpyElementsKernel(),
+            self.kernel,
             lambda n_, x, y: (n_, 1.0, x, y),
             acc_type, device, n, budget,
         )
@@ -257,6 +275,7 @@ class ScaleWorkload(Workload):
     """``out <- factor * x`` (params: ``factor``; arrays: ``x``)."""
 
     name = "scale"
+    kernel = ScaleKernel()
 
     def validate(self, req) -> None:
         x = _array(req, "x", 1)
@@ -279,13 +298,12 @@ class ScaleWorkload(Workload):
         x = _stage(queue, device, x_host)
         result = _stage(queue, device, np.zeros_like(x_host))
         try:
-            kernel = ScaleKernel()
             task = create_task_kernel(
                 acc_type,
-                _elementwise_workdiv(acc_type, device, n, kernel),
-                kernel, n, factor, x, result,
+                _elementwise_workdiv(acc_type, device, n, self.kernel),
+                self.kernel, n, factor, x, result,
             )
-            queue.enqueue(task)
+            _launch(queue, task)
             merged = _fetch(queue, result, x_host.shape, x_host.dtype)
         finally:
             x.free()
@@ -299,7 +317,7 @@ class ScaleWorkload(Workload):
 
     def retune(self, acc_type, device, n: int, budget: int) -> bool:
         return _retune_elementwise(
-            ScaleKernel(),
+            self.kernel,
             lambda n_, x, out: (n_, 1.0, x, out),
             acc_type, device, n, budget,
         )
@@ -322,6 +340,7 @@ class GemmWorkload(Workload):
     """
 
     name = "gemm"
+    kernel = BatchedGemmKernel()
 
     def validate(self, req) -> None:
         A = _array(req, "A", 2)
@@ -374,10 +393,10 @@ class GemmWorkload(Workload):
             task = create_task_kernel(
                 acc_type,
                 WorkDivMembers.make(chunks, 1, 1),
-                BatchedGemmKernel(),
+                self.kernel,
                 batch, n, DEFAULT_ROWS_PER_CHUNK, alpha, beta, A, B, C,
             )
-            queue.enqueue(task)
+            _launch(queue, task)
             merged = _fetch(queue, C, C_host.shape, C_host.dtype)
         finally:
             A.free()
@@ -403,6 +422,7 @@ class HeatEquationWorkload(Workload):
 
     name = "heat_equation"
     kind = "graph"
+    kernel = Jacobi2DKernel()
 
     def validate(self, req) -> None:
         plate = _array(req, "plate", 2)
@@ -432,14 +452,13 @@ class HeatEquationWorkload(Workload):
             elems = Vec(min(h, 8), min(w, 16))
             blocks = Vec(h, w).ceil_div(elems)
             work_div = WorkDivMembers.make(blocks, Vec(1, 1), elems)
-            kernel = Jacobi2DKernel()
             result = np.empty((h, w))
             try:
                 g = Graph()
                 g.copy(src, plate, label="stage")
                 for step in range(steps):
                     g.launch(
-                        acc_type, work_div, kernel, h, w, c, src, dst,
+                        acc_type, work_div, self.kernel, h, w, c, src, dst,
                         reads=[src], writes=[dst], label=f"sweep{step}",
                     )
                     src, dst = dst, src

@@ -254,7 +254,7 @@ def _entry_from_dict(data: dict) -> CachedResult:
 
 
 #: Public names for the wire/disk form of one entry — the fleet daemon
-#: ships :class:`CachedResult` values over its JSON-lines protocol in
+#: ships :class:`CachedResult` values in its frame headers in
 #: exactly the on-disk schema.
 entry_to_dict = _entry_to_dict
 entry_from_dict = _entry_from_dict

@@ -8,7 +8,7 @@ traffic, in three pieces:
   turns the per-process :class:`~repro.tuning.cache.TuningCache` into a
   fleet-wide one.  ``REPRO_TUNING_FLEET=lock`` coordinates through
   lease sidecar files and merge-on-write cache saves (zero
-  infrastructure); ``REPRO_TUNING_FLEET=daemon`` talks JSON lines to
+  infrastructure); ``REPRO_TUNING_FLEET=daemon`` exchanges binary frames with
   ``python -m repro.tuning.fleet serve`` at
   ``REPRO_TUNING_FLEET_ADDR``.  Either way, N workers tuning the same
   (kernel, back-end, device, extent-bucket) run **one** measurement:

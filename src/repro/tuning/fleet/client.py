@@ -1,8 +1,8 @@
 """Socket client for the fleet tuning daemon.
 
-One JSON-lines connection (framing borrowed from
-:mod:`repro.serve.protocol`), strictly request/response: every op sends
-one line and blocks for one reply line.  ``wait`` is the only op the
+One connection speaking the binary frames of
+:mod:`repro.serve.protocol`, strictly request/response: every op sends
+one frame and blocks for one reply frame.  ``wait`` is the only op the
 daemon may hold open — the client stretches its socket timeout to cover
 the requested wait.
 
@@ -19,8 +19,12 @@ import socket
 import threading
 from typing import Any, Dict, Optional
 
-from ...core.errors import TuningFleetError
-from ...serve.protocol import decode_message, encode_message
+from ...core.errors import ServeError, TuningFleetError
+from ...serve.protocol import (
+    decode_message,
+    encode_message,
+    read_frame_blocking,
+)
 from ...telemetry import tracing
 from ..cache import CachedResult, entry_from_dict, entry_to_dict
 from .config import FleetConfig
@@ -29,7 +33,7 @@ __all__ = ["FleetClient"]
 
 
 class FleetClient:
-    """Blocking JSON-lines client; thread-safe (one in-flight op)."""
+    """Blocking framed client; thread-safe (one in-flight op)."""
 
     def __init__(self, config: FleetConfig):
         self.config = config
@@ -89,16 +93,16 @@ class FleetClient:
                     timeout if timeout is not None else self.config.io_timeout
                 )
                 self._sock.sendall(encode_message(payload))
-                line = self._rfile.readline()
-            except OSError as exc:
+                frame = read_frame_blocking(self._rfile)
+                reply = decode_message(frame) if frame is not None else None
+            except (OSError, ServeError) as exc:
                 self._teardown_locked()
                 raise TuningFleetError(
                     f"fleet daemon connection failed mid-conversation ({exc})"
                 ) from exc
-            if not line:
+            if reply is None:
                 self._teardown_locked()
                 raise TuningFleetError("fleet daemon closed the connection")
-            reply = decode_message(line)
             if reply.get("id") != payload["id"]:
                 self._teardown_locked()
                 raise TuningFleetError(

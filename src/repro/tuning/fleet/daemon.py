@@ -1,8 +1,9 @@
 """The fleet tuning daemon: one authoritative cache, N workers.
 
 ``python -m repro.tuning.fleet serve`` runs this.  The daemon owns the
-tuning-cache file and speaks the JSON-lines protocol of
-:mod:`repro.tuning.fleet.client` — one thread per connection, strictly
+tuning-cache file and answers the ops of
+:mod:`repro.tuning.fleet.client` in the binary frames of
+:mod:`repro.serve.protocol` — one thread per connection, strictly
 request/response per connection.
 
 Semantics worth stating:
@@ -31,7 +32,12 @@ import uuid
 from typing import Any, Dict, Optional, Tuple
 
 from ... import knobs
-from ...serve.protocol import MAX_LINE_BYTES, decode_message, encode_message
+from ...core.errors import ServeError
+from ...serve.protocol import (
+    decode_message,
+    encode_message,
+    read_frame_blocking,
+)
 from ...telemetry import flight, tracing
 from ...telemetry import http as ops_http
 from ...telemetry.spans import record_span
@@ -122,7 +128,7 @@ class FleetDaemon:
             self._cond.notify_all()
             conns = list(self._conns)
         for conn in conns:
-            # Unblock connection threads parked in readline; a client
+            # Unblock connection threads parked in a read; a client
             # mid-conversation sees a clean EOF/reset, not a hang.
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -166,12 +172,12 @@ class FleetDaemon:
         rfile = conn.makefile("rb")
         try:
             while not self._stopping.is_set():
-                line = rfile.readline(MAX_LINE_BYTES + 1)
-                if not line:
-                    return
                 try:
-                    msg = decode_message(line)
-                except Exception as exc:
+                    frame = read_frame_blocking(rfile)
+                    if frame is None:
+                        return
+                    msg = decode_message(frame)
+                except ServeError as exc:
                     conn.sendall(
                         encode_message(
                             {"id": None, "ok": False, "message": str(exc)}

@@ -1,12 +1,20 @@
-"""Wire codec round-trips and malformed-payload rejection."""
+"""Wire codec: frame layout, round-trips, the two readers, and every
+way a frame can be wrong."""
 
 from __future__ import annotations
 
+import asyncio
+import io
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.errors import ServeError
 from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
     decode_array,
     decode_arrays,
     decode_message,
@@ -14,9 +22,18 @@ from repro.serve.protocol import (
     encode_arrays,
     encode_message,
     error_payload,
+    read_frame,
+    read_frame_blocking,
     result_payload,
 )
 from repro.serve.types import LaunchRequest, RetryAfter, ServeResult
+
+from .frames import MAGIC, PREFIX, raw_frame
+
+
+def frame_with_array_entry(entry: dict, payload: bytes) -> bytes:
+    header = json.dumps({"op": "launch", "id": 1, "arrays": {"x": entry}})
+    return raw_frame(header.encode(), payload)
 
 
 class TestArrayCodec:
@@ -27,13 +44,16 @@ class TestArrayCodec:
             np.arange(12, dtype=np.float32).reshape(3, 4),
             np.array([], dtype=np.int64),
             np.arange(24, dtype=np.int32).reshape(2, 3, 4),
+            np.array(2.5),
+            np.arange(6, dtype=">f8").reshape(2, 3),
+            np.zeros((0, 3), dtype=np.complex128),
         ],
     )
     def test_roundtrip_bit_exact(self, arr):
         back = decode_array(encode_array(arr))
         assert back.dtype == arr.dtype
         assert back.shape == arr.shape
-        assert np.array_equal(back, arr)
+        assert back.tobytes() == arr.tobytes()
 
     def test_non_contiguous_input(self):
         arr = np.arange(20, dtype=np.float64)[::2]
@@ -43,6 +63,7 @@ class TestArrayCodec:
     def test_decoded_array_is_writable(self):
         back = decode_array(encode_array(np.arange(4.0)))
         back[0] = 99.0  # frombuffer gives read-only memory; we copy
+        assert back.flags.owndata
 
     def test_size_mismatch_rejected(self):
         payload = encode_array(np.arange(10.0))
@@ -54,7 +75,21 @@ class TestArrayCodec:
         with pytest.raises(ServeError):
             decode_array({"dtype": "float64"})
         with pytest.raises(ServeError):
-            decode_array({"dtype": "nope", "shape": [1], "data": ""})
+            decode_array({"dtype": "nope", "shape": [1], "data": b""})
+        with pytest.raises(ServeError):  # np.dtype(None) would be float64
+            decode_array({"dtype": None, "shape": [1], "data": bytes(8)})
+        with pytest.raises(ServeError):
+            decode_array({"dtype": "float64", "shape": [1], "data": "text"})
+
+    def test_object_dtype_rejected_both_ways(self):
+        with pytest.raises(ServeError, match="object"):
+            encode_array(np.array([{}, []], dtype=object))
+        with pytest.raises(ServeError, match="dtype"):
+            decode_array({"dtype": "object", "shape": [1], "data": bytes(8)})
+
+    def test_negative_extent_rejected(self):
+        with pytest.raises(ServeError, match="negative"):
+            decode_array({"dtype": "float64", "shape": [-1, -1], "data": bytes(8)})
 
     def test_arrays_dict_roundtrip(self):
         arrays = {"x": np.arange(4.0), "y": np.ones((2, 2))}
@@ -67,20 +102,236 @@ class TestArrayCodec:
             decode_arrays([1, 2, 3])
 
 
+# One strategy over what a client may send: every fixed-size dtype in
+# both byte orders, 0-d / empty / multi-dimensional shapes, and views
+# that are not C-contiguous.
+wire_dtypes = st.one_of(
+    hnp.boolean_dtypes(),
+    hnp.integer_dtypes(endianness="?"),
+    hnp.unsigned_integer_dtypes(endianness="?"),
+    hnp.floating_dtypes(endianness="?"),
+    hnp.complex_number_dtypes(endianness="?"),
+    hnp.datetime64_dtypes(endianness="?"),
+    hnp.byte_string_dtypes(),
+    hnp.unicode_string_dtypes(endianness="?"),
+)
+wire_arrays = wire_dtypes.flatmap(
+    lambda dtype: hnp.arrays(
+        dtype, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5)
+    )
+)
+views = st.sampled_from(
+    [
+        lambda a: a,
+        lambda a: a.T,
+        lambda a: a[::2] if a.ndim else a,
+        lambda a: a[..., ::-1] if a.ndim else a,
+        np.asfortranarray,
+    ]
+)
+
+
+class TestRoundtripProperty:
+    @given(arr=wire_arrays, view=views)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_out_equal_bytes_in(self, arr, view):
+        arr = view(arr)
+        frame = encode_message({"id": 1, "arrays": encode_arrays({"a": arr})})
+        back = decode_arrays(decode_message(frame)["arrays"])["a"]
+        assert back.dtype == arr.dtype
+        assert back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()
+        assert back.flags.owndata and back.flags.writeable
+        # The payload is the bytes and nothing else.
+        assert frame.endswith(arr.tobytes())
+
+
 class TestMessageFraming:
     def test_roundtrip(self):
         msg = {"op": "launch", "id": 7, "params": {"alpha": 2.0}}
-        line = encode_message(msg)
-        assert line.endswith(b"\n")
-        assert decode_message(line) == msg
+        frame = encode_message(msg)
+        magic, header_len, payload_len = PREFIX.unpack_from(frame)
+        assert (magic, payload_len) == (MAGIC, 0)
+        assert len(frame) == PREFIX.size + header_len
+        assert json.loads(frame[PREFIX.size :]) == msg
+        assert decode_message(frame) == msg
+
+    def test_arrays_travel_verbatim_after_the_header(self):
+        x = np.arange(1024, dtype=np.float64)
+        y = np.arange(6, dtype=np.int16).reshape(2, 3)
+        msg = {"op": "launch", "id": 3, "arrays": encode_arrays({"x": x, "y": y})}
+        frame = encode_message(msg)
+        _, header_len, payload_len = PREFIX.unpack_from(frame)
+        assert payload_len == x.nbytes + y.nbytes
+        assert frame[PREFIX.size + header_len :] == x.tobytes() + y.tobytes()
+        header = json.loads(frame[PREFIX.size : PREFIX.size + header_len])
+        assert header["arrays"]["y"] == {
+            "dtype": "int16", "shape": [2, 3],
+            "offset": x.nbytes, "nbytes": y.nbytes,
+        }
+        assert len(frame) / (x.nbytes + y.nbytes) < 1.03
+        assert msg["arrays"]["x"]["data"].nbytes == x.nbytes  # input untouched
+        back = decode_arrays(decode_message(frame)["arrays"])
+        assert np.array_equal(back["x"], x) and np.array_equal(back["y"], y)
 
     def test_malformed_json_rejected(self):
-        with pytest.raises(ServeError, match="malformed JSON"):
-            decode_message(b"{nope\n")
+        with pytest.raises(ServeError, match="malformed frame header"):
+            decode_message(raw_frame(b"{nope"))
+
+    def test_non_utf8_header_rejected(self):
+        with pytest.raises(ServeError, match="malformed frame header"):
+            decode_message(raw_frame(b'{"op": "\xff\xfe"}'))
 
     def test_non_object_rejected(self):
         with pytest.raises(ServeError, match="JSON object"):
-            decode_message(b"[1,2]\n")
+            decode_message(raw_frame(b"[1,2]"))
+
+    def test_foreign_magic_rejected(self):
+        with pytest.raises(ServeError, match="not a protocol frame"):
+            decode_message(raw_frame(b"{}", magic=b"HTTP"))
+        with pytest.raises(ServeError, match="not a protocol frame"):
+            decode_message(b'{"op":"ping","id":1}\n')  # a JSON line
+
+    def test_truncated_prefix_rejected(self):
+        with pytest.raises(ServeError, match="truncated"):
+            decode_message(encode_message({"id": 1})[:7])
+
+    def test_length_mismatch_rejected(self):
+        frame = encode_message({"id": 1})
+        with pytest.raises(ServeError, match="length mismatch"):
+            decode_message(frame[:-1])
+        with pytest.raises(ServeError, match="length mismatch"):
+            decode_message(frame + b"x")
+
+    def test_oversize_rejected_from_the_prefix_alone(self):
+        prefix = PREFIX.pack(MAGIC, 2, MAX_FRAME_BYTES)
+        with pytest.raises(ServeError, match="exceeds"):
+            decode_message(prefix)
+
+    def test_oversize_message_refused_at_encode(self):
+        class Big:
+            """Stands in for MAX_FRAME_BYTES of data without allocating."""
+
+            def __len__(self):
+                return MAX_FRAME_BYTES
+
+        spec = {"dtype": "uint8", "shape": [MAX_FRAME_BYTES], "data": Big()}
+        with pytest.raises(ServeError, match="exceeds"):
+            encode_message({"id": 1, "arrays": {"x": spec}})
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"dtype": "float64", "shape": [2], "offset": 8, "nbytes": 16},
+            {"dtype": "float64", "shape": [2], "offset": 0, "nbytes": 17},
+            {"dtype": "float64", "shape": [2], "offset": -8, "nbytes": 16},
+            {"dtype": "float64", "shape": [2], "offset": 16, "nbytes": -16},
+            {"dtype": "float64", "shape": [2], "offset": 1 << 40, "nbytes": 16},
+        ],
+    )
+    def test_array_outside_the_payload_rejected(self, entry):
+        with pytest.raises(ServeError, match="outside the payload"):
+            decode_message(frame_with_array_entry(entry, bytes(16)))
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"dtype": "float64", "shape": [2]},
+            {"dtype": "float64", "shape": [2], "offset": "0", "nbytes": 16},
+            {"dtype": "float64", "shape": [2], "offset": 0.0, "nbytes": 16},
+            "AAAA",
+            None,
+        ],
+    )
+    def test_malformed_array_entry_rejected(self, entry):
+        with pytest.raises(ServeError, match="malformed array entry"):
+            decode_message(frame_with_array_entry(entry, bytes(16)))
+
+    def test_nbytes_must_be_shape_times_itemsize(self):
+        entry = {"dtype": "float64", "shape": [3], "offset": 0, "nbytes": 16}
+        message = decode_message(frame_with_array_entry(entry, bytes(16)))
+        with pytest.raises(ServeError, match="size mismatch"):
+            decode_arrays(message["arrays"])
+
+    def test_object_dtype_on_the_wire_rejected(self):
+        entry = {"dtype": "O", "shape": [2], "offset": 0, "nbytes": 16}
+        message = decode_message(frame_with_array_entry(entry, bytes(16)))
+        with pytest.raises(ServeError, match="dtype"):
+            decode_arrays(message["arrays"])
+
+
+class TestReaders:
+    """Both readers return whole frames and agree on every refusal."""
+
+    @staticmethod
+    def read_all(data: bytes, eof: bool = True):
+        """Frames (and the error that ended the stream, if any) as the
+        asyncio reader sees ``data``."""
+
+        async def go():
+            reader = asyncio.StreamReader()
+            reader.feed_data(data)
+            if eof:
+                reader.feed_eof()
+            frames = []
+            while True:
+                frame = await asyncio.wait_for(read_frame(reader), 5)
+                if frame is None:
+                    return frames
+                frames.append(frame)
+
+        return asyncio.run(go())
+
+    @staticmethod
+    def read_all_blocking(data: bytes):
+        rfile, frames = io.BytesIO(data), []
+        while True:
+            frame = read_frame_blocking(rfile)
+            if frame is None:
+                return frames
+            frames.append(frame)
+
+    @pytest.fixture(params=["asyncio", "blocking"])
+    def read(self, request):
+        return self.read_all if request.param == "asyncio" else self.read_all_blocking
+
+    def test_back_to_back_frames_then_clean_eof(self, read):
+        a = encode_message({"id": 1})
+        b = encode_message({"id": 2, "arrays": encode_arrays({"x": np.arange(5.0)})})
+        assert read(a + b) == [a, b]
+        assert read(b"") == []
+
+    def test_truncated_prefix(self, read):
+        with pytest.raises(ServeError, match="truncated frame: 5 of 12 prefix"):
+            read(encode_message({"id": 1})[:5])
+
+    def test_disconnect_mid_body(self, read):
+        frame = encode_message({"id": 1, "arrays": encode_arrays({"x": np.arange(64.0)})})
+        with pytest.raises(ServeError, match="truncated frame: .* body bytes"):
+            read(frame[:-100])
+
+    def test_foreign_magic(self, read):
+        with pytest.raises(ServeError, match="not a protocol frame"):
+            read(b"GET / HTTP/1.1\r\n\r\n")
+
+    def test_oversize_refused_without_reading_the_body(self):
+        """No EOF is fed and no body exists: a reader that waited for
+        the announced bytes would hang here."""
+        prefix = PREFIX.pack(MAGIC, 16, MAX_FRAME_BYTES)
+        with pytest.raises(ServeError, match="exceeds"):
+            self.read_all(prefix, eof=False)
+        rfile = io.BytesIO(prefix + b"xx")
+        with pytest.raises(ServeError, match="exceeds"):
+            read_frame_blocking(rfile)
+        assert rfile.tell() == PREFIX.size
+
+    def test_largest_frame_is_accepted(self):
+        header_len = 2
+        prefix = PREFIX.pack(
+            MAGIC, header_len, MAX_FRAME_BYTES - PREFIX.size - header_len
+        )
+        with pytest.raises(ServeError, match="truncated"):  # not "exceeds"
+            self.read_all_blocking(prefix + b"{}")
 
 
 class TestPayloads:
@@ -101,6 +352,8 @@ class TestPayloads:
         assert np.array_equal(
             decode_arrays(payload["arrays"])["y"], np.arange(3.0)
         )
+        back = decode_message(encode_message(payload))
+        assert np.array_equal(decode_arrays(back["arrays"])["y"], np.arange(3.0))
 
     def test_error_payload_plain(self):
         payload = error_payload(5, ValueError("nope"))

@@ -8,11 +8,21 @@ import json
 import numpy as np
 import pytest
 
-from repro import knobs
+from repro import knobs, telemetry
 from repro.core.errors import ServeError
 from repro.serve import Gateway, ServeConfig
 from repro.serve.client import ServeClient
+from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
+    decode_message,
+    encode_arrays,
+    encode_message,
+    read_frame,
+)
 from repro.serve.server import ServeServer
+from repro.telemetry import tracing
+
+from .frames import MAGIC, PREFIX, raw_frame
 
 
 def run(coro):
@@ -33,6 +43,65 @@ async def _with_server(config, fn):
                 return await fn(server, client)
     finally:
         gateway.shutdown(release_pools=False)
+
+
+class RawConnection:
+    """A socket that speaks frames by hand, for sending wrong ones."""
+
+    def __init__(self, reader, writer):
+        self.reader, self.writer = reader, writer
+
+    @classmethod
+    async def open(cls, port):
+        return cls(*await asyncio.open_connection("127.0.0.1", port))
+
+    async def send(self, data: bytes, *, eof: bool = False):
+        self.writer.write(data)
+        await self.writer.drain()
+        if eof:
+            self.writer.write_eof()
+
+    async def reply(self):
+        """The next reply, or None once the server hung up."""
+        try:
+            frame = await asyncio.wait_for(read_frame(self.reader), 10)
+        except ConnectionError:  # hung up with our bytes still unread
+            return None
+        return None if frame is None else decode_message(frame)
+
+    async def ask(self, message: dict):
+        await self.send(encode_message(message))
+        return await self.reply()
+
+    def close(self):
+        self.writer.close()
+
+
+def launch_frame(entry: dict, payload: bytes) -> bytes:
+    """An axpy launch whose ``x`` entry is whatever the test says."""
+    y = {"dtype": "float64", "shape": [2], "offset": 0, "nbytes": 16}
+    message = {"op": "launch", "id": 5, "workload": "axpy",
+               "params": {"alpha": 1.0}, "arrays": {"x": entry, "y": y}}
+    return raw_frame(json.dumps(message).encode(), payload)
+
+
+def handler_tasks(kind: str):
+    """Live ServeServer tasks of one kind ('connection' or 'frame')."""
+    name = f"ServeServer._handle_{kind}"
+    return [
+        t for t in asyncio.all_tasks()
+        if getattr(t.get_coro(), "__qualname__", "") == name
+    ]
+
+
+async def no_handler_left():
+    """True once the only server task alive is the reader of the one
+    connection ``_with_server`` keeps open (its ServeClient)."""
+    for _ in range(200):
+        if not handler_tasks("frame") and len(handler_tasks("connection")) == 1:
+            return True
+        await asyncio.sleep(0.01)
+    return False
 
 
 class TestServer:
@@ -118,38 +187,37 @@ class TestServer:
 
     def test_unknown_op_is_an_error_reply(self, server_config):
         async def check(server, client):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            writer.write(json.dumps({"op": "frobnicate", "id": 1}).encode() + b"\n")
-            await writer.drain()
-            line = await reader.readline()
-            writer.close()
-            reply = json.loads(line)
-            assert reply["ok"] is False
+            raw = await RawConnection.open(server.port)
+            reply = await raw.ask({"op": "frobnicate", "id": 1})
+            assert reply["ok"] is False and reply["id"] == 1
+            assert reply["error"] == "ServeError"
             assert "unknown op" in reply["message"]
+            # A refused request leaves the connection in step.
+            assert (await raw.ask({"op": "ping", "id": 2}))["pong"] is True
+            raw.close()
 
         run(_with_server(server_config, check))
 
     def test_malformed_line_is_an_error_reply(self, server_config):
+        """A JSON line (the retired framing) or any other non-frame
+        gets one classified reply, then the connection is dropped."""
+
         async def check(server, client):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", server.port
-            )
-            writer.write(b"this is not json\n")
-            await writer.drain()
-            line = await reader.readline()
-            writer.close()
-            reply = json.loads(line)
-            assert reply["ok"] is False
+            raw = await RawConnection.open(server.port)
+            await raw.send(b'{"op": "ping", "id": 1}\n')
+            reply = await raw.reply()
+            assert reply["ok"] is False and reply["id"] is None
+            assert reply["error"] == "ServeError"
+            assert "not a protocol frame" in reply["message"]
+            assert await raw.reply() is None
+            raw.close()
 
         run(_with_server(server_config, check))
 
     def test_large_payload_roundtrip(self, server_config, rng):
-        """Lines beyond asyncio's 64 KiB default stream limit must
-        survive — server and client raise the limit to the protocol's
-        frame bound (regression: big arrays severed the connection)."""
-        x = rng.standard_normal(40000)  # ~427 KiB base64-encoded
+        """Frames beyond asyncio's 64 KiB default stream limit must
+        survive (regression: big arrays severed the connection)."""
+        x = rng.standard_normal(40000)  # 312 KiB each way
         y = rng.standard_normal(40000)
 
         async def check(server, client):
@@ -161,7 +229,7 @@ class TestServer:
         run(_with_server(server_config, check))
 
     def test_results_bit_identical_over_wire(self, server_config, rng):
-        """Base64 framing must not perturb a single bit."""
+        """The wire must not perturb a single bit."""
         x = rng.standard_normal(333)
         y = rng.standard_normal(333)
 
@@ -180,3 +248,196 @@ class TestServer:
             ).result(timeout=30)
             gw.shutdown(release_pools=False)
         assert np.array_equal(remote_y, local.arrays["y"])
+
+
+class TestWireFailures:
+    """Every way a peer can get the framing or a frame wrong ends in a
+    classified reply or a closed connection — and a server that still
+    answers the next connection, with no handler task left behind."""
+
+    @staticmethod
+    def check_survives(server_config, misbehave):
+        async def check(server, client):
+            raw = await RawConnection.open(server.port)
+            try:
+                await misbehave(raw)
+            finally:
+                raw.close()
+            assert await client.ping()
+            fresh = await RawConnection.open(server.port)
+            assert (await fresh.ask({"op": "ping", "id": 1}))["pong"] is True
+            fresh.close()
+            assert await no_handler_left()
+
+        run(_with_server(server_config, check))
+
+    # -- the framing is lost: one reply, then the server hangs up -------
+
+    def test_truncated_prefix(self, server_config):
+        async def misbehave(raw):
+            await raw.send(encode_message({"op": "ping", "id": 1})[:7], eof=True)
+            reply = await raw.reply()
+            assert reply["error"] == "ServeError" and reply["id"] is None
+            assert "truncated frame: 7 of 12 prefix" in reply["message"]
+            assert await raw.reply() is None
+
+        self.check_survives(server_config, misbehave)
+
+    def test_disconnect_mid_body(self, server_config):
+        frame = encode_message(
+            {"op": "launch", "id": 1, "workload": "axpy",
+             "arrays": encode_arrays({"x": np.arange(512.0), "y": np.arange(512.0)})}
+        )
+
+        async def misbehave(raw):
+            await raw.send(frame[: len(frame) // 2], eof=True)
+            reply = await raw.reply()
+            assert reply["error"] == "ServeError"
+            assert "truncated frame" in reply["message"]
+            assert await raw.reply() is None
+
+        self.check_survives(server_config, misbehave)
+
+    def test_abrupt_disconnect_mid_body(self, server_config):
+        async def misbehave(raw):
+            await raw.send(PREFIX.pack(MAGIC, 64, 1 << 20) + b"{")
+            raw.writer.transport.abort()  # RST, no half-close courtesy
+
+        self.check_survives(server_config, misbehave)
+
+    def test_oversize_refused_without_its_body(self, server_config):
+        async def misbehave(raw):
+            # Only the prefix is ever sent: a server that tried to
+            # buffer the announced body would never answer.
+            await raw.send(PREFIX.pack(MAGIC, 64, MAX_FRAME_BYTES))
+            reply = await raw.reply()
+            assert reply["error"] == "ServeError" and reply["id"] is None
+            assert "exceeds" in reply["message"]
+            assert await raw.reply() is None
+
+        self.check_survives(server_config, misbehave)
+
+    # -- the frame is whole, its content is wrong: reply, carry on ------
+
+    @pytest.mark.parametrize(
+        "header, needle",
+        [
+            (b'{"op": "ping", "id": "\xff\xfe"}', "malformed frame header"),
+            (b'{"op": "ping"', "malformed frame header"),
+            (b'["ping", 1]', "JSON object"),
+        ],
+    )
+    def test_bad_header(self, server_config, header, needle):
+        async def misbehave(raw):
+            await raw.send(raw_frame(header))
+            reply = await raw.reply()
+            assert reply["error"] == "ServeError" and reply["id"] is None
+            assert needle in reply["message"]
+            assert (await raw.ask({"op": "ping", "id": 2}))["pong"] is True
+
+        self.check_survives(server_config, misbehave)
+
+    @pytest.mark.parametrize(
+        "entry, needle",
+        [
+            ({"dtype": "float64", "shape": [2], "offset": 8, "nbytes": 16},
+             "outside the payload"),
+            ({"dtype": "float64", "shape": [2], "offset": 0, "nbytes": 1 << 30},
+             "outside the payload"),
+            ({"dtype": "float64", "shape": [3], "offset": 0, "nbytes": 16},
+             "size mismatch"),
+            ({"dtype": "float64", "shape": [-2], "offset": 0, "nbytes": 16},
+             "negative extent"),
+            ({"dtype": "O", "shape": [2], "offset": 0, "nbytes": 16},
+             "refusing dtype"),
+        ],
+    )
+    def test_bad_array_entry(self, server_config, entry, needle):
+        async def misbehave(raw):
+            await raw.send(launch_frame(entry, bytes(16)))
+            reply = await raw.reply()
+            assert reply["ok"] is False and reply["error"] == "ServeError"
+            assert needle in reply["message"]
+            if "outside" not in needle:  # the header was readable
+                assert reply["id"] == 5
+            assert (await raw.ask({"op": "ping", "id": 6}))["pong"] is True
+
+        self.check_survives(server_config, misbehave)
+
+    def test_cancelled_handler_is_not_turned_into_a_reply(self, server_config):
+        """Cancellation propagates: the handler ends cancelled instead
+        of writing an error frame to a closing writer."""
+
+        async def check(server, client):
+            release = asyncio.Event()
+
+            async def parked(message, trace):
+                await release.wait()
+
+            server._dispatch = parked
+            raw = await RawConnection.open(server.port)
+            await raw.send(encode_message({"op": "ping", "id": 1}))
+            for _ in range(200):
+                if handler_tasks("frame"):
+                    break
+                await asyncio.sleep(0.01)
+            (task,) = handler_tasks("frame")
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert task.cancelled()
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(read_frame(raw.reader), 0.2)
+            raw.close()
+            assert await no_handler_left()
+
+        run(_with_server(server_config, check))
+
+
+class TestWireSpans:
+    def test_codec_spans_join_the_request_trace(self, server_config, rng):
+        """A traced request shows its decode and encode time as children
+        of its own serve.request span, sized in bytes."""
+        x = rng.standard_normal(1000)
+        y = rng.standard_normal(1000)
+
+        async def check(server, client):
+            await client.launch("axpy", params={"alpha": 2.0}, arrays={"x": x, "y": y})
+
+        root = tracing.new_trace()
+        with telemetry.collect() as t:
+            with tracing.use(root):
+                run(_with_server(server_config, check))
+
+        by_name = {}
+        for ev in t.events:
+            by_name.setdefault(ev.name, []).append(ev)
+        (request,) = by_name["serve.request"]
+        (decode,) = by_name["serve.wire.decode"]
+        (encode,) = by_name["serve.wire.encode"]
+        for span in (decode, encode):
+            assert span.args["trace_id"] == root.trace_id
+            assert span.args["parent_id"] == request.args["span_id"]
+        sent, received = int(decode.args["bytes"]), int(encode.args["bytes"])
+        assert x.nbytes + y.nbytes < sent < 1.05 * (x.nbytes + y.nbytes)
+        assert y.nbytes < received < 1.05 * y.nbytes
+
+    def test_untraced_requests_record_nothing_when_unobserved(
+        self, server_config, rng, monkeypatch
+    ):
+        from repro.serve import server as server_module
+
+        seen = []
+        monkeypatch.setattr(
+            server_module, "record_span",
+            lambda *a, **k: seen.append(k.get("trace")),
+        )
+
+        async def check(server, client):
+            await client.launch(
+                "axpy", params={"alpha": 1.0},
+                arrays={"x": rng.standard_normal(8), "y": rng.standard_normal(8)},
+            )
+
+        run(_with_server(server_config, check))
+        assert seen == [None, None]  # no context minted for an untraced request

@@ -181,3 +181,81 @@ class TestBitIdentity:
         _solo(get_workload("axpy"), req, acc_type, device)
         assert np.array_equal(x, x0)
         assert np.array_equal(y, y0)
+
+
+class TestPlanReuse:
+    """A workload holds one kernel instance, so same-shape requests
+    resolve to one cached launch plan — and that plan lets go of a
+    finished request's device arrays (regression: every request missed
+    the plan cache, and each stale plan pinned its buffers until 512
+    newer ones evicted it)."""
+
+    #: An extent no other test uses, so an array of this many bytes can
+    #: only be one of this test's.
+    N = 12347
+    REQUESTS = 24
+
+    @staticmethod
+    def reachable_arrays(roots, nbytes):
+        """ndarrays of ``nbytes`` reachable from ``roots`` through data
+        (not through classes, modules or code)."""
+        import gc
+        import types
+
+        opaque = (type, types.ModuleType, types.FunctionType, types.MethodType)
+        seen, found, stack = set(), [], list(roots)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, opaque):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray) and obj.nbytes == nbytes:
+                found.append(obj)
+            stack.extend(gc.get_referents(obj))
+        return found
+
+    @pytest.mark.parametrize(
+        "workload, params, names",
+        [
+            ("axpy", {"alpha": 2.0}, ("x", "y")),
+            ("scale", {"factor": 3.0}, ("x",)),
+        ],
+    )
+    def test_one_plan_serves_every_request_and_pins_nothing(
+        self, workload, params, names, rng
+    ):
+        import gc
+
+        from repro.runtime import (
+            ExecutionObserver,
+            clear_plan_cache,
+            observe,
+            plan_cache_info,
+        )
+        from repro.serve import Gateway, ServeConfig
+
+        class Plans(ExecutionObserver):
+            def __init__(self):
+                self.seen = {}
+
+            def on_plan_cache(self, plan, hit):
+                self.seen[id(plan)] = plan
+
+        arrays = {name: rng.standard_normal(self.N) for name in names}
+        nbytes = arrays["x"].nbytes
+        clear_plan_cache()
+        plans, sizes = Plans(), set()
+        config = ServeConfig(enable_batching=False, batch_window=0.0)
+        with observe(plans), Gateway(config) as gw:
+            for _ in range(self.REQUESTS):
+                gw.launch(workload, params=params, arrays=arrays).result(timeout=30)
+                sizes.add(plan_cache_info()["size"])
+            gw.shutdown(release_pools=False)
+        info = plan_cache_info()
+        assert sizes == {1}
+        assert (info["misses"], info["hits"]) == (1, self.REQUESTS - 1)
+        assert len(plans.seen) == 1
+
+        gc.collect()
+        pinned = self.reachable_arrays(plans.seen.values(), nbytes)
+        assert pinned == [], f"{len(pinned)} request-sized arrays outlive the request"

@@ -1,6 +1,7 @@
-"""The fleet daemon and its JSON-lines client, exercised in-process."""
+"""The fleet daemon and its framed client, exercised in-process."""
 
 import json
+import socket
 import threading
 import time
 
@@ -8,6 +9,12 @@ import pytest
 
 from repro import knobs
 from repro.core.errors import TuningFleetError
+from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
+    decode_message,
+    encode_message,
+    read_frame_blocking,
+)
 from repro.core.vec import Vec
 from repro.core.workdiv import WorkDivMembers
 from repro.tuning import TuningCache
@@ -15,6 +22,8 @@ from repro.tuning.cache import CachedResult
 from repro.tuning.fleet.client import FleetClient
 from repro.tuning.fleet.config import FleetConfig
 from repro.tuning.fleet.daemon import FleetDaemon
+
+from ...serve.frames import MAGIC, PREFIX, raw_frame
 
 KEY = "k|AccCpuSerial|m:cpu:1x4@3GHz|512"
 ENTRY = CachedResult(
@@ -245,3 +254,83 @@ class TestClientFailureModes:
         # And the client stays closed rather than half-alive.
         with pytest.raises(TuningFleetError, match="closed"):
             c.ping()
+
+
+
+class TestMalformedFrames:
+    """A peer that gets the framing wrong is told why and dropped; the
+    daemon keeps serving everyone else."""
+
+    @staticmethod
+    def exchange(daemon, data: bytes, *, half_close: bool = False):
+        """Send raw bytes; the daemon's replies until it hangs up."""
+        with socket.create_connection((daemon.host, daemon.port), timeout=5) as sock:
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as rfile:
+                replies = []
+                while True:
+                    frame = read_frame_blocking(rfile)
+                    if frame is None:
+                        return replies
+                    replies.append(decode_message(frame))
+
+    @pytest.mark.parametrize(
+        "data, half_close, needle",
+        [
+            (b'{"op": "ping", "id": 1}\n', False, "not a protocol frame"),
+            (encode_message({"op": "ping", "id": 1})[:5], True, "truncated frame"),
+            (encode_message({"op": "ping", "id": 1})[:-3], True, "truncated frame"),
+            (PREFIX.pack(MAGIC, 8, MAX_FRAME_BYTES), False, "exceeds"),
+            (raw_frame(b"[1,2]"), False, "JSON object"),
+            (raw_frame(b"\xff\xfe{}"), False, "malformed frame header"),
+        ],
+    )
+    def test_one_error_reply_then_hangup(self, daemon, client, data, half_close, needle):
+        (reply,) = self.exchange(daemon, data, half_close=half_close)
+        assert reply["ok"] is False and reply["id"] is None
+        assert needle in reply["message"]
+        assert client.ping()  # an established client is unaffected
+        fresh = _second_client(daemon)
+        try:
+            assert fresh.ping()  # and so is the next one
+        finally:
+            fresh.close()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:  # the bad peer's thread ended
+            with daemon._cond:
+                if len(daemon._conns) == 1:
+                    break
+            time.sleep(0.01)
+        else:
+            pytest.fail("the dropped connection is still registered")
+
+    def test_garbage_reply_surfaces_as_fleet_error(self):
+        """The client side of the same contract: a peer that answers
+        with something other than a frame fails the op, classified."""
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def answer_with_a_json_line():
+            conn, _ = server.accept()
+            with conn, conn.makefile("rb") as rfile:
+                read_frame_blocking(rfile)
+                conn.sendall(b'{"id": 1, "ok": true, "pong": true}\n')
+
+        t = threading.Thread(target=answer_with_a_json_line, daemon=True)
+        t.start()
+        c = FleetClient(
+            FleetConfig(
+                mode="daemon", host="127.0.0.1",
+                port=server.getsockname()[1], io_timeout=5.0,
+            )
+        )
+        try:
+            with pytest.raises(TuningFleetError, match="not a protocol frame"):
+                c.ping()
+            with pytest.raises(TuningFleetError, match="closed"):
+                c.ping()
+        finally:
+            c.close()
+            t.join(timeout=5.0)
+            server.close()
