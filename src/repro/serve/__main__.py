@@ -24,7 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch-window",
         type=float,
-        help="coalescing window in seconds (default 0.002)",
+        help="longest a batch waits for compatible launches, in seconds; "
+        "paid only by keys seen with concurrent requests (default 0.002)",
     )
     parser.add_argument(
         "--batch-max", type=int, help="max requests per merged batch"

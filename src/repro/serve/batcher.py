@@ -1,16 +1,59 @@
 """The batching coalescer: merge compatible small launches.
 
-Admitted launch requests park here for up to ``batch_window`` seconds.
-Requests whose workload reports the same batch key (same kernel, same
-scalars, same dtype — and, via the router, the same back-end) coalesce
-into one :class:`Batch`, launched as a single merged grid with
-per-request result slicing.  A batch flushes when its window expires or
-it reaches ``batch_max`` members; graph requests and unbatchable
-workloads pass through as singleton batches immediately.
+Admitted launch requests park here for **at most** ``batch_window``
+seconds.  Requests whose workload reports the same batch key (same
+kernel, same scalars, same dtype — and, via the router, the same
+back-end) coalesce into one :class:`Batch`, launched as a single merged
+grid with per-request result slicing.  A batch flushes when its
+deadline passes or it reaches ``batch_max`` members; graph requests and
+unbatchable workloads pass through as singleton batches immediately.
 
-The batcher is pure bookkeeping — no threads, no clocks of its own.
-The gateway pump drives it with explicit timestamps, which keeps the
-flush logic deterministic and directly testable.
+The window is paid only by keys that have company
+-------------------------------------------------
+Every batch gets one deadline when it opens.  It is ``now + window``
+when the key — ``(batch_key, backend)`` — **has company**, and ``now``
+otherwise, so a lone request is due at the pump step that admitted it
+(anything else admitted in that same step still joins it).  Company is
+causal, not temporal.  A request of the key brings it when
+
+* it arrives while an unheld batch of the key is still on its lane
+  (flushed, not yet reported complete through :meth:`Batcher.note_done`)
+  — a hold on that batch would have merged the two; or
+* it joins an open batch of the key — within its window, if that batch
+  is held.
+
+A batch opens held when its own first request brings company, or when
+one did since the key's previous batch opened; opening a batch uses the
+evidence up, so every batch has to earn the hold of the next.  Hence a
+never-seen key is not held; a closed-loop solo client (next request
+only after the reply) never looks concurrent however fast it sends,
+which an inter-arrival-time rule gets wrong; concurrent traffic keeps
+the full window, ``batch_max`` and ``flush_all`` unchanged; and a key
+that stops being concurrent wastes one window before it is let go.
+
+Two arrivals are deliberately *not* company, because there the hold
+would be manufacturing its own evidence: a request that joins a held
+batch after its deadline (a late pump collected it, not the window),
+and a request that arrives while a *held* batch of its key is on a lane
+(that batch is still inside only because it was parked first).
+Counted, either one lets a client paced at about one window per
+request, delayed once, overlap itself and pay the window on every
+request from then on — a key is then slower under load than alone for
+no reason but the hold.
+
+The memory is bounded: the count of a key's unheld requests on lanes is
+dropped at zero, and at most :data:`MAX_REMEMBERED_KEYS` keys with
+unused company are remembered (oldest evicted first — an evicted key
+merely opens its next batch unheld and is re-learned one batch later).
+
+The batcher is pure bookkeeping — no threads, no locks, no clock of its
+own.  The gateway pump drives it with explicit timestamps, which keeps
+the flush logic deterministic and directly testable.  Completions
+happen on lane threads, so the router does not call :meth:`note_done`
+itself: it hands each finished batch to the gateway, which queues it
+for the pump, and the pump notes it before its next :meth:`add` — the
+pump stays the only thread that touches this object's state (other
+threads only read the :meth:`stats` integers).
 """
 
 from __future__ import annotations
@@ -20,13 +63,21 @@ from typing import Dict, List, Optional, Tuple
 from .types import GraphRequest
 from .workloads import get_workload
 
-__all__ = ["Batch", "Batcher"]
+__all__ = ["Batch", "Batcher", "MAX_REMEMBERED_KEYS"]
+
+#: Keys remembered as having company that no batch has used up yet.
+#: ``batch_key`` carries client-chosen scalars, so the memory must not
+#: grow with the number of distinct keys ever seen.
+MAX_REMEMBERED_KEYS = 1024
 
 
 class Batch:
     """One unit of device work: 1..batch_max requests sharing a key."""
 
-    __slots__ = ("key", "requests", "workload", "deadline", "backend")
+    __slots__ = (
+        "key", "requests", "workload", "deadline", "backend",
+        "opened_at", "flushed_at", "execute_seconds",
+    )
 
     def __init__(self, key, workload, backend: str, deadline: float):
         self.key = key
@@ -34,10 +85,22 @@ class Batch:
         self.backend = backend
         self.deadline = deadline
         self.requests: List = []
+        #: When the batch opened and when it left the batcher; a batch
+        #: built by hand was never parked, so both are its deadline.
+        self.opened_at = deadline
+        self.flushed_at = deadline
+        #: Wall seconds of ``workload.execute`` for the merged launch,
+        #: stamped by the router (the drift detector's signal).
+        self.execute_seconds = 0.0
 
     @property
     def size(self) -> int:
         return len(self.requests)
+
+    @property
+    def held(self) -> bool:
+        """Whether the batch was charged the window when it opened."""
+        return self.deadline > self.opened_at
 
     def __repr__(self) -> str:
         return (
@@ -47,7 +110,7 @@ class Batch:
 
 
 class Batcher:
-    """Window-based coalescing of admitted requests."""
+    """Coalescing of admitted requests, holding only keys with company."""
 
     def __init__(self, window: float, batch_max: int, enabled: bool = True):
         self.window = float(window)
@@ -57,6 +120,12 @@ class Batcher:
         self._open: Dict[Tuple, Batch] = {}
         #: Batches ready to launch (full, expired, or unbatchable).
         self._ready: List[Batch] = []
+        #: Requests of unheld batches still on a lane, by key.
+        self._running: Dict[Tuple, int] = {}
+        #: Keys with company their next batch has yet to use, oldest first.
+        self._company: Dict[Tuple, None] = {}
+        self._held = 0
+        self._immediate = 0
 
     # -- intake -----------------------------------------------------------
 
@@ -69,32 +138,68 @@ class Batcher:
         if key is None:
             batch = Batch(None, workload, request.backend, now)
             batch.requests.append(request)
+            self._immediate += 1
             self._ready.append(batch)
             return
         slot = (key, request.backend)
         batch = self._open.get(slot)
+        if slot in self._running or (
+            batch is not None and (not batch.held or now <= batch.deadline)
+        ):
+            self._company[slot] = None
+            if len(self._company) > MAX_REMEMBERED_KEYS:
+                del self._company[next(iter(self._company))]
         if batch is None:
-            batch = Batch(key, workload, request.backend, now + self.window)
+            company = slot in self._company
+            if company:
+                del self._company[slot]  # this batch uses it up
+            deadline = now + self.window if company else now
+            batch = Batch(key, workload, request.backend, deadline)
+            batch.opened_at = batch.flushed_at = now
+            if batch.held:
+                self._held += 1
+            else:
+                self._immediate += 1
             self._open[slot] = batch
         batch.requests.append(request)
         if batch.size >= self.batch_max:
             del self._open[slot]
-            self._ready.append(batch)
+            self._flush(batch, now)
+
+    def note_done(self, batch: Batch) -> None:
+        """``batch`` (flushed earlier) finished on its lane: its
+        requests have left the gateway."""
+        if batch.key is None or batch.held:
+            return  # only unheld batches are counted while they run
+        slot = (batch.key, batch.backend)
+        left = self._running[slot] - batch.size
+        if left:
+            self._running[slot] = left
+        else:
+            del self._running[slot]
 
     # -- flush ------------------------------------------------------------
 
+    def _flush(self, batch: Batch, now: float) -> None:
+        batch.flushed_at = now
+        self._ready.append(batch)
+        if not batch.held:
+            slot = (batch.key, batch.backend)
+            self._running[slot] = self._running.get(slot, 0) + batch.size
+
     def pop_ready(self, now: float) -> List[Batch]:
         """Every batch due at ``now``: full/unbatchable ones plus open
-        batches whose window expired."""
+        batches whose deadline passed."""
         due = [s for s, b in self._open.items() if b.deadline <= now]
         for slot in due:
-            self._ready.append(self._open.pop(slot))
+            self._flush(self._open.pop(slot), now)
         ready, self._ready = self._ready, []
         return ready
 
-    def flush_all(self) -> List[Batch]:
+    def flush_all(self, now: Optional[float] = None) -> List[Batch]:
         """Drain everything regardless of deadlines (shutdown path)."""
-        self._ready.extend(self._open.values())
+        for batch in self._open.values():
+            self._flush(batch, batch.opened_at if now is None else now)
         self._open.clear()
         ready, self._ready = self._ready, []
         return ready
@@ -111,3 +216,12 @@ class Batcher:
         return sum(b.size for b in self._open.values()) + sum(
             b.size for b in self._ready
         )
+
+    def stats(self) -> Dict[str, int]:
+        """Batches opened with the window (``held``) and without
+        (``immediate``), and entries the hold rule currently keeps."""
+        return {
+            "held": self._held,
+            "immediate": self._immediate,
+            "tracked_keys": len(self._running) + len(self._company),
+        }

@@ -90,10 +90,15 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 7411
 
-    #: Batching coalescer window in seconds: a compatible launch that
-    #: arrives within this window of the first member joins its batch.
-    #: ``0`` keeps admission order but still merges whatever is ready at
-    #: the same pump step; batching is disabled with ``enable_batching``.
+    #: Batching coalescer window in seconds — an upper bound, paid only
+    #: by keys with observed company: a batch waits this long for
+    #: compatible launches to join it when a request of its key met
+    #: another one in the gateway (still running unheld on a lane, or in
+    #: an open batch it joined in time), now or since the key's previous
+    #: batch opened; a lone request launches at the pump step that
+    #: admitted it (see :mod:`repro.serve.batcher`).  ``0`` keeps
+    #: admission order but still merges whatever is ready at the same
+    #: pump step; batching is disabled with ``enable_batching``.
     batch_window: float = 0.002
     #: Hard cap on requests merged into one batched grid.
     batch_max: int = 64
@@ -113,10 +118,6 @@ class ServeConfig:
     #: Device lanes as ``(backend_name, device_idx)`` pairs.  Empty
     #: means: every device of :data:`DEFAULT_BACKEND`'s platform.
     lanes: Tuple[Tuple[str, int], ...] = ()
-
-    #: Pump idle tick in seconds (upper bound on added latency when no
-    #: batch deadline is pending).
-    pump_tick: float = 0.001
 
     #: Seconds a graceful shutdown waits for in-flight work to drain
     #: before abandoning (and failing) the stragglers.

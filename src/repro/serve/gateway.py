@@ -6,12 +6,15 @@ the asyncio TCP server, the benchmark's simulated fleet) call
 a single **pump** thread drives the pipeline::
 
     submit() ──> FairShareAdmission ──> Batcher ──> ShardRouter ──> lanes
-      (offer;        (weighted DRR        (window      (least-loaded
-       RetryAfter     + in-flight cap)     coalesce)    QueueNonBlocking)
-       when full)
+      (offer;        (weighted DRR        (coalesce;   (least-loaded
+       RetryAfter     + in-flight cap)     window for   QueueNonBlocking)
+       when full)                          keys with
+                                           company)
 
 Completion flows back through each lane queue's ``enqueue_callback``
-into the request's future.  Shutdown is graceful by default: new
+into the request's future; the finished batch itself is queued for the
+pump, which tells the batcher (its hold rule counts a key's unheld
+requests still on a lane).  Shutdown is graceful by default: new
 admissions are rejected, queued and parked work drains, lanes close,
 and (on request) the per-device worker pools are released.
 """
@@ -21,6 +24,7 @@ from __future__ import annotations
 import atexit
 import threading
 import time
+from collections import deque
 from typing import Dict, Optional
 
 from ..runtime.instrument import observers
@@ -44,6 +48,12 @@ from .types import (
 from .workloads import get_workload
 
 __all__ = ["Gateway"]
+
+#: Longest the idle pump sleeps.  The pump is event-driven — offers,
+#: completions and shutdown set ``admission.ready``, and an open batch
+#: bounds the sleep by its deadline — so this is a safety net, not a
+#: term in any request's latency.
+PUMP_TICK = 0.001
 
 
 class Gateway:
@@ -71,7 +81,10 @@ class Gateway:
         self.batcher = Batcher(
             config.batch_window, config.batch_max, config.enable_batching
         )
-        self.router = ShardRouter(config)
+        # Finished batches, appended by lane threads and drained by the
+        # pump into ``batcher.note_done`` (the batcher is single-threaded).
+        self._batches_done: deque = deque()
+        self.router = ShardRouter(config, self._batches_done.append)
         self._handles: Dict[int, ServeHandle] = {}
         self._handles_lock = threading.Lock()
         self._draining = threading.Event()
@@ -98,6 +111,7 @@ class Gateway:
         return ok, {
             "pending": self.pending(),
             "lanes": len(self.router.lanes),
+            "batcher": self.batcher.stats(),
             "pump_alive": self._pump.is_alive(),
             "draining": self._draining.is_set(),
         }
@@ -197,7 +211,6 @@ class Gateway:
     # -- pump -------------------------------------------------------------
 
     def _pump_loop(self) -> None:
-        tick = self.config.pump_tick
         while not self._stopped.is_set():
             self.admission.ready.clear()
             moved = self._pump_step()
@@ -207,34 +220,47 @@ class Gateway:
             if moved:
                 continue
             deadline = self.batcher.next_deadline()
-            timeout = tick
+            timeout = PUMP_TICK
             if deadline is not None:
-                timeout = max(0.0, min(tick, deadline - time.perf_counter()))
+                timeout = max(
+                    0.0, min(PUMP_TICK, deadline - time.perf_counter())
+                )
             self.admission.ready.wait(timeout)
 
     def _pump_step(self) -> bool:
         """One pump iteration; True when any request moved a stage."""
         moved = False
+        done = self._batches_done
         while True:
             req = self.admission.next_ready()
+            # Completions before every add: the lane queues a batch
+            # here before it replies, so a request sent after a reply
+            # finds its predecessor gone — or a solo closed-loop client
+            # would look concurrent.
+            while done:
+                self.batcher.note_done(done.popleft())
             if req is None:
                 break
             self.batcher.add(req, time.perf_counter())
             moved = True
+        now = time.perf_counter()
         if self._draining.is_set():
-            ready = self.batcher.flush_all()
+            ready = self.batcher.flush_all(now)
         else:
-            ready = self.batcher.pop_ready(time.perf_counter())
+            ready = self.batcher.pop_ready(now)
         for batch in ready:
             self.router.submit(batch, self._on_request_done)
             moved = True
         return moved
 
-    def _on_request_done(self, request, outputs, error, lane, batch_size) -> None:
+    def _on_request_done(self, request, outputs, error, lane, batch) -> None:
         """Lane completion callback (runs in the lane queue's worker)."""
         now = time.perf_counter()
         latency = max(0.0, now - request.submitted_at)
         service = max(0.0, now - request.admitted_at)
+        batch_size, held = batch.size, batch.held
+        # Added to the batcher at admission, so this is add -> flush.
+        batch_wait = round(max(0.0, batch.flushed_at - request.admitted_at), 6)
         ok = error is None
         self.admission.task_finished(request.tenant, service, ok)
         record_completion(request.tenant, latency, ok)
@@ -252,6 +278,8 @@ class Gateway:
             tenant=request.tenant,
             lane=lane.label,
             batch_size=batch_size,
+            batch_wait_s=batch_wait,
+            held=held,
         )
         if trace is not None or error is not None:
             trace_store().add(
@@ -262,6 +290,8 @@ class Gateway:
                     "tenant": request.tenant,
                     "lane": lane.label,
                     "batch_size": batch_size,
+                    "batch_wait_s": batch_wait,
+                    "held": held,
                     "latency_s": round(latency, 6),
                     "error": (
                         f"{type(error).__name__}: {error}"
@@ -272,7 +302,9 @@ class Gateway:
                 }
             )
         if ok and self.online is not None:
-            self.online.observe(request, service, lane)
+            # The kernel's own time, not admitted->done: the hold in the
+            # batcher varies per key and is not drift.
+            self.online.observe(request, batch.execute_seconds, lane)
         with self._handles_lock:
             handle = self._handles.pop(request.request_id, None)
             if ok:
@@ -319,6 +351,7 @@ class Gateway:
         stats = {
             "requests": counts,
             "tenants": self.admission.stats(),
+            "batcher": self.batcher.stats(),
             "lanes": self.router.stats(),
             "queued": self.admission.queued(),
             "inflight": self.router.inflight(),

@@ -14,6 +14,9 @@ Metric families:
 * ``repro_serve_queue_depth{tenant}`` — current admission queue depth;
 * ``repro_serve_inflight{lane}`` — requests executing per device lane;
 * ``repro_serve_batch_size`` — merged-launch occupancy distribution;
+* ``repro_serve_batch_hold_seconds`` — how long each batch sat in the
+  batcher between opening and flushing (zero-ish for a key without
+  company, up to ``batch_window`` for one with);
 * ``repro_serve_latency_seconds{tenant}`` — submit-to-result wall
   latency;
 * ``repro_serve_retry_delay_seconds`` — backpressure delays suggested
@@ -75,13 +78,19 @@ def record_completion(tenant: str, latency: float, ok: bool) -> None:
     ).observe(latency)
 
 
-def record_batch(size: int, lane: str) -> None:
-    registry().histogram(
+def record_batch(size: int, lane: str, hold: float) -> None:
+    reg = registry()
+    reg.histogram(
         "repro_serve_batch_size",
         "Requests merged per launched batch",
         buckets=BATCH_BUCKETS,
         lane=lane,
     ).observe(float(size))
+    reg.histogram(
+        "repro_serve_batch_hold_seconds",
+        "Seconds a batch was parked in the batcher before launch",
+        lane=lane,
+    ).observe(hold)
 
 
 def record_inflight(lane: str, delta: int) -> None:

@@ -3,14 +3,23 @@
 :class:`OnlineTuner` closes the loop the tuning paper leaves open: the
 division tuned offline may stop being right while the service runs (a
 noisy neighbour, a shifted request-size mix, a changed machine model).
-The gateway feeds every completed request's **service latency** (time
-since admission — queueing excluded, so fair-share backlog cannot
-masquerade as kernel drift) into a fleet
-:class:`~repro.tuning.fleet.DriftMonitor`; when a workload drifts, the
-monitor calls back here, and the tuner re-runs that workload's
-:meth:`~repro.serve.workloads.Workload.retune` probe on a background
-thread at the **most recently observed problem size** on the lane that
-served it.
+The gateway feeds every completed request's **execute time** — the wall
+seconds of its batch's ``workload.execute`` on the lane, timed by the
+router — into a fleet :class:`~repro.tuning.fleet.DriftMonitor`; when a
+workload drifts, the monitor calls back here, and the tuner re-runs
+that workload's :meth:`~repro.serve.workloads.Workload.retune` probe on
+a background thread at the **most recently observed problem size** on
+the lane that served it.
+
+The signal excludes everything in front of the lane: admission queueing
+(fair-share backlog must not masquerade as kernel drift) and the time
+parked in the batcher, which is a per-key decision — the first burst of
+a key runs unheld, the next batch waits out the window, and
+admitted-to-done would read that as a 3x "drift" and re-tune.  It is
+also the sharper detector: while the signal was admitted-to-done and
+every request paid the 2 ms window, a 0.4 ms kernel had to slow about
+4x before a 2.4 ms "service" moved by the 1.5x threshold; timed alone,
+a 1.5x slowdown of the kernel is a 1.5x move of the signal.
 
 The hot-swap itself is not this module's code: the forced re-tune bumps
 the tuning generation, the plan cache keys AUTO plans on it, and the
@@ -58,8 +67,9 @@ class OnlineTuner:
 
     # -- gateway-facing ------------------------------------------------
 
-    def observe(self, request, service: float, lane) -> None:
-        """Feed one completed request (gateway completion callback)."""
+    def observe(self, request, seconds: float, lane) -> None:
+        """Feed one completed request and its batch's execute time
+        (gateway completion callback)."""
         size = self._problem_size(request)
         if size is not None:
             with self._lock:
@@ -69,7 +79,7 @@ class OnlineTuner:
                     lane.device,
                     getattr(request, "trace", None),
                 )
-        self.monitor.observe(request.workload, service)
+        self.monitor.observe(request.workload, seconds)
 
     def stats(self) -> dict:
         with self._lock:

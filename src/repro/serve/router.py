@@ -82,7 +82,15 @@ class DeviceLane:
 class ShardRouter:
     """Least-loaded dispatch of batches over the configured lanes."""
 
-    def __init__(self, config: ServeConfig):
+    def __init__(
+        self,
+        config: ServeConfig,
+        on_batch_done: Optional[Callable[[Batch], None]] = None,
+    ):
+        #: Told about every finished batch, on the lane's thread, before
+        #: any of its requests is reported — so whatever a reply causes
+        #: is ordered after it (the batcher's company rule needs that).
+        self._on_batch_done = on_batch_done
         lanes = config.lanes
         if not lanes:
             acc = accelerator(DEFAULT_BACKEND)
@@ -126,7 +134,7 @@ class ShardRouter:
     ) -> DeviceLane:
         """Enqueue ``batch`` on a lane; completion (or failure) of each
         member request is reported through ``on_request_done(request,
-        result_dict_or_None, error_or_None, lane, batch_size)``.
+        result_dict_or_None, error_or_None, lane, batch)``.
 
         The closure runs in the lane queue's worker; errors are caught
         there and delivered per request, so one failing batch neither
@@ -144,6 +152,7 @@ class ShardRouter:
         trace = getattr(requests[0], "trace", None)
 
         def _run() -> None:
+            t0 = time.perf_counter()
             try:
                 with tracing.use(trace):
                     state["outputs"] = workload.execute(
@@ -151,11 +160,16 @@ class ShardRouter:
                     )
             except BaseException as exc:  # delivered per request below
                 state["error"] = exc
+            batch.execute_seconds = time.perf_counter() - t0
 
         def _complete() -> None:
             outputs, error = state["outputs"], state["error"]
-            record_batch(len(requests), lane.label)
+            record_batch(
+                len(requests), lane.label, batch.flushed_at - batch.opened_at
+            )
             lane._note_done(len(requests))
+            if self._on_batch_done is not None:
+                self._on_batch_done(batch)
             if error is None and (
                 outputs is None or len(outputs) != len(requests)
             ):
@@ -166,7 +180,7 @@ class ShardRouter:
                 )
             for i, req in enumerate(requests):
                 out = outputs[i] if error is None else None
-                on_request_done(req, out, error, lane, len(requests))
+                on_request_done(req, out, error, lane, batch)
 
         lane.queue.enqueue(_run)
         lane.queue.enqueue_callback(_complete)

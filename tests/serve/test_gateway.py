@@ -3,7 +3,9 @@ backpressure, error delivery, fairness accounting and shutdown."""
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +24,34 @@ def gateway():
     gw = Gateway(ServeConfig(batch_window=0.002, drain_timeout=30.0))
     yield gw
     gw.shutdown(release_pools=False)
+
+
+def _overlapping_pair(gw, launch):
+    """Two ``launch()`` calls, the second admitted while the first is
+    provably on the (single, blocked) lane — so the second brings its
+    key company and is held.  Returns both handles."""
+
+    def wait_for(condition):
+        give_up = time.monotonic() + 30
+        while not condition():
+            assert time.monotonic() < give_up
+            time.sleep(0.0005)
+
+    def opened():
+        stats = gw.stats()["batcher"]
+        return stats["held"] + stats["immediate"]
+
+    release = threading.Event()
+    gw.router.lanes[0].queue.enqueue(lambda: release.wait(30))
+    try:
+        before = opened()
+        first = launch()
+        wait_for(lambda: gw.router.inflight() == 1)
+        second = launch()
+        wait_for(lambda: opened() == before + 2)
+    finally:
+        release.set()
+    return first, second
 
 
 def _axpy_args(rng, n=128):
@@ -61,6 +91,54 @@ class TestEndToEnd:
         )
         # The burst lands inside one window: at least one merged batch.
         assert max(r.batch_size for r in results) > 1
+
+    def test_sequential_solo_launches_pay_no_window(self, rng):
+        """A closed-loop client (next launch after the reply) is alone
+        every time: no batch of its key is ever opened held.  Asserted
+        on the batcher's counter, not on wall time."""
+        x = rng.standard_normal(64)
+        y = rng.standard_normal(64)
+        with Gateway() as gw:
+            assert gw.config.batch_window > 0
+            for _ in range(20):
+                r = gw.launch(
+                    "axpy", params={"alpha": 2.0}, arrays={"x": x, "y": y}
+                ).result(timeout=30)
+                assert r.batch_size == 1
+                assert np.array_equal(r.arrays["y"], 2.0 * x + y)
+            batcher = gw.stats()["batcher"]
+            assert (batcher["held"], batcher["immediate"]) == (0, 20)
+            gw.shutdown(release_pools=False)
+
+    def test_hold_decision_is_on_the_span_and_the_trace_record(self, rng):
+        from repro import telemetry
+        from repro.telemetry import tracing
+        from repro.telemetry.tracing import trace_store
+
+        window = 0.02
+        root = tracing.new_trace()
+        with Gateway(ServeConfig(batch_window=window)) as gw:
+            with telemetry.collect() as t, tracing.use(root):
+                first, last = _overlapping_pair(
+                    gw, lambda: gw.launch("axpy", **_axpy_args(rng))
+                )
+                first.result(timeout=30)
+                last.result(timeout=30)
+            health_ok, health = gw._health()
+            gw.shutdown(release_pools=False)
+        spans = [ev for ev in t.events if ev.name == "serve.request"]
+        assert len(spans) == 2
+        # Span attributes are exported as strings.
+        assert sorted(ev.args["held"] for ev in spans) == ["False", "True"]
+        (held,) = (ev for ev in spans if ev.args["held"] == "True")
+        assert float(held.args["batch_wait_s"]) >= window * 0.9
+        record = next(
+            r for r in trace_store().recent(limit=8)
+            if r["request_id"] == last.request.request_id
+        )
+        assert record["held"] is True
+        assert record["batch_wait_s"] >= window * 0.9
+        assert health_ok and health["batcher"]["held"] == 1
 
     def test_batched_result_bit_identical_to_solo(self, rng):
         x = rng.standard_normal(200)
@@ -283,3 +361,62 @@ class TestThreadedClients:
             t.join(timeout=60)
         assert not errors
         assert gateway.stats()["requests"]["completed"] == 40
+
+    def test_same_key_burst_still_coalesces(self, rng):
+        """32 threads on one key: the first request runs unheld, the
+        ones that arrive while it is inside earn the key its window —
+        merged launches appear and every result stays bit-identical.
+
+        Doubles as the stress test of the lane -> pump completion
+        hand-off (short switch interval, more threads than cores): one
+        lost note would leave the key "inside" for good, and every later
+        request of it would be held."""
+        x = rng.standard_normal(64)
+        y = rng.standard_normal(64)
+        expected = 2.0 * x + y
+        start = threading.Barrier(32)
+        sizes, errors = [], []
+
+        def launch(tenant):
+            r = gw.launch(
+                "axpy",
+                tenant=tenant,
+                params={"alpha": 2.0},
+                arrays={"x": x, "y": y},
+            ).result(timeout=30)
+            assert np.array_equal(r.arrays["y"], expected)
+            return r
+
+        def client(tenant):
+            try:
+                start.wait(timeout=30)
+                for _ in range(3):
+                    sizes.append(launch(tenant).batch_size)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Gateway() as gw:
+                threads = [
+                    threading.Thread(target=client, args=(f"t{i % 4}",))
+                    for i in range(32)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert not errors
+                assert len(sizes) == 96
+                assert max(sizes) > 1
+                # Alone again: one wasted window at most, then no hold.
+                launch("t0")
+                held = gw.stats()["batcher"]["held"]
+                assert held >= 1
+                assert launch("t0").batch_size == 1
+                assert gw.stats()["batcher"]["held"] == held
+                gw.shutdown(release_pools=False)
+        finally:
+            sys.setswitchinterval(interval)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,49 @@ class TestWiring:
             snap = gw.online.monitor.snapshot()["axpy"]
             assert snap["baseline_median"] is not None
             assert snap["baseline_median"] > 0
+            gw.shutdown(release_pools=False)
+
+    def test_hold_in_the_batcher_is_not_drift(self, rng):
+        """The tuner is fed the batch's execute time.  With the hold a
+        per-key decision, admitted->done jumps by a whole window between
+        an unheld batch and the held one after it; at a 50 ms window
+        that would read as a >10x "kernel drift"."""
+        window = 0.05
+        config = ServeConfig(online_tuning=True, batch_window=window)
+        with Gateway(config) as gw:
+            _drive(gw, rng)  # first launch pays plan and tuning set-up
+            seen = []
+            observe = gw.online.monitor.observe
+
+            def spy(workload, seconds):
+                seen.append(seconds)
+                observe(workload, seconds)
+
+            gw.online.monitor.observe = spy
+            for _ in range(4):
+                _drive(gw, rng)  # alone every time: unheld
+            # The second sent while the first is on the (blocked) lane:
+            # it brings the key company and pays the window.
+            release = threading.Event()
+            gw.router.lanes[0].queue.enqueue(lambda: release.wait(30))
+            ones = np.ones(128)
+            args = {"params": {"alpha": 2.0}, "arrays": {"x": ones, "y": ones}}
+            give_up = time.monotonic() + 30
+            first = gw.launch("axpy", **args)
+            while gw.router.inflight() < 1 and time.monotonic() < give_up:
+                time.sleep(0.0005)
+            held = gw.launch("axpy", **args)
+            while (  # until the pump has parked it
+                gw.stats()["batcher"]["held"] < 1
+                and time.monotonic() < give_up
+            ):
+                time.sleep(0.0005)
+            release.set()
+            first.result(timeout=30)
+            assert held.result(timeout=30).latency >= window
+            assert gw.stats()["batcher"]["held"] == 1
+            assert len(seen) == 6
+            assert max(seen) < window / 2
             gw.shutdown(release_pools=False)
 
 

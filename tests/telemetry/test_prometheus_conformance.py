@@ -145,7 +145,7 @@ class TestWholeRegistry:
             record_admission("alice", "queued", depth=2)
             record_admission('we"ird\ntenant', "rejected", depth=9)
             record_completion("alice", 0.003, ok=True)
-            record_batch(8, "AccCpuSerial/0")
+            record_batch(8, "AccCpuSerial/0", 0.002)
             record_inflight("AccCpuSerial/0", 1)
             text = to_prometheus(registry())
             _check_conformance(text)
