@@ -26,6 +26,7 @@ import numpy as np
 
 from ..atomic.ops import AtomicDomain
 from ..core.errors import KernelError, SharedMemError
+from ..core.index import Grid, Threads, get_idx, get_work_div, linearize
 from ..core.properties import AccDevProps
 from ..core.vec import Vec
 from ..core.workdiv import MappingStrategy, WorkDivMembers
@@ -34,6 +35,15 @@ from ..math.ops import DEFAULT_MATH, MathOps
 from ..rand.philox import PhiloxRng
 
 __all__ = ["GridContext", "BlockContext", "Accelerator", "AcceleratorType"]
+
+#: :func:`repro.runtime.launch`, bound by the first launch: the runtime
+#: imports this module, so the name cannot be imported here, and a
+#: function-level import would be resolved again on every launch.
+_launch = None
+
+#: Serialises the first-use creation of any grid's atomic domain, so two
+#: blocks racing to the first atomic of a launch share one lock table.
+_atomics_init_lock = threading.Lock()
 
 
 class GridContext:
@@ -53,11 +63,29 @@ class GridContext:
         self.props = props
         self.args = args
         self.shared_mem_bytes = shared_mem_bytes
-        self.atomics = AtomicDomain()
+        self._atomics: Optional[AtomicDomain] = None
         #: Sanitizer hook (:class:`repro.sanitize.monitor.SanitizeMonitor`)
         #: or None.  When set, the engine announces thread begin/end,
         #: barrier passage and shared allocations to it.
         self.monitor = monitor
+
+    @property
+    def atomics(self) -> AtomicDomain:
+        """The grid-scope atomic domain, created by the first atomic
+        operation of the launch (most kernels perform none, and a domain
+        is 64 lock allocations).  Assignable: the process-pool worker
+        installs its process-shared domain here."""
+        domain = self._atomics
+        if domain is None:
+            with _atomics_init_lock:
+                domain = self._atomics
+                if domain is None:
+                    domain = self._atomics = AtomicDomain()
+        return domain
+
+    @atomics.setter
+    def atomics(self, domain: AtomicDomain) -> None:
+        self._atomics = domain
 
 
 class BlockContext:
@@ -72,6 +100,14 @@ class BlockContext:
     ):
         self.grid = grid
         self.block_idx = block_idx
+        wd = grid.work_div
+        #: Grid-relative index of the block's first thread: the part of
+        #: ``get_idx(acc, Grid, Threads)`` every thread of the block shares.
+        self.thread_origin = (
+            block_idx
+            if wd.block_thread_count == 1
+            else block_idx * wd.block_thread_extent
+        )
         self._sync = sync
         self._shared: Dict[str, np.ndarray] = {}
         self._shared_bytes = 0
@@ -132,7 +168,14 @@ class BlockContext:
 class Accelerator:
     """The per-thread kernel-facing facade (``T_Acc acc``)."""
 
-    __slots__ = ("_grid", "_block", "block_thread_idx", "math")
+    __slots__ = (
+        "_grid",
+        "_block",
+        "work_div",
+        "grid_block_idx",
+        "block_thread_idx",
+        "math",
+    )
 
     def __init__(
         self,
@@ -143,18 +186,18 @@ class Accelerator:
     ):
         self._grid = grid
         self._block = block
+        # Identity / geometry: plain attributes, read by every index
+        # query of the kernel body.
+        self.work_div = grid.work_div
+        self.grid_block_idx = block.block_idx
         self.block_thread_idx = thread_idx
         self.math = math
 
-    # -- identity / geometry --------------------------------------------
-
     @property
-    def work_div(self) -> WorkDivMembers:
-        return self._grid.work_div
-
-    @property
-    def grid_block_idx(self) -> Vec:
-        return self._block.block_idx
+    def grid_thread_origin(self) -> Vec:
+        """Grid-relative index of this block's first thread (computed
+        once per block; ``get_idx`` adds the thread's own index)."""
+        return self._block.thread_origin
 
     @property
     def device(self) -> Device:
@@ -171,8 +214,6 @@ class Accelerator:
     @property
     def block_thread_linear_idx(self) -> int:
         """This thread's flat index within its block (C order)."""
-        from ..core.index import linearize
-
         return linearize(
             self.block_thread_idx, self._grid.work_div.block_thread_extent
         )
@@ -267,8 +308,6 @@ class Accelerator:
     def rng(self, seed: int) -> PhiloxRng:
         """A random stream unique to this thread (subsequence = global
         linear thread index), reproducible across back-ends."""
-        from ..core.index import Grid, Threads, get_idx, get_work_div, linearize
-
         gidx = get_idx(self, Grid, Threads)
         gext = get_work_div(self, Grid, Threads)
         return PhiloxRng(seed, linearize(gidx, gext))
@@ -335,6 +374,7 @@ class AcceleratorType:
     def execute(cls, task, device: Device) -> None:
         """Run ``task`` on ``device`` through the unified runtime
         (Task → Plan → Execute); see :func:`repro.runtime.launch`."""
-        from ..runtime import launch
-
-        launch(task, device)
+        global _launch
+        if _launch is None:
+            from ..runtime import launch as _launch
+        _launch(task, device)

@@ -28,7 +28,7 @@ import threading
 from typing import Callable, Iterator, Optional, Tuple
 
 from ..core.errors import KernelError
-from ..core.vec import Vec
+from ..core.vec import MAX_DIM, Vec
 from ..dev.device import Device
 from ..mem.buf import Buffer
 from ..mem.view import ViewSubView
@@ -67,13 +67,16 @@ def iter_indices(extent: Vec) -> Iterator[Vec]:
 # Block runners
 # ---------------------------------------------------------------------------
 
+#: dim -> the all-zero index, the thread index of every one-thread block.
+_ZERO_IDX = {dim: Vec.zeros(dim) for dim in range(1, MAX_DIM + 1)}
+
 
 def run_block_single_thread(
     grid: GridContext, block_idx: Vec, kernel: Callable, args: Tuple
 ) -> None:
     """Execute a one-thread block in the calling thread."""
     block = BlockContext(grid, block_idx, sync=None)
-    thread_idx = Vec.zeros(grid.work_div.dim)
+    thread_idx = _ZERO_IDX[grid.work_div.dim]
     acc = Accelerator(grid, block, thread_idx)
     monitor = grid.monitor
     if monitor is None:

@@ -29,8 +29,13 @@ from typing import Callable
 
 from ..core.errors import ModelError
 from ..dev.device import Device
+from ..perfmodel.roofline import predict_time
 
 __all__ = ["measure", "advance_modeled_time"]
+
+#: Upper bound on the distinct predictions one memo (one launch plan)
+#: remembers.
+MODEL_MEMO_MAX = 64
 
 
 def measure(
@@ -61,7 +66,7 @@ def measure(
 
 
 def advance_modeled_time(
-    task, device: Device, backend_kind: str, work_div=None
+    task, device: Device, backend_kind: str, work_div=None, memo=None
 ) -> float:
     """Advance ``device``'s simulated clock for ``task``; returns the
     modeled seconds (0.0 when the kernel does not describe itself).
@@ -70,25 +75,31 @@ def advance_modeled_time(
     plan's *resolved* division so tasks carrying a deferred
     :class:`~repro.core.workdiv.AutoWorkDiv` are modeled with the
     concrete division they actually executed under.
+
+    The kernel describes itself on every launch (scalar arguments may
+    change), but the prediction is a pure function of ``(spec, kind,
+    work division, characteristics, scope)``: with ``memo`` — a dict the
+    caller owns, the launch plan's ``_modeled`` — the seconds of each
+    distinct tuple are predicted once.  The memo never holds more than
+    :data:`MODEL_MEMO_MAX` entries (a full memo starts over).
     """
     describe = getattr(task.kernel, "characteristics", None)
     if describe is None:
         return 0.0
-    from ..perfmodel.roofline import predict_time
-
     wd = work_div if work_div is not None else task.work_div
     chars = describe(wd, *task.args)
     if chars is None:
         return 0.0
-    predicted = predict_time(
-        device.spec,
-        backend_kind,
-        wd,
-        chars,
-        parallel_scope=getattr(task.acc_type, "parallel_scope", "none"),
-    )
-    seconds = predicted.seconds
-    if seconds < 0:
-        raise ModelError(f"negative modeled time from {task.kernel!r}")
+    scope = getattr(task.acc_type, "parallel_scope", "none")
+    key = (device.spec, backend_kind, wd, chars, scope)
+    seconds = memo.get(key) if memo is not None else None
+    if seconds is None:
+        seconds = predict_time(*key).seconds
+        if seconds < 0:
+            raise ModelError(f"negative modeled time from {task.kernel!r}")
+        if memo is not None:
+            if len(memo) >= MODEL_MEMO_MAX:
+                memo.clear()  # one atomic step; launches may race here
+            memo[key] = seconds
     device.advance_sim_time(seconds)
     return seconds

@@ -43,8 +43,7 @@ def element_box(acc, extent) -> Tuple[slice, ...]:
     first = get_idx(acc, Grid, Elems)
     span = get_work_div(acc, Thread, Elems)
     return tuple(
-        slice(min(f, e), min(f + s, e))
-        for f, s, e in zip(first, span, ext)
+        [slice(min(f, e), min(f + s, e)) for f, s, e in zip(first, span, ext)]
     )
 
 

@@ -57,7 +57,9 @@ class Unit(enum.Enum):
     ELEMS = "elems"
 
 
-# Short aliases used in kernel code, mirroring alpaka's tag types.
+# Short aliases used in kernel code, mirroring alpaka's tag types.  The
+# queries below compare against them too: a module global is a tenth
+# the cost of an enum member looked up through its class.
 Grid = Origin.GRID
 Block = Origin.BLOCK
 Thread = Origin.THREAD
@@ -88,20 +90,29 @@ def get_idx(acc: "Accelerator", origin: Origin, unit: Unit) -> Vec:
     hook = getattr(acc, "trace_get_idx", None)
     if hook is not None:
         return hook(origin, unit)
-    wd = acc.work_div
-    if origin is Origin.GRID:
-        if unit is Unit.BLOCKS:
+    if origin is Grid:
+        if unit is Blocks:
             return acc.grid_block_idx
-        if unit is Unit.THREADS:
-            return acc.grid_block_idx * wd.block_thread_extent + acc.block_thread_idx
-        if unit is Unit.ELEMS:
-            gt = acc.grid_block_idx * wd.block_thread_extent + acc.block_thread_idx
-            return gt * wd.thread_elem_extent
-    elif origin is Origin.BLOCK:
-        if unit is Unit.THREADS:
+        wd = acc.work_div
+        if wd.block_thread_count == 1:
+            # The lone thread of a block sits at the block's index.
+            first = acc.grid_block_idx
+        else:
+            # The block-constant part: the accelerator facade carries it
+            # precomputed per block; stand-ins need not.
+            first = getattr(acc, "grid_thread_origin", None)
+            if first is None:
+                first = acc.grid_block_idx * wd.block_thread_extent
+            first = first + acc.block_thread_idx
+        if unit is Threads:
+            return first
+        if unit is Elems:
+            return first * wd.thread_elem_extent
+    elif origin is Block:
+        if unit is Threads:
             return acc.block_thread_idx
-        if unit is Unit.ELEMS:
-            return acc.block_thread_idx * wd.thread_elem_extent
+        if unit is Elems:
+            return acc.block_thread_idx * acc.work_div.thread_elem_extent
     raise DimensionError(f"unsupported index query: origin={origin}, unit={unit}")
 
 
@@ -127,24 +138,22 @@ def get_work_div(acc_or_workdiv, origin: Origin, unit: Unit) -> Vec:
     if hook is not None:
         return hook(origin, unit)
     wd = getattr(acc_or_workdiv, "work_div", acc_or_workdiv)
-    if origin is Origin.GRID:
-        if unit is Unit.BLOCKS:
+    # Every answer is a constant of the (immutable) division, computed
+    # when it was built — nothing is multiplied per query.
+    if origin is Grid:
+        if unit is Blocks:
             return wd.grid_block_extent
-        if unit is Unit.THREADS:
-            return wd.grid_block_extent * wd.block_thread_extent
-        if unit is Unit.ELEMS:
-            return (
-                wd.grid_block_extent
-                * wd.block_thread_extent
-                * wd.thread_elem_extent
-            )
-    elif origin is Origin.BLOCK:
-        if unit is Unit.THREADS:
+        if unit is Threads:
+            return wd.grid_thread_extent
+        if unit is Elems:
+            return wd.grid_elem_extent
+    elif origin is Block:
+        if unit is Threads:
             return wd.block_thread_extent
-        if unit is Unit.ELEMS:
-            return wd.block_thread_extent * wd.thread_elem_extent
-    elif origin is Origin.THREAD:
-        if unit is Unit.ELEMS:
+        if unit is Elems:
+            return wd.block_elem_extent
+    elif origin is Thread:
+        if unit is Elems:
             return wd.thread_elem_extent
     raise DimensionError(f"unsupported extent query: origin={origin}, unit={unit}")
 

@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from typing import Callable, Iterable, Iterator, Sequence, Union
@@ -149,9 +150,37 @@ class Vec:
             return Vec.all(self.dim, other)
         raise DimensionError(f"cannot combine Vec with {type(other).__name__}")
 
-    def _zip(self, other: _IntLike, op: Callable[[int, int], int]) -> "Vec":
-        o = self._coerce(other)
-        return Vec(*(op(a, b) for a, b in zip(self._c, o._c)))
+    def _zip(
+        self, other: _IntLike, op: Callable[[int, int], int], reflected: bool = False
+    ) -> "Vec":
+        """``op`` applied componentwise (``op(other, self)`` when
+        ``reflected``).
+
+        The components of a ``Vec`` are validated Python ints and the
+        operators used here map ints to ints, so for an exact ``Vec`` or
+        an exact ``int`` operand the result tuple is adopted as is: no
+        ``operator.index`` per component, no ``MAX_DIM`` check, no
+        broadcast temporary.  Anything else (``bool``, numpy integers,
+        subclasses, non-integers) goes through :meth:`_coerce` and the
+        validating constructor.
+        """
+        a = self._c
+        make = _adopt
+        t = type(other)
+        if t is Vec:
+            b = other._c
+            if len(b) != len(a):
+                raise DimensionError(
+                    f"dimensionality mismatch: {len(a)} vs {len(b)}"
+                )
+        elif t is int:
+            b = itertools.repeat(other)
+        else:
+            b = self._coerce(other)._c
+            make = Vec
+        if reflected:
+            a, b = b, a
+        return make(tuple(map(op, a, b)))
 
     def __add__(self, other):
         return self._zip(other, operator.add)
@@ -162,7 +191,7 @@ class Vec:
         return self._zip(other, operator.sub)
 
     def __rsub__(self, other):
-        return self._coerce(other)._zip(self, operator.sub)
+        return self._zip(other, operator.sub, reflected=True)
 
     def __mul__(self, other):
         return self._zip(other, operator.mul)
@@ -178,8 +207,7 @@ class Vec:
     def ceil_div(self, other: _IntLike) -> "Vec":
         """Elementwise ceiling division — the work-division staple for
         computing how many blocks cover an extent."""
-        o = self._coerce(other)
-        return Vec(*(-(-a // b) for a, b in zip(self._c, o._c)))
+        return self._zip(other, _ceil_div)
 
     def min(self, other: _IntLike) -> "Vec":
         return self._zip(other, min)
@@ -241,6 +269,18 @@ class Vec:
 
     def reversed(self) -> "Vec":
         return Vec(*reversed(self._c))
+
+
+def _adopt(components: tuple) -> Vec:
+    """A :class:`Vec` over ``components`` without re-validation — only
+    for tuples built from the components of existing vectors."""
+    v = Vec.__new__(Vec)
+    v._c = components
+    return v
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
 def _vec_ctor(dim: int) -> Callable[..., Vec]:

@@ -23,7 +23,7 @@ a placeholder the launch runtime resolves at plan time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 from .errors import InvalidWorkDiv
@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+def _derived():
+    """A field computed in ``__post_init__``: not an ``__init__``
+    parameter, invisible to ``==``, ``hash`` and ``repr``."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class WorkDivMembers:
     """Extents of the block, thread and element levels (paper Listing 2).
@@ -46,11 +52,38 @@ class WorkDivMembers:
     All three extents must share one dimensionality.  The grid level
     itself always spans the whole device (paper Sec. 3.3), so it has no
     extent of its own.
+
+    The derived extents and counts below are launch constants — alpaka's
+    compiler folds them; here they are computed once, eagerly in
+    ``__post_init__``, and read as plain attributes by every block of
+    every launch.  Eager rather than lazy because the division is
+    immutable (nothing can go stale), the cost is three small products
+    next to the validation already done here, and a lazy memo would be a
+    first-use write to a frozen object raced by the block workers.  They
+    are excluded from equality, hash and ``repr`` (the hash is the three
+    members' hash, kept rather than recomputed), and the pickle holds
+    the three members only (``__reduce__``), so a division hashes and
+    serialises the same however often it was launched.
     """
 
     grid_block_extent: Vec
     block_thread_extent: Vec
     thread_elem_extent: Vec
+
+    #: Dimensionality shared by the three levels.
+    dim: int = _derived()
+    #: Threads per grid, ``grid_block_extent * block_thread_extent``.
+    grid_thread_extent: Vec = _derived()
+    #: The total n-dim element extent the division covers — the problem
+    #: extent a caller sized the division for (or slightly more, when
+    #: the extents do not divide evenly).
+    grid_elem_extent: Vec = _derived()
+    #: Elements per block, ``block_thread_extent * thread_elem_extent``.
+    block_elem_extent: Vec = _derived()
+    block_count: int = _derived()
+    block_thread_count: int = _derived()
+    thread_elem_count: int = _derived()
+    _hash: int = _derived()
 
     def __post_init__(self):
         g, b, t = (
@@ -70,6 +103,29 @@ class WorkDivMembers:
         ):
             if any(c <= 0 for c in v):
                 raise InvalidWorkDiv(f"{name} must be positive, got {v!r}")
+        gt = g * b
+        for name, value in (
+            ("dim", g.dim),
+            ("grid_thread_extent", gt),
+            ("grid_elem_extent", gt * t),
+            ("block_elem_extent", b * t),
+            ("block_count", g.prod()),
+            ("block_thread_count", b.prod()),
+            ("thread_elem_count", t.prod()),
+            ("_hash", hash((g, b, t))),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        # The members' hash, taken once: a division is hashed several
+        # times per launch (plan-cache key, modeled-time memo key).
+        return self._hash
+
+    def __reduce__(self):
+        return (
+            type(self),
+            (self.grid_block_extent, self.block_thread_extent, self.thread_elem_extent),
+        )
 
     @classmethod
     def make(
@@ -100,39 +156,6 @@ class WorkDivMembers:
             as_vec(block_threads, dim),
             as_vec(thread_elems, dim),
         )
-
-    # -- derived quantities -------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.grid_block_extent.dim
-
-    @property
-    def grid_thread_extent(self) -> Vec:
-        return self.grid_block_extent * self.block_thread_extent
-
-    @property
-    def grid_elem_extent(self) -> Vec:
-        """The total n-dim element extent the division covers — the
-        problem extent a caller sized the division for (or slightly
-        more, when the extents do not divide evenly)."""
-        return (
-            self.grid_block_extent
-            * self.block_thread_extent
-            * self.thread_elem_extent
-        )
-
-    @property
-    def block_count(self) -> int:
-        return self.grid_block_extent.prod()
-
-    @property
-    def block_thread_count(self) -> int:
-        return self.block_thread_extent.prod()
-
-    @property
-    def thread_elem_count(self) -> int:
-        return self.thread_elem_extent.prod()
 
     def __str__(self) -> str:
         return (

@@ -320,6 +320,7 @@ class GraphExec:
             note = device.note_kernel_launch
             kind = lp.acc_type.kind
             wd = lp.work_div
+            modeled = lp._modeled
 
             def op():  # mirrors execute_plan() with all lookups pre-bound
                 note()
@@ -327,7 +328,7 @@ class GraphExec:
                 notify_launch_begin(lp, task, device)
                 try:
                     dispatch(lp, grid, blocks, task)
-                    advance_modeled_time(task, device, kind, wd)
+                    advance_modeled_time(task, device, kind, wd, modeled)
                 except BaseException:
                     try:
                         notify_launch_end(lp, task, device)

@@ -41,11 +41,10 @@ def _reject(index, key) -> None:
     )
 
 
-def _check_component(k, key) -> None:
-    if type(k) is int:  # fast path: plain python int
-        if k < 0:
-            _reject(k, key)
-    elif isinstance(k, (bool, np.bool_)):
+def _check_uncommon(k, key) -> None:
+    """Everything a key component can be besides an exact ``int`` or
+    ``slice`` (which :func:`check_index_key` handles inline)."""
+    if isinstance(k, (bool, np.bool_)):
         return  # boolean scalar mask component
     elif isinstance(k, (int, np.integer)):
         if int(k) < 0:
@@ -57,17 +56,29 @@ def _check_component(k, key) -> None:
         arr = np.asarray(k)
         if arr.dtype.kind in "iu" and arr.size and int(arr.min()) < 0:
             _reject(int(arr.min()), key)
-    # slices (negative bounds are idiomatic), None, Ellipsis pass
+    # None, Ellipsis pass
 
 
 def check_index_key(key) -> None:
     """Raise :class:`ExtentError` if ``key`` contains a negative integer
-    index component (scalar, array, or sequence); slices are exempt."""
-    if type(key) is tuple:
-        for k in key:
-            _check_component(k, key)
-    else:
-        _check_component(key, key)
+    index component (scalar, array, or sequence); slices are exempt.
+
+    Shipped kernels index with slices, tuples of slices and plain ints
+    almost exclusively, so those two exact types are tested first.
+    """
+    if type(key) is slice:
+        return  # the commonest key; negative slice bounds are idiomatic
+    for k in key if type(key) is tuple else (key,):
+        t = type(k)
+        if t is int:
+            if k < 0:
+                _reject(k, key)
+        elif t is not slice:
+            _check_uncommon(k, key)
+
+
+_ndarray_getitem = np.ndarray.__getitem__
+_ndarray_setitem = np.ndarray.__setitem__
 
 
 class GuardedArray(np.ndarray):
@@ -82,11 +93,11 @@ class GuardedArray(np.ndarray):
 
     def __getitem__(self, key):
         check_index_key(key)
-        return super().__getitem__(key)
+        return _ndarray_getitem(self, key)
 
     def __setitem__(self, key, value) -> None:
         check_index_key(key)
-        super().__setitem__(key, value)
+        _ndarray_setitem(self, key, value)
 
 
 def guard(arr: np.ndarray) -> np.ndarray:

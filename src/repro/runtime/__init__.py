@@ -23,6 +23,10 @@ and never touch pool or validation logic themselves.
 
 from __future__ import annotations
 
+from ..acc.base import GridContext
+from ..acc.timing import advance_modeled_time
+from ..sanitize import _state as _sanitize_state
+from ..telemetry import flight
 from .instrument import (
     CountingObserver,
     ExecutionObserver,
@@ -135,8 +139,6 @@ def launch(task, device) -> "LaunchPlan":
     instrumented path — same plan, same observers, shadowed arguments —
     and findings land in the session report.
     """
-    from ..sanitize import _state as _sanitize_state
-
     if _sanitize_state.active():
         from ..sanitize.runner import sanitized_launch
 
@@ -155,11 +157,7 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     construction per node.  Observer notifications, device launch
     accounting and modeled-time advance are identical on both paths.
     """
-    from ..acc.timing import advance_modeled_time
-
     if grid is None:
-        from ..acc.base import GridContext
-
         grid = GridContext(
             device,
             plan.work_div,
@@ -173,7 +171,9 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     try:
         sched = scheduler or scheduler_for(device, plan.schedule)
         sched.dispatch(plan, grid, plan.block_indices, task)
-        advance_modeled_time(task, device, plan.acc_type.kind, plan.work_div)
+        advance_modeled_time(
+            task, device, plan.acc_type.kind, plan.work_div, plan._modeled
+        )
     except BaseException as exc:
         # The kernel failure is the error the caller must see: observers
         # are still told the launch ended, but an observer raising from
@@ -185,8 +185,6 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
         # Flight recorder (REPRO_FLIGHT_RECORDER_DIR): dump the recent
         # event ring alongside the crash.  One boolean read when off;
         # never raises into the failing path.
-        from ..telemetry import flight
-
         if flight.active():
             flight.on_kernel_crash(plan, exc)
         raise

@@ -106,6 +106,9 @@ class LaunchPlan:
     #: trace happens once per (kernel, work-div, arg-shape), not per
     #: launch.
     _compiled: Dict = field(default_factory=dict, repr=False)
+    #: (spec, kind, work-div, characteristics, scope) -> modeled seconds;
+    #: owned and bounded by :func:`repro.acc.timing.advance_modeled_time`.
+    _modeled: Dict = field(default_factory=dict, repr=False)
 
     def chunks_for(self, workers: int) -> list:
         """``chunk_indices(block_indices, workers)``, memoised.

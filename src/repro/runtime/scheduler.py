@@ -33,6 +33,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import knobs
 from ..core.errors import KernelError
 from ..core.vec import Vec
+from ..telemetry import flight
+from ..telemetry.metrics import registry
 from .instrument import (
     notify_block,
     notify_block_end,
@@ -135,23 +137,35 @@ def _kernel_name(kernel) -> str:
     return getattr(kernel, "__name__", type(kernel).__name__)
 
 
-def _run_block(plan, grid, bidx: Vec, task, observed: bool) -> None:
-    if observed:
-        notify_block(plan, bidx)
-        t0 = time.perf_counter()
-    try:
-        plan.block_runner(grid, bidx, task.kernel, grid.args)
-    except KernelError:
-        raise
-    except BaseException as exc:  # noqa: BLE001 - wrapped for the launcher
-        kname = _kernel_name(task.kernel)
-        raise KernelError(
-            f"kernel {kname!r} failed in block {bidx!r}"
-        ) from exc
-    if observed:
-        # Block latency for the telemetry histograms; timed only while
-        # observed so the bare dispatch path never reads the clock.
-        notify_block_end(plan, bidx, time.perf_counter() - t0)
+def _run_blocks(plan, grid, block_indices, task, observed: bool) -> None:
+    """Run ``block_indices`` in order in the calling thread.
+
+    Everything that is the same for every block — the runner, the
+    kernel, the device-side arguments, whether anyone observes — is
+    resolved once here, not once per block.  A kernel exception is
+    wrapped with its block index; ``KeyboardInterrupt`` / ``SystemExit``
+    raised while a block runs in the caller's thread are not kernel
+    failures and propagate as they are (the engine's internal sibling
+    unwind signal never leaves ``run_block_preemptive``).
+    """
+    runner, kernel, args = plan.block_runner, task.kernel, grid.args
+    for bidx in block_indices:
+        if observed:
+            notify_block(plan, bidx)
+            # Block latency for the telemetry histograms; timed only
+            # while observed so the bare dispatch path never reads the
+            # clock.
+            t0 = time.perf_counter()
+        try:
+            runner(grid, bidx, kernel, args)
+        except KernelError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - any kernel failure gets its block
+            raise KernelError(
+                f"kernel {_kernel_name(kernel)!r} failed in block {bidx!r}"
+            ) from exc
+        if observed:
+            notify_block_end(plan, bidx, time.perf_counter() - t0)
 
 
 class Scheduler:
@@ -184,9 +198,6 @@ class Scheduler:
         strictly before any argument byte changes, so the result is
         always a correct launch, never a partial one.
         """
-        from ..telemetry import flight
-        from ..telemetry.metrics import registry
-
         kname = _kernel_name(task.kernel)
         registry().counter(
             "repro_scheduler_fallbacks_total",
@@ -226,9 +237,7 @@ class SequentialScheduler(Scheduler):
     schedule = "sequential"
 
     def dispatch(self, plan, grid, block_indices, task) -> None:
-        observed = bool(observers())
-        for bidx in block_indices:
-            _run_block(plan, grid, bidx, task, observed)
+        _run_blocks(plan, grid, block_indices, task, bool(observers()))
 
 
 class PooledScheduler(Scheduler):
@@ -264,15 +273,13 @@ class PooledScheduler(Scheduler):
         else:
             chunks = chunk_indices(block_indices, self._workers)
         if len(chunks) <= 1:
-            for bidx in block_indices:
-                _run_block(plan, grid, bidx, task, observed)
+            _run_blocks(plan, grid, block_indices, task, observed)
             return
 
-        def run_chunk(chunk: Sequence[Vec]) -> None:
-            for bidx in chunk:
-                _run_block(plan, grid, bidx, task, observed)
-
-        futures = [self._pool.submit(run_chunk, c) for c in chunks]
+        futures = [
+            self._pool.submit(_run_blocks, plan, grid, c, task, observed)
+            for c in chunks
+        ]
         error = None
         for fut in futures:
             try:
@@ -390,8 +397,7 @@ class ProcessPoolScheduler(Scheduler):
         observed = bool(observers())
         bounds = plan.chunk_bounds_for(self._workers)
         if len(bounds) <= 1:
-            for bidx in block_indices:
-                _run_block(plan, grid, bidx, task, observed)
+            _run_blocks(plan, grid, block_indices, task, observed)
             return
 
         # Distributed tracing: when observed *and* the launching thread
@@ -513,18 +519,22 @@ class CompiledScheduler(Scheduler):
 
     schedule = "compiled"
 
+    def __init__(self, device):
+        super().__init__(device)
+        # The vectorizer loads with the first compiled scheduler — not
+        # with ``import repro``, and not again on every dispatch.
+        from .. import compile as vectorizer
+
+        self._vectorizer = vectorizer
+
     def _fall_back(
         self, plan, grid, block_indices, task, reason: str, detail: str
     ) -> None:
-        from ..compile.metrics import note_fallback
-
-        note_fallback(_kernel_name(task.kernel), reason)
+        self._vectorizer.metrics.note_fallback(_kernel_name(task.kernel), reason)
         super()._fall_back(plan, grid, block_indices, task, reason, detail)
 
     def dispatch(self, plan, grid, block_indices, task) -> None:
-        from ..compile.replay import crosscheck_active, execute_compiled
-        from ..compile.tracer import CompileFallback
-
+        vectorizer = self._vectorizer
         if block_indices is not plan.block_indices:
             # The replay covers the whole grid; a caller-selected block
             # subset has no compiled equivalent.
@@ -546,15 +556,15 @@ class CompiledScheduler(Scheduler):
             )
             return
         interpret = None
-        if crosscheck_active():
+        if vectorizer.crosscheck_active():
             pooled = scheduler_for(self.device, "pooled")
 
             def interpret():
                 pooled.dispatch(plan, grid, block_indices, task)
 
         try:
-            execute_compiled(plan, grid, task, interpret=interpret)
-        except CompileFallback as cf:
+            vectorizer.execute_compiled(plan, grid, task, interpret=interpret)
+        except vectorizer.CompileFallback as cf:
             self._fall_back(
                 plan, grid, block_indices, task, cf.reason, cf.detail
             )

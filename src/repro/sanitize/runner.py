@@ -151,7 +151,7 @@ def run_with_sanitizer(
                     error = exc
                     break
             advance_modeled_time(
-                task, device, plan.acc_type.kind, plan.work_div
+                task, device, plan.acc_type.kind, plan.work_div, plan._modeled
             )
     finally:
         record.findings.extend(recorder.findings)

@@ -1,5 +1,8 @@
 """Vec: construction, arithmetic, reductions, and algebraic laws."""
 
+import operator
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -119,6 +122,119 @@ class TestArithmetic:
         q = a.ceil_div(b)
         assert all(qq * 3 >= aa for qq, aa in zip(q, a))
         assert all((qq - 1) * 3 < aa for qq, aa in zip(q, a))
+
+
+def _ceil_div(a, b):
+    return -(-a // b)
+
+
+# (name, Vec-side spelling, int-on-the-left spelling or None, scalar op,
+# divides?).  The reference result is always built through the public,
+# validating constructor.
+BINARY_OPS = [
+    ("add", operator.add, operator.add, operator.add, False),
+    ("sub", operator.sub, operator.sub, operator.sub, False),
+    ("mul", operator.mul, operator.mul, operator.mul, False),
+    ("floordiv", operator.floordiv, None, operator.floordiv, True),
+    ("mod", operator.mod, None, operator.mod, True),
+    ("ceil_div", Vec.ceil_div, None, _ceil_div, True),
+    ("min", Vec.min, None, min, False),
+    ("max", Vec.max, None, max, False),
+]
+op_cases = st.sampled_from(BINARY_OPS)
+
+
+def same_dim_pairs():
+    return dims.flatmap(lambda n: st.tuples(vecs(n), vecs(n)))
+
+
+class TestArithmeticMatchesConstructor:
+    """The arithmetic fast path (results adopted without re-validation)
+    must be indistinguishable from building the result component by
+    component through ``Vec(...)``."""
+
+    @given(op_cases, same_dim_pairs())
+    def test_vec_vec(self, case, pair):
+        _, vec_op, _, scalar, divides = case
+        a, b = pair
+        if divides:
+            b = Vec(*(c or 1 for c in b))
+        got = vec_op(a, b)
+        assert type(got) is Vec
+        assert got == Vec(*[scalar(x, y) for x, y in zip(a, b)])
+        assert all(type(c) is int for c in got)
+
+    @given(op_cases, vecs(), components)
+    def test_vec_int(self, case, a, k):
+        _, vec_op, _, scalar, divides = case
+        if divides:
+            k = k or 1
+        got = vec_op(a, k)
+        assert type(got) is Vec
+        assert got == Vec(*[scalar(x, k) for x in a])
+
+    @given(op_cases, vecs(), components)
+    def test_int_vec(self, case, a, k):
+        _, _, int_op, scalar, _ = case
+        if int_op is None:
+            return  # no reflected spelling (Vec defines no __rfloordiv__ ...)
+        got = int_op(k, a)
+        assert type(got) is Vec
+        assert got == Vec(*[scalar(k, x) for x in a])
+
+    @given(op_cases, vecs(), st.booleans())
+    def test_bool_operand_is_an_int(self, case, a, flag):
+        """``bool`` is an ``int`` subclass: it broadcasts like 0 / 1
+        (through the validating route, as before)."""
+        _, vec_op, int_op, scalar, divides = case
+        if divides and not flag:
+            with pytest.raises(ZeroDivisionError):
+                vec_op(a, flag)
+            return
+        assert vec_op(a, flag) == Vec(*[scalar(x, int(flag)) for x in a])
+        if int_op is not None:
+            assert int_op(flag, a) == Vec(*[scalar(int(flag), x) for x in a])
+
+    @given(op_cases, vecs(), st.integers(min_value=1, max_value=9))
+    def test_numpy_integer_operand_rejected(self, case, a, k):
+        _, vec_op, _, _, _ = case
+        with pytest.raises(DimensionError):
+            vec_op(a, np.int64(k))
+
+    @given(op_cases, vecs(), st.floats(min_value=0.5, max_value=9.5))
+    def test_float_operand_rejected(self, case, a, x):
+        _, vec_op, int_op, _, _ = case
+        with pytest.raises(DimensionError):
+            vec_op(a, x)
+        if int_op is not None:
+            with pytest.raises(DimensionError):
+                int_op(x, a)
+
+    @given(op_cases, vecs(2), vecs(3))
+    def test_dim_mismatch_rejected(self, case, a, b):
+        _, vec_op, _, _, _ = case
+        with pytest.raises(DimensionError):
+            vec_op(a, b)
+        with pytest.raises(DimensionError):
+            vec_op(b, a)
+
+    @given(vecs())
+    def test_division_by_zero_propagates(self, a):
+        for vec_op in (operator.floordiv, operator.mod, Vec.ceil_div):
+            with pytest.raises(ZeroDivisionError):
+                vec_op(a, 0)
+            with pytest.raises(ZeroDivisionError):
+                vec_op(a, Vec.zeros(a.dim))
+
+    def test_tuple_operand_rejected(self):
+        with pytest.raises(DimensionError):
+            Vec(1, 2) + (1, 2)
+
+    def test_results_are_ordinary_vecs(self):
+        v = Vec(2, 3) * Vec(4, 5) + 1
+        assert v == Vec(9, 16) and hash(v) == hash(Vec(9, 16))
+        assert repr(v) == "Vec(9, 16)"
+        assert v.prod() == 144 and v.with_component(0, 1) == Vec(1, 16)
 
 
 class TestReductionsPredicates:

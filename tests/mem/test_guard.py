@@ -96,3 +96,74 @@ class TestGuardedArray:
         with pytest.raises(ExtentError):
             _ = ka[-1]
         buf.free()
+
+
+#: Every kind of negative integer index the guard rejects ...
+NEGATIVE_COMPONENTS = {
+    "int": -1,
+    "np.int64": np.int64(-2),
+    "int-array": np.array([0, -3, 1]),
+    "list": [1, -1],
+}
+#: ... and where in a key it can sit: alone, or at either end of a tuple
+#: whose other components are slices.
+PLACEMENTS = {
+    "bare": lambda k: k,
+    "tuple-first": lambda k: (k, slice(None)),
+    "tuple-last": lambda k: (slice(1, 3), k),
+    "tuple-neg-slice": lambda k: (slice(None, -1), k),
+}
+
+
+class TestRejectionMatrix:
+    """The guard tests the common key types first; every rejection that
+    existed before that reordering must still fire, read and write."""
+
+    @pytest.mark.parametrize("place", PLACEMENTS, ids=str)
+    @pytest.mark.parametrize("kind", NEGATIVE_COMPONENTS, ids=str)
+    def test_negative_component_rejected(self, kind, place):
+        g = guard(np.arange(16.0).reshape(4, 4))
+        key = PLACEMENTS[place](NEGATIVE_COMPONENTS[kind])
+        with pytest.raises(ExtentError, match="negative index"):
+            _ = g[key]
+        with pytest.raises(ExtentError, match="negative index"):
+            g[key] = 0.0
+
+    @pytest.mark.parametrize("place", PLACEMENTS, ids=str)
+    def test_non_negative_twin_passes(self, place):
+        g = guard(np.arange(16.0).reshape(4, 4))
+        raw = np.arange(16.0).reshape(4, 4)
+        for k in (1, np.int64(2), np.array([0, 3, 1]), [1, 1]):
+            key = PLACEMENTS[place](k)
+            np.testing.assert_array_equal(g[key], raw[key])
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            slice(-3, -1),
+            slice(None, None, -1),
+            (slice(-2, None), slice(None, -1)),
+            (slice(None, -1), 0),
+            (Ellipsis, slice(-1, None)),
+            (None, slice(-2, None)),
+        ],
+        ids=repr,
+    )
+    def test_negative_slice_bounds_stay_legal(self, key):
+        g = guard(np.arange(16.0).reshape(4, 4))
+        raw = np.arange(16.0).reshape(4, 4)
+        np.testing.assert_array_equal(g[key], raw[key])
+        g[key] = -1.0
+        raw[key] = -1.0
+        np.testing.assert_array_equal(np.asarray(g), raw)
+
+    def test_boolean_components_pass(self):
+        g = guard(np.arange(4.0))
+        assert g[np.array([True, False, False, True])].tolist() == [0.0, 3.0]
+        assert g[True].shape == (1, 4) and g[np.bool_(True)].shape == (1, 4)
+
+    def test_message_names_index_and_key(self):
+        g = guard(np.zeros((4, 4)))
+        with pytest.raises(ExtentError) as err:
+            _ = g[slice(0, 2), -3]
+        assert "-3" in str(err.value) and "slice(0, 2" in str(err.value)

@@ -197,6 +197,36 @@ class TestRunChunkInProcess:
         x.free()
         y.free()
 
+    def test_worker_grid_gets_the_shared_atomic_domain(self, dev):
+        """The grid's own domain is created on first use; the worker
+        must still be able to *install* the process-shared one, and an
+        atomics kernel run through it must use the spawn-time locks."""
+        from repro.runtime import procpool
+
+        n, bins = 512, 8
+        data = np.random.default_rng(5).random(n)
+        x = mem.alloc(dev, n, shm=True)
+        hist = mem.alloc(dev, bins, shm=True)
+        x.as_numpy()[:] = data
+        task = create_task_kernel(
+            AccCpuOmp2Blocks, WorkDivMembers.make(4, 1, n // 4),
+            HistogramKernel(), n, 0.0, 1.0, bins, x, hist,
+        )
+        state = marshal_launch(get_plan(task, dev), task)
+        assert state.eligible, state.reason
+        locks = [mp.get_context("spawn").Lock() for _ in range(4)]
+        worker_init(locks)
+        reset_worker_state()
+        run_chunk(state.digest, state.blob, 0, 4, False)
+        _kernel, grid, _blocks = procpool._payloads[state.digest]
+        assert isinstance(grid.atomics, ProcessSharedAtomicDomain)
+        assert grid.atomics._locks == tuple(locks)
+        assert np.array_equal(
+            hist.as_numpy(), histogram_reference(data, bins, 0.0, 1.0)
+        )
+        x.free()
+        hist.free()
+
     def test_kernel_error_carries_worker_pid(self, dev):
         from repro.core.errors import KernelError
 

@@ -176,6 +176,58 @@ class TestDispatchSemantics:
                 )
             )
 
+    @pytest.mark.parametrize("exit_exc", [KeyboardInterrupt, SystemExit])
+    def test_interpreter_exit_is_not_a_kernel_failure(self, exit_exc):
+        """Ctrl-C (or sys.exit) while the sequential scheduler runs a
+        block in the caller's thread must surface as itself, not as
+        "kernel ... failed in block ..."."""
+        from repro import AccCpuSerial
+        from repro.core.errors import KernelError
+
+        ran = []
+
+        @fn_acc
+        def interrupted(acc):
+            from repro.core import Blocks, Grid, get_idx
+
+            b = get_idx(acc, Grid, Blocks)[0]
+            ran.append(b)
+            if b == 2:
+                raise exit_exc()
+
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        q = QueueBlocking(dev)
+        task = create_task_kernel(
+            AccCpuSerial, WorkDivMembers.make(5, 1, 1), interrupted
+        )
+        with pytest.raises(exit_exc) as err:
+            q.enqueue(task)
+        assert not isinstance(err.value, KernelError)
+        assert ran == [0, 1, 2]  # later blocks never start
+        # The queue and the plan stay usable afterwards.
+        ran.clear()
+        with pytest.raises(exit_exc):
+            q.enqueue(task)
+        assert ran == [0, 1, 2]
+
+    def test_ordinary_exception_still_wrapped_with_its_block(self):
+        from repro import AccCpuSerial
+        from repro.core.errors import KernelError
+
+        @fn_acc
+        def bad(acc):
+            from repro.core import Blocks, Grid, get_idx
+
+            if get_idx(acc, Grid, Blocks)[0] == 3:
+                raise ValueError("casualty")
+
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        with pytest.raises(KernelError, match=r"failed in block Vec\(3\)") as err:
+            QueueBlocking(dev).enqueue(
+                create_task_kernel(AccCpuSerial, WorkDivMembers.make(5, 1, 1), bad)
+            )
+        assert isinstance(err.value.__cause__, ValueError)
+
     def test_unknown_schedule_rejected(self):
         dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
         with pytest.raises(ValueError, match="unknown block schedule"):
