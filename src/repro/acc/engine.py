@@ -28,6 +28,7 @@ import threading
 from typing import Callable, Iterator, Optional, Tuple
 
 from ..core.errors import KernelError
+from ..core.kernel import kernel_name
 from ..core.vec import MAX_DIM, Vec
 from ..dev.device import Device
 from ..mem.buf import Buffer
@@ -40,7 +41,6 @@ __all__ = [
     "run_block_single_thread",
     "run_block_preemptive",
     "run_block_cooperative",
-    "run_grid",
 ]
 
 
@@ -174,9 +174,8 @@ def _raise_block_errors(errors: list, kernel: Callable, block_idx: Vec) -> None:
     thread_idx, exc = errors[0]
     if isinstance(exc, KernelError):
         raise exc
-    kname = getattr(kernel, "__name__", type(kernel).__name__)
     raise KernelError(
-        f"kernel {kname!r} failed in thread {thread_idx!r} of "
+        f"kernel {kernel_name(kernel)!r} failed in thread {thread_idx!r} of "
         f"block {block_idx!r}"
     ) from exc
 
@@ -378,54 +377,3 @@ def run_block_cooperative(
     for f in fibers:
         f.join()
     _raise_block_errors(errors, kernel, block_idx)
-
-
-# ---------------------------------------------------------------------------
-# Legacy grid entry point
-# ---------------------------------------------------------------------------
-
-
-def run_grid(
-    task,
-    device: Device,
-    props,
-    block_runner: Optional[Callable[[GridContext, Vec, Callable, Tuple], None]] = None,
-    *,
-    parallel_blocks: bool = False,
-) -> None:
-    """Deprecated launch entry point; use :func:`repro.runtime.launch`.
-
-    Kept for source compatibility with pre-runtime callers.  When
-    ``block_runner`` is None (or matches the back-end's declared
-    strategy) the launch goes through the cached plan pipeline; an
-    explicit foreign runner builds a one-off plan so old ad-hoc callers
-    keep their exact semantics, minus the per-block future dispatch.
-    """
-    from .. import runtime
-    from ..runtime.plan import build_plan
-    from ..runtime.scheduler import scheduler_for
-
-    plan = runtime.get_plan(task, device)
-    if block_runner is not None and block_runner is not plan.block_runner:
-        plan = build_plan(task, device)
-        plan.block_runner = block_runner
-        plan.schedule = (
-            "pooled"
-            if parallel_blocks and plan.work_div.block_count > 1
-            else "sequential"
-        )
-    grid = GridContext(
-        device,
-        plan.work_div,
-        plan.props,
-        plan.unwrap_args(task.args),
-        shared_mem_bytes=plan.shared_mem_bytes,
-    )
-    device.note_kernel_launch()
-    plan.launches += 1
-    runtime.notify_launch_begin(plan, task, device)
-    try:
-        sched = scheduler_for(device, plan.schedule)
-        sched.dispatch(plan, grid, plan.block_indices, task)
-    finally:
-        runtime.notify_launch_end(plan, task, device)

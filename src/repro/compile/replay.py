@@ -35,6 +35,7 @@ import numpy as np
 
 from .. import knobs
 from ..core.errors import CompileCrossCheckError, KernelError
+from ..core.kernel import kernel_name
 from . import metrics
 from .exprs import (
     Const,
@@ -65,10 +66,6 @@ CROSSCHECK_ENV = knobs.COMPILE_CROSSCHECK
 def crosscheck_active() -> bool:
     """Is compiled-vs-interpreted cross-checking requested?"""
     return knobs.get(CROSSCHECK_ENV)
-
-
-def kernel_name(kernel) -> str:
-    return getattr(kernel, "__name__", type(kernel).__name__)
 
 
 def _signature(args: tuple) -> tuple:

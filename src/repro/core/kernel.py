@@ -71,6 +71,12 @@ def is_acc_callable(fn: Callable) -> bool:
     return kind in (None, "acc", "host_acc")
 
 
+def kernel_name(kernel: Callable) -> str:
+    """The label of ``kernel`` in metrics, logs, reports and errors: a
+    function's ``__name__``, a functor's class name."""
+    return getattr(kernel, "__name__", type(kernel).__name__)
+
+
 @dataclass(frozen=True)
 class KernelTask:
     """A kernel bound to an accelerator type, work division and arguments
@@ -112,12 +118,9 @@ class KernelTask:
         self.acc_type.execute(self, device)
 
     def __repr__(self) -> str:
-        kname = getattr(
-            self.kernel, "__name__", type(self.kernel).__name__
-        )
         return (
             f"KernelTask({self.acc_type.__name__}, {self.work_div}, "
-            f"kernel={kname}, {len(self.args)} args)"
+            f"kernel={kernel_name(self.kernel)}, {len(self.args)} args)"
         )
 
 

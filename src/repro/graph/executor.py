@@ -30,19 +30,16 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .. import knobs
 from ..core.errors import GraphError
 from ..mem.buf import Buffer
 from ..mem.view import ViewSubView
-from ..runtime.instrument import (
-    notify_graph_end,
-    notify_launch_begin,
-    notify_launch_end,
-    observers,
-)
-from ..runtime.plan import get_graph_plan
+from ..runtime import execute_plan, scheduler_for
+from ..runtime.instrument import notify_graph_end, observers
+from ..runtime.plan import get_graph_plan, get_plan
 
 #: Bound on first run() — importing repro.sanitize eagerly here would
 #: drag the whole sanitizer machinery into every graph import.
@@ -288,59 +285,25 @@ class GraphExec:
 
     # -- inline replay path ----------------------------------------------
 
-    def _build_op(self, node, plan, i):
-        """Resolve node ``i`` once and return a zero-argument replay
-        closure with everything bound: :func:`repro.runtime.execute_plan`
-        with the plan lookup, grid construction, scheduler resolution and
-        even the attribute fetches hoisted out of the warm loop."""
-        if node.kind == "kernel":
-            from ..acc.base import GridContext
-            from ..acc.timing import advance_modeled_time
-            from ..runtime.plan import get_plan
-            from ..runtime.scheduler import scheduler_for
-
-            task, device = node.task, node.device
-            lp = plan.node_plans.get(i)
-            if lp is None:
-                lp = get_plan(task, device)
-                plan.node_plans[i] = lp
-                grid = GridContext(
-                    device,
-                    lp.work_div,
-                    lp.props,
-                    lp.unwrap_args(task.args),
-                    shared_mem_bytes=lp.shared_mem_bytes,
-                )
-                sched = scheduler_for(device, lp.schedule)
-                plan.node_grids[i] = (grid, sched)
-            else:
-                grid, sched = plan.node_grids[i]
-            dispatch = sched.dispatch
-            blocks = lp.block_indices
-            note = device.note_kernel_launch
-            kind = lp.acc_type.kind
-            wd = lp.work_div
-            modeled = lp._modeled
-
-            def op():  # mirrors execute_plan() with all lookups pre-bound
-                note()
-                lp.launches += 1
-                notify_launch_begin(lp, task, device)
-                try:
-                    dispatch(lp, grid, blocks, task)
-                    advance_modeled_time(task, device, kind, wd, modeled)
-                except BaseException:
-                    try:
-                        notify_launch_end(lp, task, device)
-                    except Exception:
-                        pass
-                    raise
-                notify_launch_end(lp, task, device)
-
-            return op
+    @staticmethod
+    def _build_op(node):
+        """Resolve ``node`` once and return its zero-argument replay
+        callable.  A kernel node's is the runtime's one Execute stage
+        bound to the node's plan, grid context and scheduler, so the
+        warm loop pays neither plan lookup nor grid construction."""
         if node.kind == "call":
             return node.task
         task, device = node.task, node.device
+        if node.kind == "kernel":
+            lp = get_plan(task, device)
+            return partial(
+                execute_plan,
+                lp,
+                task,
+                device,
+                lp.grid_for(task),
+                scheduler_for(device, lp.schedule),
+            )
         return lambda: task.execute(device)  # copy / memset
 
     def _run_inline(self, replayed: bool) -> None:
@@ -355,7 +318,7 @@ class GraphExec:
                 node = nodes[i]
                 op = ops.get(i)
                 if op is None:
-                    op = ops[i] = self._build_op(node, plan, i)
+                    op = ops[i] = self._build_op(node)
                 start = perf()
                 node.started_at = start
                 op()

@@ -30,7 +30,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import GraphError
-from ..core.kernel import create_task_kernel
+from ..core.kernel import create_task_kernel, kernel_name
 from ..core.vec import as_vec
 from ..mem.copy import TaskCopy, TaskMemset
 from ..mem.copy import _validate as _validate_copy
@@ -101,9 +101,7 @@ class Graph:
                     "stage data with g.copy() first"
                 )
         r, w = classify_args(args, reads=reads, writes=writes)
-        name = label or getattr(
-            kernel, "__name__", type(kernel).__name__
-        )
+        name = label or kernel_name(kernel)
         return self._record("kernel", task, dev, name, r, w)
 
     def copy(self, dst, src, extent=None, label: Optional[str] = None) -> Node:

@@ -23,7 +23,6 @@ and never touch pool or validation logic themselves.
 
 from __future__ import annotations
 
-from ..acc.base import GridContext
 from ..acc.timing import advance_modeled_time
 from ..sanitize import _state as _sanitize_state
 from ..telemetry import flight
@@ -131,8 +130,7 @@ def launch(task, device) -> "LaunchPlan":
 
     Returns the (possibly cached) :class:`LaunchPlan` that executed, so
     callers can inspect scheduling decisions.  This is the single entry
-    point behind every back-end's ``execute``; the legacy
-    ``repro.acc.engine.run_grid`` delegates here.
+    point behind every back-end's ``execute``.
 
     When the sanitizer is active (``REPRO_SANITIZE=1`` or
     :func:`repro.sanitize.enabled`), the launch detours through the
@@ -148,28 +146,25 @@ def launch(task, device) -> "LaunchPlan":
 
 
 def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
-    """The Execute stage alone: dispatch an already-resolved ``plan``.
+    """The Execute stage: dispatch an already-resolved ``plan``.
 
-    :func:`launch` calls this after plan resolution; the dataflow-graph
-    executor (:mod:`repro.graph`) calls it directly during warm graph
-    replay with the node's cached ``grid`` context and ``scheduler``, so
-    a replayed pipeline pays neither plan-cache lookup nor grid-context
-    construction per node.  Observer notifications, device launch
-    accounting and modeled-time advance are identical on both paths.
+    The only launch sequence in the package — device launch accounting,
+    observer notifications, dispatch, modeled-time advance and the
+    failure path live here and nowhere else; the routes differ only in
+    who supplies ``grid`` and ``scheduler``.  :func:`launch` passes
+    neither (fresh grid context, the plan's schedule); inline graph
+    replay (:mod:`repro.graph`) binds the node's cached grid context
+    and scheduler, so a replayed node pays neither plan lookup nor grid
+    construction; the sanitizer (:mod:`repro.sanitize.runner`) passes a
+    shadow-argument grid and its per-block triage scheduler.
     """
     if grid is None:
-        grid = GridContext(
-            device,
-            plan.work_div,
-            plan.props,
-            plan.unwrap_args(task.args),
-            shared_mem_bytes=plan.shared_mem_bytes,
-        )
+        grid = plan.grid_for(task)
+    sched = scheduler or scheduler_for(device, plan.schedule)
     device.note_kernel_launch()
     plan.launches += 1
     notify_launch_begin(plan, task, device)
     try:
-        sched = scheduler or scheduler_for(device, plan.schedule)
         sched.dispatch(plan, grid, plan.block_indices, task)
         advance_modeled_time(
             task, device, plan.acc_type.kind, plan.work_div, plan._modeled

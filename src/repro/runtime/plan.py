@@ -22,7 +22,9 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+from ..acc.base import GridContext
 from ..core.errors import SharedMemError
+from ..core.kernel import kernel_name
 from ..core.properties import AccDevProps
 from ..core.vec import Vec
 from ..core.workdiv import AutoWorkDiv, WorkDivMembers, validate_work_div
@@ -47,7 +49,7 @@ __all__ = [
 PLAN_CACHE_MAXSIZE = 512
 
 #: Upper bound on cached whole-graph plans (each holds its nodes'
-#: :class:`LaunchPlan` and grid contexts).
+#: :class:`LaunchPlan` and grid contexts, bound into ``node_ops``).
 GRAPH_PLAN_CACHE_MAXSIZE = 64
 
 
@@ -155,10 +157,24 @@ class LaunchPlan:
         self._args_unwrapped = unwrapped
         return unwrapped
 
+    def grid_for(self, task, args=None, monitor=None) -> GridContext:
+        """The grid context of one launch of ``task`` under this plan.
+
+        ``args`` replaces the task's unwrapped arguments (the sanitizer
+        passes shadow arrays, with its ``monitor``)."""
+        return GridContext(
+            self.device,
+            self.work_div,
+            self.props,
+            self.unwrap_args(task.args) if args is None else args,
+            shared_mem_bytes=self.shared_mem_bytes,
+            monitor=monitor,
+        )
+
     def describe(self) -> str:
-        kname = getattr(self.kernel, "__name__", type(self.kernel).__name__)
         return (
-            f"LaunchPlan({self.acc_type.__name__}, kernel={kname}, "
+            f"LaunchPlan({self.acc_type.__name__}, "
+            f"kernel={kernel_name(self.kernel)}, "
             f"{self.work_div}, dev={self.device!r}, "
             f"schedule={self.schedule}, launches={self.launches})"
         )
@@ -267,10 +283,11 @@ class GraphPlan:
 
     Built once per graph *structure* — the node identity tuple the graph
     layer derives from kernels, work divisions, buffer ids and edges —
-    and cached LRU under that key, a :class:`GraphPlan` snapshots every
-    node's resolved :class:`LaunchPlan`, its grid context (validated,
-    unwrapped arguments included), its scheduler, the resolved
-    dependency edges and the topological order.  A warm pipeline
+    and cached LRU under that key, a :class:`GraphPlan` snapshots, in
+    each kernel node's replay op, the node's resolved
+    :class:`LaunchPlan`, its grid context (validated, unwrapped
+    arguments included) and its scheduler, plus the resolved dependency
+    edges and the topological order.  A warm pipeline
     therefore re-dispatches with **one** cache hit instead of one plan
     resolution per node (ROADMAP item 3: a graph warm-launches as
     cheaply as one kernel).
@@ -281,12 +298,9 @@ class GraphPlan:
     order: Tuple[int, ...]
     #: Per-node resolved dependency indices (explicit + inferred).
     deps: Tuple[Tuple[int, ...], ...]
-    #: node index -> resolved LaunchPlan (kernel nodes only).
-    node_plans: Dict[int, LaunchPlan] = field(default_factory=dict)
-    #: node index -> cached (GridContext, scheduler) (kernel nodes only).
-    node_grids: Dict[int, object] = field(default_factory=dict)
-    #: node index -> zero-argument replay closure (the inline fast
-    #: path: dispatch + accounting with plan, grid and scheduler bound).
+    #: node index -> zero-argument replay callable.  A kernel node's is
+    #: :func:`repro.runtime.execute_plan` bound to its resolved
+    #: :class:`LaunchPlan`, grid context and scheduler.
     node_ops: Dict[int, object] = field(default_factory=dict)
     #: node index -> device uid the node executes on.
     device_uids: Tuple[int, ...] = ()
@@ -307,70 +321,86 @@ class GraphPlan:
         )
 
 
-_graph_cache: "OrderedDict[tuple, GraphPlan]" = OrderedDict()
-_graph_lock = threading.Lock()
-_graph_hits = 0
-_graph_misses = 0
+# ---------------------------------------------------------------------------
+# Plan caches
+# ---------------------------------------------------------------------------
+
+
+class _PlanLRU:
+    """A bounded LRU of plans with hit/miss counters.
+
+    ``get`` builds outside the lock on a miss (validation and tuning
+    lookups are slow, and a build may itself resolve plans), so two
+    racing misses may both build and the later insert wins.  Every
+    resolution is announced to ``on_plan_cache`` observers.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._plans: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = 0
+        self._misses = 0
+
+    def get(self, key: tuple, build: Callable, *build_args):
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                self._hits += 1
+                plan.served_from_cache = True
+        if plan is not None:
+            notify_plan_cache(plan, True)
+            return plan
+        plan = build(*build_args)
+        with self._lock:
+            self._misses += 1
+            self._plans[key] = plan
+            self._plans.move_to_end(key)
+            while len(self._plans) > self.maxsize:
+                self._plans.popitem(last=False)
+        notify_plan_cache(plan, False)
+        return plan
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
+            self._hits = 0
+            self._misses = 0
+
+    def info(self) -> Dict[str, int]:
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "size": len(self._plans),
+                "maxsize": self.maxsize,
+            }
+
+
+_launch_plans = _PlanLRU(PLAN_CACHE_MAXSIZE)
+_graph_plans = _PlanLRU(GRAPH_PLAN_CACHE_MAXSIZE)
 
 
 def get_graph_plan(key: tuple, build: Callable[[], GraphPlan]) -> GraphPlan:
     """The cached-or-built :class:`GraphPlan` for ``key``.
 
-    ``build`` runs outside the cache lock on a miss (it resolves one
-    :class:`LaunchPlan` per kernel node, which may itself take the plan
-    cache lock).  Announced through ``on_plan_cache`` observers like
-    per-launch plans, so the telemetry hit-rate counters cover graphs.
+    Announced through ``on_plan_cache`` observers like per-launch
+    plans, so the telemetry hit-rate counters cover graphs.
     """
-    global _graph_hits, _graph_misses
-    with _graph_lock:
-        plan = _graph_cache.get(key)
-        if plan is not None:
-            _graph_cache.move_to_end(key)
-            _graph_hits += 1
-            plan.served_from_cache = True
-    if plan is not None:
-        notify_plan_cache(plan, True)
-        return plan
-    plan = build()
+    plan = _graph_plans.get(key, build)
     plan.key = key
-    with _graph_lock:
-        _graph_misses += 1
-        _graph_cache[key] = plan
-        _graph_cache.move_to_end(key)
-        while len(_graph_cache) > GRAPH_PLAN_CACHE_MAXSIZE:
-            _graph_cache.popitem(last=False)
-    notify_plan_cache(plan, False)
     return plan
 
 
 def clear_graph_plan_cache() -> None:
     """Drop every cached graph plan and zero its hit/miss counters."""
-    global _graph_hits, _graph_misses
-    with _graph_lock:
-        _graph_cache.clear()
-        _graph_hits = 0
-        _graph_misses = 0
+    _graph_plans.clear()
 
 
 def graph_plan_cache_info() -> Dict[str, int]:
     """``{"hits": ..., "misses": ..., "size": ..., "maxsize": ...}``."""
-    with _graph_lock:
-        return {
-            "hits": _graph_hits,
-            "misses": _graph_misses,
-            "size": len(_graph_cache),
-            "maxsize": GRAPH_PLAN_CACHE_MAXSIZE,
-        }
-
-
-# ---------------------------------------------------------------------------
-# LRU plan cache
-# ---------------------------------------------------------------------------
-
-_cache: "OrderedDict[tuple, LaunchPlan]" = OrderedDict()
-_cache_lock = threading.Lock()
-_hits = 0
-_misses = 0
+    return _graph_plans.info()
 
 
 def _key(task, device) -> tuple:
@@ -406,27 +436,7 @@ def get_plan(task, device) -> LaunchPlan:
     the global hit/miss counters current.  Validation errors raise here
     — a plan that would fail at dispatch is never cached.
     """
-    global _hits, _misses
-    key = _key(task, device)
-    with _cache_lock:
-        plan = _cache.get(key)
-        if plan is not None:
-            _cache.move_to_end(key)
-            _hits += 1
-            plan.served_from_cache = True
-    if plan is not None:
-        notify_plan_cache(plan, True)
-        return plan
-
-    plan = build_plan(task, device)
-    with _cache_lock:
-        _misses += 1
-        _cache[key] = plan
-        _cache.move_to_end(key)
-        while len(_cache) > PLAN_CACHE_MAXSIZE:
-            _cache.popitem(last=False)
-    notify_plan_cache(plan, False)
-    return plan
+    return _launch_plans.get(_key(task, device), build_plan, task, device)
 
 
 def clear_plan_cache() -> None:
@@ -434,20 +444,10 @@ def clear_plan_cache() -> None:
 
     Graph plans embed per-node launch plans, so they are dropped too —
     a stale graph must never outlive the plans it snapshot."""
-    global _hits, _misses
-    with _cache_lock:
-        _cache.clear()
-        _hits = 0
-        _misses = 0
-    clear_graph_plan_cache()
+    _launch_plans.clear()
+    _graph_plans.clear()
 
 
 def plan_cache_info() -> Dict[str, int]:
     """``{"hits": ..., "misses": ..., "size": ..., "maxsize": ...}``."""
-    with _cache_lock:
-        return {
-            "hits": _hits,
-            "misses": _misses,
-            "size": len(_cache),
-            "maxsize": PLAN_CACHE_MAXSIZE,
-        }
+    return _launch_plans.info()

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import knobs
 from ..atomic.ops import AtomicDomain
 from ..core.errors import KernelError
+from ..core.kernel import kernel_name
 
 __all__ = [
     "ATOMIC_STRIPES",
@@ -151,11 +152,10 @@ def marshal_launch(plan, task) -> ProcessLaunchState:
     try:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception as exc:  # noqa: BLE001 - any pickling failure falls back
-        kname = getattr(task.kernel, "__name__", type(task.kernel).__name__)
         return _ineligible(
             "unpicklable",
-            f"kernel {kname!r} (or an argument) does not pickle under the "
-            f"spawn start method: {exc!r}"
+            f"kernel {kernel_name(task.kernel)!r} (or an argument) does not "
+            f"pickle under the spawn start method: {exc!r}"
         )
     return ProcessLaunchState(
         eligible=True,
@@ -341,10 +341,10 @@ def run_chunk(
                 if isinstance(exc, KernelError):
                     msg = str(exc)
                 else:
-                    kname = getattr(
-                        kernel, "__name__", type(kernel).__name__
+                    msg = (
+                        f"kernel {kernel_name(kernel)!r} failed in block "
+                        f"{bidx!r}: {exc!r}"
                     )
-                    msg = f"kernel {kname!r} failed in block {bidx!r}: {exc!r}"
                 # Flight recorder: workers arm themselves from the
                 # mirrored REPRO_* env at import, so a worker-side crash
                 # leaves a worker-side dump (trace ids included via the

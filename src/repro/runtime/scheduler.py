@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import knobs
 from ..core.errors import KernelError
+from ..core.kernel import kernel_name
 from ..core.vec import Vec
 from ..telemetry import flight
 from ..telemetry.metrics import registry
@@ -133,10 +134,6 @@ def chunk_indices(indices: Sequence[Vec], workers: int) -> List[Sequence[Vec]]:
     return [indices[i : i + size] for i in range(0, n, size)]
 
 
-def _kernel_name(kernel) -> str:
-    return getattr(kernel, "__name__", type(kernel).__name__)
-
-
 def _run_blocks(plan, grid, block_indices, task, observed: bool) -> None:
     """Run ``block_indices`` in order in the calling thread.
 
@@ -162,7 +159,7 @@ def _run_blocks(plan, grid, block_indices, task, observed: bool) -> None:
             raise
         except Exception as exc:  # noqa: BLE001 - any kernel failure gets its block
             raise KernelError(
-                f"kernel {_kernel_name(kernel)!r} failed in block {bidx!r}"
+                f"kernel {kernel_name(kernel)!r} failed in block {bidx!r}"
             ) from exc
         if observed:
             notify_block_end(plan, bidx, time.perf_counter() - t0)
@@ -198,7 +195,7 @@ class Scheduler:
         strictly before any argument byte changes, so the result is
         always a correct launch, never a partial one.
         """
-        kname = _kernel_name(task.kernel)
+        kname = kernel_name(task.kernel)
         registry().counter(
             "repro_scheduler_fallbacks_total",
             "Launches a block schedule handed to the thread pool, "
@@ -446,13 +443,12 @@ class ProcessPoolScheduler(Scheduler):
                     # buffers: the launch can be rerun safely on the
                     # thread pool.  (A worker dying at startup usually
                     # means an unguarded `__main__` or an OOM kill.)
-                    _log.warning(
+                    self._fall_back(
+                        plan, grid, block_indices, task,
+                        "worker-died",
                         "process pool broke before any block ran "
                         "(unguarded `if __name__ == \"__main__\":`? "
-                        "worker killed?); rerunning on the thread pool"
-                    )
-                    scheduler_for(self.device, "pooled").dispatch(
-                        plan, grid, block_indices, task
+                        "worker killed?); rerunning on the thread pool",
                     )
                     return
                 raise KernelError(
@@ -530,7 +526,7 @@ class CompiledScheduler(Scheduler):
     def _fall_back(
         self, plan, grid, block_indices, task, reason: str, detail: str
     ) -> None:
-        self._vectorizer.metrics.note_fallback(_kernel_name(task.kernel), reason)
+        self._vectorizer.metrics.note_fallback(kernel_name(task.kernel), reason)
         super()._fall_back(plan, grid, block_indices, task, reason, detail)
 
     def dispatch(self, plan, grid, block_indices, task) -> None:

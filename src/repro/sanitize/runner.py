@@ -2,11 +2,13 @@
 
 :func:`sanitized_launch` is what :func:`repro.runtime.launch` delegates
 to when the sanitizer is active (``REPRO_SANITIZE=1`` or
-:func:`repro.sanitize.enabled`): same plan resolution, same observer
-notifications and modeled-time accounting, but kernel arguments are
-wrapped in shadow arrays, a :class:`SanitizeMonitor` rides on the grid
-context, blocks run sequentially in the caller's thread, and every
-finding lands in a :class:`~repro.sanitize.report.LaunchRecord`.
+:func:`repro.sanitize.enabled`): same plan resolution and the same
+Execute stage (:func:`repro.runtime.execute_plan` — observer
+notifications, launch accounting, modeled time, crash handling), handed
+a grid context whose kernel arguments are wrapped in shadow arrays and
+which carries a :class:`SanitizeMonitor`, and a scheduler that runs the
+blocks sequentially in the caller's thread and lands every finding in a
+:class:`~repro.sanitize.report.LaunchRecord`.
 
 :func:`sanitize_task` is the programmatic front door: run one task
 under the sanitizer — optionally across several seeded fuzz schedules
@@ -30,6 +32,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.index import linearize
+from ..core.kernel import kernel_name
+from ..runtime.instrument import notify_sanitizer_report
+from ..runtime.scheduler import Scheduler
 from . import _state
 from .fuzz import make_fuzzed_runner
 from .monitor import SanitizeMonitor
@@ -38,10 +43,6 @@ from .report import LaunchRecord, SanitizerReport
 from .shadow import SanitizedAccessError, ShadowArray
 
 __all__ = ["sanitized_launch", "sanitize_task", "run_with_sanitizer"]
-
-
-def _kernel_name(kernel) -> str:
-    return getattr(kernel, "__name__", type(kernel).__name__)
 
 
 def _arg_names(kernel, n: int) -> Tuple[str, ...]:
@@ -78,21 +79,60 @@ def _sanitized_cause(exc) -> Optional[SanitizedAccessError]:
     return None
 
 
+class _TriageScheduler(Scheduler):
+    """The sanitizer's block schedule for one launch: blocks run in the
+    caller's thread, and every block failure is triaged.
+
+    A block that trips the bounds checker is abandoned (excluded from
+    divergence analysis) and the rest of the grid still runs; any other
+    exception stops the launch and propagates.  Either way the findings
+    are finalised into ``record`` and reported before dispatch returns,
+    i.e. before the launch's ``on_launch_end``.  Handed to
+    :func:`repro.runtime.execute_plan` per launch; not a
+    ``REPRO_SCHEDULER`` choice.
+    """
+
+    def __init__(self, device, runner, record):
+        super().__init__(device)
+        self.runner = runner
+        self.record = record
+
+    def dispatch(self, plan, grid, block_indices, task) -> None:
+        runner, monitor, record = self.runner, grid.monitor, self.record
+        try:
+            for bidx in block_indices:
+                try:
+                    runner(grid, bidx, task.kernel, grid.args)
+                except BaseException as exc:  # noqa: BLE001 - triaged here
+                    monitor.skip_block(
+                        linearize(bidx, plan.work_div.grid_block_extent)
+                    )
+                    if _sanitized_cause(exc) is None:
+                        raise  # not a finding: the launch's own error
+        finally:
+            seed = record.seed
+            record.findings.extend(monitor.recorder.findings)
+            record.findings.extend(monitor.divergence_findings(seed=seed))
+            if seed is not None:
+                for f in record.findings:
+                    if f.seed is None:
+                        f.seed = seed
+            _state.add_record(record)
+            notify_sanitizer_report(plan, record)
+
+
 def run_with_sanitizer(
     task, device, plan, seed: Optional[int] = None
 ) -> LaunchRecord:
     """Execute one sanitized launch; the shared core of both entry
-    points.  Handles observer notification, accounting, shadow
-    wrapping, sequential block dispatch, and divergence finalisation.
+    points.  Builds the recorder, monitor, shadow arguments and launch
+    record, then runs the runtime's Execute stage with a shadow grid and
+    the triage scheduler — accounting, observers and the failure path
+    are the normal launch's.
     """
-    from ..acc.base import GridContext
     from ..acc.engine import unwrap_args
-    from ..acc.timing import advance_modeled_time
-    from ..runtime.instrument import (
-        notify_launch_begin,
-        notify_launch_end,
-        notify_sanitizer_report,
-    )
+    from ..runtime import execute_plan
+    from ..telemetry.spans import span
 
     recorder = AccessRecorder(plan.work_div)
     rng = random.Random(seed) if seed is not None else None
@@ -107,64 +147,27 @@ def run_with_sanitizer(
         else a
         for name, a in zip(names, raw)
     )
-    grid = GridContext(
-        device,
-        plan.work_div,
-        plan.props,
-        shadow_args,
-        shared_mem_bytes=plan.shared_mem_bytes,
-        monitor=monitor,
-    )
     runner = plan.block_runner
     if rng is not None and _should_fuzz(plan):
         runner = make_fuzzed_runner(rng)
 
     record = LaunchRecord(
-        kernel=_kernel_name(task.kernel),
+        kernel=kernel_name(task.kernel),
         backend=plan.acc_type.name,
         device=getattr(device, "name", repr(device)),
         work_div=str(plan.work_div),
         seed=seed,
     )
-    from ..telemetry.spans import span
-
-    device.note_kernel_launch()
-    plan.launches += 1
-    notify_launch_begin(plan, task, device)
-    error = None
-    try:
-        with span(
-            "sanitize.launch",
-            cat="sanitize",
-            device=device,
-            kernel=record.kernel,
-        ):
-            for bidx in plan.block_indices:
-                try:
-                    runner(grid, bidx, task.kernel, grid.args)
-                except BaseException as exc:  # noqa: BLE001 - triaged below
-                    monitor.skip_block(
-                        linearize(bidx, plan.work_div.grid_block_extent)
-                    )
-                    if _sanitized_cause(exc) is not None:
-                        continue  # already recorded as a finding
-                    error = exc
-                    break
-            advance_modeled_time(
-                task, device, plan.acc_type.kind, plan.work_div, plan._modeled
-            )
-    finally:
-        record.findings.extend(recorder.findings)
-        record.findings.extend(monitor.divergence_findings(seed=seed))
-        if seed is not None:
-            for f in record.findings:
-                if f.seed is None:
-                    f.seed = seed
-        _state.add_record(record)
-        notify_sanitizer_report(plan, record)
-        notify_launch_end(plan, task, device)
-    if error is not None:
-        raise error
+    with span(
+        "sanitize.launch", cat="sanitize", device=device, kernel=record.kernel
+    ):
+        execute_plan(
+            plan,
+            task,
+            device,
+            grid=plan.grid_for(task, shadow_args, monitor),
+            scheduler=_TriageScheduler(device, runner, record),
+        )
     return record
 
 
@@ -204,7 +207,7 @@ def sanitize_task(
     if device is None:
         device = get_dev_by_idx(task.acc_type, 0)
     plan = get_plan(task, device)
-    report = SanitizerReport(label=_kernel_name(task.kernel))
+    report = SanitizerReport(label=kernel_name(task.kernel))
 
     if schedules <= 1:
         report.launches.append(run_with_sanitizer(task, device, plan, seed))

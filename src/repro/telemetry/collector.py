@@ -29,6 +29,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from ..core.kernel import kernel_name
 from ..runtime.instrument import ExecutionObserver
 from . import tracing
 from .metrics import MetricsRegistry
@@ -63,10 +64,6 @@ class TraceEvent:
 
     def __repr__(self) -> str:
         return f"<TraceEvent {self.ph} {self.cat}/{self.name} @{self.ts:.1f}us>"
-
-
-def _kernel_name(kernel) -> str:
-    return getattr(kernel, "__name__", type(kernel).__name__)
 
 
 class TelemetryCollector(ExecutionObserver):
@@ -146,7 +143,7 @@ class TelemetryCollector(ExecutionObserver):
 
     def _launch_labels(self, plan, device) -> Dict[str, str]:
         return {
-            "kernel": _kernel_name(plan.kernel),
+            "kernel": kernel_name(plan.kernel),
             "backend": plan.acc_type.name,
             "device": device.name,
             "schedule": plan.schedule,
@@ -222,7 +219,7 @@ class TelemetryCollector(ExecutionObserver):
         # for sequential dispatch, pool threads for threaded).
         worker = current_worker_label() or threading.current_thread().name
         labels = {
-            "kernel": _kernel_name(plan.kernel),
+            "kernel": kernel_name(plan.kernel),
             "backend": plan.acc_type.name,
             "worker": worker,
         }
@@ -271,7 +268,7 @@ class TelemetryCollector(ExecutionObserver):
         n = len(record.findings)
         self.registry.counter(
             "repro_sanitizer_findings_total", "sanitizer findings",
-            kernel=_kernel_name(plan.kernel), backend=plan.acc_type.name,
+            kernel=kernel_name(plan.kernel), backend=plan.acc_type.name,
         ).inc(n)
         self._emit(
             TraceEvent(

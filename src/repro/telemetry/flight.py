@@ -39,6 +39,7 @@ from collections import deque
 from typing import Dict, List, Optional
 
 from .. import knobs
+from ..core.kernel import kernel_name
 from ..runtime.instrument import ExecutionObserver
 
 __all__ = [
@@ -66,11 +67,6 @@ _lock = threading.Lock()
 _recorder: Optional["FlightRecorder"] = None
 #: Fast-path flag: mirrors ``_recorder is not None`` without the lock.
 _active = False
-
-
-def _kernel_name(plan) -> str:
-    kernel = getattr(plan, "kernel", None)
-    return getattr(kernel, "__name__", type(kernel).__name__)
 
 
 class FlightRecorder(ExecutionObserver):
@@ -150,14 +146,14 @@ class FlightRecorder(ExecutionObserver):
     def on_launch_begin(self, plan, task, device) -> None:
         self.record(
             "launch_begin",
-            kernel=_kernel_name(plan),
+            kernel=kernel_name(plan.kernel),
             backend=plan.acc_type.name,
             device=device.name,
             schedule=plan.schedule,
         )
 
     def on_launch_end(self, plan, task, device) -> None:
-        self.record("launch_end", kernel=_kernel_name(plan))
+        self.record("launch_end", kernel=kernel_name(plan.kernel))
 
     def on_queue_drain(self, queue) -> None:
         self.record("queue_drain", device=queue.dev.name)
@@ -166,7 +162,7 @@ class FlightRecorder(ExecutionObserver):
         findings = len(record.findings)
         self.record(
             "sanitizer_report",
-            kernel=_kernel_name(plan),
+            kernel=kernel_name(plan.kernel),
             findings=findings,
         )
         if findings:
@@ -256,7 +252,7 @@ def on_kernel_crash(plan, exc: BaseException) -> None:
     try:
         rec.record(
             "kernel_crash",
-            kernel=_kernel_name(plan),
+            kernel=kernel_name(plan.kernel),
             error=f"{type(exc).__name__}: {exc}",
         )
         rec.dump("kernel_crash", error=f"{type(exc).__name__}: {exc}")

@@ -21,7 +21,10 @@ from repro import (
     register_observer,
     unregister_observer,
 )
+from repro.kernels.axpy import AxpyElementsKernel
+from repro.runtime import get_plan
 from repro.runtime.instrument import observers
+from tests.runtime.routes import ROUTES, launch_via
 
 
 @fn_acc
@@ -119,6 +122,97 @@ class TestLaunchHooks:
             )
         assert len(seen) == 40
         assert len(set(tuple(b) for b in seen)) == 40
+
+
+class _HookLog(ExecutionObserver):
+    """Every launch-scoped hook, in arrival order."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_launch_begin(self, plan, task, device):
+        self.events.append("launch_begin")
+
+    def on_launch_end(self, plan, task, device):
+        self.events.append("launch_end")
+
+    def on_block(self, plan, block_idx):
+        self.events.append("block")
+
+    def on_block_end(self, plan, block_idx, seconds):
+        self.events.append("block_end")
+
+    def on_sanitizer_report(self, plan, record):
+        self.events.append("sanitizer_report")
+
+
+class _RaisingAxpy(AxpyElementsKernel):
+    """Describes itself to the performance model, then fails."""
+
+    def __call__(self, acc, n, alpha, x, y):
+        raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+class TestRouteEquivalence:
+    """Queue, inline graph replay, queued graph and the sanitizer all
+    reach one Execute stage: same hook pairing, same accounting."""
+
+    BLOCKS = 4
+
+    def _axpy(self, dev, route):
+        n = 64
+        x, y = mem.alloc(dev, n), mem.alloc(dev, n)
+        x.as_numpy()[:] = 1.0
+        y.as_numpy()[:] = 0.0
+        wd = WorkDivMembers.make(self.BLOCKS, 1, n // self.BLOCKS)
+        kernel = AxpyElementsKernel()
+        plan = get_plan(create_task_kernel(AccCpuSerial, wd, kernel, n, 2.0, x, y), dev)
+        before = (dev.kernel_launch_count, plan.launches, dev.sim_time_fs)
+        with observe(_HookLog()) as log:
+            launch_via(route, dev, AccCpuSerial, wd, kernel, n, 2.0, x, y)
+        after = (dev.kernel_launch_count, plan.launches, dev.sim_time_fs)
+        assert np.array_equal(y.as_numpy(), np.full(n, 2.0))
+        x.free()
+        y.free()
+        return log.events, tuple(a - b for a, b in zip(after, before))
+
+    def test_one_begin_end_pair_around_the_route_s_hooks(self, route):
+        events, _ = self._axpy(get_dev_by_idx(AccCpuSerial, 0), route)
+        assert events[0] == "launch_begin" and events[-1] == "launch_end"
+        inner = events[1:-1]
+        if route == "sanitized":
+            # The triage loop announces no blocks; its report precedes
+            # on_launch_end.
+            assert inner == ["sanitizer_report"]
+        else:
+            assert inner == ["block", "block_end"] * self.BLOCKS
+
+    def test_counters_and_modeled_clock_advance_as_on_the_queue(self, route):
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        _, reference = self._axpy(dev, "queue")
+        _, delta = self._axpy(dev, route)
+        launches, plan_launches, sim_fs = delta
+        assert (launches, plan_launches) == (1, 1)
+        assert sim_fs > 0
+        assert delta == reference
+
+    def test_launch_end_fires_once_when_the_kernel_raises(self, route):
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        x = mem.alloc(dev, 8)
+        sim_before = dev.sim_time_fs
+        with observe(_HookLog()) as log:
+            with pytest.raises(Exception, match="_RaisingAxpy|boom"):
+                launch_via(
+                    route, dev, AccCpuSerial, WorkDivMembers.make(1, 1, 8),
+                    _RaisingAxpy(), 8, 2.0, x, x,
+                )
+        assert log.events.count("launch_begin") == 1
+        assert log.events.count("launch_end") == 1
+        assert log.events[-1] == "launch_end"
+        # A failed launch did no modeled work, on any route.
+        assert dev.sim_time_fs == sim_before
+        x.free()
 
 
 class TestCopyAndQueueHooks:

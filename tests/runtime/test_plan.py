@@ -144,6 +144,43 @@ class TestPlanCache:
             "maxsize": info["maxsize"],
         }
 
+    @pytest.mark.parametrize("which", ["launch", "graph"])
+    def test_least_recently_used_plan_evicts_first(self, which, monkeypatch):
+        """Both caches are one LRU: a hit refreshes an entry, the
+        stalest one goes when the bound is exceeded."""
+        from repro.runtime import (
+            GraphPlan,
+            get_graph_plan,
+            graph_plan_cache_info,
+            plan as plan_mod,
+        )
+
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        if which == "launch":
+            cache, info = plan_mod._launch_plans, plan_cache_info
+
+            def lookup(i):
+                wd = WorkDivMembers.make(i + 1, 1, 1)
+                return get_plan(create_task_kernel(AccCpuSerial, wd, _noop), dev)
+        else:
+            cache, info = plan_mod._graph_plans, graph_plan_cache_info
+
+            def lookup(i):
+                key = ("graph", i)
+                return get_graph_plan(
+                    key, lambda: GraphPlan(key=key, order=(), deps=())
+                )
+
+        monkeypatch.setattr(cache, "maxsize", 3)
+        a, b, c = lookup(0), lookup(1), lookup(2)
+        assert lookup(0) is a  # refresh: b is now the stalest
+        lookup(3)  # evicts b
+        assert info() == {"hits": 1, "misses": 4, "size": 3, "maxsize": 3}
+        assert lookup(0) is a and lookup(2) is c
+        assert a.served_from_cache and c.served_from_cache
+        assert lookup(1) is not b  # rebuilt: a miss, and it evicts plan 3
+        assert info() == {"hits": 3, "misses": 5, "size": 3, "maxsize": 3}
+
     def test_cached_plan_still_checks_residency_on_new_args(self):
         """The plan memoises unwrapped args per task identity; a second
         task with a wrong-device buffer must still be rejected."""

@@ -48,6 +48,15 @@ def _boom(acc, b):
     raise RuntimeError("nope")
 
 
+class _DiesInWorkers(AxpyElementsKernel):
+    """AXPY in the parent process, sudden death in a pool worker."""
+
+    def __call__(self, acc, n, alpha, x, y):
+        if mp.parent_process() is not None:
+            os._exit(1)
+        super().__call__(acc, n, alpha, x, y)
+
+
 @pytest.fixture
 def dev():
     return get_dev_by_idx(AccCpuOmp2Blocks)
@@ -356,6 +365,44 @@ class TestDispatch:
         assert len(events) == 2
         assert events[0]["schedule"] == "processes"
         assert events[0]["reason"] == "private-buffer"
+        x.free()
+        y.free()
+
+    def test_worker_death_before_any_chunk_reruns_on_the_thread_pool(
+        self, dev, monkeypatch
+    ):
+        from repro.telemetry.metrics import registry
+
+        def count():
+            return registry().counter(
+                "repro_scheduler_fallbacks_total",
+                "",
+                schedule="processes",
+                kernel="_DiesInWorkers",
+                reason="worker-died",
+            ).value
+
+        monkeypatch.setenv(SCHEDULER_ENV, "processes")
+        monkeypatch.setenv(PROCESS_WORKERS_ENV, "2")
+        n = 1024
+        expect = axpy_reference(2.0, np.arange(float(n)), np.ones(n))
+        task, x, y = _axpy_task(dev, n=n)
+        doomed = create_task_kernel(
+            AccCpuOmp2Blocks, task.work_div, _DiesInWorkers(), *task.args
+        )
+        assert process_launch_state(get_plan(doomed, dev), doomed).eligible
+        before = count()
+        queue = QueueBlocking(dev)
+        queue.enqueue(doomed)
+        assert np.array_equal(y.as_numpy(), expect)
+        assert count() - before == 1
+        sched = scheduler_for(dev, "processes")
+        assert sched._pool is None  # the broken pool was dropped
+        # The next launch spawns a fresh pool and runs in it.
+        y.as_numpy()[:] = 1.0
+        queue.enqueue(task)
+        assert np.array_equal(y.as_numpy(), expect)
+        assert sched._pool is not None
         x.free()
         y.free()
 

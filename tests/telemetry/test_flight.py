@@ -18,6 +18,7 @@ from repro import (
 )
 from repro.telemetry import flight, tracing
 from repro.telemetry.flight import FLIGHT_ENV, FlightRecorder
+from tests.runtime.routes import ROUTES, launch_via
 
 
 @pytest.fixture()
@@ -116,6 +117,25 @@ def test_kernel_crash_dumps_flight_file(rec, tmp_path):
     # The ring captured the approach to the crash, not just the crash.
     assert "launch_begin" in kinds
     assert "kernel_crash" in kinds
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_kernel_crash_dumps_once_on_every_route(rec, tmp_path, route):
+    """One Execute stage, one crash path: the dump does not depend on
+    how the launch got there."""
+    dev = get_dev_by_idx(AccCpuSerial, 0)
+    out = mem.alloc(dev, 8)
+    with pytest.raises(Exception, match="_crashing|seeded crash") as err:
+        launch_via(
+            route, dev, AccCpuSerial, WorkDivMembers.make(1, 1, 8), _crashing, 8, out
+        )
+    reasons = []
+    for name in sorted(os.listdir(tmp_path)):
+        with open(tmp_path / name) as fh:
+            reasons.append(json.load(fh)["reason"])
+    assert reasons == ["kernel_crash"], (route, err.value)
+    assert [e["kind"] for e in rec.events()].count("kernel_crash") == 1
+    out.free()
 
 
 def test_launches_recorded_while_active(rec):
