@@ -17,6 +17,7 @@ loop end to end:
 Run:  python examples/online_tuning.py
 """
 
+import dataclasses
 import os
 import tempfile
 
@@ -55,16 +56,18 @@ def run(tmpdir: str) -> None:
     with Gateway(ServeConfig(online_tuning=True)) as gw:
         # A twitchy monitor so the demo converges in seconds; the
         # defaults (window 64, threshold 1.5x, cooldown 30 s) are what
-        # a long-running deployment would use.
-        tuner = OnlineTuner(
-            FleetConfig(
-                drift_window=8,
-                drift_threshold=1.5,
-                drift_ewma_alpha=0.9,
-                drift_cooldown=0.0,
-                drift_budget=3,
-            )
+        # a long-running deployment would use.  The baseline forms under
+        # a threshold nothing can reach: with a window of 8 and an EWMA
+        # this quick, one slow request on a busy host would otherwise
+        # trip a re-tune, which clears the baseline the demo reads next.
+        twitchy = FleetConfig(
+            drift_window=8,
+            drift_threshold=1.5,
+            drift_ewma_alpha=0.9,
+            drift_cooldown=0.0,
+            drift_budget=3,
         )
+        tuner = OnlineTuner(dataclasses.replace(twitchy, drift_threshold=1e12))
         gw.online.close()
         gw.online = tuner
 
@@ -72,6 +75,8 @@ def run(tmpdir: str) -> None:
         drive(gw, BASELINE_REQUESTS)
         snap = tuner.monitor.snapshot()["axpy"]
         base = snap["baseline_median"]
+        assert base is not None, "baseline window never filled"
+        tuner.monitor.config = twitchy
         print(f"   baseline median service latency: {base * 1e6:.1f} us")
 
         gen_before = tuning_generation()

@@ -63,6 +63,7 @@ from .core import (
     WorkDivMembers,
     create_task_kernel,
     divide_work,
+    clip_box,
     element_box,
     element_slice,
     fn_acc,
@@ -124,7 +125,7 @@ __all__ = [
     "divide_work", "AccDevProps",
     "Grid", "Block", "Thread", "Blocks", "Threads", "Elems",
     "get_idx", "get_work_div", "map_idx",
-    "element_box", "element_slice", "independent_elements",
+    "element_box", "clip_box", "element_slice", "independent_elements",
     "grid_strided_spans",
     "create_task_kernel", "KernelTask", "fn_acc", "fn_host", "fn_host_acc",
     "AlpakaError", "InvalidWorkDiv", "MemorySpaceError",

@@ -10,11 +10,17 @@ gap without leaving pure numpy:
 * :mod:`~repro.compile.tracer` runs the kernel **once** per
   (kernel, work-division, argument-shape) configuration with batched
   symbolic thread coordinates (reusing the ``trace_get_idx`` hook the
-  PTX tracer introduced) and records a lane dataflow;
-* :mod:`~repro.compile.exprs` is that dataflow's IR and evaluator;
-* :mod:`~repro.compile.replay` replays the whole grid as fused numpy
-  array operations — AXPY becomes ``y[:n] = a * x[:n] + y[:n]`` — with
-  the closure cached on the :class:`~repro.runtime.plan.LaunchPlan`;
+  PTX tracer introduced) and records a dataflow — per lane, per
+  grid-strided span, or per n-d element box (a *tile*, whose
+  constant-offset neighbour reads become shifted slices);
+* :mod:`~repro.compile.exprs` is that dataflow's IR;
+* :mod:`~repro.compile.codegen` lowers it, still at trace time, to one
+  generated straight-line numpy function — AXPY becomes
+  ``y[:n] = a * x[:n] + y[:n]``, a Jacobi sweep six slice expressions;
+* :mod:`~repro.compile.replay` caches that program on the
+  :class:`~repro.runtime.plan.LaunchPlan`; a warm launch checks the
+  cached signature and calls it (``CompiledReplay.source`` is the
+  generated text);
 * kernels the vectorizer cannot soundly represent (divergent control
   flow, barriers, atomics, shared memory, per-thread RNG) fall back to
   interpretation transparently, with the reason classified, logged
@@ -37,11 +43,12 @@ from .replay import (
     execute_compiled,
     replay_for,
 )
-from .tracer import CompileAcc, CompileFallback, trace_kernel
+from .tracer import FALLBACK_REASONS, CompileAcc, CompileFallback, trace_kernel
 
 __all__ = [
     "CompileAcc",
     "CompileFallback",
+    "FALLBACK_REASONS",
     "CompiledReplay",
     "trace_kernel",
     "replay_for",

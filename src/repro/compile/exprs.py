@@ -3,8 +3,9 @@
 Where :mod:`repro.trace.ir` records a PTX-flavoured *instruction
 stream* for inspection, this module records a *dataflow* over batched
 thread coordinates: one expression node per operation the kernel
-performed while being traced, evaluated later over every lane (thread)
-of the grid at once with numpy array operations.
+performed while being traced.  :mod:`repro.compile.codegen` lowers the
+dataflow once, at trace time, to a straight-line numpy function; nothing
+in this module runs on a warm launch.
 
 The node set is deliberately tiny:
 
@@ -16,17 +17,15 @@ The node set is deliberately tiny:
   operands.  The node stores the *actual ufunc object* the kernel
   invoked, so replay performs bit-for-bit the operation interpretation
   would have performed (``np.sqrt`` compiles to ``np.sqrt``);
-* :class:`Load` / :class:`SpanLoad` — global-memory reads, by lane
-  index expression or as the whole grid-strided element span.
-
-Evaluation (:func:`eval_expr`) is memoised per (node, selection) and
-restricted to the *active lanes* of the enclosing store: the canonical
-``if i < n:`` bounds guard becomes a selection, not control flow.
+* :class:`Load` / :class:`SpanLoad` / :class:`TileLoad` — global-memory
+  reads: by lane index expression, as the whole grid-strided element
+  span, or as the union of every thread's n-d element box
+  (:class:`Tile`) shifted by a constant offset per axis.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -37,11 +36,12 @@ __all__ = [
     "Ufunc",
     "Load",
     "SpanLoad",
+    "Tile",
+    "TileLoad",
     "Store",
     "SpanStore",
+    "TileStore",
     "LaneGeometry",
-    "EvalEnv",
-    "eval_expr",
     "describe_expr",
 ]
 
@@ -118,6 +118,47 @@ class SpanLoad(Expr):
         self.extent = extent
 
 
+class Tile:
+    """The region every thread's element box covers together.
+
+    :func:`repro.core.element.element_box` guarantees the boxes of
+    distinct threads are disjoint and their union is
+    ``[0, min(extent, grid_elem_extent))`` per axis; clipped to an
+    interior of ``halo`` cells (:func:`~repro.core.element.clip_box`)
+    the union is ``[halo, min(extent, grid_elem_extent, extent - halo))``.
+    ``bounds`` holds that union as concrete ``(lo, hi)`` pairs — the
+    extent is concretised (and guarded) at trace time — with
+    ``lo == hi == 0`` on every axis when any axis is empty.  Tiles
+    clipped from one box share the ``family`` token.
+    """
+
+    __slots__ = ("family", "halo", "bounds")
+
+    def __init__(self, family: object, halo: int,
+                 bounds: Tuple[Tuple[int, int], ...]):
+        self.family = family
+        self.halo = halo
+        self.bounds = bounds
+
+    def index(self, shifts: Tuple[int, ...]) -> Tuple[slice, ...]:
+        """The whole-array subscript of the region moved by ``shifts``."""
+        return tuple(
+            slice(lo + s, hi + s) for (lo, hi), s in zip(self.bounds, shifts)
+        )
+
+
+class TileLoad(Expr):
+    """``array_arg[pos][tile + shifts]`` — every thread's read of its
+    element box at a constant per-axis offset, as one shifted slice."""
+
+    __slots__ = ("pos", "tile", "shifts")
+
+    def __init__(self, pos: int, tile: Tile, shifts: Tuple[int, ...]):
+        self.pos = pos
+        self.tile = tile
+        self.shifts = shifts
+
+
 class Store:
     """One recorded global-memory write (not an Expr: stores are the
     trace's roots, applied in order during the commit phase)."""
@@ -143,6 +184,18 @@ class SpanStore:
         self.extent = extent
         self.value = value
         self.mask_count = mask_count
+
+
+class TileStore:
+    """One recorded write of every thread's element box:
+    ``array_arg[pos][tile] = value``."""
+
+    __slots__ = ("pos", "tile", "value")
+
+    def __init__(self, pos: int, tile: Tile, value: Expr):
+        self.pos = pos
+        self.tile = tile
+        self.value = value
 
 
 # ---------------------------------------------------------------------------
@@ -198,90 +251,6 @@ class LaneGeometry:
         return (lin // trailing) % int(extent[axis])
 
 
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-
-class EvalEnv:
-    """One replay's evaluation context: live args + lane selection.
-
-    ``sel`` is ``None`` (all lanes), a ``slice`` (the contiguous-prefix
-    fast path of the bounds guard) or a boolean lane mask.  ``sel_key``
-    distinguishes memo entries of the same node under different
-    selections.
-    """
-
-    __slots__ = ("args", "geom", "sel", "sel_key", "memo", "identity_id")
-
-    def __init__(self, args, geom: LaneGeometry, sel=None, sel_key=0,
-                 memo=None, identity_id: Optional[int] = None):
-        self.args = args
-        self.geom = geom
-        self.sel = sel
-        self.sel_key = sel_key
-        self.memo = {} if memo is None else memo
-        #: id() of the lane expression known to evaluate to
-        #: ``arange(lanes)`` — loads/stores indexed by exactly that
-        #: node use a slice view instead of a gather when ``sel`` is a
-        #: prefix slice.
-        self.identity_id = identity_id
-
-
-def eval_expr(node: Expr, env: EvalEnv):
-    """Evaluate ``node`` over the active lanes of ``env`` (memoised).
-
-    The memo keys on the node *object* (identity hash — ``Expr`` nodes
-    never compare equal structurally), which also keeps every evaluated
-    node alive for the memo's lifetime, so a recycled ``id()`` can never
-    alias two nodes.
-    """
-    key = (node, env.sel_key)
-    memo = env.memo
-    if key in memo:
-        return memo[key]
-    val = _eval(node, env)
-    memo[key] = val
-    return val
-
-
-def _restrict(arr: np.ndarray, env: EvalEnv):
-    if env.sel is None:
-        return arr
-    return arr[env.sel]
-
-
-def _eval(node: Expr, env: EvalEnv):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Arg):
-        return env.args[node.pos]
-    if isinstance(node, LaneIndex):
-        return _restrict(env.geom.axis_array(node.kind, node.axis), env)
-    if isinstance(node, Ufunc):
-        vals = [eval_expr(a, env) for a in node.args]
-        return node.fn(*vals)
-    if isinstance(node, SpanLoad):
-        n = int(eval_expr(node.extent, EvalEnv(
-            env.args, env.geom, sel=None, sel_key=-1, memo=env.memo
-        )))
-        return env.args[node.pos][:n]
-    if isinstance(node, Load):
-        arr = env.args[node.pos]
-        if (
-            len(node.index) == 1
-            and isinstance(env.sel, slice)
-            and id(node.index[0]) == env.identity_id
-        ):
-            # Identity index under a prefix mask: the gather is a view.
-            return arr[env.sel]
-        idx = tuple(eval_expr(i, env) for i in node.index)
-        if len(idx) == 1:
-            return arr[idx[0]]
-        return arr[idx]
-    raise TypeError(f"cannot evaluate {node!r}")  # pragma: no cover
-
-
 def describe_expr(node) -> str:
     """Compact human-readable rendering (tests and debug dumps)."""
     if isinstance(node, Const):
@@ -298,6 +267,8 @@ def describe_expr(node) -> str:
         return f"load(arg{node.pos}[{idx}])"
     if isinstance(node, SpanLoad):
         return f"span(arg{node.pos}[:{describe_expr(node.extent)}])"
+    if isinstance(node, TileLoad):
+        return f"tile(arg{node.pos}[{_describe_tile(node.tile, node.shifts)}])"
     if isinstance(node, Store):
         idx = ", ".join(describe_expr(i) for i in node.index)
         return f"arg{node.pos}[{idx}] = {describe_expr(node.value)}"
@@ -306,4 +277,16 @@ def describe_expr(node) -> str:
             f"arg{node.pos}[:{describe_expr(node.extent)}] = "
             f"{describe_expr(node.value)}"
         )
+    if isinstance(node, TileStore):
+        zero = (0,) * len(node.tile.bounds)
+        return (
+            f"arg{node.pos}[{_describe_tile(node.tile, zero)}] = "
+            f"{describe_expr(node.value)}"
+        )
     return repr(node)
+
+
+def _describe_tile(tile: Tile, shifts: Tuple[int, ...]) -> str:
+    return ", ".join(
+        f"{s.start}:{s.stop}" for s in tile.index(shifts)
+    )

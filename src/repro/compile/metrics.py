@@ -16,13 +16,14 @@ import threading
 from collections import Counter as _Counter
 from typing import Dict
 
+from ..telemetry.metrics import registry as _registry
+
 __all__ = [
     "compile_stats",
     "reset_compile_stats",
+    "LaunchCounters",
     "note_trace",
-    "note_cache_hit",
     "note_retrace",
-    "note_compiled_launch",
     "note_fallback",
     "note_crosscheck",
 ]
@@ -36,12 +37,6 @@ _crosschecks = 0
 _fallbacks: "_Counter[str]" = _Counter()
 
 
-def _registry():
-    from ..telemetry.metrics import registry
-
-    return registry()
-
-
 def note_trace(kernel: str) -> None:
     """A kernel shape was traced (cold or after a guard flip)."""
     global _traces
@@ -50,18 +45,6 @@ def note_trace(kernel: str) -> None:
     _registry().counter(
         "repro_compile_traces_total",
         "Compile traces performed, by kernel",
-        kernel=kernel,
-    ).inc()
-
-
-def note_cache_hit(kernel: str) -> None:
-    """A warm launch reused a cached compiled replay."""
-    global _cache_hits
-    with _lock:
-        _cache_hits += 1
-    _registry().counter(
-        "repro_compile_cache_hits_total",
-        "Compiled-replay cache hits, by kernel",
         kernel=kernel,
     ).inc()
 
@@ -78,16 +61,49 @@ def note_retrace(kernel: str) -> None:
     ).inc()
 
 
-def note_compiled_launch(kernel: str) -> None:
-    """A launch executed through the vectorized replay."""
-    global _compiled_launches
-    with _lock:
-        _compiled_launches += 1
-    _registry().counter(
-        "repro_compile_launches_total",
-        "Launches executed as compiled replays, by kernel",
-        kernel=kernel,
-    ).inc()
+class LaunchCounters:
+    """The two events of every warm compiled launch — the replay was
+    found in the cache, the launch ran vectorized — for one kernel.
+
+    The registry counters are resolved once, not once per launch, and
+    again whenever ``reset_registry()`` has swapped the registry object.
+    """
+
+    __slots__ = ("kernel", "_bound_to", "_hits", "_launches")
+
+    def __init__(self, kernel: str):
+        self.kernel = kernel
+        self._bound_to = None
+
+    def _bound(self) -> "LaunchCounters":
+        reg = _registry()
+        if reg is not self._bound_to:
+            self._hits = reg.counter(
+                "repro_compile_cache_hits_total",
+                "Compiled-replay cache hits, by kernel",
+                kernel=self.kernel,
+            )
+            self._launches = reg.counter(
+                "repro_compile_launches_total",
+                "Launches executed as compiled replays, by kernel",
+                kernel=self.kernel,
+            )
+            self._bound_to = reg
+        return self
+
+    def cache_hit(self) -> None:
+        """A warm launch reused a cached compiled replay."""
+        global _cache_hits
+        with _lock:
+            _cache_hits += 1
+        self._bound()._hits.inc()
+
+    def compiled_launch(self) -> None:
+        """A launch executed through the vectorized replay."""
+        global _compiled_launches
+        with _lock:
+            _compiled_launches += 1
+        self._bound()._launches.inc()
 
 
 def note_fallback(kernel: str, reason: str) -> None:

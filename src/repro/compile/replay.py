@@ -1,35 +1,42 @@
-"""Compiled replay: execute a recorded trace as fused numpy ops.
+"""Compiled replay: a recorded trace as one generated numpy function.
 
-One :class:`CompiledReplay` holds the trace of one (kernel, work
-division, argument-shape) configuration and runs the *whole grid* in a
-handful of array operations:
+One :class:`CompiledReplay` holds the program of one (kernel, work
+division, argument-shape) configuration — lowered once, when the trace
+was recorded (:mod:`repro.compile.codegen`) — and a warm launch is
+"check the cached signature, call the program":
 
-1. **guards** — every thread-uniform predicate the trace branched on is
-   re-evaluated against the live arguments; a flip means the kernel
-   would take a different path now, so the caller re-traces (a cheap,
-   counted event — never a wrong answer);
-2. **masks** — the canonical ``if i < n:`` bounds guards become lane
-   selections.  When the guarded index is the flat global thread index
-   itself the selection is a contiguous **prefix slice** and every load
-   and store under it is a view, not a gather — AXPY replays as
-   ``y[:n] = a * x[:n] + y[:n]``;
-3. **compute, then commit** — all store values and targets are
-   evaluated before the first byte of global memory changes.  A replay
-   that fails mid-compute (shape surprise, out-of-bounds gather) leaves
-   the arguments untouched and falls back to interpretation, where the
-   same kernel produces the authoritative result or error.
+1. **signature** — the replay found for this argument tuple last time
+   is reused on the tuple's identity (a re-enqueued task hands over the
+   same tuple); otherwise the (dtype, shape, scalar-type) signature is
+   rebuilt and looked up on the plan;
+2. **guards** — every thread-uniform predicate the trace branched on
+   (and every extent it concretised) is re-checked by the generated
+   ``guards(args)``; a flip means the kernel would take a different
+   path now, so the caller re-traces (a cheap, counted event — never a
+   wrong answer).  A trace that read element boxes at a constant shift
+   also proves, per launch, that no argument it writes shares memory
+   with one it reads shifted; if one does, this launch interprets;
+3. **compute, then commit** — ``program(args)`` evaluates every store
+   value, destination view and shape check before the first byte of
+   global memory changes.  A replay that fails mid-compute (shape
+   surprise, out-of-bounds gather, a floating-point trap under
+   ``np.errstate(all="raise")``) leaves the arguments untouched and
+   falls back to interpretation, where the same kernel produces the
+   authoritative result or error.  The program keeps no state between
+   calls: scratch arrays it reuses through ``out=`` are its own, of
+   this call.
 
 Replays are cached per argument signature on the plan
 (``LaunchPlan._compiled``); negative results (classified fallbacks) are
 cached too, so an uncompilable kernel pays the trace attempt once, not
 per launch.  ``REPRO_COMPILE_CROSSCHECK=1`` makes every compiled launch
 also run interpreted and compares the store targets bit-for-bit.
+:attr:`CompiledReplay.source` is the generated text, for inspection.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -37,16 +44,7 @@ from .. import knobs
 from ..core.errors import CompileCrossCheckError, KernelError
 from ..core.kernel import kernel_name
 from . import metrics
-from .exprs import (
-    Const,
-    EvalEnv,
-    Expr,
-    LaneGeometry,
-    LaneIndex,
-    SpanStore,
-    Ufunc,
-    eval_expr,
-)
+from .codegen import lower
 from .tracer import CompileFallback, TraceResult, trace_kernel
 
 __all__ = [
@@ -61,6 +59,12 @@ __all__ = [
 #: Environment variable: a true value makes every compiled launch also
 #: run interpreted and assert bit-identity of all store targets.
 CROSSCHECK_ENV = knobs.COMPILE_CROSSCHECK
+
+#: Key of the argument-tuple memo inside ``LaunchPlan._compiled``, and
+#: how many tuples it remembers (a graph's nodes alternate a few tuples
+#: on one plan; a server building a task per request must not grow it).
+_RECENT = "recent-args"
+_RECENT_MAX = 8
 
 
 def crosscheck_active() -> bool:
@@ -85,16 +89,6 @@ def _signature(args: tuple) -> tuple:
     return tuple(sig)
 
 
-def _is_static(node: Expr) -> bool:
-    """True when ``node`` depends only on geometry and literals (its
-    value can never change between replays of the same plan)."""
-    if isinstance(node, (Const, LaneIndex)):
-        return True
-    if isinstance(node, Ufunc):
-        return all(_is_static(a) for a in node.args)
-    return False
-
-
 class CompiledReplay:
     """One compiled (kernel, work division, arg-shape) configuration."""
 
@@ -102,98 +96,19 @@ class CompiledReplay:
         self.plan = plan
         self.trace = trace
         self.sig = sig
-        self.geom = LaneGeometry(plan.work_div)
         self.store_positions = tuple(sorted(
             {s.pos for s in trace.stores}
         ))
-        #: mask index -> True/False identity verdict for masks whose
-        #: lane side is pure geometry (decided once, not per replay).
-        self._static_identity: Dict[int, bool] = {}
-        self._lock = threading.Lock()
-
-    # -- guards ---------------------------------------------------------
+        #: ``source`` is the generated Python text (program, guards,
+        #: alias check); the functions hold no state between calls.
+        self._program, self._guards, self._aliased, self.source = lower(
+            trace, plan.work_div, sig
+        )
+        self.counters = metrics.LaunchCounters(kernel_name(plan.kernel))
 
     def guards_hold(self, args: tuple) -> bool:
         """Do the live arguments still take the traced path?"""
-        if not self.trace.guards:
-            return True
-        memo: dict = {}
-        env = EvalEnv(args, self.geom, sel=None, sel_key=0, memo=memo)
-        try:
-            for expr, expected in self.trace.guards:
-                val = eval_expr(expr, env)
-                if isinstance(expected, bool):
-                    if bool(val) != expected:
-                        return False
-                elif not (val == expected):
-                    return False
-        except Exception:
-            return False
-        return True
-
-    # -- masks ----------------------------------------------------------
-
-    def _identity(self, k: int, lane: Expr, lane_vals: np.ndarray) -> bool:
-        """Is mask ``k``'s lane side the flat lane index itself?"""
-        static = _is_static(lane)
-        if static:
-            with self._lock:
-                cached = self._static_identity.get(k)
-            if cached is not None:
-                return cached
-        lanes = self.geom.lanes
-        ident = (
-            lane_vals.shape == (lanes,)
-            and lanes > 0
-            and int(lane_vals[0]) == 0
-            and int(lane_vals[-1]) == lanes - 1
-            and bool(
-                np.array_equal(lane_vals, np.arange(lanes, dtype=lane_vals.dtype))
-            )
-        )
-        if static:
-            with self._lock:
-                self._static_identity[k] = ident
-        return ident
-
-    def _selections(self, args: tuple, memo: dict) -> List[tuple]:
-        """Per-mask-level lane selection: ``levels[k]`` applies to a
-        store recorded under the first ``k`` masks.  Each entry is
-        ``(sel, sel_key, identity_id)``."""
-        geom = self.geom
-        levels: List[tuple] = [(None, 0, None)]
-        cur = None  # slice | bool ndarray | None
-        for k, (op, lane, bound) in enumerate(self.trace.masks):
-            env = EvalEnv(args, geom, sel=None, sel_key=0, memo=memo)
-            lane_vals = np.asarray(eval_expr(lane, env))
-            bval = eval_expr(bound, env)
-            if lane_vals.shape != (geom.lanes,):
-                lane_vals = np.broadcast_to(lane_vals, (geom.lanes,))
-            identity_id: Optional[int] = None
-            bscalar = np.asarray(bval)
-            if (
-                cur is None
-                and bscalar.ndim == 0
-                and float(bscalar) == int(bscalar)
-                and self._identity(k, lane, lane_vals)
-            ):
-                n = int(bscalar) + (1 if op == "le" else 0)
-                cur = slice(0, max(0, min(geom.lanes, n)))
-                identity_id = id(lane)
-            else:
-                cond = lane_vals < bval if op == "lt" else lane_vals <= bval
-                if isinstance(cur, slice):
-                    prev = np.zeros(geom.lanes, dtype=bool)
-                    prev[cur] = True
-                    cur = prev & cond
-                elif cur is None:
-                    cur = cond
-                else:
-                    cur = cur & cond
-            levels.append((cur, k + 1, identity_id))
-        return levels
-
-    # -- compute + commit -----------------------------------------------
+        return self._guards is None or self._guards(args)
 
     def run(self, args: tuple) -> None:
         """Replay the whole grid onto ``args`` (compute, then commit).
@@ -204,63 +119,9 @@ class CompiledReplay:
         *after* mutation began (which the pre-commit shape checks make
         unreachable in practice).
         """
-        trace = self.trace
-        geom = self.geom
-        multi = len(trace.stores) > 1
         try:
-            memo: dict = {}
-            levels = self._selections(args, memo)
-            uenv = EvalEnv(args, geom, sel=None, sel_key=0, memo=memo)
-            ops: List[tuple] = []
-            for store in trace.stores:
-                sel, sel_key, ident = levels[store.mask_count]
-                env = EvalEnv(
-                    args, geom, sel=sel, sel_key=sel_key, memo=memo,
-                    identity_id=ident,
-                )
-                arr = args[store.pos]
-                if isinstance(store, SpanStore):
-                    n = int(eval_expr(store.extent, uenv))
-                    if store.mask_count:
-                        raise CompileFallback(
-                            "span-shape",
-                            "grid-strided span store under a lane mask",
-                        )
-                    vals = eval_expr(store.value, uenv)
-                    np.broadcast_shapes((n,), np.shape(vals))
-                    ops.append(("span", arr, n, vals))
-                    continue
-                vals = eval_expr(store.value, env)
-                if (
-                    isinstance(sel, slice)
-                    and len(store.index) == 1
-                    and id(store.index[0]) == ident
-                ):
-                    np.broadcast_shapes(
-                        ((sel.stop or 0) - (sel.start or 0),), np.shape(vals)
-                    )
-                    ops.append(("slice", arr, sel, vals))
-                else:
-                    idx = tuple(eval_expr(i, env) for i in store.index)
-                    target = idx[0] if len(idx) == 1 else idx
-                    tshape = (
-                        np.shape(idx[0]) if len(idx) == 1
-                        else np.broadcast_shapes(*(np.shape(i) for i in idx))
-                    )
-                    np.broadcast_shapes(tshape, np.shape(vals))
-                    ops.append(("scatter", arr, target, vals))
-            if multi:
-                # Two stores may alias: a value that is a *view* of an
-                # argument array must be materialised before any commit
-                # mutates what it views.
-                ops = [
-                    (kind, arr, tgt,
-                     vals.copy()
-                     if isinstance(vals, np.ndarray) and vals.base is not None
-                     else vals)
-                    for kind, arr, tgt, vals in ops
-                ]
-        except CompileFallback:
+            self._program(args)
+        except (CompileFallback, KernelError):
             raise
         except Exception as exc:
             raise CompileFallback(
@@ -270,25 +131,27 @@ class CompiledReplay:
                 f"authoritative",
             ) from exc
 
-        # Commit: plain assignments only.  Nothing below re-evaluates.
-        for kind, arr, tgt, vals in ops:
-            try:
-                if kind == "span":
-                    arr[:tgt] = vals
-                elif kind == "slice":
-                    arr[tgt] = vals
-                else:
-                    arr[tgt] = vals
-            except Exception as exc:  # pragma: no cover - pre-checked
-                raise KernelError(
-                    "compiled replay failed mid-commit; buffer state may "
-                    "be partial"
-                ) from exc
-
 
 # ---------------------------------------------------------------------------
 # Plan-level cache + execution
 # ---------------------------------------------------------------------------
+
+
+def _remember(cache: Dict, args: tuple, entry) -> None:
+    """Memoise ``entry`` (a replay or a fallback verdict) on the
+    identity of ``args``, the way ``LaunchPlan.unwrap_args`` does: the
+    tuple is held, so its id cannot be recycled while remembered."""
+    recent = cache.get(_RECENT)
+    if recent is None or len(recent) >= _RECENT_MAX:
+        recent = cache[_RECENT] = {}
+    recent[id(args)] = (args, entry)
+
+
+def _store(cache: Dict, sig: tuple, entry) -> None:
+    """(Re)bind ``sig`` and forget the argument tuples that resolved to
+    whatever it held before."""
+    cache[sig] = entry
+    cache.pop(_RECENT, None)
 
 
 def replay_for(plan, task, args: tuple) -> Tuple[CompiledReplay, bool]:
@@ -301,29 +164,44 @@ def replay_for(plan, task, args: tuple) -> Tuple[CompiledReplay, bool]:
     pay a dict lookup, not a trace attempt).
     """
     cache: Dict = plan._compiled
-    sig = _signature(args)
-    entry = cache.get(sig)
-    kname = kernel_name(plan.kernel)
-    if entry is None:
-        metrics.note_trace(kname)
-        try:
-            trace = trace_kernel(plan.kernel, plan.work_div, plan.props, args)
-        except CompileFallback as cf:
-            cache[sig] = ("fallback", cf.reason, cf.detail)
-            raise
-        replay = CompiledReplay(plan, trace, sig)
-        cache[sig] = replay
-        return replay, True
+    recent = cache.get(_RECENT)
+    hit = recent.get(id(args)) if recent is not None else None
+    fresh = False
+    if hit is not None and hit[0] is args:
+        entry = hit[1]
+    else:
+        sig = _signature(args)
+        entry = cache.get(sig)
+        if entry is None:
+            metrics.note_trace(kernel_name(plan.kernel))
+            try:
+                entry = CompiledReplay(
+                    plan,
+                    trace_kernel(plan.kernel, plan.work_div, plan.props, args),
+                    sig,
+                )
+            except CompileFallback as cf:
+                entry = ("fallback", cf.reason, cf.detail)
+            except Exception as exc:
+                # The generator met a trace it cannot lower.
+                entry = (
+                    "fallback", "unsupported-op",
+                    f"lowering the trace failed ({type(exc).__name__}: {exc})",
+                )
+            _store(cache, sig, entry)
+            fresh = True
+        _remember(cache, args, entry)
     if isinstance(entry, tuple):
         raise CompileFallback(entry[1], entry[2])
-    metrics.note_cache_hit(kname)
-    return entry, False
+    if not fresh:
+        entry.counters.cache_hit()
+    return entry, fresh
 
 
 def _retrace(plan, task, args: tuple) -> CompiledReplay:
-    kname = kernel_name(plan.kernel)
-    metrics.note_retrace(kname)
+    metrics.note_retrace(kernel_name(plan.kernel))
     plan._compiled.pop(_signature(args), None)
+    plan._compiled.pop(_RECENT, None)
     replay, _fresh = replay_for(plan, task, args)
     return replay
 
@@ -331,33 +209,40 @@ def _retrace(plan, task, args: tuple) -> CompiledReplay:
 def execute_compiled(plan, grid, task, interpret=None) -> None:
     """Run one launch through the compiled path.
 
-    ``interpret`` (when cross-checking) is a zero-argument callable
-    that dispatches the same launch through the interpreting scheduler.
-    Raises :class:`CompileFallback` when the launch must fall back —
-    always *before* any argument byte changed.
+    ``interpret`` (passed when cross-checking) is a zero-argument
+    callable that dispatches the same launch through the interpreting
+    scheduler.  Raises :class:`CompileFallback` when the launch must
+    fall back — always *before* any argument byte changed.
     """
     args = grid.args
     replay, fresh = replay_for(plan, task, args)
-    if not fresh and not replay.guards_hold(args):
+    if not fresh and replay._guards is not None and not replay._guards(args):
         # A uniform predicate flipped (e.g. alpha became 0): the traced
         # path is stale for these arguments.  Re-trace against them.
         replay = _retrace(plan, task, args)
-    kname = kernel_name(plan.kernel)
+    if replay._aliased is not None and replay._aliased(args):
+        # A property of these arguments, not of their signature: the
+        # verdict is not cached.
+        raise CompileFallback(
+            "load-after-store",
+            "an argument written through an element box shares memory "
+            "with one read at a shifted box (every thread would have to "
+            "read before any wrote)",
+        )
     try:
-        if interpret is not None and crosscheck_active():
-            _run_crosschecked(replay, args, interpret, kname)
+        if interpret is not None:
+            _run_crosschecked(replay, args, interpret)
         else:
             replay.run(args)
     except CompileFallback as cf:
         # Cache the verdict so warm launches skip straight to
         # interpretation instead of re-failing the replay.
-        plan._compiled[replay.sig] = ("fallback", cf.reason, cf.detail)
+        _store(plan._compiled, replay.sig, ("fallback", cf.reason, cf.detail))
         raise
-    metrics.note_compiled_launch(kname)
+    replay.counters.compiled_launch()
 
 
-def _run_crosschecked(replay: CompiledReplay, args: tuple, interpret,
-                      kname: str) -> None:
+def _run_crosschecked(replay: CompiledReplay, args: tuple, interpret) -> None:
     """Run compiled AND interpreted; assert store targets bit-identical.
 
     The compiled replay runs first (two-phase, so a fallback leaves the
@@ -366,6 +251,7 @@ def _run_crosschecked(replay: CompiledReplay, args: tuple, interpret,
     buffers end up holding the interpreted result — which the check
     just proved identical.
     """
+    kname = replay.counters.kernel
     positions = replay.store_positions
     before = {p: np.array(args[p], copy=True) for p in positions}
     replay.run(args)

@@ -25,6 +25,20 @@ What is representable, and what falls back:
   grid_strided_spans`): the per-thread clipped spans of all threads
   tile ``[0, extent)`` exactly once, so the whole loop collapses into
   one :class:`SpanLoad`/:class:`SpanStore` over the flat extent;
+* **n-d element boxes** (:func:`repro.core.element.element_box`, and
+  :func:`~repro.core.element.clip_box` for the interior): the boxes of
+  all threads are disjoint and together cover the clipped extent, so a
+  box traces as one symbolic :class:`~repro.compile.exprs.Tile`;
+  subscripts built from its bounds plus a constant
+  (``src[ir.start - 1 : ir.stop - 1, ic]``) become shifted whole-array
+  slices.  ``box.start < box.stop`` traces the non-empty path — a
+  thread with an empty box contributes nothing — and every later store
+  must be indexed by that tile or a clip of it.  A shift that leaves
+  the array, a bound used as a number (builtin ``max``/``min``,
+  ``range``) and a store under a lane mask fall back;
+* values of different index domains (per-lane, per-span-element,
+  per-tile-element) never meet in one operation — there is no
+  thread-to-element correspondence the replay could honour;
 * barriers, atomics, shared memory, per-thread RNG, lane-dependent
   ``int()``/``range()`` and loads that alias an earlier store under a
   different index — classified fallbacks, never silent wrong answers.
@@ -35,6 +49,7 @@ kernel's own ``except Exception`` must not swallow the classifier.
 
 from __future__ import annotations
 
+import operator
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -51,11 +66,15 @@ from .exprs import (
     SpanLoad,
     SpanStore,
     Store,
+    Tile,
+    TileLoad,
+    TileStore,
     Ufunc,
 )
 
 __all__ = [
     "CompileFallback",
+    "FALLBACK_REASONS",
     "CompileAcc",
     "SymValue",
     "TraceState",
@@ -75,14 +94,38 @@ MAX_TRACE_NODES = 20000
 MAX_MASK_GUARDS = 8
 
 
+#: The closed set of slugs a :class:`CompileFallback` may carry (the
+#: ``reason`` label of ``repro_compile_fallbacks_total``).  docs/MODEL.md
+#: lists the same set; a test holds the two together.
+FALLBACK_REASONS = frozenset({
+    "atomics",
+    "barrier",
+    "divergent-control-flow",
+    "load-after-store",
+    "replay-error",
+    "rng",
+    "shared-memory",
+    "span-shape",
+    "trace-too-large",
+    "unsupported-arg",
+    "unsupported-op",
+})
+
+
 class CompileFallback(BaseException):
     """Trace abandoned for a classified reason.
 
-    ``reason`` is a short slug (the metrics/flight label); ``detail``
-    the human explanation logged once per (kernel, reason).
+    ``reason`` is a slug from :data:`FALLBACK_REASONS` (the
+    metrics/flight label); ``detail`` the human explanation logged once
+    per (kernel, reason).
     """
 
     def __init__(self, reason: str, detail: str = ""):
+        if reason not in FALLBACK_REASONS:
+            raise ValueError(
+                f"unclassified compile-fallback reason {reason!r}; "
+                f"known: {sorted(FALLBACK_REASONS)}"
+            )
         super().__init__(detail or reason)
         self.reason = reason
         self.detail = detail or reason
@@ -107,6 +150,8 @@ class TraceState:
         #: Array positions written so far (alias analysis is identity
         #: of index expressions; anything else is a fallback).
         self.stored_positions = set()
+        #: Tiles the taken path assumed non-empty, in trace order.
+        self.nonempty_tiles: List[Tile] = []
 
     def count(self, n: int = 1) -> None:
         self.nodes += n
@@ -130,6 +175,23 @@ class TraceState:
         self.guards.append((expr, expected))
 
     def add_store(self, store) -> None:
+        tile = store.tile if isinstance(store, TileStore) else None
+        for cond in self.nonempty_tiles:
+            # Only threads whose `cond` box is non-empty reach this
+            # store; it is the whole grid's store only if every other
+            # thread's share of it is empty too.
+            if tile is None or tile.family is not cond.family \
+                    or tile.halo < cond.halo:
+                raise CompileFallback(
+                    "divergent-control-flow",
+                    "store under an element-box non-emptiness test that "
+                    "is not indexed by that box or a clip of it",
+                )
+        if self.masks and not isinstance(store, Store):
+            raise CompileFallback(
+                "span-shape",
+                "element span or box store under a lane mask",
+            )
         self.stores.append(store)
 
 
@@ -144,23 +206,37 @@ def _sample(fn, values):
         return None
 
 
-class SymValue:
-    """A traced operand: one value per thread of the grid.
+#: Index domain of one-value-per-thread operands (the other domains
+#: are the span's extent expression and the :class:`Tile` object).
+LANE = "lane"
 
-    ``lane=False`` marks a *uniform* value (same in every thread); its
-    ``value`` is the concrete sample computed from the live arguments,
-    which is what uniform branches and ``int()`` conversions consume.
+
+class SymValue:
+    """A traced operand: one value per thread, span element or tile
+    element of the grid.
+
+    ``domain`` says which: ``None`` marks a *uniform* value (same in
+    every thread); its ``value`` is the concrete sample computed from
+    the live arguments, which is what uniform branches and ``int()``
+    conversions consume.  :data:`LANE` is one value per thread, a
+    span's extent expression one per element of that span, a
+    :class:`Tile` one per element of that tile.
     """
 
-    __slots__ = ("st", "expr", "value", "lane", "cmp")
+    __slots__ = ("st", "expr", "value", "domain", "cmp")
 
     def __init__(self, st: TraceState, expr: Expr, value=None,
-                 lane: bool = False, cmp: Optional[tuple] = None):
+                 domain=None, cmp: Optional[tuple] = None):
         self.st = st
         self.expr = expr
         self.value = value
-        self.lane = lane
+        self.domain = domain
         self.cmp = cmp
+
+    @property
+    def lane(self) -> bool:
+        """Does the value vary across the grid?"""
+        return self.domain is not None
 
     # -- helpers --------------------------------------------------------
 
@@ -170,7 +246,7 @@ class SymValue:
         if isinstance(other, (bool, int, float, np.bool_, np.integer,
                               np.floating)):
             self.st.count()
-            return SymValue(self.st, Const(other), value=other, lane=False)
+            return SymValue(self.st, Const(other), value=other)
         raise CompileFallback(
             "unsupported-op",
             f"operand of unsupported type {type(other).__name__!r} in "
@@ -181,9 +257,22 @@ class SymValue:
         syms = [self._coerce(o) for o in operands]
         self.st.count()
         expr = Ufunc(fn, tuple(s.expr for s in syms))
-        lane = any(s.lane for s in syms)
-        value = None if lane else _sample(fn, [s.value for s in syms])
-        return SymValue(self.st, expr, value=value, lane=lane, cmp=cmp)
+        domain = None
+        for s in syms:
+            if s.domain is None or s.domain is domain:
+                continue
+            if domain is not None:
+                raise CompileFallback(
+                    "unsupported-op",
+                    f"{getattr(fn, '__name__', fn)} combines values of "
+                    f"different index domains (per-thread, per-span "
+                    f"element, per-box element)",
+                )
+            domain = s.domain
+        value = (
+            _sample(fn, [s.value for s in syms]) if domain is None else None
+        )
+        return SymValue(self.st, expr, value=value, domain=domain, cmp=cmp)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -302,7 +391,7 @@ class SymValue:
         cmp = self.cmp
         if cmp is not None:
             op, lhs, rhs = cmp
-            if op in ("lt", "le") and lhs.lane and not rhs.lane:
+            if op in ("lt", "le") and lhs.domain is LANE and not rhs.lane:
                 # The canonical bounds guard `if i < n:` — the taken
                 # path is traced with the mask applied to every
                 # subsequent store.  No other comparison shape is
@@ -345,11 +434,14 @@ class SymValue:
     # -- numpy interception --------------------------------------------
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if method != "__call__" or kwargs.get("out") is not None:
+        if (
+            method != "__call__" or kwargs.get("out") is not None
+            or ufunc.nout != 1
+        ):
             raise CompileFallback(
                 "unsupported-op",
                 f"numpy ufunc method {ufunc.__name__}.{method} on traced "
-                f"values",
+                f"values (or a ufunc with several outputs)",
             )
         kwargs.pop("out", None)
         if kwargs:
@@ -361,7 +453,7 @@ class SymValue:
         return self._apply(ufunc, *inputs)
 
     def __repr__(self):
-        kind = "lane" if self.lane else f"uniform={self.value!r}"
+        kind = "varying" if self.lane else f"uniform={self.value!r}"
         return f"SymValue({kind})"
 
 
@@ -377,6 +469,163 @@ class _SymSpan:
 
     def __init__(self, extent: SymValue):
         self.extent = extent
+
+
+class _TileTest:
+    """A comparison of element-box bounds.  Only ``start < stop`` and
+    ``start >= stop`` of one axis (either way round) have a verdict;
+    any other comparison diverts when branched on."""
+
+    __slots__ = ("st", "tile", "truth")
+
+    def __init__(self, st: TraceState, tile: Optional[Tile], truth: bool):
+        self.st = st
+        self.tile = tile
+        self.truth = truth
+
+    def __bool__(self) -> bool:
+        if self.tile is None:
+            raise CompileFallback(
+                "divergent-control-flow",
+                "branch on an element-box bound that is not its "
+                "`start < stop` non-emptiness test (builtin min()/max() "
+                "on a box bound?)",
+            )
+        # Trace the non-empty path: a thread whose box is empty
+        # contributes nothing, and TraceState.add_store holds every
+        # later store to that.
+        if self.tile not in self.st.nonempty_tiles:
+            self.st.nonempty_tiles.append(self.tile)
+        return self.truth
+
+
+_MIRRORED = {"lt": "gt", "gt": "lt", "le": "ge", "ge": "le",
+             "eq": "eq", "ne": "ne"}
+
+
+class _SymBound:
+    """``axis.start + offset`` or ``axis.stop + offset`` of a tile axis."""
+
+    __slots__ = ("axis", "is_stop", "offset")
+
+    def __init__(self, axis: "_SymTileAxis", is_stop: bool, offset: int = 0):
+        self.axis = axis
+        self.is_stop = is_stop
+        self.offset = offset
+
+    def __add__(self, other):
+        if not isinstance(other, (int, np.integer)):
+            return NotImplemented
+        return _SymBound(self.axis, self.is_stop, self.offset + int(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if not isinstance(other, (int, np.integer)):
+            return NotImplemented
+        return _SymBound(self.axis, self.is_stop, self.offset - int(other))
+
+    def _compare(self, op: str, other) -> _TileTest:
+        tile = None
+        if (
+            isinstance(other, _SymBound)
+            and other.axis is self.axis
+            and self.offset == other.offset == 0
+            and self.is_stop != other.is_stop
+        ):
+            if self.is_stop:  # read it with `start` on the left
+                op = _MIRRORED[op]
+            if op in ("lt", "ge"):
+                tile = self.axis.tile
+        return _TileTest(self.axis.st, tile, truth=(op == "lt"))
+
+    def __lt__(self, other):
+        return self._compare("lt", other)
+
+    def __le__(self, other):
+        return self._compare("le", other)
+
+    def __gt__(self, other):
+        return self._compare("gt", other)
+
+    def __ge__(self, other):
+        return self._compare("ge", other)
+
+    def __eq__(self, other):  # noqa: D105
+        return self._compare("eq", other)
+
+    def __ne__(self, other):
+        return self._compare("ne", other)
+
+    __hash__ = object.__hash__
+
+    def __index__(self):
+        raise CompileFallback(
+            "divergent-control-flow",
+            "element-box bound used as a concrete integer "
+            "(range()/len()/index arithmetic on a box bound?)",
+        )
+
+    __int__ = __index__
+
+
+class _SymTileAxis:
+    """One axis of a symbolic element box (stands in for a ``slice``)."""
+
+    __slots__ = ("st", "tile", "axis", "start", "stop")
+
+    def __init__(self, st: TraceState, tile: Tile, axis: int):
+        self.st = st
+        self.tile = tile
+        self.axis = axis
+        self.start = _SymBound(self, False)
+        self.stop = _SymBound(self, True)
+
+
+def _concrete_extent(extent) -> Tuple[int, ...]:
+    """An element-box extent as ints; a symbolic component is
+    concretised through ``SymValue.__index__``, which guards it."""
+    if isinstance(extent, (int, np.integer, SymValue)):
+        extent = (extent,)
+    return tuple(operator.index(e) for e in extent)
+
+
+class _SymBox(tuple):
+    """What :func:`~repro.core.element.element_box` returns under the
+    tracer: one :class:`_SymTileAxis` per axis, able to clip itself.
+    ``clips`` maps halo -> box for every box clipped from the same
+    ``element_box`` call, so equal clips are one tile."""
+
+    def __new__(cls, st: TraceState, extent: Tuple[int, ...],
+                grid_elems: Tuple[int, ...], halo: int, family: object,
+                clips: dict):
+        bounds = tuple(
+            (halo, min(e, g, e - halo)) for e, g in zip(extent, grid_elems)
+        )
+        if any(hi <= lo for lo, hi in bounds):
+            bounds = ((0, 0),) * len(bounds)
+        tile = Tile(family, halo, bounds)
+        box = super().__new__(
+            cls, (_SymTileAxis(st, tile, a) for a in range(len(extent)))
+        )
+        box.st, box.extent, box.grid_elems = st, extent, grid_elems
+        box.tile, box.clips = tile, clips
+        clips[halo] = box
+        return box
+
+    def trace_clip(self, extent, halo) -> "_SymBox":
+        """Hook consumed by :func:`repro.core.element.clip_box`."""
+        halo = operator.index(halo)
+        if _concrete_extent(extent) != self.extent or halo < self.tile.halo:
+            raise CompileFallback(
+                "unsupported-op",
+                "clip_box with another extent than its box was made "
+                "for, or a smaller halo",
+            )
+        return self.clips.get(halo) or _SymBox(
+            self.st, self.extent, self.grid_elems, halo, self.tile.family,
+            self.clips,
+        )
 
 
 class SymArrayArg:
@@ -416,6 +665,12 @@ class SymArrayArg:
         sample: Optional[list] = []
         for it in items:
             if isinstance(it, SymValue):
+                if it.domain not in (None, LANE):
+                    raise CompileFallback(
+                        "unsupported-op",
+                        "array indexed with a per-element value of an "
+                        "element span or box",
+                    )
                 exprs.append(it.expr)
                 lane = lane or it.lane
                 if sample is not None and not it.lane:
@@ -436,27 +691,76 @@ class SymArrayArg:
         return tuple(exprs), lane, (None if lane or sample is None
                                     else tuple(sample))
 
-    def _forward_key(self, exprs: Tuple[Expr, ...]):
-        return (self.pos,) + tuple(id(e) for e in exprs)
+    def _tile_index(self, idx) -> Optional[Tuple[Tile, Tuple[int, ...]]]:
+        """``(tile, shifts)`` when ``idx`` is built from the axes of one
+        element box — each axis as it is or as
+        ``axis.start + k : axis.stop + k`` — else ``None``."""
+        items = idx if isinstance(idx, tuple) else (idx,)
+        parsed = []
+        for it in items:
+            if isinstance(it, _SymTileAxis):
+                parsed.append((it, 0))
+            elif isinstance(it, slice) and (
+                isinstance(it.start, _SymBound) or isinstance(it.stop, _SymBound)
+            ):
+                lo, hi = it.start, it.stop
+                if not (
+                    isinstance(lo, _SymBound) and isinstance(hi, _SymBound)
+                    and lo.axis is hi.axis and not lo.is_stop and hi.is_stop
+                    and lo.offset == hi.offset and it.step is None
+                ):
+                    raise CompileFallback(
+                        "unsupported-op",
+                        "slice of element-box bounds that is not the box "
+                        "moved by a constant (start + k : stop + k)",
+                    )
+                parsed.append((lo.axis, lo.offset))
+            else:
+                parsed.append(None)
+        if all(p is None for p in parsed):
+            return None
+        tile = next(p for p in parsed if p is not None)[0].tile
+        if (
+            len(parsed) != len(tile.bounds)
+            or len(parsed) != self.arr.ndim
+            or any(
+                p is None or p[0].tile is not tile or p[0].axis != j
+                for j, p in enumerate(parsed)
+            )
+        ):
+            raise CompileFallback(
+                "unsupported-op",
+                "subscript is not the axes of one element box in order, "
+                "one per array dimension",
+            )
+        shifts = tuple(k for _axis, k in parsed)
+        if any(hi > lo for lo, hi in tile.bounds) and any(
+            lo + k < 0 or hi + k > n
+            for (lo, hi), k, n in zip(tile.bounds, shifts, self.arr.shape)
+        ):
+            raise CompileFallback(
+                "unsupported-op",
+                f"element box moved by {shifts} leaves argument "
+                f"{self.pos} of shape {self.arr.shape} (the interpreter "
+                f"would wrap or clip the slice per thread)",
+            )
+        return tile, shifts
+
+    def _classify(self, idx):
+        """``(forwarding key, index domain, detail)`` of a subscript;
+        ``detail`` is the span's extent, ``(tile, shifts)`` or
+        ``(index exprs, sample)``."""
+        if isinstance(idx, _SymSpan):
+            extent = idx.extent.expr
+            return ("span", self.pos, extent), extent, extent
+        tiled = self._tile_index(idx)
+        if tiled is not None:
+            return ("tile", self.pos) + tiled, tiled[0], tiled
+        exprs, lane, sample = self._index_exprs(idx)
+        return (self.pos,) + exprs, LANE if lane else None, (exprs, sample)
 
     def __getitem__(self, idx):
-        if isinstance(idx, _SymSpan):
-            key = ("span", self.pos, id(idx.extent.expr))
-            fwd = self.st.forwarded.get(key)
-            if fwd is not None:
-                return fwd
-            if self.pos in self.st.stored_positions:
-                raise CompileFallback(
-                    "load-after-store",
-                    "span load from an array already written under a "
-                    "different index",
-                )
-            self.st.count()
-            return SymValue(
-                self.st, SpanLoad(self.pos, idx.extent.expr), lane=True
-            )
-        exprs, lane, sample = self._index_exprs(idx)
-        key = self._forward_key(exprs)
+        key, domain, detail = self._classify(idx)
         fwd = self.st.forwarded.get(key)
         if fwd is not None:
             return fwd
@@ -467,9 +771,14 @@ class SymArrayArg:
                 "index (cannot prove the accesses disjoint)",
             )
         self.st.count()
-        node = Load(self.pos, exprs)
-        if not lane:
-            value = None
+        value = None
+        if key[0] == "span":
+            node = SpanLoad(self.pos, detail)
+        elif key[0] == "tile":
+            node = TileLoad(self.pos, *detail)
+        else:
+            exprs, sample = detail
+            node = Load(self.pos, exprs)
             if sample is not None:
                 try:
                     value = self.arr[
@@ -477,8 +786,7 @@ class SymArrayArg:
                     ]
                 except Exception:
                     value = None
-            return SymValue(self.st, node, value=value, lane=False)
-        return SymValue(self.st, node, lane=True)
+        return SymValue(self.st, node, value=value, domain=domain)
 
     def _coerce_value(self, value) -> SymValue:
         if isinstance(value, SymValue):
@@ -486,7 +794,7 @@ class SymArrayArg:
         if isinstance(value, (bool, int, float, np.bool_, np.integer,
                               np.floating)):
             self.st.count()
-            return SymValue(self.st, Const(value), value=value, lane=False)
+            return SymValue(self.st, Const(value), value=value)
         raise CompileFallback(
             "unsupported-op",
             f"store of unsupported value type {type(value).__name__!r}",
@@ -494,19 +802,28 @@ class SymArrayArg:
 
     def __setitem__(self, idx, value) -> None:
         val = self._coerce_value(value)
-        if isinstance(idx, _SymSpan):
-            self.st.count()
-            self.st.add_store(SpanStore(
-                self.pos, idx.extent.expr, val.expr, len(self.st.masks)
-            ))
-            self.st.stored_positions.add(self.pos)
-            self.st.forwarded[("span", self.pos, id(idx.extent.expr))] = val
-            return
-        exprs, _lane, _sample = self._index_exprs(idx)
+        key, domain, detail = self._classify(idx)
+        if val.domain is not None and val.domain is not domain:
+            raise CompileFallback(
+                "unsupported-op",
+                "stored value and subscript range over different index "
+                "domains (per-thread, per-span element, per-box element)",
+            )
         self.st.count()
-        self.st.add_store(Store(self.pos, exprs, val.expr, len(self.st.masks)))
+        if key[0] == "span":
+            store = SpanStore(self.pos, detail, val.expr, len(self.st.masks))
+        elif key[0] == "tile":
+            tile, shifts = detail
+            if any(shifts):
+                raise CompileFallback(
+                    "unsupported-op", "store through a moved element box"
+                )
+            store = TileStore(self.pos, tile, val.expr)
+        else:
+            store = Store(self.pos, detail[0], val.expr, len(self.st.masks))
+        self.st.add_store(store)
         self.st.stored_positions.add(self.pos)
-        self.st.forwarded[self._forward_key(exprs)] = val
+        self.st.forwarded[key] = val
 
     def __repr__(self):
         return f"SymArrayArg(arg{self.pos}, {self.arr.dtype}, " \
@@ -579,7 +896,7 @@ class CompileAcc:
         sym = self._idx_cache.get(key)
         if sym is None:
             self.st.count()
-            sym = SymValue(self.st, LaneIndex(kind, axis), lane=True)
+            sym = SymValue(self.st, LaneIndex(kind, axis), domain=LANE)
             self._idx_cache[key] = sym
         return sym
 
@@ -624,9 +941,30 @@ class CompileAcc:
         else:
             self.st.count()
             ext = SymValue(
-                self.st, Const(int(extent)), value=int(extent), lane=False
+                self.st, Const(int(extent)), value=int(extent)
             )
         yield _SymSpan(ext)
+
+    def trace_elem_box(self, extent) -> _SymBox:
+        """Hook consumed by :func:`repro.core.element.element_box`: the
+        boxes of all threads are disjoint and together cover
+        ``[0, min(extent, grid_elem_extent))`` per axis (the box does
+        not stride, so a grid smaller than the extent leaves the rest
+        alone) — one symbolic tile."""
+        extent = _concrete_extent(extent)
+        wd = self.st.work_div
+        if len(extent) != wd.dim:
+            raise CompileFallback(
+                "unsupported-op",
+                f"{len(extent)}-d element box on a {wd.dim}-d work division",
+            )
+        box = self._idx_cache.get(("box", extent))
+        if box is None:
+            box = self._idx_cache[("box", extent)] = _SymBox(
+                self.st, extent, tuple(int(g) for g in wd.grid_elem_extent),
+                0, object(), {},
+            )
+        return box
 
     # -- classified fallbacks ------------------------------------------
 
@@ -736,7 +1074,7 @@ def _make_sym_args(st: TraceState, args: tuple):
         elif isinstance(a, (bool, int, float, np.bool_, np.integer,
                             np.floating)):
             st.count()
-            sym.append(SymValue(st, Arg(pos), value=a, lane=False))
+            sym.append(SymValue(st, Arg(pos), value=a))
         else:
             raise CompileFallback(
                 "unsupported-arg",

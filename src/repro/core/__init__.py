@@ -7,6 +7,7 @@ division and index retrieval.
 """
 
 from .element import (
+    clip_box,
     element_box,
     element_slice,
     grid_strided_spans,
@@ -72,7 +73,7 @@ __all__ = [
     "KernelTask", "create_task_kernel", "fn_acc", "fn_host", "fn_host_acc",
     "is_acc_callable",
     # element
-    "element_box", "element_slice", "independent_elements", "grid_strided_spans",
+    "element_box", "clip_box", "element_slice", "independent_elements", "grid_strided_spans",
     # properties
     "AccDevProps",
     # errors

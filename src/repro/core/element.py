@@ -23,6 +23,7 @@ from .vec import Vec
 
 __all__ = [
     "element_box",
+    "clip_box",
     "element_slice",
     "independent_elements",
     "grid_strided_spans",
@@ -35,16 +36,48 @@ def element_box(acc, extent) -> Tuple[slice, ...]:
     The box is ``[first, first + elems_per_thread)`` per axis, clipped
     to ``extent``.  Empty slices result when the thread falls entirely
     outside the data (the overhang threads of a non-dividing work
-    division).
+    division).  The box does not stride: the boxes of all threads are
+    disjoint and together cover ``[0, min(extent, grid elements))`` per
+    axis — which is all a compile-tracing accelerator
+    (:mod:`repro.compile`) needs to take the whole grid's boxes as one
+    symbolic tile through its ``trace_elem_box`` hook.
     """
-    ext = extent if isinstance(extent, Vec) else Vec.from_iterable(
-        (extent,) if isinstance(extent, int) else extent
-    )
+    hook = getattr(acc, "trace_elem_box", None)
+    if hook is not None:
+        return hook(extent)
+    ext = (extent,) if isinstance(extent, int) else extent
     first = get_idx(acc, Grid, Elems)
     span = get_work_div(acc, Thread, Elems)
-    return tuple(
-        [slice(min(f, e), min(f + s, e)) for f, s, e in zip(first, span, ext)]
-    )
+    return tuple([
+        slice(e if e < f else f, e if e < f + s else f + s)
+        for f, s, e in zip(first, span, ext)
+    ])
+
+
+def clip_box(box: Tuple[slice, ...], extent, halo: int = 1) -> Tuple[slice, ...]:
+    """``box`` clipped to the interior ``[halo, extent - halo)`` per axis.
+
+    The stencil idiom: write the owned box, then update the part of it
+    that has all its neighbours::
+
+        box = element_box(acc, (h, w))
+        ir, ic = clip_box(box, (h, w))
+        if ir.start < ir.stop and ic.start < ic.stop:
+            dst[ir, ic] = src[ir.start - 1 : ir.stop - 1, ic] + ...
+
+    A clipped axis may come out empty (``start >= stop``, also when the
+    data is narrower than two halos); test before use.  Pure arithmetic
+    on the slices — it does not query the index again.
+    """
+    if type(box) is not tuple:  # a tracer's symbolic box clips itself
+        return box.trace_clip(extent, halo)
+    return tuple([
+        slice(
+            s.start if s.start > halo else halo,
+            s.stop if s.stop < e - halo else e - halo,
+        )
+        for s, e in zip(box, extent)
+    ])
 
 
 def element_slice(acc, extent: int) -> slice:

@@ -37,9 +37,10 @@ from .. import knobs
 from ..core.errors import GraphError
 from ..mem.buf import Buffer
 from ..mem.view import ViewSubView
-from ..runtime import execute_plan, scheduler_for
+from ..runtime import execute_plan, resolve_scheduler_override, scheduler_for
 from ..runtime.instrument import notify_graph_end, observers
-from ..runtime.plan import get_graph_plan, get_plan
+from ..runtime.plan import GraphPlan, get_graph_plan, get_plan
+from ..tuning.cache import tuning_generation
 
 #: Bound on first run() — importing repro.sanitize eagerly here would
 #: drag the whole sanitizer machinery into every graph import.
@@ -136,7 +137,11 @@ class GraphExec:
             if any(j >= i for j in d):
                 raise GraphError(f"forward edge {d} on node #{i}")
         self.plan = None  # GraphPlan, bound at first run
-        self.last_stats: Optional[GraphRunStats] = None
+        #: (mode, wall, replayed) of the last finished run, and the
+        #: stats built from it — on the first read of ``last_stats``,
+        #: unless an observer needed them at once.
+        self._last_run: Optional[tuple] = None
+        self._last_stats: Optional[GraphRunStats] = None
         self.failed = False
         self.error: Optional[BaseException] = None
         self._fail_lock = threading.Lock()
@@ -193,10 +198,9 @@ class GraphExec:
         """The graph-cache key: node signatures + edges + devices, plus
         the same volatile context the per-launch key folds in (tuning
         generation, scheduler override) so a tuning run or an env flip
-        misses instead of replaying a stale snapshot."""
-        from ..runtime.scheduler import resolve_scheduler_override
-        from ..tuning.cache import tuning_generation
-
+        misses instead of replaying a stale snapshot.  The node part is
+        derived once per frozen graph and again only when that context
+        moves; a warm submit pays the context read alone."""
         ctx = (tuning_generation(), resolve_scheduler_override())
         if ctx != self._key_ctx:
             self._key = (
@@ -208,8 +212,6 @@ class GraphExec:
         return self._key
 
     def _build_plan(self, key):
-        from ..runtime.plan import GraphPlan
-
         return GraphPlan(
             key=key,
             order=self.order,
@@ -243,6 +245,31 @@ class GraphExec:
         return self
 
     def _finish(self, mode: str, wall: float, replayed: bool) -> None:
+        """Close a run.  Unobserved, that is three stores: the stats
+        (durations, critical path, the record itself) are built when
+        somebody reads :attr:`last_stats` — the free-when-unobserved
+        rule of the launch path."""
+        self._last_run = (mode, wall, replayed)
+        self._last_stats = None
+        observed = bool(observers())
+        if observed:
+            self._last_stats = self._build_stats(with_node_info=True)
+        self._done.set()
+        if observed:
+            notify_graph_end(self, self._last_stats)
+
+    @property
+    def last_stats(self) -> Optional[GraphRunStats]:
+        """The :class:`GraphRunStats` of the last finished run (``None``
+        before the first)."""
+        if self._last_stats is None and self._last_run is not None:
+            # Nobody was listening when the run finished: totals only,
+            # no per-node records.
+            self._last_stats = self._build_stats(with_node_info=False)
+        return self._last_stats
+
+    def _build_stats(self, with_node_info: bool) -> GraphRunStats:
+        mode, wall, replayed = self._last_run
         nodes = self.nodes
         deps = self.deps
         durs = [n.duration or 0.0 for n in nodes]
@@ -250,8 +277,8 @@ class GraphExec:
         for i in self.order:
             d = deps[i]
             cp[i] = durs[i] + (max(cp[j] for j in d) if d else 0.0)
-        obs = observers()
-        if obs:
+        node_info: Tuple[tuple, ...] = ()
+        if with_node_info:
             t0 = self._t0
             node_info = tuple(
                 (
@@ -264,11 +291,7 @@ class GraphExec:
                 )
                 for n in nodes
             )
-        else:
-            # Nobody is listening: don't pay for per-node records on the
-            # warm replay path (stats totals stay exact either way).
-            node_info = ()
-        self.last_stats = GraphRunStats(
+        return GraphRunStats(
             graph_id=self.graph_id,
             mode=mode,
             node_count=self.node_count,
@@ -279,9 +302,6 @@ class GraphExec:
             replayed=replayed,
             node_info=node_info,
         )
-        self._done.set()
-        if obs:
-            notify_graph_end(self, self.last_stats)
 
     # -- inline replay path ----------------------------------------------
 

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.element import element_box
+from ..core.element import clip_box, element_box
 from ..core.kernel import fn_acc
-from ..core.vec import Vec
 from ..hardware.cache import AccessPattern
 from ..perfmodel.kernel_model import KernelCharacteristics
 
@@ -22,18 +21,21 @@ class Jacobi2DKernel:
     """One Jacobi sweep: ``dst = src + c * laplacian(src)`` on the
     interior of an (h, w) grid; boundary rows/columns are copied.
 
-    Each thread owns a 2-d element box and updates it with vector
-    operations over shifted views — the element level in two dimensions.
+    Each thread owns a 2-d element box, copies it through and updates
+    its interior with vector operations over shifted views — the element
+    level in two dimensions.
     """
 
     @fn_acc
     def __call__(self, acc, h, w, c, src, dst):
-        rows, cols = element_box(acc, Vec(h, w))
+        extent = (h, w)
+        box = element_box(acc, extent)
+        rows, cols = box
         if rows.start >= rows.stop or cols.start >= cols.stop:
             return
-        # Clamp the owned box to the interior for the stencil part.
-        ir = slice(max(rows.start, 1), min(rows.stop, h - 1))
-        ic = slice(max(cols.start, 1), min(cols.stop, w - 1))
+        # Pass the owned box through, then overwrite its interior.
+        dst[rows, cols] = src[rows, cols]
+        ir, ic = clip_box(box, extent)
         if ir.start < ir.stop and ic.start < ic.stop:
             up = src[ir.start - 1 : ir.stop - 1, ic]
             down = src[ir.start + 1 : ir.stop + 1, ic]
@@ -41,14 +43,6 @@ class Jacobi2DKernel:
             right = src[ir, ic.start + 1 : ic.stop + 1]
             center = src[ir, ic]
             dst[ir, ic] = center + c * (up + down + left + right - 4.0 * center)
-        # Pass boundary cells of the owned box through unchanged.
-        for r in range(rows.start, rows.stop):
-            if r in (0, h - 1):
-                dst[r, cols] = src[r, cols]
-        if cols.start == 0:
-            dst[rows, 0] = src[rows, 0]
-        if cols.stop == w:
-            dst[rows, w - 1] = src[rows, w - 1]
 
     def characteristics(self, work_div, h, w, c, src, dst) -> KernelCharacteristics:
         cells = float(h * w)

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.element import element_box
+from ..core.element import clip_box, element_box
 from ..core.kernel import fn_acc
-from ..core.vec import Vec
 from ..hardware.cache import AccessPattern
 from ..perfmodel.kernel_model import KernelCharacteristics
 
@@ -25,14 +24,14 @@ class Jacobi3DKernel:
 
     @fn_acc
     def __call__(self, acc, d, h, w, c, src, dst):
-        box = element_box(acc, Vec(d, h, w))
+        extent = (d, h, w)
+        box = element_box(acc, extent)
         zs, ys, xs = box
         if zs.start >= zs.stop or ys.start >= ys.stop or xs.start >= xs.stop:
             return
-        # Interior part of the owned box.
-        iz = slice(max(zs.start, 1), min(zs.stop, d - 1))
-        iy = slice(max(ys.start, 1), min(ys.stop, h - 1))
-        ix = slice(max(xs.start, 1), min(xs.stop, w - 1))
+        # Pass the owned box through, then overwrite its interior.
+        dst[zs, ys, xs] = src[zs, ys, xs]
+        iz, iy, ix = clip_box(box, extent)
         if iz.start < iz.stop and iy.start < iy.stop and ix.start < ix.stop:
             centre = src[iz, iy, ix]
             lap = (
@@ -45,17 +44,6 @@ class Jacobi3DKernel:
                 - 6.0 * centre
             )
             dst[iz, iy, ix] = centre + c * lap
-        # Boundary faces of the owned box pass through unchanged.
-        for z in range(zs.start, zs.stop):
-            if z in (0, d - 1):
-                dst[z, ys, xs] = src[z, ys, xs]
-        for y in range(ys.start, ys.stop):
-            if y in (0, h - 1):
-                dst[zs, y, xs] = src[zs, y, xs]
-        if xs.start == 0:
-            dst[zs, ys, 0] = src[zs, ys, 0]
-        if xs.stop == w:
-            dst[zs, ys, w - 1] = src[zs, ys, w - 1]
 
     def characteristics(self, work_div, d, h, w, c, src, dst):
         cells = float(d * h * w)

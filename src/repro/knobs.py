@@ -254,6 +254,27 @@ def parse(env: str, raw: str, error: type = KnobError):
         raise error(f"{env}={raw!r} {exc}") from None
 
 
+#: CPython keeps the environment as a dict under encoded names.  Read
+#: with a pre-encoded name, an unset variable — the usual case on the
+#: launch path, which reads several knobs per launch — is one dict miss
+#: instead of the two exceptions ``os.environ.get`` raises and swallows.
+#: The dict is the live one: ``os.environ[...] = ...``, ``monkeypatch``
+#: and :func:`pinned` all write through it.
+_ENV_DATA = getattr(os.environ, "_data", None)
+_ENCODED: Dict[str, object] = {}
+
+
+def _raw(env: str) -> Optional[str]:
+    """The variable's string in the live environment, or ``None``."""
+    if _ENV_DATA is None:  # not CPython's os.environ
+        return os.environ.get(env)
+    key = _ENCODED.get(env)
+    if key is None:
+        key = _ENCODED[env] = os.environ.encodekey(env)
+    raw = _ENV_DATA.get(key)
+    return None if raw is None else os.environ.decodevalue(raw)
+
+
 def get(env: str, default=_UNSET, error: type = KnobError):
     """The current value of knob ``env`` from the live environment.
 
@@ -263,7 +284,7 @@ def get(env: str, default=_UNSET, error: type = KnobError):
     """
     knob = KNOBS[env]
     fallback = knob.default if default is _UNSET else default
-    raw = os.environ.get(env)
+    raw = _raw(env)
     if raw is None or not raw.strip():
         return fallback
     try:

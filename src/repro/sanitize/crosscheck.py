@@ -64,9 +64,16 @@ class CrossCheckReport:
             f"  crosschecks       : {self.crosschecks}",
         ]
         if self.fallbacks:
+            from ..compile import FALLBACK_REASONS
+
             lines.append("  fallbacks (classified, interpreted instead):")
-            for reason in sorted(self.fallbacks):
-                lines.append(f"    {reason}: {self.fallbacks[reason]}")
+            # The vectorizer's closed set first, in its order; then the
+            # scheduler's own reasons (sanitizer, custom-block-subset).
+            order = sorted(FALLBACK_REASONS)
+            order += sorted(set(self.fallbacks) - FALLBACK_REASONS)
+            for reason in order:
+                if reason in self.fallbacks:
+                    lines.append(f"    {reason}: {self.fallbacks[reason]}")
         for failure in self.failures:
             lines.append(f"  MISMATCH {failure}")
         lines.append("  " + ("CLEAN" if self.clean else "FAILED"))

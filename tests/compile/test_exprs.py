@@ -1,20 +1,25 @@
-"""Lane-expression IR: geometry, evaluation, memoisation."""
+"""Lane-expression IR: geometry, and what each node lowers to.
+
+The evaluation cases run the *generated* code
+(:func:`repro.compile.codegen.lower_expr`) — there is no tree-walking
+evaluator any more — with the expectations the evaluator had.
+"""
 
 import numpy as np
 import pytest
 
+from repro.compile.codegen import lower_expr
 from repro.compile.exprs import (
     Arg,
     Const,
-    EvalEnv,
     LaneGeometry,
     LaneIndex,
     Load,
     SpanLoad,
     Ufunc,
     describe_expr,
-    eval_expr,
 )
+from repro.compile.replay import _signature
 from repro.core.workdiv import WorkDivMembers
 
 
@@ -73,58 +78,56 @@ class TestLaneGeometry:
 
 
 class TestEval:
-    def geom(self):
-        return LaneGeometry(WorkDivMembers.make(4, 1, 1))
+    WD = WorkDivMembers.make(4, 1, 1)
+
+    def value(self, node, args=(), masks=(), level=0):
+        return lower_expr(node, self.WD, _signature(args), masks, level)(args)
 
     def test_const_arg_lane(self):
-        geom = self.geom()
-        env = EvalEnv((10, 2.5), geom)
-        assert eval_expr(Const(7), env) == 7
-        assert eval_expr(Arg(1), env) == 2.5
+        args = (10, 2.5)
+        assert self.value(Const(7), args) == 7
+        assert self.value(Arg(1), args) == 2.5
         np.testing.assert_array_equal(
-            eval_expr(LaneIndex("grid_thread", 0), env), np.arange(4)
+            self.value(LaneIndex("grid_thread", 0), args), np.arange(4)
         )
 
     def test_ufunc_applies_actual_callable(self):
-        geom = self.geom()
-        env = EvalEnv((), geom)
         node = Ufunc(np.multiply, (LaneIndex("grid_thread", 0), Const(3)))
-        np.testing.assert_array_equal(
-            eval_expr(node, env), np.arange(4) * 3
-        )
+        np.testing.assert_array_equal(self.value(node), np.arange(4) * 3)
 
     def test_memoised_per_selection(self):
-        geom = self.geom()
-        env = EvalEnv((), geom)
-        node = Ufunc(np.add, (LaneIndex("grid_thread", 0), Const(1)))
-        a = eval_expr(node, env)
-        assert eval_expr(node, env) is a  # same memo entry
+        """A node reached twice is one statement of the program (the
+        evaluator's memo entry, decided at generation time)."""
+        calls = []
+
+        def counted_add(a, b):
+            calls.append(1)
+            return np.add(a, b)
+
+        inner = Ufunc(counted_add, (LaneIndex("grid_thread", 0), Const(1)))
+        fn = lower_expr(Ufunc(np.multiply, (inner, inner)), self.WD)
+        del calls[:]  # generation probes the callable for its dtype
+        np.testing.assert_array_equal(fn(()), (np.arange(4) + 1) ** 2)
+        assert len(calls) == 1
 
     def test_selection_restricts_lanes(self):
-        geom = self.geom()
         x = np.array([10.0, 20.0, 30.0, 40.0])
         idx = LaneIndex("grid_thread", 0)
-        node = Load(0, (idx,))
-        env = EvalEnv((x,), geom, sel=slice(0, 2), sel_key=1,
-                      identity_id=id(idx))
-        v = eval_expr(node, env)
+        masks = (("lt", idx, Const(2)),)
+        v = self.value(Load(0, (idx,)), (x,), masks, level=1)
         np.testing.assert_array_equal(v, x[:2])
         assert v.base is not None  # prefix fast path: a view, no gather
 
     def test_gather_without_identity(self):
-        geom = self.geom()
         x = np.array([10.0, 20.0, 30.0, 40.0])
         idx = Ufunc(np.subtract, (Const(3), LaneIndex("grid_thread", 0)))
-        env = EvalEnv((x,), geom)
         np.testing.assert_array_equal(
-            eval_expr(Load(0, (idx,)), env), x[::-1]
+            self.value(Load(0, (idx,)), (x,)), x[::-1]
         )
 
     def test_span_load_is_prefix(self):
-        geom = self.geom()
         x = np.arange(10.0)
-        env = EvalEnv((x,), geom)
-        v = eval_expr(SpanLoad(0, Const(6)), env)
+        v = self.value(SpanLoad(0, Const(6)), (x,))
         np.testing.assert_array_equal(v, x[:6])
 
 

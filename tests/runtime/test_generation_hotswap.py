@@ -116,6 +116,7 @@ class TestHotSwap:
         expected = np.arange(N) * 2.0 + 1.0
 
         stop = threading.Event()
+        publishes = []
 
         def bumper():
             i = 0
@@ -131,7 +132,8 @@ class TestHotSwap:
                     ),
                 )
                 i += 1
-                time.sleep(0.0005)
+                publishes.append(wd)
+                stop.wait(0.0005)  # yield to the launching thread
 
         out = mem.alloc(dev, N)
         q = QueueBlocking(dev)
@@ -139,10 +141,23 @@ class TestHotSwap:
         gen_before = tuning_generation()
         seen_divisions = set()
 
+        # At least 60 launches, and as many more as it takes for the
+        # race to be real — two different tuned divisions served — so
+        # however fast a launch gets, the assertions below hold by
+        # construction.  The deadline only bounds a wedged bumper.
+        deadline = time.monotonic() + 60.0
+        launches = 0
         thread = threading.Thread(target=bumper, daemon=True)
         thread.start()
         try:
-            for _ in range(60):
+            while launches < 60 or len(seen_divisions) < 2:
+                if time.monotonic() > deadline:
+                    pytest.fail(
+                        f"{launches} launches in 60 s saw "
+                        f"{len(seen_divisions)} tuned division(s) while the "
+                        f"bumper published {len(publishes)} time(s)"
+                    )
+                launches += 1
                 memset(q, out, 0)
                 task = create_task_kernel(acc, AutoWorkDiv(N), k, N, out)
                 plan = get_plan(task, dev)
