@@ -1,4 +1,4 @@
-"""repro.compile — the trace-driven vectorizer.
+"""repro.compile — the one kernel tracer, and the vectorizer built on it.
 
 The paper's central claim is zero-overhead abstraction: an alpaka
 kernel compiles to the same machine code a native kernel would
@@ -9,10 +9,11 @@ gap without leaving pure numpy:
 
 * :mod:`~repro.compile.tracer` runs the kernel **once** per
   (kernel, work-division, argument-shape) configuration with batched
-  symbolic thread coordinates (reusing the ``trace_get_idx`` hook the
-  PTX tracer introduced) and records a dataflow — per lane, per
+  symbolic thread coordinates and records a dataflow — per lane, per
   grid-strided span, or per n-d element box (a *tile*, whose
-  constant-offset neighbour reads become shifted slices);
+  constant-offset neighbour reads become shifted slices).  It is the
+  only tracer: the Fig. 4 listings of :mod:`repro.trace` are printed
+  from the same recording (asked for with ``block_level=True``);
 * :mod:`~repro.compile.exprs` is that dataflow's IR;
 * :mod:`~repro.compile.codegen` lowers it, still at trace time, to one
   generated straight-line numpy function — AXPY becomes

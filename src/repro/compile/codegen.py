@@ -279,6 +279,8 @@ class _Lowering:
                 with np.errstate(all="ignore"):
                     probe = node.fn(*(o.probe for o in ops))
             except Exception:
+                # Must stay broad: ``fn`` is the kernel's callable; one
+                # that rejects empty probes just has no proven dtype.
                 probe = None
         call = self._bind("F", node.fn) + "(" + ", ".join(
             "{%d}" % i for i in range(len(ops))
@@ -563,8 +565,8 @@ def _zero(kind: type):
     """A zero of scalar type ``kind`` (the dtype probe of a scalar)."""
     try:
         return kind()
-    except Exception:  # pragma: no cover - tracer admits plain scalars only
-        return None
+    except (TypeError, ValueError):  # pragma: no cover - the tracer
+        return None  # admits plain scalars only, which all have a zero
 
 
 def _is_static(node: Expr) -> bool:

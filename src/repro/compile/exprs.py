@@ -1,11 +1,12 @@
-"""Lane-expression IR for trace-compiled kernels.
+"""Lane-expression IR: the one dataflow every consumer of a trace reads.
 
-Where :mod:`repro.trace.ir` records a PTX-flavoured *instruction
-stream* for inspection, this module records a *dataflow* over batched
-thread coordinates: one expression node per operation the kernel
-performed while being traced.  :mod:`repro.compile.codegen` lowers the
-dataflow once, at trace time, to a straight-line numpy function; nothing
-in this module runs on a warm launch.
+One expression node per operation the kernel performed while
+:mod:`repro.compile.tracer` ran it over batched thread coordinates.
+Three consumers read the recording: :mod:`repro.compile.codegen` lowers
+it once, at trace time, to a straight-line numpy function, and the two
+Fig. 4 printers (:mod:`repro.trace.ptx`, :mod:`repro.trace.cpu_asm`)
+render it as a PTX or an x86 listing.  Nothing in this module runs on a
+warm launch, and nothing in it knows a target.
 
 The node set is deliberately tiny:
 
@@ -20,7 +21,12 @@ The node set is deliberately tiny:
 * :class:`Load` / :class:`SpanLoad` / :class:`TileLoad` — global-memory
   reads: by lane index expression, as the whole grid-strided element
   span, or as the union of every thread's n-d element box
-  (:class:`Tile`) shifted by a constant offset per axis.
+  (:class:`Tile`) shifted by a constant offset per axis;
+* :class:`Extent`, :class:`SharedLoad` / :class:`SharedStore` /
+  :class:`Barrier` — block-level nodes, recorded only for a consumer
+  that asked (``trace_kernel(..., block_level=True)``): a grid or block
+  extent with its provenance instead of the literal it folds to, and
+  accesses to a block-shared array (:class:`Shared`) between barriers.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ __all__ = [
     "Const",
     "Arg",
     "LaneIndex",
+    "Extent",
     "Ufunc",
     "Load",
     "SpanLoad",
@@ -41,6 +48,10 @@ __all__ = [
     "Store",
     "SpanStore",
     "TileStore",
+    "Shared",
+    "SharedLoad",
+    "SharedStore",
+    "Barrier",
     "LaneGeometry",
     "describe_expr",
 ]
@@ -78,6 +89,18 @@ class LaneIndex(Expr):
     (block index in grid) or ``"thread"`` (thread index in block).
     Axis 0 is the slowest dimension (library convention).
     """
+
+    __slots__ = ("kind", "axis")
+
+    def __init__(self, kind: str, axis: int):
+        self.kind = kind
+        self.axis = axis
+
+
+class Extent(Expr):
+    """How many blocks the grid has (``kind="block"``) or threads a
+    block has (``"thread"``) along one axis: the range of the
+    :class:`LaneIndex` of the same kind, uniform across the grid."""
 
     __slots__ = ("kind", "axis")
 
@@ -196,6 +219,47 @@ class TileStore:
         self.pos = pos
         self.tile = tile
         self.value = value
+
+
+class Shared:
+    """A block-shared array as the kernel declared it."""
+
+    __slots__ = ("name", "shape", "dtype")
+
+    def __init__(self, name: str, shape: Tuple[int, ...], dtype: np.dtype):
+        self.name = name
+        self.shape = shape
+        self.dtype = dtype
+
+
+class SharedLoad(Expr):
+    """``shared[index...]`` — one value per thread."""
+
+    __slots__ = ("shared", "index")
+
+    def __init__(self, shared: Shared, index: Tuple[Expr, ...]):
+        self.shared = shared
+        self.index = index
+
+
+class SharedStore:
+    """One recorded write ``shared[index...] = value`` (program order
+    against the :class:`Barrier` nodes is the trace's creation order)."""
+
+    __slots__ = ("shared", "index", "value", "mask_count")
+
+    def __init__(self, shared: Shared, index: Tuple[Expr, ...], value: Expr,
+                 mask_count: int):
+        self.shared = shared
+        self.index = index
+        self.value = value
+        self.mask_count = mask_count
+
+
+class Barrier:
+    """One ``sync_block_threads()`` call."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

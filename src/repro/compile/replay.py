@@ -53,7 +53,6 @@ __all__ = [
     "replay_for",
     "crosscheck_active",
     "CROSSCHECK_ENV",
-    "kernel_name",
 ]
 
 #: Environment variable: a true value makes every compiled launch also
@@ -124,6 +123,10 @@ class CompiledReplay:
         except (CompileFallback, KernelError):
             raise
         except Exception as exc:
+            # Must stay broad: the generated program runs the kernel's
+            # ufuncs on live data; whatever they raise before the
+            # commit, the arguments are untouched and the launch
+            # interprets.
             raise CompileFallback(
                 "replay-error",
                 f"compiled replay failed during evaluation "
@@ -183,7 +186,9 @@ def replay_for(plan, task, args: tuple) -> Tuple[CompiledReplay, bool]:
             except CompileFallback as cf:
                 entry = ("fallback", cf.reason, cf.detail)
             except Exception as exc:
-                # The generator met a trace it cannot lower.
+                # Must stay broad: the generator met a trace it cannot
+                # lower (it probes the kernel's ufuncs while generating);
+                # the verdict is cached and the launch interprets.
                 entry = (
                     "fallback", "unsupported-op",
                     f"lowering the trace failed ({type(exc).__name__}: {exc})",

@@ -1,12 +1,19 @@
-"""The compile tracer: run a kernel once with batched symbolic threads.
+"""The tracer: run a kernel once with batched symbolic threads.
 
-A :class:`CompileAcc` stands in for the accelerator while the kernel
-executes a single time.  Index queries (via the same ``trace_get_idx``
-hook the PTX tracer uses) return :class:`SymValue` operands carrying a
-:class:`~repro.compile.exprs.LaneIndex` expression instead of a number;
-arithmetic, comparisons and numpy ufuncs on them grow a dataflow graph;
-array accesses record :class:`Load`/:class:`Store` nodes.  The recorded
-trace replays the *whole grid* as fused numpy operations.
+This is the only code that runs a kernel under symbolic operands.  A
+:class:`CompileAcc` stands in for the accelerator while the kernel
+executes a single time.  Index queries (the ``trace_get_idx`` hook of
+:func:`repro.core.index.get_idx`) return :class:`SymValue` operands
+carrying a :class:`~repro.compile.exprs.LaneIndex` expression instead of
+a number; arithmetic, comparisons and numpy ufuncs on them grow a
+dataflow graph; array accesses record :class:`Load`/:class:`Store`
+nodes.  The recording (:class:`TraceResult`) has three consumers:
+:mod:`~repro.compile.codegen` replays the *whole grid* as fused numpy
+operations, and :mod:`repro.trace` prints it as the PTX and x86 listings
+of paper Fig. 4.  The printers ask for a *block-level* trace
+(``trace_kernel(..., block_level=True)``): extents keep their
+provenance, shared memory and barriers become nodes instead of
+fallbacks.  Everything below is about the default, replayable trace.
 
 What is representable, and what falls back:
 
@@ -49,20 +56,25 @@ kernel's own ``except Exception`` must not swallow the classifier.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.index import Origin, Unit
-from ..core.vec import Vec
+from ..core.index import Origin, Unit, get_work_div
 from ..math.ops import DEFAULT_MATH
 from .exprs import (
     Arg,
+    Barrier,
     Const,
     Expr,
+    Extent,
     LaneIndex,
     Load,
+    Shared,
+    SharedLoad,
+    SharedStore,
     SpanLoad,
     SpanStore,
     Store,
@@ -138,6 +150,9 @@ class TraceState:
         self.work_div = work_div
         self.args = args
         self.nodes = 0
+        #: Every counted node and every bounds guard in creation order,
+        #: dead values included: the program order a listing prints in.
+        self.order: list = []
         #: Canonical bounds guards, in trace order: (op, lane, bound).
         self.masks: List[Tuple[str, Expr, Expr]] = []
         #: Uniform guards: (expr, expected concrete value).
@@ -153,14 +168,17 @@ class TraceState:
         #: Tiles the taken path assumed non-empty, in trace order.
         self.nonempty_tiles: List[Tile] = []
 
-    def count(self, n: int = 1) -> None:
-        self.nodes += n
+    def count(self, node):
+        """Account for one recorded ``node`` and hand it back."""
+        self.nodes += 1
+        self.order.append(node)
         if self.nodes > MAX_TRACE_NODES:
             raise CompileFallback(
                 "trace-too-large",
                 f"trace exceeded {MAX_TRACE_NODES} expression nodes "
                 f"(a concretely unrolled loop?)",
             )
+        return node
 
     def add_mask(self, op: str, lane: Expr, bound: Expr) -> None:
         if len(self.masks) >= MAX_MASK_GUARDS:
@@ -169,7 +187,9 @@ class TraceState:
                 f"more than {MAX_MASK_GUARDS} lane-dependent bounds "
                 f"guards (symbolic loop condition?)",
             )
-        self.masks.append((op, lane, bound))
+        mask = (op, lane, bound)
+        self.masks.append(mask)
+        self.order.append(mask)
 
     def add_uniform_guard(self, expr: Expr, expected) -> None:
         self.guards.append((expr, expected))
@@ -203,7 +223,22 @@ def _sample(fn, values):
         with np.errstate(all="ignore"):
             return fn(*values)
     except Exception:
+        # Must stay broad: ``fn`` is whatever callable the kernel
+        # applied; a sample that cannot be computed is just absent.
         return None
+
+
+def _as_sym(st: TraceState, value, role: str) -> "SymValue":
+    """``value`` as a traced operand: literals become :class:`Const`."""
+    if isinstance(value, SymValue):
+        return value
+    if isinstance(value, (bool, int, float, np.bool_, np.integer,
+                          np.floating)):
+        return SymValue(st, st.count(Const(value)), value=value)
+    raise CompileFallback(
+        "unsupported-op",
+        f"{role} has unsupported type {type(value).__name__!r}",
+    )
 
 
 #: Index domain of one-value-per-thread operands (the other domains
@@ -241,22 +276,11 @@ class SymValue:
     # -- helpers --------------------------------------------------------
 
     def _coerce(self, other) -> "SymValue":
-        if isinstance(other, SymValue):
-            return other
-        if isinstance(other, (bool, int, float, np.bool_, np.integer,
-                              np.floating)):
-            self.st.count()
-            return SymValue(self.st, Const(other), value=other)
-        raise CompileFallback(
-            "unsupported-op",
-            f"operand of unsupported type {type(other).__name__!r} in "
-            f"traced arithmetic",
-        )
+        return _as_sym(self.st, other, "operand in traced arithmetic")
 
     def _apply(self, fn, *operands, cmp=None) -> "SymValue":
         syms = [self._coerce(o) for o in operands]
-        self.st.count()
-        expr = Ufunc(fn, tuple(s.expr for s in syms))
+        expr = self.st.count(Ufunc(fn, tuple(s.expr for s in syms)))
         domain = None
         for s in syms:
             if s.domain is None or s.domain is domain:
@@ -678,8 +702,7 @@ class SymArrayArg:
                 else:
                     sample = None
             elif isinstance(it, (int, np.integer)):
-                self.st.count()
-                exprs.append(Const(int(it)))
+                exprs.append(self.st.count(Const(int(it))))
                 if sample is not None:
                     sample.append(int(it))
             else:
@@ -770,7 +793,6 @@ class SymArrayArg:
                 "load from an array already written under a different "
                 "index (cannot prove the accesses disjoint)",
             )
-        self.st.count()
         value = None
         if key[0] == "span":
             node = SpanLoad(self.pos, detail)
@@ -784,24 +806,15 @@ class SymArrayArg:
                     value = self.arr[
                         sample[0] if len(sample) == 1 else sample
                     ]
-                except Exception:
+                except (IndexError, TypeError, ValueError):
+                    # Out of range or not an index for this array: the
+                    # load has no sample, it is not an error yet.
                     value = None
-        return SymValue(self.st, node, value=value, domain=domain)
-
-    def _coerce_value(self, value) -> SymValue:
-        if isinstance(value, SymValue):
-            return value
-        if isinstance(value, (bool, int, float, np.bool_, np.integer,
-                              np.floating)):
-            self.st.count()
-            return SymValue(self.st, Const(value), value=value)
-        raise CompileFallback(
-            "unsupported-op",
-            f"store of unsupported value type {type(value).__name__!r}",
-        )
+        return SymValue(self.st, self.st.count(node), value=value,
+                        domain=domain)
 
     def __setitem__(self, idx, value) -> None:
-        val = self._coerce_value(value)
+        val = _as_sym(self.st, value, "stored value")
         key, domain, detail = self._classify(idx)
         if val.domain is not None and val.domain is not domain:
             raise CompileFallback(
@@ -809,7 +822,6 @@ class SymArrayArg:
                 "stored value and subscript range over different index "
                 "domains (per-thread, per-span element, per-box element)",
             )
-        self.st.count()
         if key[0] == "span":
             store = SpanStore(self.pos, detail, val.expr, len(self.st.masks))
         elif key[0] == "tile":
@@ -821,7 +833,7 @@ class SymArrayArg:
             store = TileStore(self.pos, tile, val.expr)
         else:
             store = Store(self.pos, detail[0], val.expr, len(self.st.masks))
-        self.st.add_store(store)
+        self.st.add_store(self.st.count(store))
         self.st.stored_positions.add(self.pos)
         self.st.forwarded[key] = val
 
@@ -850,23 +862,75 @@ class _CompileVec:
         return len(self._c)
 
 
+class _SymShared:
+    """A block-shared array under a block-level trace."""
+
+    __slots__ = ("st", "shared")
+
+    def __init__(self, st: TraceState, shared: Shared):
+        self.st = st
+        self.shared = shared
+
+    def _index(self, idx) -> Tuple[Expr]:
+        if not isinstance(idx, SymValue):
+            raise CompileFallback(
+                "unsupported-op",
+                f"shared array {self.shared.name!r} subscripted with "
+                f"{type(idx).__name__!r}; only traced scalar indices record",
+            )
+        return (idx.expr,)
+
+    def __getitem__(self, idx) -> SymValue:
+        node = SharedLoad(self.shared, self._index(idx))
+        return SymValue(self.st, self.st.count(node), domain=LANE)
+
+    def __setitem__(self, idx, value) -> None:
+        val = _as_sym(self.st, value, "stored value")
+        self.st.count(SharedStore(
+            self.shared, self._index(idx), val.expr, len(self.st.masks)
+        ))
+
+
+#: Which extents a block-level trace keeps symbolic, as the product of
+#: which :class:`Extent` kinds.  Element-level extents are constants
+#: of the kernel's instantiation on every target.
+_EXTENT_KINDS = {
+    (Origin.GRID, Unit.BLOCKS): ("block",),
+    (Origin.BLOCK, Unit.THREADS): ("thread",),
+    (Origin.GRID, Unit.THREADS): ("block", "thread"),
+}
+
+
 class CompileAcc:
-    """The accelerator stand-in a kernel sees while being compile-traced.
+    """The accelerator stand-in a kernel sees while being traced.
 
     Geometry queries answer *concretely* (the work division is part of
     the plan identity, so extents are compile-time constants); index
     queries answer symbolically.  Synchronisation, shared memory,
     atomics and RNG are classified fallbacks — per-thread interpretation
     remains their only sound execution.
+
+    With ``block_level`` the trace is for a listing, not for replay:
+    grid and block extents answer as :class:`Extent` operands, and
+    ``shared_mem`` / ``sync_block_threads`` record nodes.
     """
 
-    def __init__(self, st: TraceState, props):
+    def __init__(self, st: TraceState, props, block_level: bool = False):
         self.st = st
         self.props = props
+        self.block_level = block_level
         self.math = DEFAULT_MATH
         self._idx_cache = {}
 
-    # -- geometry (concrete) -------------------------------------------
+    def _once(self, key, make):
+        """What ``make()`` returned the first time ``key`` was asked
+        for: a repeated query is the same operand, not a new node."""
+        val = self._idx_cache.get(key)
+        if val is None:
+            val = self._idx_cache[key] = make()
+        return val
+
+    # -- geometry (concrete unless block_level) ------------------------
 
     @property
     def work_div(self):
@@ -876,29 +940,38 @@ class CompileAcc:
     def warp_size(self) -> int:
         return self.props.warp_size
 
-    def trace_get_work_div(self, origin: Origin, unit: Unit) -> Vec:
-        from ..core.index import get_work_div
+    def trace_get_work_div(self, origin: Origin, unit: Unit):
+        kinds = _EXTENT_KINDS.get((origin, unit)) if self.block_level else None
+        if kinds is None:
+            return get_work_div(self.st.work_div, origin, unit)
+        return self._once(("extent", origin, unit), lambda: _CompileVec(
+            functools.reduce(
+                operator.mul, (self.extent(kind, axis) for kind in kinds)
+            )
+            for axis in range(self.st.work_div.dim)
+        ))
 
-        return get_work_div(self.st.work_div, origin, unit)
+    def extent(self, kind: str, axis: int) -> SymValue:
+        """How many blocks (``kind="block"``) or threads per block
+        (``"thread"``) there are along ``axis``, as an operand."""
+        wd = self.st.work_div
+        of = wd.grid_block_extent if kind == "block" else wd.block_thread_extent
+        return self._once(("extent", kind, axis), lambda: SymValue(
+            self.st, self.st.count(Extent(kind, axis)), value=int(of[axis])
+        ))
 
     # -- index queries (symbolic) --------------------------------------
 
     def trace_get_idx(self, origin: Origin, unit: Unit) -> _CompileVec:
-        key = (origin, unit)
-        vec = self._idx_cache.get(key)
-        if vec is None:
-            vec = self._compute_idx(origin, unit)
-            self._idx_cache[key] = vec
-        return vec
+        return self._once(
+            (origin, unit), lambda: self._compute_idx(origin, unit)
+        )
 
-    def _lane(self, kind: str, axis: int) -> SymValue:
-        key = ("lane", kind, axis)
-        sym = self._idx_cache.get(key)
-        if sym is None:
-            self.st.count()
-            sym = SymValue(self.st, LaneIndex(kind, axis), domain=LANE)
-            self._idx_cache[key] = sym
-        return sym
+    def lane(self, kind: str, axis: int) -> SymValue:
+        """The ``kind`` coordinate of every thread along ``axis``."""
+        return self._once(("lane", kind, axis), lambda: SymValue(
+            self.st, self.st.count(LaneIndex(kind, axis)), domain=LANE
+        ))
 
     def _compute_idx(self, origin: Origin, unit: Unit) -> _CompileVec:
         wd = self.st.work_div
@@ -906,16 +979,16 @@ class CompileAcc:
         comps = []
         for axis in range(dim):
             if origin is Origin.GRID and unit is Unit.BLOCKS:
-                comps.append(self._lane("block", axis))
+                comps.append(self.lane("block", axis))
             elif origin is Origin.BLOCK and unit is Unit.THREADS:
-                comps.append(self._lane("thread", axis))
+                comps.append(self.lane("thread", axis))
             elif origin is Origin.GRID and unit is Unit.THREADS:
-                comps.append(self._lane("grid_thread", axis))
+                comps.append(self.lane("grid_thread", axis))
             elif origin is Origin.GRID and unit is Unit.ELEMS:
-                gt = self._lane("grid_thread", axis)
+                gt = self.lane("grid_thread", axis)
                 comps.append(gt * int(wd.thread_elem_extent[axis]))
             elif origin is Origin.BLOCK and unit is Unit.ELEMS:
-                t = self._lane("thread", axis)
+                t = self.lane("thread", axis)
                 comps.append(t * int(wd.thread_elem_extent[axis]))
             else:
                 raise CompileFallback(
@@ -939,9 +1012,8 @@ class CompileAcc:
                 )
             ext = extent
         else:
-            self.st.count()
             ext = SymValue(
-                self.st, Const(int(extent)), value=int(extent)
+                self.st, self.st.count(Const(int(extent))), value=int(extent)
             )
         yield _SymSpan(ext)
 
@@ -958,25 +1030,30 @@ class CompileAcc:
                 "unsupported-op",
                 f"{len(extent)}-d element box on a {wd.dim}-d work division",
             )
-        box = self._idx_cache.get(("box", extent))
-        if box is None:
-            box = self._idx_cache[("box", extent)] = _SymBox(
-                self.st, extent, tuple(int(g) for g in wd.grid_elem_extent),
-                0, object(), {},
-            )
-        return box
+        return self._once(("box", extent), lambda: _SymBox(
+            self.st, extent, tuple(int(g) for g in wd.grid_elem_extent),
+            0, object(), {},
+        ))
 
-    # -- classified fallbacks ------------------------------------------
+    # -- block level: nodes for a listing, fallbacks for the replay ----
 
     def sync_block_threads(self) -> None:
-        raise CompileFallback(
-            "barrier", "kernel uses sync_block_threads (block barrier)"
-        )
+        if not self.block_level:
+            raise CompileFallback(
+                "barrier", "kernel uses sync_block_threads (block barrier)"
+            )
+        self.st.count(Barrier())
 
     def shared_mem(self, name, shape, dtype=np.float64):
-        raise CompileFallback(
-            "shared-memory", f"kernel allocates shared memory {name!r}"
-        )
+        if not self.block_level:
+            raise CompileFallback(
+                "shared-memory", f"kernel allocates shared memory {name!r}"
+            )
+        return self._once(("shared", name), lambda: _SymShared(
+            self.st, Shared(name, tuple(shape), np.dtype(dtype))
+        ))
+
+    # -- classified fallbacks ------------------------------------------
 
     def shared_var(self, name, dtype=np.float64):
         raise CompileFallback(
@@ -1057,13 +1134,15 @@ class CompileAcc:
 class TraceResult:
     """Outcome of one successful compile trace."""
 
-    __slots__ = ("stores", "masks", "guards", "nodes")
+    __slots__ = ("stores", "masks", "guards", "nodes", "order")
 
-    def __init__(self, stores, masks, guards, nodes: int):
+    def __init__(self, stores, masks, guards, nodes: int, order=()):
         self.stores = stores
         self.masks = masks
         self.guards = guards
         self.nodes = nodes
+        #: Every recorded node and ``masks`` entry in creation order.
+        self.order = order
 
 
 def _make_sym_args(st: TraceState, args: tuple):
@@ -1073,8 +1152,7 @@ def _make_sym_args(st: TraceState, args: tuple):
             sym.append(SymArrayArg(st, pos, a))
         elif isinstance(a, (bool, int, float, np.bool_, np.integer,
                             np.floating)):
-            st.count()
-            sym.append(SymValue(st, Arg(pos), value=a))
+            sym.append(SymValue(st, st.count(Arg(pos)), value=a))
         else:
             raise CompileFallback(
                 "unsupported-arg",
@@ -1084,7 +1162,8 @@ def _make_sym_args(st: TraceState, args: tuple):
     return tuple(sym)
 
 
-def trace_kernel(kernel, work_div, props, args: tuple) -> TraceResult:
+def trace_kernel(kernel, work_div, props, args: tuple,
+                 block_level: bool = False) -> TraceResult:
     """Trace ``kernel`` once over batched thread coordinates.
 
     Raises :class:`CompileFallback` (classified) when the kernel is not
@@ -1092,28 +1171,30 @@ def trace_kernel(kernel, work_div, props, args: tuple) -> TraceResult:
     classified as ``unsupported-op`` — the traced operand types simply
     do not support whatever the kernel attempted, and interpretation
     (where the same code runs on real numbers) remains authoritative.
+
+    ``block_level`` is set by the consumers that print the trace
+    (:mod:`repro.trace`) and by none that replays it: see
+    :class:`CompileAcc`.
     """
     st = TraceState(work_div, args)
     sym_args = _make_sym_args(st, args)
-    acc = CompileAcc(st, props)
+    acc = CompileAcc(st, props, block_level)
     try:
         kernel(acc, *sym_args)
     except CompileFallback:
         raise
     except Exception as exc:
+        # Must stay broad: the kernel body is arbitrary user code run
+        # on operands it was not written for.
         raise CompileFallback(
             "unsupported-op",
             f"kernel body raised {type(exc).__name__} under the compile "
             f"tracer: {exc}",
         ) from exc
-    if not st.stores:
-        # A kernel with no observable writes compiles to a no-op —
-        # legal (the launch-overhead bench's empty kernel) but worth
-        # distinguishing from a lost trace in the result.
-        pass
     return TraceResult(
         stores=tuple(st.stores),
         masks=tuple(st.masks),
         guards=tuple(st.guards),
         nodes=st.nodes,
+        order=tuple(st.order),
     )

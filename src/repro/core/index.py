@@ -83,9 +83,9 @@ def get_idx(acc: "Accelerator", origin: Origin, unit: Unit) -> Vec:
     ``Block``    ``Elems``    first element of this thread within block
     ===========  =========  ==========================================
 
-    Tracing accelerators (:mod:`repro.trace`) intercept the query via a
-    ``trace_get_idx`` hook, so the *same kernel source* can be executed
-    and symbolically compiled.
+    The tracing accelerator (:mod:`repro.compile.tracer`) intercepts the
+    query via a ``trace_get_idx`` hook, so the *same kernel source* can
+    be executed and symbolically compiled.
     """
     hook = getattr(acc, "trace_get_idx", None)
     if hook is not None:

@@ -1,9 +1,14 @@
-"""Symbolic kernel tracing and the PTX-like mini-IR (paper Fig. 4)."""
+"""Paper Fig. 4 as two printers over the one kernel trace, plus the
+stream comparator.
 
-from .acc import ArgSpec, TraceAcc, trace_alpaka_kernel
+A kernel is run under symbolic operands by :mod:`repro.compile.tracer`
+and nowhere else; :mod:`~repro.trace.ptx` and
+:mod:`~repro.trace.cpu_asm` print what it recorded as a PTX-like and an
+x86 listing, :mod:`~repro.trace.compare` tells two listings apart.
+"""
+
 from .compare import ComparisonResult, compare_streams, normalize
 from .cpu_asm import (
-    CpuArray,
     CpuTraceContext,
     classify_fp_instructions,
     trace_cpu_kernel_scalar,
@@ -11,18 +16,11 @@ from .cpu_asm import (
 )
 from .ir import Instruction, IRBuilder
 from .native_cuda import CudaSurface, trace_cuda_kernel
-from .symbolic import Product, SymArray, SymBool, SymFloat, SymInt, TraceContext
+from .ptx import ArgSpec, trace_alpaka_kernel
 
 __all__ = [
     "IRBuilder",
     "Instruction",
-    "TraceContext",
-    "SymInt",
-    "SymFloat",
-    "SymBool",
-    "SymArray",
-    "Product",
-    "TraceAcc",
     "ArgSpec",
     "trace_alpaka_kernel",
     "CudaSurface",
@@ -31,7 +29,6 @@ __all__ = [
     "compare_streams",
     "normalize",
     "CpuTraceContext",
-    "CpuArray",
     "trace_cpu_kernel_scalar",
     "trace_cpu_kernel_spans",
     "classify_fp_instructions",

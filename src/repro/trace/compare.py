@@ -23,7 +23,9 @@ from .ir import Instruction, IRBuilder
 
 __all__ = ["normalize", "compare_streams", "ComparisonResult"]
 
-_REG_RE = re.compile(r"%(p|rd|fd|r)(\d+)")
+#: Every register class of :mod:`repro.trace.ir`; ``fd`` before ``f``
+#: and ``rd`` before ``r`` so the longer prefix wins.
+_REG_RE = re.compile(r"%(p|rd|fd|f|r)(\d+)")
 _LABEL_RE = re.compile(r"^BB\d+$")
 
 #: Opcode pairs that differ only in a cache modifier.
@@ -54,7 +56,7 @@ def _canon_operand(
 def normalize(builder: IRBuilder) -> List[Instruction]:
     """Canonicalise register and label names of a stream."""
     reg_map: Dict[str, str] = {}
-    counters = {"r": 0, "rd": 0, "fd": 0, "p": 0}
+    counters = {"r": 0, "rd": 0, "f": 0, "fd": 0, "p": 0}
     label_map: Dict[str, str] = {}
     out: List[Instruction] = []
     for ins in builder.instructions:

@@ -8,16 +8,22 @@ the element level ("a primitive inner loop over a fixed number of
 elements") lets the compiler emit the packed forms for the alpaka kernel
 too.
 
-This tracer reproduces that observation mechanically.  Two modes:
+This module reproduces that observation mechanically, as the x86
+printer over the one kernel trace (:func:`repro.trace.record.record`).
+What was recorded decides what is printed:
 
-* **scalar** — :func:`trace_cpu_kernel_scalar` runs the
-  one-element-per-thread kernel with a symbolic thread index; loads,
-  multiplies and adds come out as ``movsd``/``mulsd``/``addsd``.
-* **vector** — :func:`trace_cpu_kernel_spans` runs the element-span
-  kernel over one concrete span; span operations come out as
-  SSE2-packed ``movupd``/``mulpd``/``addpd``, two lanes per register,
-  unrolled across the span — exactly what the auto-vectoriser produces
-  for the "primitive inner loop".
+* **scalar** — :func:`trace_cpu_kernel_scalar` traces the
+  one-element-per-thread kernel: its per-thread loads, multiplies and
+  adds come out as ``movsd``/``mulsd``/``addsd``.
+* **vector** — :func:`trace_cpu_kernel_spans` traces the element-span
+  kernel: the tracer collapses its grid-strided loop into whole-span
+  loads and stores, which come out as SSE2-packed
+  ``movupd``/``mulpd``/``addpd``, two lanes per register, unrolled
+  across the span — exactly what the auto-vectoriser produces for the
+  "primitive inner loop".
+
+Lane packing, the hoisted ``movddup`` broadcast and the ABI pointer
+registers are decided here; the trace knows none of them.
 
 The emitted dialect is deliberately small (AT&T-ish Intel mnemonics,
 ``%xmmN`` registers, ``%rdi/%rsi/...`` pointer registers): enough to
@@ -27,18 +33,16 @@ needs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
 from ..core.errors import TraceError
-from ..core.index import Origin, Unit
-from ..core.vec import Vec
 from ..core.workdiv import WorkDivMembers
+from .record import Printer, is_const, record, sample_work_div
 
 __all__ = [
     "CpuTraceContext",
-    "CpuArray",
     "trace_cpu_kernel_scalar",
     "trace_cpu_kernel_spans",
     "classify_fp_instructions",
@@ -48,6 +52,8 @@ __all__ = [
 SSE2_LANES = 2
 
 _PTR_REGS = ("%rdi", "%rsi", "%rdx", "%rcx", "%r8", "%r9")
+
+_JUMP_PAST = {"lt": "jge", "le": "jg"}
 
 
 class CpuTraceContext:
@@ -94,254 +100,191 @@ class CpuTraceContext:
         ]
 
 
-class _XmmScalar:
-    """One double in an xmm register (scalar SSE2 path)."""
+class _X86Printer(Printer):
+    """``regs`` maps a node to its register: a general-purpose one for
+    an index, one ``%xmm`` for a double, a list of them for a span of
+    doubles (two lanes each); ``params`` an argument position to the
+    register the prologue gave it."""
 
-    def __init__(self, ctx: CpuTraceContext, reg: str):
-        self.ctx = ctx
-        self.reg = reg
+    target = "x86"
+    opcodes = {np.multiply: "mul", np.add: "add", np.subtract: "sub"}
 
-    def _bin(self, mnemonic: str, other):
-        if isinstance(other, _XmmVector):
-            # scalar op vector promotes to the packed path (broadcast);
-            # NotImplemented routes Python to the vector's reflected op.
-            return NotImplemented
-        o = _coerce_scalar(self.ctx, other)
-        dst = self.ctx.new_xmm()
-        self.ctx.emit(f"movapd {self.reg}, {dst}")
-        self.ctx.emit(f"{mnemonic} {o.reg}, {dst}")
-        return _XmmScalar(self.ctx, dst)
+    def __init__(self, ctx: CpuTraceContext, trace, args, params: dict):
+        super().__init__(trace, args)
+        self.ctx, self.params = ctx, params
+        #: scalar register -> its ``movddup`` copy: splatted once per
+        #: trace, like a compiler hoisting it out of the loop.
+        self.splats: dict = {}
 
-    def __mul__(self, other):
-        return self._bin("mulsd", other)
+    def print(self) -> CpuTraceContext:
+        self.walk()
+        if self.exit_label is not None:
+            self.ctx.emit(f"{self.exit_label}:")
+        return self.ctx
 
-    __rmul__ = __mul__
+    # -- operands -------------------------------------------------------
 
-    def __add__(self, other):
-        return self._bin("addsd", other)
+    def _operand(self, node, index: bool = False):
+        """``node`` as an index register (``index``), else as a double
+        (one ``%xmm``) or a span of them (a list)."""
+        reg = self.regs.get(node)
+        if reg is None and is_const(node):
+            if index:
+                reg = self.regs[node] = self.ctx.new_gp()
+                self.ctx.emit(f"mov ${int(node.value)}, {reg}")
+            else:
+                reg = self.regs[node] = self.ctx.new_xmm()
+                self.ctx.emit(f"movsd ${float(node.value)}, {reg}")
+        if reg is None or isinstance(reg, str) and reg.startswith("%xmm") == index:
+            raise TraceError(
+                f"cannot use a recorded {type(node).__name__} as "
+                f"{'an index' if index else 'a floating-point operand'}"
+            )
+        return reg
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._bin("subsd", other)
-
-
-class _XmmVector:
-    """A span of doubles across packed xmm registers (2 lanes each)."""
-
-    def __init__(self, ctx: CpuTraceContext, regs: Sequence[str], count: int):
-        self.ctx = ctx
-        self.regs = list(regs)
-        self.count = count
-
-    def _bin(self, mnemonic: str, other) -> "_XmmVector":
-        out = []
-        if isinstance(other, _XmmVector):
-            if other.count != self.count:
-                raise TraceError("span length mismatch in vector op")
-            rhs = other.regs
-        else:
-            rhs = [_broadcast(self.ctx, other)] * len(self.regs)
-        for a, b in zip(self.regs, rhs):
-            dst = self.ctx.new_xmm()
-            self.ctx.emit(f"movapd {a}, {dst}")
-            self.ctx.emit(f"{mnemonic} {b}, {dst}")
-            out.append(dst)
-        return _XmmVector(self.ctx, out, self.count)
-
-    def __mul__(self, other):
-        return self._bin("mulpd", other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return self._bin("addpd", other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._bin("subpd", other)
-
-
-_BROADCAST_CACHE_ATTR = "_broadcast_reg"
-
-
-def _broadcast(ctx: CpuTraceContext, scalar) -> str:
-    """Broadcast a scalar operand across both lanes (``movddup``);
-    cached so the constant is splatted once per trace, like a compiler
-    hoisting it out of the loop."""
-    if isinstance(scalar, _XmmScalar):
-        cached = getattr(scalar, _BROADCAST_CACHE_ATTR, None)
-        if cached:
-            return cached
-        dst = ctx.new_xmm()
-        ctx.emit(f"movddup {scalar.reg}, {dst}")
-        setattr(scalar, _BROADCAST_CACHE_ATTR, dst)
+    def _splat(self, reg: str) -> str:
+        dst = self.splats.get(reg)
+        if dst is None:
+            dst = self.splats[reg] = self.ctx.new_xmm()
+            self.ctx.emit(f"movddup {reg}, {dst}")
         return dst
-    dst = ctx.new_xmm()
-    ctx.emit(f"movddup ${float(scalar)}, {dst}")
-    return dst
+
+    def _lanes(self, extent) -> int:
+        """How many doubles the collapsed span ``[0, extent)`` holds."""
+        kind = type(extent).__name__
+        if kind not in ("Arg", "Const"):
+            raise TraceError("element-span extent is a computed value")
+        count = int(self.args[extent.pos] if kind == "Arg" else extent.value)
+        if count <= 0 or count % SSE2_LANES:
+            raise TraceError(
+                f"span of {count} doubles does not fill SSE2 lanes"
+            )
+        return count
+
+    # -- values ---------------------------------------------------------
+
+    def visit_Arg(self, node) -> None:
+        if node.pos in self.params:
+            self.regs[node] = self.params[node.pos]
+
+    def visit_LaneIndex(self, node) -> None:
+        reg = self.regs[node] = self.ctx.new_gp()
+        name = "thread_linear" if node.kind == "grid_thread" else node.kind
+        self.ctx.emit(f"mov <{name}>, {reg}")
+
+    def arithmetic(self, node) -> None:
+        op = self.opcodes[node.fn]
+        a, b = (self._operand(x) for x in node.args)
+        packed = isinstance(a, list) or isinstance(b, list)
+        if packed:
+            if not isinstance(a, list) and op != "sub":
+                a, b = b, a  # commutative: copy the span, splat the scalar
+            width = len(a) if isinstance(a, list) else len(b)
+            a, b = (
+                v if isinstance(v, list) else [self._splat(v)] * width
+                for v in (a, b)
+            )
+            if len(a) != len(b):
+                raise TraceError("span length mismatch in vector op")
+        else:
+            a, b = [a], [b]
+        out = []
+        for x, y in zip(a, b):
+            out.append(self.ctx.new_xmm())
+            self.ctx.emit(f"movapd {x}, {out[-1]}")
+            self.ctx.emit(f"{op}{'pd' if packed else 'sd'} {y}, {out[-1]}")
+        self.regs[node] = out if packed else out[0]
+
+    # -- memory ---------------------------------------------------------
+
+    def _element(self, node) -> str:
+        if len(node.index) != 1:
+            raise TraceError("CPU listings address flat buffers")
+        idx = self._operand(node.index[0], index=True)
+        return f"({self.params[node.pos]},{idx},8)"
+
+    def visit_Load(self, node) -> None:
+        dst = self.regs[node] = self.ctx.new_xmm()
+        self.ctx.emit(f"movsd {self._element(node)}, {dst}")
+
+    def visit_Store(self, node) -> None:
+        value = self._operand(node.value)
+        if isinstance(value, list):
+            raise TraceError("span value stored through a scalar index")
+        self.ctx.emit(f"movsd {value}, {self._element(node)}")
+
+    def visit_SpanLoad(self, node) -> None:
+        regs = self.regs[node] = []
+        for lane0 in range(0, self._lanes(node.extent), SSE2_LANES):
+            regs.append(self.ctx.new_xmm())
+            self.ctx.emit(
+                f"movupd {8 * lane0}({self.params[node.pos]}), {regs[-1]}"
+            )
+
+    def visit_SpanStore(self, node) -> None:
+        value = self._operand(node.value)
+        if not isinstance(value, list) or \
+                len(value) * SSE2_LANES != self._lanes(node.extent):
+            raise TraceError("span store needs a vector value of its length")
+        for k, reg in enumerate(value):
+            self.ctx.emit(
+                f"movupd {reg}, {8 * k * SSE2_LANES}({self.params[node.pos]})"
+            )
+
+    # -- control --------------------------------------------------------
+
+    def guard(self, op: str, lane, bound) -> None:
+        if self.exit_label is None:
+            self.exit_label = self.ctx.new_label()
+        bound, lane = (self._operand(x, index=True) for x in (bound, lane))
+        self.ctx.emit(f"cmp {bound}, {lane}")
+        self.ctx.emit(f"{_JUMP_PAST[op]} {self.exit_label}")
 
 
-def _coerce_scalar(ctx: CpuTraceContext, value) -> _XmmScalar:
-    if isinstance(value, _XmmScalar):
-        return value
-    if isinstance(value, (int, float)):
-        dst = ctx.new_xmm()
-        ctx.emit(f"movsd ${float(value)}, {dst}")
-        return _XmmScalar(ctx, dst)
-    raise TraceError(f"cannot use {value!r} as a CPU scalar operand")
+def _print(kernel, array_names: Sequence[str], scalars, work_div, bound: bool):
+    """Trace ``kernel(acc, *scalars, *arrays)`` and print the recording.
 
-
-class _CpuSymIndex:
-    """A symbolic loop/thread index in a general-purpose register."""
-
-    def __init__(self, ctx: CpuTraceContext, reg: str):
-        self.ctx = ctx
-        self.reg = reg
-
-    def __lt__(self, bound) -> "_CpuGuard":
-        return _CpuGuard(self.ctx, self.reg, bound)
-
-
-class _CpuGuard:
-    def __init__(self, ctx: CpuTraceContext, reg: str, bound):
-        self.ctx = ctx
-        self.reg = reg
-        self.bound = bound
-
-    def __bool__(self) -> bool:
-        label = self.ctx.new_label()
-        self.ctx.emit(f"cmp {self.bound}, {self.reg}")
-        self.ctx.emit(f"jge {label}")
-        self.ctx._exit_label = label
-        return True
-
-
-class CpuArray:
-    """A pointer argument.
-
-    Scalar (symbolic-index) access emits ``movsd``; slice access emits
-    packed ``movupd`` pairs across the span.
+    The prologue hands out the parameter registers: the bound ``n`` (a
+    named register when ``bound``, else only the traced extent), the
+    remaining scalars as xmm constants, the arrays as ABI pointers.
     """
-
-    def __init__(self, ctx: CpuTraceContext, name: str):
-        self.ctx = ctx
-        self.name = name
-        self.base = ctx.new_ptr()
-
-    # -- loads -----------------------------------------------------------
-
-    def __getitem__(self, idx):
-        if isinstance(idx, _CpuSymIndex):
-            dst = self.ctx.new_xmm()
-            self.ctx.emit(f"movsd ({self.base},{idx.reg},8), {dst}")
-            return _XmmScalar(self.ctx, dst)
-        if isinstance(idx, slice):
-            count = idx.stop - idx.start
-            if count <= 0 or count % SSE2_LANES:
-                raise TraceError(
-                    f"span of {count} doubles does not fill SSE2 lanes"
-                )
-            regs = []
-            for lane0 in range(idx.start, idx.stop, SSE2_LANES):
-                dst = self.ctx.new_xmm()
-                self.ctx.emit(f"movupd {8 * lane0}({self.base}), {dst}")
-                regs.append(dst)
-            return _XmmVector(self.ctx, regs, count)
-        raise TraceError(f"unsupported CPU-trace index {idx!r}")
-
-    # -- stores -------------------------------------------------------------
-
-    def __setitem__(self, idx, value) -> None:
-        if isinstance(idx, _CpuSymIndex):
-            v = _coerce_scalar(self.ctx, value)
-            self.ctx.emit(f"movsd {v.reg}, ({self.base},{idx.reg},8)")
-            return
-        if isinstance(idx, slice):
-            if not isinstance(value, _XmmVector):
-                raise TraceError("span store needs a vector value")
-            for k, reg in enumerate(value.regs):
-                off = 8 * (idx.start + k * SSE2_LANES)
-                self.ctx.emit(f"movupd {reg}, {off}({self.base})")
-            return
-        raise TraceError(f"unsupported CPU-trace index {idx!r}")
-
-
-class _CpuScalarAcc:
-    """Accelerator stand-in for the scalar (one element/thread) trace."""
-
-    def __init__(self, ctx: CpuTraceContext):
-        self.ctx = ctx
-        self._idx: Optional[_CpuSymIndex] = None
-
-    def trace_get_idx(self, origin: Origin, unit: Unit):
-        if self._idx is None:
-            reg = self.ctx.new_gp()
-            self.ctx.emit(f"mov <thread_linear>, {reg}")
-            self._idx = _CpuSymIndex(self.ctx, reg)
-        return [self._idx]
-
-    def trace_get_work_div(self, origin: Origin, unit: Unit):
-        raise TraceError(
-            "the scalar CPU trace models one thread body; span kernels "
-            "trace through trace_cpu_kernel_spans"
-        )
-
-
-class _CpuSpanAcc:
-    """Accelerator stand-in for the element-span trace.
-
-    Carries a *concrete* work division of one thread owning ``span``
-    elements, so ``grid_strided_spans`` and friends run normally and
-    hand the kernel plain slices — which :class:`CpuArray` then turns
-    into packed instructions.
-    """
-
-    def __init__(self, span: int):
-        self.work_div = WorkDivMembers.make(1, 1, span)
-        self.grid_block_idx = Vec(0)
-        self.block_thread_idx = Vec(0)
+    ctx = CpuTraceContext(getattr(kernel, "__name__", "kernel"))
+    threads = int(work_div.block_count) * int(work_div.block_thread_count)
+    n = threads if bound else int(scalars[0])
+    args: List[object] = [n, *(float(s) for s in scalars[1:])]
+    args += [np.zeros(max(n, threads)) for _ in array_names]
+    params = {}
+    if bound:
+        params[0] = ctx.new_gp()
+        ctx.emit(f"mov <n>, {params[0]}")
+    for pos in range(1, len(scalars)):
+        params[pos] = ctx.new_xmm()
+        ctx.emit(f"movsd ${args[pos]}, {params[pos]}")
+    for pos in range(len(scalars), len(args)):
+        params[pos] = ctx.new_ptr()
+    return _X86Printer(ctx, record(kernel, work_div, args), args, params).print()
 
 
 def trace_cpu_kernel_scalar(kernel, array_names: Sequence[str], *scalars):
     """Trace a one-element-per-thread kernel body on the CPU.
 
     ``scalars`` are the leading non-array kernel arguments after the
-    accelerator (e.g. ``n, alpha`` for DAXPY); ``n`` is traced as the
-    symbolic bound register.
+    accelerator (e.g. ``n, alpha`` for DAXPY); ``n`` is printed as the
+    symbolic bound register whatever value is passed for it.
     """
-    ctx = CpuTraceContext(getattr(kernel, "__name__", "kernel"))
-    ctx._exit_label = None
-    acc = _CpuScalarAcc(ctx)
-    bound = ctx.new_gp()
-    ctx.emit(f"mov <n>, {bound}")
-    # n is the guard bound; remaining scalars become xmm constants.
-    args: List[object] = [bound]
-    for s in scalars[1:]:
-        args.append(_coerce_scalar(ctx, s))
-    arrays = [CpuArray(ctx, name) for name in array_names]
-    kernel(acc, *args, *arrays)
-    if ctx._exit_label:
-        ctx.emit(f"{ctx._exit_label}:")
-    return ctx
+    return _print(kernel, array_names, scalars, sample_work_div(1), True)
 
 
 def trace_cpu_kernel_spans(kernel, array_names: Sequence[str], *scalars, span: int = 4):
-    """Trace an element-span kernel over one concrete ``span``.
+    """Trace an element-span kernel over ``scalars[0]`` elements, one
+    thread owning ``span`` of them.
 
     The span plays the paper's "primitive inner loop over a fixed
-    number of elements": operations on it emit packed SSE2.
+    number of elements": operations on it print as packed SSE2.
     """
-    ctx = CpuTraceContext(getattr(kernel, "__name__", "kernel"))
-    ctx._exit_label = None
-    acc = _CpuSpanAcc(span)
-    args: List[object] = [scalars[0]]
-    for s in scalars[1:]:
-        args.append(_coerce_scalar(ctx, s))
-    arrays = [CpuArray(ctx, name) for name in array_names]
-    kernel(acc, *args, *arrays)
-    return ctx
+    return _print(
+        kernel, array_names, scalars, WorkDivMembers.make(1, 1, span), False
+    )
 
 
 def classify_fp_instructions(ctx: CpuTraceContext) -> dict:

@@ -193,3 +193,41 @@ class TestFallbacks:
 
         assert self.reason(kernel, wd1(4), (4, np.zeros(64))) == \
             "divergent-control-flow"
+
+
+class TestProgramOrder:
+    """``TraceResult.order`` is what the listing printers walk."""
+
+    def test_every_node_and_guard_in_creation_order(self):
+        def kernel(acc, n, alpha, x, y):
+            i = get_idx(acc, Grid, Threads)[0]
+            dead = x[i]  # bound to a name, never used: still in the order
+            if i < n:
+                y[i] = alpha * y[i]
+
+        t = trace(kernel, wd1(8), (6, 2.0, np.zeros(8), np.zeros(8)))
+        kinds = [
+            "guard" if isinstance(e, tuple) else type(e).__name__
+            for e in t.order
+        ]
+        assert kinds == ["Arg", "Arg", "LaneIndex", "Load", "Ufunc", "guard",
+                         "Load", "Ufunc", "Store"]
+        assert t.order[5] is t.masks[0] and t.order[-1] is t.stores[0]
+        assert t.nodes == len(t.order) - len(t.masks)
+
+    def test_extents_are_plain_for_the_replayer_and_operands_block_level(self):
+        seen = []
+
+        def kernel(acc, y):
+            seen.append(get_work_div(acc, Grid, Threads))
+            y[get_idx(acc, Grid, Threads)[0]] = 1.0
+
+        wd = WorkDivMembers.make(4, 2, 1)
+        t = trace(kernel, wd, (np.zeros(8),))
+        assert seen.pop() == wd.grid_thread_extent
+        assert "Extent" not in [type(e).__name__ for e in t.order]
+        t = trace_kernel(kernel, wd, FakeProps(), (np.zeros(8),),
+                         block_level=True)
+        assert int(seen.pop()[0]) == 8  # sampled, but an operand
+        kinds = [type(e).__name__ for e in t.order]
+        assert kinds[:3] == ["Extent", "Extent", "Ufunc"]  # nctaid * ntid

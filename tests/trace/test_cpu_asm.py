@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core import Grid, Threads, get_idx
+from repro.core.element import grid_strided_spans
 from repro.core.errors import TraceError
 from repro.kernels import AxpyElementsKernel, AxpyKernel
 from repro.trace import (
@@ -9,7 +11,6 @@ from repro.trace import (
     trace_cpu_kernel_scalar,
     trace_cpu_kernel_spans,
 )
-from repro.trace.cpu_asm import CpuArray, CpuTraceContext
 
 
 class TestScalarPath:
@@ -75,25 +76,80 @@ class TestVectorPath:
             )
 
 
+def copy_first_to_last(acc, n, *arrays):
+    i = get_idx(acc, Grid, Threads)[0]
+    if i < n:
+        arrays[-1][i] = arrays[0][i]
+
+
 class TestContext:
     def test_pointer_registers_follow_abi(self):
-        ctx = CpuTraceContext()
-        a = CpuArray(ctx, "a")
-        b = CpuArray(ctx, "b")
-        assert a.base == "%rdi" and b.base == "%rsi"
+        ctx = trace_cpu_kernel_scalar(copy_first_to_last, ["a", "b"], "n")
+        loads_stores = [i for i in ctx.instructions if i.startswith("movsd")]
+        assert loads_stores == [
+            "movsd (%rdi,%r11,8), %xmm0", "movsd %xmm0, (%rsi,%r11,8)",
+        ]
 
     def test_pointer_exhaustion(self):
-        ctx = CpuTraceContext()
-        for _ in range(6):
-            CpuArray(ctx, "p")
-        with pytest.raises(TraceError):
-            CpuArray(ctx, "overflow")
+        six = trace_cpu_kernel_scalar(copy_first_to_last, list("abcdef"), "n")
+        assert "movsd %xmm0, (%r9,%r11,8)" in six.instructions
+        with pytest.raises(TraceError, match="pointer argument registers"):
+            trace_cpu_kernel_scalar(copy_first_to_last, list("abcdefg"), "n")
 
     def test_text_rendering(self):
         ctx = trace_cpu_kernel_scalar(AxpyKernel(), ["x", "y"], "n", 2.0)
         text = ctx.to_text()
         assert "(%rdi,%r11,8)" in text or "(%rdi," in text
         assert text.strip().endswith(":")  # exit label
+
+
+class TestOneTracer:
+    """What the compile tracer records decides what prints."""
+
+    def test_le_guard_jumps_past_on_greater(self):
+        def k(acc, n, x):
+            i = get_idx(acc, Grid, Threads)[0]
+            if i <= n:
+                x[i] = x[i] - 1.5
+
+        m = trace_cpu_kernel_scalar(k, ["x"], "n").mnemonics()
+        assert "jg" in m and "subsd" in m
+
+    def test_unmaskable_guard_carries_the_fallback_slug(self):
+        def k(acc, n, x):
+            i = get_idx(acc, Grid, Threads)[0]
+            if i > n:
+                x[i] = x[i]
+
+        with pytest.raises(TraceError, match="divergent-control-flow"):
+            trace_cpu_kernel_scalar(k, ["x"], "n")
+
+    def test_scalar_minus_span_keeps_operand_order(self):
+        """Only commutative operations copy the span and splat the
+        scalar; ``alpha - x[span]`` splats first and subtracts the
+        span from it."""
+
+        def k(acc, n, alpha, x):
+            for span in grid_strided_spans(acc, n):
+                x[span] = alpha - x[span]
+
+        ctx = trace_cpu_kernel_spans(k, ["x"], 2, 3.0, span=2)
+        assert ctx.instructions == [
+            "movsd $3.0, %xmm0",
+            "movupd 0(%rdi), %xmm1",
+            "movddup %xmm0, %xmm2",
+            "movapd %xmm2, %xmm3",
+            "subpd %xmm1, %xmm3",
+            "movupd %xmm3, 0(%rdi)",
+        ]
+
+    def test_unsupported_ufunc_is_named(self):
+        def k(acc, n, x):
+            i = get_idx(acc, Grid, Threads)[0]
+            x[i] = x[i] / 2.0
+
+        with pytest.raises(TraceError, match="divide"):
+            trace_cpu_kernel_scalar(k, ["x"], "n")
 
 
 class TestPaperComparison:
