@@ -36,7 +36,6 @@ __all__ = [
     "notify_plan_cache",
     "notify_tuning_cache",
     "notify_sanitizer_report",
-    "notify_span_begin",
     "notify_span_end",
     "notify_graph_end",
     "notify_worker_span",
@@ -79,9 +78,6 @@ class ExecutionObserver:
     def on_tuning_cache(self, kernel, acc_type, hit: bool) -> None:
         """An ``AutoWorkDiv`` consulted the tuning cache (tuned division
         served vs heuristic fallback)."""
-
-    def on_span_begin(self, span) -> None:
-        """A telemetry span opened (see :mod:`repro.telemetry.spans`)."""
 
     def on_span_end(self, span) -> None:
         """A telemetry span closed; ``span`` carries wall and modeled
@@ -237,14 +233,6 @@ def notify_worker_span(info: Dict[str, object]) -> None:
         return
     for o in obs:
         o.on_worker_span(info)
-
-
-def notify_span_begin(span) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_span_begin(span)
 
 
 def notify_span_end(span) -> None:

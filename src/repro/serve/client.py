@@ -103,7 +103,7 @@ class ServeClient:
                     waiter.set_result(message)
         except asyncio.CancelledError:
             raise
-        except Exception as exc:
+        except Exception as exc:  # noqa: BLE001 - no call may wait on a dead reader
             self._fail_waiters(exc)
             return
         self._fail_waiters(GatewayClosed("server closed the connection"))

@@ -154,14 +154,11 @@ class Gateway:
             self._handles[request.request_id] = handle
         try:
             self.admission.offer(request)
-        except RetryAfter as exc:
-            record_retry_delay(exc.delay)
+        except BaseException as exc:  # noqa: BLE001 - a refused offer leaves no handle; re-raised
             with self._handles_lock:
                 self._handles.pop(request.request_id, None)
-            raise
-        except BaseException:
-            with self._handles_lock:
-                self._handles.pop(request.request_id, None)
+            if isinstance(exc, RetryAfter):
+                record_retry_delay(exc.delay)
             raise
         with self._handles_lock:
             self._submitted += 1
@@ -437,7 +434,7 @@ class Gateway:
         # Interpreter exit: drain briefly, never hang the process.
         try:
             self.shutdown(drain=True, timeout=5.0)
-        except Exception:
+        except Exception:  # noqa: BLE001 - an exit hook must not raise over interpreter shutdown
             pass
 
     def __enter__(self) -> "Gateway":

@@ -59,7 +59,10 @@ Server → client::
 ``id`` is a client-chosen correlation token echoed verbatim; responses
 may arrive out of submission order (that is the point of the gateway).
 
-Every rejection is a :class:`~repro.core.errors.ServeError`.  Two kinds:
+Every rejection is a :class:`~repro.core.errors.ServeError`.  Two
+kinds, and both services — the gateway's server and the fleet daemon —
+apply the same policy to each, because both run on one connection loop
+(:class:`~repro.serve.server.FrameServer`):
 
 * **The framing is lost** — raised by the readers
   (:func:`read_frame`, :func:`read_frame_blocking`): wrong magic,

@@ -158,7 +158,7 @@ class ShardRouter:
                     state["outputs"] = workload.execute(
                         requests, lane.acc_type, lane.device
                     )
-            except BaseException as exc:  # delivered per request below
+            except BaseException as exc:  # noqa: BLE001 - lane thread: each request's future gets it below
                 state["error"] = exc
             batch.execute_seconds = time.perf_counter() - t0
 

@@ -1,11 +1,20 @@
-"""asyncio TCP front-end for the gateway.
+"""The frame-service skeleton, and the asyncio TCP front-end of the
+gateway built on it.
 
-One :class:`ServeServer` wraps one :class:`~repro.serve.gateway.Gateway`
-and speaks the binary frames of :mod:`repro.serve.protocol`.
-Each client connection is an independent reader task; responses are
-written as the underlying handles resolve, so a connection can have any
-number of requests in flight and receives completions out of order.
+:class:`FrameServer` is the package's one connection loop: it accepts
+connections, reads the binary frames of :mod:`repro.serve.protocol` and
+answers each with what ``_dispatch`` returns for the decoded message —
+the only thing a service defines.  Each client connection is an
+independent reader task and each frame its own task, so a connection
+can have any number of requests in flight and receives completions out
+of order.  Both rejection kinds of the protocol are applied here, for
+every service: a lost framing gets one error reply and a hang-up, a
+whole frame whose content is not a message gets an error reply and the
+connection carries on.
 
+:class:`ServeServer` binds the skeleton to a
+:class:`~repro.serve.gateway.Gateway`; the fleet tuning daemon
+(:class:`~repro.tuning.fleet.daemon.FleetDaemon`) is the other service.
 The gateway core is thread-based (``concurrent.futures.Future``); the
 server bridges with :func:`asyncio.wrap_future`, keeping the event loop
 free while kernels run on device-lane threads.
@@ -14,9 +23,8 @@ free while kernels run on device-lane threads.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 from .. import knobs
 from ..core.errors import ServeError
@@ -35,67 +43,43 @@ from .protocol import (
 )
 from .types import DEFAULT_TENANT, GraphRequest, LaunchRequest
 
-__all__ = ["ServeServer", "serve_forever"]
+__all__ = ["FrameServer", "ServeServer", "serve_forever"]
 
 
-class ServeServer:
-    """TCP server bound to a gateway; ``async with`` manages both."""
+class FrameServer:
+    """Accept loop, connection lifecycle and per-frame codec; a subclass
+    supplies ``async _dispatch(message, trace) -> reply``."""
 
-    def __init__(
-        self,
-        config: Optional[ServeConfig] = None,
-        gateway: Optional[Gateway] = None,
-        **overrides,
-    ):
-        if config is None:
-            config = config_from_env()
-        if overrides:
-            config = config.with_overrides(**overrides)
-        self.config = config
-        self.gateway = gateway if gateway is not None else Gateway(config)
-        self._owns_gateway = gateway is None
+    def __init__(self):
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers = set()
 
-    # -- lifecycle --------------------------------------------------------
-
-    async def start(self) -> None:
+    async def listen(self, host: str, port: int) -> None:
         # The stream limit only paces the transport here (frames are
         # read with readexactly); at the frame bound a whole frame
         # arrives without pause/resume churn.
         self._server = await asyncio.start_server(
-            self._handle_connection,
-            self.config.host,
-            self.config.port,
-            limit=MAX_FRAME_BYTES,
+            self._handle_connection, host, port, limit=MAX_FRAME_BYTES
         )
 
     @property
-    def port(self) -> int:
-        """The actually-bound port (useful with ``port=0``)."""
+    def address(self) -> Tuple[str, int]:
+        """The actually-bound ``(host, port)`` (useful with ``port=0``)."""
         assert self._server is not None, "server not started"
-        return self._server.sockets[0].getsockname()[1]
+        return self._server.sockets[0].getsockname()[:2]
 
-    async def stop(self, drain: bool = True) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def close(self) -> None:
+        """Stop accepting and hang up on every connection."""
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
         for writer in list(self._writers):
-            with contextlib.suppress(Exception):
-                writer.close()
-        if self._owns_gateway:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                None, lambda: self.gateway.shutdown(drain=drain)
-            )
+            writer.close()
+        if server is not None:
+            await server.wait_closed()
 
-    async def __aenter__(self) -> "ServeServer":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
+    async def _dispatch(self, message: dict, trace) -> dict:
+        raise NotImplementedError
 
     # -- per-connection ---------------------------------------------------
 
@@ -128,8 +112,7 @@ class ServeServer:
                 await asyncio.gather(*pending, return_exceptions=True)
         finally:
             self._writers.discard(writer)
-            with contextlib.suppress(Exception):
-                writer.close()
+            writer.close()
 
     async def _handle_frame(self, frame: bytes, writer, write_lock) -> None:
         msg_id = trace = None
@@ -138,7 +121,7 @@ class ServeServer:
             message = decode_message(frame)
             msg_id = message.get("id")
             # A malformed traceparent degrades to untraced — the
-            # gateway then applies its own capture rules.
+            # service then applies its own capture rules.
             trace = tracing.from_traceparent(message.get("trace"))
             message["arrays"] = decode_arrays(message.get("arrays") or {})
             _wire_span("serve.wire.decode", t0, trace, len(frame))
@@ -146,7 +129,7 @@ class ServeServer:
             t0 = time.perf_counter()
             reply = encode_message(response)
             _wire_span("serve.wire.encode", t0, trace, len(reply))
-        except Exception as exc:  # a failed request is still a reply
+        except Exception as exc:  # noqa: BLE001 - any failed request is its own reply
             reply = encode_message(error_payload(msg_id, exc))
         await self._send(reply, writer, write_lock)
 
@@ -158,6 +141,50 @@ class ServeServer:
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass  # client went away; the work already ran
+
+
+class ServeServer(FrameServer):
+    """TCP server bound to a gateway; ``async with`` manages both."""
+
+    def __init__(
+        self,
+        config: Optional[ServeConfig] = None,
+        gateway: Optional[Gateway] = None,
+        **overrides,
+    ):
+        super().__init__()
+        if config is None:
+            config = config_from_env()
+        if overrides:
+            config = config.with_overrides(**overrides)
+        self.config = config
+        self.gateway = gateway if gateway is not None else Gateway(config)
+        self._owns_gateway = gateway is None
+
+    # -- lifecycle --------------------------------------------------------
+
+    async def start(self) -> None:
+        await self.listen(self.config.host, self.config.port)
+
+    @property
+    def port(self) -> int:
+        """The actually-bound port (useful with ``port=0``)."""
+        return self.address[1]
+
+    async def stop(self, drain: bool = True) -> None:
+        await self.close()
+        if self._owns_gateway:
+            loop = asyncio.get_running_loop()
+            await loop.run_in_executor(
+                None, lambda: self.gateway.shutdown(drain=drain)
+            )
+
+    async def __aenter__(self) -> "ServeServer":
+        await self.start()
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        await self.stop()
 
     async def _dispatch(self, message: dict, trace) -> dict:
         op = message.get("op")

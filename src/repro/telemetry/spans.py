@@ -9,9 +9,9 @@ opened with :func:`span`::
         ...
 
 and reach every registered
-:class:`~repro.runtime.instrument.ExecutionObserver` via the
-``on_span_begin`` / ``on_span_end`` hooks — the telemetry collector
-turns them into latency histograms and Chrome ``trace_event`` entries.
+:class:`~repro.runtime.instrument.ExecutionObserver` through the
+``on_span_end`` hook when they close — the telemetry collector turns
+them into latency histograms and Chrome ``trace_event`` entries.
 
 **Hot-path contract**: when no observer is registered, :func:`span`
 returns a shared no-op context manager after a single falsy check — no
@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
 from ..runtime import instrument as _instrument
-from ..runtime.instrument import notify_span_begin, notify_span_end
+from ..runtime.instrument import notify_span_end
 from . import tracing
 
 __all__ = ["Span", "span", "record_span", "sim_interval", "NULL_SPAN"]
@@ -109,7 +109,6 @@ class Span:
         if self.device is not None:
             self.sim0_fs = self.device.sim_time_fs
         self.t0 = time.perf_counter()
-        notify_span_begin(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:

@@ -42,6 +42,7 @@ from ..core.workdiv import (
     divide_work,
     validate_work_div,
 )
+from ..telemetry.metrics import registry
 from .cache import (
     CachedResult,
     TuningCache,
@@ -416,6 +417,31 @@ def autotune(
         measured[wd] = mt
         return mt.seconds
 
+    def measure_schedule(
+        wd: WorkDivMembers, sched: str
+    ) -> Optional[MeasuredTime]:
+        """``wd`` timed under ``sched``, or None when the launch failed
+        or fell back: a fallen-back launch ran on the thread pool, so its
+        time is another schedule's, and storing ``sched`` would make
+        every AUTO launch fall back again."""
+        before = _fallback_count(kernel, sched)
+        try:
+            mt = measure_division(
+                kernel,
+                acc_type,
+                device,
+                wd,
+                args,
+                shared_mem_bytes=shared_mem_bytes,
+                warmup=warmup,
+                repeat=repeat,
+                schedule=sched,
+                clock="wall",
+            )
+        except Exception:
+            return None  # a strategy the launch rejects never wins
+        return mt if _fallback_count(kernel, sched) == before else None
+
     extra = {"hof_label": key} if strategy == "evolve" else {}
     if strategy == "evolve" and tune_schedule:
         # Evolve searches the joint (division, schedule) space in one
@@ -425,20 +451,8 @@ def autotune(
         if candidates_sched:
 
             def schedule_objective(wd: WorkDivMembers, sched: str) -> float:
-                try:
-                    mt = measure_division(
-                        kernel,
-                        acc_type,
-                        device,
-                        wd,
-                        args,
-                        shared_mem_bytes=shared_mem_bytes,
-                        warmup=warmup,
-                        repeat=repeat,
-                        schedule=sched,
-                        clock="wall",
-                    )
-                except Exception:
+                mt = measure_schedule(wd, sched)
+                if mt is None:
                     return float("inf")
                 measured[wd] = mt
                 return mt.seconds
@@ -477,25 +491,11 @@ def autotune(
         )
         schedule_launches = 0
         if tune_schedule and best_schedule is None:
-            candidates_sched = _schedule_candidates(acc_type)
-            for sched in candidates_sched:
-                try:
-                    mt = measure_division(
-                        kernel,
-                        acc_type,
-                        device,
-                        best.work_div,
-                        args,
-                        shared_mem_bytes=shared_mem_bytes,
-                        warmup=warmup,
-                        repeat=repeat,
-                        schedule=sched,
-                        clock="wall",
-                    )
-                except Exception:
-                    continue  # a strategy the launch rejects never wins
-                schedule_trials[sched] = mt.seconds
-                schedule_launches += mt.launches
+            for sched in _schedule_candidates(acc_type):
+                mt = measure_schedule(best.work_div, sched)
+                if mt is not None:
+                    schedule_trials[sched] = mt.seconds
+                    schedule_launches += mt.launches
             if schedule_trials:
                 best_schedule = min(
                     schedule_trials, key=schedule_trials.get
@@ -548,8 +548,10 @@ def _schedule_candidates(acc_type) -> Tuple[str, ...]:
     back-ends) offer no choice — their block order is semantic.  Pooled
     back-ends choose between the caller's thread, the thread pool,
     — when single-thread blocks make it safe — the process pool, and
-    the trace-vectorized compiled replay (which self-measures its own
-    fallback-to-interpretation cost when the kernel cannot compile).
+    the trace-vectorized compiled replay.  The last two may fall back
+    to the thread pool for a given launch (private buffers, a kernel
+    that does not compile); the tuner drops a schedule whose measurement
+    fell back.
     """
     if getattr(acc_type, "block_schedule", "sequential") != "pooled":
         return ()
@@ -558,6 +560,20 @@ def _schedule_candidates(acc_type) -> Tuple[str, ...]:
         cands.append("processes")
     cands.append("compiled")
     return tuple(cands)
+
+
+def _fallback_count(kernel, schedule: str) -> float:
+    """Launches of ``kernel`` that ``schedule`` handed to the thread
+    pool so far: ``repro_scheduler_fallbacks_total{schedule,kernel}``
+    summed over reasons."""
+    from ..core.kernel import kernel_name
+
+    labels = {("schedule", schedule), ("kernel", kernel_name(kernel))}
+    return sum(
+        c.value
+        for c in registry().instruments("repro_scheduler_fallbacks_total")
+        if labels <= set(c.labels)
+    )
 
 
 def auto_divide(

@@ -3,8 +3,11 @@
 ``python -m repro.tuning.fleet serve`` runs this.  The daemon owns the
 tuning-cache file and answers the ops of
 :mod:`repro.tuning.fleet.client` in the binary frames of
-:mod:`repro.serve.protocol` — one thread per connection, strictly
-request/response per connection.
+:mod:`repro.serve.protocol`.  It is an op table on the serve layer's
+frame-service skeleton (:class:`~repro.serve.server.FrameServer` — the
+same accept loop, connection lifecycle and malformed-frame policy as
+the gateway's server), run on one event-loop thread: the lease table
+and op counters live on that loop and need no lock.
 
 Semantics worth stating:
 
@@ -14,18 +17,19 @@ Semantics worth stating:
   its lease through ``renew`` heartbeats.  A daemon restart forgets all
   leases, which merely lets the race re-run — the merge-on-write cache
   makes duplicate publishes harmless.
-* **`wait` is push-style**: the op parks on a condition variable and
-  returns the entry the moment a `put` lands (or early with ``null``
-  when the lease holder released without publishing), instead of the
-  client polling.
+* **`wait` is push-style**: the op parks on a signal that `put`,
+  `release` and shutdown set, and returns the entry the moment a `put`
+  lands (or early with ``null`` when the lease holder released or its
+  lease lapsed without a publish), instead of the client polling.
 * **Writes are atomic and merging** — the daemon persists through
-  :meth:`TuningCache.save`, so it can even share a cache file with
-  file-lock-mode workers.
+  :meth:`TuningCache.save` (off the loop, in a worker thread), so it can
+  even share a cache file with file-lock-mode workers.
 """
 
 from __future__ import annotations
 
-import socket
+import asyncio
+import concurrent.futures
 import threading
 import time
 import uuid
@@ -33,12 +37,8 @@ from typing import Any, Dict, Optional, Tuple
 
 from ... import knobs
 from ...core.errors import ServeError
-from ...serve.protocol import (
-    decode_message,
-    encode_message,
-    read_frame_blocking,
-)
-from ...telemetry import flight, tracing
+from ...serve.server import FrameServer
+from ...telemetry import flight
 from ...telemetry import http as ops_http
 from ...telemetry.spans import record_span
 from ..cache import TuningCache, entry_from_dict, entry_to_dict
@@ -46,9 +46,11 @@ from .config import FleetConfig
 
 __all__ = ["FleetDaemon"]
 
+Message = Dict[str, Any]
 
-class FleetDaemon:
-    """Threaded TCP server over one :class:`TuningCache`."""
+
+class FleetDaemon(FrameServer):
+    """TCP service over one :class:`TuningCache`, on its own loop thread."""
 
     def __init__(
         self,
@@ -58,64 +60,62 @@ class FleetDaemon:
         host: Optional[str] = None,
         port: Optional[int] = None,
     ):
+        super().__init__()
         self.config = config or FleetConfig(mode="daemon")
         self.cache = TuningCache(cache_path)
         self.host = host if host is not None else self.config.host
         self.port = port if port is not None else self.config.port
-        self._server: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._stopping = threading.Event()
-        # key -> (token, deadline); guarded by _cond's lock, which also
-        # serialises publish visibility for parked `wait` ops.
+        self._thread: Optional[threading.Thread] = None
+        # key -> (token, deadline).
         self._leases: Dict[str, Tuple[str, float]] = {}
-        self._cond = threading.Condition()
-        self._conns: set = set()
         self._ops: Dict[str, int] = {}
+        self._waiting = 0
+        # Replaced on every set, so a parked `wait` holds the one it
+        # parked on and cannot miss a wake-up.
+        self._changed = asyncio.Event()
         self._started_at = time.monotonic()
 
     # -- life cycle ----------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
-        """Bind and start accepting; returns the bound (host, port) —
+        """Bind and start serving; returns the bound (host, port) —
         pass ``port=0`` to let the OS pick."""
-        server = socket.create_server(
-            (self.host, self.port), reuse_port=False
-        )
-        server.settimeout(0.2)
-        self._server = server
-        self.host, self.port = server.getsockname()[:2]
         self.cache.reload()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="fleet-daemon-accept", daemon=True
+        ready = concurrent.futures.Future()
+        thread = threading.Thread(
+            target=asyncio.run, args=(self._serve(ready),),
+            name="fleet-daemon", daemon=True,
         )
-        self._accept_thread.start()
+        thread.start()
+        self.host, self.port = ready.result()  # a bind error raises here
+        self._thread = thread
         # Live ops surface: the daemon is a long-lived process, so it
         # exposes /metrics, /healthz and /traces when asked to.
         ops_http.maybe_start_from_env()
         ops_http.register_health("fleet_daemon", self._health)
         return (self.host, self.port)
 
-    def _health(self):
-        with self._cond:
-            leases = sum(
-                1 for key in list(self._leases)
-                if self._lease_active_locked(key)
-            )
-            conns = len(self._conns)
-        up = self._server is not None and not self._stopping.is_set()
-        return up, {
-            "entries": len(self.cache),
-            "leases": leases,
-            "connections": conns,
-            "uptime": time.monotonic() - self._started_at,
-        }
+    async def _serve(self, ready: concurrent.futures.Future) -> None:
+        """The loop thread's main: listen, serve until :meth:`shutdown`
+        sets ``_halt``, then close."""
+        try:
+            await self.listen(self.host, self.port)
+        except OSError as exc:
+            ready.set_exception(exc)
+            return
+        self._loop, self._halt = asyncio.get_running_loop(), asyncio.Event()
+        ready.set_result(self.address)
+        await self._halt.wait()
+        # Hang up first: a parked `wait` woken below finds the service
+        # closed and its reply has no connection left to reach.
+        await self.close()
+        self._wake()
 
     def serve_forever(self) -> None:
-        if self._server is None:
+        if self._thread is None:
             self.start()
         try:
-            while not self._stopping.is_set():
-                time.sleep(0.2)
+            self._thread.join()
         except KeyboardInterrupt:
             pass
         finally:
@@ -123,230 +123,147 @@ class FleetDaemon:
 
     def shutdown(self) -> None:
         ops_http.unregister_health("fleet_daemon")
-        self._stopping.set()
-        with self._cond:
-            self._cond.notify_all()
-            conns = list(self._conns)
-        for conn in conns:
-            # Unblock connection threads parked in a read; a client
-            # mid-conversation sees a clean EOF/reset, not a hang.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-            self._server = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-            self._accept_thread = None
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._loop.call_soon_threadsafe(self._halt.set)
+            thread.join()
 
-    # -- accept / per-connection ---------------------------------------
+    def _state(self) -> Dict[str, Any]:
+        # Also read by the ops HTTP thread: one-bytecode snapshots only.
+        now = time.monotonic()
+        return {
+            "entries": len(self.cache),
+            "leases": sum(d > now for _, d in list(self._leases.values())),
+            "connections": len(self._writers),
+            "waiting": self._waiting,
+            "uptime": now - self._started_at,
+        }
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._server.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name="fleet-daemon-conn",
-                daemon=True,
-            ).start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        conn.settimeout(None)
-        with self._cond:
-            self._conns.add(conn)
-        rfile = conn.makefile("rb")
-        try:
-            while not self._stopping.is_set():
-                try:
-                    frame = read_frame_blocking(rfile)
-                    if frame is None:
-                        return
-                    msg = decode_message(frame)
-                except ServeError as exc:
-                    conn.sendall(
-                        encode_message(
-                            {"id": None, "ok": False, "message": str(exc)}
-                        )
-                    )
-                    return
-                reply = self._dispatch(msg)
-                conn.sendall(encode_message(reply))
-        except OSError:
-            pass
-        finally:
-            with self._cond:
-                self._conns.discard(conn)
-            try:
-                rfile.close()
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+    def _health(self):
+        return self._server is not None, self._state()
 
     # -- ops -----------------------------------------------------------
 
-    def _count(self, op: str) -> None:
-        with self._cond:
-            self._ops[op] = self._ops.get(op, 0) + 1
-
-    def _dispatch(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        op = msg.get("op")
-        msg_id = msg.get("id")
+    async def _dispatch(self, message: Message, trace) -> Message:
+        op = message.get("op")
         handler = getattr(self, f"_op_{op}", None)
         if handler is None:
-            return {
-                "id": msg_id,
-                "ok": False,
-                "message": f"unknown op {op!r}",
-            }
-        self._count(str(op))
-        # The wire context (when the client sent one) makes this op a
-        # child span of the remote caller; a malformed traceparent
-        # degrades to an untraced op.
-        ctx = tracing.from_traceparent(msg.get("trace"))
+            raise ServeError(f"unknown op {op!r}")
+        self._ops[op] = self._ops.get(op, 0) + 1
+        key = str(message.get("key", ""))
+        # The remote context (when the client sent one) is passed, never
+        # installed: ops interleave on the loop thread.
+        ids = trace.ids() if trace is not None else {}
         if op in ("lease", "put", "release", "wait"):
-            flight.maybe_record(
-                f"fleet_{op}",
-                key=str(msg.get("key", "")),
-                **(ctx.ids() if ctx is not None else {}),
-            )
-        t0 = time.perf_counter()
+            flight.maybe_record(f"fleet_{op}", key=key, **ids)
+        t0, error = time.perf_counter(), None
         try:
-            with tracing.use(ctx):
-                payload = handler(msg)
-        except Exception as exc:  # a bad request must not kill the conn
+            return {"id": message.get("id"), "ok": True, **await handler(message)}
+        except Exception as exc:  # noqa: BLE001 - stamp the span; FrameServer replies
+            error = type(exc).__name__
+            raise
+        finally:
             record_span(
                 f"fleet.{op}", t0, time.perf_counter(), cat="fleet",
-                trace=ctx, error=type(exc).__name__,
-                key=str(msg.get("key", "")),
+                trace=trace, error=error, key=key,
             )
-            return {"id": msg_id, "ok": False, "message": str(exc)}
-        record_span(
-            f"fleet.{op}", t0, time.perf_counter(), cat="fleet",
-            trace=ctx, key=str(msg.get("key", "")),
-        )
-        return {"id": msg_id, "ok": True, **payload}
 
-    def _op_ping(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    def _wake(self) -> None:
+        self._changed.set()
+        self._changed = asyncio.Event()
+
+    def _lease(self, key: str) -> Optional[Tuple[str, float]]:
+        """``key``'s live (token, deadline); an expired lease is dropped."""
+        held = self._leases.get(key)
+        if held is not None and held[1] <= time.monotonic():
+            del self._leases[key]
+            held = None
+        return held
+
+    def _holds(self, key: str, token) -> bool:
+        return token is not None and self._leases.get(key, (None,))[0] == token
+
+    async def _op_ping(self, msg: Message) -> Message:
         return {"pong": True}
 
-    def _op_get(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_get(self, msg: Message) -> Message:
         entry = self.cache.get_key(str(msg["key"]))
         return {"entry": entry_to_dict(entry) if entry else None}
 
-    def _op_put(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_put(self, msg: Message) -> Message:
         key = str(msg["key"])
-        entry = entry_from_dict(msg["entry"])
-        self.cache.put_key(key, entry)
-        self.cache.save()
-        token = msg.get("token")
-        with self._cond:
-            # Only the lease holder's own publish clears the lease: an
-            # uncoordinated put (token=None, e.g. a tune_schedule
-            # re-measure of a cached key) must not cancel an active
-            # holder that is still measuring and will publish its own
-            # result.  Waiters are notified either way — the entry is
-            # in the cache and they can adopt it.
-            held = self._leases.get(key)
-            if held is not None and token is not None and held[0] == token:
-                del self._leases[key]
-            self._cond.notify_all()
+        self.cache.put_key(key, entry_from_dict(msg["entry"]))
+        await asyncio.to_thread(self.cache.save)
+        # Only the lease holder's own publish clears the lease: an
+        # uncoordinated put (token=None, e.g. a tune_schedule re-measure
+        # of a cached key) must not cancel an active holder that is
+        # still measuring and will publish its own result.  Waiters are
+        # woken either way — the entry is in the cache to adopt.
+        if self._holds(key, msg.get("token")):
+            del self._leases[key]
+        self._wake()
         return {"stored": True}
 
-    def _lease_active_locked(self, key: str) -> bool:
-        held = self._leases.get(key)
-        if held is None:
-            return False
-        if held[1] <= time.monotonic():
-            del self._leases[key]
-            return False
-        return True
-
-    def _op_lease(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_lease(self, msg: Message) -> Message:
         key = str(msg["key"])
         if self.cache.get_key(key) is not None:
             # Already tuned; nothing to measure.  The client fetches.
             return {"token": None, "reason": "cached"}
-        with self._cond:
-            if self._lease_active_locked(key):
-                return {"token": None, "reason": "held"}
-            token = uuid.uuid4().hex
-            deadline = time.monotonic() + self.config.lease_timeout
-            self._leases[key] = (token, deadline)
+        if self._lease(key) is not None:
+            return {"token": None, "reason": "held"}
+        token = uuid.uuid4().hex
+        self._leases[key] = (token, time.monotonic() + self.config.lease_timeout)
         return {"token": token}
 
-    def _op_renew(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_renew(self, msg: Message) -> Message:
         """Extend a held lease's deadline (heartbeat from a measuring
         worker whose tuning run outlives ``lease_timeout``)."""
-        key = str(msg["key"])
-        token = str(msg.get("token", ""))
-        with self._cond:
-            held = self._leases.get(key)
-            if held is not None and held[0] == token:
-                deadline = time.monotonic() + self.config.lease_timeout
-                self._leases[key] = (token, deadline)
-                return {"renewed": True}
-        return {"renewed": False}
+        key, token = str(msg["key"]), str(msg.get("token", ""))
+        if not self._holds(key, token):
+            return {"renewed": False}
+        self._leases[key] = (token, time.monotonic() + self.config.lease_timeout)
+        return {"renewed": True}
 
-    def _op_release(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_release(self, msg: Message) -> Message:
         key = str(msg["key"])
-        token = str(msg.get("token", ""))
-        with self._cond:
-            held = self._leases.get(key)
-            if held is not None and held[0] == token:
-                del self._leases[key]
-            self._cond.notify_all()
+        if self._holds(key, str(msg.get("token", ""))):
+            del self._leases[key]
+        self._wake()
         return {"released": True}
 
-    def _op_wait(self, msg: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_wait(self, msg: Message) -> Message:
         key = str(msg["key"])
         timeout = float(msg.get("timeout", self.config.wait_timeout))
         deadline = time.monotonic() + max(timeout, 0.0)
-        with self._cond:
-            while True:
-                entry = self.cache.get_key(key)
-                if entry is not None:
-                    return {"entry": entry_to_dict(entry)}
-                if not self._lease_active_locked(key):
-                    # Holder released/expired without publishing; let the
-                    # waiter fall back to the heuristic immediately.
-                    return {"entry": None, "reason": "abandoned"}
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stopping.is_set():
-                    return {"entry": None, "reason": "timeout"}
-                self._cond.wait(min(remaining, 0.5))
+        while True:
+            entry = self.cache.get_key(key)
+            if entry is not None:
+                return {"entry": entry_to_dict(entry)}
+            held = self._lease(key)
+            if held is None:
+                # Holder released/expired without publishing; let the
+                # waiter fall back to the heuristic immediately.
+                return {"entry": None, "reason": "abandoned"}
+            now = time.monotonic()
+            if now >= deadline or self._server is None:
+                return {"entry": None, "reason": "timeout"}
+            # Nothing signals a lease lapsing: wake at its deadline too.
+            self._waiting += 1
+            try:
+                await asyncio.wait_for(
+                    self._changed.wait(), min(deadline, held[1]) - now
+                )
+            except asyncio.TimeoutError:
+                pass
+            finally:
+                self._waiting -= 1
 
-    def _op_stats(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        with self._cond:
-            ops = dict(self._ops)
-            leases = sum(
-                1 for key in list(self._leases)
-                if self._lease_active_locked(key)
-            )
+    async def _op_stats(self, msg: Message) -> Message:
         return {
-            "stats": {
-                "entries": len(self.cache),
-                "leases": leases,
-                "ops": ops,
-                "uptime": time.monotonic() - self._started_at,
-                "cache_path": self.cache.path,
-                "config": knobs.effective(),
-            }
+            "stats": dict(
+                self._state(),
+                ops=dict(self._ops),
+                cache_path=self.cache.path,
+                config=knobs.effective(),
+            )
         }

@@ -23,6 +23,7 @@ generation counter — the monitor never touches live launches.
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 import time
@@ -33,6 +34,8 @@ from . import metrics
 from .config import FleetConfig
 
 __all__ = ["DriftMonitor", "WorkloadStats"]
+
+_log = logging.getLogger(__name__)
 
 
 def _percentile(values, q: float) -> float:
@@ -161,7 +164,8 @@ class DriftMonitor:
         try:
             self._retune(workload)
             metrics.record_drift(workload, "retuned")
-        except Exception:
+        except Exception:  # noqa: BLE001 - best effort off the request path; the next drift retries
+            _log.warning("drift re-tune of %s failed", workload, exc_info=True)
             metrics.record_drift(workload, "failed")
         finally:
             metrics.record_retune_seconds(time.monotonic() - started)

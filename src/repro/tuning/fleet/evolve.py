@@ -105,7 +105,7 @@ def _append_run(path: str, run: dict) -> None:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
             os.replace(tmp, path)
-        except BaseException:
+        except BaseException:  # noqa: BLE001 - interrupted or not, leave no temp file; re-raised
             try:
                 os.unlink(tmp)
             except OSError:

@@ -86,8 +86,9 @@ def launch_frame(entry: dict, payload: bytes) -> bytes:
 
 
 def handler_tasks(kind: str):
-    """Live ServeServer tasks of one kind ('connection' or 'frame')."""
-    name = f"ServeServer._handle_{kind}"
+    """Live server tasks of one kind ('connection' or 'frame'); the
+    handlers are the shared skeleton's, FrameServer's."""
+    name = f"FrameServer._handle_{kind}"
     return [
         t for t in asyncio.all_tasks()
         if getattr(t.get_coro(), "__qualname__", "") == name

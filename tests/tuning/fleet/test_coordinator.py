@@ -157,7 +157,10 @@ class TestDaemonTransport:
                 target=lambda: got.append(b.wait_for(KEY, timeout=10.0))
             )
             t.start()
-            time.sleep(0.05)
+            deadline = time.monotonic() + 5.0
+            while a._client.stats()["waiting"] != 1:  # b is parked
+                assert time.monotonic() < deadline, "the wait never parked"
+                time.sleep(0.005)
             started = time.monotonic()
             a.publish(KEY, ENTRY, token=token)
             t.join(timeout=5.0)

@@ -66,6 +66,16 @@ def _second_client(daemon):
     )
 
 
+def _until(observer, field, value, timeout=5.0):
+    """Poll the daemon's ``stats`` (through ``observer``, a client not
+    parked in an op) until ``field`` reads ``value``."""
+    deadline = time.monotonic() + timeout
+    while observer.stats()[field] != value:
+        if time.monotonic() > deadline:
+            pytest.fail(f"daemon stats {field!r} never read {value!r}")
+        time.sleep(0.005)
+
+
 class TestOps:
     def test_ping(self, client):
         assert client.ping()
@@ -89,6 +99,8 @@ class TestOps:
         stats = client.stats()
         assert stats["entries"] == 1
         assert stats["leases"] == 0
+        assert stats["waiting"] == 0
+        assert stats["connections"] == 1
         assert stats["ops"]["put"] == 1
         assert stats["uptime"] >= 0
         assert stats["cache_path"]
@@ -199,7 +211,7 @@ class TestWait:
         t = threading.Thread(target=lambda: got.append(client.wait(KEY, 10.0)))
         t.start()
         try:
-            time.sleep(0.05)
+            _until(publisher, "waiting", 1)
             publisher.put(KEY, ENTRY, token=token)
             t.join(timeout=5.0)
             assert got == [ENTRY]
@@ -213,7 +225,7 @@ class TestWait:
         t = threading.Thread(target=lambda: got.append(client.wait(KEY, 30.0)))
         t.start()
         try:
-            time.sleep(0.05)
+            _until(holder, "waiting", 1)
             started = time.monotonic()
             holder.release(KEY, token)
             t.join(timeout=5.0)
@@ -255,11 +267,55 @@ class TestClientFailureModes:
         with pytest.raises(TuningFleetError, match="closed"):
             c.ping()
 
+    def test_shutdown_ends_a_parked_wait(self, daemon, client):
+        holder = _second_client(daemon)
+        errors = []
+
+        def park():
+            try:
+                client.wait(KEY, 30.0)
+            except TuningFleetError as exc:
+                errors.append(exc)
+
+        t = threading.Thread(target=park)
+        try:
+            assert holder.lease(KEY)
+            t.start()
+            _until(holder, "waiting", 1)
+            started = time.monotonic()
+            daemon.shutdown()
+            assert time.monotonic() - started < 2.0
+            t.join(timeout=5.0)
+            assert not t.is_alive()
+            assert len(errors) == 1  # the waiter learns, it does not hang
+        finally:
+            holder.close()
+
+
+class TestOneLoopThread:
+    def test_eight_connections_add_at_most_one_thread(self, daemon):
+        """Connections are served on the daemon's event-loop thread; the
+        one thread a put may add is the cache-file writer."""
+        idle = threading.active_count()
+        clients = [_second_client(daemon) for _ in range(8)]
+        try:
+            for c in clients:
+                assert c.ping()
+                assert c.get(KEY) is None
+            clients[0].put(KEY, ENTRY)
+            assert clients[0].stats()["connections"] == 8
+            assert threading.active_count() <= idle + 1
+        finally:
+            for c in clients:
+                c.close()
+
 
 
 class TestMalformedFrames:
-    """A peer that gets the framing wrong is told why and dropped; the
-    daemon keeps serving everyone else."""
+    """The protocol's two rejection kinds, as the gateway's server
+    applies them: a peer that loses the framing is told why and dropped,
+    a whole frame with bad content is refused and the connection carries
+    on; the daemon keeps serving everyone else."""
 
     @staticmethod
     def exchange(daemon, data: bytes, *, half_close: bool = False):
@@ -276,6 +332,16 @@ class TestMalformedFrames:
                         return replies
                     replies.append(decode_message(frame))
 
+    @staticmethod
+    def others_unaffected(daemon, client):
+        assert client.ping()  # an established client is unaffected
+        fresh = _second_client(daemon)
+        try:
+            assert fresh.ping()  # and so is the next one
+        finally:
+            fresh.close()
+        _until(client, "connections", 1)  # the bad peer is gone
+
     @pytest.mark.parametrize(
         "data, half_close, needle",
         [
@@ -283,28 +349,31 @@ class TestMalformedFrames:
             (encode_message({"op": "ping", "id": 1})[:5], True, "truncated frame"),
             (encode_message({"op": "ping", "id": 1})[:-3], True, "truncated frame"),
             (PREFIX.pack(MAGIC, 8, MAX_FRAME_BYTES), False, "exceeds"),
-            (raw_frame(b"[1,2]"), False, "JSON object"),
-            (raw_frame(b"\xff\xfe{}"), False, "malformed frame header"),
         ],
     )
     def test_one_error_reply_then_hangup(self, daemon, client, data, half_close, needle):
         (reply,) = self.exchange(daemon, data, half_close=half_close)
         assert reply["ok"] is False and reply["id"] is None
         assert needle in reply["message"]
-        assert client.ping()  # an established client is unaffected
-        fresh = _second_client(daemon)
-        try:
-            assert fresh.ping()  # and so is the next one
-        finally:
-            fresh.close()
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:  # the bad peer's thread ended
-            with daemon._cond:
-                if len(daemon._conns) == 1:
-                    break
-            time.sleep(0.01)
-        else:
-            pytest.fail("the dropped connection is still registered")
+        self.others_unaffected(daemon, client)
+
+    @pytest.mark.parametrize(
+        "header, needle",
+        [
+            (b"[1,2]", "JSON object"),
+            (b"\xff\xfe{}", "malformed frame header"),
+        ],
+    )
+    def test_bad_header(self, daemon, client, header, needle):
+        with socket.create_connection((daemon.host, daemon.port), timeout=5) as sock:
+            with sock.makefile("rb") as rfile:
+                sock.sendall(raw_frame(header))
+                reply = decode_message(read_frame_blocking(rfile))
+                assert reply["ok"] is False and reply["id"] is None
+                assert needle in reply["message"]
+                sock.sendall(encode_message({"op": "ping", "id": 2}))
+                assert decode_message(read_frame_blocking(rfile))["pong"] is True
+        self.others_unaffected(daemon, client)
 
     def test_garbage_reply_surfaces_as_fleet_error(self):
         """The client side of the same contract: a peer that answers

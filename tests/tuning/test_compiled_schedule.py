@@ -159,3 +159,38 @@ class TestPlanPickup:
         )
         plan = get_plan(task, dev)
         assert plan.schedule == "compiled"
+
+
+class TestFallenBackSchedules:
+    @pytest.mark.parametrize("strategy", ["random", "evolve"])
+    def test_a_schedule_that_fell_back_is_never_stored(
+        self, monkeypatch, strategy
+    ):
+        """Regression: private buffers send every `processes` launch to
+        the thread pool.  Even when that measurement reads fastest, the
+        tuner must not store `processes`, or every AUTO launch falls
+        back again."""
+        assert AccCpuOmp2Blocks.supports_process_blocks
+        real = tuning.measure_division
+
+        def processes_report_the_smallest_time(*a, schedule=None, **kw):
+            mt = real(*a, schedule=schedule, **kw)
+            if schedule == "processes":
+                return MeasuredTime(seconds=1e-12, source=mt.source, launches=mt.launches)
+            return mt
+
+        monkeypatch.setattr(
+            tuning, "measure_division", processes_report_the_smallest_time
+        )
+        n = 1024
+        dev, args = _args(n)
+        res = autotune(
+            _ElemKernel(), AccCpuOmp2Blocks, n, args, device=dev,
+            strategy=strategy, budget=4, tune_schedule=True,
+            max_total_elems=64,  # >= 16 blocks: a 1-block launch never falls back
+        )
+        assert res.work_div.block_count > 1
+        assert res.schedule not in (None, "processes")
+        assert "processes" not in res.schedule_trials
+        entry = default_cache().get(_ElemKernel(), AccCpuOmp2Blocks, dev, n)
+        assert entry.schedule == res.schedule
