@@ -2,25 +2,29 @@
 
 The paper's central claim is that one kernel source maps onto genuinely
 parallel back-ends with zero abstraction overhead (Sec. 3.3, Figs. 8-9).
-Until the process-pool scheduler, this reproduction could not honour the
-"genuinely parallel" half on CPUs: thread-pool block dispatch serialises
-on the GIL, so the OMP2-blocks back-end was parallel in name only.
+On the OMP2-blocks back-end the blocks of a launch run on the device's
+thread pool; an element-level kernel spends its time in numpy span
+operations, which release the interpreter lock, so the pool's threads
+genuinely overlap.
 
 This bench runs element-level AXPY and GEMM — the two kernels the
-paper's CPU evaluation leans on — under all three block-scheduling
-strategies and reports wall-clock speedups over sequential dispatch.
-Two properties are asserted:
+paper's CPU evaluation leans on — under every block-scheduling strategy
+and reports wall-clock speedups over sequential dispatch.  Two
+properties are asserted:
 
-* **identity** — results are bit-identical across all three schedulers,
+* **identity** — results are bit-identical across all schedulers,
   always (a scheduler that changes answers is wrong, not fast);
-* **scaling** — process-pool AXPY beats sequential by a core-dependent
-  factor (>= 1.6x on 2 cores, >= 2.5x on 4+; skipped on single-core
-  hosts where no wall-clock win is possible).  ``REPRO_REQUIRE_SCALING``
-  overrides the required factor explicitly — CI's 2-core smoke job sets
-  it so the assertion can never silently self-disable.
+* **scaling** — the schedule ``autotune(..., tune_schedule=True)``
+  stores for the AXPY launch (2^22 elements, 16 blocks) runs it >= 1.5x
+  faster than sequential dispatch on hosts with two or more cores
+  (skipped on single-core hosts, where no wall-clock win is possible).
+  ``REPRO_REQUIRE_SCALING`` sets the required factor explicitly — CI's
+  2-core job sets it so the assertion can never silently self-disable.
 """
 
+import contextlib
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -38,21 +42,24 @@ from repro.bench import measure_wall, write_bench_json, write_report
 from repro.comparison import render_table
 from repro.kernels.axpy import AxpyElementsKernel, axpy_reference
 from repro.kernels.gemm import GemmOmpStyleKernel, dgemm_reference
-from repro.mem.shm import SHM_NAME_PREFIX, active_segment_names
 from repro.runtime import get_plan, shutdown_schedulers
 from repro.runtime.scheduler import SCHEDULER_ENV
+from repro.tuning import SEARCH_STRATEGIES, SearchResult, Trial, TuningCache, autotune
 
 #: REPRO_SCHEDULER value -> the plan schedule it must resolve to.
 SCHEDULES = {
     "sequential": "sequential",
     "threads": "pooled",
-    "processes": "processes",
     "compiled": "compiled",
 }
 
 AXPY_N = 1 << 22
 AXPY_BLOCKS = 16
 AXPY_LAUNCHES = 4
+#: Best-of rounds per AXPY timing: the gated ratio divides two timings
+#: taken seconds apart, so each must shed a neighbour's burst on a
+#: shared host.
+AXPY_REPEAT = 7
 
 #: Work division for the trace-vectorization gate: GPU-style block-heavy
 #: decomposition where per-block interpretation overhead dominates —
@@ -66,17 +73,12 @@ GEMM_LAUNCHES = 2
 
 
 def _required_speedup():
-    """The process-vs-sequential factor this host must reach, or None
+    """The tuned-vs-sequential factor this host must reach, or None
     when the host cannot parallelise at all (single core)."""
     env = os.environ.get("REPRO_REQUIRE_SCALING")
     if env:
         return float(env)
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        return 2.5
-    if cores >= 2:
-        return 1.6
-    return None
+    return 1.5 if (os.cpu_count() or 1) >= 2 else None
 
 
 class _ForcedSchedule:
@@ -100,8 +102,8 @@ def _run_axpy(schedule_env):
     dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
     queue = QueueBlocking(dev)
     n = AXPY_N
-    x = mem.alloc(dev, n, shm=True)
-    y = mem.alloc(dev, n, shm=True)
+    x = mem.alloc(dev, n)
+    y = mem.alloc(dev, n)
     rng = np.random.default_rng(7)
     x0 = rng.random(n)
     y0 = rng.random(n)
@@ -119,7 +121,7 @@ def _run_axpy(schedule_env):
             plan.schedule,
         )
         y.as_numpy()[:] = y0
-        queue.enqueue(task)  # warm: plan cached, pool spawned, shm mapped
+        queue.enqueue(task)  # warm: plan cached, pool started
         result = y.as_numpy().copy()
         assert np.array_equal(result, axpy_reference(1.5, x0, y0))
 
@@ -127,7 +129,7 @@ def _run_axpy(schedule_env):
             for _ in range(AXPY_LAUNCHES):
                 queue.enqueue(task)
 
-        seconds = measure_wall(launches, repeat=3) / AXPY_LAUNCHES
+        seconds = measure_wall(launches, repeat=AXPY_REPEAT) / AXPY_LAUNCHES
     x.free()
     y.free()
     return seconds, result
@@ -142,9 +144,9 @@ def _run_gemm(schedule_env):
     a0 = rng.random((n, n))
     b0 = rng.random((n, n))
     c0 = rng.random((n, n))
-    A = mem.alloc(dev, (n, n), shm=True)
-    B = mem.alloc(dev, (n, n), shm=True)
-    C = mem.alloc(dev, (n, n), shm=True)
+    A = mem.alloc(dev, (n, n))
+    B = mem.alloc(dev, (n, n))
+    C = mem.alloc(dev, (n, n))
     A.as_numpy()[:] = a0
     B.as_numpy()[:] = b0
     blocks = -(-n // GEMM_ROWS_PER_BLOCK)
@@ -171,6 +173,55 @@ def _run_gemm(schedule_env):
     return seconds, result
 
 
+@contextlib.contextmanager
+def _search_pinned_to(block_count):
+    """A search strategy, ``"pinned"``, that measures only the candidate
+    division with ``block_count`` blocks.
+
+    The tuner's own strategies always measure the Table 2 seed first;
+    for AXPY 2^22 on this back-end that seed has 2^22 one-element
+    blocks, and a search that measures it runs for minutes.  Pinning the
+    division keeps every other step of ``autotune`` — the schedule
+    sweep, dropping a schedule that fell back, storing the winner —
+    exactly as it runs.
+    """
+
+    def pinned(candidates, objective, **_):
+        wd = next(c for c in candidates if c.block_count == block_count)
+        trial = Trial(wd, objective(wd))
+        return SearchResult(best=trial, trials=[trial], strategy="pinned")
+
+    SEARCH_STRATEGIES["pinned"] = pinned
+    try:
+        yield "pinned"
+    finally:
+        del SEARCH_STRATEGIES["pinned"]
+
+
+def _tuned_axpy_schedule():
+    """The schedule ``autotune(..., tune_schedule=True)`` stores for the
+    bench's AXPY launch (2^22 elements, 16 blocks)."""
+    dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
+    n = AXPY_N
+    x = mem.alloc(dev, n)
+    y = mem.alloc(dev, n)
+    x.as_numpy()[:] = np.random.default_rng(7).random(n)
+    kernel = AxpyElementsKernel()
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = TuningCache(os.path.join(tmp, "tuning-cache.json"))
+        with _search_pinned_to(AXPY_BLOCKS) as strategy:
+            autotune(
+                kernel, AccCpuOmp2Blocks, n, (n, 1.5, x, y), device=dev,
+                strategy=strategy, cache=cache, force=True,
+                max_total_elems=-(-n // AXPY_BLOCKS), tune_schedule=True,
+            )
+        entry = cache.get(kernel, AccCpuOmp2Blocks, dev, n)
+    x.free()
+    y.free()
+    assert entry.work_div.block_count == AXPY_BLOCKS, entry
+    return entry.schedule
+
+
 def test_scaling():
     clear_plan_cache()
     axpy = {}
@@ -181,6 +232,7 @@ def test_scaling():
         for env_value in SCHEDULES:
             axpy[env_value], axpy_results[env_value] = _run_axpy(env_value)
             gemm[env_value], gemm_results[env_value] = _run_gemm(env_value)
+        tuned = _tuned_axpy_schedule()
     finally:
         shutdown_schedulers()
 
@@ -195,9 +247,11 @@ def test_scaling():
             gemm_results[env_value], gemm_results["sequential"]
         ), f"GEMM result differs under {env_value}"
 
+    tuned_env = next(e for e, sched in SCHEDULES.items() if sched == tuned)
+    speedup = axpy["sequential"] / axpy[tuned_env]
     rows = [
         {
-            "Strategy": env_value,
+            "Strategy": env_value + (" (tuned)" if env_value == tuned_env else ""),
             "AXPY [ms]": f"{axpy[env_value] * 1e3:8.2f}",
             "AXPY speedup": f"{axpy['sequential'] / axpy[env_value]:5.2f}x",
             "GEMM [ms]": f"{gemm[env_value] * 1e3:8.2f}",
@@ -217,14 +271,14 @@ def test_scaling():
     for env_value in SCHEDULES:
         metrics[f"axpy_{env_value}"] = (axpy[env_value], "s")
         metrics[f"gemm_{env_value}"] = (gemm[env_value], "s")
+    metrics["axpy_tuned_speedup"] = (speedup, "x")
     write_bench_json("scaling", metrics)
 
     required = _required_speedup()
     if required is not None:
-        speedup = axpy["sequential"] / axpy["processes"]
         assert speedup >= required, (
-            f"process-pool AXPY speedup {speedup:.2f}x below the "
-            f"required {required:.1f}x on {os.cpu_count()} cores"
+            f"tuned AXPY schedule {tuned!r} runs {speedup:.2f}x sequential, "
+            f"below the required {required:.1f}x on {os.cpu_count()} cores"
         )
 
 
@@ -322,35 +376,6 @@ def test_compiled_vectorization_gate():
         f"compiled AXPY speedup {speedup:.2f}x below the required "
         f"{required:.1f}x ({blocks} blocks, {os.cpu_count()} cores)"
     )
-
-
-def test_no_shm_leaks_after_scaling():
-    """Every segment the bench allocated was freed, and nothing of ours
-    lingers in /dev/shm (orphaned segments would accumulate across CI
-    runs on persistent runners)."""
-    assert active_segment_names() == []
-    if os.path.isdir("/dev/shm"):
-        mine = f"{SHM_NAME_PREFIX}_{os.getpid()}_"
-        leftover = [f for f in os.listdir("/dev/shm") if f.startswith(mine)]
-        assert leftover == [], leftover
-
-
-def test_process_dispatch_identity_even_on_one_core(monkeypatch):
-    """The identity half of the scaling claim must hold everywhere,
-    including single-core hosts where the speedup half is skipped.
-    Two workers are forced so blocks genuinely cross the process
-    boundary even where one worker would run the chunk inline."""
-    from repro.runtime.scheduler import PROCESS_WORKERS_ENV
-
-    monkeypatch.setenv(PROCESS_WORKERS_ENV, "2")
-    clear_plan_cache()
-    shutdown_schedulers()  # drop any pool sized before the env change
-    try:
-        _, seq = _run_axpy("sequential")
-        _, proc = _run_axpy("processes")
-    finally:
-        shutdown_schedulers()
-    assert np.array_equal(seq, proc)
 
 
 if __name__ == "__main__":

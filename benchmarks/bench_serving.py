@@ -40,7 +40,6 @@ from repro import accelerator, get_dev_by_idx
 from repro.bench import write_bench_json, write_report
 from repro.comparison import render_table
 from repro.dev.manager import device_workers
-from repro.mem.shm import active_segment_names
 from repro.serve import (
     Gateway,
     LaunchRequest,
@@ -383,13 +382,13 @@ def test_serving_batched_bit_identity():
 
 
 def test_serving_shutdown_releases_everything():
-    """After a drained shutdown: zero live shm segments, zero worker
-    pools, every handle resolved, pump and lane threads gone."""
+    """After a drained shutdown: zero worker pools, every handle
+    resolved, pump and lane threads gone."""
     rng = np.random.default_rng(17)
     gateway = Gateway(
         _bench_config(
-            # A multi-core lane too, so process/thread pools actually
-            # spin up and must be torn down again.
+            # A multi-core lane too, so the block thread pool actually
+            # spins up and must be torn down again.
             lanes=(("AccCpuSerial", 0), ("AccCpuOmp2Blocks", 0)),
         )
     )
@@ -414,7 +413,6 @@ def test_serving_shutdown_releases_everything():
         assert h.done()
         h.result(timeout=1)  # raises if anything was failed instead
 
-    assert active_segment_names() == [], "leaked shm segments"
     assert device_workers() == {}, "leaked block-worker pools"
     assert not gateway._pump.is_alive()
     for lane in gateway.router.lanes:
@@ -549,11 +547,8 @@ async def _smoke_main() -> int:
             f"{contended['p99'] * 1e3:.2f} ms exceeds {bound * 1e3:.2f} ms"
         )
         ok = False
-    if active_segment_names():
-        print(f"smoke FAILED: leaked shm segments {active_segment_names()}")
-        ok = False
     if ok:
-        print("smoke ok: fairness bound held, no leaks")
+        print("smoke ok: fairness bound held")
     return 0 if ok else 1
 
 

@@ -73,8 +73,7 @@ class GridContext:
     def atomics(self) -> AtomicDomain:
         """The grid-scope atomic domain, created by the first atomic
         operation of the launch (most kernels perform none, and a domain
-        is 64 lock allocations).  Assignable: the process-pool worker
-        installs its process-shared domain here."""
+        is 64 lock allocations)."""
         domain = self._atomics
         if domain is None:
             with _atomics_init_lock:
@@ -82,10 +81,6 @@ class GridContext:
                 if domain is None:
                     domain = self._atomics = AtomicDomain()
         return domain
-
-    @atomics.setter
-    def atomics(self, domain: AtomicDomain) -> None:
-        self._atomics = domain
 
 
 class BlockContext:
@@ -348,11 +343,6 @@ class AcceleratorType:
     #: "preemptive" (one OS thread each, real barrier) or "cooperative"
     #: (fibers, deterministic round-robin).
     thread_execute: str = "single"
-    #: Whether the runtime may remap this back-end's block dispatch onto
-    #: the process pool (``REPRO_SCHEDULER=processes`` / tuning).  True
-    #: only for pooled back-ends whose blocks are single-thread — a
-    #: preemptive in-block barrier cannot span process boundaries.
-    supports_process_blocks: bool = False
 
     def __init__(self):  # pragma: no cover - defensive
         raise TypeError(

@@ -135,9 +135,6 @@ class AccCpuOmp2Blocks(AccCpu):
     parallel_scope = "blocks"
     block_schedule = "pooled"
     thread_execute = "single"
-    #: Single-thread blocks over independent chunks: the one CPU mapping
-    #: that survives a process boundary (REPRO_SCHEDULER=processes).
-    supports_process_blocks = True
     block_thread_limit = 1
 
 

@@ -48,10 +48,9 @@ def get_dev_count(acc_type) -> int:
 # Block-worker lifecycle
 # ---------------------------------------------------------------------------
 #
-# Worker pools (threads and spawned processes) belong to devices — one
-# pool per (device, schedule) — but live in the runtime layer.  These
-# wrappers give host code a device-centric view of that lifecycle
-# without importing runtime internals.
+# Worker pools belong to devices — one pool per device — but live in
+# the runtime layer.  These wrappers give host code a device-centric
+# view of that lifecycle without importing runtime internals.
 
 
 def device_workers() -> dict:
@@ -66,9 +65,9 @@ def device_workers() -> dict:
 
 
 def shutdown_device_workers() -> None:
-    """Tear down every device's block-worker pools (threads and worker
-    processes).  Safe to call at any time — the next launch lazily
-    recreates what it needs — and implied at interpreter exit."""
+    """Tear down every device's block-worker pool.  Safe to call at any
+    time — the next launch lazily recreates what it needs — and implied
+    at interpreter exit."""
     from ..runtime.scheduler import shutdown_schedulers
 
     shutdown_schedulers()

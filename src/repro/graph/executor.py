@@ -346,7 +346,7 @@ class GraphExec:
                 # Synchronous path: point at the shared fired event
                 # rather than paying a per-node Event.set each replay.
                 node._done_event = _DONE
-        except BaseException as e:
+        except BaseException as e:  # noqa: BLE001 - recorded for waiters, re-raised below
             self.failed = True
             self.error = e
             for n in self.nodes:  # unblock any waiter

@@ -242,7 +242,7 @@ class Graph:
             self._submitting = True
         try:
             exec_.run(wait=wait)
-        except BaseException:
+        except BaseException:  # noqa: BLE001 - unlocks the graph, re-raised
             with self._lock:
                 self._submitting = False
             raise

@@ -12,8 +12,7 @@ chains.  The rules are the classic hazard pairs:
 Accesses key on :attr:`repro.mem.buf.Buffer.buf_id` — the stable
 allocation id both buffers and their views expose — plus the
 ``access_box()`` region, so two disjoint windows of one buffer (the
-halo-exchange pattern) do not serialise.  Argument classification walks
-the same shapes :func:`repro.runtime.procpool.marshal_launch` walks:
+halo-exchange pattern) do not serialise.  Argument classification:
 ``Buffer`` and ``ViewSubView`` arguments are memory, host ``numpy``
 arrays are memory of the host, everything else is a value.
 

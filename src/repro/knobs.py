@@ -151,23 +151,15 @@ MAX_BLOCK_WORKERS = _declare(
     "authoritative when set (default: host CPU count, 2 to 16).")
 SCHEDULER = _declare(
     "REPRO_SCHEDULER",
-    _choice(sequential="sequential", pooled="pooled threads",
-            processes="processes process", compiled="compiled compile"),
+    _choice(sequential="sequential", pooled="pooled threads", compiled="compiled compile"),
     None,
-    "remaps block dispatch on pooled back-ends: `sequential`, `threads`, `processes` (spawned "
-    "workers over `shm=True` buffers) or `compiled` (trace-vectorized replay, `repro.compile`); "
-    "launches a mode cannot serve fall back to the thread pool with a logged reason.")
+    "remaps block dispatch on pooled back-ends: `sequential`, `threads` or `compiled` "
+    "(trace-vectorized replay, `repro.compile`); launches `compiled` cannot serve fall back to "
+    "the thread pool with a logged reason.")
 COMPILE_CROSSCHECK = _declare(
     "REPRO_COMPILE_CROSSCHECK", _bool, False,
     "boolean; every `compiled` launch also runs interpreted and must match **bit for bit** "
     "(`CompileCrossCheckError`) — what `python -m repro.sanitize crosscheck` sweeps.")
-PROCESS_WORKERS = _declare(
-    "REPRO_PROCESS_WORKERS", _int(minimum=1), None,
-    "worker count of the process-pool scheduler (default: host CPU count, at most 16).")
-SHM_BUFFERS = _declare(
-    "REPRO_SHM_BUFFERS", _bool, False,
-    "boolean; `mem.alloc` defaults to `multiprocessing.shared_memory` buffers, the zero-copy "
-    "mapping process dispatch needs; per-call `shm=` still wins.")
 GRAPH_REPLAY = _declare(
     "REPRO_GRAPH_REPLAY", _bool, True,
     "boolean, default on; `0` forces `repro.graph` graphs onto the queued path (full "
@@ -205,9 +197,8 @@ TELEMETRY_HTTP = _declare(
     "malformed value warns and leaves it off.", strict=False)
 FLIGHT_RECORDER_DIR = _declare(
     "REPRO_FLIGHT_RECORDER_DIR", str, None,
-    "directory arming the crash flight recorder: every process (pool workers too) dumps its "
-    "recent events as `flight-<pid>-<seq>.json` on kernel crashes, sanitizer findings and "
-    "poisoned queues.")
+    "directory arming the crash flight recorder: every process dumps its recent events as "
+    "`flight-<pid>-<seq>.json` on kernel crashes, sanitizer findings and poisoned queues.")
 SERVE_HOST = _declare(
     "REPRO_SERVE_HOST", str, "127.0.0.1",
     "bind host of `python -m repro.serve` (default `127.0.0.1`); in-process gateways ignore it.")
@@ -331,14 +322,12 @@ def describe() -> str:
 
 
 def export_env() -> Dict[str, str]:
-    """The ``REPRO_*`` slice of the environment — what a spawned pool
-    worker mirrors so its :func:`get` agrees with the parent's."""
+    """The ``REPRO_*`` slice of the environment."""
     return {k: v for k, v in os.environ.items() if k.startswith(PREFIX)}
 
 
 def import_env(values: Mapping[str, Optional[object]]) -> None:
-    """Write ``values`` into the environment (``None`` = unset): the
-    pool-worker mirror of a parent's :func:`export_env`."""
+    """Write ``values`` into the environment (``None`` = unset)."""
     for env, value in values.items():
         if value is None:
             os.environ.pop(env, None)

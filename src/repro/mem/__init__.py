@@ -1,32 +1,15 @@
-"""Pointer-based memory model: buffers, explicit deep copies, memset,
-and opt-in shared-memory backing for multi-process block dispatch."""
+"""Pointer-based memory model: buffers, explicit deep copies, memset."""
 
 from .alignment import OPTIMAL_ALIGNMENT_BYTES, pitch_bytes, pitch_elements
 from .buf import Buffer, alloc, alloc_like
 from .copy import PCIE_BANDWIDTH_GBS, TaskCopy, TaskMemset, copy, memset
 from .guard import UNGUARDED_ENV, GuardedArray, guard
-from .shm import (
-    SHM_BUFFERS_ENV,
-    ShmArraySpec,
-    ShmBacking,
-    active_segment_names,
-    attach_array,
-    cleanup_all_segments,
-    shm_buffers_default,
-)
 from .view import ViewSubView, sub_view
 
 __all__ = [
     "Buffer",
     "alloc",
     "alloc_like",
-    "ShmArraySpec",
-    "ShmBacking",
-    "SHM_BUFFERS_ENV",
-    "shm_buffers_default",
-    "active_segment_names",
-    "attach_array",
-    "cleanup_all_segments",
     "copy",
     "memset",
     "TaskCopy",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from ..core.errors import ExtentError, MemorySpaceError
 from ..core.vec import Vec, as_vec
 from ..dev.device import Device
 from .alignment import OPTIMAL_ALIGNMENT_BYTES, pitch_elements
-from .shm import ShmArraySpec, ShmBacking, shm_buffers_default
 
 __all__ = ["Buffer", "alloc", "alloc_like"]
 
@@ -53,7 +52,6 @@ class Buffer:
         extent: Vec,
         dtype,
         pitched: bool,
-        shm: Optional[bool] = None,
     ):
         extent.assert_non_negative("buffer extent")
         self.dev = dev
@@ -67,16 +65,7 @@ class Buffer:
         nbytes = int(np.prod(padded_shape, dtype=np.int64)) * self.dtype.itemsize
         dev.mem.reserve(nbytes)
         self._nbytes = nbytes
-        if shm is None:
-            shm = shm_buffers_default()
-        if shm:
-            # Shared-memory backing: the padded array lives in a named
-            # segment worker processes map zero-copy (repro.mem.shm).
-            self._shm = ShmBacking(padded_shape, self.dtype)
-            self._padded = self._shm.array
-        else:
-            self._shm = None
-            self._padded = np.zeros(padded_shape, dtype=self.dtype)
+        self._padded = np.zeros(padded_shape, dtype=self.dtype)
         self._freed = False
         self._buf_id = _next_buf_id()
 
@@ -156,19 +145,6 @@ class Buffer:
 
         return guard(self._logical())
 
-    @property
-    def is_shared(self) -> bool:
-        """True when the buffer is backed by a named shared-memory
-        segment (mappable zero-copy by process-pool workers)."""
-        return self._shm is not None and not self._shm.released
-
-    def shm_spec(self) -> Optional["ShmArraySpec"]:
-        """The picklable segment descriptor a worker rebuilds this
-        buffer's logical array from, or ``None`` for private backing."""
-        if self._freed or self._shm is None or self._shm.released:
-            return None
-        return self._shm.spec(self.extent[-1] if self.dim else 0)
-
     def unsafe_backing(self) -> np.ndarray:
         """The padded backing array regardless of residency.
 
@@ -183,17 +159,11 @@ class Buffer:
     # -- lifetime ---------------------------------------------------------
 
     def free(self) -> None:
-        """Release the allocation (idempotent).  Further access raises.
-
-        A shared-memory backing is closed *and unlinked* here — freeing
-        the buffer removes its ``/dev/shm`` entry.
-        """
+        """Release the allocation (idempotent).  Further access raises."""
         if not self._freed:
             self._freed = True
             self.dev.mem.release(self._nbytes)
             self._padded = np.empty(0, dtype=self.dtype)
-            if self._shm is not None:
-                self._shm.release()
 
     @property
     def freed(self) -> bool:
@@ -207,8 +177,6 @@ class Buffer:
 
     def __repr__(self) -> str:
         state = "freed" if self._freed else f"pitch={self.pitch_elems}"
-        if self.is_shared:
-            state += ", shm"
         return (
             f"<Buffer {self.dtype} {self.extent!r} on {self.dev.name}, {state}>"
         )
@@ -232,26 +200,17 @@ def alloc(
     dtype=np.float64,
     *,
     pitched: bool = True,
-    shm: Optional[bool] = None,
 ) -> Buffer:
     """Allocate a buffer on ``dev`` (paper Listing 4's
     ``mem::buf::alloc<Data, Size>(dev, extents)``).
 
     ``pitched`` pads rows of >=2-d buffers to
     :data:`~repro.mem.alignment.OPTIMAL_ALIGNMENT_BYTES`.
-
-    ``shm=True`` backs the buffer with a named shared-memory segment so
-    the process-pool block scheduler can map it into workers zero-copy
-    (:mod:`repro.mem.shm`); ``None`` defers to ``REPRO_SHM_BUFFERS``.
-    Kernels and host code see no difference — residency, pitch and the
-    negative-index guard behave identically.
     """
-    return Buffer(dev, as_vec(extent), dtype, pitched, shm=shm)
+    return Buffer(dev, as_vec(extent), dtype, pitched)
 
 
 def alloc_like(dev: Device, other: Buffer) -> Buffer:
     """Allocate a buffer with the extent/dtype of ``other`` on ``dev`` —
-    the idiom for staging a device copy of a host buffer.  The
-    shared-memory backing choice is inherited from ``other``."""
-    return Buffer(dev, other.extent, other.dtype, pitched=True,
-                  shm=other.is_shared)
+    the idiom for staging a device copy of a host buffer."""
+    return Buffer(dev, other.extent, other.dtype, pitched=True)

@@ -58,17 +58,13 @@ from .plan import (
 from .scheduler import (
     MAX_BLOCK_WORKERS,
     MAX_BLOCK_WORKERS_ENV,
-    PROCESS_WORKERS_ENV,
     SCHEDULER_ENV,
     CompiledScheduler,
     PooledScheduler,
-    ProcessPoolScheduler,
     Scheduler,
     SequentialScheduler,
     chunk_indices,
-    current_worker_label,
     resolve_max_block_workers,
-    resolve_process_workers,
     resolve_scheduler_override,
     scheduler_for,
     shutdown_schedulers,
@@ -94,19 +90,15 @@ __all__ = [
     "Scheduler",
     "SequentialScheduler",
     "PooledScheduler",
-    "ProcessPoolScheduler",
     "CompiledScheduler",
     "scheduler_for",
     "shutdown_schedulers",
     "chunk_indices",
-    "current_worker_label",
     "resolve_max_block_workers",
-    "resolve_process_workers",
     "resolve_scheduler_override",
     "MAX_BLOCK_WORKERS",
     "MAX_BLOCK_WORKERS_ENV",
     "SCHEDULER_ENV",
-    "PROCESS_WORKERS_ENV",
     # instrumentation
     "ExecutionObserver",
     "CountingObserver",
@@ -169,13 +161,13 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
         advance_modeled_time(
             task, device, plan.acc_type.kind, plan.work_div, plan._modeled
         )
-    except BaseException as exc:
+    except BaseException as exc:  # noqa: BLE001 - any failure ends the launch, re-raised below
         # The kernel failure is the error the caller must see: observers
         # are still told the launch ended, but an observer raising from
         # on_launch_end here must not mask the original exception.
         try:
             notify_launch_end(plan, task, device)
-        except Exception:
+        except Exception:  # noqa: BLE001 - the kernel's exception wins
             pass
         # Flight recorder (REPRO_FLIGHT_RECORDER_DIR): dump the recent
         # event ring alongside the crash.  One boolean read when off;

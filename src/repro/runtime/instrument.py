@@ -38,7 +38,6 @@ __all__ = [
     "notify_sanitizer_report",
     "notify_span_end",
     "notify_graph_end",
-    "notify_worker_span",
 ]
 
 
@@ -92,14 +91,6 @@ class ExecutionObserver:
         """A dataflow graph finished one submission; ``stats`` is a
         :class:`repro.graph.executor.GraphRunStats` with per-node
         timings, critical-path length and overlap accounting."""
-
-    def on_worker_span(self, info: Dict[str, object]) -> None:
-        """A process-pool worker's timed region, replayed parent-side.
-
-        ``info`` carries ``name``, ``pid``, ``t0``/``t1`` (the worker's
-        ``perf_counter`` readings — CLOCK_MONOTONIC, so directly
-        comparable with the parent's on Linux), optional ``trace_id`` /
-        ``span_id`` / ``parent_id`` and free-form attributes."""
 
 
 _lock = threading.Lock()
@@ -225,14 +216,6 @@ def notify_graph_end(graph_exec, stats) -> None:
         return
     for o in obs:
         o.on_graph_end(graph_exec, stats)
-
-
-def notify_worker_span(info: Dict[str, object]) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_worker_span(info)
 
 
 def notify_span_end(span) -> None:

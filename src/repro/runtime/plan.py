@@ -85,7 +85,7 @@ class LaunchPlan:
     props: AccDevProps
     #: Thread-level executor (single / preemptive / cooperative).
     block_runner: Callable
-    #: Block-level strategy key ("sequential" / "pooled").
+    #: Block-level strategy key ("sequential" / "pooled" / "compiled").
     schedule: str
     shared_mem_bytes: int
     #: Materialised block index list (C order), shared by all launches.
@@ -98,10 +98,6 @@ class LaunchPlan:
     _args_unwrapped: Optional[tuple] = field(default=None, repr=False)
     #: worker count -> chunked block_indices; see :meth:`chunks_for`.
     _chunks: Dict[int, list] = field(default_factory=dict, repr=False)
-    #: worker count -> linear (start, stop) bounds per chunk.
-    _chunk_bounds: Dict[int, Tuple[Tuple[int, int], ...]] = field(
-        default_factory=dict, repr=False
-    )
     #: argument signature -> compiled replay closure (or a cached
     #: fallback verdict); owned by :mod:`repro.compile.replay`.  Lives
     #: on the plan so the cache shares the plan's LRU lifetime and the
@@ -125,21 +121,6 @@ class LaunchPlan:
             chunks = chunk_indices(self.block_indices, workers)
             self._chunks[workers] = chunks
         return chunks
-
-    def chunk_bounds_for(self, workers: int) -> Tuple[Tuple[int, int], ...]:
-        """Linear ``(start, stop)`` index bounds of each chunk — what
-        the process scheduler ships to workers instead of index lists
-        (workers rebuild the C-order list themselves)."""
-        bounds = self._chunk_bounds.get(workers)
-        if bounds is None:
-            pos = 0
-            out = []
-            for chunk in self.chunks_for(workers):
-                out.append((pos, pos + len(chunk)))
-                pos += len(chunk)
-            bounds = tuple(out)
-            self._chunk_bounds[workers] = bounds
-        return bounds
 
     def unwrap_args(self, args: tuple) -> tuple:
         """Device-side argument tuple for ``args``.
@@ -245,13 +226,6 @@ def _build_plan(task, device) -> LaunchPlan:
             schedule = override
         elif tuned_sched is not None:
             schedule = tuned_sched
-    if schedule == "processes" and not getattr(
-        acc_type, "supports_process_blocks", False
-    ):
-        # Multi-thread blocks (e.g. the simulated OMP4 target) cannot
-        # barrier across processes; the thread pool is the closest
-        # legal strategy.
-        schedule = "pooled"
     # A one-block grid gains nothing from pool dispatch; plan it out.
     # (The compiled strategy replays the whole grid regardless of block
     # count, so it is exempt from the demotion.)

@@ -36,26 +36,17 @@ from ..core.kernel import kernel_name
 from ..core.vec import Vec
 from ..telemetry import flight
 from ..telemetry.metrics import registry
-from .instrument import (
-    notify_block,
-    notify_block_end,
-    notify_worker_span,
-    observers,
-)
+from .instrument import notify_block, notify_block_end, observers
 
 __all__ = [
     "MAX_BLOCK_WORKERS",
     "MAX_BLOCK_WORKERS_ENV",
     "SCHEDULER_ENV",
-    "PROCESS_WORKERS_ENV",
     "resolve_max_block_workers",
-    "resolve_process_workers",
     "resolve_scheduler_override",
-    "current_worker_label",
     "Scheduler",
     "SequentialScheduler",
     "PooledScheduler",
-    "ProcessPoolScheduler",
     "CompiledScheduler",
     "scheduler_for",
     "shutdown_schedulers",
@@ -74,41 +65,17 @@ MAX_BLOCK_WORKERS_ENV = knobs.MAX_BLOCK_WORKERS
 
 #: Environment variable forcing a block-scheduling strategy onto every
 #: *pool-capable* back-end: ``sequential``, ``threads`` (alias
-#: ``pooled``), ``processes`` or ``compiled`` (trace-vectorized whole-
-#: grid replay, falling back to the thread pool for kernels the
-#: vectorizer cannot represent).  Back-ends that declare
-#: ``block_schedule="sequential"`` (serial, fibers, the thread-level
-#: CPU back-ends) are never remapped — their block order is part of
-#: their semantics.
+#: ``pooled``) or ``compiled`` (trace-vectorized whole-grid replay,
+#: falling back to the thread pool for kernels the vectorizer cannot
+#: represent).  Back-ends that declare ``block_schedule="sequential"``
+#: (serial, fibers, the thread-level CPU back-ends) are never remapped —
+#: their block order is part of their semantics.
 SCHEDULER_ENV = knobs.SCHEDULER
-
-#: Environment variable sizing the process pool (default: core count
-#: capped at :data:`MAX_BLOCK_WORKERS`).
-PROCESS_WORKERS_ENV = knobs.PROCESS_WORKERS
 
 
 def resolve_scheduler_override() -> Optional[str]:
     """The canonical schedule forced by ``REPRO_SCHEDULER``, or None."""
     return knobs.get(SCHEDULER_ENV)
-
-
-def resolve_process_workers() -> int:
-    """Worker count for a new process pool (``REPRO_PROCESS_WORKERS``;
-    default: host core count capped at :data:`MAX_BLOCK_WORKERS`)."""
-    return knobs.get(PROCESS_WORKERS_ENV) or min(
-        MAX_BLOCK_WORKERS, max(1, os.cpu_count() or 1)
-    )
-
-
-_worker_label = threading.local()
-
-
-def current_worker_label() -> Optional[str]:
-    """Label of the block worker whose completion is being observed
-    right now (``p0``, ``p1``, … while the process scheduler replays
-    per-block timings; None on the in-process paths, where the
-    telemetry collector falls back to the OS thread name)."""
-    return getattr(_worker_label, "value", None)
 
 
 def resolve_max_block_workers() -> int:
@@ -293,205 +260,6 @@ class PooledScheduler(Scheduler):
         self._pool.shutdown(wait=True)
 
 
-class ProcessPoolScheduler(Scheduler):
-    """Blocks execute in a persistent pool of spawned worker *processes*.
-
-    The only strategy with real CPU parallelism for CPU-bound Python
-    kernels: thread-pool dispatch serialises on the GIL, so the
-    OMP2-blocks back-end was parallel in name only.  Workers map
-    shm-backed buffers zero-copy (:mod:`repro.mem.shm`) and run chunks
-    of ``ceil(blocks / workers)`` single-thread blocks via
-    :func:`repro.runtime.procpool.run_chunk`.
-
-    Not every launch is process-safe.  Dispatch classifies each one
-    (:func:`repro.runtime.procpool.process_launch_state`, memoised on
-    the plan): launches with multi-thread blocks, private-memory
-    buffers or unpicklable kernels fall back to the thread-pool
-    scheduler with the reason logged once — never a silent wrong
-    answer.  Global-memory atomics stay correct through a
-    process-shared striped lock table handed to every worker at spawn.
-
-    The pool is created lazily on the first eligible dispatch (spawn
-    start-up is ~100 ms/worker; launches that always fall back never
-    pay it) and torn down by :func:`shutdown_schedulers`, which is
-    atexit-registered so interpreter exit cannot leave workers wedged
-    or spray ``BrokenProcessPool`` tracebacks.
-    """
-
-    schedule = "processes"
-
-    def __init__(self, device):
-        super().__init__(device)
-        self._workers = resolve_process_workers()
-        self._pool = None
-        self._pool_lock = threading.Lock()
-
-    @property
-    def worker_count(self) -> int:
-        return self._workers
-
-    def _ensure_pool(self):
-        pool = self._pool
-        if pool is not None:
-            return pool
-        with self._pool_lock:
-            if self._pool is None:
-                import multiprocessing as mp
-                from concurrent.futures import ProcessPoolExecutor
-
-                from .procpool import ATOMIC_STRIPES, worker_init
-
-                ctx = mp.get_context("spawn")
-                locks = [ctx.Lock() for _ in range(ATOMIC_STRIPES)]
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self._workers,
-                    mp_context=ctx,
-                    initializer=worker_init,
-                    initargs=(locks, knobs.export_env()),
-                )
-            return self._pool
-
-    def dispatch(self, plan, grid, block_indices, task) -> None:
-        import multiprocessing as mp
-
-        from .procpool import process_launch_state, run_chunk
-
-        in_child = mp.parent_process() is not None or getattr(
-            mp.current_process(), "_inheriting", False
-        )
-        if in_child:
-            # Inside a child process (a spawned worker re-importing an
-            # unguarded ``__main__`` script — the `_inheriting` flag is
-            # set during that bootstrap, before `parent_process()` is —
-            # or a kernel launched from a worker): spawning
-            # grandchildren here would abort the child's bootstrap and
-            # break the parent's pool.
-            self._fall_back(
-                plan, grid, block_indices, task,
-                "child-process",
-                "launch happens inside a child process — guard the "
-                "script's entry point with `if __name__ == \"__main__\":` "
-                "so spawned workers do not re-execute it",
-            )
-            return
-        if block_indices is not plan.block_indices:
-            # Workers address blocks by linear index into the plan's
-            # full C-order list; a caller-selected subset has no such
-            # addressing and runs on the thread pool instead.
-            self._fall_back(
-                plan, grid, block_indices, task,
-                "custom-block-subset",
-                "launch uses a custom block-index subset",
-            )
-            return
-        state = process_launch_state(plan, task)
-        if not state.eligible:
-            self._fall_back(
-                plan, grid, block_indices, task, state.slug, state.reason
-            )
-            return
-
-        observed = bool(observers())
-        bounds = plan.chunk_bounds_for(self._workers)
-        if len(bounds) <= 1:
-            _run_blocks(plan, grid, block_indices, task, observed)
-            return
-
-        # Distributed tracing: when observed *and* the launching thread
-        # carries an ambient context, ship its traceparent so workers
-        # time their chunk as a child span (replayed via
-        # ``on_worker_span``).  Unobserved launches send nothing — the
-        # payload stays byte-identical to the untraced case.
-        trace = None
-        if observed:
-            from ..telemetry import tracing
-
-            ctx = tracing.current()
-            if ctx is not None:
-                trace = {"traceparent": ctx.to_traceparent()}
-
-        pool = self._ensure_pool()
-        futures = [
-            pool.submit(
-                run_chunk,
-                state.digest,
-                state.blob,
-                start,
-                stop,
-                observed,
-                self.device.name,
-                self.device.uid,
-                trace,
-            )
-            for start, stop in bounds
-        ]
-        error = None
-        results = []
-        for i, fut in enumerate(futures):
-            try:
-                results.append((i, fut.result()))
-            except BaseException as exc:  # noqa: BLE001 - first one wins
-                if error is None:
-                    error = exc
-        if error is not None:
-            from concurrent.futures.process import BrokenProcessPool
-
-            if isinstance(error, BrokenProcessPool):
-                self.shutdown()  # the broken pool is unusable; drop it
-                if not results:
-                    # No chunk completed, so no worker touched the
-                    # buffers: the launch can be rerun safely on the
-                    # thread pool.  (A worker dying at startup usually
-                    # means an unguarded `__main__` or an OOM kill.)
-                    self._fall_back(
-                        plan, grid, block_indices, task,
-                        "worker-died",
-                        "process pool broke before any block ran "
-                        "(unguarded `if __name__ == \"__main__\":`? "
-                        "worker killed?); rerunning on the thread pool",
-                    )
-                    return
-                raise KernelError(
-                    "a process-pool worker died mid-launch after some "
-                    "blocks already ran; buffer state is partial, so "
-                    "the launch was not retried"
-                ) from error
-            raise error
-        if observed:
-            self._replay(plan, results)
-
-    def _replay(self, plan, results) -> None:
-        """Re-announce per-block begin/end to the parent's observers.
-
-        Observers live in the parent process; workers only time.  The
-        replay happens after the launch (observer wall-clock ordering
-        inside a launch is already unspecified under pool dispatch) and
-        tags each block with its chunk's worker label ``p<i>`` through
-        :func:`current_worker_label`.
-        """
-        try:
-            for i, result in results:
-                _pid, timings = result[0], result[1]
-                _worker_label.value = f"p{i}"
-                for k, seconds in timings or ():
-                    bidx = plan.block_indices[k]
-                    notify_block(plan, bidx)
-                    notify_block_end(plan, bidx, seconds)
-                # 3-tuple results carry worker-side chunk spans (traced
-                # launches only); hand them to observers with the
-                # worker's real pid attached.
-                for span in (result[2] if len(result) > 2 else None) or ():
-                    notify_worker_span(dict(span, worker=f"p{i}"))
-        finally:
-            _worker_label.value = None
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
 class CompiledScheduler(Scheduler):
     """The whole grid executes as one trace-vectorized numpy replay.
 
@@ -572,7 +340,6 @@ _schedulers_lock = threading.Lock()
 _SCHEDULER_TYPES: Dict[str, type] = {
     SequentialScheduler.schedule: SequentialScheduler,
     PooledScheduler.schedule: PooledScheduler,
-    ProcessPoolScheduler.schedule: ProcessPoolScheduler,
     CompiledScheduler.schedule: CompiledScheduler,
 }
 
@@ -580,8 +347,8 @@ _SCHEDULER_TYPES: Dict[str, type] = {
 def scheduler_for(device, schedule: str) -> Scheduler:
     """The cached scheduler of kind ``schedule`` for ``device``.
 
-    One scheduler (and hence one pool) exists per (device, kind) for
-    the life of the process.
+    One scheduler exists per (device, kind) for the life of the
+    process; the pooled kind owns the device's one worker pool.
     """
     try:
         cls = _SCHEDULER_TYPES[schedule]
@@ -605,10 +372,9 @@ def shutdown_schedulers() -> None:
     """Tear down all cached schedulers (idempotent).
 
     Also registered with ``atexit``: Python's own executor teardown runs
-    *after* atexit callbacks (during threading shutdown), so draining
-    the pools here first means interpreter exit can never deadlock on a
-    wedged worker or print ``BrokenProcessPool`` noise from workers
-    reaped mid-chunk.  Tests call it directly between env permutations.
+    *after* atexit callbacks (during threading shutdown), so the pools
+    are drained here first, while the rest of the library is still
+    intact.  Tests call it directly between env permutations.
     """
     with _schedulers_lock:
         scheds = list(_schedulers.values())

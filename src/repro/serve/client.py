@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import time
 from typing import Any, Dict, Optional
 
 import numpy as np
 
 from ..core.errors import ServeError
+from ..telemetry.spans import record_span
 from .protocol import (
     MAX_FRAME_BYTES,
     decode_arrays,
@@ -162,11 +164,21 @@ class ServeClient:
         from ..telemetry import tracing
 
         ctx = tracing.current() or tracing.from_env()
-        if ctx is not None:
-            message["trace"] = ctx.child().to_traceparent()
         retries = 0
         while True:
-            response = await self._roundtrip(dict(message))
+            if ctx is None:
+                response = await self._roundtrip(dict(message))
+            else:
+                # One span per round trip, under the id the server
+                # parents its ``serve.request`` span to.
+                wire = ctx.child()
+                message["trace"] = wire.to_traceparent()
+                t0 = time.perf_counter()
+                response = await self._roundtrip(dict(message))
+                record_span(
+                    "serve.client.wire", t0, time.perf_counter(),
+                    cat="serve", trace=wire, op=op, retries=retries,
+                )
             if response.get("ok"):
                 return ServeResult(
                     request_id=response.get("id", -1),

@@ -44,11 +44,9 @@ _CONCURRENT_THREAD_EXECUTE = ("preemptive", "cooperative")
 class TraceEvent:
     """One exported trace entry (Chrome ``trace_event`` shaped)."""
 
-    __slots__ = ("name", "cat", "ph", "ts", "dur", "tid", "args", "pid")
+    __slots__ = ("name", "cat", "ph", "ts", "dur", "tid", "args")
 
-    def __init__(
-        self, name, cat, ph, ts, dur=0.0, tid=0, args=None, pid=None
-    ):
+    def __init__(self, name, cat, ph, ts, dur=0.0, tid=0, args=None):
         self.name = name
         self.cat = cat
         self.ph = ph  # "X" complete | "i" instant
@@ -56,11 +54,6 @@ class TraceEvent:
         self.dur = dur  # microseconds (complete events)
         self.tid = tid
         self.args = args or {}
-        # None = this process (the exporter substitutes its default
-        # pid); an explicit value marks an event replayed from another
-        # process — a pool worker's span keeps the worker's real pid so
-        # the stitched trace shows one track per process.
-        self.pid = pid
 
     def __repr__(self) -> str:
         return f"<TraceEvent {self.ph} {self.cat}/{self.name} @{self.ts:.1f}us>"
@@ -129,7 +122,7 @@ class TelemetryCollector(ExecutionObserver):
         oversubscription shows as > 100 %).
         """
         workers = max(1, plan.props.max_block_workers)
-        if plan.schedule in ("pooled", "processes"):
+        if plan.schedule == "pooled":
             concurrent_blocks = min(len(plan.block_indices), workers)
         else:
             concurrent_blocks = 1
@@ -212,16 +205,12 @@ class TelemetryCollector(ExecutionObserver):
         )
 
     def on_block_end(self, plan, block_idx, seconds: float) -> None:
-        from ..runtime.scheduler import current_worker_label
-
-        # "p<i>" while the process scheduler replays its per-block
-        # timings; the executing thread's name otherwise (main thread
-        # for sequential dispatch, pool threads for threaded).
-        worker = current_worker_label() or threading.current_thread().name
+        # The executing thread: the main thread for sequential dispatch,
+        # a pool thread for pooled.
         labels = {
             "kernel": kernel_name(plan.kernel),
             "backend": plan.acc_type.name,
-            "worker": worker,
+            "worker": threading.current_thread().name,
         }
         self.registry.histogram(
             "repro_block_seconds", "wall per-block latency", **labels
@@ -353,44 +342,6 @@ class TelemetryCollector(ExecutionObserver):
                     args={"kind": nd["kind"], "device": nd["device"]},
                 )
             )
-
-    def on_worker_span(self, info) -> None:
-        """A pool worker's timed region, replayed parent-side.
-
-        The worker recorded ``t0``/``t1`` with its own
-        ``time.perf_counter`` — CLOCK_MONOTONIC on Linux, shared across
-        processes — so the parent's ``_t0`` origin applies directly and
-        the worker's slices land at their true wall position.  The
-        event keeps the worker's real pid: the exported trace grows one
-        track per worker process.
-        """
-        t0 = float(info.get("t0", 0.0))
-        t1 = float(info.get("t1", t0))
-        wall = max(0.0, t1 - t0)
-        pid = int(info.get("pid", 0))
-        args: Dict[str, object] = {
-            k: v
-            for k, v in info.items()
-            if k not in ("name", "t0", "t1", "pid", "tid")
-        }
-        self.registry.histogram(
-            "repro_worker_span_seconds",
-            "wall duration of process-pool worker regions",
-            span=str(info.get("name", "chunk")),
-            worker=str(pid),
-        ).observe(wall)
-        self._emit(
-            TraceEvent(
-                name=str(info.get("name", "chunk")),
-                cat="worker",
-                ph="X",
-                ts=(t0 - self._t0) * 1e6,
-                dur=wall * 1e6,
-                tid=int(info.get("tid", pid)),
-                args=args,
-                pid=pid,
-            )
-        )
 
     def on_span_end(self, span) -> None:
         self.registry.histogram(

@@ -18,7 +18,7 @@ Event Format requires, so a trace that validates here loads in
 Perfetto.
 
 :func:`stitch_traces` merges the per-process traces of a distributed
-run (gateway, fleet daemon, pool workers) into one Perfetto-loadable
+run (client, gateway, fleet daemon) into one Perfetto-loadable
 file: each input's default-pid events are remapped to that process's
 real pid, and cross-process parent/child span links (the
 ``trace_id`` / ``span_id`` / ``parent_id`` args the collector stamps)
@@ -44,10 +44,9 @@ __all__ = [
     "TraceValidationError",
 ]
 
-#: Default ``pid`` for events of the exporting process.  Events the
-#: collector replayed from *other* processes (pool-worker spans) carry
-#: their real pid instead; ``otherData.pid`` records the exporter's
-#: real pid so :func:`stitch_traces` can remap the default.
+#: ``pid`` of every event the exporting process writes;
+#: ``otherData.pid`` records the exporter's real pid so
+#: :func:`stitch_traces` can remap it.
 TRACE_PID = 1
 
 _VALID_PHASES = {"X", "i", "B", "E", "M", "C", "s", "t", "f"}
@@ -73,19 +72,13 @@ def to_chrome_trace(collector: TelemetryCollector) -> dict:
             "args": {"name": f"repro telemetry {collector.label}".strip()},
         }
     ]
-    foreign_pids: List[int] = []
     for ev in list(collector.events):
-        pid = getattr(ev, "pid", None)
-        if pid is None:
-            pid = TRACE_PID
-        elif pid != TRACE_PID and pid not in foreign_pids:
-            foreign_pids.append(pid)
         entry = {
             "name": ev.name,
             "cat": ev.cat,
             "ph": ev.ph,
             "ts": max(0.0, ev.ts),
-            "pid": pid,
+            "pid": TRACE_PID,
             "tid": ev.tid,
             "args": ev.args,
         }
@@ -94,19 +87,6 @@ def to_chrome_trace(collector: TelemetryCollector) -> dict:
         if ev.ph == "i":
             entry["s"] = "t"  # instant scope: thread
         events.append(entry)
-    # Replayed foreign-process events (pool-worker spans) get their own
-    # named process track.
-    for i, pid in enumerate(sorted(foreign_pids)):
-        events.insert(
-            1 + i,
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": f"repro worker pid={pid}"},
-            },
-        )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -187,13 +167,13 @@ def stitch_traces(traces: Iterable[Union[dict, str]]) -> dict:
     """Merge per-process Chrome traces into one distributed trace.
 
     ``traces`` are :func:`to_chrome_trace`-shaped dicts (or JSON
-    strings) exported by different processes — gateway, fleet daemon,
-    workers.  Stitching does three things:
+    strings) exported by different processes — client, gateway, fleet
+    daemon.  Stitching does three things:
 
     * **pid remapping** — each input's default-pid events
       (:data:`TRACE_PID`) are rewritten to that process's real pid
       (``otherData.pid``), so every process gets its own track; events
-      already carrying a real pid (replayed pool-worker spans) keep it;
+      already carrying a real pid keep it;
     * **track naming** — one ``process_name`` metadata event survives
       per distinct pid;
     * **flow arrows** — every event whose ``args.parent_id`` resolves

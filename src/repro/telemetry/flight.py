@@ -4,7 +4,7 @@ dumped to disk when something dies.
 Soak-harness failures hours into a run are undiagnosable from a stack
 trace alone — what matters is what the process was *doing* in the
 seconds before.  With ``REPRO_FLIGHT_RECORDER_DIR`` set, every process
-(gateway, fleet daemon, pool worker) keeps a per-process ring buffer of
+(gateway, fleet daemon, application) keeps a per-process ring buffer of
 recent launch / queue / lease / drift events, each stamped with the
 ambient :mod:`~repro.telemetry.tracing` ids, and dumps the ring as JSON
 when:
@@ -56,8 +56,7 @@ __all__ = [
 ]
 
 #: Environment variable: directory flight dumps are written to; setting
-#: it activates the recorder in this process and (via the REPRO_* env
-#: mirror) in spawned pool workers.
+#: it activates the recorder in every process that inherits it.
 FLIGHT_ENV = knobs.FLIGHT_RECORDER_DIR
 
 #: Events kept in the ring (per process).

@@ -14,9 +14,8 @@ owns:
 * **processes** — :meth:`TraceContext.to_traceparent` serialises to the
   W3C ``traceparent`` wire form (``00-<trace>-<span>-01``); the
   ``REPRO_TRACEPARENT`` environment variable seeds a child process's
-  root context (the process-pool scheduler mirrors ``REPRO_*`` into
-  workers, so this propagates for free), and serve / fleet frame
-  headers carry the same string in a ``trace`` field.
+  root context, and serve / fleet frame headers carry the same string
+  in a ``trace`` field.
 * **exports** — the collector stamps ``trace_id`` / ``span_id`` /
   ``parent_id`` into every trace event's ``args``;
   :func:`repro.telemetry.export.stitch_traces` joins the per-process

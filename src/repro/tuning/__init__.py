@@ -246,9 +246,8 @@ def autotune(
     ``tune_schedule=True`` adds the block-scheduling strategy to the
     candidate space: after the division search, the winning division is
     wall-clock-measured under every strategy its back-end can run
-    (sequential / thread pool, the process pool when the back-end
-    declares ``supports_process_blocks``, and the trace-vectorized
-    ``compiled`` replay), and the winner is persisted with the entry —
+    (sequential, the thread pool and the trace-vectorized ``compiled``
+    replay), and the winner is persisted with the entry —
     AUTO launches then pick it up at plan time.  With
     ``strategy="evolve"`` the schedule is part of the genome instead:
     the joint (division, schedule) space evolves in one run and no
@@ -546,20 +545,14 @@ def _schedule_candidates(acc_type) -> Tuple[str, ...]:
 
     Sequential back-ends (serial, fibers, the thread-level CPU
     back-ends) offer no choice — their block order is semantic.  Pooled
-    back-ends choose between the caller's thread, the thread pool,
-    — when single-thread blocks make it safe — the process pool, and
-    the trace-vectorized compiled replay.  The last two may fall back
-    to the thread pool for a given launch (private buffers, a kernel
-    that does not compile); the tuner drops a schedule whose measurement
-    fell back.
+    back-ends choose between the caller's thread, the thread pool and
+    the trace-vectorized compiled replay.  The last may fall back to the
+    thread pool for a given launch (a kernel that does not compile); the
+    tuner drops a schedule whose measurement fell back.
     """
     if getattr(acc_type, "block_schedule", "sequential") != "pooled":
         return ()
-    cands = ["sequential", "pooled"]
-    if getattr(acc_type, "supports_process_blocks", False):
-        cands.append("processes")
-    cands.append("compiled")
-    return tuple(cands)
+    return ("sequential", "pooled", "compiled")
 
 
 def _fallback_count(kernel, schedule: str) -> float:

@@ -208,7 +208,7 @@ class CachedResult:
     #: "modeled" (simulated clock) or "wall" (host clock).
     source: str
     #: Winning block-scheduling strategy ("sequential" / "pooled" /
-    #: "processes") when the tuning run compared schedulers
+    #: "compiled") when the tuning run compared schedulers
     #: (``autotune(tune_schedule=True)``); None means "back-end
     #: default" and keeps old cache files readable.
     schedule: Optional[str] = None
@@ -242,15 +242,27 @@ def _entry_from_dict(data: dict) -> CachedResult:
     wd = WorkDivMembers(
         Vec(*data["grid"]), Vec(*data["block"]), Vec(*data["elems"])
     )
-    schedule = data.get("schedule")
     return CachedResult(
         work_div=wd,
         seconds=float(data["seconds"]),
         strategy=str(data.get("strategy", "?")),
         source=str(data.get("source", "?")),
-        schedule=str(schedule) if schedule is not None else None,
+        schedule=_schedule_from(data.get("schedule")),
         measured_at=float(data.get("measured_at", 0.0)),
     )
+
+
+def _schedule_from(raw) -> Optional[str]:
+    """A stored schedule name, canonicalised the way ``REPRO_SCHEDULER``
+    parses it.  A name no live schedule answers to — a retired one in a
+    file an older version wrote — decodes as None (the back-end
+    default), so an AUTO launch never plans a schedule that cannot run."""
+    if raw is None:
+        return None
+    try:
+        return knobs.parse(knobs.SCHEDULER, str(raw))
+    except knobs.KnobError:
+        return None
 
 
 #: Public names for the wire/disk form of one entry — the fleet daemon

@@ -114,9 +114,8 @@ def measure_division(
     objective function.
 
     ``schedule`` pins the block-scheduling strategy for this measurement
-    (``"sequential"`` / ``"pooled"`` / ``"processes"`` /
-    ``"compiled"``); the schedule leg of the autotuner sweeps it with
-    ``clock="wall"``.
+    (``"sequential"`` / ``"pooled"`` / ``"compiled"``); the schedule
+    leg of the autotuner sweeps it with ``clock="wall"``.
     """
     if schedule is not None:
         # Same names (and aliases) ``REPRO_SCHEDULER`` accepts.

@@ -1,5 +1,5 @@
 """The grid-scope atomic domain is created by the first atomic of a
-launch, once, and stays replaceable."""
+launch, once."""
 
 import sys
 import threading
@@ -104,14 +104,6 @@ class TestLazyAtomicDomain:
             q.enqueue(create_task_kernel(acc, WorkDivMembers.make(64, 1, 1), bump, total))
         assert total.as_numpy()[0] == 5 * 64 * 50
         total.free()
-
-    def test_domain_stays_assignable(self):
-        grid, _task, bufs = _grid()
-        mine = AtomicDomain(stripes=2)
-        grid.atomics = mine
-        assert grid.atomics is mine
-        for buf in bufs:
-            buf.free()
 
 
 @pytest.mark.parametrize("backend", accelerator_names())

@@ -1,5 +1,5 @@
 """Event reuse semantics: record + wait + re-record, across queues and
-under the process-pool scheduler — and the ``wait_queue_for`` /
+under the pooled block scheduler — and the ``wait_queue_for`` /
 ``enqueue_after`` alias contract.
 
 One :class:`~repro.queue.Event` object is a reusable marker (CUDA
@@ -28,8 +28,7 @@ from repro.queue import (
     wait_queue_for,
 )
 from repro.runtime import clear_plan_cache, get_plan, shutdown_schedulers
-from repro.runtime.procpool import reset_worker_state
-from repro.runtime.scheduler import PROCESS_WORKERS_ENV, SCHEDULER_ENV
+from repro.runtime.scheduler import SCHEDULER_ENV
 
 
 @pytest.fixture
@@ -151,27 +150,25 @@ class TestRecordWaitReRecord:
         q.destroy()
 
 
-class TestReuseUnderProcessPool:
-    """The same reuse contract when the gated work runs in worker
-    *processes* (shared-memory buffers, processes scheduler)."""
+class TestReuseUnderBlockPool:
+    """The same reuse contract when the gated work runs on the device's
+    block worker pool (pooled scheduler)."""
 
     @pytest.fixture(autouse=True)
-    def _procpool_env(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "processes")
-        monkeypatch.setenv(PROCESS_WORKERS_ENV, "2")
+    def _pooled_env(self, monkeypatch):
+        monkeypatch.setenv(SCHEDULER_ENV, "threads")
         clear_plan_cache()
         yield
         clear_plan_cache()
         shutdown_schedulers()
-        reset_worker_state()
 
-    def test_record_wait_re_record_with_process_kernels(self):
+    def test_record_wait_re_record_with_pooled_kernels(self):
         dev = get_dev_by_idx(AccCpuOmp2Blocks)
-        buf = mem.alloc(dev, 64, shm=True)
+        buf = mem.alloc(dev, 64)
         buf.as_numpy()[:] = 0.0
         wd = WorkDivMembers.make(4, 1, 16)
         task = create_task_kernel(AccCpuOmp2Blocks, wd, _add_one, buf)
-        assert get_plan(task, dev).schedule == "processes"
+        assert get_plan(task, dev).schedule == "pooled"
 
         q = QueueNonBlocking(dev)
         ev = Event(dev)
@@ -179,7 +176,7 @@ class TestReuseUnderProcessPool:
             q.enqueue(task)
             ev.record(q)
             assert ev.wait(timeout=30.0)
-            # The event firing proves the worker-process writes landed.
+            # The event firing proves the pool workers' writes landed.
             assert np.all(buf.as_numpy() == float(round_no + 1))
         assert ev.record_count == 3 == ev.fired_count
         q.destroy()

@@ -1,5 +1,8 @@
-"""Per-device schedulers: chunking, env-configured caps, determinism."""
+"""Per-device schedulers: chunking, env-configured caps, determinism,
+the ``REPRO_SCHEDULER`` override, fallbacks and pool lifetime."""
 
+import logging
+import os
 import subprocess
 import sys
 
@@ -9,6 +12,7 @@ import pytest
 from repro import (
     AccCpuFibers,
     AccCpuOmp2Blocks,
+    AccCpuSerial,
     QueueBlocking,
     WorkDivMembers,
     create_task_kernel,
@@ -17,12 +21,21 @@ from repro import (
     mem,
 )
 from repro.core.vec import Vec
+from repro.dev.manager import device_workers, shutdown_device_workers
+from repro.kernels.axpy import AxpyElementsKernel
+from repro.kernels.histogram import HistogramKernel, histogram_reference
+from repro.runtime import clear_plan_cache, get_plan, shutdown_schedulers
 from repro.runtime.scheduler import (
     MAX_BLOCK_WORKERS,
+    SCHEDULER_ENV,
+    CompiledScheduler,
     chunk_indices,
     resolve_max_block_workers,
+    resolve_scheduler_override,
     scheduler_for,
 )
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 class TestChunking:
@@ -232,3 +245,198 @@ class TestDispatchSemantics:
         dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
         with pytest.raises(ValueError, match="unknown block schedule"):
             scheduler_for(dev, "quantum")
+
+
+@pytest.fixture
+def dev():
+    return get_dev_by_idx(AccCpuOmp2Blocks)
+
+
+@pytest.fixture
+def fresh_plans():
+    clear_plan_cache()
+    yield
+    clear_plan_cache()
+    shutdown_schedulers()
+
+
+def _axpy_task(dev, n=1024, blocks=4):
+    x, y = mem.alloc(dev, n), mem.alloc(dev, n)
+    x.as_numpy()[:] = np.arange(n, dtype=np.float64)
+    y.as_numpy()[:] = 1.0
+    wd = WorkDivMembers.make((blocks,), (1,), (-(-n // blocks),))
+    task = create_task_kernel(AccCpuOmp2Blocks, wd, AxpyElementsKernel(), n, 2.0, x, y)
+    return task, x, y
+
+
+def _histogram_task(dev, n=2048, bins=16):
+    """A kernel the compiled schedule cannot serve: it allocates shared
+    memory, so every compiled launch falls back (``shared-memory``)."""
+    data = np.random.default_rng(3).random(n)
+    x, hist = mem.alloc(dev, n), mem.alloc(dev, bins)
+    x.as_numpy()[:] = data
+    hist.as_numpy()[:] = 0.0
+    wd = WorkDivMembers.make((8,), (1,), (n // 8,))
+    task = create_task_kernel(
+        AccCpuOmp2Blocks, wd, HistogramKernel(), n, 0.0, 1.0, bins, x, hist
+    )
+    return task, data, x, hist
+
+
+class TestEnvResolution:
+    def test_scheduler_env_values(self, monkeypatch):
+        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+        assert resolve_scheduler_override() is None
+        for raw, want in (
+            ("sequential", "sequential"),
+            ("threads", "pooled"),
+            ("pooled", "pooled"),
+            ("compiled", "compiled"),
+            ("COMPILED", "compiled"),
+        ):
+            monkeypatch.setenv(SCHEDULER_ENV, raw)
+            assert resolve_scheduler_override() == want
+
+    def test_scheduler_env_rejects_unknown(self, monkeypatch):
+        monkeypatch.setenv(SCHEDULER_ENV, "gpu")
+        with pytest.raises(ValueError, match="REPRO_SCHEDULER"):
+            resolve_scheduler_override()
+
+    def test_override_never_remaps_sequential_backends(self, monkeypatch, fresh_plans):
+        monkeypatch.setenv(SCHEDULER_ENV, "threads")
+        sdev = get_dev_by_idx(AccCpuSerial)
+        buf = mem.alloc(sdev, 64)
+        wd = WorkDivMembers.make(4, 1, 16)
+        task = create_task_kernel(AccCpuSerial, wd, AxpyElementsKernel(), 64, 1.0, buf, buf)
+        assert get_plan(task, sdev).schedule == "sequential"
+        buf.free()
+
+    def test_override_is_part_of_plan_identity(self, dev, monkeypatch, fresh_plans):
+        task, x, y = _axpy_task(dev)
+        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+        p1 = get_plan(task, dev)
+        monkeypatch.setenv(SCHEDULER_ENV, "compiled")
+        p2 = get_plan(task, dev)
+        assert p1 is not p2
+        assert p1.schedule == "pooled" and p2.schedule == "compiled"
+        x.free()
+        y.free()
+
+
+class TestFallbacks:
+    """A launch the compiled schedule cannot serve runs on the thread
+    pool: correct, counted, logged once and flight-recorded."""
+
+    def test_fallback_stays_correct(self, dev, monkeypatch, caplog, fresh_plans):
+        monkeypatch.setenv(SCHEDULER_ENV, "compiled")
+        task, data, x, hist = _histogram_task(dev)
+        with caplog.at_level(logging.INFO, "repro.runtime.scheduler"):
+            QueueBlocking(dev).enqueue(task)
+        assert get_plan(task, dev).schedule == "compiled"
+        np.testing.assert_array_equal(hist.as_numpy(), histogram_reference(data, 16, 0.0, 1.0))
+        assert any("falls back to the thread pool" in r.message for r in caplog.records)
+        x.free()
+        hist.free()
+
+    def test_fallback_reason_logged_once(self, dev, monkeypatch, caplog, fresh_plans):
+        monkeypatch.setenv(SCHEDULER_ENV, "compiled")
+        task, _data, x, hist = _histogram_task(dev)
+        queue = QueueBlocking(dev)
+        with caplog.at_level(logging.INFO, "repro.runtime.scheduler"):
+            queue.enqueue(task)
+            queue.enqueue(task)
+        assert len([r for r in caplog.records if "falls back" in r.message]) == 1
+        x.free()
+        hist.free()
+
+    def test_fallbacks_are_counted_and_flight_recorded(
+        self, dev, monkeypatch, tmp_path, fresh_plans
+    ):
+        from repro.telemetry import flight
+        from repro.telemetry.metrics import registry
+
+        def count():
+            return registry().counter(
+                "repro_scheduler_fallbacks_total",
+                "",
+                schedule="compiled",
+                kernel="HistogramKernel",
+                reason="shared-memory",
+            ).value
+
+        monkeypatch.setenv(SCHEDULER_ENV, "compiled")
+        task, _data, x, hist = _histogram_task(dev)
+        queue = QueueBlocking(dev)
+        before = count()
+        rec = flight.activate(str(tmp_path))
+        try:
+            queue.enqueue(task)
+            queue.enqueue(task)
+            events = [e for e in rec.events() if e["kind"] == "scheduler_fallback"]
+        finally:
+            flight.deactivate()
+        assert count() - before == 2
+        assert len(events) == 2
+        assert events[0]["schedule"] == "compiled"
+        assert events[0]["reason"] == "shared-memory"
+        x.free()
+        hist.free()
+
+    def test_custom_block_subset_falls_back(self, dev, fresh_plans):
+        task, x, y = _axpy_task(dev, n=256, blocks=4)
+        plan = get_plan(task, dev)
+        grid = plan.grid_for(task)
+        subset = plan.block_indices[:2]
+        CompiledScheduler(dev).dispatch(plan, grid, subset, task)
+        want = np.ones(256)
+        want[:128] += 2.0 * np.arange(128.0)
+        np.testing.assert_array_equal(y.as_numpy(), want)
+        x.free()
+        y.free()
+
+
+class TestDevWorkerLifecycle:
+    def test_device_workers_reflects_live_pools(self, dev, fresh_plans):
+        shutdown_device_workers()
+        assert device_workers() == {}
+        task, x, y = _axpy_task(dev)
+        QueueBlocking(dev).enqueue(task)
+        assert (dev.uid, "pooled") in device_workers()
+        shutdown_device_workers()
+        assert device_workers() == {}
+        x.free()
+        y.free()
+
+
+class TestAtexitOrdering:
+    def test_exit_with_live_pools_is_clean(self):
+        """A thread pool still alive at interpreter exit neither hangs
+        nor prints a traceback: the atexit-registered
+        shutdown_schedulers drains it before executor teardown."""
+        code = (
+            "from repro import mem\n"
+            "from repro.acc.cpu import AccCpuOmp2Blocks\n"
+            "from repro.core.kernel import create_task_kernel\n"
+            "from repro.core.workdiv import WorkDivMembers\n"
+            "from repro.dev.manager import get_dev_by_idx\n"
+            "from repro.kernels.axpy import AxpyElementsKernel\n"
+            "from repro.queue import QueueBlocking\n"
+            "dev = get_dev_by_idx(AccCpuOmp2Blocks)\n"
+            "x, y = mem.alloc(dev, 1024), mem.alloc(dev, 1024)\n"
+            "wd = WorkDivMembers.make(4, 1, 256)\n"
+            "QueueBlocking(dev).enqueue(create_task_kernel(\n"
+            "    AccCpuOmp2Blocks, wd, AxpyElementsKernel(), 1024, 2.0, x, y))\n"
+            "print('LAUNCHED')\n"
+            "# exit without shutdown_schedulers(), without free(): atexit must cope\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": "src"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "LAUNCHED" in proc.stdout
+        assert "Traceback" not in proc.stderr

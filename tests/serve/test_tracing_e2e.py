@@ -1,164 +1,119 @@
-"""End-to-end distributed trace: one ServeClient request travels over
-TCP, through the gateway's batcher, onto a *forced* process-pool launch
-— and every span lands in ONE trace whose events span at least three OS
-processes (the test process plus two pool workers), with worker spans
-parenting correctly under the server-side request span."""
+"""End-to-end distributed trace: ``ServeClient`` requests travel over
+TCP to a ``ServeServer`` in a child process, and every span of both
+processes lands in ONE trace.
+
+The trace spans exactly two processes, client and server.  Blocks run
+on in-process worker threads, so no third process exists to carry a
+span: the server's launches appear on the server's own track.  The
+server child exports its trace at exit (``REPRO_TELEMETRY=1`` +
+``REPRO_TELEMETRY_EXPORT``); the client side is collected in-process;
+``stitch_traces`` joins the two on their trace ids.
+"""
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
-import pytest
 
-from repro import telemetry
-from repro.runtime import shutdown_schedulers
-from repro.serve import Gateway, ServeConfig
+from repro import knobs, telemetry
 from repro.serve.client import ServeClient
-from repro.serve.server import ServeServer
 from repro.telemetry import tracing
-from repro.telemetry.export import (
-    TRACE_PID,
-    stitch_traces,
-    to_chrome_trace,
-    validate_trace,
-)
+from repro.telemetry.export import stitch_traces, to_chrome_trace, validate_trace
 
-#: Pool-capable back-end: Omp2Blocks runs one thread per block, so the
-#: override to ``processes`` applies (serial/thread-level back-ends are
-#: never remapped).
-POOL_BACKEND = "AccCpuOmp2Blocks"
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, os.pardir, "src")
 
-#: Large enough that the elementwise work division produces many blocks
-#: — the plan chunks them across both pool workers.
-N = 16384
+#: The server process: every knob at its default but the telemetry
+#: pair, bound to an ephemeral port, serving until stdin yields a line.
+SERVER_CHILD = """
+import asyncio, json, sys
+from repro.serve import ServeConfig
+from repro.serve.server import ServeServer
 
-#: Worker scheduling is the OS's business: one fast worker can steal
-#: both chunks of a launch while its sibling is still bootstrapping.
-#: Additional launches under the same root trace coax the second worker
-#: out; every one of them still belongs to the single client trace.
-MAX_LAUNCHES = 12
-
-
-@pytest.fixture
-def forced_process_pool(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHEDULER", "processes")
-    monkeypatch.setenv("REPRO_PROCESS_WORKERS", "2")
-    monkeypatch.setenv("REPRO_SHM_BUFFERS", "1")
-    yield
-    # Drop the process pools so later tests do not inherit live workers
-    # (the env override itself is undone by monkeypatch).
-    shutdown_schedulers()
-
-
-def _worker_pids(collector):
-    return {
-        ev.pid
-        for ev in collector.events
-        if ev.cat == "worker" and ev.pid not in (None, os.getpid())
-    }
-
-
-async def _drive(config, collector, x, y):
-    """Serve launches over a real socket until two distinct pool-worker
-    pids have reported spans (or the attempt budget runs out)."""
-    gateway = Gateway(config)
+async def serve():
+    server = ServeServer(ServeConfig(port=0))
+    await server.start()
     try:
-        async with ServeServer(config, gateway=gateway) as server:
-            async with ServeClient(port=server.port) as client:
-                for _ in range(MAX_LAUNCHES):
-                    result = await client.launch(
-                        "axpy",
-                        backend=POOL_BACKEND,
-                        params={"alpha": 2.0},
-                        arrays={"x": x, "y": y},
-                    )
-                    assert np.allclose(result.arrays["y"], 2.0 * x + y)
-                    if len(_worker_pids(collector)) >= 2:
-                        break
+        print(json.dumps({"port": server.port}), flush=True)
+        await asyncio.get_running_loop().run_in_executor(None, sys.stdin.readline)
     finally:
-        gateway.shutdown(release_pools=False)
+        await server.stop()
+
+asyncio.run(serve())
+"""
+
+REQUESTS = 3
 
 
-def test_single_trace_spans_three_processes(forced_process_pool, rng):
-    x = rng.standard_normal(N)
-    y = rng.standard_normal(N)
-    config = ServeConfig(
-        port=0,
-        batch_window=0.002,
-        drain_timeout=60.0,
-        lanes=((POOL_BACKEND, 0),),
+async def _drive(port, x, y):
+    async with ServeClient(port=port) as client:
+        for _ in range(REQUESTS):
+            result = await client.launch(
+                "axpy", params={"alpha": 2.0}, arrays={"x": x, "y": y}
+            )
+            assert np.allclose(result.arrays["y"], 2.0 * x + y)
+
+
+def test_single_trace_spans_client_and_server_processes(tmp_path):
+    export = tmp_path / "server-trace.json"
+    env = {k: v for k, v in os.environ.items() if not k.startswith(knobs.PREFIX)}
+    env.update(
+        PYTHONPATH=os.path.abspath(SRC),
+        REPRO_TELEMETRY="1",
+        REPRO_TELEMETRY_EXPORT=str(export),
     )
-
+    server = subprocess.Popen(
+        [sys.executable, "-c", SERVER_CHILD],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    x, y = np.arange(256.0), np.ones(256)
     root = tracing.new_trace()
-    with telemetry.collect() as t:
-        with tracing.use(root):
-            asyncio.run(_drive(config, t, x, y))
+    try:
+        port = json.loads(server.stdout.readline())["port"]
+        with telemetry.collect() as t:
+            with tracing.use(root):
+                asyncio.run(_drive(port, x, y))
+        _, stderr = server.communicate("stop\n", timeout=60)
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=10)
+    assert server.returncode == 0, stderr
 
-    # -- one trace ------------------------------------------------------
-    trace = to_chrome_trace(t)
+    client_trace = to_chrome_trace(t)
+    server_trace = json.loads(export.read_text())
+    stitched = validate_trace(stitch_traces([client_trace, server_trace]))
+
+    # -- one trace across exactly two real processes ---------------------
     traced = [
         ev
-        for ev in trace["traceEvents"]
+        for ev in stitched["traceEvents"]
         if ev.get("ph") == "X" and "trace_id" in ev.get("args", {})
     ]
-    assert traced, "no trace-stamped events were collected"
-    trace_ids = {ev["args"]["trace_id"] for ev in traced}
-    assert trace_ids == {root.trace_id}, (
-        f"expected every span in trace {root.trace_id}, got {trace_ids}"
-    )
+    assert {ev["args"]["trace_id"] for ev in traced} == {root.trace_id}
+    assert {ev["pid"] for ev in traced} == {os.getpid(), server.pid}
 
-    # -- three processes ------------------------------------------------
-    worker_events = [
-        ev for ev in trace["traceEvents"] if ev.get("cat") == "worker"
-    ]
-    assert worker_events, "no pool-worker spans were replayed parent-side"
-    worker_pids = {ev["pid"] for ev in worker_events}
-    assert os.getpid() not in worker_pids
-    assert TRACE_PID not in worker_pids
-    assert len(worker_pids) >= 2, (
-        f"expected two pool workers, saw pids {worker_pids}"
-    )
-    # Main-process events plus two workers: >= 3 distinct processes.
-    all_pids = {ev.get("pid") for ev in trace["traceEvents"]}
-    assert len(all_pids) >= 3
-
-    # -- parenting ------------------------------------------------------
-    # Worker chunk spans are children of the server-side request span:
-    # run_chunk received the traceparent of the context the router
-    # installed around the merged launch, i.e. request.trace.
-    request_spans = {
+    # -- every server request hangs under a client wire span -------------
+    wire = {
         ev["args"]["span_id"]
         for ev in traced
-        if ev["name"] == "serve.request"
+        if ev["name"] == "serve.client.wire" and ev["pid"] == os.getpid()
     }
-    assert request_spans, "no serve.request span was recorded"
-    for ev in worker_events:
-        args = ev.get("args", {})
-        assert args.get("trace_id") == root.trace_id
-        assert args.get("parent_id") in request_spans, (
-            f"worker span parent {args.get('parent_id')!r} is not a "
-            f"serve.request span ({request_spans})"
-        )
-    # And the request spans themselves chain back toward the client's
-    # root context (client child -> wire -> server span).
-    for ev in traced:
-        if ev["name"] == "serve.request":
-            assert ev["args"].get("parent_id"), (
-                "server-side request span lost its client parent"
-            )
-
-    # -- exported artefact is well-formed -------------------------------
-    validate_trace(trace)
-    stitched = stitch_traces([trace])
-    validate_trace(stitched)
-    # Stitching rewrote the placeholder pid to this process's real one;
-    # the worker tracks survive untouched.
-    stitched_pids = {
-        ev.get("pid")
-        for ev in stitched["traceEvents"]
-        if ev.get("ph") == "X"
-    }
-    assert os.getpid() in stitched_pids
-    assert worker_pids <= stitched_pids
+    requests = [
+        ev
+        for ev in traced
+        if ev["name"] == "serve.request" and ev["pid"] == server.pid
+    ]
+    assert len(wire) == REQUESTS
+    assert len(requests) == REQUESTS
+    assert {ev["args"]["parent_id"] for ev in requests} == wire
+    # Each of those parent links crosses processes: one flow arrow each.
+    assert stitched["otherData"]["flow_edges"] >= REQUESTS

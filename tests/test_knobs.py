@@ -8,15 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from repro import knobs, mem
-from repro.acc.cpu import AccCpuOmp2Blocks
-from repro.core.index import Blocks, Grid, get_idx
-from repro.core.kernel import create_task_kernel, fn_acc
-from repro.core.workdiv import WorkDivMembers
-from repro.dev.manager import get_dev_by_idx
-from repro.queue import QueueBlocking
-from repro.runtime import clear_plan_cache, get_plan, shutdown_schedulers
-from repro.runtime.procpool import reset_worker_state
+from repro import knobs
 
 #: env -> (a valid raw value, what it parses to, a malformed raw value
 #: or None when every string is valid).
@@ -25,8 +17,6 @@ CASES = {
     knobs.MAX_BLOCK_WORKERS: ("3", 3, "lots"),
     knobs.SCHEDULER: (" Threads ", "pooled", "gpu"),
     knobs.COMPILE_CROSSCHECK: ("yes", True, "2"),
-    knobs.PROCESS_WORKERS: ("0", 1, "soon"),
-    knobs.SHM_BUFFERS: ("1", True, "shared"),
     knobs.GRAPH_REPLAY: ("0", False, "sometimes"),
     knobs.SANITIZE: ("on", True, "ture"),
     knobs.SANITIZE_SEED: ("-4", -4, "seed"),
@@ -59,7 +49,7 @@ def _bare_env(monkeypatch):
 
 def test_exactly_the_declared_surface():
     assert set(CASES) == set(knobs.KNOBS)
-    assert len(knobs.KNOBS) == 24
+    assert len(knobs.KNOBS) == 22
     assert all(env.startswith(knobs.PREFIX) for env in knobs.KNOBS)
 
 
@@ -89,6 +79,17 @@ def test_parse_matrix(env, monkeypatch, caplog):
         assert len(warnings) == 1  # once per (variable, value)
 
 
+@pytest.mark.parametrize("raw", ["processes", "process"])
+def test_retired_schedule_is_rejected(raw, monkeypatch):
+    """The process-pool schedule is gone: its old names are malformed
+    values, and the error lists what the knob accepts."""
+    monkeypatch.setenv(knobs.SCHEDULER, raw)
+    accepted = "['compile', 'compiled', 'pooled', 'sequential', 'threads']"
+    with pytest.raises(knobs.KnobError, match=knobs.SCHEDULER) as err:
+        knobs.get(knobs.SCHEDULER)
+    assert accepted in str(err.value)
+
+
 @pytest.mark.parametrize("env", BOOL_KNOBS)
 @pytest.mark.parametrize(
     "raw,expected",
@@ -101,23 +102,16 @@ def test_boolean_table(env, raw, expected, monkeypatch):
 
 
 def test_zero_switches_the_feature_off(monkeypatch):
-    """``=0`` used to switch these four features ON (non-empty test)."""
+    """``=0`` used to switch these three features ON (non-empty test)."""
     from repro.mem.guard import GuardedArray, guard
-    from repro.mem.shm import shm_buffers_default
     from repro.sanitize import _state as sanitize_state
     from repro.telemetry import _state as telemetry_state
 
-    for env in (
-        knobs.SANITIZE,
-        knobs.TELEMETRY,
-        knobs.SHM_BUFFERS,
-        knobs.UNGUARDED_KERNEL_ARRAYS,
-    ):
+    for env in (knobs.SANITIZE, knobs.TELEMETRY, knobs.UNGUARDED_KERNEL_ARRAYS):
         monkeypatch.setenv(env, "0")
     assert not sanitize_state.active()
     assert not telemetry_state.enabled()
     assert telemetry_state.maybe_activate_from_env() is None
-    assert not shm_buffers_default()
     assert isinstance(guard(np.zeros(2)), GuardedArray)
 
 
@@ -159,7 +153,7 @@ def test_effective_reports_sources_and_unrecognised(monkeypatch):
     monkeypatch.setenv(knobs.TUNING_CACHE, "")  # blank = unset
     monkeypatch.setenv("REPRO_SCHEDULAR", "compiled")
     config = knobs.effective()
-    assert len(config["knobs"]) == 24
+    assert len(config["knobs"]) == 22
     assert config["unrecognised"] == ["REPRO_SCHEDULAR"]
     assert config["knobs"][knobs.SCHEDULER] == {
         "value": "compiled", "raw": "compiled", "source": "env",
@@ -184,46 +178,3 @@ def test_readme_table_is_current(tmp_path, capsys):
     assert knobs.main(["--check", str(stale)]) == 1
     assert knobs.main([]) == 0
     assert capsys.readouterr().out.strip() == knobs.readme_table()
-
-
-SPAN = 4
-
-
-@fn_acc
-def _report_knob(acc, out):
-    """Each block writes the worker's view of REPRO_TRACE_SAMPLE and
-    its pid into its slice of ``out``."""
-    blk = get_idx(acc, Grid, Blocks)[0]
-    out[blk * SPAN] = knobs.get(knobs.TRACE_SAMPLE)
-    out[blk * SPAN + 1] = os.getpid()
-
-
-def test_export_env_reaches_process_workers(monkeypatch):
-    shutdown_schedulers()
-    clear_plan_cache()
-    monkeypatch.setenv(knobs.SCHEDULER, "processes")
-    monkeypatch.setenv(knobs.PROCESS_WORKERS, "2")
-    monkeypatch.setenv(knobs.TRACE_SAMPLE, "7")
-    assert knobs.export_env() == {
-        knobs.SCHEDULER: "processes",
-        knobs.PROCESS_WORKERS: "2",
-        knobs.TRACE_SAMPLE: "7",
-    }
-    dev = get_dev_by_idx(AccCpuOmp2Blocks)
-    blocks = 4
-    out = mem.alloc(dev, blocks * SPAN, shm=True)
-    out.as_numpy()[:] = 0.0
-    task = create_task_kernel(
-        AccCpuOmp2Blocks, WorkDivMembers.make(blocks, 1, SPAN), _report_knob, out
-    )
-    try:
-        assert get_plan(task, dev).schedule == "processes"
-        QueueBlocking(dev).enqueue(task)
-        seen = out.as_numpy().reshape(blocks, SPAN)
-        assert list(seen[:, 0]) == [7.0] * blocks
-        assert os.getpid() not in set(seen[:, 1])  # ran in the workers
-    finally:
-        out.free()
-        clear_plan_cache()
-        shutdown_schedulers()
-        reset_worker_state()

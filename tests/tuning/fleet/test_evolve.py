@@ -234,10 +234,10 @@ class TestScheduleGenome:
             budget=8,
             population=8,
             hof_path=str(tmp_path / "hof.json"),
-            schedules=("sequential", "pooled", "processes", "compiled"),
+            schedules=("sequential", "pooled", "compiled"),
             schedule_objective=sched_obj,
         )
-        assert seen == {"sequential", "pooled", "processes", "compiled"}
+        assert seen == {"sequential", "pooled", "compiled"}
 
     def test_hof_records_schedule(self, tmp_path):
         hof = str(tmp_path / "hof.json")

@@ -6,6 +6,9 @@ it in the genome, the winner persists through the cache (and the fleet
 in lock mode), and AUTO launches pick it up at plan time.
 """
 
+import json
+
+import numpy as np
 import pytest
 
 import repro.tuning as tuning
@@ -13,7 +16,7 @@ from repro import get_dev_by_idx, mem
 from repro.acc.cpu import AccCpuOmp2Blocks, AccCpuSerial
 from repro.core.element import grid_strided_spans
 from repro.core.kernel import fn_acc
-from repro.tuning import MeasuredTime, autotune, default_cache
+from repro.tuning import MeasuredTime, TuningCache, autotune, default_cache
 from repro.tuning import _schedule_candidates
 
 
@@ -25,6 +28,17 @@ class _ElemKernel:
 
     def __repr__(self):
         return "_ElemKernel()"
+
+
+class _SharedScratchKernel(_ElemKernel):
+    """``_ElemKernel`` plus a block shared-memory scratch the tracer
+    cannot represent: every compiled launch falls back."""
+
+    @fn_acc
+    def __call__(self, acc, n, out):
+        acc.shared_mem("scratch", (1,))
+        for span in grid_strided_spans(acc, n):
+            out[span] = 2.0
 
 
 def _args(n=256):
@@ -160,37 +174,67 @@ class TestPlanPickup:
         plan = get_plan(task, dev)
         assert plan.schedule == "compiled"
 
+    def test_retired_schedule_in_an_old_cache_file_plans_the_default(
+        self, monkeypatch, isolated_cache
+    ):
+        """A cache file written while a process-pool schedule existed
+        may name it; the entry still serves its division, and the AUTO
+        launch plans the back-end default instead of a schedule that
+        cannot run."""
+        from repro import QueueBlocking, create_task_kernel
+        from repro.core.workdiv import AutoWorkDiv
+        from repro.runtime import get_plan
+        from repro.runtime.scheduler import SCHEDULER_ENV
+        from repro.tuning import reset_default_cache
+
+        monkeypatch.delenv(SCHEDULER_ENV, raising=False)
+        n = 256
+        dev, args = _args(n)
+        key = TuningCache.key(_ElemKernel(), AccCpuOmp2Blocks, dev, n)
+        entry = {
+            "grid": [4], "block": [1], "elems": [64], "seconds": 1e-4,
+            "strategy": "exhaustive", "source": "wall", "schedule": "processes",
+        }
+        isolated_cache.write_text(json.dumps({"version": 1, "entries": {key: entry}}))
+        reset_default_cache()
+        task = create_task_kernel(
+            AccCpuOmp2Blocks, AutoWorkDiv(n), _ElemKernel(), *args
+        )
+        plan = get_plan(task, dev)
+        assert plan.work_div.block_count == 4  # the stored division
+        assert plan.schedule == "pooled"
+        QueueBlocking(dev).enqueue(task)
+        np.testing.assert_array_equal(args[1].as_numpy(), np.full(n, 2.0))
+
 
 class TestFallenBackSchedules:
     @pytest.mark.parametrize("strategy", ["random", "evolve"])
     def test_a_schedule_that_fell_back_is_never_stored(
         self, monkeypatch, strategy
     ):
-        """Regression: private buffers send every `processes` launch to
-        the thread pool.  Even when that measurement reads fastest, the
-        tuner must not store `processes`, or every AUTO launch falls
-        back again."""
-        assert AccCpuOmp2Blocks.supports_process_blocks
+        """Regression: a kernel the tracer cannot represent sends every
+        `compiled` launch to the thread pool.  Even when that
+        measurement reads fastest, the tuner must not store `compiled`,
+        or every AUTO launch falls back again."""
         real = tuning.measure_division
 
-        def processes_report_the_smallest_time(*a, schedule=None, **kw):
+        def compiled_reports_the_smallest_time(*a, schedule=None, **kw):
             mt = real(*a, schedule=schedule, **kw)
-            if schedule == "processes":
+            if schedule == "compiled":
                 return MeasuredTime(seconds=1e-12, source=mt.source, launches=mt.launches)
             return mt
 
         monkeypatch.setattr(
-            tuning, "measure_division", processes_report_the_smallest_time
+            tuning, "measure_division", compiled_reports_the_smallest_time
         )
         n = 1024
         dev, args = _args(n)
         res = autotune(
-            _ElemKernel(), AccCpuOmp2Blocks, n, args, device=dev,
+            _SharedScratchKernel(), AccCpuOmp2Blocks, n, args, device=dev,
             strategy=strategy, budget=4, tune_schedule=True,
-            max_total_elems=64,  # >= 16 blocks: a 1-block launch never falls back
+            max_total_elems=64,
         )
-        assert res.work_div.block_count > 1
-        assert res.schedule not in (None, "processes")
-        assert "processes" not in res.schedule_trials
-        entry = default_cache().get(_ElemKernel(), AccCpuOmp2Blocks, dev, n)
+        assert res.schedule not in (None, "compiled")
+        assert "compiled" not in res.schedule_trials
+        entry = default_cache().get(_SharedScratchKernel(), AccCpuOmp2Blocks, dev, n)
         assert entry.schedule == res.schedule
