@@ -121,7 +121,5 @@ class CompileCrossCheckError(KernelError):
 
 
 class TuningFleetError(AlpakaError, RuntimeError):
-    """The shared tuning service (:mod:`repro.tuning.fleet`) failed:
-    daemon unreachable mid-conversation, malformed protocol reply, or a
-    lease/config contract violation.  Tuning itself degrades gracefully
-    (Table 2 heuristic) rather than raising this on the launch path."""
+    """Fleet tuning (:mod:`repro.tuning.fleet`) was misconfigured
+    (:class:`~repro.tuning.fleet.config.FleetConfigError` is one)."""

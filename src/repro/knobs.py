@@ -10,8 +10,8 @@ listener or a sampling rate must not take the process down).
 :func:`get` reads the **live** environment on every call — nothing is
 snapshotted, so ``monkeypatch.setenv`` and :func:`pinned` apply at
 once.  :func:`effective` is "the effective configuration of this
-process" (embedded in ``/healthz``, the serve and fleet ``stats`` ops,
-flight dumps and the ``REPRO_TELEMETRY`` exit report);
+process" (embedded in ``/healthz``, the serve ``stats`` op, flight
+dumps and the ``REPRO_TELEMETRY`` exit report);
 ``python -m repro.knobs [--check README.md]`` generates and verifies
 README's table.  Blank counts as unset, and all booleans share one
 rule: ``0/false/no/off`` = off, ``1/true/yes/on`` = on.
@@ -32,9 +32,6 @@ __all__ = [
 
 #: Every variable of the library starts with this.
 PREFIX = "REPRO_"
-
-#: Port of the tuning-fleet daemon when its address names none.
-FLEET_DAEMON_PORT = 7412
 
 _log = logging.getLogger("repro.knobs")
 
@@ -93,26 +90,18 @@ def _choice(**aliases: str) -> Callable[[str], str]:
     return parse_choice
 
 
-def _host_port(default_port: Optional[int] = None):
-    """``host:port`` -> ``(host, port)``; an empty host is loopback, a
-    bare host takes ``default_port`` when there is one."""
-
-    def parse_host_port(raw: str):
-        value = raw.strip()
-        host, sep, port = value.rpartition(":")
-        if not sep:
-            if default_port is None:
-                raise ValueError("is not host:port")
-            return (value or "127.0.0.1", default_port)
-        try:
-            port_no = int(port)
-        except ValueError:
-            raise ValueError(f"port is not an integer: {port!r}") from None
-        if not 0 <= port_no <= 65535:
-            raise ValueError(f"port out of range: {port_no}")
-        return (host or "127.0.0.1", port_no)
-
-    return parse_host_port
+def _host_port(raw: str):
+    """``host:port`` -> ``(host, port)``; an empty host is loopback."""
+    host, sep, port = raw.strip().rpartition(":")
+    if not sep:
+        raise ValueError("is not host:port")
+    try:
+        port_no = int(port)
+    except ValueError:
+        raise ValueError(f"port is not an integer: {port!r}") from None
+    if not 0 <= port_no <= 65535:
+        raise ValueError(f"port out of range: {port_no}")
+    return (host or "127.0.0.1", port_no)
 
 
 def _weights(raw: str) -> Dict[str, float]:
@@ -191,8 +180,8 @@ TRACE_SAMPLE = _declare(
     "keep 1 in N completed OK traces in the `/traces` store (default `1`; errors always "
     "kept); a malformed value warns and keeps all.", strict=False)
 TELEMETRY_HTTP = _declare(
-    "REPRO_TELEMETRY_HTTP", _host_port(), None,
-    "`host:port` of the ops listener shared by gateway and fleet daemon: `/metrics`, `/healthz` "
+    "REPRO_TELEMETRY_HTTP", _host_port, None,
+    "`host:port` of the serving gateway's ops listener: `/metrics`, `/healthz` "
     "(readiness + this table's effective values), `/traces`; port `0` is ephemeral; a "
     "malformed value warns and leaves it off.", strict=False)
 FLIGHT_RECORDER_DIR = _declare(
@@ -214,16 +203,11 @@ SERVE_ONLINE_TUNING = _declare(
     "background re-tune, hot-swapped bit-identically (thresholds: `FleetConfig.drift_*`).")
 TUNING_FLEET = _declare(
     "REPRO_TUNING_FLEET",
-    _choice(off="0 off no false", lock="1 lock file flock yes true",
-            daemon="daemon socket serve"),
+    _choice(off="0 off no false", lock="1 lock file flock yes true"),
     "off",
-    "fleet coordination for `autotune`: `off` (default), `lock` (lease files next to the "
-    "shared cache) or `daemon` (`python -m repro.tuning.fleet serve`); N workers tuning one "
-    "key run exactly one measurement, the rest adopt the winner.")
-TUNING_FLEET_ADDR = _declare(
-    "REPRO_TUNING_FLEET_ADDR", _host_port(FLEET_DAEMON_PORT), None,
-    f"`host:port` of the tuning daemon (default `127.0.0.1:{FLEET_DAEMON_PORT}`); "
-    "unreachable = standalone tuning, not an error.")
+    "fleet coordination for `autotune`: `off` (default) or `lock` (lease files next to the "
+    "shared cache); N workers sharing the cache file and tuning one key run exactly one "
+    "measurement, the rest adopt the winner.")
 TUNING_HOF = _declare(
     "REPRO_TUNING_HOF", str, None,
     "path of the evolutionary search's hall of fame (default `./.repro-tuning-hof.json`); "

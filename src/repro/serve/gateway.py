@@ -99,8 +99,8 @@ class Gateway:
         self._pump.start()
         self._atexit = atexit.register(self._atexit_shutdown)
         # Live ops endpoints (REPRO_TELEMETRY_HTTP=host:port): the
-        # gateway publishes its readiness; the listener is shared with
-        # any co-resident fleet daemon.
+        # gateway publishes its readiness; the listener is shared by
+        # every gateway of the process.
         ops_http.maybe_start_from_env()
         ops_http.register_health("gateway", self._health)
 

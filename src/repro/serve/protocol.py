@@ -1,5 +1,5 @@
-"""Wire protocol for ``python -m repro.serve`` and the fleet tuning
-daemon: length-prefixed binary frames over TCP.
+"""Wire protocol for ``python -m repro.serve``: length-prefixed binary
+frames over TCP.
 
 One message is one frame::
 
@@ -60,12 +60,11 @@ Server → client::
 may arrive out of submission order (that is the point of the gateway).
 
 Every rejection is a :class:`~repro.core.errors.ServeError`.  Two
-kinds, and both services — the gateway's server and the fleet daemon —
-apply the same policy to each, because both run on one connection loop
-(:class:`~repro.serve.server.FrameServer`):
+kinds, and the connection loop
+(:class:`~repro.serve.server.FrameServer`) applies one policy to each:
 
-* **The framing is lost** — raised by the readers
-  (:func:`read_frame`, :func:`read_frame_blocking`): wrong magic,
+* **The framing is lost** — raised by the reader
+  (:func:`read_frame`): wrong magic,
   announced lengths over the bound, end of stream inside a prefix or a
   body.  Nothing after that point can be trusted; the peer gets one
   error reply and the connection is closed.
@@ -77,7 +76,7 @@ apply the same policy to each, because both run on one connection loop
   step, so the connection stays usable.
 
 This module is the only place that packs or unpacks a prefix; the serve
-server and client and the fleet daemon and client all go through it.
+server and client both go through it.
 """
 
 from __future__ import annotations
@@ -100,7 +99,6 @@ __all__ = [
     "encode_message",
     "decode_message",
     "read_frame",
-    "read_frame_blocking",
     "result_payload",
     "error_payload",
     "MAX_FRAME_BYTES",
@@ -287,21 +285,6 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
         raise ServeError(
             f"truncated frame: {len(exc.partial)} of {body_len} body bytes"
         ) from exc
-
-
-def read_frame_blocking(rfile) -> Optional[bytes]:
-    """:func:`read_frame` for a blocking binary file object
-    (``socket.makefile("rb")``)."""
-    prefix = rfile.read(_PREFIX.size)
-    if not prefix:
-        return None
-    body_len = sum(_frame_lengths(prefix))
-    body = rfile.read(body_len)
-    if len(body) != body_len:
-        raise ServeError(
-            f"truncated frame: {len(body)} of {body_len} body bytes"
-        )
-    return prefix + body
 
 
 # -- payloads -----------------------------------------------------------------

@@ -13,9 +13,7 @@ whole frame whose content is not a message gets an error reply and the
 connection carries on.
 
 :class:`ServeServer` binds the skeleton to a
-:class:`~repro.serve.gateway.Gateway`; the fleet tuning daemon
-(:class:`~repro.tuning.fleet.daemon.FleetDaemon`) is the other service.
-The gateway core is thread-based (``concurrent.futures.Future``); the
+:class:`~repro.serve.gateway.Gateway`.  The gateway core is thread-based (``concurrent.futures.Future``); the
 server bridges with :func:`asyncio.wrap_future`, keeping the event loop
 free while kernels run on device-lane threads.
 """

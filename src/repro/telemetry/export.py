@@ -18,7 +18,7 @@ Event Format requires, so a trace that validates here loads in
 Perfetto.
 
 :func:`stitch_traces` merges the per-process traces of a distributed
-run (client, gateway, fleet daemon) into one Perfetto-loadable
+run (client, gateway, tuning workers) into one Perfetto-loadable
 file: each input's default-pid events are remapped to that process's
 real pid, and cross-process parent/child span links (the
 ``trace_id`` / ``span_id`` / ``parent_id`` args the collector stamps)
@@ -167,8 +167,8 @@ def stitch_traces(traces: Iterable[Union[dict, str]]) -> dict:
     """Merge per-process Chrome traces into one distributed trace.
 
     ``traces`` are :func:`to_chrome_trace`-shaped dicts (or JSON
-    strings) exported by different processes — client, gateway, fleet
-    daemon.  Stitching does three things:
+    strings) exported by different processes — client, gateway, tuning
+    workers.  Stitching does three things:
 
     * **pid remapping** — each input's default-pid events
       (:data:`TRACE_PID`) are rewritten to that process's real pid

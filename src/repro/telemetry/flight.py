@@ -4,8 +4,8 @@ dumped to disk when something dies.
 Soak-harness failures hours into a run are undiagnosable from a stack
 trace alone — what matters is what the process was *doing* in the
 seconds before.  With ``REPRO_FLIGHT_RECORDER_DIR`` set, every process
-(gateway, fleet daemon, application) keeps a per-process ring buffer of
-recent launch / queue / lease / drift events, each stamped with the
+(gateway, tuning-fleet worker, application) keeps a per-process ring
+buffer of recent launch / queue / lease / drift events, each stamped with the
 ambient :mod:`~repro.telemetry.tracing` ids, and dumps the ring as JSON
 when:
 

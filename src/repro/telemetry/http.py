@@ -9,8 +9,7 @@ observability surface to ``curl`` / Prometheus / a dashboard:
   exposition format;
 * ``/healthz`` — JSON readiness: every registered health provider is
   called and the overall status is 200 only when all report ok (the
-  gateway registers its lanes and pump, the fleet daemon its listener
-  and lease table);
+  gateway registers its lanes and pump);
 * ``/traces`` — recent completed request traces from the
   :class:`~repro.telemetry.tracing.TraceStore` (tail-sampled,
   errors always kept); ``?limit=N`` bounds the reply.
@@ -22,10 +21,9 @@ port; the bound address is printed once) or programmatically::
     ops = OpsServer("127.0.0.1", 0)
     host, port = ops.start()
 
-The gateway and the fleet daemon both call
-:func:`maybe_start_from_env` at start-up, so one environment variable
-lights up whichever component the process runs — and when both run in
-one process they share the listener and its health registry.
+The gateway calls :func:`maybe_start_from_env` at start-up, so one
+environment variable lights up the serving process — and every gateway
+in one process shares the listener and its health registry.
 """
 
 from __future__ import annotations
@@ -228,8 +226,8 @@ def shared_server() -> Optional[OpsServer]:
 
 def maybe_start_from_env() -> Optional[OpsServer]:
     """Start (or return) the shared ops server iff
-    ``REPRO_TELEMETRY_HTTP=host:port`` is set.  Idempotent — the
-    gateway and fleet daemon both call this and share one listener.
+    ``REPRO_TELEMETRY_HTTP=host:port`` is set.  Idempotent — every
+    gateway of the process calls this and shares one listener.
     A malformed address or a bind failure is reported, never raised:
     the ops surface must not take the serving path down with it."""
     global _shared

@@ -189,8 +189,7 @@ def record_span(
 
     For call sites that know a region's endpoints without having
     wrapped it (the gateway learns a request's span only in the
-    completion callback; the fleet daemon's op handler measures inside
-    a protocol dispatcher).  ``t0``/``t1`` are ``time.perf_counter``
+    completion callback).  ``t0``/``t1`` are ``time.perf_counter``
     readings; ``trace`` stamps an explicit trace identity (the ambient
     context is *not* consulted — pass what the request carried).
 

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-from ..core.errors import InvalidWorkDiv, TuningFleetError
+from ..core.errors import InvalidWorkDiv
 from ..core.properties import AccDevProps
 from ..core.vec import Vec, as_vec
 from ..core.workdiv import (
@@ -154,22 +154,6 @@ def _refit_for_extent(
     return refit
 
 
-def _fleet_down(fleet) -> None:
-    """A fleet transport died mid-conversation (daemon gone, socket
-    reset): record it, drop the process-wide coordinator so the next
-    autotune re-probes, and degrade *this* call to standalone tuning.
-    An unreachable fleet removes shared convergence, never the tuning
-    itself — :exc:`TuningFleetError` must not escape :func:`autotune`.
-    Returns ``None`` so callers can write ``fleet = _fleet_down(fleet)``.
-    """
-    from .fleet import metrics
-    from .fleet.coordinator import reset_coordinator
-
-    metrics.record_op(getattr(fleet, "mode", "?"), "transport", "lost")
-    reset_coordinator()
-    return None
-
-
 @contextlib.contextmanager
 def _lease_heartbeat(fleet, key: str, token):
     """Keep a held measurement lease alive while the search runs.
@@ -179,8 +163,8 @@ def _lease_heartbeat(fleet, key: str, token):
     its lease broken mid-measurement: siblings would duplicate the work
     and waiters would bail to the heuristic while the winner is still
     working.  Refreshes at a third of the timeout; a refresh failure
-    (daemon died, lease file already broken) just ends the heartbeat —
-    the measurement itself proceeds and publishes standalone.
+    just ends the heartbeat — the measurement itself proceeds and
+    publishes, and at worst a sibling breaks the lease and measures too.
     """
     if fleet is None or token is None:
         yield
@@ -193,7 +177,7 @@ def _lease_heartbeat(fleet, key: str, token):
         while not stop.wait(interval):
             try:
                 fleet.refresh(key, token)
-            except Exception:
+            except Exception:  # noqa: BLE001 - a side thread; a failed beat must not reach the search
                 return
 
     thread = threading.Thread(
@@ -253,19 +237,20 @@ def autotune(
     the joint (division, schedule) space evolves in one run and no
     post-search sweep happens.
 
-    With the fleet enabled (``REPRO_TUNING_FLEET=lock|daemon``, see
+    With the fleet enabled (``REPRO_TUNING_FLEET=lock``, see
     :mod:`repro.tuning.fleet`), the measurement itself is coordinated
-    across worker processes: exactly one worker per (kernel, back-end,
-    device, extent-bucket) wins the lease and measures; the others
-    adopt its published result (``strategy="fleet"``) or — if the
-    winner takes too long — return the Table 2 heuristic immediately
-    (``strategy="fleet-heuristic"``, zero measurements) and pick the
-    winner up on the next tuning-generation bump.  A fleet transport
-    that dies mid-call degrades that call to standalone tuning —
-    :exc:`~repro.core.errors.TuningFleetError` never escapes here — a
-    held lease is heartbeat-refreshed while the search runs, and a
-    ``tune_schedule=True`` caller whose fleet entry lacks a stored
-    schedule measures locally rather than starving on the heuristic.
+    across worker processes sharing the cache file: exactly one worker
+    per (kernel, back-end, device, extent-bucket) wins the lease and
+    measures; the others adopt its published result
+    (``strategy="fleet"``) or — if the winner takes too long — return
+    the Table 2 heuristic immediately (``strategy="fleet-heuristic"``,
+    zero measurements) and pick the winner up on the next
+    tuning-generation bump.  A held lease is heartbeat-refreshed while
+    the search runs, and a ``tune_schedule=True`` caller whose fleet
+    entry lacks a stored schedule measures locally rather than starving
+    on the heuristic.  Each fleet call that runs the search counts in
+    ``repro_tuning_fleet_measurements_total``, each ``"fleet"`` answer
+    in ``repro_tuning_fleet_adopted_total``.
     """
     ext = as_vec(extent)
     if device is None:
@@ -280,16 +265,14 @@ def autotune(
 
     fleet = None
     if not force:
+        from .fleet import metrics as fleet_metrics
         from .fleet.coordinator import maybe_coordinator
 
         fleet = maybe_coordinator(cache)
         if fleet is not None:
-            try:
-                # Freshen the local view: a sibling may have tuned this
-                # key since our cache last touched disk / the daemon.
-                fleet.fetch(key)
-            except TuningFleetError:
-                fleet = _fleet_down(fleet)
+            # Freshen the local view: a sibling may have tuned this key
+            # since our cache last read the file.
+            fleet.fetch(key)
 
     if not force:
         hit = cache.get(kernel, acc_type, device, ext)
@@ -319,18 +302,13 @@ def autotune(
     fleet_token = None
     adopted = None
     if fleet is not None:
-        try:
-            fleet_token = fleet.try_lease(key)
-            if fleet_token is None:
-                adopted = fleet.wait_for(key)
-                if adopted is None:
-                    # The holder released (or died) without publishing —
-                    # the lease may be free now; contend once more.
-                    fleet_token = fleet.try_lease(key)
-        except TuningFleetError:
-            fleet = _fleet_down(fleet)
-            fleet_token = None
-            adopted = None
+        fleet_token = fleet.try_lease(key)
+        if fleet_token is None:
+            adopted = fleet.wait_for(key)
+            if adopted is None:
+                # The holder released (or died) without publishing —
+                # the lease may be free now; contend once more.
+                fleet_token = fleet.try_lease(key)
     if fleet is not None and fleet_token is None:
         schedule_gap = (
             adopted is not None
@@ -344,6 +322,7 @@ def autotune(
                 else None
             )
             if refit is not None:
+                fleet_metrics.record_adopted(fleet.mode)
                 return TuningResult(
                     work_div=refit,
                     seconds=adopted.seconds,
@@ -408,7 +387,7 @@ def autotune(
                 warmup=warmup,
                 repeat=repeat,
             )
-        except Exception:
+        except Exception:  # noqa: BLE001 - kernel code may raise anything; a rejected division loses
             # A division the kernel itself rejects (shared memory
             # overflow, shape assumptions...) scores infinitely slow
             # rather than aborting the search.
@@ -437,8 +416,8 @@ def autotune(
                 schedule=sched,
                 clock="wall",
             )
-        except Exception:
-            return None  # a strategy the launch rejects never wins
+        except Exception:  # noqa: BLE001 - kernel code may raise anything; a rejected schedule loses
+            return None
         return mt if _fallback_count(kernel, sched) == before else None
 
     extra = {"hof_label": key} if strategy == "evolve" else {}
@@ -471,12 +450,11 @@ def autotune(
                 predicted=predicted or None,
                 **extra,
             )
-        except BaseException:
+        except BaseException:  # noqa: BLE001 - cleanup, then re-raise
             # A failed search must not leave the fleet-wide measurement
             # lease dangling until it times out.
-            if fleet is not None and fleet_token is not None:
-                with contextlib.suppress(TuningFleetError):
-                    fleet.release(key, fleet_token)
+            if fleet is not None:
+                fleet.release(key, fleet_token)
             raise
 
         best = result.best
@@ -509,16 +487,14 @@ def autotune(
         measured_at=time.time(),
     )
     if fleet is not None:
-        try:
-            # Publish fleet-wide: persists through the coordinator and
-            # releases the lease; siblings parked in wait_for() unblock
-            # on this and adopt the entry.  The token is None for a
-            # schedule-gap re-measure of an already-cached key — the
-            # daemon then stores and notifies without touching leases.
-            fleet.publish(key, entry, token=fleet_token)
-        except TuningFleetError:
-            fleet = _fleet_down(fleet)
-    if fleet is None:
+        # Publish fleet-wide: persists through the coordinator and
+        # releases the lease; siblings parked in wait_for() adopt the
+        # entry on their next re-read.  The token is None for a
+        # schedule-gap re-measure of an already-cached key — the put
+        # then leaves any holder's lease alone.
+        fleet.publish(key, entry, token=fleet_token)
+        fleet_metrics.record_measurement(fleet.mode)
+    else:
         cache.put(kernel, acc_type, device, ext, entry)
         if save:
             cache.save()

@@ -60,8 +60,6 @@ __all__ = [
     "bucket_extent",
     "tuning_generation",
     "bump_tuning_generation",
-    "entry_to_dict",
-    "entry_from_dict",
     "file_lock",
 ]
 
@@ -100,10 +98,9 @@ def _bump_generation() -> None:
 def bump_tuning_generation() -> None:
     """Invalidate every AUTO launch plan resolved so far.
 
-    The fleet layer calls this when a *remote* tuning result is adopted
-    (daemon push, file re-read): the local cache gained an entry without
-    going through :meth:`TuningCache.put`, and plans resolved against
-    the pre-adoption state must not survive it."""
+    For a tuning result adopted from outside :meth:`TuningCache.put`
+    (a file re-read does this itself): plans resolved against the
+    pre-adoption state must not survive it."""
     _bump_generation()
 
 
@@ -265,13 +262,6 @@ def _schedule_from(raw) -> Optional[str]:
         return None
 
 
-#: Public names for the wire/disk form of one entry — the fleet daemon
-#: ships :class:`CachedResult` values in its frame headers in
-#: exactly the on-disk schema.
-entry_to_dict = _entry_to_dict
-entry_from_dict = _entry_from_dict
-
-
 class TuningCache:
     """JSON-backed map from tuning keys to winning work divisions.
 
@@ -419,7 +409,7 @@ class TuningCache:
                     json.dump(payload, fh, indent=2, sort_keys=True)
                     fh.write("\n")
                 os.replace(tmp, path)
-            except BaseException:
+            except BaseException:  # noqa: BLE001 - drop the temp file, then re-raise
                 try:
                     os.unlink(tmp)
                 except OSError:
@@ -482,9 +472,8 @@ class TuningCache:
         return key
 
     def get_key(self, key: str) -> Optional[CachedResult]:
-        """Entry under a pre-computed cache ``key`` (the fleet daemon
-        and coordinator work with raw keys — they have no kernel
-        object)."""
+        """Entry under a pre-computed cache ``key`` (the fleet
+        coordinator works with raw keys — it has no kernel object)."""
         with self._lock:
             self._load_locked()
             return self._entries.get(key)

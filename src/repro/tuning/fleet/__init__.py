@@ -8,9 +8,7 @@ traffic, in three pieces:
   turns the per-process :class:`~repro.tuning.cache.TuningCache` into a
   fleet-wide one.  ``REPRO_TUNING_FLEET=lock`` coordinates through
   lease sidecar files and merge-on-write cache saves (zero
-  infrastructure); ``REPRO_TUNING_FLEET=daemon`` exchanges binary frames with
-  ``python -m repro.tuning.fleet serve`` at
-  ``REPRO_TUNING_FLEET_ADDR``.  Either way, N workers tuning the same
+  infrastructure): N workers sharing one cache file and tuning the same
   (kernel, back-end, device, extent-bucket) run **one** measurement:
   the lease winner measures and publishes, losers briefly wait or
   proceed with the Table 2 heuristic and adopt the winner through the
@@ -28,8 +26,6 @@ traffic, in three pieces:
 from __future__ import annotations
 
 from .config import (
-    DEFAULT_DAEMON_PORT,
-    FLEET_ADDR_ENV,
     FLEET_ENV,
     FLEET_MODES,
     HOF_ENV,
@@ -37,14 +33,7 @@ from .config import (
     FleetConfigError,
     fleet_config_from_env,
 )
-from .coordinator import (
-    DaemonCoordinator,
-    FileLockCoordinator,
-    FleetCoordinator,
-    maybe_coordinator,
-    reset_coordinator,
-)
-from .daemon import FleetDaemon
+from .coordinator import FleetCoordinator, maybe_coordinator, reset_coordinator
 from .drift import DriftMonitor, WorkloadStats
 from .evolve import (
     DEFAULT_HOF_FILENAME,
@@ -60,20 +49,15 @@ __all__ = [
     "FleetConfigError",
     "fleet_config_from_env",
     "FLEET_ENV",
-    "FLEET_ADDR_ENV",
     "HOF_ENV",
     "FLEET_MODES",
-    "DEFAULT_DAEMON_PORT",
     # coordination
     "FleetCoordinator",
-    "FileLockCoordinator",
-    "DaemonCoordinator",
     "maybe_coordinator",
     "reset_coordinator",
     "Lease",
     "LeaseFile",
     "lease_path",
-    "FleetDaemon",
     # evolutionary search
     "evolve_search",
     "default_hof_path",

@@ -1,12 +1,7 @@
 """CLI entry point: ``python -m repro.tuning.fleet``.
 
-Two subcommands:
-
-* ``serve`` — run the fleet tuning daemon.  Prints the bound address as
-  ``listening on HOST:PORT`` once ready (pass ``--port 0`` to let the
-  OS pick; scripts parse that line).
-* ``hof`` — render the persisted evolutionary hall of fame, latest
-  generation first per run.
+One subcommand, ``hof``: render the persisted evolutionary hall of
+fame, latest generation first per run.
 """
 
 from __future__ import annotations
@@ -15,34 +10,15 @@ import argparse
 import sys
 
 from ...comparison.render import render_table
-from .config import (
-    DEFAULT_DAEMON_PORT,
-    FleetConfig,
-    fleet_config_from_env,
-)
-from .daemon import FleetDaemon
 from .evolve import default_hof_path, load_hall_of_fame
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.tuning.fleet",
-        description="Fleet tuning service and reports.",
+        description="Fleet tuning reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    serve = sub.add_parser("serve", help="run the shared tuning daemon")
-    serve.add_argument("--host", help="bind address (default 127.0.0.1)")
-    serve.add_argument(
-        "--port",
-        type=int,
-        help=f"TCP port (default {DEFAULT_DAEMON_PORT}; 0 = OS-assigned)",
-    )
-    serve.add_argument(
-        "--cache",
-        help="tuning cache file the daemon owns "
-        "(default: $REPRO_TUNING_CACHE or ./.repro-tuning-cache.json)",
-    )
 
     hof = sub.add_parser("hof", help="show the evolutionary hall of fame")
     hof.add_argument(
@@ -62,22 +38,6 @@ def _fmt_div(payload: dict) -> str:
         f"block={tuple(payload['block'])} "
         f"elems={tuple(payload['elems'])}"
     )
-
-
-def cmd_serve(args) -> int:
-    base = fleet_config_from_env(FleetConfig(mode="daemon"))
-    overrides = {}
-    if args.host is not None:
-        overrides["host"] = args.host
-    if args.port is not None:
-        overrides["port"] = args.port
-    config = base.with_overrides(**overrides) if overrides else base
-    daemon = FleetDaemon(config, cache_path=args.cache)
-    host, port = daemon.start()
-    print(f"listening on {host}:{port}", flush=True)
-    print(f"cache: {daemon.cache.path}", flush=True)
-    daemon.serve_forever()
-    return 0
 
 
 def cmd_hof(args) -> int:
@@ -116,10 +76,7 @@ def cmd_hof(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "serve":
-        return cmd_serve(args)
-    return cmd_hof(args)
+    return cmd_hof(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,10 @@
-"""Fleet-tuning configuration and its ``REPRO_TUNING_FLEET*`` knobs.
+"""Fleet-tuning configuration and its ``REPRO_TUNING_FLEET`` knob.
 
 One immutable record configures all three fleet features:
 
-* **sharing** — ``REPRO_TUNING_FLEET`` selects how worker processes
-  coordinate: ``off`` (per-process tuning, the pre-fleet behaviour),
-  ``lock`` (advisory file locking + lease files next to the JSON cache;
-  no daemon needed) or ``daemon`` (the socket service of
-  ``python -m repro.tuning.fleet serve`` at ``REPRO_TUNING_FLEET_ADDR``).
+* **sharing** — ``REPRO_TUNING_FLEET`` selects whether worker processes
+  coordinate: ``off`` (per-process tuning, the pre-fleet behaviour) or
+  ``lock`` (advisory file locking + lease files next to the JSON cache).
 * **leases** — how long a tuning lease is honoured before siblings may
   break it, and how long a worker that lost the race waits for the
   winner before proceeding with the Table 2 heuristic.
@@ -18,7 +16,7 @@ One immutable record configures all three fleet features:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from ... import knobs
 from ...core.errors import TuningFleetError
@@ -28,23 +26,16 @@ __all__ = [
     "FleetConfigError",
     "fleet_config_from_env",
     "parse_fleet_mode",
-    "parse_addr",
     "FLEET_ENV",
-    "FLEET_ADDR_ENV",
     "HOF_ENV",
-    "DEFAULT_DAEMON_PORT",
     "FLEET_MODES",
 ]
 
 FLEET_ENV = knobs.TUNING_FLEET
-FLEET_ADDR_ENV = knobs.TUNING_FLEET_ADDR
 #: Hall-of-fame file of the evolutionary search (see fleet.evolve).
 HOF_ENV = knobs.TUNING_HOF
 
-#: Port the fleet daemon binds when the address names none.
-DEFAULT_DAEMON_PORT = knobs.FLEET_DAEMON_PORT
-
-FLEET_MODES = ("off", "lock", "daemon")
+FLEET_MODES = ("off", "lock")
 
 
 class FleetConfigError(TuningFleetError, ValueError):
@@ -55,28 +46,19 @@ def parse_fleet_mode(raw: Optional[str]) -> str:
     """Map a ``REPRO_TUNING_FLEET`` value to a mode name.
 
     Unset / empty / ``0`` / ``off`` → ``off``; ``1`` / ``lock`` /
-    ``file`` → ``lock`` (file locking is the no-daemon default);
-    ``daemon`` / ``socket`` → ``daemon``.
+    ``file`` → ``lock``.
     """
     if raw is None or not raw.strip():
         return "off"
     return knobs.parse(FLEET_ENV, raw, FleetConfigError)
 
 
-def parse_addr(raw: str) -> Tuple[str, int]:
-    """``"host:port"`` (or bare ``"host"`` / bare ``":port"``) → tuple."""
-    return knobs.parse(FLEET_ADDR_ENV, raw, FleetConfigError)
-
-
 @dataclass(frozen=True)
 class FleetConfig:
     """Everything the fleet layer needs to know, in one record."""
 
-    #: Coordination mode: ``off`` / ``lock`` / ``daemon``.
+    #: Coordination mode: ``off`` / ``lock``.
     mode: str = "off"
-    #: Daemon address (daemon mode only).
-    host: str = "127.0.0.1"
-    port: int = DEFAULT_DAEMON_PORT
 
     #: Seconds a tuning lease is honoured.  A worker that crashed while
     #: holding one stops blocking the fleet after this long.
@@ -85,12 +67,9 @@ class FleetConfig:
     #: proceeding with the Table 2 heuristic (it adopts the winner later
     #: through the generation bump).
     wait_timeout: float = 60.0
-    #: Poll interval while waiting on a sibling's result (lock mode
-    #: re-reads the cache file at this cadence; daemon mode uses a
-    #: server-side blocking wait and ignores it).
+    #: Seconds between re-reads of the cache file while waiting on a
+    #: sibling's result.
     poll_interval: float = 0.05
-    #: Socket timeout for one daemon round-trip.
-    io_timeout: float = 10.0
 
     #: Observed-latency EWMA must exceed ``drift_threshold`` × the tuned
     #: baseline (or the window p95 must exceed it vs. the baseline p95)
@@ -111,17 +90,11 @@ class FleetConfig:
             raise FleetConfigError(
                 f"mode must be one of {FLEET_MODES}, got {self.mode!r}"
             )
-        if not 0 <= self.port <= 65535:
-            raise FleetConfigError(f"port out of range: {self.port}")
-        for name in ("lease_timeout", "wait_timeout", "io_timeout"):
+        for name in ("lease_timeout", "wait_timeout", "poll_interval"):
             if getattr(self, name) <= 0:
                 raise FleetConfigError(
                     f"{name} must be > 0, got {getattr(self, name)}"
                 )
-        if self.poll_interval <= 0:
-            raise FleetConfigError(
-                f"poll_interval must be > 0, got {self.poll_interval}"
-            )
         if self.drift_threshold <= 1.0:
             raise FleetConfigError(
                 f"drift_threshold must be > 1 (a ratio vs. the baseline), "
@@ -144,10 +117,6 @@ class FleetConfig:
                 f"drift_budget must be >= 1, got {self.drift_budget}"
             )
 
-    @property
-    def addr(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
     def with_overrides(self, **kwargs) -> "FleetConfig":
         try:
             return replace(self, **kwargs)
@@ -156,10 +125,8 @@ class FleetConfig:
 
 
 def fleet_config_from_env(base: Optional[FleetConfig] = None) -> FleetConfig:
-    """A :class:`FleetConfig` with the ``REPRO_TUNING_FLEET`` /
-    ``REPRO_TUNING_FLEET_ADDR`` knobs that are set applied on top of
-    ``base``."""
+    """A :class:`FleetConfig` with ``REPRO_TUNING_FLEET``, when set,
+    applied on top of ``base``."""
     cfg = base or FleetConfig()
-    host, port = knobs.get(FLEET_ADDR_ENV, cfg.addr, FleetConfigError)
     mode = knobs.get(FLEET_ENV, cfg.mode, FleetConfigError)
-    return cfg.with_overrides(mode=mode, host=host, port=port)
+    return cfg.with_overrides(mode=mode)

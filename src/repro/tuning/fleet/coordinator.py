@@ -4,21 +4,22 @@ The coordinator sits between :func:`repro.tuning.autotune` and the
 persistent :class:`~repro.tuning.cache.TuningCache` and answers three
 questions for a worker about to tune a key:
 
-1. *Did a sibling already tune this?* — :meth:`fetch` does a **fresh**
-   read (disk re-read in lock mode, daemon round-trip in daemon mode),
-   not just an in-memory lookup.
-2. *May I run the measurement?* — :meth:`try_lease` grants the
-   fleet-wide measurement lease to exactly one worker.
-3. *If not, what did the winner find?* — :meth:`wait_for` blocks up to
-   the configured ``wait_timeout`` for the winner's published result; a
-   worker that times out proceeds with the Table 2 heuristic and picks
-   the winner up later through the tuning-generation bump.
+1. *Did a sibling already tune this?* — :meth:`~FleetCoordinator.fetch`
+   re-reads the shared cache file, not just the in-memory copy.
+2. *May I run the measurement?* — :meth:`~FleetCoordinator.try_lease`
+   grants the fleet-wide measurement lease to exactly one worker.
+3. *If not, what did the winner find?* —
+   :meth:`~FleetCoordinator.wait_for` polls the cache file for up to the
+   configured ``wait_timeout``; a worker that times out proceeds with
+   the Table 2 heuristic and picks the winner up later through the
+   tuning-generation bump.
 
-Two implementations share that contract: :class:`FileLockCoordinator`
-(lease sidecar files + cache re-reads; zero infrastructure) and
-:class:`DaemonCoordinator` (the socket service of
-``python -m repro.tuning.fleet serve``; in-memory leases and push-style
-waits).  :func:`maybe_coordinator` picks one from the environment.
+The fleet needs no infrastructure: a lease is a sidecar file next to
+the shared cache (:mod:`.lock`), a publish is the cache's merge-on-write
+:meth:`~repro.tuning.cache.TuningCache.save`.  Every op runs in a
+``fleet.<op>`` span (free when nothing observes), and the lease, put,
+release and wait ops leave a ``fleet_<op>`` event in the flight
+recorder's ring — both stamped with the calling worker's trace ids.
 """
 
 from __future__ import annotations
@@ -27,197 +28,111 @@ import threading
 import time
 from typing import Optional
 
-from ...core.errors import TuningFleetError
+from ...telemetry import flight
+from ...telemetry.spans import span
 from ..cache import CachedResult, TuningCache
 from . import metrics
 from .config import FleetConfig, fleet_config_from_env
 from .lock import Lease, LeaseFile
 
-__all__ = [
-    "FleetCoordinator",
-    "FileLockCoordinator",
-    "DaemonCoordinator",
-    "maybe_coordinator",
-    "reset_coordinator",
-]
+__all__ = ["FleetCoordinator", "maybe_coordinator", "reset_coordinator"]
 
 
 class FleetCoordinator:
-    """Common contract; see the module docstring for the life cycle."""
+    """Lease sidecar files plus cache re-reads over one shared cache."""
 
-    mode = "off"
+    #: Label of the fleet metrics (``REPRO_TUNING_FLEET=lock``).
+    mode = "lock"
 
     def __init__(self, cache: TuningCache, config: FleetConfig):
         self.cache = cache
         self.config = config
-
-    def fetch(self, key: str) -> Optional[CachedResult]:
-        """Freshest known result for ``key`` (never measures)."""
-        raise NotImplementedError
-
-    def try_lease(self, key: str):
-        """A lease token when this worker wins the measurement race,
-        else ``None``."""
-        raise NotImplementedError
-
-    def release(self, key: str, token) -> None:
-        """Give up a lease without publishing (measurement failed)."""
-        raise NotImplementedError
-
-    def refresh(self, key: str, token) -> None:
-        """Heartbeat a held lease so a measurement that outlasts
-        ``lease_timeout`` is not broken mid-run (best-effort no-op by
-        default)."""
-
-    def publish(self, key: str, result: CachedResult, token=None) -> None:
-        """Make ``result`` visible fleet-wide and release ``token``."""
-        raise NotImplementedError
-
-    def wait_for(self, key: str, timeout: Optional[float] = None) -> Optional[CachedResult]:
-        """Block until a sibling publishes ``key`` (or ``timeout``
-        elapses); adopts the result into the local cache."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release transport resources (idempotent)."""
-
-    # -- shared helpers ------------------------------------------------
-
-    def _adopt(self, key: str, result: CachedResult) -> CachedResult:
-        """Fold a remotely produced result into the local cache (bumps
-        the tuning generation through ``put_key``)."""
-        if self.cache.get_key(key) != result:
-            self.cache.put_key(key, result)
-            metrics.record_adopted(self.mode)
-        return result
-
-
-class FileLockCoordinator(FleetCoordinator):
-    """No-daemon coordination: lease sidecar files + cache re-reads."""
-
-    mode = "lock"
-
-    def __init__(self, cache: TuningCache, config: FleetConfig):
-        super().__init__(cache, config)
         self._leases = LeaseFile(cache.path, timeout=config.lease_timeout)
 
     def fetch(self, key: str) -> Optional[CachedResult]:
-        # reload() adopts anything siblings saved since our last look.
-        self.cache.reload()
-        entry = self.cache.get_key(key)
+        """Freshest known result for ``key`` (never measures)."""
+        with span("fleet.get", cat="fleet", key=key):
+            # reload() adopts anything siblings saved since our last look.
+            self.cache.reload()
+            entry = self.cache.get_key(key)
         metrics.record_op(self.mode, "get", "hit" if entry else "miss")
         return entry
 
     def try_lease(self, key: str) -> Optional[Lease]:
-        lease = self._leases.try_acquire(key)
-        if lease is not None:
-            # Post-acquire re-check: the previous holder may have
-            # published and released between our fetch and this acquire,
-            # in which case measuring again wastes the fleet's time.
-            self.cache.reload()
-            if self.cache.get_key(key) is not None:
-                self._leases.release(lease)
-                metrics.record_op(self.mode, "lease", "denied")
-                return None
-        metrics.record_op(
-            self.mode, "lease", "granted" if lease else "denied"
-        )
+        """The lease when this worker wins the measurement race, else
+        ``None``."""
+        with span("fleet.lease", cat="fleet", key=key):
+            flight.maybe_record("fleet_lease", key=key)
+            lease = self._leases.try_acquire(key)
+            if lease is not None:
+                # Post-acquire re-check: the previous holder may have
+                # published and released between our fetch and this
+                # acquire, in which case measuring again wastes the
+                # fleet's time.
+                self.cache.reload()
+                if self.cache.get_key(key) is not None:
+                    self._leases.release(lease)
+                    lease = None
+        metrics.record_op(self.mode, "lease", "granted" if lease else "denied")
         return lease
 
-    def release(self, key: str, token) -> None:
-        if token is not None:
+    def release(self, key: str, token: Optional[Lease]) -> None:
+        """Give up a lease without publishing (the measurement failed)."""
+        if token is None:
+            return
+        with span("fleet.release", cat="fleet", key=key):
+            flight.maybe_record("fleet_release", key=key)
             self._leases.release(token)
 
-    def refresh(self, key: str, token) -> None:
-        if token is not None:
+    def refresh(self, key: str, token: Optional[Lease]) -> None:
+        """Heartbeat a held lease so a measurement that outlasts
+        ``lease_timeout`` is not broken mid-run."""
+        if token is None:
+            return
+        with span("fleet.renew", cat="fleet", key=key):
             self._leases.touch(token)
 
-    def publish(self, key: str, result: CachedResult, token=None) -> None:
-        self.cache.put_key(key, result)
-        self.cache.save()
+    def publish(
+        self, key: str, result: CachedResult, token: Optional[Lease] = None
+    ) -> None:
+        """Make ``result`` visible fleet-wide and release ``token``.  A
+        ``None`` token is an uncoordinated put (a schedule-gap
+        re-measure): it leaves an active holder's lease alone."""
+        with span("fleet.put", cat="fleet", key=key):
+            flight.maybe_record("fleet_put", key=key)
+            self.cache.put_key(key, result)
+            self.cache.save()
         metrics.record_op(self.mode, "put", "ok")
         self.release(key, token)
 
-    def wait_for(self, key: str, timeout: Optional[float] = None) -> Optional[CachedResult]:
-        limit = self.config.wait_timeout if timeout is None else timeout
-        deadline = time.monotonic() + limit
+    def wait_for(
+        self, key: str, timeout: Optional[float] = None
+    ) -> Optional[CachedResult]:
+        """Block until a sibling publishes ``key`` (the entry lands in
+        the local cache), its lease is abandoned, or ``timeout``
+        elapses (``None`` for the last two)."""
         started = time.monotonic()
-        while True:
-            self.cache.reload()
-            entry = self.cache.get_key(key)
-            if entry is not None:
-                metrics.record_lease_wait(time.monotonic() - started)
-                metrics.record_op(self.mode, "wait", "resolved")
-                return entry
-            if not self._leases.holder_alive(key):
-                # Winner died (or released without publishing); no point
-                # waiting out the full timeout.
-                metrics.record_op(self.mode, "wait", "abandoned")
-                return None
-            if time.monotonic() >= deadline:
-                metrics.record_op(self.mode, "wait", "timeout")
-                return None
-            time.sleep(self.config.poll_interval)
-
-
-class DaemonCoordinator(FleetCoordinator):
-    """Socket coordination against ``python -m repro.tuning.fleet serve``.
-
-    The daemon owns the authoritative cache file; workers keep their
-    local cache as a read-through copy (adopting published entries so
-    the launch path never needs the socket).
-    """
-
-    mode = "daemon"
-
-    def __init__(self, cache: TuningCache, config: FleetConfig, client=None):
-        super().__init__(cache, config)
-        if client is None:
-            from .client import FleetClient
-
-            client = FleetClient(config)
-        self._client = client
-
-    def fetch(self, key: str) -> Optional[CachedResult]:
-        entry = self._client.get(key)
-        metrics.record_op(self.mode, "get", "hit" if entry else "miss")
-        if entry is not None:
-            self._adopt(key, entry)
+        limit = self.config.wait_timeout if timeout is None else timeout
+        with span("fleet.wait", cat="fleet", key=key):
+            flight.maybe_record("fleet_wait", key=key)
+            while True:
+                self.cache.reload()
+                entry = self.cache.get_key(key)
+                if entry is not None:
+                    outcome = "resolved"
+                    metrics.record_lease_wait(time.monotonic() - started)
+                    break
+                if not self._leases.holder_alive(key):
+                    # The winner died (or released without publishing);
+                    # no point waiting out the full timeout.
+                    outcome = "abandoned"
+                    break
+                if time.monotonic() - started >= limit:
+                    outcome = "timeout"
+                    break
+                time.sleep(self.config.poll_interval)
+        metrics.record_op(self.mode, "wait", outcome)
         return entry
-
-    def try_lease(self, key: str) -> Optional[str]:
-        token = self._client.lease(key)
-        metrics.record_op(
-            self.mode, "lease", "granted" if token else "denied"
-        )
-        return token
-
-    def release(self, key: str, token) -> None:
-        if token is not None:
-            self._client.release(key, token)
-
-    def refresh(self, key: str, token) -> None:
-        if token is not None:
-            self._client.renew(key, token)
-
-    def publish(self, key: str, result: CachedResult, token=None) -> None:
-        self.cache.put_key(key, result)
-        self._client.put(key, result, token=token)
-        metrics.record_op(self.mode, "put", "ok")
-
-    def wait_for(self, key: str, timeout: Optional[float] = None) -> Optional[CachedResult]:
-        limit = self.config.wait_timeout if timeout is None else timeout
-        started = time.monotonic()
-        entry = self._client.wait(key, limit)
-        if entry is not None:
-            metrics.record_lease_wait(time.monotonic() - started)
-            metrics.record_op(self.mode, "wait", "resolved")
-            return self._adopt(key, entry)
-        metrics.record_op(self.mode, "wait", "timeout")
-        return None
-
-    def close(self) -> None:
-        self._client.close()
 
 
 _coordinator: Optional[FleetCoordinator] = None
@@ -229,41 +144,23 @@ def maybe_coordinator(
     cache: TuningCache, config: Optional[FleetConfig] = None
 ) -> Optional[FleetCoordinator]:
     """The process-wide coordinator for ``cache``, or ``None`` when the
-    fleet is off (``REPRO_TUNING_FLEET`` unset).
-
-    Daemon mode degrades to ``None`` with a warning-free fallback if the
-    daemon cannot be reached at construction time — tuning must work
-    standalone; the fleet only removes duplicate work when present.
-    """
+    fleet is off (``REPRO_TUNING_FLEET`` unset)."""
     global _coordinator, _coordinator_sig
     cfg = config if config is not None else fleet_config_from_env()
     if cfg.mode == "off":
         return None
     sig = (cfg, cache.path, id(cache))
     with _coordinator_lock:
-        if _coordinator is not None and _coordinator_sig == sig:
-            return _coordinator
-        if _coordinator is not None:
-            _coordinator.close()
-            _coordinator = None
-        if cfg.mode == "lock":
-            _coordinator = FileLockCoordinator(cache, cfg)
-        else:
-            try:
-                _coordinator = DaemonCoordinator(cache, cfg)
-            except TuningFleetError:
-                metrics.record_op("daemon", "connect", "unreachable")
-                return None
-        _coordinator_sig = sig
+        if _coordinator is None or _coordinator_sig != sig:
+            _coordinator = FleetCoordinator(cache, cfg)
+            _coordinator_sig = sig
         return _coordinator
 
 
 def reset_coordinator() -> None:
     """Drop the process-wide coordinator (tests switching modes or
-    addresses mid-process call this)."""
+    cache files mid-process call this)."""
     global _coordinator, _coordinator_sig
     with _coordinator_lock:
-        if _coordinator is not None:
-            _coordinator.close()
         _coordinator = None
         _coordinator_sig = None

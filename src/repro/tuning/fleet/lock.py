@@ -1,7 +1,7 @@
-"""Cross-process tuning leases for the no-daemon (file-lock) case.
+"""Cross-process tuning leases: the fleet's one coordination mechanism.
 
 A *lease* is the right to run the one fleet-wide measurement for a
-tuning key.  In file-lock mode the lease is a sidecar file next to the
+tuning key.  The lease is a sidecar file next to the shared
 JSON cache — ``<cache>.<sha1(key)[:12]>.lease`` — created with
 ``O_CREAT | O_EXCL`` so exactly one process of a fleet wins, holding a
 tiny JSON body (pid, key, acquire time) purely for diagnostics.

@@ -7,13 +7,14 @@ fleet converged on its tuning results.
 Metric families:
 
 * ``repro_tuning_fleet_requests_total{mode, op, outcome}`` — cache
-  lookups / publishes / lease attempts per coordination mode;
+  lookups / publishes / lease attempts / waits;
 * ``repro_tuning_fleet_lease_wait_seconds`` — how long lease losers
   waited for the winner's result;
-* ``repro_tuning_fleet_measurements_total{mode}`` — full measurement
-  runs actually executed (the number the fleet exists to minimise);
-* ``repro_tuning_fleet_adopted_total{mode}`` — results adopted from a
-  sibling worker instead of measured locally;
+* ``repro_tuning_fleet_measurements_total{mode}`` — fleet ``autotune``
+  calls that ran the search (the number the fleet exists to minimise);
+* ``repro_tuning_fleet_adopted_total{mode}`` — fleet ``autotune`` calls
+  that returned a sibling's published result (``strategy="fleet"``)
+  instead of measuring;
 * ``repro_tuning_fleet_drift_total{workload, outcome}`` — drift-test
   verdicts (``detected`` / ``retuned`` / ``cooldown``);
 * ``repro_tuning_fleet_retune_seconds`` — background re-tune durations;
@@ -43,7 +44,7 @@ __all__ = [
     "record_retune_outcome",
 ]
 
-#: Lease-wait buckets: sub-millisecond (daemon push) to a minute.
+#: Lease-wait buckets: one poll interval to a minute.
 WAIT_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0)
 
 

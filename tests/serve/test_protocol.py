@@ -1,10 +1,9 @@
-"""Wire codec: frame layout, round-trips, the two readers, and every
+"""Wire codec: frame layout, round-trips, the frame reader, and every
 way a frame can be wrong."""
 
 from __future__ import annotations
 
 import asyncio
-import io
 import json
 
 import numpy as np
@@ -23,7 +22,6 @@ from repro.serve.protocol import (
     encode_message,
     error_payload,
     read_frame,
-    read_frame_blocking,
     result_payload,
 )
 from repro.serve.types import LaunchRequest, RetryAfter, ServeResult
@@ -261,39 +259,43 @@ class TestMessageFraming:
 
 
 class TestReaders:
-    """Both readers return whole frames and agree on every refusal."""
+    """The reader returns whole frames and refuses the same streams
+    whether the bytes arrive at once or a few at a time."""
 
     @staticmethod
-    def read_all(data: bytes, eof: bool = True):
+    def read_all(data: bytes, eof: bool = True, chunk: int = 0):
         """Frames (and the error that ended the stream, if any) as the
-        asyncio reader sees ``data``."""
+        reader sees ``data``, fed whole or ``chunk`` bytes per loop
+        turn."""
+
+        step = chunk or len(data) or 1
+
+        async def feed(reader):
+            for i in range(0, len(data), step):
+                reader.feed_data(data[i : i + step])
+                await asyncio.sleep(0)
+            if eof:
+                reader.feed_eof()
 
         async def go():
             reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            if eof:
-                reader.feed_eof()
+            feeder = asyncio.ensure_future(feed(reader))
             frames = []
-            while True:
-                frame = await asyncio.wait_for(read_frame(reader), 5)
-                if frame is None:
-                    return frames
-                frames.append(frame)
+            try:
+                while True:
+                    frame = await asyncio.wait_for(read_frame(reader), 5)
+                    if frame is None:
+                        return frames
+                    frames.append(frame)
+            finally:
+                await feeder
 
         return asyncio.run(go())
 
-    @staticmethod
-    def read_all_blocking(data: bytes):
-        rfile, frames = io.BytesIO(data), []
-        while True:
-            frame = read_frame_blocking(rfile)
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    @pytest.fixture(params=["asyncio", "blocking"])
+    @pytest.fixture(params=["asyncio", "trickled"])
     def read(self, request):
-        return self.read_all if request.param == "asyncio" else self.read_all_blocking
+        chunk = 0 if request.param == "asyncio" else 7
+        return lambda data: self.read_all(data, chunk=chunk)
 
     def test_back_to_back_frames_then_clean_eof(self, read):
         a = encode_message({"id": 1})
@@ -320,10 +322,6 @@ class TestReaders:
         prefix = PREFIX.pack(MAGIC, 16, MAX_FRAME_BYTES)
         with pytest.raises(ServeError, match="exceeds"):
             self.read_all(prefix, eof=False)
-        rfile = io.BytesIO(prefix + b"xx")
-        with pytest.raises(ServeError, match="exceeds"):
-            read_frame_blocking(rfile)
-        assert rfile.tell() == PREFIX.size
 
     def test_largest_frame_is_accepted(self):
         header_len = 2
@@ -331,7 +329,7 @@ class TestReaders:
             MAGIC, header_len, MAX_FRAME_BYTES - PREFIX.size - header_len
         )
         with pytest.raises(ServeError, match="truncated"):  # not "exceeds"
-            self.read_all_blocking(prefix + b"{}")
+            self.read_all(prefix + b"{}")
 
 
 class TestPayloads:

@@ -33,7 +33,6 @@ CASES = {
     knobs.SERVE_TENANT_WEIGHTS: ("gold:4, free:1", {"gold": 4.0, "free": 1.0}, "gold=4"),
     knobs.SERVE_ONLINE_TUNING: ("off", False, "maybe"),
     knobs.TUNING_FLEET: ("FLOCK", "lock", "cluster"),
-    knobs.TUNING_FLEET_ADDR: ("tuner.local", ("tuner.local", 7412), "host:70000"),
     knobs.TUNING_HOF: ("hof.json", "hof.json", None),
     knobs.BENCH_REPORT_DIR: ("/tmp/out", "/tmp/out", None),
 }
@@ -49,7 +48,7 @@ def _bare_env(monkeypatch):
 
 def test_exactly_the_declared_surface():
     assert set(CASES) == set(knobs.KNOBS)
-    assert len(knobs.KNOBS) == 22
+    assert len(knobs.KNOBS) == 21
     assert all(env.startswith(knobs.PREFIX) for env in knobs.KNOBS)
 
 
@@ -87,6 +86,16 @@ def test_retired_schedule_is_rejected(raw, monkeypatch):
     accepted = "['compile', 'compiled', 'pooled', 'sequential', 'threads']"
     with pytest.raises(knobs.KnobError, match=knobs.SCHEDULER) as err:
         knobs.get(knobs.SCHEDULER)
+    assert accepted in str(err.value)
+
+
+@pytest.mark.parametrize("raw", ["daemon", "socket", "serve"])
+def test_retired_fleet_daemon_is_rejected(raw, monkeypatch):
+    """The fleet daemon is gone: lease files are the only transport."""
+    monkeypatch.setenv(knobs.TUNING_FLEET, raw)
+    accepted = "['0', '1', 'false', 'file', 'flock', 'lock', 'no', 'off', 'true', 'yes']"
+    with pytest.raises(knobs.KnobError, match=knobs.TUNING_FLEET) as err:
+        knobs.get(knobs.TUNING_FLEET)
     assert accepted in str(err.value)
 
 
@@ -153,7 +162,7 @@ def test_effective_reports_sources_and_unrecognised(monkeypatch):
     monkeypatch.setenv(knobs.TUNING_CACHE, "")  # blank = unset
     monkeypatch.setenv("REPRO_SCHEDULAR", "compiled")
     config = knobs.effective()
-    assert len(config["knobs"]) == 22
+    assert len(config["knobs"]) == 21
     assert config["unrecognised"] == ["REPRO_SCHEDULAR"]
     assert config["knobs"][knobs.SCHEDULER] == {
         "value": "compiled", "raw": "compiled", "source": "env",

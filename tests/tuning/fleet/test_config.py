@@ -1,17 +1,16 @@
-"""Fleet configuration: mode/address parsing and the env surface."""
+"""Fleet configuration: mode parsing and the env surface."""
+
+import dataclasses
 
 import pytest
 
 from repro import knobs
 from repro.core.errors import TuningFleetError
 from repro.tuning.fleet.config import (
-    DEFAULT_DAEMON_PORT,
-    FLEET_ADDR_ENV,
     FLEET_ENV,
     FleetConfig,
     FleetConfigError,
     fleet_config_from_env,
-    parse_addr,
     parse_fleet_mode,
 )
 
@@ -29,52 +28,38 @@ class TestParseMode:
             ("lock", "lock"),
             ("file", "lock"),
             ("FLOCK", "lock"),
-            ("daemon", "daemon"),
-            ("socket", "daemon"),
-            ("  Serve  ", "daemon"),
         ],
     )
     def test_aliases(self, raw, expected):
         assert parse_fleet_mode(raw) == expected
 
     def test_garbage_raises(self):
-        with pytest.raises(FleetConfigError, match="off|lock|daemon"):
+        with pytest.raises(FleetConfigError, match="off|lock"):
             parse_fleet_mode("cluster")
 
-
-class TestParseAddr:
-    def test_host_and_port(self):
-        assert parse_addr("10.0.0.3:9000") == ("10.0.0.3", 9000)
-
-    def test_bare_host_gets_default_port(self):
-        assert parse_addr("tuner.local") == ("tuner.local", DEFAULT_DAEMON_PORT)
-
-    def test_bare_port_gets_loopback(self):
-        assert parse_addr(":9001") == ("127.0.0.1", 9001)
-
-    def test_non_integer_port_raises(self):
-        with pytest.raises(FleetConfigError, match="not an integer"):
-            parse_addr("host:http")
-
-    def test_out_of_range_port_raises(self):
-        with pytest.raises(FleetConfigError, match="out of range"):
-            parse_addr("host:70000")
+    @pytest.mark.parametrize("raw", ["daemon", "socket", "Serve"])
+    def test_retired_daemon_mode_is_rejected(self, raw):
+        """Lease files are the only transport: the daemon's names are
+        malformed values, and the error lists what the knob accepts."""
+        with pytest.raises(FleetConfigError, match=FLEET_ENV) as err:
+            parse_fleet_mode(raw)
+        assert "'flock', 'lock', 'no', 'off'" in str(err.value)
 
 
 class TestFleetConfig:
     def test_defaults_are_off(self):
         cfg = FleetConfig()
         assert cfg.mode == "off"
-        assert cfg.addr == ("127.0.0.1", DEFAULT_DAEMON_PORT)
+        assert len(dataclasses.fields(cfg)) == 9
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"mode": "cluster"},
-            {"port": -1},
+            {"mode": "daemon"},
             {"lease_timeout": 0},
             {"wait_timeout": -1.0},
-            {"io_timeout": 0},
+            {"wait_timeout": 0},
             {"poll_interval": 0},
             {"drift_threshold": 1.0},
             {"drift_window": 3},
@@ -104,12 +89,9 @@ class TestFromEnv:
         monkeypatch.delenv(FLEET_ENV, raising=False)
         assert fleet_config_from_env().mode == "off"
 
-    def test_mode_and_addr(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ENV, "daemon")
-        monkeypatch.setenv(FLEET_ADDR_ENV, "127.0.0.1:7777")
-        cfg = fleet_config_from_env()
-        assert cfg.mode == "daemon"
-        assert cfg.addr == ("127.0.0.1", 7777)
+    def test_lock_mode(self, monkeypatch):
+        monkeypatch.setenv(FLEET_ENV, "lock")
+        assert fleet_config_from_env().mode == "lock"
 
     def test_retired_drift_variables_are_inert_fields_still_work(
         self, monkeypatch
@@ -139,11 +121,6 @@ class TestFromEnv:
         cfg = fleet_config_from_env(base)
         assert cfg.mode == "lock"  # env unset leaves the base mode alone
         assert cfg.wait_timeout == 7.0
-
-    def test_bad_number_raises(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ADDR_ENV, "host:many")
-        with pytest.raises(FleetConfigError, match=FLEET_ADDR_ENV):
-            fleet_config_from_env()
 
     def test_bad_mode_raises(self, monkeypatch):
         monkeypatch.setenv(FLEET_ENV, "cluster")

@@ -1,7 +1,7 @@
 """End-to-end fleet convergence: 4 real worker processes autotune the
 same (kernel, back-end, device, extent) and must produce exactly ONE
 fleet-wide measurement run, with every worker ending on the winner's
-division — in daemon mode and in file-lock-only mode."""
+division, coordinated through lease files next to the shared cache."""
 
 import json
 import os
@@ -9,9 +9,7 @@ import subprocess
 import sys
 
 from repro.tuning import TuningCache
-from repro.tuning.fleet.config import FLEET_ADDR_ENV, FLEET_ENV
-from repro.tuning.fleet.daemon import FleetDaemon
-from repro.tuning.fleet.config import FleetConfig
+from repro.tuning.fleet.config import FLEET_ENV
 
 N_WORKERS = 4
 
@@ -113,35 +111,3 @@ class TestConvergence:
     def test_file_lock_mode(self, tmp_path):
         results = _spawn_workers(tmp_path, {FLEET_ENV: "lock"})
         _assert_converged(results, str(tmp_path / "shared-cache.json"))
-
-    def test_daemon_mode(self, tmp_path):
-        daemon = FleetDaemon(
-            FleetConfig(mode="daemon"),
-            cache_path=str(tmp_path / "shared-cache.json"),
-            host="127.0.0.1",
-            port=0,
-        )
-        host, port = daemon.start()
-        try:
-            results = _spawn_workers(
-                tmp_path,
-                {FLEET_ENV: "daemon", FLEET_ADDR_ENV: f"{host}:{port}"},
-            )
-        finally:
-            daemon.shutdown()
-        _assert_converged(results, str(tmp_path / "shared-cache.json"))
-
-    def test_daemon_unreachable_degrades_to_standalone(self, tmp_path):
-        """A worker pointed at a dead daemon must still tune (the fleet
-        only removes duplicate work; it is never a dependency)."""
-        solo = tmp_path / "solo"
-        solo.mkdir()
-        results = _spawn_workers(
-            solo, {FLEET_ENV: "daemon", FLEET_ADDR_ENV: "127.0.0.1:1"}
-        )
-        # Without coordination at least the first finisher measured for
-        # itself (late starters may still hit the saved file)...
-        assert any(r["measurements"] > 0 for r in results)
-        # ...and merge-on-write leaves one coherent cache file behind.
-        cache = TuningCache(str(solo / "shared-cache.json"))
-        assert cache.get_key(results[0]["key"]) is not None

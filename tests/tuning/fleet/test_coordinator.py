@@ -1,5 +1,5 @@
-"""Coordinator contract: fetch / lease / publish / wait across both
-transports, plus the autotune() integration seams."""
+"""Coordinator contract: fetch / lease / publish / wait over lease files
+and the shared cache, plus the autotune() integration seams."""
 
 import glob
 import threading
@@ -8,19 +8,17 @@ import time
 import pytest
 
 from repro import AccCpuSerial, QueueBlocking, autotune, fn_acc, get_dev_by_idx
-from repro.core.errors import TuningFleetError
 from repro.core.vec import Vec
 from repro.core.workdiv import WorkDivMembers
+from repro.telemetry.metrics import registry, reset_registry
 from repro.tuning import TuningCache
 from repro.tuning.cache import CachedResult
 from repro.tuning.fleet.config import FLEET_ENV, FleetConfig
 from repro.tuning.fleet.coordinator import (
-    DaemonCoordinator,
-    FileLockCoordinator,
+    FleetCoordinator,
     maybe_coordinator,
     reset_coordinator,
 )
-from repro.tuning.fleet.daemon import FleetDaemon
 
 KEY = "k|AccCpuSerial|m:cpu:1x4@3GHz|1024"
 ENTRY = CachedResult(
@@ -41,9 +39,17 @@ def _pair(tmp_path, config=None):
     """Two coordinators over the same file = two worker processes."""
     cfg = config or _cfg()
     path = str(tmp_path / "cache.json")
-    a = FileLockCoordinator(TuningCache(path), cfg)
-    b = FileLockCoordinator(TuningCache(path), cfg)
+    a = FleetCoordinator(TuningCache(path), cfg)
+    b = FleetCoordinator(TuningCache(path), cfg)
     return a, b
+
+
+def _count(name, **labels):
+    """Sum of the process registry's ``name`` counters matching labels."""
+    want = set(labels.items())
+    return sum(
+        c.value for c in registry().instruments(name) if want <= set(c.labels)
+    )
 
 
 class TestFileLock:
@@ -77,17 +83,21 @@ class TestFileLock:
         assert b.try_lease(KEY) is None
         assert b.cache.get_key(KEY) == ENTRY  # the re-check adopted it
 
-    def test_wait_for_resolves_on_publish(self, tmp_path):
+    def test_wait_for_resolves_on_publish(self, tmp_path, monkeypatch):
         a, b = _pair(tmp_path)
         token = a.try_lease(KEY)
+        polling = threading.Event()
+        reload = b.cache.reload
+
+        def watched_reload():
+            polling.set()
+            return reload()
+
+        monkeypatch.setattr(b.cache, "reload", watched_reload)
         got = []
-
-        def waiter():
-            got.append(b.wait_for(KEY, timeout=5.0))
-
-        t = threading.Thread(target=waiter)
+        t = threading.Thread(target=lambda: got.append(b.wait_for(KEY, 5.0)))
         t.start()
-        time.sleep(0.05)
+        assert polling.wait(timeout=5.0)  # b is inside wait_for
         a.publish(KEY, ENTRY, token=token)
         t.join(timeout=5.0)
         assert got == [ENTRY]
@@ -112,64 +122,14 @@ class TestFileLock:
         a, _ = _pair(tmp_path)
         a.release(KEY, None)  # must not raise
 
-
-class TestDaemonTransport:
-    @pytest.fixture()
-    def daemon(self, tmp_path):
-        d = FleetDaemon(
-            _cfg(mode="daemon"),
-            cache_path=str(tmp_path / "daemon-cache.json"),
-            host="127.0.0.1",
-            port=0,
-        )
-        host, port = d.start()
-        yield d, _cfg(mode="daemon", host=host, port=port)
-        d.shutdown()
-
-    def _coord(self, tmp_path, cfg, name):
-        return DaemonCoordinator(TuningCache(str(tmp_path / name)), cfg)
-
-    def test_lease_publish_fetch_roundtrip(self, tmp_path, daemon):
-        _, cfg = daemon
-        a = self._coord(tmp_path, cfg, "worker-a.json")
-        b = self._coord(tmp_path, cfg, "worker-b.json")
-        try:
-            assert b.fetch(KEY) is None
-            token = a.try_lease(KEY)
-            assert token is not None
-            assert b.try_lease(KEY) is None
-            a.publish(KEY, ENTRY, token=token)
-            assert b.fetch(KEY) == ENTRY
-            # fetch() adopts: the launch path reads locally, no socket.
-            assert b.cache.get_key(KEY) == ENTRY
-        finally:
-            a.close()
-            b.close()
-
-    def test_wait_for_is_push_not_poll(self, tmp_path, daemon):
-        _, cfg = daemon
-        a = self._coord(tmp_path, cfg, "worker-a.json")
-        b = self._coord(tmp_path, cfg, "worker-b.json")
-        try:
-            token = a.try_lease(KEY)
-            got = []
-            t = threading.Thread(
-                target=lambda: got.append(b.wait_for(KEY, timeout=10.0))
-            )
-            t.start()
-            deadline = time.monotonic() + 5.0
-            while a._client.stats()["waiting"] != 1:  # b is parked
-                assert time.monotonic() < deadline, "the wait never parked"
-                time.sleep(0.005)
-            started = time.monotonic()
-            a.publish(KEY, ENTRY, token=token)
-            t.join(timeout=5.0)
-            assert got == [ENTRY]
-            # The waiter unblocked on the publish, not on a timeout.
-            assert time.monotonic() - started < 5.0
-        finally:
-            a.close()
-            b.close()
+    def test_uncoordinated_put_leaves_the_holder_alone(self, tmp_path):
+        """A token-less publish (a schedule-gap re-measure) stores the
+        entry but does not cancel a sibling still measuring."""
+        a, b = _pair(tmp_path)
+        token = a.try_lease(KEY)
+        b.publish(KEY, ENTRY)
+        assert a.fetch(KEY) == ENTRY
+        assert glob.glob(str(tmp_path / "*.lease")) == [token.path]
 
 
 class TestMaybeCoordinator:
@@ -181,19 +141,17 @@ class TestMaybeCoordinator:
         monkeypatch.setenv(FLEET_ENV, "lock")
         cache = TuningCache(str(tmp_path / "c.json"))
         coord = maybe_coordinator(cache)
-        assert isinstance(coord, FileLockCoordinator)
+        assert isinstance(coord, FleetCoordinator)
         # Process-wide singleton for the same cache.
         assert maybe_coordinator(cache) is coord
         reset_coordinator()
         assert maybe_coordinator(cache) is not coord
 
-    def test_unreachable_daemon_degrades_to_none(self, tmp_path):
-        cfg = _cfg(mode="daemon", host="127.0.0.1", port=1, io_timeout=0.5)
-        assert maybe_coordinator(TuningCache(str(tmp_path / "c.json")), cfg) is None
-
 
 class _StubFleet:
     """Scripted coordinator for driving autotune()'s fallback paths."""
+
+    mode = "stub"
 
     def __init__(self, lease_results, wait_result=None):
         self.lease_results = list(lease_results)
@@ -217,35 +175,6 @@ class _StubFleet:
         self.published.append((key, result, token))
 
 
-class _DyingFleet(_StubFleet):
-    """A coordinator whose transport died after construction: the named
-    ops raise TuningFleetError mid-conversation."""
-
-    def __init__(self, dies_on, **kwargs):
-        super().__init__(**kwargs)
-        self.dies_on = set(dies_on)
-
-    def _maybe_die(self, op):
-        if op in self.dies_on:
-            raise TuningFleetError(f"daemon gone ({op})")
-
-    def fetch(self, key):
-        self._maybe_die("fetch")
-        return super().fetch(key)
-
-    def try_lease(self, key):
-        self._maybe_die("try_lease")
-        return super().try_lease(key)
-
-    def wait_for(self, key, timeout=None):
-        self._maybe_die("wait_for")
-        return super().wait_for(key, timeout)
-
-    def publish(self, key, result, token=None):
-        self._maybe_die("publish")
-        return super().publish(key, result, token)
-
-
 class _Kern:
     @fn_acc
     def __call__(self, acc, n, out):
@@ -263,6 +192,13 @@ def _tune_args(n=256):
     out = mem.alloc(dev, n)
     memset(QueueBlocking(dev), out, 0)
     return dev, (n, out)
+
+
+def _tune(dev, args, **kwargs):
+    return autotune(
+        _Kern(), AccCpuSerial, 256, args, device=dev,
+        strategy="random", budget=2, max_block_threads=8, **kwargs,
+    )
 
 
 class TestAutotuneIntegration:
@@ -310,10 +246,7 @@ class TestAutotuneIntegration:
         dev, args = _tune_args()
         stub = _StubFleet(lease_results=["tok-1"])
         self._patch(monkeypatch, stub)
-        res = autotune(
-            _Kern(), AccCpuSerial, 256, args, device=dev,
-            strategy="random", budget=2, max_block_threads=8,
-        )
+        res = _tune(dev, args)
         assert not res.from_cache
         assert len(stub.published) == 1
         key, entry, token = stub.published[0]
@@ -336,8 +269,8 @@ class TestAutotuneIntegration:
         assert stub.published == []
 
     def test_tune_schedule_gap_measures_instead_of_starving(self, monkeypatch):
-        """Regression: a schedule-less fleet entry plus the daemon's
-        'cached' lease denial used to starve tune_schedule callers on
+        """Regression: a schedule-less fleet entry plus the lease denial
+        on an already-cached key used to starve tune_schedule callers on
         the fleet-heuristic forever; they must measure locally."""
         dev, args = _tune_args()
         schedule_less = CachedResult(
@@ -348,16 +281,12 @@ class TestAutotuneIntegration:
         )
         stub = _StubFleet(lease_results=[None], wait_result=schedule_less)
         self._patch(monkeypatch, stub)
-        res = autotune(
-            _Kern(), AccCpuSerial, 256, args, device=dev,
-            strategy="random", budget=2, max_block_threads=8,
-            tune_schedule=True,
-        )
+        res = _tune(dev, args, tune_schedule=True)
         assert res.strategy != "fleet-heuristic"
         assert not res.from_cache
         assert res.measurements >= 1
         # The re-measured entry is published back, uncoordinated
-        # (token=None) — the daemon stores it without touching leases.
+        # (token=None) — stored without touching any holder's lease.
         assert len(stub.published) == 1
         _, entry, token = stub.published[0]
         assert token is None
@@ -366,10 +295,7 @@ class TestAutotuneIntegration:
     def test_lock_mode_end_to_end_single_process(self, monkeypatch, tmp_path, isolated_cache):
         monkeypatch.setenv(FLEET_ENV, "lock")
         dev, args = _tune_args()
-        res = autotune(
-            _Kern(), AccCpuSerial, 256, args, device=dev,
-            strategy="random", budget=2, max_block_threads=8,
-        )
+        res = _tune(dev, args)
         assert not res.from_cache
         assert res.measurements >= 1
         assert isolated_cache.exists()  # publish() persisted
@@ -380,72 +306,118 @@ class TestAutotuneIntegration:
         assert sibling.get_key(res.cache_key) is not None
 
 
-class TestFleetTransportDeath:
-    """Regression (high severity): a daemon dying *after* the
-    coordinator connected used to raise TuningFleetError out of
-    autotune(); it must degrade that call to standalone tuning."""
+class TestFleetCounters:
+    """The fleet table's ``measured`` and ``adopted`` columns count: a
+    fleet autotune that runs the search is one measurement, one that
+    answers ``strategy="fleet"`` is one adoption."""
 
-    def _patch(self, monkeypatch, stub):
-        import repro.tuning.fleet.coordinator as coord_mod
+    @pytest.fixture(autouse=True)
+    def _fresh_registry(self):
+        reset_registry()
+        yield
+        reset_registry()
 
-        monkeypatch.setattr(
-            coord_mod, "maybe_coordinator", lambda cache, config=None: stub
-        )
+    def test_winner_measures_and_loser_adopts(self, monkeypatch, isolated_cache):
+        import repro.tuning as tuning
+        from repro import telemetry
 
-    @pytest.mark.parametrize(
-        "op", ["fetch", "try_lease", "wait_for", "publish"]
-    )
-    def test_dead_transport_degrades_to_standalone(self, monkeypatch, op):
-        from repro.tuning import default_cache
+        monkeypatch.setenv(FLEET_ENV, "lock")
+        # Hold the winner inside its search, lease held, until the loser
+        # has lost the lease race and waits for the winner's publish.
+        searching, waiting, finish = (threading.Event() for _ in range(3))
+        search, wait_for = tuning.run_search, FleetCoordinator.wait_for
 
+        def held_search(*a, **kw):
+            searching.set()
+            assert finish.wait(timeout=10.0)
+            return search(*a, **kw)
+
+        def watched_wait_for(*a, **kw):
+            waiting.set()
+            return wait_for(*a, **kw)
+
+        monkeypatch.setattr(tuning, "run_search", held_search)
+        monkeypatch.setattr(FleetCoordinator, "wait_for", watched_wait_for)
         dev, args = _tune_args()
-        lease_results = ["tok-1"] if op == "publish" else [None, None]
-        stub = _DyingFleet(dies_on=[op], lease_results=lease_results)
-        self._patch(monkeypatch, stub)
-        res = autotune(
-            _Kern(), AccCpuSerial, 256, args, device=dev,
-            strategy="random", budget=2, max_block_threads=8,
-        )
-        assert not res.from_cache
-        assert res.measurements >= 1  # measured standalone, no error
-        # The result still landed in the local cache.
-        assert default_cache().get_key(res.cache_key) is not None
+        results = {}
 
-    def test_daemon_death_midsession_degrades(
-        self, monkeypatch, tmp_path, isolated_cache
+        def worker(role):
+            # Each worker has its own view of the shared file, as two
+            # processes would.
+            results[role] = _tune(dev, args, cache=TuningCache(str(isolated_cache)))
+
+        winner = threading.Thread(target=worker, args=("winner",))
+        winner.start()
+        assert searching.wait(timeout=10.0)
+        loser = threading.Thread(target=worker, args=("loser",))
+        loser.start()
+        assert waiting.wait(timeout=10.0)
+        finish.set()
+        winner.join(timeout=10.0)
+        loser.join(timeout=10.0)
+        assert results["winner"].strategy == "random"
+        assert results["loser"].strategy == "fleet"
+        assert _count("repro_tuning_fleet_measurements_total", mode="lock") == 1
+        assert _count("repro_tuning_fleet_adopted_total", mode="lock") == 1
+
+        # The report's fleet table renders both numbers.
+        with telemetry.collect(registry=registry()) as t:
+            pass
+        lines = telemetry.render(t).split("Tuning fleet")[1].splitlines()
+        header = [c.strip() for c in lines[1].split("|")]
+        row = dict(zip(header, (c.strip() for c in lines[3].split("|"))))
+        assert (row["mode"], row["measured"], row["adopted"]) == ("lock", "1", "1")
+
+
+class TestFleetObservability:
+    """Fleet ops are spans and flight-recorder events in the calling
+    worker, stamped with its trace ids."""
+
+    def test_lock_autotune_records_spans_and_ring_events(
+        self, monkeypatch, tmp_path
     ):
-        """End to end over the real transport: tune once through a live
-        daemon, kill it, tune again on the same (still connected)
-        coordinator."""
-        from repro.tuning.fleet.config import FLEET_ADDR_ENV
+        from repro import telemetry
+        from repro.telemetry import flight, tracing
 
-        daemon = FleetDaemon(
-            _cfg(mode="daemon"),
-            cache_path=str(tmp_path / "daemon-cache.json"),
-            host="127.0.0.1",
-            port=0,
-        )
-        host, port = daemon.start()
-        monkeypatch.setenv(FLEET_ENV, "daemon")
-        monkeypatch.setenv(FLEET_ADDR_ENV, f"{host}:{port}")
-        reset_coordinator()
+        monkeypatch.setenv(FLEET_ENV, "lock")
+        rec = flight.activate(str(tmp_path / "flight"))
+        root = tracing.new_trace()
         dev, args = _tune_args()
         try:
-            res = autotune(
-                _Kern(), AccCpuSerial, 256, args, device=dev,
-                strategy="random", budget=2, max_block_threads=8,
-            )
-            assert not res.from_cache
+            with telemetry.collect() as t, tracing.use(root):
+                _tune(dev, args)
+            ring = rec.events()
         finally:
-            daemon.shutdown()
-        # The daemon is gone but the coordinator is still wired up; the
-        # next tuning call must complete standalone, not raise.
-        dev2, args2 = _tune_args(512)
-        res2 = autotune(
-            _Kern(), AccCpuSerial, 512, args2, device=dev2,
-            strategy="random", budget=2, max_block_threads=8,
-        )
-        assert res2.measurements >= 1
+            flight.deactivate()
+        spans = {e.name: e for e in t.events if e.cat == "fleet"}
+        assert {"fleet.get", "fleet.lease", "fleet.put"} <= set(spans)
+        assert spans["fleet.lease"].args["trace_id"] == root.trace_id
+        kinds = {e["kind"]: e for e in ring if e["kind"].startswith("fleet_")}
+        assert {"fleet_lease", "fleet_put"} <= set(kinds)
+        for kind in ("fleet_lease", "fleet_put"):
+            assert kinds[kind]["trace_id"] == root.trace_id
+            assert kinds[kind]["key"] == spans["fleet.lease"].args["key"]
+
+
+class _Beats:
+    """Stub fleet whose refresh sets an event (and optionally fails)."""
+
+    config = _cfg(mode="lock", lease_timeout=0.3)
+
+    def __init__(self, error=None):
+        self.error = error
+        self.refreshed = []
+        self.beat = threading.Event()
+
+    def refresh(self, key, token):
+        self.refreshed.append((key, token))
+        self.beat.set()
+        if self.error is not None:
+            raise self.error
+
+
+def _heartbeat_threads():
+    return [t for t in threading.enumerate() if t.name == "tuning-lease-heartbeat"]
 
 
 class TestLeaseHeartbeat:
@@ -455,37 +427,28 @@ class TestLeaseHeartbeat:
     def test_heartbeat_refreshes_while_measuring(self):
         from repro.tuning import _lease_heartbeat
 
-        class _Recorder:
-            config = _cfg(mode="lock", lease_timeout=0.3)
-
-            def __init__(self):
-                self.refreshed = []
-
-            def refresh(self, key, token):
-                self.refreshed.append((key, token))
-
-        fleet = _Recorder()
+        fleet = _Beats()
         with _lease_heartbeat(fleet, "key", "tok"):
-            time.sleep(0.35)  # > lease_timeout / 3
-        beats = list(fleet.refreshed)
-        assert ("key", "tok") in beats
-        time.sleep(0.15)
-        assert fleet.refreshed == beats  # stopped with the context
+            assert fleet.beat.wait(timeout=5.0)
+        assert ("key", "tok") in fleet.refreshed
+        # Stopped with the context: the beat thread is gone.
+        assert _heartbeat_threads() == []
 
     def test_refresh_failure_ends_the_heartbeat_quietly(self):
         from repro.tuning import _lease_heartbeat
 
-        class _Dying:
-            config = _cfg(mode="lock", lease_timeout=0.3)
-
-            def refresh(self, key, token):
-                raise TuningFleetError("daemon gone")
-
-        with _lease_heartbeat(_Dying(), "key", "tok"):
-            time.sleep(0.25)  # the beat thread must swallow the error
+        fleet = _Beats(error=OSError("lease directory gone"))
+        with _lease_heartbeat(fleet, "key", "tok"):
+            assert fleet.beat.wait(timeout=5.0)
+            # The beat thread swallows the error and ends on its own,
+            # while the context is still open.
+            for thread in _heartbeat_threads():
+                thread.join(timeout=5.0)
+            assert _heartbeat_threads() == []
+        assert fleet.refreshed == [("key", "tok")]
 
     def test_no_heartbeat_without_a_lease(self):
         from repro.tuning import _lease_heartbeat
 
         with _lease_heartbeat(None, "key", None):
-            pass
+            assert _heartbeat_threads() == []

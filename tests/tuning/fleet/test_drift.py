@@ -1,7 +1,6 @@
 """Drift detection and the background re-tune loop (no kernels)."""
 
 import threading
-import time
 
 from repro.tuning.fleet.config import FleetConfig
 from repro.tuning.fleet.drift import DriftMonitor, WorkloadStats
@@ -141,10 +140,11 @@ class TestDriftMonitor:
         self._drive(mon)
         assert fired.wait(timeout=5.0)
         assert mon.wait_idle(timeout=5.0)
-        # Re-baseline low, drift again: still inside the cooldown.
+        # Re-baseline low, drift again: still inside the cooldown.  A
+        # re-tune observe() fires is in flight before observe() returns,
+        # so wait_idle() would join a second one.
         self._drive(mon)
-        time.sleep(0.1)
-        mon.wait_idle(timeout=5.0)
+        assert mon.wait_idle(timeout=5.0)
         assert calls == ["axpy"]
         mon.close()
 
