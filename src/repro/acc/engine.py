@@ -212,7 +212,7 @@ def run_block_preemptive(
             kernel(acc, *args)
         except _SiblingAbort:
             pass  # a sibling failed; its error is the one to report
-        except BaseException as exc:  # noqa: BLE001 - reported by scheduler
+        except BaseException as exc:  # noqa: BLE001 - kernel code; collected per thread and re-raised by the block runner
             with err_lock:
                 errors.append((thread_idx, exc))
             barrier.on_error()
@@ -361,7 +361,7 @@ def run_block_cooperative(
             monitor.thread_begin(block, thread_idx, scheduler=sched)
         try:
             kernel(acc, *args)
-        except BaseException as exc:  # noqa: BLE001
+        except BaseException as exc:  # noqa: BLE001 - kernel code; collected per fiber and re-raised by the block runner
             errors.append((thread_idx, exc))
         finally:
             if monitor is not None:

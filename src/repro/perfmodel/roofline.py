@@ -330,6 +330,6 @@ def predict_launch_seconds(
             chars,
             parallel_scope=getattr(acc_type, "parallel_scope", "none"),
         )
-    except Exception:
+    except Exception:  # noqa: BLE001 - a kernel-authored characteristics() may raise anything; no prediction
         return None
     return predicted.seconds

@@ -252,7 +252,7 @@ class QueueNonBlocking(Queue):
                 # re-raised from wait(), never blocking the drain.
                 try:
                     runnable.fn()
-                except BaseException as exc:  # noqa: BLE001
+                except BaseException as exc:  # noqa: BLE001 - a user callback; quarantined and re-raised from wait()
                     with self._cv:
                         self._callback_errors.append(exc)
                 with self._cv:
@@ -270,7 +270,7 @@ class QueueNonBlocking(Queue):
                     poisoned = self._error is not None
                 if not poisoned:
                     runnable()
-            except BaseException as exc:  # noqa: BLE001 - reported on wait
+            except BaseException as exc:  # noqa: BLE001 - task code; poisons the queue and is re-raised from wait()
                 with self._cv:
                     self._error = exc
                 # Flight recorder: a poisoned queue is exactly the

@@ -46,7 +46,6 @@ from ._state import (
     active as sanitize_active,
     enabled,
     env_seed,
-    session_report,
 )
 from .report import AccessSite, Finding, LaunchRecord, SanitizerReport
 
@@ -56,7 +55,6 @@ __all__ = [
     "sanitize_active",
     "enabled",
     "env_seed",
-    "session_report",
     "AccessSite",
     "Finding",
     "LaunchRecord",

@@ -37,7 +37,6 @@ __all__ = [
     "env_seed",
     "pinned_seed",
     "enabled",
-    "session_report",
     "add_record",
 ]
 
@@ -50,7 +49,9 @@ SANITIZE_SEED_ENV = knobs.SANITIZE_SEED
 _lock = threading.Lock()
 _forced = 0
 _collectors: List[SanitizerReport] = []
-_session = SanitizerReport(label="session")
+#: ``REPRO_SANITIZE`` launches that found something, for the exit
+#: summary (clean launches are not kept: a long sanitized process must
+#: not grow without bound).
 _env_session = SanitizerReport(label=f"{SANITIZE_ENV} session")
 _atexit_armed = False
 
@@ -70,27 +71,21 @@ def pinned_seed(seed: Optional[int]):
     return knobs.pinned(**({} if seed is None else {SANITIZE_SEED_ENV: seed}))
 
 
-def session_report() -> SanitizerReport:
-    """Every sanitized launch of this process, in order."""
-    return _session
-
-
 def _print_session_at_exit() -> None:  # pragma: no cover - process teardown
     if not _env_session.clean:
         print(_env_session.render(), file=sys.stderr)
 
 
 def add_record(rec: LaunchRecord) -> None:
-    """File one sanitized launch with the session and active collectors."""
+    """File one sanitized launch with the active collectors."""
     global _atexit_armed
     with _lock:
-        _session.launches.append(rec)
         for collector in _collectors:
             collector.launches.append(rec)
-        if knobs.get(SANITIZE_ENV):
+        if rec.findings and knobs.get(SANITIZE_ENV):
             # Environment-driven runs have no caller holding a report;
-            # collect separately and summarise on interpreter exit so
-            # findings cannot vanish.
+            # keep their findings and summarise on interpreter exit so
+            # they cannot vanish.
             _env_session.launches.append(rec)
             if not _atexit_armed:
                 atexit.register(_print_session_at_exit)

@@ -121,7 +121,7 @@ def sweep_crosscheck(
                     report.failures.append(
                         f"{kernel_name}@{backend}: {exc}"
                     )
-                except Exception as exc:  # unclassified = vectorizer bug
+                except Exception as exc:  # noqa: BLE001 - an unclassified crash is a vectorizer bug: reported, not raised
                     report.failures.append(
                         f"{kernel_name}@{backend}: "
                         f"unclassified {type(exc).__name__}: {exc}"

@@ -103,7 +103,7 @@ class _TriageScheduler(Scheduler):
             for bidx in block_indices:
                 try:
                     runner(grid, bidx, task.kernel, grid.args)
-                except BaseException as exc:  # noqa: BLE001 - triaged here
+                except BaseException as exc:  # noqa: BLE001 - kernel code; a finding is kept, anything else re-raised
                     monitor.skip_block(
                         linearize(bidx, plan.work_div.grid_block_extent)
                     )

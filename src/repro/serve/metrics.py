@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..telemetry.metrics import MetricsRegistry, registry
+from ..telemetry.metrics import registry
 
 __all__ = [
     "record_admission",
@@ -35,16 +35,10 @@ __all__ = [
     "record_batch",
     "record_inflight",
     "record_retry_delay",
-    "serve_registry",
 ]
 
 #: Batch occupancy buckets: 1..batch_max in powers of two.
 BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
-
-
-def serve_registry() -> MetricsRegistry:
-    """The registry serve metrics land in (the process-wide one)."""
-    return registry()
 
 
 def record_admission(tenant: str, outcome: str, depth: Optional[int] = None) -> None:

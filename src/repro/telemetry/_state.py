@@ -131,5 +131,5 @@ def _report_at_exit(export_path: Optional[str]) -> None:  # pragma: no cover
         if export_path:
             written = export_to(collector, export_path)
             print(f"telemetry export written to {written}", file=sys.stderr)
-    except Exception as exc:  # noqa: BLE001 - never break interpreter exit
+    except Exception as exc:  # noqa: BLE001 - an at-exit report must never turn a clean exit into a traceback
         print(f"telemetry report failed: {exc!r}", file=sys.stderr)

@@ -255,7 +255,7 @@ def on_kernel_crash(plan, exc: BaseException) -> None:
             error=f"{type(exc).__name__}: {exc}",
         )
         rec.dump("kernel_crash", error=f"{type(exc).__name__}: {exc}")
-    except Exception:
+    except Exception:  # noqa: BLE001 - runs on the launch's failure path: the kernel's error is the one to raise
         pass
 
 
@@ -274,5 +274,5 @@ def on_queue_poisoned(queue, exc: BaseException) -> None:
             error=f"{type(exc).__name__}: {exc}",
         )
         rec.dump("queue_poisoned", error=f"{type(exc).__name__}: {exc}")
-    except Exception:
+    except Exception:  # noqa: BLE001 - runs on the queue's drain thread, which must survive to report the poison
         pass

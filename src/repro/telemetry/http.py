@@ -80,7 +80,7 @@ def health_snapshot() -> Tuple[bool, Dict[str, dict]]:
         try:
             ok, detail = provider()
             detail = dict(detail)
-        except Exception as exc:  # noqa: BLE001 - a probe crash is "down"
+        except Exception as exc:  # noqa: BLE001 - a provider is foreign code; any crash reads as "down"
             ok, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
         detail["ok"] = bool(ok)
         components[name] = detail
@@ -151,7 +151,7 @@ class _OpsHandler(BaseHTTPRequestHandler):
                 self._send_json(404, {"error": f"no route {route!r}"})
         except (BrokenPipeError, ConnectionResetError):
             pass
-        except Exception as exc:  # noqa: BLE001 - ops surface never crashes
+        except Exception as exc:  # noqa: BLE001 - any route failure is a 500 reply; the ops listener never dies
             try:
                 self._send_json(
                     500, {"error": f"{type(exc).__name__}: {exc}"}

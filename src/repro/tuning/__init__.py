@@ -27,7 +27,6 @@ call, which is where the cost is paid once.
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -154,43 +153,6 @@ def _refit_for_extent(
     return refit
 
 
-@contextlib.contextmanager
-def _lease_heartbeat(fleet, key: str, token):
-    """Keep a held measurement lease alive while the search runs.
-
-    A tuning run that outlasts the fleet's ``lease_timeout`` (plausible
-    for exhaustive or evolve searches over large spaces) must not have
-    its lease broken mid-measurement: siblings would duplicate the work
-    and waiters would bail to the heuristic while the winner is still
-    working.  Refreshes at a third of the timeout; a refresh failure
-    just ends the heartbeat — the measurement itself proceeds and
-    publishes, and at worst a sibling breaks the lease and measures too.
-    """
-    if fleet is None or token is None:
-        yield
-        return
-    timeout = getattr(getattr(fleet, "config", None), "lease_timeout", 120.0)
-    interval = max(timeout / 3.0, 0.05)
-    stop = threading.Event()
-
-    def beat() -> None:
-        while not stop.wait(interval):
-            try:
-                fleet.refresh(key, token)
-            except Exception:  # noqa: BLE001 - a side thread; a failed beat must not reach the search
-                return
-
-    thread = threading.Thread(
-        target=beat, name="tuning-lease-heartbeat", daemon=True
-    )
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(timeout=1.0)
-
-
 def autotune(
     kernel,
     acc_type,
@@ -240,15 +202,16 @@ def autotune(
     With the fleet enabled (``REPRO_TUNING_FLEET=lock``, see
     :mod:`repro.tuning.fleet`), the measurement itself is coordinated
     across worker processes sharing the cache file: exactly one worker
-    per (kernel, back-end, device, extent-bucket) wins the lease and
+    per (kernel, back-end, device, extent-bucket) holds the lease — an
+    ``flock`` the kernel frees when the holder finishes or dies — and
     measures; the others adopt its published result
-    (``strategy="fleet"``) or — if the winner takes too long — return
-    the Table 2 heuristic immediately (``strategy="fleet-heuristic"``,
-    zero measurements) and pick the winner up on the next
-    tuning-generation bump.  A held lease is heartbeat-refreshed while
-    the search runs, and a ``tune_schedule=True`` caller whose fleet
-    entry lacks a stored schedule measures locally rather than starving
-    on the heuristic.  Each fleet call that runs the search counts in
+    (``strategy="fleet"``), take the lease themselves once it is free
+    and nothing usable was published, or — if the holder takes longer
+    than ``wait_timeout`` — return the Table 2 heuristic
+    (``strategy="fleet-heuristic"``, zero measurements) and pick the
+    winner up on the next tuning-generation bump.  A cached entry is
+    usable when it refits to ``extent`` and, for ``tune_schedule=True``,
+    carries a schedule.  Each fleet call that runs the search counts in
     ``repro_tuning_fleet_measurements_total``, each ``"fleet"`` answer
     in ``repro_tuning_fleet_adopted_total``.
     """
@@ -263,7 +226,16 @@ def autotune(
     props = acc_type.get_acc_dev_props(device).for_dim(ext.dim)
     key = TuningCache.key(kernel, acc_type, device, ext)
 
+    def fit(entry: Optional[CachedResult]) -> Optional[WorkDivMembers]:
+        """``entry``'s division refit to ``ext``, or None when the entry
+        cannot answer this call (a ``tune_schedule`` request needs a
+        stored schedule)."""
+        if entry is None or (tune_schedule and entry.schedule is None):
+            return None
+        return _refit_for_extent(entry.work_div, ext, props)
+
     fleet = None
+    lease = contextlib.nullcontext()
     if not force:
         from .fleet import metrics as fleet_metrics
         from .fleet.coordinator import maybe_coordinator
@@ -273,18 +245,8 @@ def autotune(
             # Freshen the local view: a sibling may have tuned this key
             # since our cache last read the file.
             fleet.fetch(key)
-
-    if not force:
         hit = cache.get(kernel, acc_type, device, ext)
-        # A hit without a stored schedule cannot answer a
-        # tune_schedule request; fall through and measure.
-        if hit is not None and tune_schedule and hit.schedule is None:
-            hit = None
-        refit = (
-            _refit_for_extent(hit.work_div, ext, props)
-            if hit is not None
-            else None
-        )
+        refit = fit(hit)
         if refit is not None:
             return TuningResult(
                 work_div=refit,
@@ -299,49 +261,28 @@ def autotune(
                 schedule=hit.schedule,
             )
 
-    fleet_token = None
-    adopted = None
     if fleet is not None:
-        fleet_token = fleet.try_lease(key)
-        if fleet_token is None:
-            adopted = fleet.wait_for(key)
-            if adopted is None:
-                # The holder released (or died) without publishing —
-                # the lease may be free now; contend once more.
-                fleet_token = fleet.try_lease(key)
-    if fleet is not None and fleet_token is None:
-        schedule_gap = (
-            adopted is not None
-            and tune_schedule
-            and adopted.schedule is None
-        )
-        if not schedule_gap:
-            refit = (
-                _refit_for_extent(adopted.work_div, ext, props)
-                if adopted is not None
-                else None
+        adopted, lease = fleet.acquire(key, lambda e: fit(e) is not None)
+        if adopted is not None:
+            fleet_metrics.record_adopted(fleet.mode)
+            return TuningResult(
+                work_div=fit(adopted),
+                seconds=adopted.seconds,
+                from_cache=True,
+                source=adopted.source,
+                strategy="fleet",
+                measurements=0,
+                launches=0,
+                pruned=0,
+                cache_key=key,
+                schedule=adopted.schedule,
             )
-            if refit is not None:
-                fleet_metrics.record_adopted(fleet.mode)
-                return TuningResult(
-                    work_div=refit,
-                    seconds=adopted.seconds,
-                    from_cache=True,
-                    source=adopted.source,
-                    strategy="fleet",
-                    measurements=0,
-                    launches=0,
-                    pruned=0,
-                    cache_key=key,
-                    schedule=adopted.schedule,
-                )
-            # Waited the winner out: answer *now* with the Table 2
+        if lease is None:
+            # Waited the holder out: answer *now* with the Table 2
             # heuristic (zero measurements) — the winner's result
             # arrives later through the tuning-generation bump.
             return TuningResult(
-                work_div=divide_work(
-                    ext, props, acc_type.mapping_strategy
-                ),
+                work_div=divide_work(ext, props, acc_type.mapping_strategy),
                 seconds=float("nan"),
                 from_cache=False,
                 source="heuristic",
@@ -351,118 +292,103 @@ def autotune(
                 pruned=0,
                 cache_key=key,
             )
-        # schedule_gap: the fleet's entry has no stored schedule and a
-        # lease on an already-cached key is never granted, so waiting
-        # would starve this tune_schedule caller on the heuristic
-        # forever.  Ignore the fleet's entry for this call and measure
-        # locally (the scheduled entry is published back below).
 
-    candidates = candidate_divisions(
-        ext,
-        props,
-        max_total_elems=max_total_elems,
-        max_block_threads=max_block_threads,
-    )
-    n_seeds = len(seed_divisions(ext, props))
+    with lease:
+        candidates = candidate_divisions(
+            ext,
+            props,
+            max_total_elems=max_total_elems,
+            max_block_threads=max_block_threads,
+        )
+        n_seeds = len(seed_divisions(ext, props))
 
-    from ..perfmodel import predict_launch_seconds
+        from ..perfmodel import predict_launch_seconds
 
-    predicted: Dict[WorkDivMembers, float] = {}
-    for wd in candidates:
-        p = predict_launch_seconds(kernel, acc_type, device, wd, args)
-        if p is not None:
-            predicted[wd] = p
+        predicted: Dict[WorkDivMembers, float] = {}
+        for wd in candidates:
+            p = predict_launch_seconds(kernel, acc_type, device, wd, args)
+            if p is not None:
+                predicted[wd] = p
 
-    measured: Dict[WorkDivMembers, MeasuredTime] = {}
+        measured: Dict[WorkDivMembers, MeasuredTime] = {}
 
-    def objective(wd: WorkDivMembers) -> float:
-        try:
-            mt = measure_division(
-                kernel,
-                acc_type,
-                device,
-                wd,
-                args,
-                shared_mem_bytes=shared_mem_bytes,
-                warmup=warmup,
-                repeat=repeat,
-            )
-        except Exception:  # noqa: BLE001 - kernel code may raise anything; a rejected division loses
-            # A division the kernel itself rejects (shared memory
-            # overflow, shape assumptions...) scores infinitely slow
-            # rather than aborting the search.
-            return float("inf")
-        measured[wd] = mt
-        return mt.seconds
+        def objective(wd: WorkDivMembers) -> float:
+            try:
+                mt = measure_division(
+                    kernel,
+                    acc_type,
+                    device,
+                    wd,
+                    args,
+                    shared_mem_bytes=shared_mem_bytes,
+                    warmup=warmup,
+                    repeat=repeat,
+                )
+            except Exception:  # noqa: BLE001 - kernel code may raise anything; a rejected division loses
+                # A division the kernel itself rejects (shared memory
+                # overflow, shape assumptions...) scores infinitely slow
+                # rather than aborting the search.
+                return float("inf")
+            measured[wd] = mt
+            return mt.seconds
 
-    def measure_schedule(
-        wd: WorkDivMembers, sched: str
-    ) -> Optional[MeasuredTime]:
-        """``wd`` timed under ``sched``, or None when the launch failed
-        or fell back: a fallen-back launch ran on the thread pool, so its
-        time is another schedule's, and storing ``sched`` would make
-        every AUTO launch fall back again."""
-        before = _fallback_count(kernel, sched)
-        try:
-            mt = measure_division(
-                kernel,
-                acc_type,
-                device,
-                wd,
-                args,
-                shared_mem_bytes=shared_mem_bytes,
-                warmup=warmup,
-                repeat=repeat,
-                schedule=sched,
-                clock="wall",
-            )
-        except Exception:  # noqa: BLE001 - kernel code may raise anything; a rejected schedule loses
-            return None
-        return mt if _fallback_count(kernel, sched) == before else None
+        def measure_schedule(
+            wd: WorkDivMembers, sched: str
+        ) -> Optional[MeasuredTime]:
+            """``wd`` timed under ``sched``, or None when the launch failed
+            or fell back: a fallen-back launch ran on the thread pool, so its
+            time is another schedule's, and storing ``sched`` would make
+            every AUTO launch fall back again."""
+            before = _fallback_count(kernel, sched)
+            try:
+                mt = measure_division(
+                    kernel,
+                    acc_type,
+                    device,
+                    wd,
+                    args,
+                    shared_mem_bytes=shared_mem_bytes,
+                    warmup=warmup,
+                    repeat=repeat,
+                    schedule=sched,
+                    clock="wall",
+                )
+            except Exception:  # noqa: BLE001 - kernel code may raise anything; a rejected schedule loses
+                return None
+            return mt if _fallback_count(kernel, sched) == before else None
 
-    extra = {"hof_label": key} if strategy == "evolve" else {}
-    if strategy == "evolve" and tune_schedule:
-        # Evolve searches the joint (division, schedule) space in one
-        # run: the compiled replay, the pools and sequential dispatch
-        # compete as genome values instead of a post-search sweep.
-        candidates_sched = _schedule_candidates(acc_type)
-        if candidates_sched:
+        extra = {"hof_label": key} if strategy == "evolve" else {}
+        if strategy == "evolve" and tune_schedule:
+            # Evolve searches the joint (division, schedule) space in one
+            # run: the compiled replay, the pools and sequential dispatch
+            # compete as genome values instead of a post-search sweep.
+            candidates_sched = _schedule_candidates(acc_type)
+            if candidates_sched:
 
-            def schedule_objective(wd: WorkDivMembers, sched: str) -> float:
-                mt = measure_schedule(wd, sched)
-                if mt is None:
-                    return float("inf")
-                measured[wd] = mt
-                return mt.seconds
+                def schedule_objective(wd: WorkDivMembers, sched: str) -> float:
+                    mt = measure_schedule(wd, sched)
+                    if mt is None:
+                        return float("inf")
+                    measured[wd] = mt
+                    return mt.seconds
 
-            extra["schedules"] = candidates_sched
-            extra["schedule_objective"] = schedule_objective
+                extra["schedules"] = candidates_sched
+                extra["schedule_objective"] = schedule_objective
 
-    with _lease_heartbeat(fleet, key, fleet_token):
-        try:
-            result = run_search(
-                strategy,
-                candidates,
-                objective,
-                seeds=n_seeds,
-                budget=budget,
-                seed=seed,
-                predicted=predicted or None,
-                **extra,
-            )
-        except BaseException:  # noqa: BLE001 - cleanup, then re-raise
-            # A failed search must not leave the fleet-wide measurement
-            # lease dangling until it times out.
-            if fleet is not None:
-                fleet.release(key, fleet_token)
-            raise
-
+        result = run_search(
+            strategy,
+            candidates,
+            objective,
+            seeds=n_seeds,
+            budget=budget,
+            seed=seed,
+            predicted=predicted or None,
+            **extra,
+        )
         best = result.best
         best_mt = measured[best.work_div]
 
-        best_schedule: Optional[str] = getattr(
-            result, "best_schedule", None
-        )
+        best_schedule: Optional[str] = getattr(result, "best_schedule", None)
         schedule_trials: Dict[str, float] = dict(
             getattr(result, "schedule_trials", {}) or {}
         )
@@ -474,30 +400,26 @@ def autotune(
                     schedule_trials[sched] = mt.seconds
                     schedule_launches += mt.launches
             if schedule_trials:
-                best_schedule = min(
-                    schedule_trials, key=schedule_trials.get
-                )
+                best_schedule = min(schedule_trials, key=schedule_trials.get)
 
-    entry = CachedResult(
-        work_div=best.work_div,
-        seconds=best.seconds,
-        strategy=result.strategy,
-        source=best_mt.source,
-        schedule=best_schedule,
-        measured_at=time.time(),
-    )
-    if fleet is not None:
-        # Publish fleet-wide: persists through the coordinator and
-        # releases the lease; siblings parked in wait_for() adopt the
-        # entry on their next re-read.  The token is None for a
-        # schedule-gap re-measure of an already-cached key — the put
-        # then leaves any holder's lease alone.
-        fleet.publish(key, entry, token=fleet_token)
-        fleet_metrics.record_measurement(fleet.mode)
-    else:
-        cache.put(kernel, acc_type, device, ext, entry)
-        if save:
-            cache.save()
+        entry = CachedResult(
+            work_div=best.work_div,
+            seconds=best.seconds,
+            strategy=result.strategy,
+            source=best_mt.source,
+            schedule=best_schedule,
+            measured_at=time.time(),
+        )
+        if fleet is not None:
+            # Publish fleet-wide while still holding the lease: whoever
+            # takes it next (or a sibling polling the cache) finds the
+            # entry and adopts it.
+            fleet.publish(key, entry)
+            fleet_metrics.record_measurement(fleet.mode)
+        else:
+            cache.put(kernel, acc_type, device, ext, entry)
+            if save:
+                cache.save()
 
     return TuningResult(
         work_div=best.work_div,

@@ -35,7 +35,7 @@ import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Dict, Iterator, Optional, Sequence, Union
 
 try:  # advisory locking is POSIX-only; elsewhere saves stay best-effort
     import fcntl
@@ -61,6 +61,7 @@ __all__ = [
     "tuning_generation",
     "bump_tuning_generation",
     "file_lock",
+    "flock",
 ]
 
 #: Environment variable overriding where the tuning cache lives.
@@ -104,32 +105,46 @@ def bump_tuning_generation() -> None:
     _bump_generation()
 
 
+def flock(path: str, *, wait: bool = True) -> Optional[BinaryIO]:
+    """``path`` opened (created if missing) under an exclusive ``flock``.
+
+    The returned file holds the lock until it is closed or its process
+    exits — the kernel frees it either way, so a holder that dies never
+    blocks anyone.  With ``wait=False`` a lock held through another open
+    file (in this process or any other) returns ``None`` at once instead
+    of blocking.  The file is never unlinked: a waiter could lock the
+    orphaned inode while a third process locks a new file at the path.
+    POSIX only (:mod:`fcntl`).
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    fh = open(path, "ab")
+    held = None
+    try:
+        fcntl.flock(fh, fcntl.LOCK_EX | (0 if wait else fcntl.LOCK_NB))
+        held = fh
+    except BlockingIOError:
+        pass
+    finally:
+        if held is None:
+            fh.close()
+    return held
+
+
 @contextlib.contextmanager
-def file_lock(path: str, *, exclusive: bool = True) -> Iterator[None]:
+def file_lock(path: str) -> Iterator[None]:
     """Advisory inter-process lock on ``path`` (a sidecar ``.lock`` file).
 
     Serialises cache writers across *processes* — the merge-on-write in
-    :meth:`TuningCache.save` and the fleet coordinator's lease bookkeeping
-    both take it.  Reentrant use within one process is the caller's
-    responsibility; on platforms without :mod:`fcntl` the lock degrades
-    to a no-op (single-process semantics are still covered by the
-    in-object mutex).
+    :meth:`TuningCache.save` takes it.  Reentrant use within one process
+    is the caller's responsibility; on platforms without :mod:`fcntl`
+    the lock degrades to a no-op (single-process semantics are still
+    covered by the in-object mutex).
     """
-    lock_path = path + ".lock"
-    directory = os.path.dirname(os.path.abspath(lock_path))
-    os.makedirs(directory, exist_ok=True)
     if fcntl is None:  # pragma: no cover - non-POSIX hosts
         yield
         return
-    fd = os.open(lock_path, os.O_RDWR | os.O_CREAT, 0o644)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+    with flock(path + ".lock"):
         yield
-    finally:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-        finally:
-            os.close(fd)
 
 
 def default_cache_path() -> str:

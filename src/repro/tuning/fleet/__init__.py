@@ -7,12 +7,12 @@ traffic, in three pieces:
 * **Shared convergence** — :func:`~.coordinator.maybe_coordinator`
   turns the per-process :class:`~repro.tuning.cache.TuningCache` into a
   fleet-wide one.  ``REPRO_TUNING_FLEET=lock`` coordinates through
-  lease sidecar files and merge-on-write cache saves (zero
+  ``flock`` leases on sidecar files and merge-on-write cache saves (zero
   infrastructure): N workers sharing one cache file and tuning the same
   (kernel, back-end, device, extent-bucket) run **one** measurement:
-  the lease winner measures and publishes, losers briefly wait or
+  the lease holder measures and publishes, the others briefly wait or
   proceed with the Table 2 heuristic and adopt the winner through the
-  tuning-generation bump.
+  tuning-generation bump.  A holder that dies frees its lease at once.
 * **Evolutionary search** — ``autotune(strategy="evolve")``
   (:mod:`~.evolve`): population search over the joint division space,
   seeded from Table 2 + the performance model, with a persisted
@@ -33,7 +33,12 @@ from .config import (
     FleetConfigError,
     fleet_config_from_env,
 )
-from .coordinator import FleetCoordinator, maybe_coordinator, reset_coordinator
+from .coordinator import (
+    FleetCoordinator,
+    lease_path,
+    maybe_coordinator,
+    reset_coordinator,
+)
 from .drift import DriftMonitor, WorkloadStats
 from .evolve import (
     DEFAULT_HOF_FILENAME,
@@ -41,7 +46,6 @@ from .evolve import (
     evolve_search,
     load_hall_of_fame,
 )
-from .lock import Lease, LeaseFile, lease_path
 
 __all__ = [
     # config
@@ -55,8 +59,6 @@ __all__ = [
     "FleetCoordinator",
     "maybe_coordinator",
     "reset_coordinator",
-    "Lease",
-    "LeaseFile",
     "lease_path",
     # evolutionary search
     "evolve_search",

@@ -4,10 +4,10 @@ One immutable record configures all three fleet features:
 
 * **sharing** — ``REPRO_TUNING_FLEET`` selects whether worker processes
   coordinate: ``off`` (per-process tuning, the pre-fleet behaviour) or
-  ``lock`` (advisory file locking + lease files next to the JSON cache).
-* **leases** — how long a tuning lease is honoured before siblings may
-  break it, and how long a worker that lost the race waits for the
-  winner before proceeding with the Table 2 heuristic.
+  ``lock`` (``flock`` leases on sidecar files next to the JSON cache).
+* **waiting** — how long a worker that lost the lease race waits for
+  the winner before proceeding with the Table 2 heuristic, and how
+  often it looks.
 * **drift** — the ``drift_*`` fields tuning the online re-tuner: EWMA
   smoothing, drift threshold ratio, sample window, cooldown between
   re-tunes and the measurement budget of a background re-tune.
@@ -60,15 +60,12 @@ class FleetConfig:
     #: Coordination mode: ``off`` / ``lock``.
     mode: str = "off"
 
-    #: Seconds a tuning lease is honoured.  A worker that crashed while
-    #: holding one stops blocking the fleet after this long.
-    lease_timeout: float = 120.0
     #: Seconds a lease loser waits for the winner's result before
     #: proceeding with the Table 2 heuristic (it adopts the winner later
     #: through the generation bump).
     wait_timeout: float = 60.0
-    #: Seconds between re-reads of the cache file while waiting on a
-    #: sibling's result.
+    #: Seconds between looks at the lease and the cache file while
+    #: waiting on a sibling.
     poll_interval: float = 0.05
 
     #: Observed-latency EWMA must exceed ``drift_threshold`` × the tuned
@@ -90,7 +87,7 @@ class FleetConfig:
             raise FleetConfigError(
                 f"mode must be one of {FLEET_MODES}, got {self.mode!r}"
             )
-        for name in ("lease_timeout", "wait_timeout", "poll_interval"):
+        for name in ("wait_timeout", "poll_interval"):
             if getattr(self, name) <= 0:
                 raise FleetConfigError(
                     f"{name} must be > 0, got {getattr(self, name)}"

@@ -7,9 +7,11 @@ fleet converged on its tuning results.
 Metric families:
 
 * ``repro_tuning_fleet_requests_total{mode, op, outcome}`` — cache
-  lookups / publishes / lease attempts / waits;
-* ``repro_tuning_fleet_lease_wait_seconds`` — how long lease losers
-  waited for the winner's result;
+  lookups / publishes / lease outcomes (``granted``: measured under the
+  lease; ``denied``: adopted or timed out) / waits (``resolved`` /
+  ``leased`` / ``timeout``);
+* ``repro_tuning_fleet_lease_wait_seconds`` — how long a worker that
+  did not win the lease at once waited before adopting or taking it;
 * ``repro_tuning_fleet_measurements_total{mode}`` — fleet ``autotune``
   calls that ran the search (the number the fleet exists to minimise);
 * ``repro_tuning_fleet_adopted_total{mode}`` — fleet ``autotune`` calls
@@ -31,10 +33,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ...telemetry.metrics import MetricsRegistry, registry
+from ...telemetry.metrics import registry
 
 __all__ = [
-    "fleet_registry",
     "record_op",
     "record_lease_wait",
     "record_measurement",
@@ -46,11 +47,6 @@ __all__ = [
 
 #: Lease-wait buckets: one poll interval to a minute.
 WAIT_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 15.0, 60.0)
-
-
-def fleet_registry() -> MetricsRegistry:
-    """The registry fleet metrics land in (the process-wide one)."""
-    return registry()
 
 
 def record_op(mode: str, op: str, outcome: str) -> None:

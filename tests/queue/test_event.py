@@ -1,7 +1,6 @@
 """Events: host sync and cross-queue dependencies."""
 
 import threading
-import time
 
 import pytest
 
@@ -35,10 +34,13 @@ class TestEventBasics:
 
     def test_event_fires_after_preceding_tasks(self, dev):
         order = []
+        release = threading.Event()
         q = QueueNonBlocking(dev)
-        q.enqueue(lambda: (time.sleep(0.05), order.append("task"))[-1])
+        q.enqueue(lambda: (release.wait(5.0), order.append("task"))[-1])
         ev = Event(dev)
         ev.record(q)
+        assert not ev.is_complete  # the task before it is still held
+        release.set()
         assert ev.wait(timeout=2.0)
         assert order == ["task"]
         q.destroy()
@@ -48,9 +50,11 @@ class TestEventBasics:
         ev = Event(dev)
         ev.record(q)
         assert ev.wait(timeout=1.0)
-        q.enqueue(lambda: time.sleep(0.05))
+        release = threading.Event()
+        q.enqueue(lambda: release.wait(5.0))
         ev.record(q)
-        assert not ev.is_complete or ev.wait(timeout=2.0)
+        assert not ev.is_complete  # re-armed behind the held task
+        release.set()
         q.wait()
         assert ev.is_complete
         q.destroy()
@@ -68,12 +72,14 @@ class TestCrossQueueDependency:
         qa = QueueNonBlocking(dev)
         qb = QueueNonBlocking(dev)
         ev = Event(dev)
+        release = threading.Event()
 
-        qa.enqueue(lambda: (time.sleep(0.1), order.append("a"))[-1])
+        qa.enqueue(lambda: (release.wait(5.0), order.append("a"))[-1])
         ev.record(qa)
         wait_queue_for(qb, ev)
         qb.enqueue(lambda: order.append("b"))
 
+        release.set()
         qb.wait()
         assert order == ["a", "b"]
         qa.destroy()
@@ -82,9 +88,11 @@ class TestCrossQueueDependency:
     def test_timeout_returns_false(self, dev):
         q = QueueNonBlocking(dev)
         ev = Event(dev)
-        q.enqueue(lambda: time.sleep(0.5))
+        release = threading.Event()
+        q.enqueue(lambda: release.wait(5.0))
         ev.record(q)
         assert ev.wait(timeout=0.05) is False
+        release.set()
         q.wait()
         assert ev.wait(timeout=1.0)
         q.destroy()

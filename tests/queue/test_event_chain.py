@@ -2,7 +2,6 @@
 error poisoning, and destroy() with in-flight work."""
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -16,6 +15,22 @@ from repro import (
 )
 from repro.core.errors import KernelError, QueueError
 from repro.queue import QueueBlocking, QueueNonBlocking
+
+
+def _watch_gate(ev):
+    """A threading.Event set once a queue worker has reached a gate on
+    ``ev`` and parked on it (the gate registers its wake-up with the
+    event): from then on nothing behind the gate runs until ``ev``
+    fires."""
+    parked = threading.Event()
+    add = ev.add_fire_callback
+
+    def watched(fn):
+        add(fn)
+        parked.set()
+
+    ev.add_fire_callback = watched
+    return parked
 
 
 class TestEnqueueAfter:
@@ -33,11 +48,12 @@ class TestEnqueueAfter:
 
         qa.enqueue(slow_producer)
         ev = Event(dev).record(qa)
+        parked = _watch_gate(ev)
         enqueue_after(qb, ev)
         qb.enqueue(lambda: order.append("b"))
 
         # The dependent task must not run while A is still blocked.
-        time.sleep(0.05)
+        assert parked.wait(timeout=5)
         with lock:
             assert order == []
         release.set()
@@ -90,10 +106,11 @@ class TestEnqueueAfter:
         hold = threading.Event()
         qa.enqueue(lambda: hold.wait(timeout=5))
         ev = Event(dev).record(qa)
+        parked = _watch_gate(ev)
         qb.enqueue_after(ev)
         ran = []
         qb.enqueue(lambda: ran.append(1))
-        time.sleep(0.02)
+        assert parked.wait(timeout=5)
         assert ran == []
         hold.set()
         qb.wait()
@@ -105,12 +122,16 @@ class TestEnqueueAfter:
         dev = get_dev_by_idx(AccGpuCudaSim, 0)
         qa = QueueNonBlocking(dev)
         qb = QueueBlocking(dev)
-        qa.enqueue(lambda: time.sleep(0.01))
+        hold = threading.Event()
+        qa.enqueue(lambda: hold.wait(timeout=5))
         ev = Event(dev).record(qa)
-        t0 = time.perf_counter()
+        assert not ev.is_complete
+        setter = threading.Thread(target=hold.set)
+        setter.start()
         qb.enqueue_after(ev)  # blocks the host until ev fires
         assert ev.is_complete
-        assert time.perf_counter() - t0 < 5.0
+        setter.join(timeout=5)
+        assert not setter.is_alive()
         qa.destroy()
 
 
@@ -213,17 +234,21 @@ class TestProducerStress:
         later enqueues are rejected."""
         dev = get_dev_by_idx(AccGpuCudaSim, 0)
         q = QueueNonBlocking(dev)
-        started = threading.Event()
+        started, release = threading.Event(), threading.Event()
         done = []
 
         def slowish():
             started.set()
-            time.sleep(0.05)
+            release.wait(timeout=5)
             done.append(1)
 
         q.enqueue(slowish)
         assert started.wait(timeout=5)
-        q.destroy()  # in-flight: must drain, not drop
+        destroyer = threading.Thread(target=q.destroy)
+        destroyer.start()  # in-flight: must drain, not drop
+        release.set()
+        destroyer.join(timeout=10)
+        assert not destroyer.is_alive()
         assert done == [1]
         with pytest.raises(QueueError):
             q.enqueue(lambda: None)
@@ -239,6 +264,7 @@ class TestProducerStress:
         accepted = []
         ran = []
         lock = threading.Lock()
+        producing = threading.Event()
 
         def producer():
             for i in range(200):
@@ -248,11 +274,12 @@ class TestProducerStress:
                     return
                 with lock:
                     accepted.append(1)
+                producing.set()
 
         threads = [threading.Thread(target=producer) for _ in range(3)]
         for t in threads:
             t.start()
-        time.sleep(0.005)
+        assert producing.wait(timeout=5)
         q.destroy()
         for t in threads:
             t.join()

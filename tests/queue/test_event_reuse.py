@@ -10,7 +10,6 @@ dependency.
 """
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -62,10 +61,12 @@ class TestAliasContract:
             order = []
             qa, qb = QueueNonBlocking(dev), QueueNonBlocking(dev)
             ev = Event(dev)
-            qa.enqueue(lambda: (time.sleep(0.05), order.append("a"))[-1])
+            release = threading.Event()
+            qa.enqueue(lambda r=release: (r.wait(5.0), order.append("a"))[-1])
             ev.record(qa)
             gate(qb, ev)
             qb.enqueue(lambda: order.append("b"))
+            release.set()
             qb.wait()
             assert order == ["a", "b"], gate.__name__
             qa.destroy()
@@ -82,10 +83,12 @@ class TestRecordWaitReRecord:
         assert ev.wait(timeout=2.0)
         assert ev.record_count == 1 and ev.fired_count == 1
 
-        q.enqueue(lambda: time.sleep(0.2))
+        release = threading.Event()
+        q.enqueue(lambda: release.wait(5.0))
         ev.record(q)
         # The first fire must not satisfy the second record.
         assert ev.wait(timeout=0.02) is False
+        release.set()
         assert ev.wait(timeout=5.0)
         assert ev.record_count == 2 and ev.fired_count == 2
         q.destroy()
@@ -100,8 +103,11 @@ class TestRecordWaitReRecord:
         ev.record(q1)
         assert ev.wait(timeout=2.0)
 
-        q2.enqueue(lambda: (time.sleep(0.05), hits.append("q2"))[-1])
+        release = threading.Event()
+        q2.enqueue(lambda: (release.wait(5.0), hits.append("q2"))[-1])
         ev.record(q2)
+        assert not ev.is_complete  # re-armed in q2, behind the held task
+        release.set()
         assert ev.wait(timeout=2.0)
         assert hits == ["q1", "q2"]
         q1.destroy()

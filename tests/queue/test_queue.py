@@ -1,7 +1,6 @@
 """Queues: in-order execution, blocking vs non-blocking, errors."""
 
 import threading
-import time
 
 import pytest
 
@@ -20,10 +19,13 @@ class Recorder:
         self.events = []
         self.lock = threading.Lock()
 
-    def task(self, tag, delay=0.0):
+    def task(self, tag, gate=None):
+        """A task appending ``tag``; with a ``gate`` (threading.Event) it
+        first blocks until the test sets it."""
+
         def run():
-            if delay:
-                time.sleep(delay)
+            if gate is not None:
+                gate.wait(5.0)
             with self.lock:
                 self.events.append(tag)
 
@@ -70,8 +72,10 @@ class TestNonBlockingQueue:
         issued operations completed."""
         rec = Recorder()
         q = QueueNonBlocking(dev)
-        q.enqueue(rec.task("slow", delay=0.05))
+        slow = threading.Event()
+        q.enqueue(rec.task("slow", gate=slow))
         q.enqueue(rec.task("fast"))
+        slow.set()
         q.wait()
         assert rec.events == ["slow", "fast"]
         q.destroy()
@@ -79,10 +83,10 @@ class TestNonBlockingQueue:
     def test_enqueue_does_not_block_host(self, dev):
         rec = Recorder()
         q = QueueNonBlocking(dev)
-        t0 = time.perf_counter()
-        q.enqueue(rec.task("x", delay=0.2))
-        host_resumed_after = time.perf_counter() - t0
-        assert host_resumed_after < 0.1  # host resumed while device works
+        gate = threading.Event()
+        q.enqueue(rec.task("x", gate=gate))
+        assert rec.events == []  # host resumed while the task is held
+        gate.set()
         q.wait()
         assert rec.events == ["x"]
         q.destroy()
@@ -137,8 +141,13 @@ class TestNonBlockingQueue:
     def test_destroy_drains(self, dev):
         rec = Recorder()
         q = QueueNonBlocking(dev)
-        q.enqueue(rec.task("t", delay=0.05))
-        q.destroy()
+        gate = threading.Event()
+        q.enqueue(rec.task("t", gate=gate))
+        destroyer = threading.Thread(target=q.destroy)
+        destroyer.start()
+        gate.set()
+        destroyer.join(timeout=10.0)
+        assert not destroyer.is_alive()
         assert rec.events == ["t"]
 
     def test_context_manager(self, dev):

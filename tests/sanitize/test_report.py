@@ -19,7 +19,7 @@ from repro import (
 )
 from repro.core.errors import SanitizerError
 from repro.runtime.instrument import ExecutionObserver
-from repro.sanitize import SANITIZE_ENV, enabled, sanitize_active, session_report
+from repro.sanitize import SANITIZE_ENV, SanitizerReport, enabled, sanitize_active
 
 
 class RacyKernel:
@@ -61,11 +61,17 @@ class TestActivation:
         assert report.launches[0].kernel == "RacyKernel"
 
     def test_env_var_activates(self, monkeypatch):
+        seen = []
+
+        class Obs(ExecutionObserver):
+            def on_sanitizer_report(self, plan, record):
+                seen.append(record)
+
         monkeypatch.setenv(SANITIZE_ENV, "1")
         assert sanitize_active()
-        before = len(session_report().launches)
-        _launch(CleanKernel())
-        assert len(session_report().launches) == before + 1
+        with observe(Obs()):
+            _launch(CleanKernel())
+        assert [rec.kernel for rec in seen] == ["CleanKernel"]
 
     def test_clean_launch_clean_report(self):
         with enabled() as report:
@@ -78,6 +84,72 @@ class TestActivation:
             _launch(RacyKernel())
         with pytest.raises(SanitizerError, match="data-race"):
             report.raise_if_findings()
+
+
+def _kept_records():
+    """Launch records the sanitizer's own module state holds on to."""
+    from repro.sanitize import _state
+
+    return sum(
+        len(v.launches)
+        for v in vars(_state).values()
+        if isinstance(v, SanitizerReport)
+    )
+
+
+RACY_DEMO = """\
+from repro import QueueBlocking, accelerator, get_dev_by_idx
+from repro.sanitize.demos import DEMOS, demo_backends
+
+build, _ = DEMOS["racy-gemm"]
+acc = accelerator(next(iter(demo_backends("racy-gemm"))))
+dev = get_dev_by_idx(acc, 0)
+QueueBlocking(dev).enqueue(build(acc, dev))
+"""
+
+
+class TestBoundedState:
+    """A long sanitized process must not grow: the sanitizer keeps a
+    launch only where someone reads it."""
+
+    def test_clean_launches_are_not_kept(self, monkeypatch):
+        acc = accelerator("AccCpuSerial")
+        dev = get_dev_by_idx(acc, 0)
+        q = QueueBlocking(dev)
+        out = mem.alloc(dev, 1)
+        task = create_task_kernel(
+            acc, WorkDivMembers.make(1, 1, 1), CleanKernel(), 1, out
+        )
+        before = _kept_records()
+        with enabled() as report:
+            for _ in range(1000):
+                q.enqueue(task)
+        assert len(report.launches) == 1000 and report.clean
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        for _ in range(1000):
+            q.enqueue(task)
+        assert _kept_records() == before
+
+    def test_env_findings_still_print_at_exit(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        script = tmp_path / "racy.py"
+        script.write_text(RACY_DEMO)
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        env[SANITIZE_ENV] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(repo, "src"), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert f"[{SANITIZE_ENV} session]" in done.stderr
+        assert "data-race" in done.stderr
 
 
 class TestReportContents:

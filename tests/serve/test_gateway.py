@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -17,6 +16,8 @@ from repro.serve import (
     RetryAfter,
     ServeConfig,
 )
+
+from . import calls
 
 
 @pytest.fixture
@@ -31,24 +32,23 @@ def _overlapping_pair(gw, launch):
     provably on the (single, blocked) lane — so the second brings its
     key company and is held.  Returns both handles."""
 
-    def wait_for(condition):
-        give_up = time.monotonic() + 30
-        while not condition():
-            assert time.monotonic() < give_up
-            time.sleep(0.0005)
-
     def opened():
         stats = gw.stats()["batcher"]
         return stats["held"] + stats["immediate"]
 
+    added = calls(gw.batcher, "add")
+    submitted = calls(gw.router, "submit")
     release = threading.Event()
     gw.router.lanes[0].queue.enqueue(lambda: release.wait(30))
     try:
         before = opened()
         first = launch()
-        wait_for(lambda: gw.router.inflight() == 1)
+        assert submitted.acquire(timeout=30)  # the first is on the lane
+        assert gw.router.inflight() == 1
         second = launch()
-        wait_for(lambda: opened() == before + 2)
+        for _ in range(2):  # both requests reached the batcher
+            assert added.acquire(timeout=30)
+        assert opened() == before + 2
     finally:
         release.set()
     return first, second

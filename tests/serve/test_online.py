@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -14,6 +13,8 @@ from repro.serve.online import OnlineTuner
 from repro.serve.workloads import get_workload
 from repro.tuning.fleet.config import FleetConfig
 from repro.tuning.cache import tuning_generation
+
+from . import calls
 
 
 def _fleet_cfg():
@@ -102,16 +103,13 @@ class TestWiring:
             gw.router.lanes[0].queue.enqueue(lambda: release.wait(30))
             ones = np.ones(128)
             args = {"params": {"alpha": 2.0}, "arrays": {"x": ones, "y": ones}}
-            give_up = time.monotonic() + 30
+            added = calls(gw.batcher, "add")
+            submitted = calls(gw.router, "submit")
             first = gw.launch("axpy", **args)
-            while gw.router.inflight() < 1 and time.monotonic() < give_up:
-                time.sleep(0.0005)
+            assert submitted.acquire(timeout=30)  # the first is on the lane
             held = gw.launch("axpy", **args)
-            while (  # until the pump has parked it
-                gw.stats()["batcher"]["held"] < 1
-                and time.monotonic() < give_up
-            ):
-                time.sleep(0.0005)
+            for _ in range(2):  # until the pump has parked the second
+                assert added.acquire(timeout=30)
             release.set()
             first.result(timeout=30)
             assert held.result(timeout=30).latency >= window

@@ -50,14 +50,14 @@ class TestFleetConfig:
     def test_defaults_are_off(self):
         cfg = FleetConfig()
         assert cfg.mode == "off"
-        assert len(dataclasses.fields(cfg)) == 9
+        assert len(dataclasses.fields(cfg)) == 8
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"mode": "cluster"},
             {"mode": "daemon"},
-            {"lease_timeout": 0},
+            {"poll_interval": -0.5},
             {"wait_timeout": -1.0},
             {"wait_timeout": 0},
             {"poll_interval": 0},

@@ -1,7 +1,10 @@
-"""Coordinator contract: fetch / lease / publish / wait over lease files
-and the shared cache, plus the autotune() integration seams."""
+"""Coordinator contract: fetch / acquire / publish over flock leases and
+the shared cache, plus the autotune() integration seams."""
 
 import glob
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -13,9 +16,10 @@ from repro.core.workdiv import WorkDivMembers
 from repro.telemetry.metrics import registry, reset_registry
 from repro.tuning import TuningCache
 from repro.tuning.cache import CachedResult
-from repro.tuning.fleet.config import FLEET_ENV, FleetConfig
+from repro.tuning.fleet.config import FLEET_ENV, FleetConfig, FleetConfigError
 from repro.tuning.fleet.coordinator import (
     FleetCoordinator,
+    lease_path,
     maybe_coordinator,
     reset_coordinator,
 )
@@ -44,6 +48,10 @@ def _pair(tmp_path, config=None):
     return a, b
 
 
+def _any(entry):
+    return True
+
+
 def _count(name, **labels):
     """Sum of the process registry's ``name`` counters matching labels."""
     want = set(labels.items())
@@ -52,84 +60,118 @@ def _count(name, **labels):
     )
 
 
+def _acquire_in_thread(coord, monkeypatch):
+    """Run ``coord.acquire(KEY)`` on a thread; returns (thread, results)
+    once the thread has lost the lease race (its first cache read)."""
+    looked = threading.Event()
+    reload = coord.cache.reload
+
+    def watched_reload():
+        looked.set()
+        return reload()
+
+    monkeypatch.setattr(coord.cache, "reload", watched_reload)
+    got = []
+    t = threading.Thread(target=lambda: got.append(coord.acquire(KEY, _any)))
+    t.start()
+    assert looked.wait(timeout=5.0)
+    return t, got
+
+
 class TestFileLock:
     def test_fetch_miss_then_published_hit(self, tmp_path):
         a, b = _pair(tmp_path)
         assert b.fetch(KEY) is None
-        token = a.try_lease(KEY)
-        assert token is not None
-        a.publish(KEY, ENTRY, token=token)
+        entry, lease = a.acquire(KEY, _any)
+        assert entry is None and lease is not None
+        with lease:
+            a.publish(KEY, ENTRY)
         # B has its own TuningCache object: only a *fresh* read sees it.
         assert b.fetch(KEY) == ENTRY
 
     def test_only_one_lease_granted(self, tmp_path):
-        a, b = _pair(tmp_path)
-        assert a.try_lease(KEY) is not None
-        assert b.try_lease(KEY) is None
+        a, b = _pair(tmp_path, _cfg(wait_timeout=0.05))
+        _, lease = a.acquire(KEY, _any)
+        with lease:
+            assert b.acquire(KEY, _any) == (None, None)
 
-    def test_publish_releases_the_lease(self, tmp_path):
+    def test_closed_lease_is_free_and_its_file_stays(self, tmp_path):
+        """Closing frees the lease; the sidecar stays, as ``<cache>.lock``
+        does — unlinking a locked path would let a waiter lock the
+        orphaned inode while a third worker locks a new file."""
         a, b = _pair(tmp_path)
-        token = a.try_lease(KEY)
-        a.publish(KEY, ENTRY, token=token)
-        assert glob.glob(str(tmp_path / "*.lease")) == []
+        _, lease = a.acquire(KEY, _any)
+        lease.close()
+        entry, again = b.acquire(KEY, _any)
+        assert entry is None and again is not None
+        again.close()
+        assert glob.glob(str(tmp_path / "*.lease")) == [
+            lease_path(a.cache.path, KEY)
+        ]
 
     def test_lease_after_publish_is_denied(self, tmp_path):
-        """The post-acquire re-check: a worker whose cache view predates
-        the winner's publish must not win the now-free lease and
-        re-measure."""
+        """The re-check under the lease: a worker whose cache view
+        predates the holder's publish must not win the now-free lease
+        and re-measure."""
         a, b = _pair(tmp_path)
-        token = a.try_lease(KEY)
-        a.publish(KEY, ENTRY, token=token)
-        assert b.try_lease(KEY) is None
+        _, lease = a.acquire(KEY, _any)
+        with lease:
+            a.publish(KEY, ENTRY)
+        assert b.acquire(KEY, _any) == (ENTRY, None)
         assert b.cache.get_key(KEY) == ENTRY  # the re-check adopted it
 
-    def test_wait_for_resolves_on_publish(self, tmp_path, monkeypatch):
+    def test_unusable_entry_means_take_the_lease(self, tmp_path):
+        """An entry the caller cannot use (no schedule for a
+        tune_schedule caller) is no answer: the caller measures under
+        the lease, it does not wait on it."""
         a, b = _pair(tmp_path)
-        token = a.try_lease(KEY)
-        polling = threading.Event()
-        reload = b.cache.reload
+        _, lease = a.acquire(KEY, _any)
+        with lease:
+            a.publish(KEY, ENTRY)
+        entry, lease = b.acquire(KEY, lambda e: e.schedule is not None)
+        assert entry is None and lease is not None
+        lease.close()
 
-        def watched_reload():
-            polling.set()
-            return reload()
-
-        monkeypatch.setattr(b.cache, "reload", watched_reload)
-        got = []
-        t = threading.Thread(target=lambda: got.append(b.wait_for(KEY, 5.0)))
-        t.start()
-        assert polling.wait(timeout=5.0)  # b is inside wait_for
-        a.publish(KEY, ENTRY, token=token)
+    def test_waiter_adopts_on_publish(self, tmp_path, monkeypatch):
+        a, b = _pair(tmp_path)
+        _, lease = a.acquire(KEY, _any)
+        t, got = _acquire_in_thread(b, monkeypatch)
+        with lease:
+            a.publish(KEY, ENTRY)
         t.join(timeout=5.0)
-        assert got == [ENTRY]
+        assert got == [(ENTRY, None)]
         assert b.cache.get_key(KEY) == ENTRY
 
-    def test_wait_for_abandoned_returns_early(self, tmp_path):
+    def test_released_lease_passes_to_the_waiter(self, tmp_path, monkeypatch):
+        """A holder that gives up without publishing hands the lease
+        on at once: no 30 s wait ridden out, no heuristic answer."""
         a, b = _pair(tmp_path, _cfg(wait_timeout=30.0))
-        token = a.try_lease(KEY)
-        a.release(KEY, token)  # gave up without publishing
+        _, lease = a.acquire(KEY, _any)
+        t, got = _acquire_in_thread(b, monkeypatch)
         started = time.monotonic()
-        assert b.wait_for(KEY) is None
-        assert time.monotonic() - started < 5.0  # no 30 s timeout ridden out
+        lease.close()
+        t.join(timeout=5.0)
+        assert time.monotonic() - started < 5.0
+        (entry, again), = got
+        assert entry is None and again is not None
+        again.close()
 
-    def test_wait_for_times_out_while_holder_lives(self, tmp_path):
-        a, b = _pair(tmp_path)
-        a.try_lease(KEY)  # held, never published
-        started = time.monotonic()
-        assert b.wait_for(KEY, timeout=0.2) is None
-        assert time.monotonic() - started >= 0.2
+    def test_wait_times_out_while_the_holder_lives(self, tmp_path):
+        a, b = _pair(tmp_path, _cfg(wait_timeout=0.2))
+        _, lease = a.acquire(KEY, _any)
+        with lease:
+            started = time.monotonic()
+            assert b.acquire(KEY, _any) == (None, None)
+            assert time.monotonic() - started >= 0.2
 
-    def test_release_without_token_is_noop(self, tmp_path):
-        a, _ = _pair(tmp_path)
-        a.release(KEY, None)  # must not raise
+    def test_lock_mode_needs_flock(self, tmp_path, monkeypatch):
+        """Without fcntl the fleet refuses to run rather than silently
+        coordinating nothing."""
+        import repro.tuning.cache as cache_mod
 
-    def test_uncoordinated_put_leaves_the_holder_alone(self, tmp_path):
-        """A token-less publish (a schedule-gap re-measure) stores the
-        entry but does not cancel a sibling still measuring."""
-        a, b = _pair(tmp_path)
-        token = a.try_lease(KEY)
-        b.publish(KEY, ENTRY)
-        assert a.fetch(KEY) == ENTRY
-        assert glob.glob(str(tmp_path / "*.lease")) == [token.path]
+        monkeypatch.setattr(cache_mod, "fcntl", None)
+        with pytest.raises(FleetConfigError, match="flock"):
+            FleetCoordinator(TuningCache(str(tmp_path / "c.json")), _cfg())
 
 
 class TestMaybeCoordinator:
@@ -148,31 +190,38 @@ class TestMaybeCoordinator:
         assert maybe_coordinator(cache) is not coord
 
 
+class _StubLease:
+    closed = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.closed = True
+
+
 class _StubFleet:
-    """Scripted coordinator for driving autotune()'s fallback paths."""
+    """Scripted coordinator for driving autotune()'s fleet paths: hands
+    out ``adopted`` when the caller can use it, else ``lease``."""
 
     mode = "stub"
 
-    def __init__(self, lease_results, wait_result=None):
-        self.lease_results = list(lease_results)
-        self.wait_result = wait_result
-        self.released = []
+    def __init__(self, lease=None, adopted=None):
+        self.lease = lease
+        self.adopted = adopted
         self.published = []
 
     def fetch(self, key):
         return None
 
-    def try_lease(self, key):
-        return self.lease_results.pop(0) if self.lease_results else None
+    def acquire(self, key, usable):
+        if self.adopted is not None and usable(self.adopted):
+            return self.adopted, None
+        return None, self.lease
 
-    def wait_for(self, key, timeout=None):
-        return self.wait_result
-
-    def release(self, key, token):
-        self.released.append((key, token))
-
-    def publish(self, key, result, token=None):
-        self.published.append((key, result, token))
+    def publish(self, key, result):
+        # Recorded with whether the lease was still held at the put.
+        self.published.append((key, result, not self.lease.closed))
 
 
 class _Kern:
@@ -217,7 +266,7 @@ class TestAutotuneIntegration:
             strategy="random",
             source="modeled",
         )
-        stub = _StubFleet(lease_results=[None], wait_result=adopted)
+        stub = _StubFleet(adopted=adopted)
         self._patch(monkeypatch, stub)
         res = autotune(_Kern(), AccCpuSerial, 256, args, device=dev)
         assert res.strategy == "fleet"
@@ -231,7 +280,7 @@ class TestAutotuneIntegration:
         from repro import divide_work
 
         dev, args = _tune_args()
-        stub = _StubFleet(lease_results=[None, None], wait_result=None)
+        stub = _StubFleet()
         self._patch(monkeypatch, stub)
         res = autotune(_Kern(), AccCpuSerial, 256, args, device=dev)
         assert res.strategy == "fleet-heuristic"
@@ -244,14 +293,15 @@ class TestAutotuneIntegration:
 
     def test_winner_publishes_through_the_fleet(self, monkeypatch):
         dev, args = _tune_args()
-        stub = _StubFleet(lease_results=["tok-1"])
+        stub = _StubFleet(lease=_StubLease())
         self._patch(monkeypatch, stub)
         res = _tune(dev, args)
         assert not res.from_cache
         assert len(stub.published) == 1
-        key, entry, token = stub.published[0]
+        key, entry, held = stub.published[0]
         assert key == res.cache_key
-        assert token == "tok-1"
+        assert held  # published under the lease...
+        assert stub.lease.closed  # ...which the with block then closed
         assert entry.work_div == res.work_div
         # Fresh measurements are stamped so merge conflicts resolve to
         # the newest entry fleet-wide.
@@ -259,19 +309,19 @@ class TestAutotuneIntegration:
 
     def test_failed_search_releases_the_lease(self, monkeypatch):
         dev, args = _tune_args()
-        stub = _StubFleet(lease_results=["tok-1"])
+        stub = _StubFleet(lease=_StubLease())
         self._patch(monkeypatch, stub)
         with pytest.raises(ValueError):
             autotune(
                 _Kern(), AccCpuSerial, 256, args, device=dev, strategy="nope"
             )
-        assert stub.released == [(TuningCache.key(_Kern(), AccCpuSerial, get_dev_by_idx(AccCpuSerial), 256), "tok-1")]
+        assert stub.lease.closed
         assert stub.published == []
 
     def test_tune_schedule_gap_measures_instead_of_starving(self, monkeypatch):
-        """Regression: a schedule-less fleet entry plus the lease denial
-        on an already-cached key used to starve tune_schedule callers on
-        the fleet-heuristic forever; they must measure locally."""
+        """Regression: a schedule-less fleet entry used to starve
+        tune_schedule callers on the fleet-heuristic forever; such an
+        entry is no answer, so they take the lease and measure."""
         dev, args = _tune_args()
         schedule_less = CachedResult(
             work_div=WorkDivMembers(Vec(32), Vec(1), Vec(8)),
@@ -279,17 +329,16 @@ class TestAutotuneIntegration:
             strategy="random",
             source="modeled",
         )
-        stub = _StubFleet(lease_results=[None], wait_result=schedule_less)
+        stub = _StubFleet(lease=_StubLease(), adopted=schedule_less)
         self._patch(monkeypatch, stub)
         res = _tune(dev, args, tune_schedule=True)
         assert res.strategy != "fleet-heuristic"
         assert not res.from_cache
         assert res.measurements >= 1
-        # The re-measured entry is published back, uncoordinated
-        # (token=None) — stored without touching any holder's lease.
+        # The re-measured entry is published back under the lease.
         assert len(stub.published) == 1
-        _, entry, token = stub.published[0]
-        assert token is None
+        _, entry, held = stub.published[0]
+        assert held
         assert entry.work_div == res.work_div
 
     def test_lock_mode_end_to_end_single_process(self, monkeypatch, tmp_path, isolated_cache):
@@ -299,11 +348,87 @@ class TestAutotuneIntegration:
         assert not res.from_cache
         assert res.measurements >= 1
         assert isolated_cache.exists()  # publish() persisted
-        # No lease litter once the measurement is published.
-        assert glob.glob(str(isolated_cache) + ".*.lease") == []
-        # A "sibling process" (fresh cache object) sees the entry.
-        sibling = TuningCache(str(isolated_cache))
-        assert sibling.get_key(res.cache_key) is not None
+        # The lease is free once the measurement is published.
+        lease = lease_path(str(isolated_cache), res.cache_key)
+        sibling = FleetCoordinator(TuningCache(str(isolated_cache)), _cfg())
+        entry, again = sibling.acquire(res.cache_key, _any)
+        assert again is None and entry is not None  # a sibling adopts it
+        assert os.path.exists(lease)
+
+
+# The holder runs autotune on a library kernel, so its key is the one
+# the test process computes; its search never returns.
+HOLDER = """\
+import sys
+import threading
+
+import repro.tuning as tuning
+from repro import AccCpuSerial, autotune, get_dev_by_idx, mem
+from repro.kernels import AxpyKernel
+
+
+def hold(*args, **kwargs):
+    print("holding", flush=True)
+    threading.Event().wait()
+
+
+tuning.run_search = hold
+dev = get_dev_by_idx(AccCpuSerial)
+n = int(sys.argv[1])
+autotune(AxpyKernel(), AccCpuSerial, n, (n, 2.0, mem.alloc(dev, n), mem.alloc(dev, n)),
+         device=dev, strategy="random", budget=2)
+"""
+
+
+class TestDeadHolder:
+    """ROADMAP aim 3's "a lease holder that dies": the kernel frees a
+    dead holder's lease, so a sibling measures at once instead of
+    waiting ``wait_timeout`` out and answering with the heuristic."""
+
+    def test_killed_holder_frees_the_lease_at_once(
+        self, monkeypatch, tmp_path, isolated_cache
+    ):
+        import repro.tuning.fleet.coordinator as coord_mod
+        from repro import mem
+        from repro.kernels import AxpyKernel
+
+        monkeypatch.setenv(FLEET_ENV, "lock")
+        script = tmp_path / "holder.py"
+        script.write_text(HOLDER)
+        repo = os.path.dirname(
+            os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(repo, "src"), env.get("PYTHONPATH")) if p
+        )
+        n = 256
+        holder = subprocess.Popen(
+            [sys.executable, str(script), str(n)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        )
+        try:
+            line = holder.stdout.readline().strip()
+        finally:
+            holder.kill()
+            _, err = holder.communicate(timeout=30)
+        assert line == "holding", err
+        killed = time.monotonic()
+
+        cache = TuningCache(str(isolated_cache))
+        fleet = FleetCoordinator(cache, _cfg(wait_timeout=30.0))
+        monkeypatch.setattr(
+            coord_mod, "maybe_coordinator", lambda cache, config=None: fleet
+        )
+        dev = get_dev_by_idx(AccCpuSerial)
+        x, y = mem.alloc(dev, n), mem.alloc(dev, n)
+        res = autotune(
+            AxpyKernel(), AccCpuSerial, n, (n, 2.0, x, y), device=dev,
+            cache=cache, strategy="random", budget=2,
+        )
+        assert res.strategy != "fleet-heuristic"
+        assert res.measurements > 0
+        assert time.monotonic() - killed < 2.0
 
 
 class TestFleetCounters:
@@ -319,25 +444,27 @@ class TestFleetCounters:
 
     def test_winner_measures_and_loser_adopts(self, monkeypatch, isolated_cache):
         import repro.tuning as tuning
+        import repro.tuning.fleet.coordinator as coord_mod
         from repro import telemetry
 
         monkeypatch.setenv(FLEET_ENV, "lock")
         # Hold the winner inside its search, lease held, until the loser
         # has lost the lease race and waits for the winner's publish.
         searching, waiting, finish = (threading.Event() for _ in range(3))
-        search, wait_for = tuning.run_search, FleetCoordinator.wait_for
+        search, record = tuning.run_search, coord_mod.flight.maybe_record
 
         def held_search(*a, **kw):
             searching.set()
             assert finish.wait(timeout=10.0)
             return search(*a, **kw)
 
-        def watched_wait_for(*a, **kw):
-            waiting.set()
-            return wait_for(*a, **kw)
+        def watched_record(kind, **fields):
+            if kind == "fleet_wait":
+                waiting.set()
+            record(kind, **fields)
 
         monkeypatch.setattr(tuning, "run_search", held_search)
-        monkeypatch.setattr(FleetCoordinator, "wait_for", watched_wait_for)
+        monkeypatch.setattr(coord_mod.flight, "maybe_record", watched_record)
         dev, args = _tune_args()
         results = {}
 
@@ -367,6 +494,7 @@ class TestFleetCounters:
         header = [c.strip() for c in lines[1].split("|")]
         row = dict(zip(header, (c.strip() for c in lines[3].split("|"))))
         assert (row["mode"], row["measured"], row["adopted"]) == ("lock", "1", "1")
+        assert (row["leases won"], row["leases lost"]) == ("1", "1")
 
 
 class TestFleetObservability:
@@ -397,58 +525,3 @@ class TestFleetObservability:
         for kind in ("fleet_lease", "fleet_put"):
             assert kinds[kind]["trace_id"] == root.trace_id
             assert kinds[kind]["key"] == spans["fleet.lease"].args["key"]
-
-
-class _Beats:
-    """Stub fleet whose refresh sets an event (and optionally fails)."""
-
-    config = _cfg(mode="lock", lease_timeout=0.3)
-
-    def __init__(self, error=None):
-        self.error = error
-        self.refreshed = []
-        self.beat = threading.Event()
-
-    def refresh(self, key, token):
-        self.refreshed.append((key, token))
-        self.beat.set()
-        if self.error is not None:
-            raise self.error
-
-
-def _heartbeat_threads():
-    return [t for t in threading.enumerate() if t.name == "tuning-lease-heartbeat"]
-
-
-class TestLeaseHeartbeat:
-    """A held lease is refreshed while the measurement runs, so tuning
-    runs longer than lease_timeout are not broken mid-measurement."""
-
-    def test_heartbeat_refreshes_while_measuring(self):
-        from repro.tuning import _lease_heartbeat
-
-        fleet = _Beats()
-        with _lease_heartbeat(fleet, "key", "tok"):
-            assert fleet.beat.wait(timeout=5.0)
-        assert ("key", "tok") in fleet.refreshed
-        # Stopped with the context: the beat thread is gone.
-        assert _heartbeat_threads() == []
-
-    def test_refresh_failure_ends_the_heartbeat_quietly(self):
-        from repro.tuning import _lease_heartbeat
-
-        fleet = _Beats(error=OSError("lease directory gone"))
-        with _lease_heartbeat(fleet, "key", "tok"):
-            assert fleet.beat.wait(timeout=5.0)
-            # The beat thread swallows the error and ends on its own,
-            # while the context is still open.
-            for thread in _heartbeat_threads():
-                thread.join(timeout=5.0)
-            assert _heartbeat_threads() == []
-        assert fleet.refreshed == [("key", "tok")]
-
-    def test_no_heartbeat_without_a_lease(self):
-        from repro.tuning import _lease_heartbeat
-
-        with _lease_heartbeat(None, "key", None):
-            assert _heartbeat_threads() == []

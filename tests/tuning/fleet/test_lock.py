@@ -1,109 +1,66 @@
-"""Lease sidecar files: exclusive create, stale break, liveness."""
+"""The lease primitive: an exclusive ``flock`` on a sidecar file next
+to the cache, held by an open file (``repro.tuning.cache.flock``)."""
 
-import json
 import os
-import time
+import threading
 
-from repro.tuning.fleet.lock import LeaseFile, lease_path
+from repro.tuning.cache import flock
+from repro.tuning.fleet.coordinator import lease_path
 
 KEY = "kernel|AccCpuSerial|machine:cpu:1x4@3GHz|1024"
 
 
-def _leases(tmp_path, timeout=120.0):
-    return LeaseFile(str(tmp_path / "cache.json"), timeout=timeout)
+def _try(tmp_path, key=KEY):
+    return flock(lease_path(str(tmp_path / "cache.json"), key), wait=False)
 
 
 class TestAcquire:
     def test_first_acquire_wins(self, tmp_path):
-        lf = _leases(tmp_path)
-        lease = lf.try_acquire(KEY)
+        lease = _try(tmp_path)
         assert lease is not None
-        assert lease.key == KEY
-        assert os.path.exists(lease.path)
-
-    def test_body_records_pid_and_key(self, tmp_path):
-        lf = _leases(tmp_path)
-        lease = lf.try_acquire(KEY)
-        body = json.loads(open(lease.path).read())
-        assert body["pid"] == os.getpid()
-        assert body["key"] == KEY
+        assert os.path.exists(lease.name)
+        lease.close()
 
     def test_second_acquire_denied_while_held(self, tmp_path):
-        lf = _leases(tmp_path)
-        assert lf.try_acquire(KEY) is not None
-        assert lf.try_acquire(KEY) is None
+        """Two open files contend even inside one process — a lease is
+        per open file, not per process."""
+        lease = _try(tmp_path)
+        assert _try(tmp_path) is None
+        lease.close()
 
     def test_release_frees_the_lease(self, tmp_path):
-        lf = _leases(tmp_path)
-        lease = lf.try_acquire(KEY)
-        lf.release(lease)
-        assert not os.path.exists(lease.path)
-        assert lf.try_acquire(KEY) is not None
+        lease = _try(tmp_path)
+        lease.close()
+        assert os.path.exists(lease.name)  # the file stays, the lock goes
+        again = _try(tmp_path)
+        assert again is not None
+        again.close()
 
     def test_release_is_idempotent(self, tmp_path):
-        lf = _leases(tmp_path)
-        lease = lf.try_acquire(KEY)
-        lf.release(lease)
-        lf.release(lease)  # must not raise
+        lease = _try(tmp_path)
+        lease.close()
+        lease.close()  # must not raise
 
     def test_distinct_keys_do_not_contend(self, tmp_path):
-        lf = _leases(tmp_path)
-        assert lf.try_acquire("key-a") is not None
-        assert lf.try_acquire("key-b") is not None
+        a, b = _try(tmp_path, "key-a"), _try(tmp_path, "key-b")
+        assert a is not None and b is not None
+        a.close()
+        b.close()
 
-
-class TestStaleBreak:
-    def test_stale_lease_is_broken_and_reacquired(self, tmp_path):
-        lf = _leases(tmp_path, timeout=0.5)
-        lease = lf.try_acquire(KEY)
-        # Age the file past the timeout instead of sleeping.
-        old = time.time() - 10.0
-        os.utime(lease.path, (old, old))
-        again = lf.try_acquire(KEY)
-        assert again is not None
-
-    def test_fresh_lease_is_not_broken(self, tmp_path):
-        lf = _leases(tmp_path, timeout=60.0)
-        assert lf.try_acquire(KEY) is not None
-        assert lf.try_acquire(KEY) is None
-
-
-class TestHolderAlive:
-    def test_absent_lease_is_dead(self, tmp_path):
-        assert not _leases(tmp_path).holder_alive(KEY)
-
-    def test_fresh_lease_is_alive(self, tmp_path):
-        lf = _leases(tmp_path)
-        lf.try_acquire(KEY)
-        assert lf.holder_alive(KEY)
-
-    def test_stale_lease_is_dead(self, tmp_path):
-        lf = _leases(tmp_path, timeout=0.5)
-        lease = lf.try_acquire(KEY)
-        old = time.time() - 10.0
-        os.utime(lease.path, (old, old))
-        assert not lf.holder_alive(KEY)
-
-
-class TestTouch:
-    """Regression: a live holder whose measurement outlasts the lease
-    timeout had its lease broken by siblings; touch() is the heartbeat
-    that keeps it alive."""
-
-    def test_touch_keeps_a_long_measurement_alive(self, tmp_path):
-        lf = _leases(tmp_path, timeout=0.5)
-        lease = lf.try_acquire(KEY)
-        old = time.time() - 10.0
-        os.utime(lease.path, (old, old))  # would count as stale...
-        assert lf.touch(lease)  # ...but the holder heartbeats
-        assert lf.holder_alive(KEY)
-        assert lf.try_acquire(KEY) is None  # siblings cannot break it
-
-    def test_touch_reports_an_already_broken_lease(self, tmp_path):
-        lf = _leases(tmp_path)
-        lease = lf.try_acquire(KEY)
-        os.unlink(lease.path)
-        assert not lf.touch(lease)
+    def test_blocking_lock_waits_for_the_holder(self, tmp_path):
+        """The cache's ``<cache>.lock`` takes the same primitive with
+        ``wait=True``: it returns once the holder lets go."""
+        path = str(tmp_path / "cache.json.lock")
+        held = flock(path)
+        got = []
+        t = threading.Thread(target=lambda: got.append(flock(path)))
+        t.start()
+        t.join(timeout=0.1)
+        assert t.is_alive() and got == []
+        held.close()
+        t.join(timeout=5.0)
+        assert got and got[0] is not None
+        got[0].close()
 
 
 class TestLeasePath:
