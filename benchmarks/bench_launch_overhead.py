@@ -208,13 +208,13 @@ def test_indexed_launch_stages_sum_to_the_launch():
     from repro.kernels import AxpyElementsKernel
     from repro.runtime import (
         get_plan,
-        notify_launch_begin,
-        notify_launch_end,
+        instrument,
         notify_queue_drain,
         observers,
         scheduler_for,
     )
     from repro.sanitize import _state as sanitize_state
+    from repro.telemetry.spans import NULL_SPAN, Span
 
     n = 256
     acc_type = accelerator("AccCpuOmp2Blocks")
@@ -257,7 +257,12 @@ def test_indexed_launch_stages_sum_to_the_launch():
         t3 = clock()
         dev.note_kernel_launch()
         plan.launches += 1
-        notify_launch_begin(plan, task, dev)
+        region = (
+            Span("launch", "launch", dev, {"plan": plan})
+            if instrument._observers
+            else NULL_SPAN
+        )
+        region.__enter__()
         scheduler_for(dev, plan.schedule)
         bool(observers())
         t4 = clock()
@@ -270,7 +275,7 @@ def test_indexed_launch_stages_sum_to_the_launch():
             task, dev, plan.acc_type.kind, plan.work_div, plan._modeled
         )
         t7 = clock()
-        notify_launch_end(plan, task, dev)
+        region.__exit__(None, None, None)
         notify_queue_drain(queue)
         t8 = clock()
         spent["plan_lookup"] += t2 - t1

@@ -38,8 +38,10 @@ from ..core.errors import GraphError
 from ..mem.buf import Buffer
 from ..mem.view import ViewSubView
 from ..runtime import execute_plan, resolve_scheduler_override, scheduler_for
-from ..runtime.instrument import notify_graph_end, observers
+from ..runtime.instrument import observers
 from ..runtime.plan import GraphPlan, get_graph_plan, get_plan
+from ..telemetry import tracing
+from ..telemetry.spans import record_span
 from ..tuning.cache import tuning_generation
 
 #: Bound on first run() — importing repro.sanitize eagerly here would
@@ -256,7 +258,11 @@ class GraphExec:
             self._last_stats = self._build_stats(with_node_info=True)
         self._done.set()
         if observed:
-            notify_graph_end(self, self._last_stats)
+            ctx = tracing.current()
+            record_span(
+                "graph.run", self._t0, self._t0 + wall, cat="graph",
+                trace=ctx and ctx.child(), stats=self._last_stats,
+            )
 
     @property
     def last_stats(self) -> Optional[GraphRunStats]:
@@ -392,8 +398,6 @@ class GraphExec:
         # submitting thread, so hand them the submitter's ambient
         # context — node launches then stamp trace ids and the queued
         # run stitches under the request that submitted the graph.
-        from ..telemetry import tracing
-
         trace_ctx = tracing.current()
 
         def _make_runner(node):

@@ -22,7 +22,6 @@ import numpy as np
 
 from ..core.errors import ExtentError, MemorySpaceError
 from ..core.vec import Vec, as_vec
-from ..runtime.instrument import notify_copy
 from ..telemetry.spans import span
 from .buf import Buffer
 from .view import ViewSubView
@@ -85,7 +84,6 @@ class TaskCopy:
             box = _box(self.extent)
             dst_arr[box] = src_arr[box]
             self._advance_sim_clocks()
-            notify_copy(self, device)
 
     def _advance_sim_clocks(self) -> None:
         nbytes = self.extent.prod() * np.dtype(_endpoint_dtype(self.src)).itemsize
@@ -120,7 +118,6 @@ class TaskMemset:
         with span("mem.memset", cat="mem", device=device):
             arr = _endpoint_array(self.dst)
             arr[_box(self.extent)] = self.value
-            notify_copy(self, device)
 
 
 def _validate(dst: _Endpoint, src: _Endpoint, extent: Optional[Vec]) -> Vec:

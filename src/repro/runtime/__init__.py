@@ -26,14 +26,11 @@ from __future__ import annotations
 from ..acc.timing import advance_modeled_time
 from ..sanitize import _state as _sanitize_state
 from ..telemetry import flight
+from ..telemetry.spans import NULL_SPAN, Span
+from . import instrument as _instrument
 from .instrument import (
     CountingObserver,
     ExecutionObserver,
-    notify_block,
-    notify_copy,
-    notify_graph_end,
-    notify_launch_begin,
-    notify_launch_end,
     notify_plan_cache,
     notify_queue_drain,
     notify_sanitizer_report,
@@ -106,14 +103,9 @@ __all__ = [
     "unregister_observer",
     "observers",
     "observe",
-    "notify_launch_begin",
-    "notify_launch_end",
-    "notify_block",
-    "notify_copy",
     "notify_queue_drain",
     "notify_plan_cache",
     "notify_sanitizer_report",
-    "notify_graph_end",
 ]
 
 
@@ -141,42 +133,43 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     """The Execute stage: dispatch an already-resolved ``plan``.
 
     The only launch sequence in the package — device launch accounting,
-    observer notifications, dispatch, modeled-time advance and the
-    failure path live here and nowhere else; the routes differ only in
-    who supplies ``grid`` and ``scheduler``.  :func:`launch` passes
-    neither (fresh grid context, the plan's schedule); inline graph
-    replay (:mod:`repro.graph`) binds the node's cached grid context
-    and scheduler, so a replayed node pays neither plan lookup nor grid
+    the launch span, dispatch, modeled-time advance and the failure path
+    live here and nowhere else; the routes differ only in who supplies
+    ``grid`` and ``scheduler``.  :func:`launch` passes neither (fresh
+    grid context, the plan's schedule); inline graph replay
+    (:mod:`repro.graph`) binds the node's cached grid context and
+    scheduler, so a replayed node pays neither plan lookup nor grid
     construction; the sanitizer (:mod:`repro.sanitize.runner`) passes a
     shadow-argument grid and its per-block triage scheduler.
+
+    Observers see the launch once, as the ``"launch"`` span closing
+    (``span.error`` set when the kernel raised); unobserved, the launch
+    enters the shared ``NULL_SPAN`` and builds nothing.
     """
     if grid is None:
         grid = plan.grid_for(task)
     sched = scheduler or scheduler_for(device, plan.schedule)
     device.note_kernel_launch()
     plan.launches += 1
-    notify_launch_begin(plan, task, device)
+    region = (
+        Span("launch", "launch", device, {"plan": plan})
+        if _instrument._observers
+        else NULL_SPAN
+    )
+    crashed = True
     try:
-        sched.dispatch(plan, grid, plan.block_indices, task)
-        advance_modeled_time(
-            task, device, plan.acc_type.kind, plan.work_div, plan._modeled
-        )
-    except BaseException as exc:  # noqa: BLE001 - any failure ends the launch, re-raised below
-        # The kernel failure is the error the caller must see: observers
-        # are still told the launch ended, but an observer raising from
-        # on_launch_end here must not mask the original exception.
-        try:
-            notify_launch_end(plan, task, device)
-        except Exception:  # noqa: BLE001 - the kernel's exception wins
-            pass
-        # Flight recorder (REPRO_FLIGHT_RECORDER_DIR): dump the recent
-        # event ring alongside the crash.  One boolean read when off;
-        # never raises into the failing path.
-        if flight.active():
+        with region:
+            sched.dispatch(plan, grid, plan.block_indices, task)
+            advance_modeled_time(
+                task, device, plan.acc_type.kind, plan.work_div, plan._modeled
+            )
+            crashed = False
+    except BaseException as exc:  # noqa: BLE001 - re-raised; only the flight dump is added
+        # The span closed first, so observers (and the flight ring) hold
+        # the failed launch.  An observer raising on a clean launch
+        # propagates to the caller but is no kernel crash; the dispatch
+        # completed either way, so the scheduler pool stays usable.
+        if crashed and flight.active():
             flight.on_kernel_crash(plan, exc)
         raise
-    # On a clean launch an observer exception propagates to the caller
-    # (observers only raise when they mean to fail the run); the
-    # dispatch already completed, so the scheduler pool stays usable.
-    notify_launch_end(plan, task, device)
     return plan

@@ -1,12 +1,16 @@
 """Execution instrumentation: observer hooks threaded through the runtime.
 
-Every interesting runtime transition — a launch starting or finishing, a
-block being dispatched, a copy executing, a queue draining, a launch
-plan hitting or missing the cache — is announced to the registered
-:class:`ExecutionObserver` instances.  The bench harness and the trace
-layer consume these hooks instead of wrapping user callables, so
-instrumentation costs nothing when nothing is registered (each notify
-helper returns immediately on the empty-observer fast path).
+Every interesting runtime transition — a block finishing, a queue
+draining, a launch plan hitting or missing the cache — is announced to
+the registered :class:`ExecutionObserver` instances.  A *timed region*
+(a launch, a copy, a graph run, a plan build ...) is a
+:class:`~repro.telemetry.spans.Span` and reaches observers once, when it
+closes, through :meth:`ExecutionObserver.on_span_end`.  The bench
+harness and the trace layer consume these hooks instead of wrapping
+user callables, so instrumentation costs nothing when nothing is
+registered (each notify helper returns immediately on the
+empty-observer fast path, and an unobserved region enters the shared
+``NULL_SPAN``).
 
 Observers are process-global and thread-safe to register from any
 thread; notifications may arrive from scheduler worker threads, so
@@ -27,17 +31,12 @@ __all__ = [
     "unregister_observer",
     "observers",
     "observe",
-    "notify_launch_begin",
-    "notify_launch_end",
-    "notify_block",
     "notify_block_end",
-    "notify_copy",
     "notify_queue_drain",
     "notify_plan_cache",
     "notify_tuning_cache",
     "notify_sanitizer_report",
     "notify_span_end",
-    "notify_graph_end",
 ]
 
 
@@ -50,23 +49,11 @@ class ExecutionObserver:
     test asserting an invariant at every block).
     """
 
-    def on_launch_begin(self, plan, task, device) -> None:
-        """A kernel launch is about to dispatch its blocks."""
-
-    def on_launch_end(self, plan, task, device) -> None:
-        """All blocks of a launch have completed (or one failed)."""
-
-    def on_block(self, plan, block_idx) -> None:
-        """One block is about to execute (called from worker threads)."""
-
     def on_block_end(self, plan, block_idx, seconds: float) -> None:
         """One block finished; ``seconds`` is its wall duration.
 
         Timed only while observers are registered — the unobserved
         dispatch path never reads the clock."""
-
-    def on_copy(self, task, device) -> None:
-        """A memory copy/memset task executed on ``device``."""
 
     def on_queue_drain(self, queue) -> None:
         """A queue's pending work count reached zero."""
@@ -79,18 +66,19 @@ class ExecutionObserver:
         served vs heuristic fallback)."""
 
     def on_span_end(self, span) -> None:
-        """A telemetry span closed; ``span`` carries wall and modeled
-        durations plus its attributes."""
+        """A timed region closed; ``span`` carries wall and modeled
+        durations, its error (if the region raised) and its attributes.
+
+        A kernel launch is the span ``"launch"`` (cat ``"launch"``,
+        ``attrs["plan"]`` the :class:`~repro.runtime.plan.LaunchPlan`);
+        a copy/memset is ``"mem.copy"`` / ``"mem.memset"``; a dataflow
+        graph submission is ``"graph.run"`` (``attrs["stats"]`` its
+        :class:`~repro.graph.executor.GraphRunStats`)."""
 
     def on_sanitizer_report(self, plan, record) -> None:
         """A sanitized launch finished; ``record`` is its
         :class:`repro.sanitize.report.LaunchRecord` (findings included,
         possibly empty)."""
-
-    def on_graph_end(self, graph_exec, stats) -> None:
-        """A dataflow graph finished one submission; ``stats`` is a
-        :class:`repro.graph.executor.GraphRunStats` with per-node
-        timings, critical-path length and overlap accounting."""
 
 
 _lock = threading.Lock()
@@ -138,44 +126,12 @@ def observe(obs: ExecutionObserver) -> Iterator[ExecutionObserver]:
 # ---------------------------------------------------------------------------
 
 
-def notify_launch_begin(plan, task, device) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_launch_begin(plan, task, device)
-
-
-def notify_launch_end(plan, task, device) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_launch_end(plan, task, device)
-
-
-def notify_block(plan, block_idx) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_block(plan, block_idx)
-
-
 def notify_block_end(plan, block_idx, seconds: float) -> None:
     obs = _observers
     if not obs:
         return
     for o in obs:
         o.on_block_end(plan, block_idx, seconds)
-
-
-def notify_copy(task, device) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_copy(task, device)
 
 
 def notify_queue_drain(queue) -> None:
@@ -210,14 +166,6 @@ def notify_sanitizer_report(plan, record) -> None:
         o.on_sanitizer_report(plan, record)
 
 
-def notify_graph_end(graph_exec, stats) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_graph_end(graph_exec, stats)
-
-
 def notify_span_end(span) -> None:
     obs = _observers
     if not obs:
@@ -246,19 +194,19 @@ class CountingObserver(ExecutionObserver):
         self.tuning_cache_misses = 0
         self.per_backend: Dict[str, int] = {}
 
-    def on_launch_begin(self, plan, task, device) -> None:
-        with self._lock:
-            self.launches += 1
-            name = plan.acc_type.name
-            self.per_backend[name] = self.per_backend.get(name, 0) + 1
+    def on_span_end(self, span) -> None:
+        if span.name == "launch":
+            name = span.attrs["plan"].acc_type.name
+            with self._lock:
+                self.launches += 1
+                self.per_backend[name] = self.per_backend.get(name, 0) + 1
+        elif span.cat == "mem":
+            with self._lock:
+                self.copies += 1
 
-    def on_block(self, plan, block_idx) -> None:
+    def on_block_end(self, plan, block_idx, seconds: float) -> None:
         with self._lock:
             self.blocks += 1
-
-    def on_copy(self, task, device) -> None:
-        with self._lock:
-            self.copies += 1
 
     def on_queue_drain(self, queue) -> None:
         with self._lock:

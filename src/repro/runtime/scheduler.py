@@ -36,7 +36,7 @@ from ..core.kernel import kernel_name
 from ..core.vec import Vec
 from ..telemetry import flight
 from ..telemetry.metrics import registry
-from .instrument import notify_block, notify_block_end, observers
+from .instrument import notify_block_end, observers
 
 __all__ = [
     "MAX_BLOCK_WORKERS",
@@ -115,7 +115,6 @@ def _run_blocks(plan, grid, block_indices, task, observed: bool) -> None:
     runner, kernel, args = plan.block_runner, task.kernel, grid.args
     for bidx in block_indices:
         if observed:
-            notify_block(plan, bidx)
             # Block latency for the telemetry histograms; timed only
             # while observed so the bare dispatch path never reads the
             # clock.

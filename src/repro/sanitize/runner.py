@@ -87,7 +87,7 @@ class _TriageScheduler(Scheduler):
     divergence analysis) and the rest of the grid still runs; any other
     exception stops the launch and propagates.  Either way the findings
     are finalised into ``record`` and reported before dispatch returns,
-    i.e. before the launch's ``on_launch_end``.  Handed to
+    i.e. before the launch span closes.  Handed to
     :func:`repro.runtime.execute_plan` per launch; not a
     ``REPRO_SCHEDULER`` choice.
     """

@@ -388,8 +388,14 @@ class Gateway:
         self._draining.set()
         stranded = self.admission.close(drain=drain)
         self.admission.ready.set()
+        # Aborted work never reaches a lane: fail it now rather than
+        # wait for it to complete.
+        with self._handles_lock:
+            stranded_handles = [self._handles.pop(r.request_id) for r in stranded]
+        for handle in stranded_handles:
+            handle._fail(GatewayClosed("gateway aborted before this request ran"))
 
-        drained = True
+        drained = not stranded
         deadline = time.perf_counter() + timeout
         with self._idle:
             while not self._quiescent():
@@ -409,14 +415,11 @@ class Gateway:
         self.router.drain(timeout=max(0.0, deadline - time.perf_counter()))
         self.router.close()
 
-        # Anything still unresolved (stranded queue entries on abort,
-        # stragglers on timeout) fails explicitly — a drained gateway
-        # leaves no dangling futures.
+        # Anything still unresolved (stragglers on timeout) fails
+        # explicitly — a drained gateway leaves no dangling futures.
         with self._handles_lock:
             leftovers = list(self._handles.values())
             self._handles.clear()
-        if stranded:
-            drained = False
         for handle in leftovers:
             handle._fail(
                 GatewayClosed(

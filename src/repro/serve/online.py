@@ -35,11 +35,10 @@ from the :class:`~repro.tuning.fleet.FleetConfig` ``drift_*`` fields.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Dict, Optional, Tuple
 
-from ..telemetry import flight, tracing
-from ..telemetry.spans import record_span
+from ..telemetry import tracing
+from ..telemetry.spans import span
 from ..tuning.fleet.config import FleetConfig, fleet_config_from_env
 from ..tuning.fleet.drift import DriftMonitor
 from ..tuning.fleet.metrics import record_retune_outcome
@@ -106,11 +105,12 @@ class OnlineTuner:
         """DriftMonitor callback — runs on the monitor's background
         thread, never on a request path.
 
-        The re-tune executes under a *child* of the triggering
-        request's trace context, so in the stitched distributed trace
-        the background re-tune (and the fleet lease/publish traffic it
-        causes) hangs off the gateway request that tipped the drift
-        detector.  Outcomes land in
+        The re-tune is one ``drift.retune`` span, a *child* of the
+        triggering request's trace context, so in the stitched
+        distributed trace the background re-tune (and the fleet
+        lease/publish traffic it causes) hangs off the gateway request
+        that tipped the drift detector; a re-tune that raises closes the
+        span with its error.  Outcomes land in
         ``repro_tuning_drift_retunes_total``:
 
         * ``no_target`` — drift fired before any completed request left
@@ -127,41 +127,25 @@ class OnlineTuner:
             record_retune_outcome(workload, "no_target")
             return
         size, acc_type, device, trace = target
-        ctx = trace.child() if trace is not None else None
-        flight.maybe_record(
-            "drift_retune",
-            workload=workload,
-            size=size,
-            **(ctx.ids() if ctx is not None else {}),
-        )
-        t0 = time.perf_counter()
-        with tracing.use(ctx):
+        with tracing.use(trace), span(
+            "drift.retune", cat="tuning", workload=workload, size=size
+        ) as region:
             outcome = get_workload(workload).retune(
                 acc_type, device, size, self.config.drift_budget
             )
-        if outcome:
+            if not outcome:
+                return
             info = outcome if isinstance(outcome, dict) else {}
             old = info.get("old_seconds")
             new = info.get("new_seconds")
-            reverted = (
-                old is not None and new is not None and new >= old
-            )
-            record_retune_outcome(
-                workload,
-                "reverted" if reverted else "completed",
-                old_seconds=old,
-                new_seconds=new,
-            )
-            record_span(
-                "drift.retune",
-                t0,
-                time.perf_counter(),
-                cat="tuning",
-                trace=ctx,
-                workload=workload,
-                size=size,
-                old_seconds=old,
-                new_seconds=new,
-            )
-            with self._lock:
-                self._retunes += 1
+            if region is not None:
+                region.attrs.update(old_seconds=old, new_seconds=new)
+        reverted = old is not None and new is not None and new >= old
+        record_retune_outcome(
+            workload,
+            "reverted" if reverted else "completed",
+            old_seconds=old,
+            new_seconds=new,
+        )
+        with self._lock:
+            self._retunes += 1

@@ -12,11 +12,11 @@ runtime's notifications into:
   ``trace_event`` exporter serialises (complete events for launches
   and spans, instant events for queue drains and sanitizer reports).
 
-Launch begin/end pairing keys on the calling thread: a launch executes
-synchronously in the thread that entered :func:`repro.runtime.launch`,
-so its ``end`` always arrives on the thread of its ``begin`` — no
-cross-thread matching needed even when several queues launch
-concurrently.
+Every timed region arrives as one closed span (``on_span_end``): a
+kernel launch (``"launch"``) and a graph submission (``"graph.run"``)
+keep their own metric families and trace-event shapes, a copy or memset
+additionally counts in ``repro_copies_total``, and every other span
+becomes a ``repro_span_seconds`` sample plus one complete event.
 
 The event list is bounded (:attr:`max_events`); beyond the cap events
 are counted as dropped and the report says so — a truncated trace must
@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.kernel import kernel_name
 from ..runtime.instrument import ExecutionObserver
-from . import tracing
 from .metrics import MetricsRegistry
 
 __all__ = ["TelemetryCollector", "TraceEvent"]
@@ -39,6 +38,10 @@ __all__ = ["TelemetryCollector", "TraceEvent"]
 #: Thread-execute strategies whose block really runs its threads
 #: concurrently (vs. "single": one host thread sweeps the block).
 _CONCURRENT_THREAD_EXECUTE = ("preemptive", "cooperative")
+
+#: Copy-span name -> the ``kind`` label of ``repro_copies_total`` (the
+#: task class the span wraps).
+_COPY_KINDS = {"mem.copy": "TaskCopy", "mem.memset": "TaskMemset"}
 
 
 class TraceEvent:
@@ -84,8 +87,6 @@ class TelemetryCollector(ExecutionObserver):
         self.events: List[TraceEvent] = []
         self._t0 = time.perf_counter()
         self._lock = threading.Lock()
-        # thread id -> (plan, wall t0, device sim_time_fs at begin)
-        self._inflight: Dict[int, Tuple[object, float, int]] = {}
         # graph ids whose trace track metadata was already emitted
         self._graph_tracks: set = set()
 
@@ -93,15 +94,6 @@ class TelemetryCollector(ExecutionObserver):
 
     def _now_us(self) -> float:
         return (time.perf_counter() - self._t0) * 1e6
-
-    @staticmethod
-    def _with_trace_ids(args: Dict[str, object]) -> Dict[str, object]:
-        """Stamp the ambient trace identity (as a fresh child span) into
-        ``args``; a no-op for untraced work."""
-        ctx = tracing.current()
-        if ctx is not None:
-            args.update(ctx.child().ids())
-        return args
 
     def _emit(self, ev: TraceEvent) -> None:
         with self._lock:
@@ -144,17 +136,9 @@ class TelemetryCollector(ExecutionObserver):
 
     # -- ExecutionObserver hooks ----------------------------------------
 
-    def on_launch_begin(self, plan, task, device) -> None:
-        tid = threading.get_ident()
-        with self._lock:
-            self._inflight[tid] = (plan, time.perf_counter(), device.sim_time_fs)
-
-    def on_launch_end(self, plan, task, device) -> None:
-        tid = threading.get_ident()
-        with self._lock:
-            entry = self._inflight.pop(tid, None)
-        t1 = time.perf_counter()
-        labels = self._launch_labels(plan, device)
+    def _on_launch(self, span) -> None:
+        plan, wall, modeled = span.attrs["plan"], span.wall_s, span.sim_s
+        labels = self._launch_labels(plan, span.device)
         reg = self.registry
         reg.counter(
             "repro_launches_total", "kernel launches", **labels
@@ -165,11 +149,6 @@ class TelemetryCollector(ExecutionObserver):
             buckets=(0.1, 0.25, 0.5, 0.75, 1.0, 2.0, 4.0, 8.0),
             **labels,
         ).observe(self._occupancy(plan))
-        if entry is None:
-            return  # begin was missed (collector registered mid-launch)
-        _, t_begin, sim_begin = entry
-        wall = t1 - t_begin
-        modeled = (device.sim_time_fs - sim_begin) * 1e-15
         reg.histogram(
             "repro_launch_seconds", "wall launch latency", **labels
         ).observe(wall)
@@ -181,26 +160,26 @@ class TelemetryCollector(ExecutionObserver):
             "repro_launch_modeled_seconds_total",
             "summed modeled launch time", **labels,
         ).inc(modeled)
+        args = {
+            "backend": labels["backend"],
+            "device": labels["device"],
+            "work_div": str(plan.work_div),
+            "schedule": plan.schedule,
+            "modeled_s": modeled,
+            # Device clock at launch begin: lays the modeled timeline
+            # over the wall-clock one.
+            "sim_time_fs": span.sim0_fs,
+            **(span.trace.ids() if span.trace is not None else {}),
+        }
         self._emit(
             TraceEvent(
                 name=labels["kernel"],
                 cat="launch",
                 ph="X",
-                ts=(t_begin - self._t0) * 1e6,
+                ts=(span.t0 - self._t0) * 1e6,
                 dur=wall * 1e6,
-                tid=tid,
-                args=self._with_trace_ids(
-                    {
-                        "backend": labels["backend"],
-                        "device": labels["device"],
-                        "work_div": str(plan.work_div),
-                        "schedule": plan.schedule,
-                        "modeled_s": modeled,
-                        # Device clock at launch begin: lays the modeled
-                        # timeline over the wall-clock one.
-                        "sim_time_fs": sim_begin,
-                    }
-                ),
+                tid=span.thread_id,
+                args=args,
             )
         )
 
@@ -228,12 +207,6 @@ class TelemetryCollector(ExecutionObserver):
                     args=labels,
                 )
             )
-
-    def on_copy(self, task, device) -> None:
-        self.registry.counter(
-            "repro_copies_total", "copy/memset tasks",
-            kind=type(task).__name__, device=device.name,
-        ).inc()
 
     def on_queue_drain(self, queue) -> None:
         self.registry.counter(
@@ -270,7 +243,8 @@ class TelemetryCollector(ExecutionObserver):
             )
         )
 
-    def on_graph_end(self, graph_exec, stats) -> None:
+    def _on_graph_run(self, span) -> None:
+        stats = span.attrs["stats"]
         labels = {"graph": f"g{stats.graph_id}", "mode": stats.mode}
         reg = self.registry
         reg.counter(
@@ -309,7 +283,7 @@ class TelemetryCollector(ExecutionObserver):
                     args={"name": f"graph g{stats.graph_id}"},
                 )
             )
-        base = (graph_exec._t0 - self._t0) * 1e6
+        base = (span.t0 - self._t0) * 1e6
         self._emit(
             TraceEvent(
                 name=f"graph g{stats.graph_id}",
@@ -318,16 +292,15 @@ class TelemetryCollector(ExecutionObserver):
                 ts=max(0.0, base),
                 dur=stats.wall_seconds * 1e6,
                 tid=tid,
-                args=self._with_trace_ids(
-                    {
-                        "mode": stats.mode,
-                        "nodes": stats.node_count,
-                        "devices": stats.device_count,
-                        "replayed": stats.replayed,
-                        "critical_path_s": stats.critical_path_seconds,
-                        "overlap_ratio": round(stats.overlap_ratio, 3),
-                    }
-                ),
+                args={
+                    "mode": stats.mode,
+                    "nodes": stats.node_count,
+                    "devices": stats.device_count,
+                    "replayed": stats.replayed,
+                    "critical_path_s": stats.critical_path_seconds,
+                    "overlap_ratio": round(stats.overlap_ratio, 3),
+                    **(span.trace.ids() if span.trace is not None else {}),
+                },
             )
         )
         for nd in stats.nodes:
@@ -344,6 +317,18 @@ class TelemetryCollector(ExecutionObserver):
             )
 
     def on_span_end(self, span) -> None:
+        if span.name == "launch":
+            self._on_launch(span)
+            return
+        if span.name == "graph.run":
+            self._on_graph_run(span)
+            return
+        kind = _COPY_KINDS.get(span.name)
+        if kind is not None:
+            self.registry.counter(
+                "repro_copies_total", "copy/memset tasks",
+                kind=kind, device=span.device.name,
+            ).inc()
         self.registry.histogram(
             "repro_span_seconds", "span wall duration",
             span=span.name, cat=span.cat,

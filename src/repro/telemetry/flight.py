@@ -5,9 +5,10 @@ Soak-harness failures hours into a run are undiagnosable from a stack
 trace alone — what matters is what the process was *doing* in the
 seconds before.  With ``REPRO_FLIGHT_RECORDER_DIR`` set, every process
 (gateway, tuning-fleet worker, application) keeps a per-process ring
-buffer of recent launch / queue / lease / drift events, each stamped with the
-ambient :mod:`~repro.telemetry.tracing` ids, and dumps the ring as JSON
-when:
+buffer of recent events — every closed span (launches, copies, fleet
+lease ops, drift re-tunes ...), queue drains, sanitizer reports, serve
+submissions and scheduler fallbacks — each stamped with its
+:mod:`~repro.telemetry.tracing` ids, and dumps the ring as JSON when:
 
 * a kernel launch raises (:func:`repro.runtime.execute_plan`'s error
   path calls :func:`on_kernel_crash`);
@@ -24,7 +25,7 @@ each contains the trigger, the exception text, and the last
 **Hot-path contract**: with the env var unset, :func:`active` is one
 module-global boolean read and every ``maybe_record`` call returns
 immediately.  With it set, the recorder registers itself as an
-:class:`~repro.runtime.instrument.ExecutionObserver` (so launches are
+:class:`~repro.runtime.instrument.ExecutionObserver` (so spans are
 recorded through the existing hook fan-out — the process is "observed"
 by definition) and each event append is one lock + deque append.
 """
@@ -62,6 +63,9 @@ FLIGHT_ENV = knobs.FLIGHT_RECORDER_DIR
 #: Events kept in the ring (per process).
 RING_CAPACITY = 256
 
+#: Span attribute values a ring event keeps (anything else is dropped).
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
 _lock = threading.Lock()
 _recorder: Optional["FlightRecorder"] = None
 #: Fast-path flag: mirrors ``_recorder is not None`` without the lock.
@@ -71,7 +75,7 @@ _active = False
 class FlightRecorder(ExecutionObserver):
     """The per-process ring buffer + dump writer.
 
-    Also an :class:`ExecutionObserver`, so launch and sanitizer events
+    Also an :class:`ExecutionObserver`, so span and sanitizer events
     arrive through the runtime's existing hook fan-out (block-level
     hooks stay the base class's no-ops — per-block ring churn would
     drown the events worth keeping).
@@ -142,17 +146,21 @@ class FlightRecorder(ExecutionObserver):
 
     # -- ExecutionObserver hooks ---------------------------------------
 
-    def on_launch_begin(self, plan, task, device) -> None:
+    def on_span_end(self, span) -> None:
+        # JSON-ready attributes only: a launch span's plan memoises its
+        # last argument tuple, so a ring of plans would keep device
+        # buffers alive (and a graph run's stats hold every node).
+        fields = {
+            k: v for k, v in span.attrs.items() if isinstance(v, _JSON_SCALARS)
+        }
+        if span.device is not None:
+            fields["device"] = span.device.name
+        if span.trace is not None:
+            fields.update(span.trace.ids())
         self.record(
-            "launch_begin",
-            kernel=kernel_name(plan.kernel),
-            backend=plan.acc_type.name,
-            device=device.name,
-            schedule=plan.schedule,
+            span.name, cat=span.cat, wall_s=span.wall_s, error=span.error,
+            **fields,
         )
-
-    def on_launch_end(self, plan, task, device) -> None:
-        self.record("launch_end", kernel=kernel_name(plan.kernel))
 
     def on_queue_drain(self, queue) -> None:
         self.record("queue_drain", device=queue.dev.name)
@@ -231,8 +239,8 @@ def deactivate() -> None:
 
 def maybe_record(kind: str, **fields) -> None:
     """Record one event iff the recorder is active (one boolean read
-    otherwise) — the cheap entry point for lease/drift/serve call
-    sites."""
+    otherwise) — the cheap entry point for events that are not a timed
+    region (a serve submission, a scheduler fallback)."""
     if not _active:
         return
     rec = _recorder

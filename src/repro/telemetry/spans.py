@@ -1,17 +1,21 @@
 """Span-based profiling: timed regions announced through the runtime's
 observer hooks.
 
-A *span* is one named, timed region of runtime work — a launch, a plan
-build, a queue drain-wait, a copy, a tuning measurement.  Spans are
+A *span* is one named, timed region of runtime work — a kernel launch,
+a graph run, a plan build, a queue drain-wait, a copy, a tuning
+measurement.  It is the one way a timed region is announced.  Spans are
 opened with :func:`span`::
 
-    with span("launch", cat="runtime", device=dev, kernel="gemm"):
+    with span("tuning.measure", cat="tuning", device=dev):
         ...
 
 and reach every registered
 :class:`~repro.runtime.instrument.ExecutionObserver` through the
 ``on_span_end`` hook when they close — the telemetry collector turns
-them into latency histograms and Chrome ``trace_event`` entries.
+them into latency histograms and Chrome ``trace_event`` entries, the
+flight recorder into ring events.  A region that raised closes with
+``error`` set, and its exception is the one the caller sees: an
+observer raising from ``on_span_end`` then is swallowed.
 
 **Hot-path contract**: when no observer is registered, :func:`span`
 returns a shared no-op context manager after a single falsy check — no
@@ -119,7 +123,11 @@ class Span:
             self.error = exc_type.__name__
         if self.trace is not None:
             tracing.set_current(self._prev_ctx)
-        notify_span_end(self)
+        try:
+            notify_span_end(self)
+        except Exception:  # noqa: BLE001 - re-raised unless the region raised: its exception wins
+            if exc_type is None:
+                raise
         return False
 
     # -- durations ------------------------------------------------------

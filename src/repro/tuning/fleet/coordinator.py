@@ -21,9 +21,8 @@ timeout to outlive and no heartbeat; a publish is the cache's
 merge-on-write :meth:`~repro.tuning.cache.TuningCache.save`, done
 before the lease is closed, so whoever takes the lease next sees the
 entry.  Every op runs in a ``fleet.<op>`` span (free when nothing
-observes), and the lease, put and wait ops leave a ``fleet_<op>``
-event in the flight recorder's ring — both stamped with the calling
-worker's trace ids.
+observes), stamped with the calling worker's trace ids; the flight
+recorder keeps each closed one as a ``fleet.<op>`` ring event.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import threading
 import time
 from typing import BinaryIO, Callable, Optional, Tuple
 
-from ...telemetry import flight
 from ...telemetry.spans import span
 from .. import cache as tuning_cache
 from ..cache import CachedResult, TuningCache
@@ -112,12 +110,10 @@ class FleetCoordinator:
         """
         started = time.monotonic()
         with span("fleet.lease", cat="fleet", key=key):
-            flight.maybe_record("fleet_lease", key=key)
             entry, lease = self._look(key, usable)
         if entry is None and lease is None:
             deadline = started + self.config.wait_timeout
             with span("fleet.wait", cat="fleet", key=key):
-                flight.maybe_record("fleet_wait", key=key)
                 while (
                     entry is None and lease is None
                     and time.monotonic() < deadline
@@ -139,7 +135,6 @@ class FleetCoordinator:
         """Make ``result`` visible fleet-wide (call it while holding the
         lease, so the next holder finds the entry)."""
         with span("fleet.put", cat="fleet", key=key):
-            flight.maybe_record("fleet_put", key=key)
             self.cache.put_key(key, result)
             self.cache.save()
         metrics.record_op(self.mode, "put", "ok")

@@ -105,23 +105,25 @@ class TestPerDevicePool:
     def test_chunked_dispatch_uses_multiple_workers(self):
         """A large grid actually spreads over more than one pool
         thread (not serialised through a single chunk)."""
-        import time
-
         dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
+        if scheduler_for(dev, "pooled").worker_count < 2:
+            pytest.skip("one block worker: nothing to spread over")
         threads_seen = set()
         lock = threading.Lock()
+        # The first block on each of two workers waits for the other, so
+        # the launch completes only if two chunks run at the same time.
+        meet = threading.Barrier(2, timeout=30)
 
         @fn_acc
         def snoop(acc):
-            # Slow enough that the chunks' lifetimes overlap, forcing
-            # the pool to put them on distinct workers.
-            time.sleep(0.002)
+            me = threading.get_ident()
             with lock:
-                threads_seen.add(threading.get_ident())
+                first = me not in threads_seen and len(threads_seen) < 2
+                threads_seen.add(me)
+            if first:
+                meet.wait()
 
         q = QueueBlocking(dev)
         wd = WorkDivMembers.make(32, 1, 1)
         q.enqueue(create_task_kernel(AccCpuOmp2Blocks, wd, snoop))
-        workers = scheduler_for(dev, "pooled").worker_count
-        if workers > 1:
-            assert len(threads_seen) > 1
+        assert len(threads_seen) > 1

@@ -1,7 +1,6 @@
 """Bench harness utilities."""
 
-import os
-import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,16 +18,23 @@ class TestMeasureWall:
         t = measure_wall(lambda: sum(range(1000)), repeat=2, warmup=1)
         assert t > 0
 
-    def test_takes_minimum(self):
+    def test_takes_minimum(self, monkeypatch):
+        import repro.acc.timing as timing
+
+        # The timing loop reads a fake clock that each call advances.
+        clock = {"now": 0.0}
+        monkeypatch.setattr(
+            timing, "time", SimpleNamespace(perf_counter=lambda: clock["now"])
+        )
         calls = {"n": 0}
 
         def fn():
             calls["n"] += 1
-            if calls["n"] == 2:  # one slow call among fast ones
-                time.sleep(0.05)
+            # One slow call among fast ones.
+            clock["now"] += 0.05 if calls["n"] == 2 else 0.001
 
         t = measure_wall(fn, repeat=3, warmup=0)
-        assert t < 0.04  # the slow outlier was discarded
+        assert t == pytest.approx(0.001)  # the slow outlier was discarded
 
     def test_warmup_counted_separately(self):
         calls = {"n": 0}

@@ -91,8 +91,9 @@ class TestLaunchHooks:
         ends = []
 
         class EndWatcher(ExecutionObserver):
-            def on_launch_end(self, plan, task, device):
-                ends.append(plan.acc_type.name)
+            def on_span_end(self, span):
+                if span.name == "launch":
+                    ends.append((span.attrs["plan"].acc_type.name, span.error))
 
         dev = get_dev_by_idx(AccCpuSerial, 0)
         q = QueueBlocking(dev)
@@ -103,13 +104,13 @@ class TestLaunchHooks:
                         AccCpuSerial, WorkDivMembers.make(1, 1, 1), bad
                     )
                 )
-        assert ends == ["AccCpuSerial"]
+        assert ends == [("AccCpuSerial", "KernelError")]
 
     def test_block_hook_sees_every_block_of_pooled_launch(self):
         seen = []
 
         class BlockWatcher(ExecutionObserver):
-            def on_block(self, plan, block_idx):
+            def on_block_end(self, plan, block_idx, seconds):
                 seen.append(block_idx)
 
         dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
@@ -130,14 +131,9 @@ class _HookLog(ExecutionObserver):
     def __init__(self):
         self.events = []
 
-    def on_launch_begin(self, plan, task, device):
-        self.events.append("launch_begin")
-
-    def on_launch_end(self, plan, task, device):
-        self.events.append("launch_end")
-
-    def on_block(self, plan, block_idx):
-        self.events.append("block")
+    def on_span_end(self, span):
+        if span.name == "launch":
+            self.events.append("launch")
 
     def on_block_end(self, plan, block_idx, seconds):
         self.events.append("block_end")
@@ -156,7 +152,7 @@ class _RaisingAxpy(AxpyElementsKernel):
 @pytest.mark.parametrize("route", ROUTES)
 class TestRouteEquivalence:
     """Queue, inline graph replay, queued graph and the sanitizer all
-    reach one Execute stage: same hook pairing, same accounting."""
+    reach one Execute stage: same launch span, same accounting."""
 
     BLOCKS = 4
 
@@ -179,14 +175,12 @@ class TestRouteEquivalence:
 
     def test_one_begin_end_pair_around_the_route_s_hooks(self, route):
         events, _ = self._axpy(get_dev_by_idx(AccCpuSerial, 0), route)
-        assert events[0] == "launch_begin" and events[-1] == "launch_end"
-        inner = events[1:-1]
         if route == "sanitized":
             # The triage loop announces no blocks; its report precedes
-            # on_launch_end.
-            assert inner == ["sanitizer_report"]
+            # the launch span's end.
+            assert events == ["sanitizer_report", "launch"]
         else:
-            assert inner == ["block", "block_end"] * self.BLOCKS
+            assert events == ["block_end"] * self.BLOCKS + ["launch"]
 
     def test_counters_and_modeled_clock_advance_as_on_the_queue(self, route):
         dev = get_dev_by_idx(AccCpuSerial, 0)
@@ -207,12 +201,50 @@ class TestRouteEquivalence:
                     route, dev, AccCpuSerial, WorkDivMembers.make(1, 1, 8),
                     _RaisingAxpy(), 8, 2.0, x, x,
                 )
-        assert log.events.count("launch_begin") == 1
-        assert log.events.count("launch_end") == 1
-        assert log.events[-1] == "launch_end"
+        assert log.events.count("launch") == 1
+        assert log.events[-1] == "launch"
         # A failed launch did no modeled work, on any route.
         assert dev.sim_time_fs == sim_before
         x.free()
+
+
+class TestLaunchSpan:
+    def test_a_span_inside_a_kernel_is_a_child_of_the_launch(self):
+        from repro.telemetry import span, tracing
+
+        @fn_acc
+        def nested(acc):
+            with span("inside.kernel"):
+                pass
+
+        closed = {}
+
+        class Spans(ExecutionObserver):
+            def on_span_end(self, sp):
+                closed[sp.name] = sp
+
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        task = create_task_kernel(AccCpuSerial, WorkDivMembers.make(1, 1, 1), nested)
+        assert get_plan(task, dev).schedule == "sequential"
+        root = tracing.new_trace()
+        with observe(Spans()), tracing.use(root):
+            QueueBlocking(dev).enqueue(task)
+        launch, inner = closed["launch"], closed["inside.kernel"]
+        assert launch.trace.parent_id == root.span_id
+        assert inner.trace.parent_id == launch.trace.span_id
+
+    def test_unobserved_launch_builds_no_span(self, monkeypatch):
+        import repro.runtime as runtime
+
+        built = []
+        monkeypatch.setattr(
+            runtime, "Span", lambda *a, **kw: built.append(a)
+        )
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        QueueBlocking(dev).enqueue(
+            create_task_kernel(AccCpuSerial, WorkDivMembers.make(2, 1, 1), _noop)
+        )
+        assert built == []
 
 
 class TestCopyAndQueueHooks:

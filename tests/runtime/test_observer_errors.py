@@ -29,8 +29,9 @@ def _failing(acc):
 
 
 class _RaisingEndObserver(ExecutionObserver):
-    def on_launch_end(self, plan, task, device):
-        raise ValueError("observer boom")
+    def on_span_end(self, span):
+        if span.name == "launch":
+            raise ValueError("observer boom")
 
 
 @pytest.fixture(autouse=True)
@@ -55,7 +56,7 @@ class TestObserverExceptionOrdering:
 
     def test_kernel_error_wins_over_observer_error(self):
         """A failing kernel's error must reach the caller even when an
-        observer also raises from on_launch_end."""
+        observer also raises from on_span_end for the launch."""
         q = QueueBlocking(get_dev_by_idx(AccCpuSerial, 0))
         with observe(_RaisingEndObserver()):
             with pytest.raises(KernelError, match="_failing") as exc:
@@ -74,7 +75,7 @@ class TestObserverExceptionOrdering:
 
 class TestPoolStaysUsable:
     def test_pool_not_wedged_by_observer_error(self):
-        """An observer raising in on_launch_end on a pooled back-end must
+        """An observer raising at the launch span's end on a pooled back-end must
         not leave the per-device worker pool unusable (the regression the
         issue names)."""
         dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)

@@ -317,6 +317,48 @@ class TestShutdown:
         assert outcomes["ok"] + outcomes["closed"] == 30
         assert outcomes["closed"] > 0, "abort should strand queued work"
 
+    def test_abort_fails_stranded_handles_without_waiting(self):
+        """Stranded work never reaches a lane, so the abort fails it at
+        once — not after the wait for what is already running."""
+        from repro.serve import Workload, register_workload
+
+        class Gated(Workload):
+            name = "test_gated"
+            started, gate = threading.Event(), threading.Event()
+
+            def validate(self, req):
+                pass
+
+            def execute(self, requests, acc_type, device):
+                type(self).started.set()
+                assert type(self).gate.wait(timeout=30)
+                return [{} for _ in requests]
+
+        try:
+            register_workload(Gated())
+        except ServeError:
+            pass  # registered by an earlier test run
+        Gated.started.clear()
+        Gated.gate.clear()
+        gw = Gateway(ServeConfig(batch_window=0.0, tenant_inflight=1))
+        running = gw.launch("test_gated")
+        try:
+            assert Gated.started.wait(timeout=30)
+            stranded = [gw.launch("test_gated") for _ in range(5)]
+            aborting = threading.Thread(
+                target=gw.shutdown, kwargs={"drain": False, "release_pools": False}
+            )
+            aborting.start()
+            for handle in stranded:
+                with pytest.raises(GatewayClosed):
+                    handle.result(timeout=10)
+            assert not Gated.gate.is_set() and not running.done()
+        finally:
+            Gated.gate.set()
+        aborting.join(timeout=30)
+        assert not aborting.is_alive()
+        running.result(timeout=10)
+
     def test_no_leaked_pump_thread(self):
         gw = Gateway(ServeConfig(batch_window=0.0))
         pump = gw._pump

@@ -121,18 +121,6 @@ class TestLaunchMetrics:
         assert ev.args["backend"] == "AccCpuSerial"
         assert "work_div" in ev.args and "schedule" in ev.args
 
-    def test_end_without_begin_does_not_crash(self):
-        t = TelemetryCollector()
-        dev = get_dev_by_idx(AccCpuSerial, 0)
-        from repro.runtime.plan import get_plan
-
-        plan = get_plan(make_noop_task(), dev)
-        t.on_launch_end(plan, None, dev)
-        inst = _value(t, "repro_launches_total", kernel="noop_kernel")
-        assert inst.value == 1
-        # No latency sample without a matching begin.
-        assert _value(t, "repro_launch_seconds") is None
-
 
 class TestAuxiliaryHooks:
     def test_copies_counted_by_kind(self, serial_queue):

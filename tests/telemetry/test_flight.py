@@ -99,6 +99,11 @@ def _crashing(acc, n, out):
     raise ValueError("seeded crash")
 
 
+@fn_acc
+def _noop(acc, n, out):
+    pass
+
+
 def test_kernel_crash_dumps_flight_file(rec, tmp_path):
     dev = get_dev_by_idx(AccCpuSerial, 0)
     queue = QueueBlocking(dev)
@@ -114,9 +119,11 @@ def test_kernel_crash_dumps_flight_file(rec, tmp_path):
         payload = json.load(fh)
     assert payload["reason"] == "kernel_crash"
     kinds = [e["kind"] for e in payload["events"]]
-    # The ring captured the approach to the crash, not just the crash.
-    assert "launch_begin" in kinds
-    assert "kernel_crash" in kinds
+    # The ring captured the approach to the crash, not just the crash:
+    # the failed launch closed (with its error) before the dump.
+    launches = [e for e in payload["events"] if e["kind"] == "launch"]
+    assert launches and launches[-1]["error"] == "KernelError"
+    assert kinds.index("launch") < kinds.index("kernel_crash")
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -144,7 +151,29 @@ def test_launches_recorded_while_active(rec):
     x = mem.alloc(dev, 16)
     mem.copy(queue, x, np.zeros(16))
     kinds = [e["kind"] for e in rec.events()]
-    assert "queue_drain" in kinds or "launch_begin" in kinds or kinds == []
+    assert "queue_drain" in kinds or "mem.copy" in kinds or kinds == []
+
+
+def test_span_events_hold_only_json_ready_values(rec):
+    """A launch span carries its plan and a graph run its stats; the
+    ring keeps neither (a plan memoises its last argument tuple)."""
+    dev = get_dev_by_idx(AccCpuSerial, 0)
+    out = mem.alloc(dev, 8)
+    root = tracing.new_trace()
+    with tracing.use(root):
+        launch_via(
+            "graph-inline", dev, AccCpuSerial, WorkDivMembers.make(1, 1, 8),
+            _noop, 8, out,
+        )
+    events = {e["kind"]: e for e in rec.events()}
+    assert {"launch", "graph.run"} <= set(events)
+    launch = events["launch"]
+    assert launch["cat"] == "launch" and launch["error"] is None
+    assert launch["trace_id"] == root.trace_id
+    assert launch["device"] == dev.name
+    assert "plan" not in launch and "stats" not in events["graph.run"]
+    json.dumps(rec.events())
+    out.free()
 
 
 def test_queue_poison_dump(rec, tmp_path):

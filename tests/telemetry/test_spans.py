@@ -66,6 +66,20 @@ class TestSpanLifecycle:
         assert s.closed
         assert rec.ends == [s]
 
+    def test_observer_error_never_masks_the_region_s_exception(self):
+        class Raising(ExecutionObserver):
+            def on_span_end(self, span):
+                raise ValueError("observer boom")
+
+        with observe(Raising()):
+            with pytest.raises(KeyError):
+                with span("x"):
+                    raise KeyError("region")
+            # On a clean exit the observer's error still propagates.
+            with pytest.raises(ValueError, match="observer boom"):
+                with span("x"):
+                    pass
+
     def test_clean_span_has_no_error(self):
         with observe(_Recorder()):
             with span("work") as s:

@@ -444,27 +444,29 @@ class TestFleetCounters:
 
     def test_winner_measures_and_loser_adopts(self, monkeypatch, isolated_cache):
         import repro.tuning as tuning
-        import repro.tuning.fleet.coordinator as coord_mod
-        from repro import telemetry
+        from repro import ExecutionObserver, observe, telemetry
 
         monkeypatch.setenv(FLEET_ENV, "lock")
         # Hold the winner inside its search, lease held, until the loser
         # has lost the lease race and waits for the winner's publish.
         searching, waiting, finish = (threading.Event() for _ in range(3))
-        search, record = tuning.run_search, coord_mod.flight.maybe_record
+        search = tuning.run_search
 
         def held_search(*a, **kw):
             searching.set()
             assert finish.wait(timeout=10.0)
             return search(*a, **kw)
 
-        def watched_record(kind, **fields):
-            if kind == "fleet_wait":
-                waiting.set()
-            record(kind, **fields)
+        class LoserLeases(ExecutionObserver):
+            # The loser's lease attempt closing means it lost the race:
+            # its next step is the wait.
+            def on_span_end(self, span):
+                if span.name == "fleet.lease" and (
+                    threading.current_thread().name == "loser"
+                ):
+                    waiting.set()
 
         monkeypatch.setattr(tuning, "run_search", held_search)
-        monkeypatch.setattr(coord_mod.flight, "maybe_record", watched_record)
         dev, args = _tune_args()
         results = {}
 
@@ -473,15 +475,16 @@ class TestFleetCounters:
             # processes would.
             results[role] = _tune(dev, args, cache=TuningCache(str(isolated_cache)))
 
-        winner = threading.Thread(target=worker, args=("winner",))
-        winner.start()
-        assert searching.wait(timeout=10.0)
-        loser = threading.Thread(target=worker, args=("loser",))
-        loser.start()
-        assert waiting.wait(timeout=10.0)
-        finish.set()
-        winner.join(timeout=10.0)
-        loser.join(timeout=10.0)
+        with observe(LoserLeases()):
+            winner = threading.Thread(target=worker, args=("winner",))
+            winner.start()
+            assert searching.wait(timeout=10.0)
+            loser = threading.Thread(target=worker, args=("loser",), name="loser")
+            loser.start()
+            assert waiting.wait(timeout=10.0)
+            finish.set()
+            winner.join(timeout=10.0)
+            loser.join(timeout=10.0)
         assert results["winner"].strategy == "random"
         assert results["loser"].strategy == "fleet"
         assert _count("repro_tuning_fleet_measurements_total", mode="lock") == 1
@@ -520,8 +523,8 @@ class TestFleetObservability:
         spans = {e.name: e for e in t.events if e.cat == "fleet"}
         assert {"fleet.get", "fleet.lease", "fleet.put"} <= set(spans)
         assert spans["fleet.lease"].args["trace_id"] == root.trace_id
-        kinds = {e["kind"]: e for e in ring if e["kind"].startswith("fleet_")}
-        assert {"fleet_lease", "fleet_put"} <= set(kinds)
-        for kind in ("fleet_lease", "fleet_put"):
+        kinds = {e["kind"]: e for e in ring if e.get("cat") == "fleet"}
+        assert {"fleet.lease", "fleet.put"} <= set(kinds)
+        for kind in ("fleet.lease", "fleet.put"):
             assert kinds[kind]["trace_id"] == root.trace_id
             assert kinds[kind]["key"] == spans["fleet.lease"].args["key"]

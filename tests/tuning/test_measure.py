@@ -166,9 +166,11 @@ class TestMeasureDivision:
         measured = []
 
         class Schedules(ExecutionObserver):
-            def on_launch_begin(self, plan, task, device):
-                if getattr(task, "schedule", None) is not None:
-                    measured.append(plan.schedule)
+            # Only the tuner thread launches: the main thread resolves
+            # plans without launching them.
+            def on_span_end(self, span):
+                if span.name == "launch":
+                    measured.append(span.attrs["plan"].schedule)
 
         stop = threading.Event()
         env_seen = set()
