@@ -203,8 +203,7 @@ def test_indexed_launch_stages_sum_to_the_launch():
     within ``STAGE_SUM_TOLERANCE``, so no part of a launch is without
     an owner.
     """
-    from repro.acc.base import Accelerator, BlockContext, GridContext
-    from repro.acc.timing import advance_modeled_time
+    from repro.acc.base import Accelerator, BlockContext
     from repro.kernels import AxpyElementsKernel
     from repro.runtime import (
         get_plan,
@@ -243,19 +242,20 @@ def test_indexed_launch_stages_sum_to_the_launch():
     def staged_launch(spent):
         """One launch, unrolled: ``QueueBlocking.enqueue`` ->
         ``runtime.launch`` -> ``execute_plan`` -> sequential dispatch ->
-        ``run_block_single_thread``, flattened into its stage calls."""
+        ``run_block_single_thread``, flattened into its stage calls.
+        Warm, the plan lookup is the task's binding, the grid context is
+        the plan's record of the task's argument tuple, and the modeled
+        time is the record's seconds, counted with the launch in one
+        device call."""
         t0 = clock()
-        queue._as_runnable(task)
+        getattr(task, "execute", None)
         sanitize_state.active()
         t1 = clock()
         plan = get_plan(task, dev)
         t2 = clock()
-        grid = GridContext(
-            dev, plan.work_div, plan.props, plan.unwrap_args(task.args),
-            shared_mem_bytes=plan.shared_mem_bytes,
-        )
+        grid = plan.record_for(task)
         t3 = clock()
-        dev.note_kernel_launch()
+        scheduler_for(dev, plan.schedule)
         plan.launches += 1
         region = (
             Span("launch", "launch", dev, {"plan": plan})
@@ -263,7 +263,6 @@ def test_indexed_launch_stages_sum_to_the_launch():
             else NULL_SPAN
         )
         region.__enter__()
-        scheduler_for(dev, plan.schedule)
         bool(observers())
         t4 = clock()
         bidx = plan.block_indices[0]
@@ -271,9 +270,7 @@ def test_indexed_launch_stages_sum_to_the_launch():
         t5 = clock()
         kernel(acc, *grid.args)
         t6 = clock()
-        advance_modeled_time(
-            task, dev, plan.acc_type.kind, plan.work_div, plan._modeled
-        )
+        dev.note_kernel_launch(grid.seconds)
         t7 = clock()
         region.__exit__(None, None, None)
         notify_queue_drain(queue)

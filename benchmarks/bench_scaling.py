@@ -46,12 +46,8 @@ from repro.runtime import get_plan, shutdown_schedulers
 from repro.runtime.scheduler import SCHEDULER_ENV
 from repro.tuning import SEARCH_STRATEGIES, SearchResult, Trial, TuningCache, autotune
 
-#: REPRO_SCHEDULER value -> the plan schedule it must resolve to.
-SCHEDULES = {
-    "sequential": "sequential",
-    "threads": "pooled",
-    "compiled": "compiled",
-}
+#: The REPRO_SCHEDULER values; each is the plan schedule it resolves to.
+SCHEDULES = ("sequential", "pooled", "compiled")
 
 AXPY_N = 1 << 22
 AXPY_BLOCKS = 16
@@ -116,7 +112,7 @@ def _run_axpy(schedule_env):
     )
     with _ForcedSchedule(schedule_env):
         plan = get_plan(task, dev)
-        assert plan.schedule == SCHEDULES[schedule_env], (
+        assert plan.schedule == schedule_env, (
             schedule_env,
             plan.schedule,
         )
@@ -156,7 +152,7 @@ def _run_gemm(schedule_env):
     )
     with _ForcedSchedule(schedule_env):
         plan = get_plan(task, dev)
-        assert plan.schedule == SCHEDULES[schedule_env]
+        assert plan.schedule == schedule_env
         C.as_numpy()[:] = c0
         queue.enqueue(task)
         result = C.as_numpy().copy()
@@ -247,11 +243,10 @@ def test_scaling():
             gemm_results[env_value], gemm_results["sequential"]
         ), f"GEMM result differs under {env_value}"
 
-    tuned_env = next(e for e, sched in SCHEDULES.items() if sched == tuned)
-    speedup = axpy["sequential"] / axpy[tuned_env]
+    speedup = axpy["sequential"] / axpy[tuned]
     rows = [
         {
-            "Strategy": env_value + (" (tuned)" if env_value == tuned_env else ""),
+            "Strategy": env_value + (" (tuned)" if env_value == tuned else ""),
             "AXPY [ms]": f"{axpy[env_value] * 1e3:8.2f}",
             "AXPY speedup": f"{axpy['sequential'] / axpy[env_value]:5.2f}x",
             "GEMM [ms]": f"{gemm[env_value] * 1e3:8.2f}",
@@ -311,7 +306,7 @@ def test_compiled_vectorization_gate():
         )
         with _ForcedSchedule(schedule_env):
             plan = get_plan(task, dev)
-            assert plan.schedule == SCHEDULES[schedule_env]
+            assert plan.schedule == schedule_env
             queue.enqueue(task)  # warm: trace once, cache the replay
             result = y.as_numpy().copy()
             y.as_numpy()[:] = y0

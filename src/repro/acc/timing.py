@@ -7,7 +7,8 @@ the work-division autotuner (:mod:`repro.tuning.measure`) both delegate
 here, so "how we time things" — warmup first, best-of-N, monotonic
 clock — is defined exactly once.
 
-:func:`advance_modeled_time` is the simulated-clock hook: the
+:func:`modeled_seconds` is the simulated-clock hook (and
+:func:`advance_modeled_time` applies it to a device): the
 reproduction runs every kernel *functionally* on the host, and for the
 performance figures it additionally advances the device's simulated
 clock by the time the launch would have taken on the modeled machine —
@@ -20,6 +21,14 @@ Kernels without the method cost no simulated time (their correctness is
 still fully exercised).  This is the documented substitution for the
 paper's wall-clock measurements on K20/K80/Xeon/Opteron hardware; see
 DESIGN.md.
+
+The ``characteristics`` contract: the result is a pure function of the
+work division, the argument tuple and the kernel's construction-time
+attributes.  It may read scalar arguments and array shapes, never array
+contents or state the kernel changes after construction, because the
+runtime memoises it per argument tuple: every launch of one task (one
+host-args tuple) under one plan asks the kernel once
+(:class:`repro.runtime.plan.ArgsRecord` keeps the modeled seconds).
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from ..core.errors import ModelError
 from ..dev.device import Device
 from ..perfmodel.roofline import predict_time
 
-__all__ = ["measure", "advance_modeled_time"]
+__all__ = ["measure", "modeled_seconds", "advance_modeled_time"]
 
 #: Upper bound on the distinct predictions one memo (one launch plan)
 #: remembers.
@@ -65,22 +74,22 @@ def measure(
     return best
 
 
-def advance_modeled_time(
+def modeled_seconds(
     task, device: Device, backend_kind: str, work_div=None, memo=None
 ) -> float:
-    """Advance ``device``'s simulated clock for ``task``; returns the
-    modeled seconds (0.0 when the kernel does not describe itself).
+    """The modeled seconds of one launch of ``task`` on ``device`` (0.0
+    when the kernel does not describe itself).
 
     ``work_div`` overrides ``task.work_div`` — the runtime passes the
     plan's *resolved* division so tasks carrying a deferred
     :class:`~repro.core.workdiv.AutoWorkDiv` are modeled with the
     concrete division they actually executed under.
 
-    The kernel describes itself on every launch (scalar arguments may
-    change), but the prediction is a pure function of ``(spec, kind,
-    work division, characteristics, scope)``: with ``memo`` — a dict the
-    caller owns, the launch plan's ``_modeled`` — the seconds of each
-    distinct tuple are predicted once.  The memo never holds more than
+    The prediction is a pure function of ``(spec, kind, work division,
+    characteristics, scope)``: with ``memo`` — a dict the caller owns,
+    the launch plan's ``_modeled`` — the seconds of each distinct tuple
+    are predicted once, so tasks built afresh per launch (a server's
+    requests) share predictions.  The memo never holds more than
     :data:`MODEL_MEMO_MAX` entries (a full memo starts over).
     """
     describe = getattr(task.kernel, "characteristics", None)
@@ -101,5 +110,14 @@ def advance_modeled_time(
             if len(memo) >= MODEL_MEMO_MAX:
                 memo.clear()  # one atomic step; launches may race here
             memo[key] = seconds
+    return seconds
+
+
+def advance_modeled_time(
+    task, device: Device, backend_kind: str, work_div=None, memo=None
+) -> float:
+    """Advance ``device``'s simulated clock by :func:`modeled_seconds`
+    of ``task``; returns the seconds."""
+    seconds = modeled_seconds(task, device, backend_kind, work_div, memo)
     device.advance_sim_time(seconds)
     return seconds

@@ -1,19 +1,23 @@
-"""Compile-path accounting: process-local stats + telemetry counters.
+"""Compile-path accounting: counts kept here, read by everyone else.
 
-Every event feeds two sinks at once:
+Each kernel (by name) has one :class:`KernelCounts`.  The compile path
+bumps it under one lock — a warm compiled launch exactly once — and
+announces nothing; the readers pull:
 
-* a cheap in-process snapshot (:func:`compile_stats`) the benchmarks
-  and tests assert on (e.g. "a warm replay performed zero re-traces");
-* the process metrics registry (:mod:`repro.telemetry.metrics`) as
-  ``repro_compile_*`` counters, so the ops endpoints and dump files
-  show how much of the fleet's work ran vectorized and why the rest
-  fell back.
+* :func:`compile_stats` sums the counts into the in-process snapshot
+  the benchmarks and tests assert on (e.g. "a warm replay performed
+  zero re-traces");
+* the process metrics registry copies the same counts into its
+  ``repro_compile_*_total`` counters whenever it is read (a registry
+  source, see :meth:`repro.telemetry.metrics.MetricsRegistry.add_source`),
+  so ``/metrics`` and dump files agree with :func:`compile_stats`
+  exactly, and show how much work ran vectorized and why the rest fell
+  back.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import Counter as _Counter
 from typing import Dict
 
 from ..telemetry.metrics import registry as _registry
@@ -21,7 +25,9 @@ from ..telemetry.metrics import registry as _registry
 __all__ = [
     "compile_stats",
     "reset_compile_stats",
-    "LaunchCounters",
+    "KernelCounts",
+    "counts_for",
+    "note_launch",
     "note_trace",
     "note_retrace",
     "note_fallback",
@@ -29,128 +35,161 @@ __all__ = [
 ]
 
 _lock = threading.Lock()
-_traces = 0
-_cache_hits = 0
-_retraces = 0
-_compiled_launches = 0
-_crosschecks = 0
-_fallbacks: "_Counter[str]" = _Counter()
+
+
+class KernelCounts:
+    """The compile events of one kernel.
+
+    A launch that found its replay cached and ran it is one ``warm``
+    count; the rarer halves — a cache hit that did not run compiled
+    (``hit_only``), a compiled run of a replay traced for it
+    (``fresh``) — are counted apart, so ``cache_hits = warm + hit_only``
+    and ``compiled_launches = warm + fresh``.
+    """
+
+    __slots__ = (
+        "kernel", "traces", "retraces", "crosschecks",
+        "warm", "hit_only", "fresh", "fallbacks",
+    )
+
+    def __init__(self, kernel: str):
+        self.kernel = kernel
+        self._zero()
+
+    def _zero(self) -> None:
+        self.traces = self.retraces = self.crosschecks = 0
+        self.warm = self.hit_only = self.fresh = 0
+        #: reason -> fallbacks.  Zeroed in place, never emptied, so a
+        #: reset shows in the registry as 0 rather than a stale count.
+        self.fallbacks: Dict[str, int] = dict.fromkeys(
+            getattr(self, "fallbacks", ()), 0
+        )
+
+    @property
+    def cache_hits(self) -> int:
+        return self.warm + self.hit_only
+
+    @property
+    def compiled_launches(self) -> int:
+        return self.warm + self.fresh
+
+
+#: kernel name -> its counts, for the life of the process.
+_kernels: Dict[str, KernelCounts] = {}
+
+
+def counts_for(kernel: str) -> KernelCounts:
+    """The counts of ``kernel`` (created on first use)."""
+    counts = _kernels.get(kernel)
+    if counts is None:
+        with _lock:
+            counts = _kernels.setdefault(kernel, KernelCounts(kernel))
+    return counts
+
+
+def note_launch(counts: KernelCounts, hit: bool, compiled: bool) -> None:
+    """One compiled dispatch ended: ``hit`` — its replay came from a
+    cache; ``compiled`` — it ran vectorized."""
+    with _lock:
+        if compiled:
+            if hit:
+                counts.warm += 1
+            else:
+                counts.fresh += 1
+        elif hit:
+            counts.hit_only += 1
 
 
 def note_trace(kernel: str) -> None:
     """A kernel shape was traced (cold or after a guard flip)."""
-    global _traces
+    counts = counts_for(kernel)
     with _lock:
-        _traces += 1
-    _registry().counter(
-        "repro_compile_traces_total",
-        "Compile traces performed, by kernel",
-        kernel=kernel,
-    ).inc()
+        counts.traces += 1
 
 
 def note_retrace(kernel: str) -> None:
     """A uniform guard flipped; the shape was re-traced."""
-    global _retraces
+    counts = counts_for(kernel)
     with _lock:
-        _retraces += 1
-    _registry().counter(
-        "repro_compile_retraces_total",
-        "Compile re-traces after a uniform-guard flip, by kernel",
-        kernel=kernel,
-    ).inc()
-
-
-class LaunchCounters:
-    """The two events of every warm compiled launch — the replay was
-    found in the cache, the launch ran vectorized — for one kernel.
-
-    The registry counters are resolved once, not once per launch, and
-    again whenever ``reset_registry()`` has swapped the registry object.
-    """
-
-    __slots__ = ("kernel", "_bound_to", "_hits", "_launches")
-
-    def __init__(self, kernel: str):
-        self.kernel = kernel
-        self._bound_to = None
-
-    def _bound(self) -> "LaunchCounters":
-        reg = _registry()
-        if reg is not self._bound_to:
-            self._hits = reg.counter(
-                "repro_compile_cache_hits_total",
-                "Compiled-replay cache hits, by kernel",
-                kernel=self.kernel,
-            )
-            self._launches = reg.counter(
-                "repro_compile_launches_total",
-                "Launches executed as compiled replays, by kernel",
-                kernel=self.kernel,
-            )
-            self._bound_to = reg
-        return self
-
-    def cache_hit(self) -> None:
-        """A warm launch reused a cached compiled replay."""
-        global _cache_hits
-        with _lock:
-            _cache_hits += 1
-        self._bound()._hits.inc()
-
-    def compiled_launch(self) -> None:
-        """A launch executed through the vectorized replay."""
-        global _compiled_launches
-        with _lock:
-            _compiled_launches += 1
-        self._bound()._launches.inc()
+        counts.retraces += 1
 
 
 def note_fallback(kernel: str, reason: str) -> None:
     """A compiled dispatch fell back to interpretation."""
+    counts = counts_for(kernel)
     with _lock:
-        _fallbacks[reason] += 1
-    _registry().counter(
-        "repro_compile_fallbacks_total",
-        "Compiled dispatches that fell back to interpretation, "
-        "by kernel and classified reason",
-        kernel=kernel,
-        reason=reason,
-    ).inc()
+        counts.fallbacks[reason] = counts.fallbacks.get(reason, 0) + 1
 
 
 def note_crosscheck(kernel: str) -> None:
     """A compiled-vs-interpreted cross-check passed."""
-    global _crosschecks
+    counts = counts_for(kernel)
     with _lock:
-        _crosschecks += 1
-    _registry().counter(
-        "repro_compile_crosschecks_total",
-        "Compiled-vs-interpreted cross-checks that ran (and matched)",
-        kernel=kernel,
-    ).inc()
+        counts.crosschecks += 1
 
 
 def compile_stats() -> Dict[str, object]:
     """Snapshot of the process-local compile counters."""
+    fallbacks: Dict[str, int] = {}
     with _lock:
-        return {
-            "traces": _traces,
-            "cache_hits": _cache_hits,
-            "retraces": _retraces,
-            "compiled_launches": _compiled_launches,
-            "crosschecks": _crosschecks,
-            "fallbacks": dict(_fallbacks),
+        every = list(_kernels.values())
+        stats = {
+            "traces": sum(c.traces for c in every),
+            "cache_hits": sum(c.cache_hits for c in every),
+            "retraces": sum(c.retraces for c in every),
+            "compiled_launches": sum(c.compiled_launches for c in every),
+            "crosschecks": sum(c.crosschecks for c in every),
         }
+        for c in every:
+            for reason, n in c.fallbacks.items():
+                if n:
+                    fallbacks[reason] = fallbacks.get(reason, 0) + n
+    stats["fallbacks"] = fallbacks
+    return stats
 
 
 def reset_compile_stats() -> None:
-    """Zero the process-local counters (tests and bench warm-up)."""
-    global _traces, _cache_hits, _retraces, _compiled_launches, _crosschecks
+    """Zero the process-local counters (tests and bench warm-up); the
+    registry's ``repro_compile_*_total`` read them, so they rewind too."""
     with _lock:
-        _traces = 0
-        _cache_hits = 0
-        _retraces = 0
-        _compiled_launches = 0
-        _crosschecks = 0
-        _fallbacks.clear()
+        for counts in _kernels.values():
+            counts._zero()
+
+
+#: (metric, help, KernelCounts attribute), one counter per kernel each.
+_PER_KERNEL = (
+    ("repro_compile_traces_total",
+     "Compile traces performed, by kernel", "traces"),
+    ("repro_compile_retraces_total",
+     "Compile re-traces after a uniform-guard flip, by kernel", "retraces"),
+    ("repro_compile_cache_hits_total",
+     "Compiled-replay cache hits, by kernel", "cache_hits"),
+    ("repro_compile_launches_total",
+     "Launches executed as compiled replays, by kernel", "compiled_launches"),
+    ("repro_compile_crosschecks_total",
+     "Compiled-vs-interpreted cross-checks that ran (and matched)",
+     "crosschecks"),
+)
+
+
+def _fill_registry(reg) -> None:
+    with _lock:
+        rows = [
+            (c.kernel, [getattr(c, attr) for _m, _h, attr in _PER_KERNEL],
+             dict(c.fallbacks))
+            for c in _kernels.values()
+        ]
+    for kernel, values, fallbacks in rows:
+        for (metric, help_text, _attr), value in zip(_PER_KERNEL, values):
+            reg.counter(metric, help_text, kernel=kernel).set_total(value)
+        for reason, value in fallbacks.items():
+            reg.counter(
+                "repro_compile_fallbacks_total",
+                "Compiled dispatches that fell back to interpretation, "
+                "by kernel and classified reason",
+                kernel=kernel,
+                reason=reason,
+            ).set_total(value)
+
+
+_registry().add_source(_fill_registry)

@@ -5,9 +5,10 @@ division, argument-shape) configuration — lowered once, when the trace
 was recorded (:mod:`repro.compile.codegen`) — and a warm launch is
 "check the cached signature, call the program":
 
-1. **signature** — the replay found for this argument tuple last time
-   is reused on the tuple's identity (a re-enqueued task hands over the
-   same tuple); otherwise the (dtype, shape, scalar-type) signature is
+1. **signature** — the replay this argument tuple resolved to last time
+   is kept on the launch's :class:`~repro.runtime.plan.ArgsRecord` (a
+   re-enqueued task hands over the same tuple, a graph node keeps its
+   own record); otherwise the (dtype, shape, scalar-type) signature is
    rebuilt and looked up on the plan;
 2. **guards** — every thread-uniform predicate the trace branched on
    (and every extent it concretised) is re-checked by the generated
@@ -29,8 +30,10 @@ was recorded (:mod:`repro.compile.codegen`) — and a warm launch is
 Replays are cached per argument signature on the plan
 (``LaunchPlan._compiled``); negative results (classified fallbacks) are
 cached too, so an uncompilable kernel pays the trace attempt once, not
-per launch.  ``REPRO_COMPILE_CROSSCHECK=1`` makes every compiled launch
-also run interpreted and compares the store targets bit-for-bit.
+per launch.  Each launch is counted once, when it ends
+(:func:`repro.compile.metrics.note_launch`).
+``REPRO_COMPILE_CROSSCHECK=1`` makes every compiled launch also run
+interpreted and compares the store targets bit-for-bit.
 :attr:`CompiledReplay.source` is the generated text, for inspection.
 """
 
@@ -58,13 +61,6 @@ __all__ = [
 #: Environment variable: a true value makes every compiled launch also
 #: run interpreted and assert bit-identity of all store targets.
 CROSSCHECK_ENV = knobs.COMPILE_CROSSCHECK
-
-#: Key of the argument-tuple memo inside ``LaunchPlan._compiled``, and
-#: how many tuples it remembers (a graph's nodes alternate a few tuples
-#: on one plan; a server building a task per request must not grow it).
-_RECENT = "recent-args"
-_RECENT_MAX = 8
-
 
 def crosscheck_active() -> bool:
     """Is compiled-vs-interpreted cross-checking requested?"""
@@ -103,7 +99,7 @@ class CompiledReplay:
         self._program, self._guards, self._aliased, self.source = lower(
             trace, plan.work_div, sig
         )
-        self.counters = metrics.LaunchCounters(kernel_name(plan.kernel))
+        self.counts = metrics.counts_for(kernel_name(plan.kernel))
 
     def guards_hold(self, args: tuple) -> bool:
         """Do the live arguments still take the traced path?"""
@@ -140,111 +136,99 @@ class CompiledReplay:
 # ---------------------------------------------------------------------------
 
 
-def _remember(cache: Dict, args: tuple, entry) -> None:
-    """Memoise ``entry`` (a replay or a fallback verdict) on the
-    identity of ``args``, the way ``LaunchPlan.unwrap_args`` does: the
-    tuple is held, so its id cannot be recycled while remembered."""
-    recent = cache.get(_RECENT)
-    if recent is None or len(recent) >= _RECENT_MAX:
-        recent = cache[_RECENT] = {}
-    recent[id(args)] = (args, entry)
+def replay_for(plan, args: tuple) -> Tuple[object, bool]:
+    """The cached-or-traced entry for ``args``' shape on ``plan``.
 
-
-def _store(cache: Dict, sig: tuple, entry) -> None:
-    """(Re)bind ``sig`` and forget the argument tuples that resolved to
-    whatever it held before."""
-    cache[sig] = entry
-    cache.pop(_RECENT, None)
-
-
-def replay_for(plan, task, args: tuple) -> Tuple[CompiledReplay, bool]:
-    """The cached-or-traced replay for ``args``' shape on ``plan``.
-
-    Returns ``(replay, fresh)`` — ``fresh`` means the trace was just
-    recorded against these very arguments, so its guards hold by
-    construction.  Raises :class:`CompileFallback` when the kernel does
-    not compile for this shape (the verdict is cached; later launches
-    pay a dict lookup, not a trace attempt).
+    Returns ``(entry, fresh)``: the entry is a :class:`CompiledReplay`
+    or a cached ``("fallback", reason, detail)`` verdict (an uncompilable
+    shape pays the trace attempt once; later launches pay a dict
+    lookup).  ``fresh`` means the trace was just recorded against these
+    very arguments, so its guards hold by construction.
     """
     cache: Dict = plan._compiled
-    recent = cache.get(_RECENT)
-    hit = recent.get(id(args)) if recent is not None else None
-    fresh = False
-    if hit is not None and hit[0] is args:
-        entry = hit[1]
-    else:
-        sig = _signature(args)
-        entry = cache.get(sig)
-        if entry is None:
-            metrics.note_trace(kernel_name(plan.kernel))
-            try:
-                entry = CompiledReplay(
-                    plan,
-                    trace_kernel(plan.kernel, plan.work_div, plan.props, args),
-                    sig,
-                )
-            except CompileFallback as cf:
-                entry = ("fallback", cf.reason, cf.detail)
-            except Exception as exc:
-                # Must stay broad: the generator met a trace it cannot
-                # lower (it probes the kernel's ufuncs while generating);
-                # the verdict is cached and the launch interprets.
-                entry = (
-                    "fallback", "unsupported-op",
-                    f"lowering the trace failed ({type(exc).__name__}: {exc})",
-                )
-            _store(cache, sig, entry)
-            fresh = True
-        _remember(cache, args, entry)
+    sig = _signature(args)
+    entry = cache.get(sig)
+    if entry is not None:
+        return entry, False
+    metrics.note_trace(kernel_name(plan.kernel))
+    try:
+        entry = CompiledReplay(
+            plan,
+            trace_kernel(plan.kernel, plan.work_div, plan.props, args),
+            sig,
+        )
+    except CompileFallback as cf:
+        entry = ("fallback", cf.reason, cf.detail)
+    except Exception as exc:
+        # Must stay broad: the generator met a trace it cannot
+        # lower (it probes the kernel's ufuncs while generating);
+        # the verdict is cached and the launch interprets.
+        entry = (
+            "fallback", "unsupported-op",
+            f"lowering the trace failed ({type(exc).__name__}: {exc})",
+        )
+    cache[sig] = entry
+    return entry, True
+
+
+def _usable(entry) -> CompiledReplay:
+    """``entry`` as a replay, or its verdict raised."""
     if isinstance(entry, tuple):
         raise CompileFallback(entry[1], entry[2])
-    if not fresh:
-        entry.counters.cache_hit()
-    return entry, fresh
-
-
-def _retrace(plan, task, args: tuple) -> CompiledReplay:
-    metrics.note_retrace(kernel_name(plan.kernel))
-    plan._compiled.pop(_signature(args), None)
-    plan._compiled.pop(_RECENT, None)
-    replay, _fresh = replay_for(plan, task, args)
-    return replay
+    return entry
 
 
 def execute_compiled(plan, grid, task, interpret=None) -> None:
     """Run one launch through the compiled path.
 
-    ``interpret`` (passed when cross-checking) is a zero-argument
-    callable that dispatches the same launch through the interpreting
-    scheduler.  Raises :class:`CompileFallback` when the launch must
-    fall back — always *before* any argument byte changed.
+    ``grid`` is the launch's :class:`~repro.runtime.plan.ArgsRecord`: a
+    record that resolved before holds its entry, and the signature is
+    not rebuilt.  ``interpret`` (passed when cross-checking) is a
+    zero-argument callable that dispatches the same launch through the
+    interpreting scheduler.  Raises :class:`CompileFallback` when the
+    launch must fall back — always *before* any argument byte changed.
     """
     args = grid.args
-    replay, fresh = replay_for(plan, task, args)
-    if not fresh and replay._guards is not None and not replay._guards(args):
-        # A uniform predicate flipped (e.g. alpha became 0): the traced
-        # path is stale for these arguments.  Re-trace against them.
-        replay = _retrace(plan, task, args)
-    if replay._aliased is not None and replay._aliased(args):
-        # A property of these arguments, not of their signature: the
-        # verdict is not cached.
-        raise CompileFallback(
-            "load-after-store",
-            "an argument written through an element box shares memory "
-            "with one read at a shifted box (every thread would have to "
-            "read before any wrote)",
-        )
+    entry, fresh = grid.replay, False
+    if entry is None:
+        entry, fresh = replay_for(plan, args)
+        grid.replay = entry
+    replay = _usable(entry)
+    compiled = False
     try:
-        if interpret is not None:
-            _run_crosschecked(replay, args, interpret)
-        else:
-            replay.run(args)
-    except CompileFallback as cf:
-        # Cache the verdict so warm launches skip straight to
-        # interpretation instead of re-failing the replay.
-        _store(plan._compiled, replay.sig, ("fallback", cf.reason, cf.detail))
-        raise
-    replay.counters.compiled_launch()
+        if not fresh and replay._guards is not None and not replay._guards(args):
+            # A uniform predicate flipped (e.g. alpha became 0): the
+            # traced path is stale for these arguments.  Re-trace
+            # against them.
+            metrics.note_retrace(replay.counts.kernel)
+            plan._compiled.pop(replay.sig, None)
+            entry, _fresh = replay_for(plan, args)
+            grid.replay = entry
+            replay = _usable(entry)
+        if replay._aliased is not None and replay._aliased(args):
+            # A property of these arguments, not of their signature:
+            # the verdict is not cached.
+            raise CompileFallback(
+                "load-after-store",
+                "an argument written through an element box shares "
+                "memory with one read at a shifted box (every thread "
+                "would have to read before any wrote)",
+            )
+        try:
+            if interpret is not None:
+                _run_crosschecked(replay, args, interpret)
+            else:
+                replay.run(args)
+        except CompileFallback as cf:
+            # Cache the verdict so warm launches skip straight to
+            # interpretation instead of re-failing the replay.
+            grid.replay = plan._compiled[replay.sig] = (
+                "fallback", cf.reason, cf.detail,
+            )
+            raise
+        compiled = True
+    finally:
+        metrics.note_launch(replay.counts, not fresh, compiled)
 
 
 def _run_crosschecked(replay: CompiledReplay, args: tuple, interpret) -> None:
@@ -256,7 +240,7 @@ def _run_crosschecked(replay: CompiledReplay, args: tuple, interpret) -> None:
     buffers end up holding the interpreted result — which the check
     just proved identical.
     """
-    kname = replay.counters.kernel
+    kname = replay.counts.kernel
     positions = replay.store_positions
     before = {p: np.array(args[p], copy=True) for p in positions}
     replay.run(args)

@@ -19,7 +19,7 @@ accelerator's executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
 from .errors import KernelError
@@ -100,6 +100,12 @@ class KernelTask:
     #: autotuner sets it on the tasks it measures, so comparing
     #: schedules never changes how other threads' launches are planned.
     schedule: Optional[str] = None
+    #: The plan this task last resolved to, and under what (see
+    #: :func:`repro.runtime.get_plan`): a cache the runtime sets, never
+    #: part of the task's identity.
+    _plan_binding: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.shared_mem_bytes < 0:

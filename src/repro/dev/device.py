@@ -138,12 +138,19 @@ class Device:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def note_kernel_launch(self) -> None:
+    def note_kernel_launch(self, seconds: float = 0.0) -> None:
+        """Count one kernel launch and advance the simulated clock by
+        its modeled ``seconds`` (0 for a launch that failed), under one
+        lock acquisition."""
+        if seconds < 0:
+            raise DeviceError("cannot advance simulated time backwards")
+        fs = round(seconds * 1e15)
         # Many threads launch on one device concurrently (the serving
         # gateway's lanes, user threads sharing a device); a bare += is
         # a lost-update race under free threading.
         with self._sim_lock:
             self.kernel_launch_count += 1
+            self._sim_time_fs += fs
 
     def require_resident(self, buf) -> None:
         """Assert that ``buf`` lives on this device (kernel-argument

@@ -315,8 +315,10 @@ class GraphExec:
     def _build_op(node):
         """Resolve ``node`` once and return its zero-argument replay
         callable.  A kernel node's is the runtime's one Execute stage
-        bound to the node's plan, grid context and scheduler, so the
-        warm loop pays neither plan lookup nor grid construction."""
+        bound to the node's plan, its own argument record (grid context,
+        modeled seconds, compiled replay) and scheduler, so the warm loop
+        pays neither plan lookup nor grid construction nor a kernel
+        ``characteristics`` call."""
         if node.kind == "call":
             return node.task
         task, device = node.task, node.device

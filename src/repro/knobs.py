@@ -9,7 +9,7 @@ listener or a sampling rate must not take the process down).
 
 :func:`get` reads the **live** environment on every call — nothing is
 snapshotted, so ``monkeypatch.setenv`` and :func:`pinned` apply at
-once.  :func:`effective` is "the effective configuration of this
+once; only the *parse* of a raw value is memoised, on that value.  :func:`effective` is "the effective configuration of this
 process" (embedded in ``/healthz``, the serve ``stats`` op, flight
 dumps and the ``REPRO_TELEMETRY`` exit report);
 ``python -m repro.knobs [--check README.md]`` generates and verifies
@@ -140,9 +140,9 @@ MAX_BLOCK_WORKERS = _declare(
     "authoritative when set (default: host CPU count, 2 to 16).")
 SCHEDULER = _declare(
     "REPRO_SCHEDULER",
-    _choice(sequential="sequential", pooled="pooled threads", compiled="compiled compile"),
+    _choice(sequential="sequential", pooled="pooled", compiled="compiled compile"),
     None,
-    "remaps block dispatch on pooled back-ends: `sequential`, `threads` or `compiled` "
+    "remaps block dispatch on pooled back-ends: `sequential`, `pooled` or `compiled` "
     "(trace-vectorized replay, `repro.compile`); launches `compiled` cannot serve fall back to "
     "the thread pool with a logged reason.")
 COMPILE_CROSSCHECK = _declare(
@@ -234,43 +234,67 @@ def parse(env: str, raw: str, error: type = KnobError):
 #: launch path, which reads several knobs per launch — is one dict miss
 #: instead of the two exceptions ``os.environ.get`` raises and swallows.
 #: The dict is the live one: ``os.environ[...] = ...``, ``monkeypatch``
-#: and :func:`pinned` all write through it.
+#: and :func:`pinned` all write through it.  Values are immutable, so
+#: the same value object means the same string.
 _ENV_DATA = getattr(os.environ, "_data", None)
 _ENCODED: Dict[str, object] = {}
 
+#: env -> (the raw value object last read, its parse).  ``_DEFAULT``
+#: stands for "use the default": unset, blank, or malformed under a
+#: lenient knob.  A strict knob's malformed value is never memoised.
+_PARSED: Dict[str, tuple] = {}
+_DEFAULT = object()
 
-def _raw(env: str) -> Optional[str]:
-    """The variable's string in the live environment, or ``None``."""
+
+def _raw(env: str):
+    """The variable's value object in the live environment (encoded on
+    CPython), or ``None``."""
     if _ENV_DATA is None:  # not CPython's os.environ
         return os.environ.get(env)
     key = _ENCODED.get(env)
     if key is None:
         key = _ENCODED[env] = os.environ.encodekey(env)
-    raw = _ENV_DATA.get(key)
-    return None if raw is None else os.environ.decodevalue(raw)
+    return _ENV_DATA.get(key)
+
+
+def _parse_raw(env: str, raw, error: type):
+    if raw is None:
+        return _DEFAULT
+    text = raw if _ENV_DATA is None else os.environ.decodevalue(raw)
+    if not text.strip():
+        return _DEFAULT
+    try:
+        return parse(env, text, error)
+    except error as exc:
+        if KNOBS[env].strict:
+            raise
+        if (env, text) not in _warned:
+            _warned.add((env, text))
+            _log.warning("%s; using the default", exc)
+        return _DEFAULT
 
 
 def get(env: str, default=_UNSET, error: type = KnobError):
     """The current value of knob ``env`` from the live environment.
 
     Unset or blank gives ``default`` when passed, else the declared
-    default; a malformed value raises ``error`` (strict knobs) or warns
-    once and gives the default.
+    default; a malformed value raises ``error`` (strict knobs, on every
+    read) or warns once and gives the default.
+
+    The environment is read on every call; the parse is memoised on the
+    raw value object, so a hot path that reads a knob per launch pays a
+    dict lookup, and a value written since the last read is parsed
+    again.  A memoised value is shared between callers: treat it as
+    read-only.
     """
-    knob = KNOBS[env]
-    fallback = knob.default if default is _UNSET else default
     raw = _raw(env)
-    if raw is None or not raw.strip():
-        return fallback
-    try:
-        return parse(env, raw, error)
-    except error as exc:
-        if knob.strict:
-            raise
-        if (env, raw) not in _warned:
-            _warned.add((env, raw))
-            _log.warning("%s; using the default", exc)
-        return fallback
+    memo = _PARSED.get(env)
+    if memo is None or memo[0] is not raw:
+        memo = _PARSED[env] = (raw, _parse_raw(env, raw, error))
+    value = memo[1]
+    if value is _DEFAULT:
+        return KNOBS[env].default if default is _UNSET else default
+    return value
 
 
 def effective() -> Dict[str, object]:

@@ -135,6 +135,16 @@ class QueueBlocking(Queue):
 
     blocking = True
 
+    def enqueue(self, task: Union[_Task, Callable[[], None]]) -> None:
+        # The caller is the worker: a task runs here, with no runnable
+        # wrapped around it.
+        execute = getattr(task, "execute", None)
+        if execute is None or self._destroyed:
+            super().enqueue(task)
+            return
+        execute(self.dev)
+        notify_queue_drain(self)  # a blocking queue drains at every task
+
     def _submit(self, runnable: Callable[[], None]) -> None:
         runnable()
         notify_queue_drain(self)  # a blocking queue drains at every task

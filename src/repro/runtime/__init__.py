@@ -23,7 +23,7 @@ and never touch pool or validation logic themselves.
 
 from __future__ import annotations
 
-from ..acc.timing import advance_modeled_time
+from ..acc.timing import modeled_seconds
 from ..sanitize import _state as _sanitize_state
 from ..telemetry import flight
 from ..telemetry.spans import NULL_SPAN, Span
@@ -42,6 +42,7 @@ from .instrument import (
 from .plan import (
     GRAPH_PLAN_CACHE_MAXSIZE,
     PLAN_CACHE_MAXSIZE,
+    ArgsRecord,
     GraphPlan,
     LaunchPlan,
     build_plan,
@@ -72,6 +73,7 @@ __all__ = [
     "execute_plan",
     # plan
     "LaunchPlan",
+    "ArgsRecord",
     "build_plan",
     "get_plan",
     "clear_plan_cache",
@@ -135,21 +137,25 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     The only launch sequence in the package — device launch accounting,
     the launch span, dispatch, modeled-time advance and the failure path
     live here and nowhere else; the routes differ only in who supplies
-    ``grid`` and ``scheduler``.  :func:`launch` passes neither (fresh
-    grid context, the plan's schedule); inline graph replay
-    (:mod:`repro.graph`) binds the node's cached grid context and
-    scheduler, so a replayed node pays neither plan lookup nor grid
-    construction; the sanitizer (:mod:`repro.sanitize.runner`) passes a
-    shadow-argument grid and its per-block triage scheduler.
+    ``grid`` (an :class:`ArgsRecord`) and ``scheduler``.  :func:`launch`
+    passes neither (the plan's record for the task's argument tuple,
+    the plan's schedule); inline graph replay (:mod:`repro.graph`)
+    binds the node's own record and scheduler, so a replayed node pays
+    neither plan lookup nor grid construction; the sanitizer
+    (:mod:`repro.sanitize.runner`) passes a shadow-argument record and
+    its per-block triage scheduler.
+
+    A record remembers its launch's modeled seconds, so a warm launch
+    asks the kernel for its ``characteristics`` no more; the launch is
+    counted and the clock advanced in one device call, inside the span.
 
     Observers see the launch once, as the ``"launch"`` span closing
     (``span.error`` set when the kernel raised); unobserved, the launch
     enters the shared ``NULL_SPAN`` and builds nothing.
     """
     if grid is None:
-        grid = plan.grid_for(task)
+        grid = plan.record_for(task)
     sched = scheduler or scheduler_for(device, plan.schedule)
-    device.note_kernel_launch()
     plan.launches += 1
     region = (
         Span("launch", "launch", device, {"plan": plan})
@@ -159,10 +165,19 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     crashed = True
     try:
         with region:
-            sched.dispatch(plan, grid, plan.block_indices, task)
-            advance_modeled_time(
-                task, device, plan.acc_type.kind, plan.work_div, plan._modeled
-            )
+            seconds = 0.0
+            try:
+                sched.dispatch(plan, grid, plan.block_indices, task)
+                seconds = grid.seconds
+                if seconds is None:
+                    seconds = grid.seconds = modeled_seconds(
+                        task, device, plan.acc_type.kind, plan.work_div,
+                        plan._modeled,
+                    )
+            finally:
+                # Counted whether or not the kernel completed; the clock
+                # moves only for a launch that did.
+                device.note_kernel_launch(seconds)
             crashed = False
     except BaseException as exc:  # noqa: BLE001 - re-raised; only the flight dump is added
         # The span closed first, so observers (and the flight ring) hold

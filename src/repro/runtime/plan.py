@@ -10,6 +10,13 @@ the retuning loop of Matthes et al. (arXiv:1706.10086) relaunches one
 kernel across work divisions thousands of times, and the plan cache is
 what makes each relaunch O(dispatch) instead of O(validation).
 
+A task that resolved before skips even the key: it is *bound* to its
+plan (by a weak reference, valid until the cache is cleared or evicts a
+plan, the forced schedule changes, or — for an ``AutoWorkDiv`` — the
+tuning generation moves).  What a launch derives from its argument
+tuple lives in an :class:`ArgsRecord` on the plan, reused while the
+same tuple comes back.
+
 Cache observability: every resolution announces itself through
 :func:`repro.runtime.instrument.notify_plan_cache`, and the module
 keeps global hit/miss counters (:func:`plan_cache_info`).
@@ -18,6 +25,7 @@ keeps global hit/miss counters (:func:`plan_cache_info`).
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -33,6 +41,7 @@ from .scheduler import chunk_indices, resolve_scheduler_override
 
 __all__ = [
     "LaunchPlan",
+    "ArgsRecord",
     "get_plan",
     "build_plan",
     "clear_plan_cache",
@@ -69,6 +78,33 @@ def _thread_runners() -> Dict[str, Callable]:
     }
 
 
+class ArgsRecord(GridContext):
+    """A grid context kept for every launch of one host-args tuple.
+
+    Everything a launch derives from its arguments alone, derived once:
+    the device-side (unwrapped, residency-checked) arguments as
+    ``args``, the modeled ``seconds`` (``None`` until a launch
+    completed) and, under the compiled schedule, the ``replay`` entry the
+    arguments resolved to (``None`` until resolved).  ``host_args`` is
+    the tuple the record was built from; a record is reused only for
+    that very tuple, which it holds — so it keeps no buffer alive that
+    the argument tuple does not.
+    """
+
+    def __init__(self, plan, host_args: tuple, args: tuple, monitor=None):
+        super().__init__(
+            plan.device,
+            plan.work_div,
+            plan.props,
+            args,
+            shared_mem_bytes=plan.shared_mem_bytes,
+            monitor=monitor,
+        )
+        self.host_args = host_args
+        self.seconds: Optional[float] = None
+        self.replay = None
+
+
 @dataclass
 class LaunchPlan:
     """Everything about a launch that does not change between launches.
@@ -94,8 +130,9 @@ class LaunchPlan:
     launches: int = 0
     #: Whether this plan instance was served from the cache at least once.
     served_from_cache: bool = False
-    _args_src: Optional[tuple] = field(default=None, repr=False)
-    _args_unwrapped: Optional[tuple] = field(default=None, repr=False)
+    #: The :class:`ArgsRecord` of the last argument tuple launched
+    #: through :meth:`record_for`.
+    _record: Optional[ArgsRecord] = field(default=None, repr=False)
     #: worker count -> chunked block_indices; see :meth:`chunks_for`.
     _chunks: Dict[int, list] = field(default_factory=dict, repr=False)
     #: argument signature -> compiled replay closure (or a cached
@@ -105,7 +142,7 @@ class LaunchPlan:
     #: launch.
     _compiled: Dict = field(default_factory=dict, repr=False)
     #: (spec, kind, work-div, characteristics, scope) -> modeled seconds;
-    #: owned and bounded by :func:`repro.acc.timing.advance_modeled_time`.
+    #: owned and bounded by :func:`repro.acc.timing.modeled_seconds`.
     _modeled: Dict = field(default_factory=dict, repr=False)
 
     def chunks_for(self, workers: int) -> list:
@@ -122,35 +159,32 @@ class LaunchPlan:
             self._chunks[workers] = chunks
         return chunks
 
-    def unwrap_args(self, args: tuple) -> tuple:
-        """Device-side argument tuple for ``args``.
+    def record_for(self, task) -> ArgsRecord:
+        """The record of ``task``'s argument tuple: the one the last
+        launch used when the tuple is the same object (re-enqueueing a
+        :class:`~repro.core.kernel.KernelTask` hands over the same
+        tuple), else a new one that replaces it."""
+        record = self._record
+        if record is None or record.host_args is not task.args:
+            record = self._record = self.grid_for(task)
+        return record
 
-        Memoised on the identity of the host-side tuple: re-enqueueing
-        the same (frozen) :class:`~repro.core.kernel.KernelTask` reuses
-        the unwrapped arguments and their residency checks.
-        """
-        if args is self._args_src:
-            return self._args_unwrapped  # type: ignore[return-value]
-        from ..acc.engine import unwrap_args
+    def drop_record(self) -> None:
+        """Forget the last argument tuple (and the device arrays its
+        record holds)."""
+        self._record = None
 
-        unwrapped = unwrap_args(args, self.device)
-        self._args_src = args
-        self._args_unwrapped = unwrapped
-        return unwrapped
-
-    def grid_for(self, task, args=None, monitor=None) -> GridContext:
-        """The grid context of one launch of ``task`` under this plan.
+    def grid_for(self, task, args=None, monitor=None) -> ArgsRecord:
+        """A new record of ``task``'s arguments under this plan, owned
+        by the caller (a graph node keeps its own).
 
         ``args`` replaces the task's unwrapped arguments (the sanitizer
         passes shadow arrays, with its ``monitor``)."""
-        return GridContext(
-            self.device,
-            self.work_div,
-            self.props,
-            self.unwrap_args(task.args) if args is None else args,
-            shared_mem_bytes=self.shared_mem_bytes,
-            monitor=monitor,
-        )
+        if args is None:
+            from ..acc.engine import unwrap_args
+
+            args = unwrap_args(task.args, self.device)
+        return ArgsRecord(self, task.args, args, monitor)
 
     def describe(self) -> str:
         return (
@@ -259,7 +293,7 @@ class GraphPlan:
     layer derives from kernels, work divisions, buffer ids and edges —
     and cached LRU under that key, a :class:`GraphPlan` snapshots, in
     each kernel node's replay op, the node's resolved
-    :class:`LaunchPlan`, its grid context (validated, unwrapped
+    :class:`LaunchPlan`, its :class:`ArgsRecord` (validated, unwrapped
     arguments included) and its scheduler, plus the resolved dependency
     edges and the topological order.  A warm pipeline
     therefore re-dispatches with **one** cache hit instead of one plan
@@ -274,7 +308,7 @@ class GraphPlan:
     deps: Tuple[Tuple[int, ...], ...]
     #: node index -> zero-argument replay callable.  A kernel node's is
     #: :func:`repro.runtime.execute_plan` bound to its resolved
-    #: :class:`LaunchPlan`, grid context and scheduler.
+    #: :class:`LaunchPlan`, its own :class:`ArgsRecord` and scheduler.
     node_ops: Dict[int, object] = field(default_factory=dict)
     #: node index -> device uid the node executes on.
     device_uids: Tuple[int, ...] = ()
@@ -306,7 +340,9 @@ class _PlanLRU:
     ``get`` builds outside the lock on a miss (validation and tuning
     lookups are slow, and a build may itself resolve plans), so two
     racing misses may both build and the later insert wins.  Every
-    resolution is announced to ``on_plan_cache`` observers.
+    resolution is announced to ``on_plan_cache`` observers.  ``epoch``
+    moves whenever a plan leaves the cache (eviction or :meth:`clear`),
+    which is what invalidates task bindings.
     """
 
     def __init__(self, maxsize: int):
@@ -315,6 +351,7 @@ class _PlanLRU:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        self.epoch = 0
 
     def get(self, key: tuple, build: Callable, *build_args):
         with self._lock:
@@ -333,7 +370,16 @@ class _PlanLRU:
             self._plans.move_to_end(key)
             while len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
+                self.epoch += 1
         notify_plan_cache(plan, False)
+        return plan
+
+    def hit(self, plan):
+        """Count a hit on ``plan``, resolved without a lookup."""
+        with self._lock:
+            self._hits += 1
+        plan.served_from_cache = True
+        notify_plan_cache(plan, True)
         return plan
 
     def clear(self) -> None:
@@ -341,6 +387,7 @@ class _PlanLRU:
             self._plans.clear()
             self._hits = 0
             self._misses = 0
+            self.epoch += 1
 
     def info(self) -> Dict[str, int]:
         with self._lock:
@@ -377,29 +424,34 @@ def graph_plan_cache_info() -> Dict[str, int]:
     return _graph_plans.info()
 
 
-def _key(task, device) -> tuple:
-    # Kernel identity, not equality: the plan holds a strong reference
-    # to the kernel, so the id stays valid while the entry lives.
-    wd = task.work_div
-    if isinstance(wd, AutoWorkDiv):
-        # An AutoWorkDiv hashes by extent only, but what it resolves to
-        # depends on the tuning cache's contents; folding the cache
-        # generation into the key invalidates plans resolved before a
-        # tuning run stored (or dropped) a result.
+def _generation(task) -> Optional[int]:
+    """The tuning generation an ``AutoWorkDiv`` task resolves under
+    (what it resolves to depends on the tuning cache's contents), or
+    None for a concrete division."""
+    if isinstance(task.work_div, AutoWorkDiv):
         from ..tuning.cache import tuning_generation
 
-        wd = (wd, tuning_generation())
+        return tuning_generation()
+    return None
+
+
+def _key(task, device, forced: Optional[str], generation: Optional[int]) -> tuple:
+    # Kernel identity, not equality: the plan holds a strong reference
+    # to the kernel, so the id stays valid while the entry lives.
     return (
         task.acc_type,
         id(task.kernel),
-        wd,
+        # An AutoWorkDiv hashes by extent only; folding the tuning
+        # generation in invalidates plans resolved before a tuning run
+        # stored (or dropped) a result.
+        task.work_div if generation is None else (task.work_div, generation),
         device.uid,
         getattr(task, "shared_mem_bytes", 0),
         # The forced schedule changes what _build_plan resolves, so it
         # is part of plan identity — a tuner measurement under another
         # schedule, or flipping REPRO_SCHEDULER mid-process, must miss,
         # not poison.
-        _forced_schedule(task),
+        forced,
     )
 
 
@@ -409,8 +461,27 @@ def get_plan(task, device) -> LaunchPlan:
     Announces the resolution to observers (``on_plan_cache``) and keeps
     the global hit/miss counters current.  Validation errors raise here
     — a plan that would fail at dispatch is never cached.
+
+    The task remembers the plan it resolved to (a weak reference on
+    ``task._plan_binding``, with the device, cache epoch, forced
+    schedule and tuning generation it was resolved under), so resolving
+    it again while all four still hold is a counted hit without a key.
     """
-    return _launch_plans.get(_key(task, device), build_plan, task, device)
+    forced = _forced_schedule(task)
+    generation = _generation(task)
+    state = (device.uid, _launch_plans.epoch, forced, generation)
+    binding = getattr(task, "_plan_binding", None)
+    if binding is not None and binding[1] == state:
+        plan = binding[0]()
+        if plan is not None:
+            return _launch_plans.hit(plan)
+    plan = _launch_plans.get(
+        _key(task, device, forced, generation), build_plan, task, device
+    )
+    # ``state`` carries the epoch from before the lookup: a plan that
+    # left the cache since then invalidates this binding at once.
+    object.__setattr__(task, "_plan_binding", (weakref.ref(plan), state))
+    return plan
 
 
 def clear_plan_cache() -> None:

@@ -64,8 +64,8 @@ MAX_BLOCK_WORKERS = 16
 MAX_BLOCK_WORKERS_ENV = knobs.MAX_BLOCK_WORKERS
 
 #: Environment variable forcing a block-scheduling strategy onto every
-#: *pool-capable* back-end: ``sequential``, ``threads`` (alias
-#: ``pooled``) or ``compiled`` (trace-vectorized whole-grid replay,
+#: *pool-capable* back-end: ``sequential``, ``pooled`` or
+#: ``compiled`` (trace-vectorized whole-grid replay,
 #: falling back to the thread pool for kernels the vectorizer cannot
 #: represent).  Back-ends that declare ``block_schedule="sequential"``
 #: (serial, fibers, the thread-level CPU back-ends) are never remapped —

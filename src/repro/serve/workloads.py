@@ -133,16 +133,15 @@ def _launch(queue, task) -> None:
 
     A workload holds one kernel instance, so every same-shape request
     resolves to one cached :class:`~repro.runtime.plan.LaunchPlan` (the
-    plan cache keys on kernel identity).  That plan memoises the last
-    unwrapped argument tuple; memoising the empty tuple in its place
-    keeps a finished request's device arrays from outliving
-    ``Buffer.free()``.
+    plan cache keys on kernel identity).  That plan keeps the record of
+    the last argument tuple; dropping it keeps a finished request's
+    device arrays from outliving ``Buffer.free()``.
     """
     from ..runtime import launch
 
     ran = []
     queue.enqueue(lambda: ran.append(launch(task, queue.dev)))
-    ran[0].unwrap_args(())
+    ran[0].drop_record()
 
 
 def _elementwise_workdiv(

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -70,6 +70,12 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         with self._lock:
             self._value += amount
+
+    def set_total(self, value: float) -> None:
+        """Overwrite the count with one kept elsewhere (a registry
+        source, see :meth:`MetricsRegistry.add_source`)."""
+        with self._lock:
+            self._value = float(value)
 
     @property
     def value(self) -> float:
@@ -244,6 +250,10 @@ class MetricsRegistry:
     A name is bound to one instrument kind on first use; asking for the
     same name as a different kind raises (a counter silently shadowing
     a histogram of the same name would corrupt the export).
+
+    Counts a hot path keeps for itself are not announced here event by
+    event: their owner registers a *source* (:meth:`add_source`) that
+    copies them in whenever the registry is read.
     """
 
     def __init__(self):
@@ -251,6 +261,18 @@ class MetricsRegistry:
         self._instruments: Dict[Tuple[str, Labels], object] = {}
         self._kinds: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
+        self._sources: List[Callable[["MetricsRegistry"], None]] = []
+
+    def add_source(self, fill: Callable[["MetricsRegistry"], None]) -> None:
+        """Run ``fill(self)`` before every read of the registry
+        (:meth:`instruments`, :meth:`export_snapshot`); it writes counts
+        kept elsewhere into instruments (``Counter.set_total``).  Sources
+        carry over to the registry :func:`reset_registry` swaps in."""
+        self._sources.append(fill)
+
+    def _pull(self) -> None:
+        for fill in self._sources:
+            fill(self)
 
     def _get(self, cls, name: str, help: str, labels: Dict[str, str], **kwargs):
         key = (name, _labels_key(labels))
@@ -308,6 +330,7 @@ class MetricsRegistry:
         lock *at call time* — a lazy generator here would take its
         snapshot at first ``next()`` and silently interleave with
         concurrent registration."""
+        self._pull()
         with self._lock:
             items = sorted(self._instruments.items())
         return [
@@ -319,6 +342,7 @@ class MetricsRegistry:
         help, instruments)`` tuples captured under a single lock
         acquisition, so a scrape racing registration never sees a name
         without its kind (or vice versa)."""
+        self._pull()
         with self._lock:
             items = sorted(self._instruments.items())
             kinds = dict(self._kinds)
@@ -355,5 +379,7 @@ def reset_registry() -> MetricsRegistry:
     """Swap in a fresh registry (tests); returns the new one."""
     global _registry
     with _registry_lock:
-        _registry = MetricsRegistry()
+        fresh = MetricsRegistry()
+        fresh._sources = list(_registry._sources)
+        _registry = fresh
     return _registry

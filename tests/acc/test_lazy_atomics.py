@@ -17,7 +17,6 @@ from repro import (
     get_dev_by_idx,
     mem,
 )
-from repro.acc.base import GridContext
 from repro.acc.engine import run_block_single_thread
 from repro.atomic.ops import AtomicDomain
 from repro.core.vec import Vec
@@ -38,7 +37,7 @@ def _grid(n=64, blocks=4):
         AxpyElementsKernel(), n, 2.0, x, y,
     )
     plan = get_plan(task, dev)
-    grid = GridContext(dev, plan.work_div, plan.props, plan.unwrap_args(task.args))
+    grid = plan.grid_for(task)
     return grid, task, (x, y)
 
 

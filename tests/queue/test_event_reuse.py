@@ -162,7 +162,7 @@ class TestReuseUnderBlockPool:
 
     @pytest.fixture(autouse=True)
     def _pooled_env(self, monkeypatch):
-        monkeypatch.setenv(SCHEDULER_ENV, "threads")
+        monkeypatch.setenv(SCHEDULER_ENV, "pooled")
         clear_plan_cache()
         yield
         clear_plan_cache()

@@ -152,6 +152,68 @@ class TestConcurrentLaunch:
         # must dominate (a tiny miss burst at the start is fine).
         assert info["hits"] >= total - 8
 
+    def test_one_task_from_many_threads_keeps_counts_exact(self, monkeypatch):
+        """One task launched from more threads than cores at once shares
+        one plan binding, one argument record and one compiled replay;
+        every count that reads them stays exact."""
+        import sys
+
+        from repro import AccCpuOmp2Blocks, WorkDivMembers
+        from repro.acc.timing import modeled_seconds
+        from repro.compile import compile_stats, reset_compile_stats
+        from repro.runtime import get_plan
+
+        monkeypatch.setenv("REPRO_SCHEDULER", "compiled")
+        clear_plan_cache()
+        reset_compile_stats()
+        dev = get_dev_by_idx(AccCpuOmp2Blocks, 0)
+        x = mem.alloc(dev, (N,), pitched=False)
+        y = mem.alloc(dev, (N,), pitched=False)
+        task = create_task_kernel(
+            AccCpuOmp2Blocks, WorkDivMembers.make(4, 1, N // 4),
+            AxpyElementsKernel(), N, 0.5, x, y,
+        )
+        launch(task, dev)  # cold: plan build, trace
+        dev.reset_sim_time()
+        count0 = dev.kernel_launch_count
+        workers, per_thread = 4, 150
+        barrier = threading.Barrier(workers)
+        errors = []
+
+        def worker():
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(per_thread):
+                    launch(task, dev)
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors[:3]
+        warm = workers * per_thread
+        plan = get_plan(task, dev)
+        assert plan_cache_info()["misses"] == 1
+        assert plan_cache_info()["hits"] == warm + 1  # + get_plan above
+        stats = compile_stats()
+        assert stats["cache_hits"] == warm
+        assert stats["compiled_launches"] == warm + 1
+        assert dev.kernel_launch_count - count0 == warm
+        one = modeled_seconds(task, dev, plan.acc_type.kind, plan.work_div)
+        assert dev.sim_time_fs == warm * round(one * 1e15)
+        x.free()
+        y.free()
+        clear_plan_cache()
+
     def test_concurrent_distinct_kernels(self, acc, device):
         """Different tasks interleaved from different threads: distinct
         plans coexist without cross-talk."""

@@ -47,7 +47,7 @@ def _bump_blocks(acc, b):
 
 @pytest.fixture(autouse=True)
 def _pooled_env(monkeypatch):
-    monkeypatch.setenv(SCHEDULER_ENV, "threads")
+    monkeypatch.setenv(SCHEDULER_ENV, "pooled")
     clear_plan_cache()
     yield
     clear_plan_cache()

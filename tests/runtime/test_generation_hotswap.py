@@ -101,6 +101,11 @@ class TestHotSwap:
         after = get_plan(task, dev)
         assert after is not heuristic_plan
         assert after.work_div == tuned
+        # The task is bound again, to the tuned plan: an enqueue runs
+        # under the tuned division.
+        QueueBlocking(dev).enqueue(task)
+        assert get_plan(task, dev) is after
+        assert after.launches == 1
 
     def test_launches_racing_generation_bumps_stay_bit_identical(self):
         """The acceptance scenario: a bumper thread republishes tuned

@@ -181,8 +181,53 @@ class TestPlanCache:
         assert lookup(1) is not b  # rebuilt: a miss, and it evicts plan 3
         assert info() == {"hits": 3, "misses": 5, "size": 3, "maxsize": 3}
 
+    @pytest.mark.parametrize("change", ["clear", "scheduler", "eviction"])
+    def test_a_bound_task_resolves_again_after(self, change, monkeypatch):
+        """A task remembers the plan it resolved to and skips the key on
+        the next launch; whatever would change the lookup's answer
+        makes it look up again."""
+        import gc
+        import weakref
+
+        from repro.runtime import PLAN_CACHE_MAXSIZE
+
+        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+        acc = AccCpuOmp2Blocks
+        dev = get_dev_by_idx(acc, 0)
+        q = QueueBlocking(dev)
+        task = create_task_kernel(acc, WorkDivMembers.make(4, 1, 1), _noop)
+        q.enqueue(task)
+        q.enqueue(task)
+        first = get_plan(task, dev)
+        assert first.schedule == "pooled"
+        assert plan_cache_info()["hits"] == 2  # bound hits still count
+        if change == "clear":
+            clear_plan_cache()
+            # The binding holds nothing: the dropped plan is garbage
+            # while the task lives on.
+            gone = weakref.ref(first)
+            del first
+            gc.collect()
+            assert gone() is None
+            q.enqueue(task)
+            assert plan_cache_info()["misses"] == 1
+        elif change == "scheduler":
+            for raw, want in (("compiled", "compiled"), ("sequential", "sequential")):
+                monkeypatch.setenv("REPRO_SCHEDULER", raw)
+                q.enqueue(task)
+                assert get_plan(task, dev).schedule == want
+            monkeypatch.delenv("REPRO_SCHEDULER")
+            assert get_plan(task, dev) is first  # still cached
+        else:
+            for i in range(PLAN_CACHE_MAXSIZE + 1):
+                q.enqueue(create_task_kernel(acc, WorkDivMembers.make(1, 1, i + 2), _noop))
+            q.enqueue(task)
+            assert get_plan(task, dev) is not first
+            assert plan_cache_info()["misses"] == PLAN_CACHE_MAXSIZE + 3
+        assert get_plan(task, dev) is get_plan(task, dev)
+
     def test_cached_plan_still_checks_residency_on_new_args(self):
-        """The plan memoises unwrapped args per task identity; a second
+        """The plan keeps a record of the last argument tuple; a second
         task with a wrong-device buffer must still be rejected."""
         from repro.core.errors import KernelError, MemorySpaceError
 

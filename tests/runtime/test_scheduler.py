@@ -289,8 +289,8 @@ class TestEnvResolution:
         assert resolve_scheduler_override() is None
         for raw, want in (
             ("sequential", "sequential"),
-            ("threads", "pooled"),
             ("pooled", "pooled"),
+            (" Pooled ", "pooled"),
             ("compiled", "compiled"),
             ("COMPILED", "compiled"),
         ):
@@ -303,7 +303,7 @@ class TestEnvResolution:
             resolve_scheduler_override()
 
     def test_override_never_remaps_sequential_backends(self, monkeypatch, fresh_plans):
-        monkeypatch.setenv(SCHEDULER_ENV, "threads")
+        monkeypatch.setenv(SCHEDULER_ENV, "pooled")
         sdev = get_dev_by_idx(AccCpuSerial)
         buf = mem.alloc(sdev, 64)
         wd = WorkDivMembers.make(4, 1, 16)

@@ -15,7 +15,7 @@ from repro import knobs
 CASES = {
     knobs.TUNING_CACHE: ("/tmp/cache.json", "/tmp/cache.json", None),
     knobs.MAX_BLOCK_WORKERS: ("3", 3, "lots"),
-    knobs.SCHEDULER: (" Threads ", "pooled", "gpu"),
+    knobs.SCHEDULER: (" Pooled ", "pooled", "gpu"),
     knobs.COMPILE_CROSSCHECK: ("yes", True, "2"),
     knobs.GRAPH_REPLAY: ("0", False, "sometimes"),
     knobs.SANITIZE: ("on", True, "ture"),
@@ -78,12 +78,13 @@ def test_parse_matrix(env, monkeypatch, caplog):
         assert len(warnings) == 1  # once per (variable, value)
 
 
-@pytest.mark.parametrize("raw", ["processes", "process"])
+@pytest.mark.parametrize("raw", ["processes", "process", "threads", " Threads "])
 def test_retired_schedule_is_rejected(raw, monkeypatch):
-    """The process-pool schedule is gone: its old names are malformed
-    values, and the error lists what the knob accepts."""
+    """The process-pool schedule is gone, and the thread pool has one
+    name (``pooled``): the old names are malformed values, and the
+    error lists what the knob accepts."""
     monkeypatch.setenv(knobs.SCHEDULER, raw)
-    accepted = "['compile', 'compiled', 'pooled', 'sequential', 'threads']"
+    accepted = "['compile', 'compiled', 'pooled', 'sequential']"
     with pytest.raises(knobs.KnobError, match=knobs.SCHEDULER) as err:
         knobs.get(knobs.SCHEDULER)
     assert accepted in str(err.value)
@@ -132,6 +133,48 @@ def test_get_reads_the_live_environment(monkeypatch):
     assert resolve_scheduler_override() == "compiled"
     monkeypatch.delenv(knobs.SCHEDULER)
     assert resolve_scheduler_override() is None
+
+
+def _counting_parse(monkeypatch):
+    calls = []
+    real = knobs.parse
+
+    def parse(env, raw, error=knobs.KnobError):
+        calls.append((env, raw))
+        return real(env, raw, error)
+
+    monkeypatch.setattr(knobs, "parse", parse)
+    return calls
+
+
+def test_parse_is_memoised_on_the_raw_value(monkeypatch):
+    """A value is parsed once while the environment holds it; a write
+    is seen on the next read, also when it writes the same string."""
+    calls = _counting_parse(monkeypatch)
+    monkeypatch.setenv(knobs.SANITIZE_SEED, "12")
+    assert [knobs.get(knobs.SANITIZE_SEED) for _ in range(5)] == [12] * 5
+    assert calls == [(knobs.SANITIZE_SEED, "12")]
+    monkeypatch.setenv(knobs.SANITIZE_SEED, "12")  # rewritten, same string
+    assert knobs.get(knobs.SANITIZE_SEED) == 12
+    monkeypatch.setenv(knobs.SANITIZE_SEED, "13")
+    assert knobs.get(knobs.SANITIZE_SEED) == 13
+    monkeypatch.setenv(knobs.SANITIZE_SEED, "   ")
+    assert knobs.get(knobs.SANITIZE_SEED) is None
+    assert knobs.get(knobs.SANITIZE_SEED, 7) == 7
+    monkeypatch.delenv(knobs.SANITIZE_SEED)
+    assert knobs.get(knobs.SANITIZE_SEED, 8) == 8
+    assert calls[-1] == (knobs.SANITIZE_SEED, "13")
+
+
+def test_malformed_strict_knob_raises_on_every_read(monkeypatch):
+    calls = _counting_parse(monkeypatch)
+    monkeypatch.setenv(knobs.SCHEDULER, "gpu")
+    for _ in range(2):
+        with pytest.raises(knobs.KnobError, match=knobs.SCHEDULER):
+            knobs.get(knobs.SCHEDULER)
+    assert len(calls) == 2
+    monkeypatch.setenv(knobs.SCHEDULER, "compiled")
+    assert knobs.get(knobs.SCHEDULER) == "compiled"
 
 
 def test_pinned_nests_and_restores_on_exception(monkeypatch):
