@@ -10,14 +10,16 @@ gap without leaving pure numpy:
 * :mod:`~repro.compile.tracer` runs the kernel **once** per
   (kernel, work-division, argument-shape) configuration with batched
   symbolic thread coordinates and records a dataflow — per lane, per
-  grid-strided span, or per n-d element box (a *tile*, whose
-  constant-offset neighbour reads become shifted slices).  It is the
+  grid-strided span (row spans and their ``@`` included), or per n-d
+  element box (a *tile*, whose constant-offset neighbour reads become
+  shifted slices).  It is the
   only tracer: the Fig. 4 listings of :mod:`repro.trace` are printed
   from the same recording (asked for with ``block_level=True``);
 * :mod:`~repro.compile.exprs` is that dataflow's IR;
 * :mod:`~repro.compile.codegen` lowers it, still at trace time, to one
   generated straight-line numpy function — AXPY becomes
-  ``y[:n] = a * x[:n] + y[:n]``, a Jacobi sweep six slice expressions;
+  ``y[:n] = a * x[:n] + y[:n]``, a Jacobi sweep six slice expressions,
+  the OpenMP-style DGEMM one batched ``np.matmul`` over its row chunks;
 * :mod:`~repro.compile.replay` caches that program on the
   :class:`~repro.runtime.plan.LaunchPlan`; a warm launch checks the
   cached signature and calls it (``CompiledReplay.source`` is the

@@ -82,6 +82,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..core.errors import KernelError
 from .exprs import (
@@ -92,6 +93,7 @@ from .exprs import (
     LaneIndex,
     Load,
     SpanLoad,
+    SpanMatMul,
     SpanStore,
     TileLoad,
     TileStore,
@@ -113,6 +115,28 @@ def _fits(target: tuple, value: tuple) -> None:
     """Raise unless a value of shape ``value`` assigns into ``target``."""
     if value != target and np.broadcast_shapes(target, value) != target:
         raise ValueError(f"cannot store shape {value} into shape {target}")
+
+
+def _chunked_matmul(x, b, chunk: int, dtype):
+    """``x @ b`` cut where the grid-strided loop cuts ``x``'s rows: at
+    the multiples of ``chunk``.  The full chunks go to one batched
+    ``np.matmul`` over a strided view whose every matrix has the
+    pointer and strides of one interpreted chunk, the short tail (if
+    any) to one more product — every BLAS call is an interpreted
+    chunk's, so the bits are too.  (One ``x @ b`` may be blocked
+    differently and is not bit-identical.)"""
+    rows, k = x.shape
+    m = b.shape[1]
+    full = rows - rows % chunk
+    out = np.empty((rows, m), dtype=dtype)
+    s0, s1 = x.strides
+    np.matmul(
+        as_strided(x, (full // chunk, chunk, k), (chunk * s0, s0, s1)), b,
+        out=out[:full].reshape(full // chunk, chunk, m),
+    )
+    if full < rows:
+        np.matmul(x[full:], b, out=out[full:])
+    return out
 
 
 class _Val:
@@ -258,6 +282,8 @@ class _Lowering:
                 "{0}[:" + n.name + "]", (arr,), probe=arr.probe,
                 shape=("span", node.extent, self.sig[node.pos][2]), view=True,
             )
+        if isinstance(node, SpanMatMul):
+            return self._matmul(node)
         if isinstance(node, TileLoad):
             arr = self.arg(node.pos)
             return self._new(
@@ -288,6 +314,29 @@ class _Lowering:
         return self._new(
             call, ops, ufunc=True, probe=probe, shape=shape,
             fresh=shape != (),
+        )
+
+    def _matmul(self, node: SpanMatMul) -> _Val:
+        x = self.expr(node.value, 0)
+        b = self.arg(node.pos)
+        if x.dtype is None:
+            raise CompileFallback(
+                "unsupported-op", "`@` on a span value of unproven dtype"
+            )
+        dtype = np.matmul(
+            np.empty((0, 1), x.dtype), np.empty((1, 0), b.dtype)
+        ).dtype
+        shape = None
+        if x.shape is not None and x.shape[0] == "span":
+            # Rows as many as the left operand's, columns the matrix's.
+            shape = x.shape[:2] + (
+                (x.shape[2][0], self.sig[node.pos][2][1]),
+            )
+        return self._new(
+            self._bind("F", _chunked_matmul) + "({0}, {1}, "
+            + self._bind("K", node.chunk) + ", "
+            + self._bind("K", dtype) + ")",
+            (x, b), probe=np.empty(0, dtype=dtype), shape=shape, fresh=True,
         )
 
     def _load(self, node: Load, level: int) -> _Val:
@@ -579,12 +628,14 @@ def _is_static(node: Expr) -> bool:
     return False
 
 
-def _shifted_reads(trace: TraceResult) -> List[Tuple[int, int]]:
+def _overlapping_reads(trace: TraceResult) -> List[Tuple[int, int]]:
     """(written position, read position) pairs the replay must prove
     disjoint: a tile store's target against every argument some store
-    value reads at a non-zero shift."""
-    written = sorted({s.pos for s in trace.stores if isinstance(s, TileStore)})
-    shifted = set()
+    value reads at a non-zero shift, and every store's target against
+    every argument ``@`` reads whole."""
+    tiles = {s.pos for s in trace.stores if isinstance(s, TileStore)}
+    written = {s.pos for s in trace.stores}
+    shifted, whole = set(), set()
     seen = set()
 
     def walk(node):
@@ -593,12 +644,17 @@ def _shifted_reads(trace: TraceResult) -> List[Tuple[int, int]]:
         seen.add(id(node))
         if isinstance(node, TileLoad) and any(node.shifts):
             shifted.add(node.pos)
+        if isinstance(node, SpanMatMul):
+            whole.add(node.pos)
+            walk(node.value)
         for child in getattr(node, "args", ()) or getattr(node, "index", ()):
             walk(child)
 
     for store in trace.stores:
         walk(store.value)
-    return [(w, r) for w in written for r in sorted(shifted)]
+    pairs = {(w, r) for w in tiles for r in shifted}
+    pairs |= {(w, r) for w in written for r in whole}
+    return sorted(pairs)
 
 
 def lower_expr(node: Expr, work_div, sig: tuple = (), masks: tuple = (),
@@ -621,7 +677,8 @@ def lower(trace: TraceResult, work_div, sig: tuple):
     replays the whole grid; ``guards(args)`` (or ``None``) says whether
     the live arguments still take the traced path; ``aliased(args)``
     (or ``None``) whether an argument written through a tile shares
-    memory with one read at a non-zero shift; ``source`` is the text of
+    memory with one read at a non-zero shift, or any written argument
+    with one ``@`` reads whole; ``source`` is the text of
     all of them, for inspection."""
     geom = LaneGeometry(work_div)
     main = _Lowering(trace, geom, sig)
@@ -668,7 +725,7 @@ def lower(trace: TraceResult, work_div, sig: tuple):
         sources.append(g.source)
 
     aliased = None
-    pairs = _shifted_reads(trace)
+    pairs = _overlapping_reads(trace)
     if pairs:
         a = main.sub()
         shares = a._bind("F", np.may_share_memory)

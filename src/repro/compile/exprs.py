@@ -20,8 +20,11 @@ The node set is deliberately tiny:
   would have performed (``np.sqrt`` compiles to ``np.sqrt``);
 * :class:`Load` / :class:`SpanLoad` / :class:`TileLoad` — global-memory
   reads: by lane index expression, as the whole grid-strided element
-  span, or as the union of every thread's n-d element box
+  span (over the leading axis: ``x[span]`` or the row span
+  ``X[span, :]``), or as the union of every thread's n-d element box
   (:class:`Tile`) shifted by a constant offset per axis;
+* :class:`SpanMatMul` — ``X[span, :] @ B``: the row-span value times a
+  whole array argument, one product per chunk of the grid-strided loop;
 * :class:`Extent`, :class:`SharedLoad` / :class:`SharedStore` /
   :class:`Barrier` — block-level nodes, recorded only for a consumer
   that asked (``trace_kernel(..., block_level=True)``): a grid or block
@@ -43,6 +46,7 @@ __all__ = [
     "Ufunc",
     "Load",
     "SpanLoad",
+    "SpanMatMul",
     "Tile",
     "TileLoad",
     "Store",
@@ -132,13 +136,31 @@ class Load(Expr):
 
 class SpanLoad(Expr):
     """The whole grid-strided element span ``array_arg[pos][0:extent]``
-    (the union over threads and iterations of their clipped spans)."""
+    (the union over threads and iterations of their clipped spans),
+    over the leading axis: of a 2-d array, the rows ``0:extent``."""
 
     __slots__ = ("pos", "extent")
 
     def __init__(self, pos: int, extent: Expr):
         self.pos = pos
         self.extent = extent
+
+
+class SpanMatMul(Expr):
+    """``value @ array_arg[pos]`` where ``value`` ranges over the rows of
+    a grid-strided span and the right operand is a whole 2-d array.
+
+    The interpreted loop multiplies chunk by chunk, and the chunks are
+    cut at the multiples of ``chunk`` (the thread element extent along
+    axis 0), whichever thread runs them; the replay keeps that cut.
+    """
+
+    __slots__ = ("value", "pos", "chunk")
+
+    def __init__(self, value: Expr, pos: int, chunk: int):
+        self.value = value
+        self.pos = pos
+        self.chunk = chunk
 
 
 class Tile:
@@ -198,7 +220,8 @@ class Store:
 
 
 class SpanStore:
-    """One recorded whole-span write ``array_arg[pos][0:extent] = value``."""
+    """One recorded whole-span write ``array_arg[pos][0:extent] = value``
+    (rows ``0:extent`` of a 2-d array)."""
 
     __slots__ = ("pos", "extent", "value", "mask_count")
 
@@ -331,6 +354,11 @@ def describe_expr(node) -> str:
         return f"load(arg{node.pos}[{idx}])"
     if isinstance(node, SpanLoad):
         return f"span(arg{node.pos}[:{describe_expr(node.extent)}])"
+    if isinstance(node, SpanMatMul):
+        return (
+            f"matmul({describe_expr(node.value)}, arg{node.pos}, "
+            f"chunk={node.chunk})"
+        )
     if isinstance(node, TileLoad):
         return f"tile(arg{node.pos}[{_describe_tile(node.tile, node.shifts)}])"
     if isinstance(node, Store):

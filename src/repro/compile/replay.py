@@ -14,9 +14,10 @@ was recorded (:mod:`repro.compile.codegen`) — and a warm launch is
    (and every extent it concretised) is re-checked by the generated
    ``guards(args)``; a flip means the kernel would take a different
    path now, so the caller re-traces (a cheap, counted event — never a
-   wrong answer).  A trace that read element boxes at a constant shift
-   also proves, per launch, that no argument it writes shares memory
-   with one it reads shifted; if one does, this launch interprets;
+   wrong answer).  A trace that read element boxes at a constant shift,
+   or a whole array through ``@``, also proves, per launch, that no
+   argument it writes shares memory with one it reads that way; if one
+   does, this launch interprets;
 3. **compute, then commit** — ``program(args)`` evaluates every store
    value, destination view and shape check before the first byte of
    global memory changes.  A replay that fails mid-compute (shape
@@ -210,9 +211,9 @@ def execute_compiled(plan, grid, task, interpret=None) -> None:
             # the verdict is not cached.
             raise CompileFallback(
                 "load-after-store",
-                "an argument written through an element box shares "
-                "memory with one read at a shifted box (every thread "
-                "would have to read before any wrote)",
+                "an argument this launch writes shares memory with one "
+                "it reads at a shifted element box or whole through `@` "
+                "(every thread would have to read before any wrote)",
             )
         try:
             if interpret is not None:

@@ -31,7 +31,19 @@ What is representable, and what falls back:
 * **grid-strided element spans** (:func:`repro.core.element.
   grid_strided_spans`): the per-thread clipped spans of all threads
   tile ``[0, extent)`` exactly once, so the whole loop collapses into
-  one :class:`SpanLoad`/:class:`SpanStore` over the flat extent;
+  one :class:`SpanLoad`/:class:`SpanStore` over the leading axis.  The
+  span is ``x[span]`` of a 1-d array or the **row span** ``X[span, :]``
+  (whole trailing axes) of an n-d one; a partial trailing subscript
+  falls back.  ``span.start`` is ``0`` and ``span.stop`` the extent,
+  concretised and guarded like any ``int()`` of a uniform value;
+* **``@`` on a row span**: ``X[span, :] @ B`` with a 2-d row-span value
+  on the left and a whole array argument on the right records one
+  :class:`SpanMatMul` — still per chunk, since the interpreted loop
+  multiplies chunk by chunk.  The right operand is read whole, so no
+  store may touch it (at trace time), nor may any written argument
+  share its memory (per launch).  A span-domain, per-thread or scalar
+  right operand, a 1-d span and a traced value on the right of ``@``
+  fall back;
 * **n-d element boxes** (:func:`repro.core.element.element_box`, and
   :func:`~repro.core.element.clip_box` for the interior): the boxes of
   all threads are disjoint and together cover the clipped extent, so a
@@ -45,7 +57,10 @@ What is representable, and what falls back:
   ``range``) and a store under a lane mask fall back;
 * values of different index domains (per-lane, per-span-element,
   per-tile-element) never meet in one operation — there is no
-  thread-to-element correspondence the replay could honour;
+  thread-to-element correspondence the replay could honour — and span
+  values meet only with the same trailing shape (a 1-d span broadcast
+  against row-span columns pairs different elements per chunk than
+  over the whole span);
 * barriers, atomics, shared memory, per-thread RNG, lane-dependent
   ``int()``/``range()`` and loads that alias an earlier store under a
   different index — classified fallbacks, never silent wrong answers.
@@ -76,6 +91,7 @@ from .exprs import (
     SharedLoad,
     SharedStore,
     SpanLoad,
+    SpanMatMul,
     SpanStore,
     Store,
     Tile,
@@ -167,6 +183,9 @@ class TraceState:
         self.stored_positions = set()
         #: Tiles the taken path assumed non-empty, in trace order.
         self.nonempty_tiles: List[Tile] = []
+        #: Array positions every chunk reads whole (right operands of
+        #: ``@``): no store may target them.
+        self.whole_reads = set()
 
     def count(self, node):
         """Account for one recorded ``node`` and hand it back."""
@@ -241,6 +260,13 @@ def _as_sym(st: TraceState, value, role: str) -> "SymValue":
     )
 
 
+def _is_whole(item) -> bool:
+    """Is ``item`` the whole-axis subscript ``:``?  (Compared field by
+    field: ``==`` would compare a traced bound with ``None``.)"""
+    return isinstance(item, slice) and item.start is None \
+        and item.stop is None and item.step is None
+
+
 #: Index domain of one-value-per-thread operands (the other domains
 #: are the span's extent expression and the :class:`Tile` object).
 LANE = "lane"
@@ -255,18 +281,21 @@ class SymValue:
     the live arguments, which is what uniform branches and ``int()``
     conversions consume.  :data:`LANE` is one value per thread, a
     span's extent expression one per element of that span, a
-    :class:`Tile` one per element of that tile.
+    :class:`Tile` one per element of that tile.  A span value also has
+    a ``trail``: the shape of one element — ``()`` for ``x[span]``,
+    ``(K,)`` for the row span of a ``(N, K)`` array.
     """
 
-    __slots__ = ("st", "expr", "value", "domain", "cmp")
+    __slots__ = ("st", "expr", "value", "domain", "cmp", "trail")
 
     def __init__(self, st: TraceState, expr: Expr, value=None,
-                 domain=None, cmp: Optional[tuple] = None):
+                 domain=None, cmp: Optional[tuple] = None, trail=()):
         self.st = st
         self.expr = expr
         self.value = value
         self.domain = domain
         self.cmp = cmp
+        self.trail = trail
 
     @property
     def lane(self) -> bool:
@@ -275,28 +304,36 @@ class SymValue:
 
     # -- helpers --------------------------------------------------------
 
-    def _coerce(self, other) -> "SymValue":
-        return _as_sym(self.st, other, "operand in traced arithmetic")
-
     def _apply(self, fn, *operands, cmp=None) -> "SymValue":
-        syms = [self._coerce(o) for o in operands]
+        name = getattr(fn, "__name__", fn)
+        syms = [_as_sym(self.st, o, f"operand of {name}") for o in operands]
         expr = self.st.count(Ufunc(fn, tuple(s.expr for s in syms)))
-        domain = None
+        domain, trail = None, ()
         for s in syms:
-            if s.domain is None or s.domain is domain:
+            if s.domain is None:
+                continue
+            if s.domain is domain:
+                if s.trail != trail:
+                    raise CompileFallback(
+                        "span-shape",
+                        f"{name} combines span values of element shapes "
+                        f"{trail} and {s.trail} (a chunk broadcasts them "
+                        f"differently from the whole span)",
+                    )
                 continue
             if domain is not None:
                 raise CompileFallback(
                     "unsupported-op",
-                    f"{getattr(fn, '__name__', fn)} combines values of "
+                    f"{name} combines values of "
                     f"different index domains (per-thread, per-span "
                     f"element, per-box element)",
                 )
-            domain = s.domain
+            domain, trail = s.domain, s.trail
         value = (
             _sample(fn, [s.value for s in syms]) if domain is None else None
         )
-        return SymValue(self.st, expr, value=value, domain=domain, cmp=cmp)
+        return SymValue(self.st, expr, value=value, domain=domain, cmp=cmp,
+                        trail=trail)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -377,10 +414,22 @@ class SymValue:
     def __rshift__(self, other):
         return self._apply(np.right_shift, self, other)
 
+    # -- matrix product -------------------------------------------------
+
+    def __matmul__(self, other):
+        return _span_matmul(self, other)
+
+    def __rmatmul__(self, other):
+        raise CompileFallback(
+            "unsupported-op",
+            "`@` with a traced value as its right operand (only "
+            "`X[span, :] @ B` lowers)",
+        )
+
     # -- comparisons ----------------------------------------------------
 
     def _compare(self, fn, op, other):
-        o = self._coerce(other)
+        o = _as_sym(self.st, other, f"operand of {fn.__name__}")
         return self._apply(fn, self, o, cmp=(op, self, o))
 
     def __lt__(self, other):
@@ -458,6 +507,18 @@ class SymValue:
     # -- numpy interception --------------------------------------------
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__" and not kwargs \
+                and len(inputs) == 2:
+            if inputs[0] is not self:
+                return self.__rmatmul__(inputs[0])
+            return _span_matmul(self, inputs[1])
+        if ufunc.signature is not None:
+            # A generalised ufunc reduces or builds core axes: applied
+            # chunk by chunk it is not the same as over the whole span.
+            raise CompileFallback(
+                "unsupported-op",
+                f"generalised ufunc {ufunc.__name__} on traced values",
+            )
         if (
             method != "__call__" or kwargs.get("out") is not None
             or ufunc.nout != 1
@@ -484,15 +545,62 @@ class SymValue:
 class _SymSpan:
     """The collapsed grid-strided element span ``[0, extent)``.
 
-    Deliberately attribute-free beyond identity: kernels that poke at
-    ``span.start`` (e.g. iota-style index generation) raise
-    ``AttributeError`` and fall back to interpretation.
+    As a subscript it is the whole span (``x[span]``, ``X[span, :]``).
+    ``start`` is ``0`` and ``stop`` the extent as an ``int`` — read
+    through ``SymValue.__index__``, so the trace is guarded on it.  A
+    kernel that builds values from them (``np.arange(span.start,
+    span.stop)``) gets concrete arrays, which the traced arithmetic
+    rejects as operands: such kernels fall back, naming the op.
     """
 
     __slots__ = ("extent",)
 
+    start = 0
+
     def __init__(self, extent: SymValue):
         self.extent = extent
+
+    @property
+    def stop(self) -> int:
+        return operator.index(self.extent)
+
+
+def _span_matmul(left: SymValue, right) -> SymValue:
+    """``left @ right`` for a row-span value ``left`` and a whole 2-d
+    array argument ``right`` (see the module docstring)."""
+    st = left.st
+    if not isinstance(left.domain, Expr):
+        raise CompileFallback(
+            "unsupported-op",
+            "`@` whose left operand is not a grid-strided row span "
+            "(per-thread, per-box or uniform values do not lower)",
+        )
+    if not isinstance(right, SymArrayArg):
+        raise CompileFallback(
+            "unsupported-op",
+            f"`@` whose right operand is {type(right).__name__!r}, not a "
+            f"whole array argument (span, per-thread and scalar right "
+            f"operands do not lower)",
+        )
+    if len(left.trail) != 1 or right.ndim != 2 \
+            or right.shape[0] != left.trail[0]:
+        raise CompileFallback(
+            "span-shape",
+            f"`@` of a span with element shape {left.trail} and an "
+            f"array of shape {right.shape} (only a 2-d row span times a "
+            f"(K, M) matrix lowers)",
+        )
+    if right.pos in st.stored_positions:
+        raise CompileFallback(
+            "load-after-store",
+            f"`@` reads argument {right.pos} whole after a store to it",
+        )
+    st.whole_reads.add(right.pos)
+    node = SpanMatMul(
+        left.expr, right.pos, int(st.work_div.thread_elem_extent[0])
+    )
+    return SymValue(st, st.count(node), domain=left.domain,
+                    trail=(right.shape[1],))
 
 
 class _TileTest:
@@ -769,12 +877,31 @@ class SymArrayArg:
             )
         return tile, shifts
 
+    def _span(self, idx) -> Optional[_SymSpan]:
+        """The span of ``x[span]`` or of a row span ``X[span, :]``
+        (whole trailing axes), ``None`` when ``idx`` has no span."""
+        if isinstance(idx, _SymSpan):
+            return idx
+        items = idx if isinstance(idx, tuple) else (idx,)
+        if not any(isinstance(it, _SymSpan) for it in items):
+            return None
+        if not isinstance(items[0], _SymSpan) or len(items) > self.arr.ndim \
+                or not all(_is_whole(it) for it in items[1:]):
+            raise CompileFallback(
+                "span-shape",
+                f"span subscript of argument {self.pos} with shape "
+                f"{self.arr.shape} is not the span over axis 0 with whole "
+                f"trailing axes (`x[span]`, `X[span, :]`)",
+            )
+        return items[0]
+
     def _classify(self, idx):
         """``(forwarding key, index domain, detail)`` of a subscript;
         ``detail`` is the span's extent, ``(tile, shifts)`` or
         ``(index exprs, sample)``."""
-        if isinstance(idx, _SymSpan):
-            extent = idx.extent.expr
+        span = self._span(idx)
+        if span is not None:
+            extent = span.extent.expr
             return ("span", self.pos, extent), extent, extent
         tiled = self._tile_index(idx)
         if tiled is not None:
@@ -793,9 +920,10 @@ class SymArrayArg:
                 "load from an array already written under a different "
                 "index (cannot prove the accesses disjoint)",
             )
-        value = None
+        value, trail = None, ()
         if key[0] == "span":
             node = SpanLoad(self.pos, detail)
+            trail = self.arr.shape[1:]
         elif key[0] == "tile":
             node = TileLoad(self.pos, *detail)
         else:
@@ -811,7 +939,7 @@ class SymArrayArg:
                     # load has no sample, it is not an error yet.
                     value = None
         return SymValue(self.st, self.st.count(node), value=value,
-                        domain=domain)
+                        domain=domain, trail=trail)
 
     def __setitem__(self, idx, value) -> None:
         val = _as_sym(self.st, value, "stored value")
@@ -822,7 +950,19 @@ class SymArrayArg:
                 "stored value and subscript range over different index "
                 "domains (per-thread, per-span element, per-box element)",
             )
+        if self.pos in self.st.whole_reads:
+            raise CompileFallback(
+                "load-after-store",
+                f"store to argument {self.pos}, which `@` reads whole "
+                f"(every chunk would have to read it before any wrote)",
+            )
         if key[0] == "span":
+            if val.domain is not None and val.trail != self.arr.shape[1:]:
+                raise CompileFallback(
+                    "span-shape",
+                    f"span value of element shape {val.trail} stored into "
+                    f"the rows of an array of shape {self.arr.shape}",
+                )
             store = SpanStore(self.pos, detail, val.expr, len(self.st.masks))
         elif key[0] == "tile":
             tile, shifts = detail
@@ -1003,7 +1143,22 @@ class CompileAcc:
         """Hook consumed by :func:`repro.core.element.grid_strided_spans`:
         the per-thread clipped spans of the whole grid tile
         ``[0, extent)`` exactly once, so the loop collapses to a single
-        symbolic span."""
+        symbolic span.  Only axis 0 strides: threads that differ along
+        another axis would each run the same spans, which a single span
+        cannot replay."""
+        wd = self.st.work_div
+        if any(
+            int(b) * int(t) != 1 for b, t in zip(
+                tuple(wd.grid_block_extent)[1:],
+                tuple(wd.block_thread_extent)[1:],
+            )
+        ):
+            raise CompileFallback(
+                "span-shape",
+                "grid-strided spans on a work division with more than one "
+                "thread along an axis other than 0 (those threads repeat "
+                "every span)",
+            )
         if isinstance(extent, SymValue):
             if extent.lane:
                 raise CompileFallback(

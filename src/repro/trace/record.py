@@ -74,8 +74,11 @@ class Printer:
                 continue
             visit = getattr(self, "visit_" + type(entry).__name__, None)
             if visit is None:
+                # Prefixed with a fallback slug, like every
+                # unprintable recording (e.g. a `SpanMatMul`).
                 raise TraceError(
-                    f"no {self.target} for a recorded {type(entry).__name__}"
+                    f"unsupported-op: no {self.target} for a recorded "
+                    f"{type(entry).__name__}"
                 )
             visit(entry)
 

@@ -3,7 +3,8 @@
 For every exported kernel family the vectorizer classifies as
 compilable, hypothesis drives random extents and work divisions and
 asserts the compiled replay's output bytes equal the interpreted
-scheduler's.  Families that cannot compile must fall back with their
+scheduler's (for the OpenMP-style DGEMM: the extent, the row-chunk
+length and the block count, so tails and multi-span threads occur).  Families that cannot compile must fall back with their
 documented reason — and still produce interpreted-identical results.
 """
 
@@ -31,6 +32,7 @@ from repro.kernels import (
     AxpyKernel,
     DotKernel,
     FillKernel,
+    GemmOmpStyleKernel,
     HistogramKernel,
     IotaKernel,
     MapKernel,
@@ -49,8 +51,14 @@ SETTINGS = settings(
 )
 
 
-def run_with_scheduler(schedule, kernel, wd, scalars, arrays):
-    """Launch once under REPRO_SCHEDULER=schedule; return output bytes."""
+def _scalars_first(scalars, bufs):
+    return (*scalars, *bufs)
+
+
+def run_with_scheduler(schedule, kernel, wd, scalars, arrays,
+                       layout=_scalars_first):
+    """Launch once under REPRO_SCHEDULER=schedule; return output bytes.
+    ``layout(scalars, buffers)`` orders the kernel's arguments."""
     prev = os.environ.get("REPRO_SCHEDULER")
     os.environ["REPRO_SCHEDULER"] = schedule
     clear_plan_cache()
@@ -62,7 +70,7 @@ def run_with_scheduler(schedule, kernel, wd, scalars, arrays):
             buf = mem.alloc(dev, host.shape, dtype=host.dtype)
             mem.copy(q, buf, host)
             bufs.append(buf)
-        q.enqueue(create_task_kernel(Acc, wd, kernel, *scalars, *bufs))
+        q.enqueue(create_task_kernel(Acc, wd, kernel, *layout(scalars, bufs)))
         out = []
         for host, buf in zip(arrays, bufs):
             res = np.empty_like(host)
@@ -78,10 +86,14 @@ def run_with_scheduler(schedule, kernel, wd, scalars, arrays):
         clear_plan_cache()
 
 
-def assert_bit_identical(kernel, wd, scalars, arrays):
+def assert_bit_identical(kernel, wd, scalars, arrays, layout=_scalars_first):
     reset_compile_stats()
-    compiled = run_with_scheduler("compiled", kernel, wd, scalars, arrays)
-    interpreted = run_with_scheduler("sequential", kernel, wd, scalars, arrays)
+    compiled = run_with_scheduler(
+        "compiled", kernel, wd, scalars, arrays, layout
+    )
+    interpreted = run_with_scheduler(
+        "sequential", kernel, wd, scalars, arrays, layout
+    )
     assert compiled == interpreted
     return compile_stats()
 
@@ -156,6 +168,23 @@ def test_map_ufunc_bit_identical(n, blocks, elems, seed):
         (n,), [x, np.zeros(n)],
     )
     assert stats["fallbacks"] == {}
+
+
+@SETTINGS
+@given(n=st.integers(1, 48), rows=st.integers(1, 16), blocks=st.integers(1, 8),
+       seed=seeds)
+def test_gemm_omp_style_bit_identical(n, rows, blocks, seed):
+    """Row chunks of any length, a tail or none, one span per thread or
+    several: the chunked matmul keeps every interpreted BLAS call."""
+    rng = np.random.default_rng(seed)
+    A, B, C = rng.random((n, n)), rng.random((n, n)), rng.random((n, n))
+    stats = assert_bit_identical(
+        GemmOmpStyleKernel(), WorkDivMembers.make(blocks, 1, rows),
+        (n, 1.5, 0.25), [A, B, C],
+        layout=lambda s, b: (s[0], s[1], b[0], b[1], s[2], b[2]),
+    )
+    assert stats["fallbacks"] == {}
+    assert stats["compiled_launches"] == 1
 
 
 # -- non-compilable families -------------------------------------------

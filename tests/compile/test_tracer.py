@@ -176,13 +176,19 @@ class TestFallbacks:
             "unsupported-arg"
 
     def test_kernel_exception_classified(self):
-        """IotaKernel pokes span.start — an AttributeError under the
-        tracer, classified instead of propagating."""
-        from repro.kernels import IotaKernel
+        """A kernel calling an ndarray method the array proxy lacks
+        raises a real AttributeError under the tracer: classified
+        instead of propagating."""
+        def kernel(acc, n, x, y):
+            i = get_idx(acc, Grid, Threads)[0]
+            if i < n:
+                y[i] = x.sum()
 
-        assert self.reason(
-            IotaKernel(), wd1(4, 1, 2), (8, 0, np.zeros(8))
-        ) == "unsupported-op"
+        with pytest.raises(CompileFallback) as e:
+            trace(kernel, wd1(4), (4, np.ones(4), np.zeros(4)))
+        assert e.value.reason == "unsupported-op"
+        assert "AttributeError" in e.value.detail
+        assert isinstance(e.value.__cause__, AttributeError)
 
     def test_mask_cap_stops_symbolic_while(self):
         def kernel(acc, n, y):

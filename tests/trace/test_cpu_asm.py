@@ -1,5 +1,6 @@
 """CPU assembler tracing — paper Fig. 4's SSE2 discussion."""
 
+import numpy as np
 import pytest
 
 from repro.core import Grid, Threads, get_idx
@@ -8,6 +9,7 @@ from repro.core.errors import TraceError
 from repro.kernels import AxpyElementsKernel, AxpyKernel
 from repro.trace import (
     classify_fp_instructions,
+    trace_alpaka_kernel,
     trace_cpu_kernel_scalar,
     trace_cpu_kernel_spans,
 )
@@ -150,6 +152,39 @@ class TestOneTracer:
 
         with pytest.raises(TraceError, match="divide"):
             trace_cpu_kernel_scalar(k, ["x"], "n")
+
+
+def _row_span_gemm(acc, n, A, B, C):
+    for rows in grid_strided_spans(acc, n):
+        C[rows, :] = A[rows, :] @ B
+
+
+class TestRowSpanProduct:
+    """``X[span, :] @ B`` replays as a chunked matmul; neither listing
+    prints it, and each says why with the fallback slug."""
+
+    def test_flat_buffers_carry_the_span_shape_slug(self):
+        with pytest.raises(TraceError, match="span-shape"):
+            trace_cpu_kernel_spans(_row_span_gemm, ["A", "B", "C"], 8, span=2)
+        with pytest.raises(TraceError, match="span-shape"):
+            trace_alpaka_kernel(_row_span_gemm, [
+                ("int", "n"), ("array", "A"), ("array", "B"), ("array", "C"),
+            ])
+
+    def test_recorded_matmul_is_unprintable_with_a_slug(self):
+        from repro.compile.tracer import trace_kernel
+        from repro.core.workdiv import WorkDivMembers
+        from repro.trace.cpu_asm import CpuTraceContext, _X86Printer
+
+        args = (8, np.zeros((8, 4)), np.zeros((4, 4)), np.zeros((8, 4)))
+        trace = trace_kernel(_row_span_gemm, WorkDivMembers.make(1, 1, 8),
+                             None, args, block_level=True)
+        ctx = CpuTraceContext()
+        printer = _X86Printer(
+            ctx, trace, args, {p: ctx.new_ptr() for p in (1, 2, 3)}
+        )
+        with pytest.raises(TraceError, match="unsupported-op: .*SpanMatMul"):
+            printer.print()
 
 
 class TestPaperComparison:
