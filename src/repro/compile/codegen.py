@@ -82,7 +82,6 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..core.errors import KernelError
 from .exprs import (
@@ -120,18 +119,17 @@ def _fits(target: tuple, value: tuple) -> None:
 def _chunked_matmul(x, b, chunk: int, dtype):
     """``x @ b`` cut where the grid-strided loop cuts ``x``'s rows: at
     the multiples of ``chunk``.  The full chunks go to one batched
-    ``np.matmul`` over a strided view whose every matrix has the
-    pointer and strides of one interpreted chunk, the short tail (if
-    any) to one more product — every BLAS call is an interpreted
-    chunk's, so the bits are too.  (One ``x @ b`` may be blocked
+    ``np.matmul`` over a view whose every matrix has the pointer and
+    strides of one interpreted chunk, the short tail (if any) to one
+    more product — every BLAS call is an interpreted chunk's, so the
+    bits are too.  (One ``x @ b`` may be blocked
     differently and is not bit-identical.)"""
     rows, k = x.shape
     m = b.shape[1]
     full = rows - rows % chunk
     out = np.empty((rows, m), dtype=dtype)
-    s0, s1 = x.strides
     np.matmul(
-        as_strided(x, (full // chunk, chunk, k), (chunk * s0, s0, s1)), b,
+        x[:full].reshape(full // chunk, chunk, k), b,
         out=out[:full].reshape(full // chunk, chunk, m),
     )
     if full < rows:

@@ -34,8 +34,12 @@ What is representable, and what falls back:
   one :class:`SpanLoad`/:class:`SpanStore` over the leading axis.  The
   span is ``x[span]`` of a 1-d array or the **row span** ``X[span, :]``
   (whole trailing axes) of an n-d one; a partial trailing subscript
-  falls back.  ``span.start`` is ``0`` and ``span.stop`` the extent,
-  concretised and guarded like any ``int()`` of a uniform value;
+  falls back.  ``span.start`` and ``span.stop`` are numbers only
+  when the loop is a single chunk (``0 < extent <= L``, then ``0`` and
+  the guarded extent); otherwise each chunk has its own bounds and
+  reading them falls back.  The loop body runs once per chunk, and not
+  in a thread without one, so every store in it must go through the
+  span;
 * **``@`` on a row span**: ``X[span, :] @ B`` with a 2-d row-span value
   on the left and a whole array argument on the right records one
   :class:`SpanMatMul` — still per chunk, since the interpreted loop
@@ -186,6 +190,10 @@ class TraceState:
         #: Array positions every chunk reads whole (right operands of
         #: ``@``): no store may target them.
         self.whole_reads = set()
+        #: Open grid-strided span loops: their body runs once per chunk
+        #: (and not at all in a thread without one), so only stores
+        #: through the span replay as the whole loop.
+        self.span_loops = 0
 
     def count(self, node):
         """Account for one recorded ``node`` and hand it back."""
@@ -546,23 +554,39 @@ class _SymSpan:
     """The collapsed grid-strided element span ``[0, extent)``.
 
     As a subscript it is the whole span (``x[span]``, ``X[span, :]``).
-    ``start`` is ``0`` and ``stop`` the extent as an ``int`` — read
-    through ``SymValue.__index__``, so the trace is guarded on it.  A
-    kernel that builds values from them (``np.arange(span.start,
-    span.stop)``) gets concrete arrays, which the traced arithmetic
-    rejects as operands: such kernels fall back, naming the op.
+    Its bounds are numbers only when the loop is one chunk: the
+    interpreter gives each chunk its own ``[k*L, min(k*L + L, n))``, so
+    ``start``/``stop`` read while ``n > L`` (or ``n == 0``, where no
+    chunk runs) fall back (``span-shape``).  For ``0 < n <= L`` they
+    are ``0`` and the extent, read through ``SymValue.__index__`` so the
+    trace is guarded on it.
     """
 
     __slots__ = ("extent",)
 
-    start = 0
-
     def __init__(self, extent: SymValue):
         self.extent = extent
 
+    def _bound(self, name: str) -> int:
+        n = operator.index(self.extent)
+        chunk = int(self.extent.st.work_div.thread_elem_extent[0])
+        if not 0 < n <= chunk:
+            raise CompileFallback(
+                "span-shape",
+                f"`span.{name}` read in a grid-strided loop over "
+                f"[0, {n}) in chunks of {chunk} (each chunk has its own "
+                f"bounds; the collapsed span has one)",
+            )
+        return n
+
+    @property
+    def start(self) -> int:
+        self._bound("start")
+        return 0
+
     @property
     def stop(self) -> int:
-        return operator.index(self.extent)
+        return self._bound("stop")
 
 
 def _span_matmul(left: SymValue, right) -> SymValue:
@@ -956,6 +980,13 @@ class SymArrayArg:
                 f"store to argument {self.pos}, which `@` reads whole "
                 f"(every chunk would have to read it before any wrote)",
             )
+        if self.st.span_loops and key[0] != "span":
+            raise CompileFallback(
+                "span-shape",
+                f"store to argument {self.pos} inside a grid-strided span "
+                f"loop not through the span (it runs once per chunk, and "
+                f"not in threads without one)",
+            )
         if key[0] == "span":
             if val.domain is not None and val.trail != self.arr.shape[1:]:
                 raise CompileFallback(
@@ -1170,7 +1201,12 @@ class CompileAcc:
             ext = SymValue(
                 self.st, self.st.count(Const(int(extent))), value=int(extent)
             )
+        self.st.span_loops += 1
         yield _SymSpan(ext)
+        # Not reached when the kernel leaves the loop by `break` or
+        # `return`: later stores then stay held to the span, which is
+        # only ever stricter.
+        self.st.span_loops -= 1
 
     def trace_elem_box(self, extent) -> _SymBox:
         """Hook consumed by :func:`repro.core.element.element_box`: the

@@ -4,28 +4,22 @@ For every exported kernel family the vectorizer classifies as
 compilable, hypothesis drives random extents and work divisions and
 asserts the compiled replay's output bytes equal the interpreted
 scheduler's (for the OpenMP-style DGEMM: the extent, the row-chunk
-length and the block count, so tails and multi-span threads occur).  Families that cannot compile must fall back with their
-documented reason — and still produce interpreted-identical results.
+length, the block count and ``alpha``/``beta``, so tails and
+multi-span threads occur).  Families that cannot compile must fall back
+with their documented reason — and still produce interpreted-identical
+results.
 """
 
 import logging
-import os
 
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro import (
-    QueueBlocking,
-    WorkDivMembers,
-    accelerator,
-    create_task_kernel,
-    get_dev_by_idx,
-    mem,
-)
+from repro import WorkDivMembers
 from repro.compile import compile_stats, reset_compile_stats
 from repro.kernels import (
     AxpyElementsKernel,
@@ -39,63 +33,15 @@ from repro.kernels import (
     ScaleKernel,
     SumReduceKernel,
 )
-from repro.runtime import clear_plan_cache
 
+from .launches import assert_bit_identical, run_with_scheduler
 
-Acc = accelerator("AccCpuOmp2Blocks")
 
 SETTINGS = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def _scalars_first(scalars, bufs):
-    return (*scalars, *bufs)
-
-
-def run_with_scheduler(schedule, kernel, wd, scalars, arrays,
-                       layout=_scalars_first):
-    """Launch once under REPRO_SCHEDULER=schedule; return output bytes.
-    ``layout(scalars, buffers)`` orders the kernel's arguments."""
-    prev = os.environ.get("REPRO_SCHEDULER")
-    os.environ["REPRO_SCHEDULER"] = schedule
-    clear_plan_cache()
-    try:
-        dev = get_dev_by_idx(Acc, 0)
-        q = QueueBlocking(dev)
-        bufs = []
-        for host in arrays:
-            buf = mem.alloc(dev, host.shape, dtype=host.dtype)
-            mem.copy(q, buf, host)
-            bufs.append(buf)
-        q.enqueue(create_task_kernel(Acc, wd, kernel, *layout(scalars, bufs)))
-        out = []
-        for host, buf in zip(arrays, bufs):
-            res = np.empty_like(host)
-            mem.copy(q, res, buf)
-            out.append(res.tobytes())
-            buf.free()
-        return out
-    finally:
-        if prev is None:
-            del os.environ["REPRO_SCHEDULER"]
-        else:
-            os.environ["REPRO_SCHEDULER"] = prev
-        clear_plan_cache()
-
-
-def assert_bit_identical(kernel, wd, scalars, arrays, layout=_scalars_first):
-    reset_compile_stats()
-    compiled = run_with_scheduler(
-        "compiled", kernel, wd, scalars, arrays, layout
-    )
-    interpreted = run_with_scheduler(
-        "sequential", kernel, wd, scalars, arrays, layout
-    )
-    assert compiled == interpreted
-    return compile_stats()
 
 
 # -- compilable families ------------------------------------------------
@@ -172,15 +118,21 @@ def test_map_ufunc_bit_identical(n, blocks, elems, seed):
 
 @SETTINGS
 @given(n=st.integers(1, 48), rows=st.integers(1, 16), blocks=st.integers(1, 8),
-       seed=seeds)
-def test_gemm_omp_style_bit_identical(n, rows, blocks, seed):
+       seed=seeds, alpha=st.sampled_from([0.0, 1.5, -0.3]),
+       beta=st.sampled_from([0.0, 0.25, 2.0]))
+@example(n=64, rows=16, blocks=4, seed=0, alpha=1.5, beta=0.25)  # n % L == 0
+@example(n=61, rows=16, blocks=4, seed=1, alpha=1.5, beta=0.25)  # tail chunk
+@example(n=64, rows=4, blocks=3, seed=2, alpha=-0.3, beta=2.0)   # non-covering
+@example(n=53, rows=4, blocks=3, seed=3, alpha=0.0, beta=0.0)    # both, 0s
+@example(n=5, rows=8, blocks=1, seed=4, alpha=1.5, beta=0.0)     # one short chunk
+def test_gemm_omp_style_bit_identical(n, rows, blocks, seed, alpha, beta):
     """Row chunks of any length, a tail or none, one span per thread or
     several: the chunked matmul keeps every interpreted BLAS call."""
     rng = np.random.default_rng(seed)
     A, B, C = rng.random((n, n)), rng.random((n, n)), rng.random((n, n))
     stats = assert_bit_identical(
         GemmOmpStyleKernel(), WorkDivMembers.make(blocks, 1, rows),
-        (n, 1.5, 0.25), [A, B, C],
+        (n, alpha, beta), [A, B, C],
         layout=lambda s, b: (s[0], s[1], b[0], b[1], s[2], b[2]),
     )
     assert stats["fallbacks"] == {}
@@ -215,7 +167,7 @@ NON_COMPILABLE = [
     (
         "iota-span-attrs",
         lambda rng, n: (IotaKernel(), (n, 5.0), [np.zeros(n)]),
-        "unsupported-op",
+        "span-shape",
     ),
 ]
 

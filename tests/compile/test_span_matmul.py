@@ -10,15 +10,7 @@ tail — so it is bit-identical to interpretation.  Every form outside
 import numpy as np
 import pytest
 
-from repro import (
-    QueueBlocking,
-    WorkDivMembers,
-    accelerator,
-    create_task_kernel,
-    get_dev_by_idx,
-    mem,
-)
-from repro.compile import compile_stats, reset_compile_stats
+from repro import WorkDivMembers
 from repro.compile.codegen import _chunked_matmul
 from repro.compile.exprs import SpanMatMul, SpanStore
 from repro.compile.tracer import CompileFallback, trace_kernel
@@ -26,10 +18,8 @@ from repro.core.element import grid_strided_spans
 from repro.core.index import Grid, Threads, get_idx
 from repro.core.vec import Vec
 from repro.kernels import GemmOmpStyleKernel, IotaKernel
-from repro.runtime import clear_plan_cache
 
-
-Acc = accelerator("AccCpuOmp2Blocks")
+from .launches import assert_bit_identical
 
 
 class FakeProps:
@@ -50,44 +40,6 @@ def gemm_args(n, alpha=1.5, beta=0.5, seed=0):
     rng = np.random.default_rng(seed)
     return (n, alpha, rng.random((n, n)), rng.random((n, n)), beta,
             rng.random((n, n)))
-
-
-def launch(monkeypatch, schedule, wd, scalars, hosts, order):
-    """Run ``GemmOmpStyleKernel`` once under ``schedule``; ``order``
-    lists, per array parameter, the index of the staged host array it
-    gets (so one buffer can be passed twice).  Returns the staged
-    arrays' contents afterwards."""
-    monkeypatch.setenv("REPRO_SCHEDULER", schedule)
-    clear_plan_cache()
-    dev = get_dev_by_idx(Acc, 0)
-    q = QueueBlocking(dev)
-    bufs = []
-    for host in hosts:
-        buf = mem.alloc(dev, host.shape, dtype=host.dtype)
-        mem.copy(q, buf, host)
-        bufs.append(buf)
-    n, alpha, beta = scalars
-    a, b, c = (bufs[i] for i in order)
-    q.enqueue(create_task_kernel(
-        Acc, wd, GemmOmpStyleKernel(), n, alpha, a, b, beta, c,
-    ))
-    out = []
-    for host, buf in zip(hosts, bufs):
-        res = np.empty_like(host)
-        mem.copy(q, res, buf)
-        out.append(res)
-        buf.free()
-    clear_plan_cache()
-    return out
-
-
-def compiled_and_interpreted(monkeypatch, wd, scalars, hosts, order=(0, 1, 2)):
-    monkeypatch.delenv("REPRO_COMPILE_CROSSCHECK", raising=False)
-    reset_compile_stats()
-    compiled = launch(monkeypatch, "compiled", wd, scalars, hosts, order)
-    stats = compile_stats()
-    interpreted = launch(monkeypatch, "sequential", wd, scalars, hosts, order)
-    return compiled, interpreted, stats
 
 
 class TestLowering:
@@ -126,50 +78,40 @@ class TestLowering:
         assert np.array_equal(got, want)
 
 
-# -- compiled against interpreted, bit for bit ---------------------------
+# -- compiled against interpreted ---------------------------------------
+#
+# The bit-identity sweep over extents, chunk lengths, grids and
+# alpha/beta is test_property_crosscheck.test_gemm_omp_style_bit_identical.
 
 
-@pytest.mark.parametrize("n,rows,blocks", [
-    (64, 16, 4),   # n % L == 0, covering grid
-    (61, 16, 4),   # tail chunk, covering grid
-    (64, 4, 3),    # non-covering: each thread runs several spans
-    (53, 4, 3),    # non-covering with a tail chunk
-    (5, 8, 1),     # one short chunk, no full one
-])
-@pytest.mark.parametrize("alpha,beta", [(1.5, 0.5), (0.0, 0.0), (-0.3, 2.0)])
-def test_gemm_omp_style_bit_identical(monkeypatch, n, rows, blocks, alpha, beta):
-    _n, _a, A, B, _b, C = gemm_args(n, seed=n + rows)
-    compiled, interpreted, stats = compiled_and_interpreted(
-        monkeypatch, WorkDivMembers.make(blocks, 1, rows),
-        (n, alpha, beta), [A, B, C],
-    )
-    assert stats["fallbacks"] == {}
-    assert stats["compiled_launches"] == 1
-    for got, want in zip(compiled, interpreted):
-        assert np.array_equal(got, want)
-
-
-def test_b_aliasing_c_interprets(monkeypatch):
+def test_b_aliasing_c_interprets():
     """``C = alpha * A @ C + beta * C``: every chunk reads all of ``C``,
     including the rows earlier chunks wrote — only interpretation has
     that order, so the launch must not replay."""
     n, rows = 24, 4
     _n, _a, A, _B, _b, C = gemm_args(n, seed=7)
-    compiled, interpreted, stats = compiled_and_interpreted(
-        monkeypatch, WorkDivMembers.make(2, 1, rows), (n, 1.5, 0.5),
-        [A, C], order=(0, 1, 1),
+    stats = assert_bit_identical(
+        GemmOmpStyleKernel(), WorkDivMembers.make(2, 1, rows), (n, 1.5, 0.5),
+        [A, C], layout=lambda s, b: (s[0], s[1], b[0], b[1], s[2], b[1]),
     )
     assert stats["compiled_launches"] == 0
     assert stats["fallbacks"] == {"load-after-store": 1}
-    for got, want in zip(compiled, interpreted):
-        assert np.array_equal(got, want)
 
 
 # -- span bounds --------------------------------------------------------
 
 
+def _bounds_kernel(acc, n, y):
+    for span in grid_strided_spans(acc, n):
+        y[span] = span.start + 0.5 * span.stop
+
+
 class TestSpanBounds:
-    def test_start_is_zero_and_stop_is_guarded(self):
+    """``span.start``/``span.stop`` are numbers only when the loop is
+    one chunk; with several, each chunk has its own and the trace must
+    not pick one."""
+
+    def test_one_chunk_reads_zero_and_the_guarded_extent(self):
         seen = []
 
         def kernel(acc, n, y):
@@ -177,16 +119,40 @@ class TestSpanBounds:
                 seen.append((span.start, span.stop))
                 y[span] = 1.0
 
-        t = trace(kernel, WorkDivMembers.make(2, 1, 3), (10, np.zeros(10)))
+        t = trace(kernel, WorkDivMembers.make(2, 1, 16), (10, np.zeros(10)))
         assert seen == [(0, 10)]
-        assert [expected for _expr, expected in t.guards] == [10]
+        assert [expected for _expr, expected in t.guards] == [10, 10]
 
-    def test_iota_falls_back_naming_the_op(self):
+    @pytest.mark.parametrize("n,rows", [(10, 3), (4, 2), (0, 4)])
+    def test_several_chunks_or_none_fall_back(self, n, rows):
+        cf = fallback(_bounds_kernel, WorkDivMembers.make(2, 1, rows),
+                      (n, np.zeros(max(n, 1))))
+        assert cf.reason == "span-shape"
+        assert "`span.start`" in cf.detail
+
+    @pytest.mark.parametrize("n,rows,blocks,compiled", [
+        (10, 3, 2, 0),   # four chunks, two threads: falls back
+        (10, 16, 2, 1),  # one chunk: compiles
+    ])
+    def test_compiled_equals_interpreted(self, n, rows, blocks, compiled):
+        stats = assert_bit_identical(
+            _bounds_kernel, WorkDivMembers.make(blocks, 1, rows), (n,),
+            [np.zeros(n)],
+        )
+        assert stats["compiled_launches"] == compiled
+        assert stats["fallbacks"] == ({} if compiled else {"span-shape": 1})
+
+    def test_iota_falls_back_naming_the_access(self):
         cf = fallback(IotaKernel(), WorkDivMembers.make(4, 1, 2),
+                      (8, 0, np.zeros(8)))
+        assert cf.reason == "span-shape"
+        assert "`span.start`" in cf.detail
+
+    def test_one_chunk_iota_falls_back_naming_the_op(self):
+        cf = fallback(IotaKernel(), WorkDivMembers.make(1, 1, 8),
                       (8, 0, np.zeros(8)))
         assert cf.reason == "unsupported-op"
         assert "operand of add" in cf.detail
-        assert "AttributeError" not in cf.detail
 
 
 # -- every other form falls back, classified -----------------------------
@@ -266,6 +232,14 @@ def _generalised_ufunc(acc, rows, x, A, B, C):
     x[rows] = np.vecdot(A[rows, :], A[rows, :])
 
 
+def _uniform_store_in_the_loop(acc, rows, x, A, B, C):
+    x[0] = x[0] + 1.0
+
+
+def _lane_store_in_the_loop(acc, rows, x, A, B, C):
+    x[get_idx(acc, Grid, Threads)[0]] = 1.0
+
+
 NEGATIVE = [
     ("partial-trailing-slice", _partial_trailing, "span-shape"),
     ("integer-trailing-index", _index_trailing, "span-shape"),
@@ -286,6 +260,8 @@ NEGATIVE = [
      "span-shape"),
     ("1-d-span-stored-into-rows", _store_1d_into_rows, "span-shape"),
     ("generalised-ufunc", _generalised_ufunc, "unsupported-op"),
+    ("uniform-store-in-the-loop", _uniform_store_in_the_loop, "span-shape"),
+    ("lane-store-in-the-loop", _lane_store_in_the_loop, "span-shape"),
 ]
 
 
@@ -301,6 +277,28 @@ def test_unsupported_form_falls_back_with_its_slug(body, slug):
     assert fallback(
         _span_kernel(body), WorkDivMembers.make(2, 1, 4), args
     ).reason == slug
+
+
+@pytest.mark.parametrize("n,rows,blocks", [
+    (8, 2, 1),  # one thread runs four chunks: the body runs four times
+    (3, 2, 4),  # threads 2 and 3 run no chunk: their stores never happen
+    (0, 2, 1),  # no chunk at all
+])
+def test_stores_off_the_span_interpret(n, rows, blocks):
+    """The loop body runs once per chunk, in the threads that have one;
+    a store not through the span would replay once, in every lane."""
+
+    def kernel(acc, n, y, z):
+        for span in grid_strided_spans(acc, n):
+            y[span] = 2.0
+            z[0] = z[0] + 1.0
+            z[get_idx(acc, Grid, Threads)[0] + 1] = 1.0
+
+    stats = assert_bit_identical(
+        kernel, WorkDivMembers.make(blocks, 1, rows), (n,),
+        [np.zeros(max(n, 1)), np.zeros(blocks + 1)],
+    )
+    assert stats["fallbacks"] == {"span-shape": 1}
 
 
 def test_spans_on_a_multi_axis_grid_fall_back():
