@@ -71,6 +71,15 @@ Rules the generator keeps:
   an integer bound becomes a prefix ``slice`` (loads and stores under
   it are views); anything else, including a lane side that depends on
   arguments, is emitted as code computing a boolean lane mask.
+* **The guard set.**  An argument subscripted with an integer or an
+  index array keeps the kernel-side guard (a negative index must fail
+  as it does interpreted); one reached only through slice-form keys
+  (spans, row spans, element boxes, the lane identity under a prefix
+  mask) can never trip it, so the program reads it through a plain
+  ``ndarray`` view.  The same set is the interpreting schedules'
+  verdict (:attr:`Lowered.guarded`): a record of an interpreted launch
+  hands the kernel plain views of every array outside it
+  (:meth:`repro.runtime.plan.ArgsRecord.prove`).
 * A shape the generator cannot lower raises a classified
   :class:`~repro.compile.tracer.CompileFallback`; there is no second
   evaluator to fall back on, only the interpreter.
@@ -79,7 +88,7 @@ Rules the generator keeps:
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -100,7 +109,7 @@ from .exprs import (
 )
 from .tracer import CompileFallback, TraceResult
 
-__all__ = ["lower", "lower_expr"]
+__all__ = ["Lowered", "lower", "lower_expr"]
 
 #: Python scalars are weak (NEP 50): a ufunc's result dtype depends on
 #: operand *types* only, so a dtype probed at generation time holds for
@@ -204,10 +213,9 @@ class _Lowering:
         self.levels: Dict[int, _Sel] = {0: _Sel()}
         self.extents: Dict[Expr, _Val] = {}
         #: Array positions subscripted with integers or index arrays:
-        #: those keep the kernel-side guard (a negative index must fail
-        #: as it does interpreted); slices never trip it, so every other
-        #: array is read through a plain ``ndarray`` view, which spares
-        #: each access and each ufunc the subclass round trip.
+        #: those keep the kernel-side guard (see the module doc); every
+        #: other array is read through a plain ``ndarray`` view, which
+        #: spares each access and each ufunc the subclass round trip.
         self.guarded = set()
 
     # -- naming ---------------------------------------------------------
@@ -667,17 +675,33 @@ def lower_expr(node: Expr, work_div, sig: tuple = (), masks: tuple = (),
     return gen.function("value", "args", result=gen.expr(node, level))
 
 
-def lower(trace: TraceResult, work_div, sig: tuple):
-    """Generate and compile the functions of ``trace`` for arguments of
-    signature ``sig`` (see :func:`repro.compile.replay._signature`).
+class Lowered(NamedTuple):
+    """What :func:`lower` generated for one trace."""
 
-    Returns ``(program, guards, aliased, source)``: ``program(args)``
-    replays the whole grid; ``guards(args)`` (or ``None``) says whether
-    the live arguments still take the traced path; ``aliased(args)``
-    (or ``None``) whether an argument written through a tile shares
-    memory with one read at a non-zero shift, or any written argument
-    with one ``@`` reads whole; ``source`` is the text of
-    all of them, for inspection."""
+    #: ``program(args)`` replays the whole grid.
+    program: Callable
+    #: ``guards(args)`` (or ``None``): do the live arguments still take
+    #: the traced path?
+    guards: Optional[Callable]
+    #: ``aliased(args)`` (or ``None``): does an argument written through
+    #: a tile share memory with one read at a non-zero shift, or any
+    #: written argument with one ``@`` reads whole?
+    aliased: Optional[Callable]
+    #: The text of all of them, for inspection.
+    source: str
+    #: Array positions an interpreted launch of this trace's path must
+    #: keep guarded (see the module doc) — a load nobody consumes is
+    #: never lowered but still runs interpreted, so it counts too.
+    guarded: frozenset
+    #: Does a uniform guard read an array element?  Then the path an
+    #: interpreted launch takes can change with memory contents, and
+    #: nothing about it is proven.
+    guards_read_memory: bool
+
+
+def lower(trace: TraceResult, work_div, sig: tuple) -> Lowered:
+    """Generate and compile the functions of ``trace`` for arguments of
+    signature ``sig`` (see :func:`repro.compile.replay._signature`)."""
     geom = LaneGeometry(work_div)
     main = _Lowering(trace, geom, sig)
     main.stores()
@@ -698,7 +722,13 @@ def lower(trace: TraceResult, work_div, sig: tuple):
     program = main.function("program", "args", lines=lines)
     sources = [main.source]
 
-    guards = None
+    lowered = {node for node, _level in main.memo}
+    guarded = frozenset(main.guarded) | {
+        node.pos for node in trace.order
+        if type(node) is Load and node not in lowered
+    }
+
+    guards, guards_read_memory = None, False
     if trace.guards:
         g = main.sub()
         tests = []
@@ -721,6 +751,7 @@ def lower(trace: TraceResult, work_div, sig: tuple):
                                "return True"]
         ))
         sources.append(g.source)
+        guards_read_memory = bool(g.guarded)
 
     aliased = None
     pairs = _overlapping_reads(trace)
@@ -733,4 +764,5 @@ def lower(trace: TraceResult, work_div, sig: tuple):
             )
         ])
         sources.append(a.source)
-    return program, guards, aliased, "\n".join(sources)
+    return Lowered(program, guards, aliased, "\n".join(sources), guarded,
+                   guards_read_memory)

@@ -7,6 +7,9 @@ announces nothing; the readers pull:
 * :func:`compile_stats` sums the counts into the in-process snapshot
   the benchmarks and tests assert on (e.g. "a warm replay performed
   zero re-traces");
+* :func:`compile_stats` also carries, per kernel, the guard verdicts
+  of interpreted launch records (``"guard"``: how many records run on
+  proven plain views, how many kept ``GuardedArray`` and why);
 * the process metrics registry copies the same counts into its
   ``repro_compile_*_total`` counters whenever it is read (a registry
   source, see :meth:`repro.telemetry.metrics.MetricsRegistry.add_source`),
@@ -32,6 +35,7 @@ __all__ = [
     "note_retrace",
     "note_fallback",
     "note_crosscheck",
+    "note_guard",
 ]
 
 _lock = threading.Lock()
@@ -49,7 +53,7 @@ class KernelCounts:
 
     __slots__ = (
         "kernel", "traces", "retraces", "crosschecks",
-        "warm", "hit_only", "fresh", "fallbacks",
+        "warm", "hit_only", "fresh", "fallbacks", "proven", "kept",
     )
 
     def __init__(self, kernel: str):
@@ -64,6 +68,10 @@ class KernelCounts:
         self.fallbacks: Dict[str, int] = dict.fromkeys(
             getattr(self, "fallbacks", ()), 0
         )
+        #: Interpreted launch records proven / kept guarded (verdict ->
+        #: records; see :func:`repro.compile.replay.guard_verdict`).
+        self.proven = 0
+        self.kept: Dict[str, int] = {}
 
     @property
     def cache_hits(self) -> int:
@@ -128,6 +136,16 @@ def note_crosscheck(kernel: str) -> None:
         counts.crosschecks += 1
 
 
+def note_guard(kernel: str, verdict: str) -> None:
+    """An interpreted launch record got its guard verdict."""
+    counts = counts_for(kernel)
+    with _lock:
+        if verdict == "proven":
+            counts.proven += 1
+        else:
+            counts.kept[verdict] = counts.kept.get(verdict, 0) + 1
+
+
 def compile_stats() -> Dict[str, object]:
     """Snapshot of the process-local compile counters."""
     fallbacks: Dict[str, int] = {}
@@ -144,7 +162,16 @@ def compile_stats() -> Dict[str, object]:
             for reason, n in c.fallbacks.items():
                 if n:
                     fallbacks[reason] = fallbacks.get(reason, 0) + n
+        guard = {
+            c.kernel: {
+                "proven": c.proven,
+                "kept": sum(c.kept.values()),
+                "why": dict(c.kept),
+            }
+            for c in every if c.proven or c.kept
+        }
     stats["fallbacks"] = fallbacks
+    stats["guard"] = guard
     return stats
 
 

@@ -40,7 +40,7 @@ interpreted and compares the store targets bit-for-bit.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "CompiledReplay",
     "execute_compiled",
     "replay_for",
+    "guard_verdict",
     "crosscheck_active",
     "CROSSCHECK_ENV",
 ]
@@ -95,11 +96,25 @@ class CompiledReplay:
         self.store_positions = tuple(sorted(
             {s.pos for s in trace.stores}
         ))
+        lowered = lower(trace, plan.work_div, sig)
         #: ``source`` is the generated Python text (program, guards,
         #: alias check); the functions hold no state between calls.
-        self._program, self._guards, self._aliased, self.source = lower(
-            trace, plan.work_div, sig
-        )
+        self._program, self._guards, self._aliased, self.source = lowered[:4]
+        #: Array positions an interpreted launch must keep guarded
+        #: (:attr:`~repro.compile.codegen.Lowered.guarded`).
+        self.guarded = lowered.guarded
+        #: ``(kept positions or None for all, verdict)`` for an
+        #: interpreted record whose arguments take this trace's path
+        #: (see :func:`guard_verdict`).
+        if lowered.guards_read_memory:
+            self.verdict = (None, "kept: guard-reads-memory")
+        elif self.guarded:
+            self.verdict = (
+                self.guarded,
+                f"kept: integer-subscript {tuple(sorted(self.guarded))}",
+            )
+        else:
+            self.verdict = (self.guarded, "proven")
         self.counts = metrics.counts_for(kernel_name(plan.kernel))
 
     def guards_hold(self, args: tuple) -> bool:
@@ -172,6 +187,38 @@ def replay_for(plan, args: tuple) -> Tuple[object, bool]:
     return entry, True
 
 
+def _retrace(plan, replay: CompiledReplay, args: tuple):
+    """A uniform predicate flipped (e.g. alpha became 0): the traced
+    path is stale for ``args``.  Re-trace against them."""
+    metrics.note_retrace(replay.counts.kernel)
+    plan._compiled.pop(replay.sig, None)
+    return replay_for(plan, args)[0]
+
+
+def guard_verdict(plan, args: tuple) -> Tuple[Optional[frozenset], str]:
+    """Which of ``args`` an interpreted launch on ``plan`` must keep
+    guarded: ``(positions, verdict)``, ``positions`` ``None`` for all.
+
+    The proof is the compile trace of ``args``' signature — the same
+    entry (``plan._compiled``) the compiled schedule replays.  A
+    fallback verdict proves nothing; a trace whose uniform guards read
+    an array element proves nothing either (the path can change with
+    memory contents).  Guards over scalars and extents are checked once
+    against ``args`` — the caller holds this very tuple for the life of
+    its record — and a flip re-traces, as a compiled launch does.
+    Counted per kernel (``compile_stats()["guard"]``).
+    """
+    entry, fresh = replay_for(plan, args)
+    if not (fresh or isinstance(entry, tuple) or entry.guards_hold(args)):
+        entry = _retrace(plan, entry, args)
+    if isinstance(entry, tuple):
+        kept, verdict = None, "kept: " + entry[1]
+    else:
+        kept, verdict = entry.verdict
+    metrics.note_guard(kernel_name(plan.kernel), verdict)
+    return kept, verdict
+
+
 def _usable(entry) -> CompiledReplay:
     """``entry`` as a replay, or its verdict raised."""
     if isinstance(entry, tuple):
@@ -197,14 +244,8 @@ def execute_compiled(plan, grid, task, interpret=None) -> None:
     replay = _usable(entry)
     compiled = False
     try:
-        if not fresh and replay._guards is not None and not replay._guards(args):
-            # A uniform predicate flipped (e.g. alpha became 0): the
-            # traced path is stale for these arguments.  Re-trace
-            # against them.
-            metrics.note_retrace(replay.counts.kernel)
-            plan._compiled.pop(replay.sig, None)
-            entry, _fresh = replay_for(plan, args)
-            grid.replay = entry
+        if not fresh and not replay.guards_hold(args):
+            entry = grid.replay = _retrace(plan, replay, args)
             replay = _usable(entry)
         if replay._aliased is not None and replay._aliased(args):
             # A property of these arguments, not of their signature:

@@ -7,10 +7,13 @@ executes a single time.  Index queries (the ``trace_get_idx`` hook of
 carrying a :class:`~repro.compile.exprs.LaneIndex` expression instead of
 a number; arithmetic, comparisons and numpy ufuncs on them grow a
 dataflow graph; array accesses record :class:`Load`/:class:`Store`
-nodes.  The recording (:class:`TraceResult`) has three consumers:
+nodes.  The recording (:class:`TraceResult`) has four consumers:
 :mod:`~repro.compile.codegen` replays the *whole grid* as fused numpy
-operations, and :mod:`repro.trace` prints it as the PTX and x86 listings
-of paper Fig. 4.  The printers ask for a *block-level* trace
+operations, :mod:`repro.trace` prints it as the PTX and x86 listings
+of paper Fig. 4, and the guard set the lowering derives from it (which
+arrays only slice-form keys reach) lets interpreted launches run on
+plain views (:meth:`repro.runtime.plan.ArgsRecord.prove`).  The
+printers ask for a *block-level* trace
 (``trace_kernel(..., block_level=True)``): extents keep their
 provenance, shared memory and barriers become nodes instead of
 fallbacks.  Everything below is about the default, replayable trace.

@@ -162,7 +162,9 @@ SANITIZE_SEED = _declare(
     "integer seed of the sanitizer's fuzzed cooperative schedule; replays an interleaving.")
 UNGUARDED_KERNEL_ARRAYS = _declare(
     "REPRO_UNGUARDED_KERNEL_ARRAYS", _bool, False,
-    "boolean; disables the kernel-side negative-index guard, restoring numpy wrap-around.")
+    "boolean; disables the kernel-side negative-index guard on every array, restoring numpy "
+    "wrap-around (arrays a compile trace proves only sliced run unguarded from a plan's "
+    "second launch on regardless).")
 TELEMETRY = _declare(
     "REPRO_TELEMETRY", _bool, False,
     "boolean; collects telemetry for the whole process (`repro.telemetry`) and prints the "

@@ -14,9 +14,16 @@ the offending index.  Negative *slice* bounds stay legal — ``a[:-1]``
 is idiomatic, unambiguous, and used by shipped kernels.
 
 Host-side access (``as_numpy``) is untouched: wrap-around is a
-well-defined numpy idiom there.  Set ``REPRO_UNGUARDED_KERNEL_ARRAYS=1``
-to disable the guard (e.g. for micro-benchmarks of index-heavy
-kernels).
+well-defined numpy idiom there.
+
+Where a slice-form key is the only way a kernel reaches an array, the
+guard can never fire, so it is dropped by proof: from a plan's second
+launch on, an interpreted launch record re-views every array the
+compile trace shows only sliced as a plain ``ndarray``
+(:meth:`repro.runtime.plan.ArgsRecord.prove`); an array subscripted by
+an integer or index array keeps the guard.  Set
+``REPRO_UNGUARDED_KERNEL_ARRAYS=1`` to disable the guard on the
+unproven arrays too (e.g. for micro-benchmarks of index-heavy kernels).
 """
 
 from __future__ import annotations

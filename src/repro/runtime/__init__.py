@@ -42,6 +42,7 @@ from .instrument import (
 from .plan import (
     GRAPH_PLAN_CACHE_MAXSIZE,
     PLAN_CACHE_MAXSIZE,
+    UNTRACED,
     ArgsRecord,
     GraphPlan,
     LaunchPlan,
@@ -148,6 +149,9 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     A record remembers its launch's modeled seconds, so a warm launch
     asks the kernel for its ``characteristics`` no more; the launch is
     counted and the clock advanced in one device call, inside the span.
+    An interpreted record is proven (:meth:`ArgsRecord.prove`) the
+    first time it runs after the plan's first launch, before dispatch;
+    from then on the kernel sees plain views wherever the proof holds.
 
     Observers see the launch once, as the ``"launch"`` span closing
     (``span.error`` set when the kernel raised); unobserved, the launch
@@ -155,6 +159,8 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     """
     if grid is None:
         grid = plan.record_for(task)
+    if grid.guard is UNTRACED and plan.launches:
+        grid.prove(plan)
     sched = scheduler or scheduler_for(device, plan.schedule)
     plan.launches += 1
     region = (

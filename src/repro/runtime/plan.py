@@ -17,6 +17,12 @@ tuning generation moves).  What a launch derives from its argument
 tuple lives in an :class:`ArgsRecord` on the plan, reused while the
 same tuple comes back.
 
+A record of an interpreting schedule starts on ``GuardedArray`` views
+(:mod:`repro.mem.guard`).  From the plan's second launch on, the compile
+trace of its argument signature proves which arrays only slice-form
+keys reach — keys that can never trip the guard — and the record hands
+the kernel plain ``ndarray`` views of those (:meth:`ArgsRecord.prove`).
+
 Cache observability: every resolution announces itself through
 :func:`repro.runtime.instrument.notify_plan_cache`, and the module
 keeps global hit/miss counters (:func:`plan_cache_info`).
@@ -30,18 +36,22 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
+import numpy as np
+
 from ..acc.base import GridContext
 from ..core.errors import SharedMemError
 from ..core.kernel import kernel_name
 from ..core.properties import AccDevProps
 from ..core.vec import Vec
 from ..core.workdiv import AutoWorkDiv, WorkDivMembers, validate_work_div
+from ..mem.guard import GuardedArray
 from .instrument import notify_plan_cache
 from .scheduler import chunk_indices, resolve_scheduler_override
 
 __all__ = [
     "LaunchPlan",
     "ArgsRecord",
+    "UNTRACED",
     "get_plan",
     "build_plan",
     "clear_plan_cache",
@@ -53,6 +63,9 @@ __all__ = [
     "graph_plan_cache_info",
     "GRAPH_PLAN_CACHE_MAXSIZE",
 ]
+
+#: Guard verdict of an interpreted record its plan has not proven yet.
+UNTRACED = "untraced"
 
 #: Upper bound on cached plans; least-recently-used entries evict first.
 PLAN_CACHE_MAXSIZE = 512
@@ -89,9 +102,15 @@ class ArgsRecord(GridContext):
     the tuple the record was built from; a record is reused only for
     that very tuple, which it holds — so it keeps no buffer alive that
     the argument tuple does not.
+
+    ``guard`` is the record's guard verdict: ``None`` where nothing is
+    to be proven (the compiled schedule, sanitizer shadow arguments, no
+    ``GuardedArray`` among the arguments), :data:`UNTRACED` until
+    :meth:`prove` ran, then ``"proven"`` or ``"kept: <why>"``.
     """
 
-    def __init__(self, plan, host_args: tuple, args: tuple, monitor=None):
+    def __init__(self, plan, host_args: tuple, args: tuple, monitor=None,
+                 provable: bool = False):
         super().__init__(
             plan.device,
             plan.work_div,
@@ -103,6 +122,28 @@ class ArgsRecord(GridContext):
         self.host_args = host_args
         self.seconds: Optional[float] = None
         self.replay = None
+        self.guard: Optional[str] = UNTRACED if provable else None
+
+    def prove(self, plan) -> None:
+        """Settle the guard verdict: re-view every ``GuardedArray``
+        argument the compile trace proves only slice-form keys reach as
+        a plain ``ndarray`` (same memory), and keep the rest guarded.
+
+        Runs at most once per record, and never at the plan's first
+        launch (:func:`repro.runtime.execute_plan`): a one-shot launch
+        cannot pay back a trace.  The trace runs the kernel body once
+        under :class:`~repro.compile.CompileAcc`.
+        """
+        from ..compile.replay import guard_verdict
+
+        kept, verdict = guard_verdict(plan, self.args)
+        self.guard = plan.guard = verdict
+        if kept is not None:
+            self.args = tuple(
+                a.view(np.ndarray)
+                if type(a) is GuardedArray and pos not in kept else a
+                for pos, a in enumerate(self.args)
+            )
 
 
 @dataclass
@@ -130,6 +171,11 @@ class LaunchPlan:
     launches: int = 0
     #: Whether this plan instance was served from the cache at least once.
     served_from_cache: bool = False
+    #: The guard verdict of the last record proven on this plan (see
+    #: :class:`ArgsRecord`).
+    guard: str = UNTRACED
+    #: The plan's key in the plan cache (set when it is cached).
+    key: tuple = field(default=(), repr=False)
     #: The :class:`ArgsRecord` of the last argument tuple launched
     #: through :meth:`record_for`.
     _record: Optional[ArgsRecord] = field(default=None, repr=False)
@@ -179,19 +225,25 @@ class LaunchPlan:
         by the caller (a graph node keeps its own).
 
         ``args`` replaces the task's unwrapped arguments (the sanitizer
-        passes shadow arrays, with its ``monitor``)."""
+        passes shadow arrays, with its ``monitor``); such a record, and
+        every record of the compiled schedule, is never proven."""
+        provable = False
         if args is None:
             from ..acc.engine import unwrap_args
 
             args = unwrap_args(task.args, self.device)
-        return ArgsRecord(self, task.args, args, monitor)
+            provable = self.schedule != "compiled" and any(
+                type(a) is GuardedArray for a in args
+            )
+        return ArgsRecord(self, task.args, args, monitor, provable)
 
     def describe(self) -> str:
+        guard = "" if self.schedule == "compiled" else f", guard={self.guard}"
         return (
             f"LaunchPlan({self.acc_type.__name__}, "
             f"kernel={kernel_name(self.kernel)}, "
             f"{self.work_div}, dev={self.device!r}, "
-            f"schedule={self.schedule}, launches={self.launches})"
+            f"schedule={self.schedule}, launches={self.launches}{guard})"
         )
 
 
@@ -364,6 +416,7 @@ class _PlanLRU:
             notify_plan_cache(plan, True)
             return plan
         plan = build(*build_args)
+        plan.key = key
         with self._lock:
             self._misses += 1
             self._plans[key] = plan
@@ -375,9 +428,13 @@ class _PlanLRU:
         return plan
 
     def hit(self, plan):
-        """Count a hit on ``plan``, resolved without a lookup."""
+        """Count a hit on ``plan``, resolved without a lookup, and
+        refresh its LRU position (a plan only bound tasks launch is as
+        recently used as any other)."""
         with self._lock:
             self._hits += 1
+            if self._plans.get(plan.key) is plan:
+                self._plans.move_to_end(plan.key)
         plan.served_from_cache = True
         notify_plan_cache(plan, True)
         return plan
@@ -409,9 +466,7 @@ def get_graph_plan(key: tuple, build: Callable[[], GraphPlan]) -> GraphPlan:
     Announced through ``on_plan_cache`` observers like per-launch
     plans, so the telemetry hit-rate counters cover graphs.
     """
-    plan = _graph_plans.get(key, build)
-    plan.key = key
-    return plan
+    return _graph_plans.get(key, build)
 
 
 def clear_graph_plan_cache() -> None:
