@@ -63,7 +63,9 @@ class ExecutionObserver:
 
     def on_tuning_cache(self, kernel, acc_type, hit: bool) -> None:
         """An ``AutoWorkDiv`` consulted the tuning cache (tuned division
-        served vs heuristic fallback)."""
+        served vs heuristic fallback).  The serving workloads memoise
+        their division per tuning generation, so for them this fires
+        once per memo miss, not once per request."""
 
     def on_span_end(self, span) -> None:
         """A timed region closed; ``span`` carries wall and modeled

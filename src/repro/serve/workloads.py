@@ -20,12 +20,28 @@ per-request arithmetic is exactly the solo path's — elementwise kernels
 by construction, GEMM by fixed row-chunk shapes — so a client cannot
 tell (bitwise) whether its launch was coalesced.
 
+**How a lane divides a request.**  An interpreted block costs the
+lane ~10 µs of dispatch, while numpy updates 256 elements in ~1 µs,
+so block count, not element count, prices a CPU request.  A lane whose
+back-end maps Table 2's block-level row (one thread per block:
+``AccCpuSerial``, ``AccCpuOmp2Blocks``) therefore runs one span per
+block worker — ``V = ceil(n / max_block_workers)`` elements per block,
+the heat plate's rows split the same way — instead of one block per
+256 elements; thread-level lanes keep 256-element threads.  Axpy,
+scale and Jacobi compute every element with the same expression
+whatever the tiling, so the result bits do not depend on the split.
+A tuned cache entry still wins (:func:`~repro.tuning.auto_divide`),
+and the elementwise division is resolved once per (back-end, device,
+kernel, n, tuning generation): a re-tune bumps the generation, so the
+next request resolves again and hot-swap keeps working.
+
 Register custom workloads with :func:`register_workload`; the protocol
 layer exposes whatever the registry holds.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -34,7 +50,7 @@ import numpy as np
 from ..core.errors import ServeError
 from ..core.kernel import create_task_kernel
 from ..core.vec import Vec
-from ..core.workdiv import WorkDivMembers, divide_work
+from ..core.workdiv import MappingStrategy, WorkDivMembers
 from ..kernels import (
     DEFAULT_ROWS_PER_CHUNK,
     AxpyElementsKernel,
@@ -43,6 +59,7 @@ from ..kernels import (
     ScaleKernel,
 )
 from ..queue.queue import QueueBlocking
+from ..tuning.cache import tuning_generation
 
 __all__ = [
     "Workload",
@@ -119,6 +136,20 @@ def _stage(queue, device, host: np.ndarray):
     return buf
 
 
+def _split(requests, merged: np.ndarray, name: str, out_name: str):
+    """Per-request slices of a merged 1-d result.  A solo request gets
+    ``merged`` itself (just fetched, nobody else holds it); batched
+    replies are copies, so no reply pins the merged array."""
+    if len(requests) == 1:
+        return [{out_name: merged}]
+    out, offset = [], 0
+    for r in requests:
+        size = r.arrays[name].size
+        out.append({out_name: merged[offset : offset + size].copy()})
+        offset += size
+    return out
+
+
 def _fetch(queue, buf, shape, dtype) -> np.ndarray:
     from .. import mem
 
@@ -144,29 +175,50 @@ def _launch(queue, task) -> None:
     ran[0].drop_record()
 
 
-def _elementwise_workdiv(
-    acc_type, device, n: int, kernel=None
-) -> WorkDivMembers:
-    """Division for an n-element elementwise launch: the *tuned* one
-    when the tuning cache knows this (kernel, back-end, device,
-    extent-bucket), else the same Table 2 heuristic as before.  Routing
-    through :func:`auto_divide` is what lets a background re-tune
-    hot-swap serving launches — the next plan resolution after a
-    tuning-generation bump picks the new winner up."""
+def _span_workers(acc_type, props) -> Optional[int]:
+    """Block workers a request is split over on a block-level lane
+    (Table 2's one-thread-per-block row), or None on a thread-level
+    lane, whose division keeps 256-element threads."""
+    if acc_type.mapping_strategy is MappingStrategy.BLOCK_LEVEL:
+        return props.max_block_workers
+    return None
+
+
+def _elementwise_workdiv(acc_type, device, n: int, kernel) -> WorkDivMembers:
+    """Division for an n-element elementwise launch of ``kernel``.
+
+    On a block-level lane each block worker gets one span of
+    ``V = ceil(n / max_block_workers)`` elements — one block on the
+    serial lane, W on a pooled one — because an interpreted block costs
+    ~10 µs of dispatch against ~1 µs of numpy per 256 elements; a
+    thread-level lane keeps ``V = min(n, 256)``.  One span's
+    temporaries are ``2 x 8n`` bytes — the numpy twin of the request
+    allocates the same — and :data:`~repro.serve.protocol.MAX_FRAME_BYTES`
+    bounds ``n``.
+
+    The *tuned* division wins when the tuning cache knows this
+    (kernel, back-end, device, extent-bucket): routing through
+    :func:`~repro.tuning.auto_divide` is what lets a background re-tune
+    hot-swap serving launches.  The answer is memoised per
+    (back-end, device, kernel, n, :func:`tuning_generation`); a tuning
+    store bumps the generation, so the next request resolves again.
+    """
+    return _resolve_workdiv(acc_type, device, kernel, n, tuning_generation())
+
+
+@functools.lru_cache(maxsize=256)
+def _resolve_workdiv(acc_type, device, kernel, n: int, generation: int) -> WorkDivMembers:
     from ..tuning import auto_divide
 
     props = acc_type.get_acc_dev_props(device)
-    if kernel is None:
-        return divide_work(
-            n, props, acc_type.mapping_strategy, thread_elems=min(n, 256)
-        )
+    workers = _span_workers(acc_type, props)
     return auto_divide(
         n,
         props,
         kernel=kernel,
         acc_type=acc_type,
         device=device,
-        thread_elems=min(n, 256),
+        thread_elems=min(n, 256) if workers is None else -(-n // workers),
     )
 
 
@@ -255,12 +307,7 @@ class AxpyWorkload(Workload):
         finally:
             x.free()
             y.free()
-        out, offset = [], 0
-        for r in requests:
-            size = r.arrays["y"].size
-            out.append({"y": merged[offset : offset + size].copy()})
-            offset += size
-        return out
+        return _split(requests, merged, "y", "y")
 
     def retune(self, acc_type, device, n: int, budget: int) -> bool:
         return _retune_elementwise(
@@ -289,13 +336,16 @@ class ScaleWorkload(Workload):
         )
 
     def execute(self, requests, acc_type, device):
+        from .. import mem
+
         factor = float(requests[0].params.get("factor", 1.0))
         xs = [r.arrays["x"] for r in requests]
         x_host = np.concatenate(xs) if len(xs) > 1 else xs[0]
         n = x_host.size
         queue = QueueBlocking(device)
         x = _stage(queue, device, x_host)
-        result = _stage(queue, device, np.zeros_like(x_host))
+        # The kernel writes every element: no staged zeros.
+        result = mem.alloc(device, x_host.shape, dtype=x_host.dtype, pitched=False)
         try:
             task = create_task_kernel(
                 acc_type,
@@ -307,12 +357,7 @@ class ScaleWorkload(Workload):
         finally:
             x.free()
             result.free()
-        out, offset = [], 0
-        for r in requests:
-            size = r.arrays["x"].size
-            out.append({"out": merged[offset : offset + size].copy()})
-            offset += size
-        return out
+        return _split(requests, merged, "x", "out")
 
     def retune(self, acc_type, device, n: int, budget: int) -> bool:
         return _retune_elementwise(
@@ -409,6 +454,18 @@ class GemmWorkload(Workload):
 # ---------------------------------------------------------------------------
 
 
+def _plate_workdiv(acc_type, device, h: int, w: int) -> WorkDivMembers:
+    """Jacobi division of an (h, w) plate: on a block-level lane one box
+    of ``(ceil(h / W), w)`` rows per block worker (the elementwise rule
+    on axis 0), else 8x16 tiles."""
+    workers = _span_workers(acc_type, acc_type.get_acc_dev_props(device))
+    if workers is None:
+        elems = Vec(min(h, 8), min(w, 16))
+    else:
+        elems = Vec(-(-h // workers), w)
+    return WorkDivMembers.make(Vec(h, w).ceil_div(elems), Vec(1, 1), elems)
+
+
 class HeatEquationWorkload(Workload):
     """``steps`` Jacobi sweeps over a 2-d plate, as one dataflow graph.
 
@@ -448,9 +505,7 @@ class HeatEquationWorkload(Workload):
 
             src = mem.alloc(device, (h, w))
             dst = mem.alloc(device, (h, w))
-            elems = Vec(min(h, 8), min(w, 16))
-            blocks = Vec(h, w).ceil_div(elems)
-            work_div = WorkDivMembers.make(blocks, Vec(1, 1), elems)
+            work_div = _plate_workdiv(acc_type, device, h, w)
             result = np.empty((h, w))
             try:
                 g = Graph()

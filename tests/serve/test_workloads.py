@@ -259,3 +259,169 @@ class TestPlanReuse:
         gc.collect()
         pinned = self.reachable_arrays(plans.seen.values(), nbytes)
         assert pinned == [], f"{len(pinned)} request-sized arrays outlive the request"
+
+
+@pytest.fixture
+def cold_tuning(tmp_path, monkeypatch):
+    """A tuning cache with no entries: the division is the lane rule."""
+    from repro.tuning import TUNING_CACHE_ENV, reset_default_cache
+
+    monkeypatch.setenv(TUNING_CACHE_ENV, str(tmp_path / "cache.json"))
+    reset_default_cache()
+    yield
+    reset_default_cache()
+
+
+def _lane(name):
+    acc = accelerator(name)
+    return acc, get_dev_by_idx(acc, 0)
+
+
+def _old_elementwise_div(acc, dev, n):
+    """The division serve launches used before spans: one block (or
+    thread) per 256 elements."""
+    from repro import divide_work
+
+    props = acc.get_acc_dev_props(dev)
+    return divide_work(n, props, acc.mapping_strategy, thread_elems=min(n, 256))
+
+
+def _old_plate_div(h, w):
+    from repro.core.vec import Vec
+    from repro.core.workdiv import WorkDivMembers
+
+    elems = Vec(min(h, 8), min(w, 16))
+    return WorkDivMembers.make(Vec(h, w).ceil_div(elems), Vec(1, 1), elems)
+
+
+@pytest.mark.usefixtures("cold_tuning")
+class TestLaneDivision:
+    """A block-level lane runs one span per block worker; the result
+    bits are the old 256-element division's."""
+
+    N = 2**16 + 3
+
+    def test_serial_lane_is_one_block(self):
+        from repro.serve.workloads import _elementwise_workdiv
+
+        acc, dev = _lane("AccCpuSerial")
+        wd = _elementwise_workdiv(acc, dev, self.N, get_workload("axpy").kernel)
+        assert tuple(wd.grid_block_extent) == (1,)
+        assert tuple(wd.block_thread_extent) == (1,)
+        assert tuple(wd.thread_elem_extent) == (self.N,)
+
+    def test_pooled_lane_is_one_block_per_worker(self):
+        from repro.serve.workloads import _elementwise_workdiv
+
+        acc, dev = _lane("AccCpuOmp2Blocks")
+        workers = acc.get_acc_dev_props(dev).max_block_workers
+        wd = _elementwise_workdiv(acc, dev, self.N, get_workload("axpy").kernel)
+        assert tuple(wd.grid_block_extent) == (workers,)
+        assert tuple(wd.block_thread_extent) == (1,)
+        assert tuple(wd.thread_elem_extent) == (-(-self.N // workers),)
+
+    def test_thread_level_lane_keeps_256_element_threads(self):
+        from repro.serve.workloads import _elementwise_workdiv
+
+        acc, dev = _lane("AccCpuThreads")
+        wd = _elementwise_workdiv(acc, dev, self.N, get_workload("axpy").kernel)
+        assert tuple(wd.thread_elem_extent) == (256,)
+        assert wd == _old_elementwise_div(acc, dev, self.N)
+
+    @pytest.mark.parametrize("backend", ["AccCpuSerial", "AccCpuOmp2Blocks"])
+    @pytest.mark.parametrize("n", [1, 255, 257, 2**16 + 3])
+    def test_elementwise_bits_match_old_division(self, backend, n, runner, rng):
+        acc, dev = _lane(backend)
+        x = rng.standard_normal(n)
+        y = rng.standard_normal(n)
+        old_div = _old_elementwise_div(acc, dev, n)
+
+        axpy = get_workload("axpy")
+        got = _solo(
+            axpy,
+            LaunchRequest(workload="axpy", params={"alpha": 1.3}, arrays={"x": x, "y": y}),
+            acc, dev,
+        )["y"]
+        want = runner.run(acc, old_div, axpy.kernel, n, 1.3, arrays={"x": x, "y": y})["y"]
+        assert np.array_equal(got, want)
+
+        scale = get_workload("scale")
+        got = _solo(
+            scale,
+            LaunchRequest(workload="scale", params={"factor": -0.7}, arrays={"x": x}),
+            acc, dev,
+        )["out"]
+        want = runner.run(
+            acc, old_div, scale.kernel, n, -0.7, arrays={"x": x, "out": np.zeros(n)}
+        )["out"]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("backend", ["AccCpuSerial", "AccCpuOmp2Blocks"])
+    def test_heat_bits_match_old_tiles(self, backend, runner, rng):
+        acc, dev = _lane(backend)
+        h, w, steps, c = 97, 131, 7, 0.2
+        plate = rng.standard_normal((h, w))
+        heat = get_workload("heat_equation")
+        got = _solo(
+            heat,
+            LaunchRequest(
+                workload="heat_equation",
+                params={"steps": steps, "c": c},
+                arrays={"plate": plate},
+            ),
+            acc, dev,
+        )["plate"]
+        want = plate
+        for _ in range(steps):
+            want = runner.run(
+                acc, _old_plate_div(h, w), heat.kernel, h, w, c,
+                arrays={"src": want, "dst": np.zeros_like(plate)},
+            )["dst"]
+        assert np.array_equal(got, want)
+
+    def test_batched_spans_equal_solo(self, rng):
+        acc, dev = _lane("AccCpuOmp2Blocks")
+        workload = get_workload("scale")
+        reqs = [
+            LaunchRequest(
+                workload="scale", params={"factor": 2.5},
+                arrays={"x": rng.standard_normal(n)},
+            )
+            for n in (1, 300, 5001)
+        ]
+        solo = [_solo(workload, r, acc, dev) for r in reqs]
+        merged = workload.execute(reqs, acc, dev)
+        for s, m in zip(solo, merged):
+            assert np.array_equal(s["out"], m["out"])
+
+    def test_division_resolves_once_per_tuning_generation(self, monkeypatch, rng):
+        import repro.tuning
+        from repro.runtime import CountingObserver, observe
+        from repro.tuning.cache import bump_tuning_generation
+
+        calls = []
+        auto_divide = repro.tuning.auto_divide
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return auto_divide(*args, **kwargs)
+
+        monkeypatch.setattr(repro.tuning, "auto_divide", counting)
+        acc, dev = _lane("AccCpuSerial")
+        n = 7919  # an extent no other test requests
+        req = LaunchRequest(
+            workload="axpy", params={"alpha": 2.0},
+            arrays={"x": rng.standard_normal(n), "y": rng.standard_normal(n)},
+        )
+        workload = get_workload("axpy")
+        counts = CountingObserver()
+        with observe(counts):
+            for _ in range(5):
+                _solo(workload, req, acc, dev)
+        assert calls == [n]
+        assert counts.snapshot()["tuning_cache_misses"] == 1
+
+        bump_tuning_generation()
+        for _ in range(3):
+            _solo(workload, req, acc, dev)
+        assert calls == [n, n]
