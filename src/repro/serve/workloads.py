@@ -21,8 +21,9 @@ by construction, GEMM by fixed row-chunk shapes — so a client cannot
 tell (bitwise) whether its launch was coalesced.
 
 **How a lane divides a request.**  An interpreted block costs the
-lane ~10 µs of dispatch, while numpy updates 256 elements in ~1 µs,
-so block count, not element count, prices a CPU request.  A lane whose
+lane ~10 µs of dispatch, while numpy updates 256 elements in ~1 µs
+(both on a 2-vCPU x86 host), so block count, not element count,
+prices a CPU request.  A lane whose
 back-end maps Table 2's block-level row (one thread per block:
 ``AccCpuSerial``, ``AccCpuOmp2Blocks``) therefore runs one span per
 block worker — ``V = ceil(n / max_block_workers)`` elements per block,
@@ -190,11 +191,11 @@ def _elementwise_workdiv(acc_type, device, n: int, kernel) -> WorkDivMembers:
     On a block-level lane each block worker gets one span of
     ``V = ceil(n / max_block_workers)`` elements — one block on the
     serial lane, W on a pooled one — because an interpreted block costs
-    ~10 µs of dispatch against ~1 µs of numpy per 256 elements; a
-    thread-level lane keeps ``V = min(n, 256)``.  One span's
-    temporaries are ``2 x 8n`` bytes — the numpy twin of the request
-    allocates the same — and :data:`~repro.serve.protocol.MAX_FRAME_BYTES`
-    bounds ``n``.
+    ~10 µs of dispatch against ~1 µs of numpy per 256 elements (2-vCPU
+    x86 host); a thread-level lane keeps ``V = min(n, 256)``.  One
+    span's temporaries are ``2 x 8n`` bytes — the numpy twin of the
+    request allocates the same — and
+    :data:`~repro.serve.protocol.MAX_FRAME_BYTES` bounds ``n``.
 
     The *tuned* division wins when the tuning cache knows this
     (kernel, back-end, device, extent-bucket): routing through
