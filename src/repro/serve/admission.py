@@ -95,7 +95,8 @@ class FairShareAdmission:
         self._visit_topped = False
         self._closed = False
         #: Signalled whenever work may have become releasable (an offer
-        #: or a completion freeing an in-flight slot).
+        #: left queued, or a completion freeing an in-flight slot of a
+        #: tenant with queued work).
         self.ready = threading.Event()
 
     # -- tenant bookkeeping ----------------------------------------------
@@ -127,11 +128,19 @@ class FairShareAdmission:
 
     # -- offer (client side) ----------------------------------------------
 
-    def offer(self, request) -> None:
+    def offer(self, request, release: bool = False) -> bool:
         """Queue ``request`` for its tenant or raise :class:`RetryAfter`.
 
         Never blocks: backpressure is the caller's problem by design
         (bounded memory at the gateway, the client owns the retry).
+
+        With ``release``, when no tenant has queued work and the
+        request's tenant is under its in-flight cap, the same call also
+        runs :meth:`next_ready` — which has nothing to arbitrate but
+        this request — and returns True once it released it, without
+        setting :attr:`ready`.  Otherwise (and always without
+        ``release``) the request waits for the pump and False is
+        returned.
         """
         from .metrics import record_admission
 
@@ -146,12 +155,22 @@ class FairShareAdmission:
                 delay = st.retry_delay()
                 record_admission(request.tenant, "rejected", len(st.queue))
                 raise RetryAfter(request.tenant, delay, len(st.queue))
+            release = (
+                release
+                and st.inflight < self.config.tenant_inflight
+                and not any(t.queue for t in self._tenants.values())
+            )
             request.submitted_at = time.perf_counter()
             st.queue.append(request)
             st.admitted += 1
             depth = len(st.queue)
+            # A fractional weight may still be short of a unit: then the
+            # request stays queued like any other.
+            released = release and self._next_ready_locked() is request
         record_admission(request.tenant, "queued", depth)
-        self.ready.set()
+        if not released:
+            self.ready.set()
+        return released
 
     # -- release (pump side) ----------------------------------------------
 
@@ -162,39 +181,52 @@ class FairShareAdmission:
         queued work is at its in-flight cap.
         """
         with self._lock:
-            n = len(self._order)
-            if n == 0:
-                return None
-            # A tenant's deficit tops up once per *visit* (cursor
-            # arrival); it then releases one request per unit of
-            # deficit before the cursor moves on — the burst size is
-            # what realises the weight ratio.  Fractional weights
-            # accumulate credit across visits.  Bound: enough visits
-            # for the smallest practical weight to accumulate a unit.
-            for _ in range(8 * n + 1):
-                if self._cursor >= n:
-                    self._cursor = 0
-                name = self._order[self._cursor]
-                st = self._tenants[name]
-                if not st.queue or st.inflight >= self.config.tenant_inflight:
-                    # DRR rule: a flow with nothing releasable keeps no
-                    # credit — an idle tenant must not burst later.
-                    st.deficit = 0.0
-                    self._advance(n)
-                    continue
-                if not self._visit_topped:
-                    st.deficit += QUANTUM * st.weight
-                    self._visit_topped = True
-                if st.deficit >= 1.0:
-                    st.deficit -= 1.0
-                    req = st.queue.popleft()
-                    st.inflight += 1
-                    req.admitted_at = time.perf_counter()
-                    # Cursor stays: the visit continues until the
-                    # deficit is spent or the queue empties.
-                    return req
-                self._advance(n)
+            return self._next_ready_locked()
+
+    def _next_ready_locked(self):
+        n = len(self._order)
+        if n == 0:
             return None
+        # A tenant's deficit tops up once per *visit* (cursor arrival);
+        # it then releases one request per unit of deficit before the
+        # cursor moves on — the burst size is what realises the weight
+        # ratio.  Fractional weights accumulate credit across visits.
+        # Bound: enough visits for the smallest practical weight to
+        # accumulate a unit.
+        visits = 8 * n + 1
+        idle = 0
+        for visit in range(visits):
+            if self._cursor >= n:
+                self._cursor = 0
+            name = self._order[self._cursor]
+            st = self._tenants[name]
+            if not st.queue or st.inflight >= self.config.tenant_inflight:
+                # DRR rule: a flow with nothing releasable keeps no
+                # credit — an idle tenant must not burst later.
+                st.deficit = 0.0
+                self._advance(n)
+                idle += 1
+                if idle == n:
+                    # A whole round found nothing releasable, and nothing
+                    # changes under the lock: the remaining visits would
+                    # only move the cursor on.
+                    self._cursor = (self._cursor + visits - visit - 1) % n
+                    return None
+                continue
+            idle = 0
+            if not self._visit_topped:
+                st.deficit += QUANTUM * st.weight
+                self._visit_topped = True
+            if st.deficit >= 1.0:
+                st.deficit -= 1.0
+                req = st.queue.popleft()
+                st.inflight += 1
+                req.admitted_at = time.perf_counter()
+                # Cursor stays: the visit continues until the deficit is
+                # spent or the queue empties.
+                return req
+            self._advance(n)
+        return None
 
     def _advance(self, n: int) -> None:
         self._cursor = (self._cursor + 1) % max(1, n)
@@ -212,7 +244,9 @@ class FairShareAdmission:
             else:
                 st.failed += 1
             st.observe_service(seconds)
-        self.ready.set()
+            waiting = bool(st.queue)
+        if waiting:
+            self.ready.set()
 
     # -- shutdown ---------------------------------------------------------
 

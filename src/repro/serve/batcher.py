@@ -51,9 +51,11 @@ own.  The gateway pump drives it with explicit timestamps, which keeps
 the flush logic deterministic and directly testable.  Completions
 happen on lane threads, so the router does not call :meth:`note_done`
 itself: it hands each finished batch to the gateway, which queues it
-for the pump, and the pump notes it before its next :meth:`add` — the
-pump stays the only thread that touches this object's state (other
-threads only read the :meth:`stats` integers).
+for the pump, and the pump notes it before its next :meth:`add`.  Only
+a holder of the gateway's pump lock touches this object's state — the
+pump, or a thread stepping a lone request through (it notes the queued
+completions first, too, and asks :meth:`runs_alone` before it adds);
+other threads only read the :meth:`stats` integers.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ class Batch:
 
     __slots__ = (
         "key", "requests", "workload", "deadline", "backend",
-        "opened_at", "flushed_at", "execute_seconds",
+        "opened_at", "flushed_at", "execute_seconds", "path",
     )
 
     def __init__(self, key, workload, backend: str, deadline: float):
@@ -92,6 +94,9 @@ class Batch:
         #: Wall seconds of ``workload.execute`` for the merged launch,
         #: stamped by the router (the drift detector's signal).
         self.execute_seconds = 0.0
+        #: Where the router ran it: ``"lane"`` (the lane queue's
+        #: thread) or ``"inline"`` (the submitting thread).
+        self.path = "lane"
 
     @property
     def size(self) -> int:
@@ -165,6 +170,20 @@ class Batcher:
         if batch.size >= self.batch_max:
             del self._open[slot]
             self._flush(batch, now)
+
+    def runs_alone(self, request) -> bool:
+        """Whether :meth:`add` would give ``request`` an unheld batch of
+        its own, due at once: it never batches, or its key has no open
+        batch, no unheld batch on a lane and no company remembered."""
+        if not self.enabled or isinstance(request, GraphRequest):
+            return True
+        key = get_workload(request.workload).batch_key(request)
+        if key is None:
+            return True
+        slot = (key, request.backend)
+        return not (
+            slot in self._open or slot in self._running or slot in self._company
+        )
 
     def note_done(self, batch: Batch) -> None:
         """``batch`` (flushed earlier) finished on its lane: its

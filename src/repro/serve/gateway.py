@@ -9,14 +9,23 @@ a single **pump** thread drives the pipeline::
       (offer;        (weighted DRR        (coalesce;   (least-loaded
        RetryAfter     + in-flight cap)     window for   QueueNonBlocking)
        when full)                          keys with
-                                           company)
+       │                                   company)
+       └── lone: the same three stages, stepped in the caller ──> lane
+           (path "inline")                                    closures
 
 Completion flows back through each lane queue's ``enqueue_callback``
 into the request's future; the finished batch itself is queued for the
 pump, which tells the batcher (its hold rule counts a key's unheld
-requests still on a lane).  Shutdown is graceful by default: new
-admissions are rejected, queued and parked work drains, lanes close,
-and (on request) the per-device worker pools are released.
+requests still on a lane).  The inline path is for a *lone* request
+(``submit(request, lone=True)``: its sender has nothing else
+unanswered and nothing else waits for the submitting thread) that
+finds no queued work, an unheld batch of its own and an idle lane: the
+caller steps it through admission and the batcher under the pump's
+lock and runs the lane's own closures, so the handle comes back
+resolved.  A lane runs one batch at a time either way.  Shutdown is
+graceful by default: new admissions are rejected, queued and parked
+work drains, lanes close, and (on request) the per-device worker pools
+are released.
 """
 
 from __future__ import annotations
@@ -81,10 +90,14 @@ class Gateway:
         self.batcher = Batcher(
             config.batch_window, config.batch_max, config.enable_batching
         )
-        # Finished batches, appended by lane threads and drained by the
-        # pump into ``batcher.note_done`` (the batcher is single-threaded).
+        # Finished batches, appended by lane threads and drained into
+        # ``batcher.note_done`` under the pump's lock (the only lock the
+        # batcher is touched under).
         self._batches_done: deque = deque()
         self.router = ShardRouter(config, self._batches_done.append)
+        #: Held for each pump step, and while a lone request is stepped
+        #: through admission and the batcher on its submitting thread.
+        self._pump_lock = threading.Lock()
         self._handles: Dict[int, ServeHandle] = {}
         self._handles_lock = threading.Lock()
         self._draining = threading.Event()
@@ -93,6 +106,7 @@ class Gateway:
         self._submitted = 0
         self._completed = 0
         self._failed = 0
+        self._inline = 0
         self._pump = threading.Thread(
             target=self._pump_loop, name="serve-pump", daemon=True
         )
@@ -118,13 +132,21 @@ class Gateway:
 
     # -- submission -------------------------------------------------------
 
-    def submit(self, request) -> ServeHandle:
+    def submit(self, request, lone: bool = False) -> ServeHandle:
         """Admit ``request`` (a :class:`LaunchRequest` or
         :class:`GraphRequest`); returns its handle.
 
         Raises :class:`RetryAfter` when the tenant's queue is full and
         :class:`GatewayClosed` after shutdown began — both *before* any
         state is kept, so a rejected request costs nothing.
+
+        ``lone`` says the caller has no other request of its own
+        unanswered and nothing else waits for its thread (the TCP
+        server passes it per frame).  A lone
+        request that finds no queued work, an unheld batch of its own
+        and an idle lane runs to completion in this call, and the
+        handle comes back resolved; every other request is left to the
+        pump and the lanes.
         """
         if self._stopped.is_set() or self._draining.is_set():
             raise GatewayClosed("gateway is shutting down")
@@ -153,7 +175,11 @@ class Gateway:
         with self._handles_lock:
             self._handles[request.request_id] = handle
         try:
-            self.admission.offer(request)
+            if lone:
+                batch = self._admit_lone(request)
+            else:
+                batch = None
+                self.admission.offer(request)
         except BaseException as exc:  # noqa: BLE001 - a refused offer leaves no handle; re-raised
             with self._handles_lock:
                 self._handles.pop(request.request_id, None)
@@ -162,7 +188,30 @@ class Gateway:
             raise
         with self._handles_lock:
             self._submitted += 1
+        if batch is not None:
+            self.router.submit(batch, self._on_request_done, inline=True)
         return handle
+
+    def _admit_lone(self, request):
+        """Offer ``request``; when it runs alone on an idle lane, also
+        step it through admission and the batcher as the pump would,
+        and return its batch (else ``None``: the pump has it)."""
+        with self._pump_lock:
+            self._note_batches_done()
+            alone = self.batcher.runs_alone(request) and (
+                self.router.pick_lane(request.backend).inflight == 0
+            )
+            if not self.admission.offer(request, release=alone):
+                return None
+            now = time.perf_counter()
+            self.batcher.add(request, now)
+            mine = None
+            for batch in self.batcher.pop_ready(now):
+                if batch.requests[0] is request:
+                    mine = batch
+                else:  # another key's batch came due meanwhile
+                    self.router.submit(batch, self._on_request_done)
+            return mine
 
     def launch(
         self,
@@ -210,13 +259,14 @@ class Gateway:
     def _pump_loop(self) -> None:
         while not self._stopped.is_set():
             self.admission.ready.clear()
-            moved = self._pump_step()
+            with self._pump_lock:
+                moved = self._pump_step()
+                deadline = self.batcher.next_deadline()
             if self._draining.is_set() and self._quiescent():
                 with self._idle:
                     self._idle.notify_all()
             if moved:
                 continue
-            deadline = self.batcher.next_deadline()
             timeout = PUMP_TICK
             if deadline is not None:
                 timeout = max(
@@ -227,15 +277,9 @@ class Gateway:
     def _pump_step(self) -> bool:
         """One pump iteration; True when any request moved a stage."""
         moved = False
-        done = self._batches_done
         while True:
             req = self.admission.next_ready()
-            # Completions before every add: the lane queues a batch
-            # here before it replies, so a request sent after a reply
-            # finds its predecessor gone — or a solo closed-loop client
-            # would look concurrent.
-            while done:
-                self.batcher.note_done(done.popleft())
+            self._note_batches_done()
             if req is None:
                 break
             self.batcher.add(req, time.perf_counter())
@@ -250,8 +294,18 @@ class Gateway:
             moved = True
         return moved
 
+    def _note_batches_done(self) -> None:
+        # Completions before every add: the lane queues a batch here
+        # before it replies, so a request sent after a reply finds its
+        # predecessor gone — or a solo closed-loop client would look
+        # concurrent.
+        done = self._batches_done
+        while done:
+            self.batcher.note_done(done.popleft())
+
     def _on_request_done(self, request, outputs, error, lane, batch) -> None:
-        """Lane completion callback (runs in the lane queue's worker)."""
+        """Lane completion callback (runs in the lane queue's worker, or
+        in the submitting thread for an inline batch)."""
         now = time.perf_counter()
         latency = max(0.0, now - request.submitted_at)
         service = max(0.0, now - request.admitted_at)
@@ -277,6 +331,7 @@ class Gateway:
             batch_size=batch_size,
             batch_wait_s=batch_wait,
             held=held,
+            path=batch.path,
         )
         if trace is not None or error is not None:
             trace_store().add(
@@ -308,6 +363,8 @@ class Gateway:
                 self._completed += 1
             else:
                 self._failed += 1
+            if batch.path == "inline":
+                self._inline += 1
         if handle is None:
             return
         if ok:
@@ -343,6 +400,7 @@ class Gateway:
                 "submitted": self._submitted,
                 "completed": self._completed,
                 "failed": self._failed,
+                "inline": self._inline,
                 "pending": len(self._handles),
             }
         stats = {

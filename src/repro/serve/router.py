@@ -8,7 +8,9 @@ chains the completion bookkeeping with ``Queue.enqueue_callback``, so
 result delivery rides the queue's ordering guarantees instead of a
 bespoke thread handoff.  Graphs submitted through a lane use the graph
 executor's own ``enqueue_after`` event gating internally — the router
-treats them as opaque units.
+treats them as opaque units.  An ``inline`` submission runs the same
+two closures in the calling thread instead, when the lane's ``running``
+lock is free — the lock that keeps a lane to one batch at a time.
 
 Execution failures resolve the affected requests' futures with the
 error and never propagate into the lane's drain thread (a poisoned lane
@@ -43,6 +45,9 @@ class DeviceLane:
         self.acc_type = accelerator(backend)
         self.device = get_dev_by_idx(self.acc_type, device_idx)
         self.queue = QueueNonBlocking(self.device)
+        #: Held while a batch executes, on the queue's thread or inline
+        #: on a submitting one: a lane runs one batch at a time.
+        self.running = threading.Lock()
         self._lock = threading.Lock()
         self._inflight = 0
         self.launched_batches = 0
@@ -131,6 +136,7 @@ class ShardRouter:
         self,
         batch: Batch,
         on_request_done: Callable,
+        inline: bool = False,
     ) -> DeviceLane:
         """Enqueue ``batch`` on a lane; completion (or failure) of each
         member request is reported through ``on_request_done(request,
@@ -138,7 +144,11 @@ class ShardRouter:
 
         The closure runs in the lane queue's worker; errors are caught
         there and delivered per request, so one failing batch neither
-        poisons the lane nor starves sibling tenants.
+        poisons the lane nor starves sibling tenants.  With ``inline``
+        the same closures run in the calling thread instead — when the
+        lane's :attr:`~DeviceLane.running` lock is free at once; if it
+        is not, the batch is enqueued after all.  ``batch.path`` says
+        which way it went.
         """
         lane = self.pick_lane(batch.backend)
         requests = list(batch.requests)
@@ -151,16 +161,20 @@ class ShardRouter:
         # parent to the request that opened the batch).
         trace = getattr(requests[0], "trace", None)
 
-        def _run() -> None:
+        def _execute() -> None:
             t0 = time.perf_counter()
             try:
                 with tracing.use(trace):
                     state["outputs"] = workload.execute(
                         requests, lane.acc_type, lane.device
                     )
-            except BaseException as exc:  # noqa: BLE001 - lane thread: each request's future gets it below
+            except BaseException as exc:  # noqa: BLE001 - lane or inline: each request's future gets it below
                 state["error"] = exc
             batch.execute_seconds = time.perf_counter() - t0
+
+        def _run() -> None:
+            with lane.running:
+                _execute()
 
         def _complete() -> None:
             outputs, error = state["outputs"], state["error"]
@@ -182,6 +196,14 @@ class ShardRouter:
                 out = outputs[i] if error is None else None
                 on_request_done(req, out, error, lane, batch)
 
+        if inline and lane.running.acquire(blocking=False):
+            try:
+                _execute()
+            finally:
+                lane.running.release()
+            batch.path = "inline"
+            _complete()
+            return lane
         lane.queue.enqueue(_run)
         lane.queue.enqueue_callback(_complete)
         return lane

@@ -13,9 +13,16 @@ whole frame whose content is not a message gets an error reply and the
 connection carries on.
 
 :class:`ServeServer` binds the skeleton to a
-:class:`~repro.serve.gateway.Gateway`.  The gateway core is thread-based (``concurrent.futures.Future``); the
-server bridges with :func:`asyncio.wrap_future`, keeping the event loop
-free while kernels run on device-lane threads.
+:class:`~repro.serve.gateway.Gateway`.  A frame read while its
+connection has no other request unanswered, and with no frame of any
+connection read behind it by the time its handler starts, is *lone*:
+the gateway may run it to completion on the event-loop thread (nothing
+queued ahead of it, an unheld batch, an idle lane), and its reply is
+built at once.  Every other request runs on a device-lane thread, and
+the server bridges its ``concurrent.futures.Future`` with
+:func:`asyncio.wrap_future`, keeping the event loop free meanwhile — so
+a pipelining connection's frames, and concurrent connections' frames
+that arrive together, still meet in the batcher.
 """
 
 from __future__ import annotations
@@ -46,11 +53,13 @@ __all__ = ["FrameServer", "ServeServer", "serve_forever"]
 
 class FrameServer:
     """Accept loop, connection lifecycle and per-frame codec; a subclass
-    supplies ``async _dispatch(message, trace) -> reply``."""
+    supplies ``async _dispatch(message, trace, lone) -> reply``."""
 
     def __init__(self):
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers = set()
+        #: Frames read so far, over every connection.
+        self._frames_read = 0
 
     async def listen(self, host: str, port: int) -> None:
         # The stream limit only paces the transport here (frames are
@@ -76,7 +85,11 @@ class FrameServer:
         if server is not None:
             await server.wait_closed()
 
-    async def _dispatch(self, message: dict, trace) -> dict:
+    async def _dispatch(self, message: dict, trace, lone: bool) -> dict:
+        """The reply to ``message``; ``lone`` is True when the frame
+        arrived with no other frame of its connection unanswered and no
+        frame of any connection was read behind it before its handler
+        started — nothing else is waiting for this thread."""
         raise NotImplementedError
 
     # -- per-connection ---------------------------------------------------
@@ -84,7 +97,8 @@ class FrameServer:
     async def _handle_connection(self, reader, writer) -> None:
         self._writers.add(writer)
         write_lock = asyncio.Lock()
-        pending = set()
+        #: This connection's frames whose reply is not yet written.
+        unanswered = set()
         try:
             while True:
                 try:
@@ -101,18 +115,26 @@ class FrameServer:
                     break
                 if frame is None:
                     break
+                self._frames_read += 1
+                # Lone: nothing else of this connection unanswered, and
+                # still the last frame read when its handler starts
+                # (handlers start in read order, so none waits behind).
+                seq = None if unanswered else self._frames_read
                 task = asyncio.ensure_future(
-                    self._handle_frame(frame, writer, write_lock)
+                    self._handle_frame(frame, writer, write_lock, seq)
                 )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+                unanswered.add(task)
+                task.add_done_callback(unanswered.discard)
+            if unanswered:
+                await asyncio.gather(*unanswered, return_exceptions=True)
         finally:
             self._writers.discard(writer)
             writer.close()
 
-    async def _handle_frame(self, frame: bytes, writer, write_lock) -> None:
+    async def _handle_frame(
+        self, frame: bytes, writer, write_lock, seq: Optional[int]
+    ) -> None:
+        lone = seq == self._frames_read
         msg_id = trace = None
         try:
             t0 = time.perf_counter()
@@ -123,7 +145,7 @@ class FrameServer:
             trace = tracing.from_traceparent(message.get("trace"))
             message["arrays"] = decode_arrays(message.get("arrays") or {})
             _wire_span("serve.wire.decode", t0, trace, len(frame))
-            response = await self._dispatch(message, trace)
+            response = await self._dispatch(message, trace, lone)
             t0 = time.perf_counter()
             reply = encode_message(response)
             _wire_span("serve.wire.encode", t0, trace, len(reply))
@@ -184,7 +206,7 @@ class ServeServer(FrameServer):
     async def __aexit__(self, *exc) -> None:
         await self.stop()
 
-    async def _dispatch(self, message: dict, trace) -> dict:
+    async def _dispatch(self, message: dict, trace, lone: bool) -> dict:
         op = message.get("op")
         msg_id = message.get("id")
         if op == "ping":
@@ -202,8 +224,12 @@ class ServeServer(FrameServer):
                 arrays=message["arrays"],
                 trace=trace,
             )
-            handle = self.gateway.submit(request)
-            result = await asyncio.wrap_future(handle.future)
+            # A lone request may have run to completion inside submit.
+            handle = self.gateway.submit(request, lone=lone)
+            if handle.done():
+                result = handle.result()
+            else:
+                result = await asyncio.wrap_future(handle.future)
             return result_payload(msg_id, result, trace=request.trace)
         raise ServeError(f"unknown op {op!r}")
 

@@ -202,3 +202,135 @@ class TestClose:
             b.request_id,
         }
         assert adm.next_ready() is None
+
+
+class _ReferenceAdmission(FairShareAdmission):
+    """``next_ready`` as the full ``8n + 1``-visit loop, without the
+    early exit: the replay below holds the real one to it."""
+
+    def next_ready(self):
+        from repro.serve.admission import QUANTUM
+
+        with self._lock:
+            n = len(self._order)
+            if n == 0:
+                return None
+            for _ in range(8 * n + 1):
+                if self._cursor >= n:
+                    self._cursor = 0
+                st = self._tenants[self._order[self._cursor]]
+                if not st.queue or st.inflight >= self.config.tenant_inflight:
+                    st.deficit = 0.0
+                    self._advance(n)
+                    continue
+                if not self._visit_topped:
+                    st.deficit += QUANTUM * st.weight
+                    self._visit_topped = True
+                if st.deficit >= 1.0:
+                    st.deficit -= 1.0
+                    req = st.queue.popleft()
+                    st.inflight += 1
+                    return req
+                self._advance(n)
+            return None
+
+
+def _drr_state(adm):
+    return (
+        adm._cursor,
+        adm._visit_topped,
+        {name: st.deficit for name, st in adm._tenants.items()},
+    )
+
+
+class TestNextReadyStopsAfterAnIdleRound:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_replay_matches_the_full_loop(self, seed):
+        """A seeded trace of offers, releases and finishes over three
+        weighted tenants releases the same sequence, and leaves the
+        cursor, the visit flag and every deficit where the full loop
+        leaves them — after every call, including the ``None`` ones."""
+        import random
+
+        config = ServeConfig(
+            queue_bound=6,
+            tenant_inflight=2,
+            tenant_weights={"a": 4.0, "b": 1.0, "c": 0.5},
+        )
+        real, ref = FairShareAdmission(config), _ReferenceAdmission(config)
+        rnd = random.Random(seed)
+        released = {id(real): [], id(ref): []}
+        live = {"a": 0, "b": 0, "c": 0}
+        nones = 0
+        for _ in range(3000):
+            op = rnd.random()
+            tenant = rnd.choice("abc")
+            if op < 0.35:
+                for adm in (real, ref):
+                    try:
+                        adm.offer(_req(tenant))
+                    except RetryAfter:
+                        pass
+            elif op < 0.55 and live[tenant]:
+                live[tenant] -= 1
+                for adm in (real, ref):
+                    adm.task_finished(tenant, 0.001, ok=True)
+            else:
+                got = [adm.next_ready() for adm in (real, ref)]
+                assert [r is None for r in got] == [got[0] is None] * 2
+                if got[0] is None:
+                    nones += 1
+                else:
+                    assert got[0].tenant == got[1].tenant
+                    live[got[0].tenant] += 1
+                    for adm, req in zip((real, ref), got):
+                        released[id(adm)].append(req.tenant)
+            assert _drr_state(real) == _drr_state(ref)
+        assert released[id(real)] == released[id(ref)]
+        assert len(released[id(real)]) > 500 and nones > 100
+
+    def test_an_idle_round_stops_early(self, monkeypatch):
+        adm = FairShareAdmission(_config(tenant_inflight=1))
+        for tenant in "abc":
+            adm.offer(_req(tenant))
+        assert len(_drain(adm)) == 3
+        adm.offer(_req("a"))  # queued, but its tenant is at the cap
+        visits = []
+        advance = adm._advance
+        monkeypatch.setattr(
+            adm, "_advance", lambda n: (visits.append(n), advance(n))
+        )
+        assert adm.next_ready() is None
+        assert len(visits) == 3  # one round, not 8 * 3 + 1 visits
+
+
+class TestOfferWithRelease:
+    def test_releases_when_nothing_waits(self):
+        adm = FairShareAdmission(_config())
+        adm.ready.clear()
+        req = _req("a")
+        assert adm.offer(req, release=True) is True
+        assert not adm.ready.is_set()  # the pump was not woken
+        assert adm.inflight() == 1 and adm.queued() == 0
+        assert req.admitted_at >= req.submitted_at
+        assert adm.next_ready() is None
+
+    def test_queues_behind_other_work(self):
+        adm = FairShareAdmission(_config())
+        adm.offer(_req("b"))
+        adm.ready.clear()
+        assert adm.offer(_req("a"), release=True) is False
+        assert adm.ready.is_set() and adm.queued() == 2
+
+    def test_queues_at_the_inflight_cap(self):
+        adm = FairShareAdmission(_config(tenant_inflight=1))
+        assert adm.offer(_req("a"), release=True) is True
+        assert adm.offer(_req("a"), release=True) is False
+        assert adm.queued() == 1
+
+    def test_fractional_weight_short_of_a_unit_stays_queued(self):
+        adm = FairShareAdmission(
+            ServeConfig(tenant_weights={"slow": 0.1}, tenant_inflight=4)
+        )
+        assert adm.offer(_req("slow"), release=True) is False
+        assert adm.queued() == 1

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from repro import knobs, telemetry
 from repro.core.errors import ServeError
-from repro.serve import Gateway, ServeConfig
+from repro.serve import Gateway, ServeConfig, Workload, register_workload
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -251,6 +252,188 @@ class TestServer:
         assert np.array_equal(remote_y, local.arrays["y"])
 
 
+class _Slow(Workload):
+    """Waits a little inside execute and counts the executions that
+    overlap, per device; ``params["fail"]`` makes it raise."""
+
+    name = "test_slow_overlap"
+    lock = threading.Lock()
+    active: dict = {}
+    most = 0
+
+    def validate(self, req):
+        pass
+
+    def batch_key(self, req):
+        return None if req.params.get("fail") else ("test_slow_overlap",)
+
+    def execute(self, requests, acc_type, device):
+        cls = type(self)
+        with cls.lock:
+            cls.active[device] = cls.active.get(device, 0) + 1
+            cls.most = max(cls.most, cls.active[device])
+        try:
+            threading.Event().wait(0.003)
+            if requests[0].params.get("fail"):
+                raise RuntimeError("inline boom")
+            return [{"n": np.array([len(requests)])} for _ in requests]
+        finally:
+            with cls.lock:
+                cls.active[device] -= 1
+
+
+try:
+    register_workload(_Slow())
+except ServeError:
+    pass  # registered by an earlier import
+
+
+def _serve_stats(server):
+    return server.gateway.stats()["requests"]
+
+
+class TestLoneRequests:
+    """A lone frame (nothing else of its connection unanswered, nothing
+    read behind it) runs on the event-loop thread when nothing waits
+    ahead of it; every other request takes the pump and a lane."""
+
+    def test_lone_means_nothing_else_waits(self, server_config):
+        """Lone: no other frame of the connection unanswered, and no
+        frame of any connection read behind it before its handler ran."""
+
+        async def check(server, client):
+            seen = []
+
+            async def record(message, trace, lone):
+                seen.append((message["id"], lone))
+                return {"id": message["id"], "ok": True, "pong": True}
+
+            server._dispatch = record
+            a = await RawConnection.open(server.port)
+            b = await RawConnection.open(server.port)
+            await a.ask({"op": "ping", "id": 1})
+            # Three frames on one connection, then one on each of two
+            # connections, each group readable at the same loop turn.
+            a.writer.write(b"".join(
+                encode_message({"op": "ping", "id": i}) for i in (2, 3, 4)
+            ))
+            await a.writer.drain()
+            for _ in range(3):
+                await a.reply()
+            a.writer.write(encode_message({"op": "ping", "id": 5}))
+            b.writer.write(encode_message({"op": "ping", "id": 6}))
+            await asyncio.gather(a.writer.drain(), b.writer.drain())
+            await asyncio.gather(a.reply(), b.reply())
+            a.close()
+            b.close()
+            return seen
+
+        seen = run(_with_server(server_config, check))
+        assert seen == [
+            (1, True), (2, False), (3, False), (4, False), (5, False), (6, True)
+        ]
+
+    def test_solo_client_runs_inline_bit_identically(self, server_config, rng):
+        pairs = [
+            (rng.standard_normal(257), rng.standard_normal(257))
+            for _ in range(12)
+        ]
+
+        async def check(server, client):
+            replies = []
+            for x, y in pairs:
+                result = await client.launch(
+                    "axpy", params={"alpha": 1.3}, arrays={"x": x, "y": y}
+                )
+                replies.append(result.arrays["y"])
+            return replies, _serve_stats(server)
+
+        with telemetry.collect() as t:
+            remote, counts = run(_with_server(server_config, check))
+        assert counts["inline"] == counts["completed"] == len(pairs)
+        paths = [
+            ev.args["path"] for ev in t.events if ev.name == "serve.request"
+        ]
+        assert paths == ["inline"] * len(pairs)
+        with Gateway(ServeConfig(enable_batching=False)) as gw:
+            for (x, y), got in zip(pairs, remote):
+                local = gw.launch(
+                    "axpy", params={"alpha": 1.3}, arrays={"x": x, "y": y}
+                ).result(timeout=30)
+                assert np.array_equal(got, local.arrays["y"])
+            assert gw.stats()["requests"]["inline"] == 0
+            gw.shutdown(release_pools=False)
+
+    def test_pipelined_connection_still_coalesces(self, server_config, rng):
+        """16 requests in flight on one connection with a shared alpha:
+        only a frame read while the connection has nothing else
+        unanswered is lone, so the rest still meet in the batcher."""
+        x, y = rng.standard_normal(64), rng.standard_normal(64)
+
+        async def check(server, client):
+            window = asyncio.Semaphore(16)
+
+            async def one():
+                async with window:
+                    return await client.launch(
+                        "axpy", params={"alpha": 2.0}, arrays={"x": x, "y": y}
+                    )
+
+            results = await asyncio.gather(*(one() for _ in range(160)))
+            assert all(
+                np.array_equal(r.arrays["y"], 2.0 * x + y) for r in results
+            )
+            return max(r.batch_size for r in results), _serve_stats(server)
+
+        max_batch, counts = run(_with_server(server_config, check))
+        assert max_batch > 1
+        assert counts["inline"] < counts["completed"] == 160
+
+    def test_inline_and_queued_runs_never_overlap_on_a_lane(self, rng):
+        """A TCP solo client (inline) and an in-process submitter (pump
+        and lane) share one lane: the lane runs one batch at a time."""
+        config = ServeConfig(
+            port=0, batch_window=0.0, lanes=(("AccCpuSerial", 0),),
+            drain_timeout=30.0,
+        )
+        _Slow.most = 0
+        stop = threading.Event()
+
+        def in_process(gateway):
+            # Paced, so the lane is idle part of the time and the TCP
+            # client's lone requests get to run inline.
+            while not stop.wait(0.002):
+                gateway.launch("test_slow_overlap").result(timeout=30)
+
+        async def check(server, client):
+            loop = asyncio.get_running_loop()
+            side = loop.run_in_executor(None, in_process, server.gateway)
+            try:
+                for _ in range(60):
+                    await client.launch("test_slow_overlap")
+            finally:
+                stop.set()
+            await side
+            return _serve_stats(server)
+
+        counts = run(_with_server(config, check))
+        assert _Slow.most == 1
+        assert 0 < counts["inline"] < counts["completed"]
+
+    def test_failing_inline_run_fails_only_its_request(self, server_config):
+        async def check(server, client):
+            await client.launch("test_slow_overlap")
+            with pytest.raises(ServeError, match="inline boom"):
+                await client.launch("test_slow_overlap", params={"fail": 1})
+            after = await client.launch("test_slow_overlap")
+            return after.arrays["n"], _serve_stats(server)
+
+        n, counts = run(_with_server(server_config, check))
+        assert list(n) == [1]
+        assert counts["failed"] == 1 and counts["completed"] == 2
+        assert counts["inline"] == 3  # the lane stayed usable inline
+
+
 class TestWireFailures:
     """Every way a peer can get the framing or a frame wrong ends in a
     classified reply or a closed connection — and a server that still
@@ -372,7 +555,7 @@ class TestWireFailures:
         async def check(server, client):
             release = asyncio.Event()
 
-            async def parked(message, trace):
+            async def parked(message, trace, lone):
                 await release.wait()
 
             server._dispatch = parked
