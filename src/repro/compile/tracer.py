@@ -69,8 +69,10 @@ What is representable, and what falls back:
   against row-span columns pairs different elements per chunk than
   over the whole span);
 * barriers, atomics, shared memory, per-thread RNG, lane-dependent
-  ``int()``/``range()`` and loads that alias an earlier store under a
-  different index — classified fallbacks, never silent wrong answers.
+  ``int()``/``range()``, loads that alias an earlier store under a
+  different index and a store at a uniform subscript of a value loaded
+  from the same array (``z[0] = z[0] + 1``: every thread updates one
+  element) — classified fallbacks, never silent wrong answers.
 
 :class:`CompileFallback` derives from ``BaseException`` on purpose: a
 kernel's own ``except Exception`` must not swallow the classifier.
@@ -269,6 +271,24 @@ def _as_sym(st: TraceState, value, role: str) -> "SymValue":
         "unsupported-op",
         f"{role} has unsupported type {type(value).__name__!r}",
     )
+
+
+def _reads_arg(expr: Expr, pos: int) -> bool:
+    """Does ``expr`` load from array argument ``pos`` (in a value or an
+    index)?"""
+    stack, seen = [expr], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, Load):
+            if node.pos == pos:
+                return True
+            stack.extend(node.index)
+        elif isinstance(node, Ufunc):
+            stack.extend(node.args)
+    return False
 
 
 def _is_whole(item) -> bool:
@@ -1006,6 +1026,14 @@ class SymArrayArg:
                 )
             store = TileStore(self.pos, tile, val.expr)
         else:
+            if domain is None and _reads_arg(val.expr, self.pos):
+                raise CompileFallback(
+                    "load-after-store",
+                    f"every thread read-modify-writes one element of "
+                    f"argument {self.pos} (uniform subscript, value loaded "
+                    f"from the same array): interpreted threads see each "
+                    f"other's stores, a replay's loads see none",
+                )
             store = Store(self.pos, detail[0], val.expr, len(self.st.masks))
         self.st.add_store(self.st.count(store))
         self.st.stored_positions.add(self.pos)

@@ -199,10 +199,6 @@ SERVE_PORT = _declare(
 SERVE_TENANT_WEIGHTS = _declare(
     "REPRO_SERVE_TENANT_WEIGHTS", _weights, None,
     "fair-share admission weights, e.g. `gold:4,free:1`; unlisted tenants weigh `1`.")
-SERVE_ONLINE_TUNING = _declare(
-    "REPRO_SERVE_ONLINE_TUNING", _bool, False,
-    "boolean; attaches the online tuner to the gateway: sustained latency drift triggers a "
-    "background re-tune, hot-swapped bit-identically (thresholds: `FleetConfig.drift_*`).")
 TUNING_FLEET = _declare(
     "REPRO_TUNING_FLEET",
     _choice(off="0 off no false", lock="1 lock file flock yes true"),

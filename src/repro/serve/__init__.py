@@ -79,7 +79,6 @@ __all__ = [
     "register_workload",
     "get_workload",
     "workload_names",
-    "OnlineTuner",
 ]
 
 
@@ -90,11 +89,6 @@ def __getattr__(name):
         from .client import ServeClient
 
         return ServeClient
-    if name == "OnlineTuner":
-        # Lazy: pulls the tuning fleet in only when online tuning is used.
-        from .online import OnlineTuner
-
-        return OnlineTuner
     if name in ("serve_forever", "ServeServer"):
         from . import server
 

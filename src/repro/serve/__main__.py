@@ -51,12 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lanes",
         help='device lanes, e.g. "AccCpuSerial:0,AccCpuOmp2Blocks:0"',
     )
-    parser.add_argument(
-        "--online-tuning",
-        action="store_true",
-        help="re-tune drifted workloads in the background "
-        "(FleetConfig drift_* fields set the thresholds)",
-    )
     return parser
 
 
@@ -81,8 +75,6 @@ def main(argv=None) -> int:
         overrides["tenant_weights"] = parse_tenant_weights(args.weights)
     if args.lanes is not None:
         overrides["lanes"] = parse_lanes(args.lanes)
-    if args.online_tuning:
-        overrides["online_tuning"] = True
     config = config_from_env().with_overrides(**overrides)
     with contextlib.suppress(KeyboardInterrupt):
         asyncio.run(serve_forever(config))

@@ -78,7 +78,7 @@ class Batch:
 
     __slots__ = (
         "key", "requests", "workload", "deadline", "backend",
-        "opened_at", "flushed_at", "execute_seconds", "path",
+        "opened_at", "flushed_at", "path",
     )
 
     def __init__(self, key, workload, backend: str, deadline: float):
@@ -91,9 +91,6 @@ class Batch:
         #: built by hand was never parked, so both are its deadline.
         self.opened_at = deadline
         self.flushed_at = deadline
-        #: Wall seconds of ``workload.execute`` for the merged launch,
-        #: stamped by the router (the drift detector's signal).
-        self.execute_seconds = 0.0
         #: Where the router ran it: ``"lane"`` (the lane queue's
         #: thread) or ``"inline"`` (the submitting thread).
         self.path = "lane"

@@ -2,7 +2,7 @@
 
 Every setting is a :class:`ServeConfig` field (and a
 ``python -m repro.serve`` flag).  The deployment settings — bind
-address, tenant weights, the online-tuning switch — are also
+address and tenant weights — are also
 environment knobs of :mod:`repro.knobs`, applied by
 :func:`config_from_env` in priority order field < environment variable
 < keyword override::
@@ -28,14 +28,12 @@ __all__ = [
     "HOST_ENV",
     "PORT_ENV",
     "TENANT_WEIGHTS_ENV",
-    "ONLINE_TUNING_ENV",
     "DEFAULT_BACKEND",
 ]
 
 HOST_ENV = knobs.SERVE_HOST
 PORT_ENV = knobs.SERVE_PORT
 TENANT_WEIGHTS_ENV = knobs.SERVE_TENANT_WEIGHTS
-ONLINE_TUNING_ENV = knobs.SERVE_ONLINE_TUNING
 
 #: Back-end a request (and the default lane set) falls back to when it
 #: does not name one.  Serial keeps the smallest per-launch footprint,
@@ -123,13 +121,6 @@ class ServeConfig:
     #: before abandoning (and failing) the stragglers.
     drain_timeout: float = 30.0
 
-    #: Feed completed-request latencies into a
-    #: :class:`repro.tuning.fleet.DriftMonitor` and re-tune drifted
-    #: workloads in the background (``REPRO_SERVE_ONLINE_TUNING=1``;
-    #: drift thresholds are :class:`~repro.tuning.fleet.FleetConfig`
-    #: fields).
-    online_tuning: bool = False
-
     def __post_init__(self):
         if self.port < 0 or self.port > 65535:
             raise ServeConfigError(f"port out of range: {self.port}")
@@ -177,5 +168,4 @@ def config_from_env(base: Optional[ServeConfig] = None) -> ServeConfig:
         host=env(HOST_ENV, "host"),
         port=env(PORT_ENV, "port"),
         tenant_weights=env(TENANT_WEIGHTS_ENV, "tenant_weights"),
-        online_tuning=env(ONLINE_TUNING_ENV, "online_tuning"),
     )

@@ -79,13 +79,6 @@ class Gateway:
         if overrides:
             config = config.with_overrides(**overrides)
         self.config = config
-        # Online drift-driven re-tuning (see repro.serve.online): fed
-        # from the completion callback, re-tunes off the hot path.
-        self.online = None
-        if config.online_tuning:
-            from .online import OnlineTuner
-
-            self.online = OnlineTuner()
         self.admission = FairShareAdmission(config)
         self.batcher = Batcher(
             config.batch_window, config.batch_max, config.enable_batching
@@ -353,10 +346,6 @@ class Gateway:
                     "ts": time.time(),
                 }
             )
-        if ok and self.online is not None:
-            # The kernel's own time, not admitted->done: the hold in the
-            # batcher varies per key and is not drift.
-            self.online.observe(request, batch.execute_seconds, lane)
         with self._handles_lock:
             handle = self._handles.pop(request.request_id, None)
             if ok:
@@ -403,7 +392,7 @@ class Gateway:
                 "inline": self._inline,
                 "pending": len(self._handles),
             }
-        stats = {
+        return {
             "requests": counts,
             "tenants": self.admission.stats(),
             "batcher": self.batcher.stats(),
@@ -412,9 +401,6 @@ class Gateway:
             "inflight": self.router.inflight(),
             "closed": self.closed,
         }
-        if self.online is not None:
-            stats["online_tuning"] = self.online.stats()
-        return stats
 
     @property
     def closed(self) -> bool:
@@ -466,8 +452,6 @@ class Gateway:
         self._stopped.set()
         self.admission.ready.set()
         self._pump.join(timeout=5)
-        if self.online is not None:
-            self.online.close()
 
         # Lanes: wait for whatever already reached a queue, then close.
         self.router.drain(timeout=max(0.0, deadline - time.perf_counter()))

@@ -162,7 +162,6 @@ class ShardRouter:
         trace = getattr(requests[0], "trace", None)
 
         def _execute() -> None:
-            t0 = time.perf_counter()
             try:
                 with tracing.use(trace):
                     state["outputs"] = workload.execute(
@@ -170,7 +169,6 @@ class ShardRouter:
                     )
             except BaseException as exc:  # noqa: BLE001 - lane or inline: each request's future gets it below
                 state["error"] = exc
-            batch.execute_seconds = time.perf_counter() - t0
 
         def _run() -> None:
             with lane.running:

@@ -33,8 +33,8 @@ scale and Jacobi compute every element with the same expression
 whatever the tiling, so the result bits do not depend on the split.
 A tuned cache entry still wins (:func:`~repro.tuning.auto_divide`),
 and the elementwise division is resolved once per (back-end, device,
-kernel, n, tuning generation): a re-tune bumps the generation, so the
-next request resolves again and hot-swap keeps working.
+kernel, n, tuning generation): a tuning store bumps the generation, so
+the next request resolves again and hot-swap keeps working.
 
 Register custom workloads with :func:`register_workload`; the protocol
 layer exposes whatever the registry holds.
@@ -115,14 +115,6 @@ class Workload:
         returns one output-array dict per request, in order."""
         raise NotImplementedError
 
-    def retune(self, acc_type, device, n: int, budget: int) -> bool:
-        """Re-measure this workload's kernel at problem size ``n`` with
-        at most ``budget`` measurements, replacing the cached division
-        (the online :class:`~repro.tuning.fleet.DriftMonitor` calls this
-        off the hot path).  Returns False when the workload has nothing
-        tunable — the default."""
-        return False
-
 
 # ---------------------------------------------------------------------------
 # Elementwise family: batch by concatenation
@@ -199,8 +191,11 @@ def _elementwise_workdiv(acc_type, device, n: int, kernel) -> WorkDivMembers:
 
     The *tuned* division wins when the tuning cache knows this
     (kernel, back-end, device, extent-bucket): routing through
-    :func:`~repro.tuning.auto_divide` is what lets a background re-tune
-    hot-swap serving launches.  The answer is memoised per
+    :func:`~repro.tuning.auto_divide` is what lets an offline
+    :func:`~repro.tuning.autotune` store (or a fleet cache it shares)
+    hot-swap serving launches.  An entry tuned on the performance model
+    rather than on the host can be slower than the fixed division.  The
+    answer is memoised per
     (back-end, device, kernel, n, :func:`tuning_generation`); a tuning
     store bumps the generation, so the next request resolves again.
     """
@@ -221,49 +216,6 @@ def _resolve_workdiv(acc_type, device, kernel, n: int, generation: int) -> WorkD
         device=device,
         thread_elems=min(n, 256) if workers is None else -(-n // workers),
     )
-
-
-def _retune_elementwise(kernel, make_args, acc_type, device, n: int, budget: int):
-    """Budgeted forced re-tune of one elementwise kernel at size ``n``.
-
-    ``make_args(buf)`` builds the kernel argument tuple around a staged
-    n-element buffer.  The fresh measurement overwrites the cache entry
-    and bumps the tuning generation, so in-flight plans finish on the
-    old division and the next plan resolution serves the new one.
-
-    Returns a truthy dict with the superseded entry's predicted seconds
-    (``old_seconds``, None on a cold cache) and the fresh winner's
-    (``new_seconds``) — what the drift metrics report as the re-tune's
-    old-vs-new outcome.
-    """
-    from .. import mem
-    from ..mem import memset
-    from ..tuning import autotune, default_cache
-
-    queue = QueueBlocking(device)
-    a = mem.alloc(device, n, pitched=False)
-    b = mem.alloc(device, n, pitched=False)
-    memset(queue, a, 0)
-    memset(queue, b, 0)
-    old = default_cache().get(kernel, acc_type, device, n)
-    try:
-        result = autotune(
-            kernel,
-            acc_type,
-            n,
-            make_args(n, a, b),
-            device=device,
-            strategy="coordinate",
-            budget=budget,
-            force=True,
-        )
-    finally:
-        a.free()
-        b.free()
-    return {
-        "old_seconds": old.seconds if old is not None else None,
-        "new_seconds": result.seconds,
-    }
 
 
 class AxpyWorkload(Workload):
@@ -310,13 +262,6 @@ class AxpyWorkload(Workload):
             y.free()
         return _split(requests, merged, "y", "y")
 
-    def retune(self, acc_type, device, n: int, budget: int) -> bool:
-        return _retune_elementwise(
-            self.kernel,
-            lambda n_, x, y: (n_, 1.0, x, y),
-            acc_type, device, n, budget,
-        )
-
 
 class ScaleWorkload(Workload):
     """``out <- factor * x`` (params: ``factor``; arrays: ``x``)."""
@@ -359,13 +304,6 @@ class ScaleWorkload(Workload):
             x.free()
             result.free()
         return _split(requests, merged, "x", "out")
-
-    def retune(self, acc_type, device, n: int, budget: int) -> bool:
-        return _retune_elementwise(
-            self.kernel,
-            lambda n_, x, out: (n_, 1.0, x, out),
-            acc_type, device, n, budget,
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ trace alone — what matters is what the process was *doing* in the
 seconds before.  With ``REPRO_FLIGHT_RECORDER_DIR`` set, every process
 (gateway, tuning-fleet worker, application) keeps a per-process ring
 buffer of recent events — every closed span (launches, copies, fleet
-lease ops, drift re-tunes ...), queue drains, sanitizer reports, serve
+lease ops ...), queue drains, sanitizer reports, serve
 submissions and scheduler fallbacks — each stamped with its
 :mod:`~repro.telemetry.tracing` ids, and dumps the ring as JSON when:
 

@@ -278,76 +278,6 @@ def _fleet_rows(collector: TelemetryCollector) -> List[Dict[str, object]]:
     return rows
 
 
-def _drift_rows(collector: TelemetryCollector) -> List[Dict[str, object]]:
-    """One row per served workload the drift monitor watched: verdicts,
-    what each triggered re-tune actually did (completed vs reverted),
-    the predicted old→new seconds of the latest re-tune, and background
-    re-tune latency."""
-    workloads: Dict[str, Dict[str, int]] = {}
-    for inst in collector.registry.instruments(
-        "repro_tuning_fleet_drift_total"
-    ):
-        labels = dict(inst.labels)
-        wl = labels.get("workload", "?")
-        row = workloads.setdefault(wl, {})
-        row[labels.get("outcome", "?")] = int(inst.value)
-    outcomes: Dict[str, Dict[str, int]] = {}
-    for inst in collector.registry.instruments(
-        "repro_tuning_drift_retunes_total"
-    ):
-        labels = dict(inst.labels)
-        wl = labels.get("workload", "?")
-        workloads.setdefault(wl, {})
-        row = outcomes.setdefault(wl, {})
-        row[labels.get("outcome", "?")] = int(inst.value)
-    predicted: Dict[str, Dict[str, float]] = {}
-    for inst in collector.registry.instruments(
-        "repro_tuning_drift_predicted_seconds"
-    ):
-        labels = dict(inst.labels)
-        wl = labels.get("workload", "?")
-        predicted.setdefault(wl, {})[labels.get("which", "?")] = float(
-            inst.value
-        )
-    if not workloads:
-        return []
-    retune_h = None
-    for inst in collector.registry.instruments(
-        "repro_tuning_fleet_retune_seconds"
-    ):
-        retune_h = inst
-    rows = []
-    for wl in sorted(workloads):
-        r = workloads[wl]
-        o = outcomes.get(wl, {})
-        p = predicted.get(wl, {})
-        if "old" in p or "new" in p:
-            old_new = (
-                f"{_fmt_seconds(p.get('old', 0.0))}"
-                f"→{_fmt_seconds(p.get('new', 0.0))}"
-            )
-        else:
-            old_new = "-"
-        rows.append(
-            {
-                "workload": wl,
-                "drift detected": r.get("detected", 0),
-                "retuned": r.get("retuned", 0),
-                "completed": o.get("completed", 0),
-                "reverted": o.get("reverted", 0),
-                "cooldown": r.get("cooldown", 0),
-                "failed": r.get("failed", 0),
-                "old→new": old_new,
-                "retune p50": _fmt_seconds(
-                    retune_h.percentile(50)
-                    if isinstance(retune_h, Histogram) and retune_h.count
-                    else 0.0
-                ),
-            }
-        )
-    return rows
-
-
 def _counter_total(collector, metric: str) -> float:
     return sum(inst.value for inst in collector.registry.instruments(metric))
 
@@ -374,15 +304,6 @@ def summary(collector: TelemetryCollector) -> Dict[str, object]:
         ),
         "fleet_adopted": int(
             _counter_total(collector, "repro_tuning_fleet_adopted_total")
-        ),
-        "drift_retunes": int(
-            sum(
-                inst.value
-                for inst in collector.registry.instruments(
-                    "repro_tuning_fleet_drift_total"
-                )
-                if dict(inst.labels).get("outcome") == "retuned"
-            )
         ),
         "plan_cache_hit_rate": collector.plan_cache_hit_rate,
         "tuning_cache_hit_rate": collector.tuning_cache_hit_rate,
@@ -445,13 +366,6 @@ def render(collector: TelemetryCollector) -> str:
         parts.append("")
         parts.append(
             render_table(fleet_rows, "Tuning fleet (per coordination mode)")
-        )
-
-    drift_rows = _drift_rows(collector)
-    if drift_rows:
-        parts.append("")
-        parts.append(
-            render_table(drift_rows, "Online tuning (drift per workload)")
         )
 
     span_rows = _span_rows(collector)

@@ -227,7 +227,7 @@ class CachedResult:
     #: Wall-clock ``time.time()`` when the measurement finished; 0.0 for
     #: entries from pre-timestamp cache files.  Arbitrates merge
     #: conflicts: the *newest* measurement wins on :meth:`TuningCache.save`
-    #: and :meth:`TuningCache.reload`, so a drift-driven re-tune cannot
+    #: and :meth:`TuningCache.reload`, so a forced re-tune cannot
     #: be silently reverted by a sibling process whose in-memory cache
     #: still holds the superseded entry.
     measured_at: float = 0.0

@@ -1,8 +1,7 @@
-"""repro.tuning.fleet — tune once per fleet, adapt while serving.
+"""repro.tuning.fleet — tune once per fleet.
 
-PR 2's :func:`repro.tuning.autotune` pays the measurement cost in every
-process; this package scales it to a fleet of workers and to live
-traffic, in three pieces:
+:func:`repro.tuning.autotune` alone pays the measurement cost in every
+process; this package scales it to a fleet of workers, in two pieces:
 
 * **Shared convergence** — :func:`~.coordinator.maybe_coordinator`
   turns the per-process :class:`~repro.tuning.cache.TuningCache` into a
@@ -17,10 +16,6 @@ traffic, in three pieces:
   (:mod:`~.evolve`): population search over the joint division space,
   seeded from Table 2 + the performance model, with a persisted
   per-generation hall of fame (``python -m repro.tuning.fleet hof``).
-* **Online re-tuning** — :class:`~.drift.DriftMonitor`: EWMA +
-  percentile drift tests on gateway latencies, budgeted background
-  re-tunes, hot-swap through the plan cache's generation key.  The
-  serving side lives in :mod:`repro.serve.online`.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from .coordinator import (
     maybe_coordinator,
     reset_coordinator,
 )
-from .drift import DriftMonitor, WorkloadStats
 from .evolve import (
     DEFAULT_HOF_FILENAME,
     default_hof_path,
@@ -65,7 +59,4 @@ __all__ = [
     "default_hof_path",
     "load_hall_of_fame",
     "DEFAULT_HOF_FILENAME",
-    # online tuning
-    "DriftMonitor",
-    "WorkloadStats",
 ]

@@ -1,6 +1,6 @@
 """Fleet-tuning configuration and its ``REPRO_TUNING_FLEET`` knob.
 
-One immutable record configures all three fleet features:
+One immutable record configures both fleet features:
 
 * **sharing** — ``REPRO_TUNING_FLEET`` selects whether worker processes
   coordinate: ``off`` (per-process tuning, the pre-fleet behaviour) or
@@ -8,9 +8,6 @@ One immutable record configures all three fleet features:
 * **waiting** — how long a worker that lost the lease race waits for
   the winner before proceeding with the Table 2 heuristic, and how
   often it looks.
-* **drift** — the ``drift_*`` fields tuning the online re-tuner: EWMA
-  smoothing, drift threshold ratio, sample window, cooldown between
-  re-tunes and the measurement budget of a background re-tune.
 """
 
 from __future__ import annotations
@@ -68,20 +65,6 @@ class FleetConfig:
     #: waiting on a sibling.
     poll_interval: float = 0.05
 
-    #: Observed-latency EWMA must exceed ``drift_threshold`` × the tuned
-    #: baseline (or the window p95 must exceed it vs. the baseline p95)
-    #: to count as drift.
-    drift_threshold: float = 1.5
-    #: Samples kept per workload window (and needed before the first
-    #: drift verdict).
-    drift_window: int = 64
-    #: EWMA smoothing factor (weight of the newest sample).
-    drift_ewma_alpha: float = 0.2
-    #: Seconds between background re-tunes of one workload key.
-    drift_cooldown: float = 30.0
-    #: Measurement budget of one background re-tune.
-    drift_budget: int = 8
-
     def __post_init__(self):
         if self.mode not in FLEET_MODES:
             raise FleetConfigError(
@@ -92,27 +75,6 @@ class FleetConfig:
                 raise FleetConfigError(
                     f"{name} must be > 0, got {getattr(self, name)}"
                 )
-        if self.drift_threshold <= 1.0:
-            raise FleetConfigError(
-                f"drift_threshold must be > 1 (a ratio vs. the baseline), "
-                f"got {self.drift_threshold}"
-            )
-        if self.drift_window < 4:
-            raise FleetConfigError(
-                f"drift_window must be >= 4, got {self.drift_window}"
-            )
-        if not 0.0 < self.drift_ewma_alpha <= 1.0:
-            raise FleetConfigError(
-                f"drift_ewma_alpha must be in (0, 1], got {self.drift_ewma_alpha}"
-            )
-        if self.drift_cooldown < 0:
-            raise FleetConfigError(
-                f"drift_cooldown must be >= 0, got {self.drift_cooldown}"
-            )
-        if self.drift_budget < 1:
-            raise FleetConfigError(
-                f"drift_budget must be >= 1, got {self.drift_budget}"
-            )
 
     def with_overrides(self, **kwargs) -> "FleetConfig":
         try:

@@ -16,22 +16,10 @@ Metric families:
   calls that ran the search (the number the fleet exists to minimise);
 * ``repro_tuning_fleet_adopted_total{mode}`` — fleet ``autotune`` calls
   that returned a sibling's published result (``strategy="fleet"``)
-  instead of measuring;
-* ``repro_tuning_fleet_drift_total{workload, outcome}`` — drift-test
-  verdicts (``detected`` / ``retuned`` / ``cooldown``);
-* ``repro_tuning_fleet_retune_seconds`` — background re-tune durations;
-* ``repro_tuning_drift_retunes_total{workload, outcome}`` — what each
-  triggered re-tune actually *did* (``triggered`` / ``completed`` /
-  ``reverted`` / ``failed`` / ``no_target``);
-* ``repro_tuning_drift_predicted_seconds{workload, which}`` — the
-  old-division vs new-division predicted seconds of the latest re-tune
-  (``which="old"`` / ``"new"``), so a dashboard can show whether the
-  re-tune bought anything.
+  instead of measuring.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ...telemetry.metrics import registry
 
@@ -40,9 +28,6 @@ __all__ = [
     "record_lease_wait",
     "record_measurement",
     "record_adopted",
-    "record_drift",
-    "record_retune_seconds",
-    "record_retune_outcome",
 ]
 
 #: Lease-wait buckets: one poll interval to a minute.
@@ -82,42 +67,3 @@ def record_adopted(mode: str) -> None:
         mode=mode,
     ).inc()
 
-
-def record_drift(workload: str, outcome: str) -> None:
-    registry().counter(
-        "repro_tuning_fleet_drift_total",
-        "Drift-test verdicts per workload",
-        workload=workload,
-        outcome=outcome,
-    ).inc()
-
-
-def record_retune_seconds(seconds: float) -> None:
-    registry().histogram(
-        "repro_tuning_fleet_retune_seconds",
-        "Background re-tune durations",
-    ).observe(seconds)
-
-
-def record_retune_outcome(
-    workload: str,
-    outcome: str,
-    old_seconds: Optional[float] = None,
-    new_seconds: Optional[float] = None,
-) -> None:
-    """One drift-driven re-tune outcome, with the old/new predicted
-    seconds when the re-tune measured them."""
-    registry().counter(
-        "repro_tuning_drift_retunes_total",
-        "Drift-driven re-tune outcomes per workload",
-        workload=workload,
-        outcome=outcome,
-    ).inc()
-    for which, seconds in (("old", old_seconds), ("new", new_seconds)):
-        if seconds is not None:
-            registry().gauge(
-                "repro_tuning_drift_predicted_seconds",
-                "Predicted seconds of the latest re-tune's old/new division",
-                workload=workload,
-                which=which,
-            ).set(seconds)

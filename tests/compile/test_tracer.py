@@ -10,6 +10,8 @@ from repro.core.index import Grid, Threads, get_idx, get_work_div
 from repro.core.workdiv import WorkDivMembers
 from repro.kernels import AxpyElementsKernel, AxpyKernel
 
+from .launches import assert_bit_identical
+
 
 class FakeProps:
     warp_size = 1
@@ -167,6 +169,32 @@ class TestFallbacks:
 
         assert self.reason(kernel, wd1(4), (4, np.zeros(8))) == \
             "load-after-store"
+
+    def test_uniform_read_modify_write_interprets(self):
+        """Every thread adds one to ``z[0]``: interpreted threads see
+        each other's stores (4.0), a replay would do one update (1.0)."""
+        def kernel(acc, n, z):
+            i = get_idx(acc, Grid, Threads)[0]
+            if i < n:
+                z[0] = z[0] + 1.0
+
+        stats = assert_bit_identical(
+            kernel, wd1(4), (4,), [np.zeros(1)]
+        )
+        assert stats["fallbacks"] == {"load-after-store": 1}
+        assert stats["compiled_launches"] == 0
+
+    def test_uniform_store_of_a_constant_compiles(self):
+        def kernel(acc, n, z):
+            i = get_idx(acc, Grid, Threads)[0]
+            if i < n:
+                z[0] = 5.0
+
+        stats = assert_bit_identical(
+            kernel, wd1(4), (4,), [np.zeros(1)]
+        )
+        assert stats["fallbacks"] == {}
+        assert stats["compiled_launches"] == 1
 
     def test_unsupported_argument(self):
         def kernel(acc, cfg, y):

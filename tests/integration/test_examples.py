@@ -51,6 +51,3 @@ class TestExamples:
 
     def test_serving_client(self):
         run_example("serving_client.py", [])
-
-    def test_online_tuning(self):
-        run_example("online_tuning.py", [])

@@ -14,7 +14,6 @@ from repro.serve import (
 )
 from repro.serve.config import (
     HOST_ENV,
-    ONLINE_TUNING_ENV,
     PORT_ENV,
     TENANT_WEIGHTS_ENV,
 )
@@ -103,19 +102,16 @@ class TestEnv:
         monkeypatch.setenv(HOST_ENV, "0.0.0.0")
         monkeypatch.setenv(PORT_ENV, "8123")
         monkeypatch.setenv(TENANT_WEIGHTS_ENV, "gold:2")
-        monkeypatch.setenv(ONLINE_TUNING_ENV, "on")
         cfg = config_from_env()
         assert cfg.host == "0.0.0.0"
         assert cfg.port == 8123
         assert cfg.tenant_weights == {"gold": 2.0}
-        assert cfg.online_tuning is True
 
     def test_env_bad_value_raises(self, monkeypatch):
         for var, value in (
             (PORT_ENV, "not_a_port"),
             (PORT_ENV, "99999"),
             (TENANT_WEIGHTS_ENV, "gold=4"),
-            (ONLINE_TUNING_ENV, "maybe"),
         ):
             with monkeypatch.context() as m:
                 m.setenv(var, value)
@@ -123,7 +119,7 @@ class TestEnv:
                     config_from_env()
 
     def test_env_untouched_uses_defaults(self, monkeypatch):
-        for var in (HOST_ENV, PORT_ENV, TENANT_WEIGHTS_ENV, ONLINE_TUNING_ENV):
+        for var in (HOST_ENV, PORT_ENV, TENANT_WEIGHTS_ENV):
             monkeypatch.delenv(var, raising=False)
         assert config_from_env() == ServeConfig()
 

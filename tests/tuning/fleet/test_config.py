@@ -6,6 +6,8 @@ import pytest
 
 from repro import knobs
 from repro.core.errors import TuningFleetError
+from repro.serve.config import ServeConfig, ServeConfigError
+from repro.serve.config import config_from_env as serve_config_from_env
 from repro.tuning.fleet.config import (
     FLEET_ENV,
     FleetConfig,
@@ -50,7 +52,7 @@ class TestFleetConfig:
     def test_defaults_are_off(self):
         cfg = FleetConfig()
         assert cfg.mode == "off"
-        assert len(dataclasses.fields(cfg)) == 8
+        assert len(dataclasses.fields(cfg)) == 3
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -61,12 +63,6 @@ class TestFleetConfig:
             {"wait_timeout": -1.0},
             {"wait_timeout": 0},
             {"poll_interval": 0},
-            {"drift_threshold": 1.0},
-            {"drift_window": 3},
-            {"drift_ewma_alpha": 0.0},
-            {"drift_ewma_alpha": 1.5},
-            {"drift_cooldown": -1},
-            {"drift_budget": 0},
         ],
     )
     def test_invalid_values_raise(self, kwargs):
@@ -93,27 +89,22 @@ class TestFromEnv:
         monkeypatch.setenv(FLEET_ENV, "lock")
         assert fleet_config_from_env().mode == "lock"
 
-    def test_retired_drift_variables_are_inert_fields_still_work(
-        self, monkeypatch
-    ):
-        fields = {
-            "drift_threshold": 2.5,
-            "drift_window": 16,
-            "drift_cooldown": 5.0,
-            "drift_budget": 4,
-            "drift_ewma_alpha": 0.5,
-        }
-        retired = [
+    def test_retired_online_tuning_variables_are_inert(self, monkeypatch):
+        retired = ["REPRO_SERVE_ONLINE_TUNING"] + [
             f"REPRO_TUNING_DRIFT_{suffix}"
             for suffix in ("THRESHOLD", "WINDOW", "COOLDOWN", "BUDGET", "EWMA")
         ]
         for var in retired:
-            monkeypatch.setenv(var, "7")
+            monkeypatch.setenv(var, "1")
         assert fleet_config_from_env() == FleetConfig()
+        assert serve_config_from_env() == ServeConfig()
         assert set(retired) <= set(knobs.effective()["unrecognised"])
-        cfg = fleet_config_from_env(FleetConfig(**fields))
-        for name, want in fields.items():
-            assert getattr(cfg, name) == want
+        with pytest.raises(TypeError):
+            FleetConfig(drift_budget=4)
+        with pytest.raises(FleetConfigError):
+            FleetConfig().with_overrides(drift_budget=4)
+        with pytest.raises(ServeConfigError):
+            ServeConfig().with_overrides(online_tuning=True)
 
     def test_base_survives_where_env_is_silent(self, monkeypatch):
         monkeypatch.delenv(FLEET_ENV, raising=False)

@@ -357,7 +357,7 @@ class TestMeasuredAtArbitration:
         a.put_key("k", self._entry(2, measured_at=100.0))
         a.save()
         b.reload()  # the sibling adopted the original tune
-        a.put_key("k", self._entry(8, measured_at=200.0))  # drift re-tune
+        a.put_key("k", self._entry(8, measured_at=200.0))  # forced re-tune
         a.save()
         b.save()  # the sibling's stale in-memory entry must NOT win
         assert self._grid(TuningCache(path), "k") == 8
