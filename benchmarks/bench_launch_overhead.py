@@ -22,6 +22,7 @@ over the same arrays.  All rows of this module land in one
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -337,8 +338,8 @@ def test_indexed_launch_stages_sum_to_the_launch():
 def test_per_block_cost_against_bare_span_loop():
     """Per-block cost of the interpreted path as a ratio to the numpy
     floor of the same work in the same process: 1024 blocks of 256
-    elements of ``AxpyElementsKernel`` on ``AccCpuOmp2Blocks`` (default
-    schedule) against a bare Python loop of the same 1024 span
+    elements of ``AxpyElementsKernel`` on ``AccCpuOmp2Blocks`` (the
+    back-end's default ``pooled`` schedule, pinned) against a bare Python loop of the same 1024 span
     expressions over the same arrays.  A ratio, because raw microseconds
     drift 1.5-2x between hosts and between minutes on a shared one."""
     from repro.kernels import AxpyElementsKernel
@@ -352,9 +353,14 @@ def test_per_block_cost_against_bare_span_loop():
     y = mem.alloc(dev, n, pitched=False)
     mem.copy(queue, x, np.linspace(0.0, 1.0, n))
     alpha = 1e-3
-    task = create_task_kernel(
-        acc_type, WorkDivMembers.make(blocks, 1, span),
-        AxpyElementsKernel(), n, alpha, x, y,
+    # Pinned: the default schedule tiers, and a tiered launch of this
+    # plan replays compiled instead of dispatching its blocks.
+    task = replace(
+        create_task_kernel(
+            acc_type, WorkDivMembers.make(blocks, 1, span),
+            AxpyElementsKernel(), n, alpha, x, y,
+        ),
+        schedule="pooled",
     )
     queue.enqueue(task)
     xa, ya = x.as_numpy(), y.as_numpy()

@@ -73,7 +73,8 @@ Rules the generator keeps:
   arguments, is emitted as code computing a boolean lane mask.
 * **The guard set.**  An argument subscripted with an integer or an
   index array keeps the kernel-side guard (a negative index must fail
-  as it does interpreted); one reached only through slice-form keys
+  as it does interpreted — so a load nothing consumes is gathered all
+  the same, before the commit); one reached only through slice-form keys
   (spans, row spans, element boxes, the lane identity under a prefix
   mask) can never trip it, so the program reads it through a plain
   ``ndarray`` view.  The same set is the interpreting schedules'
@@ -345,12 +346,13 @@ class _Lowering:
             (x, b), probe=np.empty(0, dtype=dtype), shape=shape, fresh=True,
         )
 
-    def _load(self, node: Load, level: int) -> _Val:
+    def _load(self, node: Load, level: int, live: bool = True) -> _Val:
         arr = self.arg(node.pos)
         sel = self.level(level)
         ndim = len(self.sig[node.pos][2])
         if (
-            sel.kind == "slice"
+            live
+            and sel.kind == "slice"
             and len(node.index) == 1
             and node.index[0] is sel.identity
         ):
@@ -690,13 +692,36 @@ class Lowered(NamedTuple):
     #: The text of all of them, for inspection.
     source: str
     #: Array positions an interpreted launch of this trace's path must
-    #: keep guarded (see the module doc) — a load nobody consumes is
-    #: never lowered but still runs interpreted, so it counts too.
+    #: keep guarded (see the module doc) — a load nobody consumes
+    #: still runs interpreted, so it counts too (and the program
+    #: gathers it, see :func:`_dead_loads`).
     guarded: frozenset
     #: Does a uniform guard read an array element?  Then the path an
     #: interpreted launch takes can change with memory contents, and
     #: nothing about it is proven.
     guards_read_memory: bool
+
+
+def _dead_loads(main: _Lowering, trace: TraceResult) -> None:
+    """Gather every integer-subscripted load nothing consumes, before
+    the commit.  Interpreted, such a load still runs — and faults on a
+    negative index (the guard) or one past the end — so the replay
+    performs it as a gather through the same (guarded) argument: a
+    fault leaves the arguments untouched and the launch interprets,
+    where it fails as it always did.  A load a uniform guard reads is
+    not dead: the guards function evaluates it."""
+    live = {node for node, _level in main.memo}
+    stack = [expr for expr, _expected in trace.guards]
+    while stack:
+        node = stack.pop()
+        live.add(node)
+        stack.extend(getattr(node, "args", ()) or getattr(node, "index", ()))
+    level = 0
+    for node in trace.order:
+        if type(node) is tuple:
+            level += 1  # a bounds-guard mask: later nodes run under it
+        elif type(node) is Load and node not in live:
+            main._load(node, level, live=False).uses += 1
 
 
 def lower(trace: TraceResult, work_div, sig: tuple) -> Lowered:
@@ -705,6 +730,7 @@ def lower(trace: TraceResult, work_div, sig: tuple) -> Lowered:
     geom = LaneGeometry(work_div)
     main = _Lowering(trace, geom, sig)
     main.stores()
+    _dead_loads(main, trace)
     lines = main.body()
     if main.commits:
         # Nothing below re-evaluates; a failure here (which the shape

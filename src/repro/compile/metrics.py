@@ -10,6 +10,9 @@ announces nothing; the readers pull:
 * :func:`compile_stats` also carries, per kernel, the guard verdicts
   of interpreted launch records (``"guard"``: how many records run on
   proven plain views, how many kept ``GuardedArray`` and why);
+* and (``"tier"``), per kernel, which way the tier decisions of the
+  default schedule went and how many launches a tier ran compiled
+  (:meth:`repro.compile.replay.CompiledReplay.note_trial`);
 * the process metrics registry copies the same counts into its
   ``repro_compile_*_total`` counters whenever it is read (a registry
   source, see :meth:`repro.telemetry.metrics.MetricsRegistry.add_source`),
@@ -36,6 +39,7 @@ __all__ = [
     "note_fallback",
     "note_crosscheck",
     "note_guard",
+    "note_tier",
 ]
 
 _lock = threading.Lock()
@@ -54,6 +58,7 @@ class KernelCounts:
     __slots__ = (
         "kernel", "traces", "retraces", "crosschecks",
         "warm", "hit_only", "fresh", "fallbacks", "proven", "kept",
+        "tier", "tiered",
     )
 
     def __init__(self, kernel: str):
@@ -72,6 +77,10 @@ class KernelCounts:
         #: records; see :func:`repro.compile.replay.guard_verdict`).
         self.proven = 0
         self.kept: Dict[str, int] = {}
+        #: Tier decisions (``"compiled"`` / ``"pooled"`` -> count), and
+        #: launches a tier ran as a compiled replay.
+        self.tier: Dict[str, int] = {"compiled": 0, "pooled": 0}
+        self.tiered = 0
 
     @property
     def cache_hits(self) -> int:
@@ -95,11 +104,15 @@ def counts_for(kernel: str) -> KernelCounts:
     return counts
 
 
-def note_launch(counts: KernelCounts, hit: bool, compiled: bool) -> None:
+def note_launch(counts: KernelCounts, hit: bool, compiled: bool,
+                tiered: bool = False) -> None:
     """One compiled dispatch ended: ``hit`` — its replay came from a
-    cache; ``compiled`` — it ran vectorized."""
+    cache; ``compiled`` — it ran vectorized; ``tiered`` — the default
+    schedule's tier sent it there."""
     with _lock:
         if compiled:
+            if tiered:
+                counts.tiered += 1
             if hit:
                 counts.warm += 1
             else:
@@ -146,6 +159,12 @@ def note_guard(kernel: str, verdict: str) -> None:
             counts.kept[verdict] = counts.kept.get(verdict, 0) + 1
 
 
+def note_tier(counts: KernelCounts, tier: str) -> None:
+    """A replay entry decided its tier."""
+    with _lock:
+        counts.tier[tier] += 1
+
+
 def compile_stats() -> Dict[str, object]:
     """Snapshot of the process-local compile counters."""
     fallbacks: Dict[str, int] = {}
@@ -170,8 +189,13 @@ def compile_stats() -> Dict[str, object]:
             }
             for c in every if c.proven or c.kept
         }
+        tier = {
+            c.kernel: dict(c.tier, launches=c.tiered)
+            for c in every if c.tiered or any(c.tier.values())
+        }
     stats["fallbacks"] = fallbacks
     stats["guard"] = guard
+    stats["tier"] = tier
     return stats
 
 
@@ -196,6 +220,9 @@ _PER_KERNEL = (
     ("repro_compile_crosschecks_total",
      "Compiled-vs-interpreted cross-checks that ran (and matched)",
      "crosschecks"),
+    ("repro_compile_tiered_launches_total",
+     "Launches the default schedule's tier ran as compiled replays, "
+     "by kernel", "tiered"),
 )
 
 
@@ -203,10 +230,10 @@ def _fill_registry(reg) -> None:
     with _lock:
         rows = [
             (c.kernel, [getattr(c, attr) for _m, _h, attr in _PER_KERNEL],
-             dict(c.fallbacks))
+             dict(c.fallbacks), dict(c.tier))
             for c in _kernels.values()
         ]
-    for kernel, values, fallbacks in rows:
+    for kernel, values, fallbacks, tiers in rows:
         for (metric, help_text, _attr), value in zip(_PER_KERNEL, values):
             reg.counter(metric, help_text, kernel=kernel).set_total(value)
         for reason, value in fallbacks.items():
@@ -216,6 +243,14 @@ def _fill_registry(reg) -> None:
                 "by kernel and classified reason",
                 kernel=kernel,
                 reason=reason,
+            ).set_total(value)
+        for tier, value in tiers.items():
+            reg.counter(
+                "repro_compile_tier_decisions_total",
+                "Tier decisions of the default schedule, by kernel and "
+                "the side that won",
+                kernel=kernel,
+                tier=tier,
             ).set_total(value)
 
 

@@ -33,6 +33,14 @@ Replays are cached per argument signature on the plan
 cached too, so an uncompilable kernel pays the trace attempt once, not
 per launch.  Each launch is counted once, when it ends
 (:func:`repro.compile.metrics.note_launch`).
+
+The default schedule tiers (ROADMAP item 13): on a pool-capable
+back-end planned at its default ``pooled``, a record whose guard
+verdict is ``"proven"`` holds the entry its proof traced
+(:meth:`repro.runtime.plan.ArgsRecord.prove`), and the entry decides by
+the host clock whether those records run this replay or the
+interpreter (:meth:`CompiledReplay.note_trial`).  ``compiled`` is the
+same replay forced: every launch, no trial, no proof.
 ``REPRO_COMPILE_CROSSCHECK=1`` makes every compiled launch also run
 interpreted and compares the store targets bit-for-bit.
 :attr:`CompiledReplay.source` is the generated text, for inspection.
@@ -57,12 +65,17 @@ __all__ = [
     "replay_for",
     "guard_verdict",
     "crosscheck_active",
+    "TIER_TRIALS",
     "CROSSCHECK_ENV",
 ]
 
 #: Environment variable: a true value makes every compiled launch also
 #: run interpreted and assert bit-identity of all store targets.
 CROSSCHECK_ENV = knobs.COMPILE_CROSSCHECK
+
+#: Timed dispatches each side of a tier decision takes before the entry
+#: keeps the faster one (see :meth:`CompiledReplay.note_trial`).
+TIER_TRIALS = 2
 
 def crosscheck_active() -> bool:
     """Is compiled-vs-interpreted cross-checking requested?"""
@@ -116,6 +129,49 @@ class CompiledReplay:
         else:
             self.verdict = (self.guarded, "proven")
         self.counts = metrics.counts_for(kernel_name(plan.kernel))
+        #: What the proven records of a tiering plan run: ``None`` while
+        #: undecided, then ``"compiled"`` (this replay) or ``"pooled"``
+        #: (the interpreter) for the life of the entry.
+        self.tier: Optional[str] = None
+        #: schedule -> the wall seconds of its timed trial dispatches.
+        self.trials: Dict[str, list] = {"pooled": [], "compiled": []}
+
+    def next_trial(self) -> str:
+        """The schedule an undecided launch is timed under: the
+        interpreter and the replay alternate, the interpreter first."""
+        trials = self.trials
+        if len(trials["compiled"]) < len(trials["pooled"]):
+            return "compiled"
+        return "pooled"
+
+    def note_trial(self, schedule: str, seconds: float) -> None:
+        """One timed trial dispatch ended.  Once each side has
+        :data:`TIER_TRIALS`, the side with the smaller minimum is the
+        tier — measured, not modelled: which one wins depends on the
+        kernel, the division and the host's cores."""
+        if self.tier is not None:
+            return  # settled meanwhile: the replay fell back
+        trials = self.trials
+        trials[schedule].append(seconds)
+        if min(map(len, trials.values())) >= TIER_TRIALS:
+            self.settle(
+                "compiled"
+                if min(trials["compiled"]) < min(trials["pooled"])
+                else "pooled"
+            )
+
+    def settle(self, tier: str) -> None:
+        """Decide the tier (counted per kernel, ``compile_stats()["tier"]``)."""
+        self.tier = tier
+        metrics.note_tier(self.counts, tier)
+
+    def tier_state(self) -> str:
+        """``"<tier or undecided> (compiled <min>, pooled <min>)"``."""
+        mins = ", ".join(
+            f"{side} {min(times) * 1e3:.3f} ms" if times else f"{side} -"
+            for side, times in sorted(self.trials.items())
+        )
+        return f"{self.tier or 'undecided'} ({mins})"
 
     def guards_hold(self, args: tuple) -> bool:
         """Do the live arguments still take the traced path?"""
@@ -195,9 +251,10 @@ def _retrace(plan, replay: CompiledReplay, args: tuple):
     return replay_for(plan, args)[0]
 
 
-def guard_verdict(plan, args: tuple) -> Tuple[Optional[frozenset], str]:
+def guard_verdict(plan, args: tuple) -> Tuple[object, Optional[frozenset], str]:
     """Which of ``args`` an interpreted launch on ``plan`` must keep
-    guarded: ``(positions, verdict)``, ``positions`` ``None`` for all.
+    guarded: ``(entry, positions, verdict)``, ``positions`` ``None``
+    for all, ``entry`` the replay (or fallback verdict) of ``args``.
 
     The proof is the compile trace of ``args``' signature — the same
     entry (``plan._compiled``) the compiled schedule replays.  A
@@ -216,7 +273,7 @@ def guard_verdict(plan, args: tuple) -> Tuple[Optional[frozenset], str]:
     else:
         kept, verdict = entry.verdict
     metrics.note_guard(kernel_name(plan.kernel), verdict)
-    return kept, verdict
+    return entry, kept, verdict
 
 
 def _usable(entry) -> CompiledReplay:
@@ -270,7 +327,9 @@ def execute_compiled(plan, grid, task, interpret=None) -> None:
             raise
         compiled = True
     finally:
-        metrics.note_launch(replay.counts, not fresh, compiled)
+        metrics.note_launch(
+            replay.counts, not fresh, compiled, grid.tier is not None
+        )
 
 
 def _run_crosschecked(replay: CompiledReplay, args: tuple, interpret) -> None:

@@ -144,7 +144,9 @@ SCHEDULER = _declare(
     None,
     "remaps block dispatch on pooled back-ends: `sequential`, `pooled` or `compiled` "
     "(trace-vectorized replay, `repro.compile`); launches `compiled` cannot serve fall back to "
-    "the thread pool with a logged reason.")
+    "the thread pool with a logged reason. Unset, the back-end default tiers: a proven plan "
+    "runs its compiled replay wherever the host clock measured it faster; `compiled` is that "
+    "tier forced, `pooled` pins the interpreter.")
 COMPILE_CROSSCHECK = _declare(
     "REPRO_COMPILE_CROSSCHECK", _bool, False,
     "boolean; every `compiled` launch also runs interpreted and must match **bit for bit** "

@@ -9,7 +9,9 @@ Every back-end routes kernel launches through :func:`launch`:
    device properties, chosen thread-level runner and block-level
    schedule, with an LRU cache so repeated launches skip validation;
 3. **Execute** — :mod:`repro.runtime.scheduler` dispatches the blocks,
-   sequentially or chunked over a persistent per-device worker pool.
+   sequentially or chunked over a persistent per-device worker pool, or
+   replays the whole grid compiled: forced (``compiled``), or where the
+   default ``pooled`` schedule's tier measured the replay faster.
 
 Instrumentation (:mod:`repro.runtime.instrument`) observes every stage;
 back-ends declare their strategy pair declaratively::
@@ -22,6 +24,8 @@ and never touch pool or validation logic themselves.
 """
 
 from __future__ import annotations
+
+import time
 
 from ..acc.timing import modeled_seconds
 from ..sanitize import _state as _sanitize_state
@@ -112,6 +116,10 @@ __all__ = [
 ]
 
 
+#: The clock a tier's trial dispatches are timed with.
+_clock = time.perf_counter
+
+
 def launch(task, device) -> "LaunchPlan":
     """Run ``task``'s grid on ``device`` through the runtime pipeline.
 
@@ -153,27 +161,50 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
     first time it runs after the plan's first launch, before dispatch;
     from then on the kernel sees plain views wherever the proof holds.
 
+    A proven record of a tiered plan (``grid.tier``, see
+    :mod:`repro.runtime.plan`) runs on the scheduler its replay entry
+    chose: while undecided, its launches alternate the interpreter and
+    the ``compiled`` replay, each dispatch timed on :data:`_clock`,
+    until the entry keeps the faster side; after that the choice costs
+    an attribute read.
+
     Observers see the launch once, as the ``"launch"`` span closing
-    (``span.error`` set when the kernel raised); unobserved, the launch
-    enters the shared ``NULL_SPAN`` and builds nothing.
+    (``span.error`` set when the kernel raised; ``attrs["tier"]`` the
+    schedule a tier chose, ``"trial:<schedule>"`` while it measures);
+    unobserved, the launch enters the shared ``NULL_SPAN`` and builds
+    nothing.
     """
     if grid is None:
         grid = plan.record_for(task)
     if grid.guard is UNTRACED and plan.launches:
         grid.prove(plan)
-    sched = scheduler or scheduler_for(device, plan.schedule)
+    entry, trial = grid.tier, None
+    if entry is None:
+        sched = scheduler or scheduler_for(device, plan.schedule)
+    else:
+        tier = entry.tier
+        if tier is None:
+            tier = trial = entry.next_trial()
+        sched = scheduler_for(device, tier)
     plan.launches += 1
-    region = (
-        Span("launch", "launch", device, {"plan": plan})
-        if _instrument._observers
-        else NULL_SPAN
-    )
+    if _instrument._observers:
+        attrs = {"plan": plan}
+        if entry is not None:
+            attrs["tier"] = tier if trial is None else "trial:" + trial
+        region = Span("launch", "launch", device, attrs)
+    else:
+        region = NULL_SPAN
     crashed = True
     try:
         with region:
             seconds = 0.0
             try:
-                sched.dispatch(plan, grid, plan.block_indices, task)
+                if trial is None:
+                    sched.dispatch(plan, grid, plan.block_indices, task)
+                else:
+                    t0 = _clock()
+                    sched.dispatch(plan, grid, plan.block_indices, task)
+                    entry.note_trial(trial, _clock() - t0)
                 seconds = grid.seconds
                 if seconds is None:
                     seconds = grid.seconds = modeled_seconds(

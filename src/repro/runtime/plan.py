@@ -23,6 +23,15 @@ trace of its argument signature proves which arrays only slice-form
 keys reach — keys that can never trip the guard — and the record hands
 the kernel plain ``ndarray`` views of those (:meth:`ArgsRecord.prove`).
 
+The default schedule tiers: a plan planned at its back-end's default
+``pooled`` (no task schedule, no ``REPRO_SCHEDULER``, no tuned
+schedule, more than one block) is :attr:`LaunchPlan.tiered`, and a
+record of it proven ``"proven"`` holds the proof's
+:class:`~repro.compile.CompiledReplay` as its ``tier``.  The launch
+runs that replay wherever the host clock measured it faster than the
+interpreter (:func:`repro.runtime.execute_plan`); ``compiled`` is the
+same replay forced on every launch.
+
 Cache observability: every resolution announces itself through
 :func:`repro.runtime.instrument.notify_plan_cache`, and the module
 keeps global hit/miss counters (:func:`plan_cache_info`).
@@ -97,16 +106,18 @@ class ArgsRecord(GridContext):
     Everything a launch derives from its arguments alone, derived once:
     the device-side (unwrapped, residency-checked) arguments as
     ``args``, the modeled ``seconds`` (``None`` until a launch
-    completed) and, under the compiled schedule, the ``replay`` entry the
-    arguments resolved to (``None`` until resolved).  ``host_args`` is
-    the tuple the record was built from; a record is reused only for
-    that very tuple, which it holds — so it keeps no buffer alive that
-    the argument tuple does not.
+    completed) and, under the compiled schedule or a tier, the
+    ``replay`` entry the arguments resolved to (``None`` until
+    resolved).  ``host_args`` is the tuple the record was built from;
+    a record is reused only for that very tuple, which it holds — so it
+    keeps no buffer alive that the argument tuple does not.
 
     ``guard`` is the record's guard verdict: ``None`` where nothing is
     to be proven (the compiled schedule, sanitizer shadow arguments, no
     ``GuardedArray`` among the arguments), :data:`UNTRACED` until
     :meth:`prove` ran, then ``"proven"`` or ``"kept: <why>"``.
+    ``tier`` is the replay entry whose tier decides how a proven
+    record of a :attr:`LaunchPlan.tiered` plan runs, else ``None``.
     """
 
     def __init__(self, plan, host_args: tuple, args: tuple, monitor=None,
@@ -123,6 +134,7 @@ class ArgsRecord(GridContext):
         self.seconds: Optional[float] = None
         self.replay = None
         self.guard: Optional[str] = UNTRACED if provable else None
+        self.tier = None
 
     def prove(self, plan) -> None:
         """Settle the guard verdict: re-view every ``GuardedArray``
@@ -132,12 +144,16 @@ class ArgsRecord(GridContext):
         Runs at most once per record, and never at the plan's first
         launch (:func:`repro.runtime.execute_plan`): a one-shot launch
         cannot pay back a trace.  The trace runs the kernel body once
-        under :class:`~repro.compile.CompileAcc`.
+        under :class:`~repro.compile.CompileAcc`.  A proven record of a
+        tiered plan keeps the traced replay as its ``tier`` (and as the
+        ``replay`` a compiled dispatch resolves to).
         """
         from ..compile.replay import guard_verdict
 
-        kept, verdict = guard_verdict(plan, self.args)
+        entry, kept, verdict = guard_verdict(plan, self.args)
         self.guard = plan.guard = verdict
+        if verdict == "proven" and plan.tiered:
+            self.replay = self.tier = plan.tier = entry
         if kept is not None:
             self.args = tuple(
                 a.view(np.ndarray)
@@ -174,6 +190,11 @@ class LaunchPlan:
     #: The guard verdict of the last record proven on this plan (see
     #: :class:`ArgsRecord`).
     guard: str = UNTRACED
+    #: Whether proven records may run the compiled replay (the back-end
+    #: default ``pooled``, neither forced nor tuned; see the module doc).
+    tiered: bool = False
+    #: The replay entry of the last record that tiered on this plan.
+    tier: object = field(default=None, repr=False)
     #: The plan's key in the plan cache (set when it is cached).
     key: tuple = field(default=(), repr=False)
     #: The :class:`ArgsRecord` of the last argument tuple launched
@@ -239,6 +260,8 @@ class LaunchPlan:
 
     def describe(self) -> str:
         guard = "" if self.schedule == "compiled" else f", guard={self.guard}"
+        if self.tier is not None:
+            guard += f", tier={self.tier.tier_state()}"
         return (
             f"LaunchPlan({self.acc_type.__name__}, "
             f"kernel={kernel_name(self.kernel)}, "
@@ -301,17 +324,21 @@ def _build_plan(task, device) -> LaunchPlan:
             f"unknown; known: {sorted(runners)}"
         ) from None
     schedule = getattr(acc_type, "block_schedule", "sequential")
+    tiered = False
     if schedule == "pooled":
         # Only pool-capable back-ends accept a different strategy:
         # sequential back-ends' block order is semantic (fibers'
         # determinism) and must survive any override.  Precedence:
         # the task's own schedule (a tuner measurement) >
-        # REPRO_SCHEDULER > tuned schedule > back-end default.
+        # REPRO_SCHEDULER > tuned schedule > back-end default, and
+        # only the back-end default tiers.
         override = _forced_schedule(task)
         if override is not None:
             schedule = override
         elif tuned_sched is not None:
             schedule = tuned_sched
+        else:
+            tiered = wd.block_count > 1
     # A one-block grid gains nothing from pool dispatch; plan it out.
     # (The compiled strategy replays the whole grid regardless of block
     # count, so it is exempt from the demotion.)
@@ -329,6 +356,7 @@ def _build_plan(task, device) -> LaunchPlan:
         schedule=schedule,
         shared_mem_bytes=shared_dyn,
         block_indices=tuple(iter_indices(wd.grid_block_extent)),
+        tiered=tiered,
     )
 
 

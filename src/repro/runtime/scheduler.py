@@ -278,6 +278,11 @@ class CompiledScheduler(Scheduler):
     ``REPRO_COMPILE_CROSSCHECK=1`` additionally runs every compiled
     launch through the interpreter and asserts the two agree
     bit-for-bit on all store targets.
+
+    The default ``pooled`` schedule dispatches here too, for a proven
+    record whose replay entry's tier chose (or is timing) the replay
+    (:func:`repro.runtime.execute_plan`); ``REPRO_SCHEDULER=compiled``
+    is that tier forced.
     """
 
     schedule = "compiled"
@@ -328,6 +333,11 @@ class CompiledScheduler(Scheduler):
         try:
             vectorizer.execute_compiled(plan, grid, task, interpret=interpret)
         except vectorizer.CompileFallback as cf:
+            if grid.tier is not None:
+                # A tier's replay that cannot run these arguments hands
+                # its entry to the interpreter for good: the fallback
+                # is counted and logged once, not once per launch.
+                grid.tier.settle("pooled")
             self._fall_back(
                 plan, grid, block_indices, task, cf.reason, cf.detail
             )

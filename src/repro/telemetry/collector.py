@@ -171,6 +171,11 @@ class TelemetryCollector(ExecutionObserver):
             "sim_time_fs": span.sim0_fs,
             **(span.trace.ids() if span.trace is not None else {}),
         }
+        tier = span.attrs.get("tier")
+        if tier is not None:
+            # Why this launch ran compiled (or did not): the default
+            # schedule's tier, "trial:<schedule>" while it measures.
+            args["tier"] = tier
         self._emit(
             TraceEvent(
                 name=labels["kernel"],

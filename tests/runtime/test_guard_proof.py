@@ -9,6 +9,8 @@ array keeps the guard (``ArgsRecord.prove``).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -208,8 +210,18 @@ def _cause(exc, kind):
     return exc
 
 
-@pytest.mark.parametrize("kernel", [OffByOne, DeadLoad], ids=lambda k: k.__name__)
-def test_off_by_one_keeps_its_guard_on_every_launch(dev, kernel):
+@pytest.mark.parametrize(
+    "kernel, schedule",
+    [(OffByOne, None), (DeadLoad, None),
+     (OffByOne, "compiled"), (DeadLoad, "compiled")],
+    ids=["OffByOne", "DeadLoad", "OffByOne-compiled", "DeadLoad-compiled"],
+)
+def test_off_by_one_keeps_its_guard_on_every_launch(dev, kernel, schedule, monkeypatch):
+    """Interpreted, the off-by-one read faults on every launch; the
+    compiled replay gathers the same read through the guarded argument
+    (a dead one too), so it faults and hands the launch over."""
+    if schedule is not None:
+        monkeypatch.setenv("REPRO_SCHEDULER", schedule)
     n = 16
     q = QueueBlocking(dev)
     x, y = _stage(dev, q, [np.arange(float(n)), np.zeros(n)])
@@ -219,11 +231,17 @@ def test_off_by_one_keeps_its_guard_on_every_launch(dev, kernel):
             q.enqueue(task)
         assert _cause(info.value, ExtentError) is not None
     record = get_plan(task, dev)._record
-    assert record.guard == "kept: integer-subscript (1,)"
-    assert _array_types(record) == [GuardedArray, np.ndarray]
-    assert compile_stats()["guard"][kernel.__name__]["why"] == {
-        "kept: integer-subscript (1,)": 1,
-    }
+    stats = compile_stats()
+    if schedule == "compiled":
+        assert record.guard is None
+        assert stats["compiled_launches"] == 0
+        assert stats["fallbacks"] == {"replay-error": 3}
+    else:
+        assert record.guard == "kept: integer-subscript (1,)"
+        assert _array_types(record) == [GuardedArray, np.ndarray]
+        assert stats["guard"][kernel.__name__]["why"] == {
+            "kept: integer-subscript (1,)": 1,
+        }
     _read(q, [x, y])
 
 
@@ -289,7 +307,11 @@ def test_kernel_body_sees_plain_views_after_the_first_launch(dev):
     q = QueueBlocking(dev)
     x, y = _stage(dev, q, [np.ones(n), np.zeros(n)])
     spy = Spy()
-    task = create_task_kernel(Acc, WorkDivMembers.make(2, 1, n // 2), spy, n, 2.0, x, y)
+    # Pinned: a tiered launch runs the compiled replay, not the body.
+    task = replace(
+        create_task_kernel(Acc, WorkDivMembers.make(2, 1, n // 2), spy, n, 2.0, x, y),
+        schedule="pooled",
+    )
     for _ in range(3):
         q.enqueue(task)
     guarded = ("GuardedArray", "GuardedArray")
