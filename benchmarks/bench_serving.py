@@ -383,7 +383,7 @@ def test_serving_batched_bit_identity():
 
 def test_serving_shutdown_releases_everything():
     """After a drained shutdown: zero worker pools, every handle
-    resolved, pump and lane threads gone."""
+    resolved, the gateway's loop thread and lane threads gone."""
     rng = np.random.default_rng(17)
     gateway = Gateway(
         _bench_config(
@@ -414,7 +414,7 @@ def test_serving_shutdown_releases_everything():
         h.result(timeout=1)  # raises if anything was failed instead
 
     assert device_workers() == {}, "leaked block-worker pools"
-    assert not gateway._pump.is_alive()
+    assert not gateway._loop_thread.is_alive()
     for lane in gateway.router.lanes:
         assert lane.inflight == 0
 

@@ -1,7 +1,7 @@
 """Multi-tenant fair-share admission: weighted deficit round-robin.
 
-The gateway's front door.  Each tenant owns a bounded FIFO; the pump
-drains them with **deficit round-robin** (Shreedhar & Varghese): every
+The gateway's front door.  Each tenant owns a bounded FIFO; the
+gateway's loop steps drain them with **deficit round-robin** (Shreedhar & Varghese): every
 round a tenant's deficit grows by ``quantum * weight``, and it may
 release one queued request per unit of deficit.  Over any window the
 released share converges to the weight ratio regardless of how fast any
@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .config import ServeConfig
 from .types import RetryAfter
@@ -109,15 +109,6 @@ class FairShareAdmission:
             self._order.append(name)
         return st
 
-    def tenants(self) -> List[TenantState]:
-        with self._lock:
-            return list(self._tenants.values())
-
-    def depth(self, tenant: str) -> int:
-        with self._lock:
-            st = self._tenants.get(tenant)
-            return len(st.queue) if st else 0
-
     def queued(self) -> int:
         with self._lock:
             return sum(len(st.queue) for st in self._tenants.values())
@@ -139,8 +130,8 @@ class FairShareAdmission:
         runs :meth:`next_ready` — which has nothing to arbitrate but
         this request — and returns True once it released it, without
         setting :attr:`ready`.  Otherwise (and always without
-        ``release``) the request waits for the pump and False is
-        returned.
+        ``release``) the request waits for the gateway's next step and
+        False is returned.
         """
         from .metrics import record_admission
 
@@ -172,7 +163,7 @@ class FairShareAdmission:
             self.ready.set()
         return released
 
-    # -- release (pump side) ----------------------------------------------
+    # -- release (step side) ----------------------------------------------
 
     def next_ready(self):
         """The next request under weighted DRR, or ``None``.
@@ -267,11 +258,6 @@ class FairShareAdmission:
                     st.queue.clear()
         self.ready.set()
         return stranded
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
 
     def stats(self) -> Dict[str, Dict[str, float]]:
         with self._lock:

@@ -12,8 +12,8 @@ The window is paid only by keys that have company
 -------------------------------------------------
 Every batch gets one deadline when it opens.  It is ``now + window``
 when the key — ``(batch_key, backend)`` — **has company**, and ``now``
-otherwise, so a lone request is due at the pump step that admitted it
-(anything else admitted in that same step still joins it).  Company is
+otherwise, so a lone request is due at the gateway step that admitted
+it (anything else admitted in that same step still joins it).  Company is
 causal, not temporal.  A request of the key brings it when
 
 * it arrives while an unheld batch of the key is still on its lane
@@ -33,7 +33,7 @@ that stops being concurrent wastes one window before it is let go.
 
 Two arrivals are deliberately *not* company, because there the hold
 would be manufacturing its own evidence: a request that joins a held
-batch after its deadline (a late pump collected it, not the window),
+batch after its deadline (a late step collected it, not the window),
 and a request that arrives while a *held* batch of its key is on a lane
 (that batch is still inside only because it was parked first).
 Counted, either one lets a client paced at about one window per
@@ -47,15 +47,14 @@ unused company are remembered (oldest evicted first — an evicted key
 merely opens its next batch unheld and is re-learned one batch later).
 
 The batcher is pure bookkeeping — no threads, no locks, no clock of its
-own.  The gateway pump drives it with explicit timestamps, which keeps
-the flush logic deterministic and directly testable.  Completions
-happen on lane threads, so the router does not call :meth:`note_done`
-itself: it hands each finished batch to the gateway, which queues it
-for the pump, and the pump notes it before its next :meth:`add`.  Only
-a holder of the gateway's pump lock touches this object's state — the
-pump, or a thread stepping a lone request through (it notes the queued
-completions first, too, and asks :meth:`runs_alone` before it adds);
-other threads only read the :meth:`stats` integers.
+own.  The gateway's loop steps drive it with explicit timestamps, which
+keeps the flush logic deterministic and directly testable.  Only the
+gateway's loop thread touches this object's state: its steps, a lone
+request stepped through in ``submit`` (which asks :meth:`runs_alone`
+before it adds), and every batch completion — a batch that finished on
+a lane thread is handed to the loop, which calls :meth:`note_done`
+before any of the batch's replies.  Other threads only read the
+:meth:`stats` integers.
 """
 
 from __future__ import annotations
@@ -222,7 +221,7 @@ class Batcher:
 
     def next_deadline(self) -> Optional[float]:
         """Earliest open-batch deadline, or ``None`` when nothing is
-        parked — the pump's sleep bound."""
+        parked — when the gateway's next timed step is due."""
         if not self._open:
             return None
         return min(b.deadline for b in self._open.values())

@@ -93,10 +93,10 @@ class ServeConfig:
     #: compatible launches to join it when a request of its key met
     #: another one in the gateway (still running unheld on a lane, or in
     #: an open batch it joined in time), now or since the key's previous
-    #: batch opened; a lone request launches at the pump step that
+    #: batch opened; a lone request launches at the gateway step that
     #: admitted it (see :mod:`repro.serve.batcher`).  ``0`` keeps
     #: admission order but still merges whatever is ready at the same
-    #: pump step; batching is disabled with ``enable_batching``.
+    #: step; batching is disabled with ``enable_batching``.
     batch_window: float = 0.002
     #: Hard cap on requests merged into one batched grid.
     batch_max: int = 64

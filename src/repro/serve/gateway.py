@@ -3,37 +3,43 @@
 :class:`Gateway` is the in-process serving engine.  Clients (threads,
 the asyncio TCP server, the benchmark's simulated fleet) call
 :meth:`submit` and get a :class:`~repro.serve.types.ServeHandle` back;
-a single **pump** thread drives the pipeline::
+callbacks on one asyncio **loop** drive the pipeline — the TCP server's
+own loop when the server owns the gateway, else one loop thread the
+gateway starts::
 
-    submit() ──> FairShareAdmission ──> Batcher ──> ShardRouter ──> lanes
-      (offer;        (weighted DRR        (coalesce;   (least-loaded
-       RetryAfter     + in-flight cap)     window for   QueueNonBlocking)
-       when full)                          keys with
+    submit() ──> FairShareAdmission ──> Batcher ──> ShardRouter ──> loop thread
+      (offer;        (weighted DRR        (coalesce;   (least-loaded   (lane idle)
+       RetryAfter     + in-flight cap)     window for   lane)          or lane queue
+       when full)                          keys with                   (lane busy)
        │                                   company)
-       └── lone: the same three stages, stepped in the caller ──> lane
-           (path "inline")                                    closures
+       └── lone: the same three stages, stepped in the submit call (path "inline")
 
-Completion flows back through each lane queue's ``enqueue_callback``
-into the request's future; the finished batch itself is queued for the
-pump, which tells the batcher (its hold rule counts a key's unheld
-requests still on a lane).  The inline path is for a *lone* request
-(``submit(request, lone=True)``: its sender has nothing else
-unanswered and nothing else waits for the submitting thread) that
-finds no queued work, an unheld batch of its own and an idle lane: the
-caller steps it through admission and the batcher under the pump's
-lock and runs the lane's own closures, so the handle comes back
-resolved.  A lane runs one batch at a time either way.  Shutdown is
-graceful by default: new admissions are rejected, queued and parked
-work drains, lanes close, and (on request) the per-device worker pools
-are released.
+A *step* releases what admission allows into the batcher and sends
+every due batch to the router with ``inline=True``.  It runs once per
+loop iteration after an offer, at the earliest batch deadline
+(``call_at``) and after a completion frees an in-flight slot.  A due
+batch runs on the loop thread when its lane's ``running`` lock is free
+and goes to the lane queue only when the lane is busy; a batch that
+finished on a lane thread hands its completion to the loop, once per
+batch (``call_soon_threadsafe``).  So the batcher is only ever touched
+on the loop thread, and admission's release side and every handle's
+resolution happen there too.  A lone request (``submit(request, lone=True)``
+on the loop thread: its sender has nothing else unanswered and nothing
+else waits for the loop) that finds no queued work, an unheld batch of
+its own and an idle lane is stepped through in the submit call itself,
+so the handle comes back resolved.  A lane runs one batch at a time
+either way.  Shutdown is graceful by default: new admissions are
+rejected, queued and parked work drains, lanes close, the gateway's own
+loop thread (if any) stops, and (on request) the per-device worker
+pools are released.
 """
 
 from __future__ import annotations
 
+import asyncio
 import atexit
 import threading
 import time
-from collections import deque
 from typing import Dict, Optional
 
 from ..runtime.instrument import observers
@@ -58,22 +64,19 @@ from .workloads import get_workload
 
 __all__ = ["Gateway"]
 
-#: Longest the idle pump sleeps.  The pump is event-driven — offers,
-#: completions and shutdown set ``admission.ready``, and an open batch
-#: bounds the sleep by its deadline — so this is a safety net, not a
-#: term in any request's latency.
-PUMP_TICK = 0.001
-
 
 class Gateway:
     """Async kernel-launch gateway over the repro runtime.
 
     ``config`` defaults to :func:`config_from_env`; keyword overrides
-    win over both (``Gateway(batch_window=0.0)``).  The gateway starts
-    its pump immediately and is ready for :meth:`submit` on return.
+    win over both (``Gateway(batch_window=0.0)``).  ``loop`` is the
+    running asyncio loop to step on, and the gateway must then be built
+    on that loop's thread (the TCP server passes its own); without it
+    the gateway starts a loop thread of its own.  The gateway is ready
+    for :meth:`submit` on return.
     """
 
-    def __init__(self, config: Optional[ServeConfig] = None, **overrides):
+    def __init__(self, config: Optional[ServeConfig] = None, *, loop=None, **overrides):
         if config is None:
             config = config_from_env()
         if overrides:
@@ -83,14 +86,6 @@ class Gateway:
         self.batcher = Batcher(
             config.batch_window, config.batch_max, config.enable_batching
         )
-        # Finished batches, appended by lane threads and drained into
-        # ``batcher.note_done`` under the pump's lock (the only lock the
-        # batcher is touched under).
-        self._batches_done: deque = deque()
-        self.router = ShardRouter(config, self._batches_done.append)
-        #: Held for each pump step, and while a lone request is stepped
-        #: through admission and the batcher on its submitting thread.
-        self._pump_lock = threading.Lock()
         self._handles: Dict[int, ServeHandle] = {}
         self._handles_lock = threading.Lock()
         self._draining = threading.Event()
@@ -100,10 +95,25 @@ class Gateway:
         self._completed = 0
         self._failed = 0
         self._inline = 0
-        self._pump = threading.Thread(
-            target=self._pump_loop, name="serve-pump", daemon=True
-        )
-        self._pump.start()
+        self._lone = 0
+        #: A step is scheduled on the loop and has not started yet.
+        self._step_due = False
+        #: Deadline of the earliest batch-deadline step scheduled.
+        self._timer_at = float("inf")
+        self._loop_thread: Optional[threading.Thread] = None
+        self._loop_id = threading.get_ident()
+        if loop is None:
+            loop = asyncio.new_event_loop()
+            self._loop_thread = threading.Thread(
+                target=loop.run_forever, name="serve-loop", daemon=True
+            )
+            self._loop_thread.start()
+            self._loop_id = self._loop_thread.ident
+        self._loop = loop
+        # The loop notes a finished batch before any of its replies, so
+        # a request sent after a reply finds its predecessor gone — or a
+        # solo closed-loop client would look concurrent.
+        self.router = ShardRouter(config, self.batcher.note_done, loop.call_soon_threadsafe)
         self._atexit = atexit.register(self._atexit_shutdown)
         # Live ops endpoints (REPRO_TELEMETRY_HTTP=host:port): the
         # gateway publishes its readiness; the listener is shared by
@@ -113,13 +123,13 @@ class Gateway:
 
     def _health(self):
         """Readiness probe for ``/healthz``: up = accepting submissions
-        with a live pump."""
-        ok = not self.closed and self._pump.is_alive()
-        return ok, {
+        with a loop that is not closed."""
+        alive = not self._loop.is_closed()
+        return not self.closed and alive, {
             "pending": self.pending(),
             "lanes": len(self.router.lanes),
             "batcher": self.batcher.stats(),
-            "pump_alive": self._pump.is_alive(),
+            "loop_alive": alive,
             "draining": self._draining.is_set(),
         }
 
@@ -135,11 +145,11 @@ class Gateway:
 
         ``lone`` says the caller has no other request of its own
         unanswered and nothing else waits for its thread (the TCP
-        server passes it per frame).  A lone
-        request that finds no queued work, an unheld batch of its own
-        and an idle lane runs to completion in this call, and the
-        handle comes back resolved; every other request is left to the
-        pump and the lanes.
+        server passes it per frame); it counts only on the loop thread.
+        A lone request that finds no queued work, an unheld batch of
+        its own and an idle lane runs to completion in this call, and
+        the handle comes back resolved; every other request is left to
+        the next step.
         """
         if self._stopped.is_set() or self._draining.is_set():
             raise GatewayClosed("gateway is shutting down")
@@ -168,7 +178,7 @@ class Gateway:
         with self._handles_lock:
             self._handles[request.request_id] = handle
         try:
-            if lone:
+            if lone and threading.get_ident() == self._loop_id:
                 batch = self._admit_lone(request)
             else:
                 batch = None
@@ -181,30 +191,31 @@ class Gateway:
             raise
         with self._handles_lock:
             self._submitted += 1
-        if batch is not None:
+            self._lone += batch is not None
+        if batch is None:
+            self._wake()
+        else:
             self.router.submit(batch, self._on_request_done, inline=True)
         return handle
 
     def _admit_lone(self, request):
         """Offer ``request``; when it runs alone on an idle lane, also
-        step it through admission and the batcher as the pump would,
-        and return its batch (else ``None``: the pump has it)."""
-        with self._pump_lock:
-            self._note_batches_done()
-            alone = self.batcher.runs_alone(request) and (
-                self.router.pick_lane(request.backend).inflight == 0
-            )
-            if not self.admission.offer(request, release=alone):
-                return None
-            now = time.perf_counter()
-            self.batcher.add(request, now)
-            mine = None
-            for batch in self.batcher.pop_ready(now):
-                if batch.requests[0] is request:
-                    mine = batch
-                else:  # another key's batch came due meanwhile
-                    self.router.submit(batch, self._on_request_done)
-            return mine
+        step it through admission and the batcher as a step would, and
+        return its batch (else ``None``: the next step has it)."""
+        alone = self.batcher.runs_alone(request) and (
+            self.router.pick_lane(request.backend).inflight == 0
+        )
+        if not self.admission.offer(request, release=alone):
+            return None
+        now = time.perf_counter()
+        self.batcher.add(request, now)
+        mine = None
+        for batch in self.batcher.pop_ready(now):
+            if batch.requests[0] is request:
+                mine = batch
+            else:  # another key's batch came due meanwhile
+                self.router.submit(batch, self._on_request_done, inline=True)
+        return mine
 
     def launch(
         self,
@@ -247,58 +258,49 @@ class Gateway:
             )
         )
 
-    # -- pump -------------------------------------------------------------
+    # -- the loop ---------------------------------------------------------
 
-    def _pump_loop(self) -> None:
-        while not self._stopped.is_set():
-            self.admission.ready.clear()
-            with self._pump_lock:
-                moved = self._pump_step()
-                deadline = self.batcher.next_deadline()
-            if self._draining.is_set() and self._quiescent():
-                with self._idle:
-                    self._idle.notify_all()
-            if moved:
-                continue
-            timeout = PUMP_TICK
-            if deadline is not None:
-                timeout = max(
-                    0.0, min(PUMP_TICK, deadline - time.perf_counter())
-                )
-            self.admission.ready.wait(timeout)
+    def _wake(self) -> None:
+        """Schedule one step (at most one waits on the loop)."""
+        if self._step_due:
+            return
+        self._step_due = True
+        if threading.get_ident() == self._loop_id:
+            self._loop.call_soon(self._step)
+        else:
+            self._loop.call_soon_threadsafe(self._step)
 
-    def _pump_step(self) -> bool:
-        """One pump iteration; True when any request moved a stage."""
-        moved = False
+    def _step(self) -> None:
+        """Admit, batch and launch what is due; on the loop thread."""
+        self._step_due = False
+        if self._stopped.is_set():
+            return
+        self.admission.ready.clear()
         while True:
             req = self.admission.next_ready()
-            self._note_batches_done()
             if req is None:
                 break
             self.batcher.add(req, time.perf_counter())
-            moved = True
         now = time.perf_counter()
         if self._draining.is_set():
             ready = self.batcher.flush_all(now)
         else:
             ready = self.batcher.pop_ready(now)
         for batch in ready:
-            self.router.submit(batch, self._on_request_done)
-            moved = True
-        return moved
+            self.router.submit(batch, self._on_request_done, inline=True)
+        # A superseded timer still fires; its step finds nothing due.
+        deadline = self.batcher.next_deadline()
+        if deadline is not None and deadline < self._timer_at:
+            self._timer_at = deadline
+            when = self._loop.time() + deadline - time.perf_counter()
+            self._loop.call_at(when, self._on_deadline)
 
-    def _note_batches_done(self) -> None:
-        # Completions before every add: the lane queues a batch here
-        # before it replies, so a request sent after a reply finds its
-        # predecessor gone — or a solo closed-loop client would look
-        # concurrent.
-        done = self._batches_done
-        while done:
-            self.batcher.note_done(done.popleft())
+    def _on_deadline(self) -> None:
+        self._timer_at = float("inf")
+        self._step()
 
     def _on_request_done(self, request, outputs, error, lane, batch) -> None:
-        """Lane completion callback (runs in the lane queue's worker, or
-        in the submitting thread for an inline batch)."""
+        """Request completion callback, on the loop thread."""
         now = time.perf_counter()
         latency = max(0.0, now - request.submitted_at)
         service = max(0.0, now - request.admitted_at)
@@ -307,6 +309,8 @@ class Gateway:
         batch_wait = round(max(0.0, batch.flushed_at - request.admitted_at), 6)
         ok = error is None
         self.admission.task_finished(request.tenant, service, ok)
+        if self.admission.ready.is_set():  # a freed slot releases queued work
+            self._wake()
         record_completion(request.tenant, latency, ok)
         trace = request.trace
         # The request's own span, announced after the fact (the gateway
@@ -352,8 +356,7 @@ class Gateway:
                 self._completed += 1
             else:
                 self._failed += 1
-            if batch.path == "inline":
-                self._inline += 1
+            self._inline += batch.path == "inline"
         if handle is None:
             return
         if ok:
@@ -370,14 +373,11 @@ class Gateway:
             )
         else:
             handle._fail(error)
-        with self._idle:
-            self._idle.notify_all()
+        if self._draining.is_set():
+            with self._idle:
+                self._idle.notify_all()
 
     # -- introspection ----------------------------------------------------
-
-    def _quiescent(self) -> bool:
-        with self._handles_lock:
-            return not self._handles
 
     def pending(self) -> int:
         with self._handles_lock:
@@ -390,6 +390,7 @@ class Gateway:
                 "completed": self._completed,
                 "failed": self._failed,
                 "inline": self._inline,
+                "lone": self._lone,
                 "pending": len(self._handles),
             }
         return {
@@ -400,6 +401,7 @@ class Gateway:
             "queued": self.admission.queued(),
             "inflight": self.router.inflight(),
             "closed": self.closed,
+            "process_cpu_s": time.process_time(),
         }
 
     @property
@@ -431,7 +433,7 @@ class Gateway:
             timeout = self.config.drain_timeout
         self._draining.set()
         stranded = self.admission.close(drain=drain)
-        self.admission.ready.set()
+        self._wake()  # a draining step flushes every parked batch
         # Aborted work never reaches a lane: fail it now rather than
         # wait for it to complete.
         with self._handles_lock:
@@ -442,7 +444,7 @@ class Gateway:
         drained = not stranded
         deadline = time.perf_counter() + timeout
         with self._idle:
-            while not self._quiescent():
+            while self.pending():
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     drained = False
@@ -450,12 +452,15 @@ class Gateway:
                 self._idle.wait(min(0.05, remaining))
 
         self._stopped.set()
-        self.admission.ready.set()
-        self._pump.join(timeout=5)
-
-        # Lanes: wait for whatever already reached a queue, then close.
-        self.router.drain(timeout=max(0.0, deadline - time.perf_counter()))
+        # Lanes: wait for whatever already reached a queue, then close;
+        # the loop runs the completions they handed it before it stops.
+        self.router.drain()
         self.router.close()
+        if self._loop_thread is not None:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._loop_thread.join(timeout=5)
+            if not self._loop_thread.is_alive():
+                self._loop.close()
 
         # Anything still unresolved (stragglers on timeout) fails
         # explicitly — a drained gateway leaves no dangling futures.

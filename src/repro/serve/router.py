@@ -6,11 +6,14 @@ primitive every other part of the library uses.  The router enqueues a
 batch's execution closure on the least-loaded compatible lane and
 chains the completion bookkeeping with ``Queue.enqueue_callback``, so
 result delivery rides the queue's ordering guarantees instead of a
-bespoke thread handoff.  Graphs submitted through a lane use the graph
-executor's own ``enqueue_after`` event gating internally — the router
-treats them as opaque units.  An ``inline`` submission runs the same
-two closures in the calling thread instead, when the lane's ``running``
-lock is free — the lock that keeps a lane to one batch at a time.
+bespoke thread handoff; a ``call_soon`` hook (the gateway's event loop)
+moves that completion to another thread, once per batch.  Graphs
+submitted through a lane use the graph executor's own ``enqueue_after``
+event gating internally — the router treats them as opaque units.  An
+``inline`` submission runs the same two closures in the calling thread
+instead, when the lane's ``running`` lock is free — the lock that keeps
+a lane to one batch at a time; the gateway submits every batch so, and
+a lane thread only runs a batch that found its lane busy.
 
 Execution failures resolve the affected requests' futures with the
 error and never propagate into the lane's drain thread (a poisoned lane
@@ -21,7 +24,6 @@ contract in :mod:`repro.queue.queue`).
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, Dict, List, Optional
 
 from ..acc.registry import accelerator
@@ -91,11 +93,15 @@ class ShardRouter:
         self,
         config: ServeConfig,
         on_batch_done: Optional[Callable[[Batch], None]] = None,
+        call_soon: Optional[Callable[[Callable[[], None]], None]] = None,
     ):
-        #: Told about every finished batch, on the lane's thread, before
-        #: any of its requests is reported — so whatever a reply causes
-        #: is ordered after it (the batcher's company rule needs that).
+        #: Told about every finished batch before any of its requests is
+        #: reported — so whatever a reply causes is ordered after it
+        #: (the batcher's company rule needs that).
         self._on_batch_done = on_batch_done
+        #: Given the completion of each batch that ran on a lane thread,
+        #: to run it elsewhere; by default it runs on the lane thread.
+        self._call_soon = call_soon or (lambda complete: complete())
         lanes = config.lanes
         if not lanes:
             acc = accelerator(DEFAULT_BACKEND)
@@ -142,7 +148,8 @@ class ShardRouter:
         member request is reported through ``on_request_done(request,
         result_dict_or_None, error_or_None, lane, batch)``.
 
-        The closure runs in the lane queue's worker; errors are caught
+        The closure runs in the lane queue's worker (its completion
+        there too, or wherever ``call_soon`` sends it); errors are caught
         there and delivered per request, so one failing batch neither
         poisons the lane nor starves sibling tenants.  With ``inline``
         the same closures run in the calling thread instead — when the
@@ -203,7 +210,7 @@ class ShardRouter:
             _complete()
             return lane
         lane.queue.enqueue(_run)
-        lane.queue.enqueue_callback(_complete)
+        lane.queue.enqueue_callback(lambda: self._call_soon(_complete))
         return lane
 
     # -- lifecycle --------------------------------------------------------
@@ -211,14 +218,11 @@ class ShardRouter:
     def inflight(self) -> int:
         return sum(lane.inflight for lane in self.lanes)
 
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for every lane to go idle; returns False on timeout."""
-        deadline = None if timeout is None else time.perf_counter() + timeout
+    def drain(self) -> None:
+        """Wait until every lane queue has run what reached it (a
+        completion handed to ``call_soon`` may still be pending)."""
         for lane in self.lanes:
-            if deadline is not None and time.perf_counter() > deadline:
-                return False
             lane.drain()
-        return all(lane.inflight == 0 for lane in self.lanes)
 
     def close(self) -> None:
         for lane in self.lanes:

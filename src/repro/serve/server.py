@@ -13,16 +13,18 @@ whole frame whose content is not a message gets an error reply and the
 connection carries on.
 
 :class:`ServeServer` binds the skeleton to a
-:class:`~repro.serve.gateway.Gateway`.  A frame read while its
-connection has no other request unanswered, and with no frame of any
-connection read behind it by the time its handler starts, is *lone*:
-the gateway may run it to completion on the event-loop thread (nothing
-queued ahead of it, an unheld batch, an idle lane), and its reply is
-built at once.  Every other request runs on a device-lane thread, and
-the server bridges its ``concurrent.futures.Future`` with
-:func:`asyncio.wrap_future`, keeping the event loop free meanwhile — so
-a pipelining connection's frames, and concurrent connections' frames
-that arrive together, still meet in the batcher.
+:class:`~repro.serve.gateway.Gateway`; a gateway the server builds
+itself steps on the server's own event loop, with no thread of its own.
+A frame read while its connection has no other request unanswered, and
+with no frame of any connection read behind it by the time its handler
+starts, is *lone*: the gateway may run it to completion inside
+``submit`` (nothing queued ahead of it, an unheld batch, an idle lane),
+and its reply is built at once.  Every other request is offered and
+waits for the loop's next step — so a pipelining connection's frames,
+and concurrent connections' frames that arrive together, still meet in
+the batcher.  Every batch runs on the event-loop thread while its lane
+is idle, and on the lane's thread when it is busy; a completion on the
+loop thread wakes its frame handler directly.
 """
 
 from __future__ import annotations
@@ -164,7 +166,10 @@ class FrameServer:
 
 
 class ServeServer(FrameServer):
-    """TCP server bound to a gateway; ``async with`` manages both."""
+    """TCP server bound to a gateway; ``async with`` manages both.
+
+    Build it on the running loop that serves it (in a coroutine): a
+    gateway it builds itself steps on that loop."""
 
     def __init__(
         self,
@@ -178,8 +183,8 @@ class ServeServer(FrameServer):
         if overrides:
             config = config.with_overrides(**overrides)
         self.config = config
-        self.gateway = gateway if gateway is not None else Gateway(config)
         self._owns_gateway = gateway is None
+        self.gateway = gateway or Gateway(config, loop=asyncio.get_running_loop())
 
     # -- lifecycle --------------------------------------------------------
 
@@ -225,11 +230,7 @@ class ServeServer(FrameServer):
                 trace=trace,
             )
             # A lone request may have run to completion inside submit.
-            handle = self.gateway.submit(request, lone=lone)
-            if handle.done():
-                result = handle.result()
-            else:
-                result = await asyncio.wrap_future(handle.future)
+            result = await self.gateway.submit(request, lone=lone).async_result()
             return result_payload(msg_id, result, trace=request.trace)
         raise ServeError(f"unknown op {op!r}")
 

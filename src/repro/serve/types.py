@@ -192,7 +192,23 @@ class ServeHandle:
         return self.future.done()
 
     async def async_result(self) -> ServeResult:
-        return await asyncio.wrap_future(self.future)
+        """The result, awaited on the running loop: a completion on the
+        loop's own thread wakes the waiter directly, one on any other
+        thread through ``call_soon_threadsafe``."""
+        if not self.future.done():
+            loop = asyncio.get_running_loop()
+            waiter = loop.create_future()
+            here = threading.get_ident()
+
+            def wake(_):
+                if threading.get_ident() != here:
+                    loop.call_soon_threadsafe(wake, _)
+                elif not waiter.done():  # not cancelled meanwhile
+                    waiter.set_result(None)
+
+            self.future.add_done_callback(wake)
+            await waiter
+        return self.future.result()
 
     def __await__(self):
         return self.async_result().__await__()

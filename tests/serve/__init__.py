@@ -5,7 +5,7 @@ import threading
 
 def calls(obj, name):
     """A semaphore released after each call of ``obj.name`` (wrapped on
-    the instance), so a test waits on the pump's progress instead of
+    the instance), so a test waits on the gateway's progress instead of
     polling its state."""
     done = threading.Semaphore(0)
     method = getattr(obj, name)

@@ -310,7 +310,7 @@ class TestOfferWithRelease:
         adm.ready.clear()
         req = _req("a")
         assert adm.offer(req, release=True) is True
-        assert not adm.ready.is_set()  # the pump was not woken
+        assert not adm.ready.is_set()  # no step was asked for
         assert adm.inflight() == 1 and adm.queued() == 0
         assert req.admitted_at >= req.submitted_at
         assert adm.next_ready() is None

@@ -220,7 +220,7 @@ class TestHoldOnlyWithCompany:
         b.add(_axpy(), now=0.011)  # finds the delayed one on its lane
         b.note_done(delayed)
         assert b.pop_ready(now=0.012) == []  # held
-        b.add(_axpy(), now=0.022)  # past the deadline: a late pump's catch
+        b.add(_axpy(), now=0.022)  # past the deadline: a late step's catch
         (late,) = b.pop_ready(now=0.023)
         assert late.held and late.size == 2
         b.add(_axpy(), now=0.033)  # that batch is inside only for its hold

@@ -29,8 +29,12 @@ def gateway():
 
 def _overlapping_pair(gw, launch):
     """Two ``launch()`` calls, the second admitted while the first is
-    provably on the (single, blocked) lane — so the second brings its
-    key company and is held.  Returns both handles."""
+    provably on the (single, busy) lane — so the second brings its key
+    company and is held.  Returns both handles.
+
+    The test holds the lane's ``running`` lock, so the first batch
+    takes the lane queue and waits there instead of running on the
+    gateway's loop thread."""
 
     def opened():
         stats = gw.stats()["batcher"]
@@ -38,8 +42,8 @@ def _overlapping_pair(gw, launch):
 
     added = calls(gw.batcher, "add")
     submitted = calls(gw.router, "submit")
-    release = threading.Event()
-    gw.router.lanes[0].queue.enqueue(lambda: release.wait(30))
+    running = gw.router.lanes[0].running
+    assert running.acquire(timeout=30)
     try:
         before = opened()
         first = launch()
@@ -50,7 +54,7 @@ def _overlapping_pair(gw, launch):
             assert added.acquire(timeout=30)
         assert opened() == before + 2
     finally:
-        release.set()
+        running.release()
     return first, second
 
 
@@ -246,7 +250,7 @@ class TestValidationAndErrors:
 
 class TestBackpressure:
     def test_retry_after_when_queue_full(self, rng):
-        # One-request queue, no pump progress possible during the
+        # One-request queue, no step progress possible during the
         # flood: the second offer must bounce.
         gw = Gateway(
             ServeConfig(
@@ -360,11 +364,14 @@ class TestShutdown:
         running.result(timeout=10)
 
     def test_no_leaked_pump_thread(self):
+        """The one thread an in-process gateway starts, its loop
+        thread, is gone after shutdown and its loop closed."""
         gw = Gateway(ServeConfig(batch_window=0.0))
-        pump = gw._pump
+        thread = gw._loop_thread
+        assert thread.is_alive()
         gw.shutdown(release_pools=False)
-        pump.join(timeout=5)
-        assert not pump.is_alive()
+        thread.join(timeout=5)
+        assert not thread.is_alive() and gw._loop.is_closed()
 
     def test_context_manager(self, rng):
         with Gateway(ServeConfig(batch_window=0.002)) as gw:
@@ -404,12 +411,55 @@ class TestThreadedClients:
         assert not errors
         assert gateway.stats()["requests"]["completed"] == 40
 
+    def test_threads_coalesce_without_a_server_and_shut_down_clean(self, rng):
+        """An in-process gateway steps on its one loop thread: requests
+        submitted from threads still meet in a batch, and shutdown
+        leaves the loop thread stopped and its loop closed."""
+        n = 6
+        gw = Gateway(
+            ServeConfig(
+                batch_window=30.0, batch_max=n, lanes=(("AccCpuSerial", 0),)
+            )
+        )
+        args = _axpy_args(rng, n=64)
+        lane = gw.router.lanes[0]
+        submitted = calls(gw.router, "submit")
+        handles = []
+        assert lane.running.acquire(timeout=30)
+        try:
+            # The first runs unheld and stays on the (busy) lane, so the
+            # others bring its key company: held until the batch is full.
+            first = gw.launch("axpy", **args)
+            assert submitted.acquire(timeout=30)
+            threads = [
+                threading.Thread(
+                    target=lambda: handles.append(gw.launch("axpy", **args))
+                )
+                for _ in range(n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert submitted.acquire(timeout=30)  # the full batch flushed
+        finally:
+            lane.running.release()
+        results = [h.result(timeout=30) for h in [first] + handles]
+        assert [r.batch_size for r in results] == [1] + [n] * n
+        expected = 2.0 * args["arrays"]["x"] + args["arrays"]["y"]
+        assert all(np.array_equal(r.arrays["y"], expected) for r in results)
+        thread = gw._loop_thread
+        assert gw.shutdown(release_pools=False) is True
+        thread.join(timeout=5)
+        assert not thread.is_alive() and gw._loop.is_closed()
+
     def test_same_key_burst_still_coalesces(self, rng):
         """32 threads on one key: the first request runs unheld, the
         ones that arrive while it is inside earn the key its window —
         merged launches appear and every result stays bit-identical.
 
-        Doubles as the stress test of the lane -> pump completion
+        Doubles as the stress test of the lane -> loop completion
         hand-off (short switch interval, more threads than cores): one
         lost note would leave the key "inside" for good, and every later
         request of it would be held."""

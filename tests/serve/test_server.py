@@ -21,8 +21,10 @@ from repro.serve.protocol import (
     read_frame,
 )
 from repro.serve.server import ServeServer
+from repro.serve.workloads import AxpyWorkload
 from repro.telemetry import tracing
 
+from . import calls
 from .frames import MAGIC, PREFIX, raw_frame
 
 
@@ -37,13 +39,18 @@ def server_config():
 
 
 async def _with_server(config, fn):
-    gateway = Gateway(config)
+    # The gateway steps on the server's loop, as one the server builds
+    # does; the test keeps it to shut it down without releasing pools.
+    loop = asyncio.get_running_loop()
+    gateway = Gateway(config, loop=loop)
     try:
         async with ServeServer(config, gateway=gateway) as server:
             async with ServeClient(port=server.port) as client:
                 return await fn(server, client)
     finally:
-        gateway.shutdown(release_pools=False)
+        await loop.run_in_executor(
+            None, lambda: gateway.shutdown(release_pools=False)
+        )
 
 
 class RawConnection:
@@ -180,6 +187,23 @@ class TestServer:
 
         run(_with_server(server_config, check))
 
+    def test_stats_count_lone_requests_and_process_cpu(self, server_config, rng):
+        """``cpu_us_per_op`` is one division away over the wire: the
+        reply carries the server's process CPU seconds and its request
+        counts, lone admissions apart from inline batches."""
+        arrays = {"x": rng.standard_normal(8), "y": rng.standard_normal(8)}
+
+        async def check(server, client):
+            first = await client.stats()
+            for _ in range(3):
+                await client.launch("axpy", params={"alpha": 1.0}, arrays=arrays)
+            return first, await client.stats()
+
+        first, after = run(_with_server(server_config, check))
+        counts = after["requests"]
+        assert counts["lone"] == counts["inline"] == counts["completed"] == 3
+        assert 0 < first["process_cpu_s"] <= after["process_cpu_s"]
+
     def test_remote_validation_error(self, server_config):
         async def check(server, client):
             with pytest.raises(ServeError):
@@ -254,12 +278,17 @@ class TestServer:
 
 class _Slow(Workload):
     """Waits a little inside execute and counts the executions that
-    overlap, per device; ``params["fail"]`` makes it raise."""
+    overlap, per device; ``params["fail"]`` makes it raise, and
+    ``params["gate"]`` sets ``started`` and waits for ``gate`` instead
+    of the little while.  ``threads`` lists the thread of each run."""
 
     name = "test_slow_overlap"
     lock = threading.Lock()
     active: dict = {}
     most = 0
+    threads: list = []
+    started = threading.Event()
+    gate = threading.Event()
 
     def validate(self, req):
         pass
@@ -272,8 +301,13 @@ class _Slow(Workload):
         with cls.lock:
             cls.active[device] = cls.active.get(device, 0) + 1
             cls.most = max(cls.most, cls.active[device])
+            cls.threads.append(threading.get_ident())
         try:
-            threading.Event().wait(0.003)
+            if requests[0].params.get("gate"):
+                cls.started.set()
+                assert cls.gate.wait(30)
+            else:
+                threading.Event().wait(0.003)
             if requests[0].params.get("fail"):
                 raise RuntimeError("inline boom")
             return [{"n": np.array([len(requests)])} for _ in requests]
@@ -294,8 +328,9 @@ def _serve_stats(server):
 
 class TestLoneRequests:
     """A lone frame (nothing else of its connection unanswered, nothing
-    read behind it) runs on the event-loop thread when nothing waits
-    ahead of it; every other request takes the pump and a lane."""
+    read behind it) runs inside its own ``submit`` when nothing waits
+    ahead of it (``requests.lone``); every other request waits for the
+    loop's next step."""
 
     def test_lone_means_nothing_else_waits(self, server_config):
         """Lone: no other frame of the connection unanswered, and no
@@ -350,7 +385,7 @@ class TestLoneRequests:
 
         with telemetry.collect() as t:
             remote, counts = run(_with_server(server_config, check))
-        assert counts["inline"] == counts["completed"] == len(pairs)
+        assert counts["lone"] == counts["inline"] == counts["completed"] == len(pairs)
         paths = [
             ev.args["path"] for ev in t.events if ev.name == "serve.request"
         ]
@@ -361,7 +396,7 @@ class TestLoneRequests:
                     "axpy", params={"alpha": 1.3}, arrays={"x": x, "y": y}
                 ).result(timeout=30)
                 assert np.array_equal(got, local.arrays["y"])
-            assert gw.stats()["requests"]["inline"] == 0
+            assert gw.stats()["requests"]["lone"] == 0
             gw.shutdown(release_pools=False)
 
     def test_pipelined_connection_still_coalesces(self, server_config, rng):
@@ -387,11 +422,11 @@ class TestLoneRequests:
 
         max_batch, counts = run(_with_server(server_config, check))
         assert max_batch > 1
-        assert counts["inline"] < counts["completed"] == 160
+        assert counts["lone"] < counts["completed"] == 160
 
     def test_inline_and_queued_runs_never_overlap_on_a_lane(self, rng):
-        """A TCP solo client (inline) and an in-process submitter (pump
-        and lane) share one lane: the lane runs one batch at a time."""
+        """A TCP solo client (lone) and an in-process submitter (loop
+        steps) share one lane: the lane runs one batch at a time."""
         config = ServeConfig(
             port=0, batch_window=0.0, lanes=(("AccCpuSerial", 0),),
             drain_timeout=30.0,
@@ -401,7 +436,7 @@ class TestLoneRequests:
 
         def in_process(gateway):
             # Paced, so the lane is idle part of the time and the TCP
-            # client's lone requests get to run inline.
+            # client's lone requests get to run inside submit.
             while not stop.wait(0.002):
                 gateway.launch("test_slow_overlap").result(timeout=30)
 
@@ -418,7 +453,7 @@ class TestLoneRequests:
 
         counts = run(_with_server(config, check))
         assert _Slow.most == 1
-        assert 0 < counts["inline"] < counts["completed"]
+        assert 0 < counts["lone"] < counts["completed"]
 
     def test_failing_inline_run_fails_only_its_request(self, server_config):
         async def check(server, client):
@@ -431,7 +466,175 @@ class TestLoneRequests:
         n, counts = run(_with_server(server_config, check))
         assert list(n) == [1]
         assert counts["failed"] == 1 and counts["completed"] == 2
-        assert counts["inline"] == 3  # the lane stayed usable inline
+        assert counts["lone"] == 3  # the lane stayed usable inline
+
+
+class _WhereAxpy(AxpyWorkload):
+    """axpy under a key of its own, recording the thread and size of
+    every merged launch."""
+
+    name = "test_axpy_where"
+    runs: list = []
+
+    def batch_key(self, req):
+        return (self.name,) + super().batch_key(req)[1:]
+
+    def execute(self, requests, acc_type, device):
+        type(self).runs.append((threading.get_ident(), len(requests)))
+        return super().execute(requests, acc_type, device)
+
+
+try:
+    register_workload(_WhereAxpy())
+except ServeError:
+    pass  # registered by an earlier import
+
+
+async def _park_held_batch(gateway, launch):
+    """Two ``launch()`` calls on the loop thread, the second parked in
+    a held batch: the test holds the lane's ``running`` lock, so the
+    first batch takes the lane queue and is still on its lane when the
+    second brings its key company.  Returns both handles."""
+    running = gateway.router.lanes[0].running
+    running.acquire()
+    try:
+        first = launch()
+        await asyncio.sleep(0)  # one loop turn: the step queued it
+        assert gateway.router.inflight() == 1
+        second = launch()
+        await asyncio.sleep(0)
+        assert gateway.stats()["batcher"]["held"] == 1
+    finally:
+        running.release()
+    return first, second
+
+
+def _one_lane(**fields):
+    return ServeConfig(
+        port=0, lanes=(("AccCpuSerial", 0),), drain_timeout=30.0, **fields
+    )
+
+
+class TestBatchesOnTheLoop:
+    """A gateway the server builds steps on the server's own loop and
+    starts no thread: a due batch runs on the loop thread while its
+    lane is idle and takes the lane queue while it is busy; a parked
+    batch flushes at its deadline, or at stop."""
+
+    def test_pipelined_burst_runs_on_the_loop_thread(self, server_config, rng):
+        pairs = [
+            (rng.standard_normal(64), rng.standard_normal(64)) for _ in range(96)
+        ]
+        _WhereAxpy.runs.clear()
+
+        async def check():
+            async with ServeServer(server_config) as server:
+                async with ServeClient(port=server.port) as client:
+                    window = asyncio.Semaphore(16)
+
+                    async def one(x, y):
+                        async with window:
+                            return await client.launch(
+                                "test_axpy_where", params={"alpha": 1.5},
+                                arrays={"x": x, "y": y},
+                            )
+
+                    results = await asyncio.gather(*(one(x, y) for x, y in pairs))
+                    counts = server.gateway.stats()["requests"]
+            return threading.get_ident(), results, counts
+
+        loop_thread, results, counts = run(check())
+        assert {thread for thread, _ in _WhereAxpy.runs} == {loop_thread}
+        assert max(size for _, size in _WhereAxpy.runs) > 1
+        assert counts["inline"] == counts["completed"] == len(pairs)
+        with Gateway(ServeConfig(enable_batching=False)) as gw:
+            for (x, y), got in zip(pairs, results):
+                solo = gw.launch(
+                    "axpy", params={"alpha": 1.5}, arrays={"x": x, "y": y}
+                ).result(timeout=30)
+                assert np.array_equal(got.arrays["y"], solo.arrays["y"])
+            gw.shutdown(release_pools=False)
+
+    def test_held_batch_flushes_at_its_deadline(self, rng):
+        window = 0.05
+        args = {"params": {"alpha": 2.0},
+                "arrays": {"x": rng.standard_normal(32), "y": rng.standard_normal(32)}}
+
+        async def check():
+            before = set(threading.enumerate())
+            async with ServeServer(_one_lane(batch_window=window)) as server:
+                gateway = server.gateway
+                first, second = await _park_held_batch(
+                    gateway, lambda: gateway.launch("axpy", **args)
+                )
+                await first
+                # Nothing arrives after it: only the deadline flushes it.
+                result = await second
+                spawned = set(threading.enumerate()) - before
+            return gateway, result, spawned
+
+        gateway, result, spawned = run(check())
+        assert gateway._loop_thread is None
+        assert not [t.name for t in spawned if t.name.startswith("serve-")]
+        assert result.batch_size == 1 and result.latency >= 0.9 * window
+        assert np.array_equal(
+            result.arrays["y"], 2.0 * args["arrays"]["x"] + args["arrays"]["y"]
+        )
+
+    def test_busy_lane_takes_the_next_batch_on_its_queue(self):
+        _Slow.most = 0
+        _Slow.threads.clear()
+        _Slow.started.clear()
+        _Slow.gate.clear()
+        with Gateway(_one_lane(batch_window=0.0)) as gw:
+            lane = gw.router.lanes[0]
+            submitted = calls(gw.router, "submit")
+            assert lane.running.acquire(timeout=30)
+            try:
+                first = gw.launch("test_slow_overlap", params={"gate": 1})
+                assert submitted.acquire(timeout=30)  # queued behind the lock
+            finally:
+                lane.running.release()
+            try:
+                assert _Slow.started.wait(timeout=30)  # _Slow keeps the lane busy
+                second = gw.launch("test_slow_overlap")
+                assert submitted.acquire(timeout=30)
+                assert gw.router.inflight() == 2  # on the queue, behind the first
+            finally:
+                _Slow.gate.set()
+            assert list(second.result(timeout=30).arrays["n"]) == [1]
+            first.result(timeout=30)
+            loop_thread = gw._loop_thread.ident
+            gw.shutdown(release_pools=False)
+        assert _Slow.most == 1
+        assert len(_Slow.threads) == 2 and len(set(_Slow.threads)) == 1
+        assert loop_thread not in _Slow.threads
+
+    def test_stop_drains_a_parked_batch_and_leaves_no_thread(self, rng):
+        window = 30.0
+        args = {"params": {"alpha": 2.0},
+                "arrays": {"x": rng.standard_normal(32), "y": rng.standard_normal(32)}}
+
+        async def check():
+            before = set(threading.enumerate())
+            server = ServeServer(_one_lane(batch_window=window))
+            await server.start()
+            gateway = server.gateway
+            first, second = await _park_held_batch(
+                gateway, lambda: gateway.launch("axpy", **args)
+            )
+            await first
+            assert not second.done()
+            await server.stop()
+            left = [
+                t.name for t in set(threading.enumerate()) - before
+                if not t.name.startswith("asyncio_")  # the executor stop() used
+            ]
+            return await second, left
+
+        result, left = run(check())
+        assert left == []
+        assert result.latency < window and result.batch_size == 1
 
 
 class TestWireFailures:
