@@ -17,6 +17,13 @@ framing, so the gateway is what the bounds are about):
 * **graceful shutdown** — after ``shutdown()`` no shared-memory segment
   and no block-worker pool survives, and every handle is resolved.
 
+One number is reported and not gated: a **mixed two-lane burst**
+(``AccCpuSerial`` + ``AccCpuOmp2Blocks``, 2000 axpy launches of 4096
+elements from 8 threads, alternating lanes), in-process and over TCP —
+req/s in ``BENCH_serving_two_lanes.json``.  Every batch runs on the
+gateway's loop thread while its lane is idle, so idle lanes wait for
+each other; this is where that shows.
+
 The standalone smoke mode drives the full TCP path for CI::
 
     python benchmarks/bench_serving.py smoke
@@ -417,6 +424,144 @@ def test_serving_shutdown_releases_everything():
     assert not gateway._loop_thread.is_alive()
     for lane in gateway.router.lanes:
         assert lane.inflight == 0
+
+
+# ---------------------------------------------------------------------------
+# Reported, not gated: a mixed burst over two lanes
+# ---------------------------------------------------------------------------
+
+TWO_LANES = (("AccCpuSerial", 0), ("AccCpuOmp2Blocks", 0))
+BURST_REQUESTS = 2000
+BURST_THREADS = 8
+BURST_N = 4096
+
+
+def _burst_payloads():
+    """Per thread: its (backend, alpha, x, y) launches; lanes alternate
+    and each lane keeps one alpha, so its requests may coalesce."""
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal(BURST_N)
+    y = rng.standard_normal(BURST_N)
+    per_thread = BURST_REQUESTS // BURST_THREADS
+    return [
+        [(TWO_LANES[i % 2][0], 2.0 + i % 2, x, y) for i in range(per_thread)]
+        for _ in range(BURST_THREADS)
+    ]
+
+
+def _run_threads(target, payloads) -> float:
+    """Wall seconds for BURST_THREADS threads each running
+    ``target(payload)``, released together."""
+    barrier = threading.Barrier(BURST_THREADS + 1)
+    errors = []
+
+    def run(payload):
+        barrier.wait(timeout=60)
+        try:
+            target(payload)
+        except Exception as exc:  # noqa: BLE001 - reported after join
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(p,)) for p in payloads]
+    for t in threads:
+        t.start()
+    barrier.wait(timeout=60)
+    start = time.perf_counter()
+    for t in threads:
+        t.join(timeout=300)
+    wall = time.perf_counter() - start
+    assert not errors, errors
+    return wall
+
+
+def _check(result, backend, alpha, x, y) -> None:
+    assert result.lane.startswith(backend), (result.lane, backend)
+    np.testing.assert_array_equal(result.arrays["y"], alpha * x + y)
+
+
+def _burst_in_process(payloads) -> float:
+    gateway = Gateway(_bench_config(lanes=TWO_LANES))
+
+    def submit_all(payload):
+        handles = [
+            (_submit_with_retry(gateway, LaunchRequest(
+                workload="axpy", backend=backend, params={"alpha": alpha},
+                arrays={"x": x, "y": y},
+            )), backend, alpha, x, y)
+            for backend, alpha, x, y in payload
+        ]
+        for handle, *args in handles:
+            _check(handle.result(timeout=300), *args)
+
+    try:
+        return _run_threads(submit_all, payloads)
+    finally:
+        gateway.shutdown(release_pools=False)
+
+
+def _burst_over_tcp(payloads) -> float:
+    """The same burst through one server (its own loop thread); each
+    submitter thread pipelines its launches over one connection."""
+    from repro.serve.client import ServeClient
+    from repro.serve.server import ServeServer
+
+    started = threading.Event()
+    box = {}
+
+    async def serve():
+        server = ServeServer(_bench_config(lanes=TWO_LANES, port=0))
+        await server.start()
+        box["port"], box["stop"] = server.port, asyncio.Event()
+        started.set()
+        try:
+            await box["stop"].wait()
+        finally:
+            await server.stop()
+
+    loop = asyncio.new_event_loop()
+    server_thread = threading.Thread(target=loop.run_until_complete, args=(serve(),))
+    server_thread.start()
+    assert started.wait(60), "server did not start"
+
+    async def client_burst(payload):
+        async with ServeClient(port=box["port"]) as client:
+            results = await asyncio.gather(*(
+                client.launch("axpy", backend=backend, params={"alpha": alpha},
+                              arrays={"x": x, "y": y})
+                for backend, alpha, x, y in payload
+            ))
+        for result, args in zip(results, payload):
+            _check(result, *args)
+
+    try:
+        return _run_threads(lambda p: asyncio.run(client_burst(p)), payloads)
+    finally:
+        loop.call_soon_threadsafe(box["stop"].set)
+        server_thread.join(timeout=120)
+        loop.close()
+
+
+def test_serving_two_lane_burst():
+    """Reported, not gated: req/s of a mixed two-lane burst, in-process
+    and over TCP; every result is checked."""
+    payloads = _burst_payloads()
+    rates = {
+        "in_process": BURST_REQUESTS / _burst_in_process(payloads),
+        "tcp": BURST_REQUESTS / _burst_over_tcp(payloads),
+    }
+    rows = [{"path": path, "req/s": f"{rate:9.1f}"} for path, rate in rates.items()]
+    text = render_table(
+        rows,
+        f"Serving: {BURST_REQUESTS} axpy launches (n={BURST_N}) from "
+        f"{BURST_THREADS} threads over lanes AccCpuSerial + AccCpuOmp2Blocks "
+        "(reported, not gated)",
+    )
+    print("\n" + text)
+    write_report("serving_two_lanes.txt", text)
+    write_bench_json("serving_two_lanes", {
+        "in_process_throughput": (rates["in_process"], "req/s"),
+        "tcp_throughput": (rates["tcp"], "req/s"),
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Pointer-based memory model: buffers, explicit deep copies, memset."""
 
 from .alignment import OPTIMAL_ALIGNMENT_BYTES, pitch_bytes, pitch_elements
-from .buf import Buffer, alloc, alloc_like
+from .buf import Buffer, ViewPlainPtr, alloc, alloc_like, view_plain
 from .copy import PCIE_BANDWIDTH_GBS, TaskCopy, TaskMemset, copy, memset
 from .guard import UNGUARDED_ENV, GuardedArray, guard
 from .view import ViewSubView, sub_view
@@ -10,6 +10,8 @@ __all__ = [
     "Buffer",
     "alloc",
     "alloc_like",
+    "view_plain",
+    "ViewPlainPtr",
     "copy",
     "memset",
     "TaskCopy",

@@ -10,12 +10,20 @@ raises :class:`~repro.core.errors.MemorySpaceError`.  Kernels receive
 the underlying array only after the executor has checked the buffer
 lives on the device the kernel runs on — the reproduction's analogue of
 "dereferencing a device pointer on the host segfaults".
+
+:func:`view_plain` is alpaka's ``ViewPlainPtr``: a buffer over memory the
+host already holds, on a device the host can address.  It is the same
+pointer plus residing device, extent and pitch, so kernels, copies and
+the dataflow graph take it like any allocation — but nothing is
+allocated, reserved, zero-filled or copied, and ``free()`` releases
+nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 from typing import Sequence, Union
 
 import numpy as np
@@ -23,9 +31,9 @@ import numpy as np
 from ..core.errors import ExtentError, MemorySpaceError
 from ..core.vec import Vec, as_vec
 from ..dev.device import Device
-from .alignment import OPTIMAL_ALIGNMENT_BYTES, pitch_elements
+from .alignment import pitch_elements
 
-__all__ = ["Buffer", "alloc", "alloc_like"]
+__all__ = ["Buffer", "ViewPlainPtr", "alloc", "alloc_like", "view_plain"]
 
 #: Monotonic allocation ids: the stable identity the dataflow-graph
 #: dependency-inference pass keys buffer accesses on.  Ids are never
@@ -38,6 +46,37 @@ _buf_ids_lock = threading.Lock()
 def _next_buf_id() -> int:
     with _buf_ids_lock:
         return next(_buf_ids)
+
+
+#: ``id(root) -> (weakref to root, buf_id)`` for the host arrays plain
+#: views were made of: views of one array share its id.
+_host_ids: dict = {}
+
+
+def _host_buf_id(host: np.ndarray) -> int:
+    """The id of the numpy array ``host`` is, or is a view of: every
+    plain view of memory one array owns shares it, so the dataflow graph
+    orders a write through one view before a read through another.  A
+    fresh id for an array the table does not hold; an entry leaves the
+    table when its array dies, and its id is never handed out again."""
+    root = host
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    key = id(root)
+    with _buf_ids_lock:
+        entry = _host_ids.get(key)
+        if entry is not None and entry[0]() is root:
+            return entry[1]
+        buf_id = next(_buf_ids)
+
+        def forget(ref, key=key):
+            # Runs as the array dies, maybe inside the locked section
+            # (a collection there): dict operations only, no lock.
+            if _host_ids.get(key, (None,))[0] is ref:
+                del _host_ids[key]
+
+        _host_ids[key] = (weakref.ref(root, forget), buf_id)
+        return buf_id
 
 
 class Buffer:
@@ -178,7 +217,8 @@ class Buffer:
     def __repr__(self) -> str:
         state = "freed" if self._freed else f"pitch={self.pitch_elems}"
         return (
-            f"<Buffer {self.dtype} {self.extent!r} on {self.dev.name}, {state}>"
+            f"<{type(self).__name__} {self.dtype} {self.extent!r} on "
+            f"{self.dev.name}, {state}>"
         )
 
     # -- in/out of bounds helpers -----------------------------------------
@@ -192,6 +232,54 @@ class Buffer:
             raise ExtentError(
                 f"{what}: extent {extent!r} exceeds buffer extent {self.extent!r}"
             )
+
+
+class ViewPlainPtr(Buffer):
+    """A :class:`Buffer` over a host array the caller keeps owning.
+
+    Do not construct directly; use :func:`view_plain`.
+    """
+
+    def __init__(self, dev: Device, host: np.ndarray):
+        if not dev.accessible_from_host:
+            raise MemorySpaceError(
+                f"a plain view of host memory on {dev!r}, which the host "
+                "cannot address; allocate there and copy (mem.copy)"
+            )
+        if host.ndim == 0 or not (host.flags.c_contiguous and host.flags.aligned):
+            raise MemorySpaceError(
+                "a plain view needs an aligned, C-contiguous array of at "
+                "least one dimension"
+            )
+        self.dev = dev
+        self.extent = as_vec(host.shape)
+        self.dtype = host.dtype
+        self.pitch_elems = self.extent[-1]
+        self._nbytes = host.nbytes
+        self._padded = host
+        self._freed = False
+        self._buf_id = _host_buf_id(host)
+
+    def free(self) -> None:
+        """Drop the view (idempotent); the memory stays the caller's."""
+        if not self._freed:
+            self._freed = True
+            self._padded = np.empty(0, dtype=self.dtype)
+
+
+def view_plain(dev: Device, host: np.ndarray) -> ViewPlainPtr:
+    """``host`` as a buffer on ``dev`` (alpaka's ``ViewPlainPtr``):
+    kernels on ``dev`` compute in the array itself.  ``dev`` must be
+    host-addressable (else :class:`MemorySpaceError`) and ``host`` an
+    aligned, C-contiguous array.
+
+    Views of one numpy array (``host`` itself or any array whose
+    ``.base`` chain leads to it) share one :attr:`~Buffer.buf_id`, so
+    the dataflow graph orders their accesses as accesses to one
+    allocation.  Arrays that share memory only through some other
+    object (two ``np.frombuffer`` calls on one ``bytes``) get distinct
+    ids, and the graph cannot order them."""
+    return ViewPlainPtr(dev, host)
 
 
 def alloc(

@@ -1,12 +1,18 @@
 """Async client for ``python -m repro.serve``.
 
 :class:`ServeClient` multiplexes any number of concurrent requests over
-one TCP connection: a background reader task routes each response frame
-to the matching awaiter by correlation id.  :class:`RetryAfter`
-backpressure from the server is honoured transparently by
-:meth:`launch`/:meth:`submit_graph` (sleep for the server's hint, then
-resubmit) up to ``max_retries``; pass ``max_retries=0`` to surface
-:class:`RetryAfter` to the caller instead.
+one TCP connection, a :class:`~repro.serve.protocol.FrameConnection`
+(the server's reader and writer): each response frame is routed to the
+matching awaiter by correlation id as it is read, with no reader task.
+A request's arrays are copied into one frame when the call starts, so
+the caller may change them as soon as the call returns or is cancelled
+(a cancelled call whose frame is still queued in the transport sends
+the values it was given); a reply's arrays are views into the reply's
+own frame.
+:class:`RetryAfter` backpressure from the server is honoured
+transparently by :meth:`launch`/:meth:`submit_graph` (sleep for the
+server's hint, then resubmit) up to ``max_retries``; pass
+``max_retries=0`` to surface :class:`RetryAfter` to the caller instead.
 """
 
 from __future__ import annotations
@@ -21,12 +27,11 @@ import numpy as np
 from ..core.errors import ServeError
 from ..telemetry.spans import record_span
 from .protocol import (
-    MAX_FRAME_BYTES,
+    FrameConnection,
     decode_arrays,
     decode_message,
     encode_arrays,
     encode_message,
-    read_frame,
 )
 from .types import DEFAULT_TENANT, GatewayClosed, RetryAfter, ServeResult
 
@@ -48,41 +53,27 @@ class ServeClient:
         self.host = host
         self.port = port
         self.max_retries = max_retries
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
+        self._conn: Optional[FrameConnection] = None
         self._waiters: Dict[int, asyncio.Future] = {}
         self._ids = itertools.count(1)
-        self._write_lock: Optional[asyncio.Lock] = None
         self._closed = False
 
     # -- connection -------------------------------------------------------
 
     async def connect(self) -> "ServeClient":
-        # Same stream limit as the server: a whole response frame
-        # arrives without the transport pausing.
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port, limit=MAX_FRAME_BYTES
+        loop = asyncio.get_running_loop()
+        _, self._conn = await loop.create_connection(
+            lambda: FrameConnection(self._frame_read), self.host, self.port
         )
-        self._write_lock = asyncio.Lock()
-        self._reader_task = asyncio.ensure_future(self._read_loop())
+        self._conn.ended.add_done_callback(self._connection_ended)
         return self
 
     async def close(self) -> None:
         self._closed = True
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._fail_waiters(GatewayClosed("client connection closed"))
+        if self._conn is not None:
+            self._conn.close()
+            await self._conn.ended
+        self._fail_waiters(GatewayClosed("client closed the connection"))
 
     async def __aenter__(self) -> "ServeClient":
         return await self.connect()
@@ -90,25 +81,24 @@ class ServeClient:
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    # -- reader -----------------------------------------------------------
+    # -- reading ----------------------------------------------------------
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
+    def _frame_read(self, frame) -> None:
         try:
-            while True:
-                frame = await read_frame(self._reader)
-                if frame is None:
-                    break
-                message = decode_message(frame)
-                waiter = self._waiters.pop(message.get("id"), None)
-                if waiter is not None and not waiter.done():
-                    waiter.set_result(message)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - no call may wait on a dead reader
+            message = decode_message(frame)
+        except ServeError as exc:  # no call may wait on a lost stream
             self._fail_waiters(exc)
+            self._conn.close()
             return
-        self._fail_waiters(GatewayClosed("server closed the connection"))
+        waiter = self._waiters.pop(message.get("id"), None)
+        if waiter is not None and not waiter.done():
+            waiter.set_result(message)
+
+    def _connection_ended(self, ended: asyncio.Future) -> None:
+        who = "client" if self._closed else "server"
+        self._fail_waiters(
+            ended.result() or GatewayClosed(f"{who} closed the connection")
+        )
 
     def _fail_waiters(self, exc: BaseException) -> None:
         waiters, self._waiters = self._waiters, {}
@@ -119,16 +109,19 @@ class ServeClient:
     # -- request plumbing -------------------------------------------------
 
     async def _roundtrip(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        if self._writer is None or self._closed:
+        if self._conn is None or self._closed:
             raise GatewayClosed("client is not connected")
+        if self._conn.ended.done():
+            raise GatewayClosed("server closed the connection")
         msg_id = next(self._ids)
         message["id"] = msg_id
         waiter = asyncio.get_running_loop().create_future()
         self._waiters[msg_id] = waiter
         try:
-            async with self._write_lock:
-                self._writer.write(encode_message(message))
-                await self._writer.drain()
+            # One joined frame: the transport may keep unsent bytes
+            # after a cancel, and they must not be the caller's arrays.
+            self._conn.write_frame([encode_message(message)])
+            await self._conn.drain()
             return await waiter
         finally:
             self._waiters.pop(msg_id, None)

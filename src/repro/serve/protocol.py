@@ -19,17 +19,29 @@ C-contiguous bytes sit in the payload::
     "arrays": {"x": {"dtype": "float64", "shape": [1024],
                      "offset": 0, "nbytes": 8192}, ...}
 
-and the payload is those bytes verbatim, back to back — no text
-encoding, no escaping, no padding.  The bytes are the bytes: bit-identity with
-in-process launches survives the wire, for any byte order.
+and the payload is those bytes verbatim — no text encoding, no
+escaping; only alignment pads between arrays.  The bytes are the bytes:
+bit-identity with in-process launches survives the wire, for any byte
+order.
+
+Alignment: the header is padded with JSON spaces so that prefix +
+header ends on an 8-byte boundary, and each array's ``offset`` is
+padded (with zero bytes) to a multiple of 8.  In a frame buffer that
+starts 8-aligned, every array of a dtype aligned to 8 bytes or less
+lies aligned.
 
 In memory an array travels as ``{"dtype", "shape", "data"}`` with
-``data`` a bytes-like view (:func:`encode_array` makes one,
-:func:`decode_array` turns one back into an ndarray that owns its
-memory and is writable).  :func:`encode_message` lays the ``data`` of
-every entry of ``message["arrays"]`` out in the payload and writes
-``offset``/``nbytes`` in its place; :func:`decode_message` does the
-reverse on one whole frame, leaving views into it.
+``data`` a bytes-like view (:func:`encode_array` makes a read-only one
+over the caller's array; :func:`decode_array` turns one back into an
+ndarray).  :func:`encode_message` lays the ``data`` of every entry of
+``message["arrays"]`` out in the payload and writes ``offset``/``nbytes``
+in its place; :func:`decode_message` does the reverse on one whole
+frame, leaving views into it.  A decoded array is a *view into the
+frame* when the frame is writable and the array's slice is aligned —
+the frames :class:`FrameConnection` reads are private buffers, one per
+frame, so a request's arrays alias nothing but its own frame and a
+server may compute in them.  Read-only bytes (a ``bytes`` frame, an
+:func:`encode_array` entry) and misaligned slices are copied.
 
 Client → server::
 
@@ -64,7 +76,7 @@ kinds, and the connection loop
 (:class:`~repro.serve.server.FrameServer`) applies one policy to each:
 
 * **The framing is lost** — raised by the reader
-  (:func:`read_frame`): wrong magic,
+  (:class:`FrameConnection`): wrong magic,
   announced lengths over the bound, end of stream inside a prefix or a
   body.  Nothing after that point can be trusted; the peer gets one
   error reply and the connection is closed.
@@ -75,8 +87,17 @@ kinds, and the connection loop
   object dtypes (their bytes are pointers).  The stream is still in
   step, so the connection stays usable.
 
-This module is the only place that packs or unpacks a prefix; the serve
-server and client both go through it.
+This module is the only place that packs or unpacks a prefix, and
+:class:`FrameConnection` is the one reader and writer of frames: the
+serve server and client both speak through it.  It reads small frames
+out of one staging buffer and gives a frame larger than that buffer a
+buffer of its own — allocated, uninitialised, only once the frame's
+prefix passed the bound — which the socket fills directly.  A frame
+with a payload of at least :data:`JOIN_LIMIT` bytes goes out as one
+transport write per part (header, then each array's memory), not as one
+joined copy.  A transport may keep views of bytes it has not sent yet,
+so a part must be memory nothing changes afterwards: the server's
+replies are, the client joins its requests into one frame.
 """
 
 from __future__ import annotations
@@ -85,7 +106,7 @@ import asyncio
 import json
 import math
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -97,20 +118,35 @@ __all__ = [
     "encode_arrays",
     "decode_arrays",
     "encode_message",
+    "encode_frame",
     "decode_message",
-    "read_frame",
+    "FrameConnection",
     "result_payload",
     "error_payload",
     "MAX_FRAME_BYTES",
+    "STAGING_BYTES",
+    "JOIN_LIMIT",
 ]
 
 #: Upper bound on one whole frame (prefix + header + payload); a 64 MiB
 #: frame is a client bug, not a workload.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+#: A connection's staging buffer: frames up to this size are parsed out
+#: of it; a larger frame gets a buffer of its own.
+STAGING_BYTES = 64 * 1024
+#: A frame whose payload reaches this many bytes is written part by
+#: part; a smaller one as one joined write.  Joined, a small reply is
+#: one send instead of one per part (less server CPU per reply with one
+#: request in flight); part by part, a large one skips copying its
+#: arrays.  Any limit between the small (2-4 KiB) and bulk (0.5-1 MiB)
+#: serve frames picks the same path for each.
+JOIN_LIMIT = 64 * 1024
 
 _MAGIC = b"RPF1"
 #: magic, header length, payload length.
 _PREFIX = struct.Struct("!4sII")
+#: Alignment of the payload's start and of every array offset.
+_ALIGN = 8
 
 
 # -- arrays -------------------------------------------------------------------
@@ -124,12 +160,13 @@ def encode_array(arr: np.ndarray) -> Dict[str, Any]:
             "hold pointers, not data"
         )
     # ascontiguousarray promotes 0-d to 1-d; the shape on the wire is
-    # the caller's.
+    # the caller's.  Read-only: decoding the entry must not alias the
+    # caller's array.
     flat = np.ascontiguousarray(arr).reshape(-1)
     return {
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
-        "data": memoryview(flat.view(np.uint8)),
+        "data": memoryview(flat.view(np.uint8)).toreadonly(),
     }
 
 
@@ -153,9 +190,12 @@ def decode_array(payload: Dict[str, Any]) -> np.ndarray:
             f"array payload size mismatch: got {data.nbytes} bytes, "
             f"shape {shape} of {dtype} needs {expected}"
         )
-    # frombuffer borrows the frame's (read-only) memory; the copy is
-    # what makes the result writable and lets the frame go.
-    return np.frombuffer(data, dtype=dtype).reshape(shape).copy()
+    arr = np.frombuffer(data, dtype=dtype).reshape(shape)
+    # A writable frame is private to its message: its aligned arrays
+    # stay views.  Read-only or misaligned bytes are copied.
+    if data.readonly or not arr.flags.aligned:
+        return arr.copy()
+    return arr
 
 
 def encode_arrays(arrays: Dict[str, np.ndarray]) -> Dict[str, Any]:
@@ -193,34 +233,44 @@ def _check_bound(header_len: int, payload_len: int) -> None:
         )
 
 
-def encode_message(message: Dict[str, Any]) -> bytes:
-    """One whole frame for ``message``.  Entries of
-    ``message["arrays"]`` are :func:`encode_array` specs; their bytes
-    become the payload."""
-    chunks, offset = [], 0
+def encode_frame(message: Dict[str, Any]) -> List:
+    """One whole frame for ``message``, as the buffers to write in
+    order: prefix + header, then the payload's parts (each array's
+    ``data``, zero pads between).  Entries of ``message["arrays"]`` are
+    :func:`encode_array` specs."""
+    parts, offset = [], 0
     arrays = message.get("arrays")
     if arrays:
         placed = {}
         for name, spec in arrays.items():
             data = spec["data"]
+            pad = -offset % _ALIGN
+            if pad:
+                parts.append(bytes(pad))
+                offset += pad
             placed[name] = {
                 "dtype": spec["dtype"],
                 "shape": spec["shape"],
                 "offset": offset,
                 "nbytes": len(data),
             }
-            chunks.append(data)
+            parts.append(data)
             offset += len(data)
         message = dict(message, arrays=placed)
     header = json.dumps(message, separators=(",", ":")).encode()
+    header += b" " * (-(_PREFIX.size + len(header)) % _ALIGN)
     _check_bound(len(header), offset)
-    return b"".join(
-        (_PREFIX.pack(_MAGIC, len(header), offset), header, *chunks)
-    )
+    return [_PREFIX.pack(_MAGIC, len(header), offset) + header, *parts]
+
+
+def encode_message(message: Dict[str, Any]) -> bytes:
+    """One whole frame for ``message`` as one ``bytes`` object (see
+    :func:`encode_frame`)."""
+    return b"".join(encode_frame(message))
 
 
 def decode_message(frame) -> Dict[str, Any]:
-    """The message in one whole frame (as the readers return it).
+    """The message in one whole frame (as the reader delivers it).
     Array entries come back as :func:`decode_array` specs whose ``data``
     is a view into ``frame``."""
     view = memoryview(frame)
@@ -267,24 +317,160 @@ def _locate(name: str, spec, payload: memoryview) -> Dict[str, Any]:
     }
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """The next whole frame from ``reader``; ``None`` when the stream
-    ended cleanly between frames.  :class:`ServeError` when it ended
-    inside one, or when the prefix is refused — the body of a refused
-    frame is never read."""
-    try:
-        prefix = await reader.readexactly(_PREFIX.size)
-    except asyncio.IncompleteReadError as exc:
-        prefix = exc.partial
-        if not prefix:
-            return None
-    body_len = sum(_frame_lengths(prefix))  # a short prefix is refused here
-    try:
-        return prefix + await reader.readexactly(body_len)
-    except asyncio.IncompleteReadError as exc:
-        raise ServeError(
-            f"truncated frame: {len(exc.partial)} of {body_len} body bytes"
-        ) from exc
+# -- the connection -----------------------------------------------------------
+
+
+class FrameConnection(asyncio.BufferedProtocol):
+    """One TCP connection that speaks frames: the package's only frame
+    reader and writer, for the server's connections and the client's.
+
+    ``on_frame(frame)`` is called on the loop thread with each whole
+    frame, a writable buffer nothing else refers to: a ``bytearray``
+    copied out of the staging buffer, or, for a frame larger than
+    :data:`STAGING_BYTES`, the uninitialised ``np.empty`` buffer the
+    socket received it into.  :attr:`ended` resolves once: with
+    ``None`` at a clean end of stream between frames (or a close from
+    this side), with the :class:`ServeError` of a lost framing (its
+    body is never read) or with the ``OSError`` of a lost connection.
+    Nothing is parsed after it.  The write side stays open after the
+    peer's end of stream until :meth:`close`.
+    """
+
+    def __init__(self, on_frame: Callable[[Any], None]):
+        self._on_frame = on_frame
+        self.ended = asyncio.get_running_loop().create_future()
+        self.transport = None
+        self._staging = memoryview(bytearray(STAGING_BYTES))
+        #: Unparsed bytes, at the front of the staging buffer.
+        self._pending = 0
+        #: A large frame being received in place, and its filled bytes.
+        self._frame = None
+        self._filled = 0
+        self._paused = False
+        self._drain_waiters: List[asyncio.Future] = []
+
+    # -- reading (asyncio.BufferedProtocol) -------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def get_buffer(self, sizehint: int):
+        if self.ended.done():
+            return self._staging  # read and dropped
+        if self._frame is not None:
+            return self._frame[self._filled :]
+        return self._staging[self._pending :]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self.ended.done():
+            return
+        if self._frame is not None:
+            self._filled += nbytes
+            if self._filled == len(self._frame):
+                frame, self._frame = self._frame, None
+                self._on_frame(frame.obj)
+            return
+        self._pending += nbytes
+        try:
+            self._parse()
+        except ServeError as exc:
+            self._finish(exc)
+
+    def _parse(self) -> None:
+        view, start, end = self._staging, 0, self._pending
+        while end - start >= _PREFIX.size:
+            total = _PREFIX.size + sum(_frame_lengths(view[start : start + _PREFIX.size]))
+            if end - start >= total:
+                frame = bytearray(view[start : start + total])
+                start += total
+                self._on_frame(frame)
+                continue
+            if total > len(view):
+                # Past the bound check: a buffer of the frame's own,
+                # uninitialised, that the socket fills from here on.
+                self._frame = memoryview(np.empty(total, dtype=np.uint8))
+                self._filled = end - start
+                self._frame[: self._filled] = view[start:end]
+                start = end
+            break
+        # A partial frame moves to the front (memoryview assignment
+        # handles the overlap), where it has room to complete.
+        if start:
+            view[: end - start] = view[start:end]
+        self._pending = end - start
+
+    def eof_received(self) -> bool:
+        if self._frame is not None:
+            got, body = self._filled, len(self._frame)
+        else:
+            got = self._pending
+            body = _PREFIX.size
+            if got >= _PREFIX.size:
+                body += sum(_frame_lengths(self._staging[: _PREFIX.size]))
+        if not got:
+            self._finish(None)
+        elif got < _PREFIX.size:
+            self._finish(ServeError(
+                f"truncated frame: {got} of {_PREFIX.size} prefix bytes"
+            ))
+        else:
+            self._finish(ServeError(
+                f"truncated frame: {got - _PREFIX.size} of "
+                f"{body - _PREFIX.size} body bytes"
+            ))
+        return True  # the owner closes, once its replies are written
+
+    def connection_lost(self, exc) -> None:
+        self._finish(exc)
+        self._paused = False
+        self._wake_drainers()
+
+    def _finish(self, end) -> None:
+        if not self.ended.done():
+            self.ended.set_result(end)
+            self._frame = None
+            self._pending = 0
+
+    # -- writing ------------------------------------------------------------
+
+    def write_frame(self, parts: List) -> None:
+        """Write one frame from :func:`encode_frame`'s parts; dropped
+        when the connection is closing (the peer went away)."""
+        transport = self.transport
+        if transport is None or transport.is_closing():
+            return
+        if len(parts) > 1 and sum(map(len, parts[1:])) >= JOIN_LIMIT:
+            for part in parts:
+                transport.write(part)
+        else:
+            transport.write(b"".join(parts))
+
+    async def drain(self) -> None:
+        """Wait while the transport has paused writing."""
+        if not self._paused:
+            return
+        waiter = asyncio.get_running_loop().create_future()
+        self._drain_waiters.append(waiter)
+        try:
+            await waiter
+        finally:
+            self._drain_waiters.remove(waiter)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._wake_drainers()
+
+    def _wake_drainers(self) -> None:
+        for waiter in self._drain_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    def close(self) -> None:
+        if self.transport is not None:
+            self.transport.close()
 
 
 # -- payloads -----------------------------------------------------------------

@@ -4,13 +4,21 @@ gateway built on it.
 :class:`FrameServer` is the package's one connection loop: it accepts
 connections, reads the binary frames of :mod:`repro.serve.protocol` and
 answers each with what ``_dispatch`` returns for the decoded message —
-the only thing a service defines.  Each client connection is an
-independent reader task and each frame its own task, so a connection
-can have any number of requests in flight and receives completions out
-of order.  Both rejection kinds of the protocol are applied here, for
-every service: a lost framing gets one error reply and a hang-up, a
-whole frame whose content is not a message gets an error reply and the
+the only thing a service defines.  Each connection is one
+:class:`~repro.serve.protocol.FrameConnection`, which hands every whole
+frame to the server as it is read; each frame is its own task, so a
+connection can have any number of requests in flight and receives
+completions out of order, and one task per connection waits for its
+end.  Both rejection kinds of the protocol are applied here, for every
+service: a lost framing gets one error reply and a hang-up, a whole
+frame whose content is not a message gets an error reply and the
 connection carries on.
+
+A frame is read once, into a buffer of its own, and a request's arrays
+are views into it: on a host-addressable lane they are the kernel's
+arguments (:func:`repro.mem.view_plain`), the kernel writes its output
+into the request's own array, and the reply is sent from that memory —
+a large reply part by part, without joining it into one copy.
 
 :class:`ServeServer` binds the skeleton to a
 :class:`~repro.serve.gateway.Gateway`; a gateway the server builds
@@ -40,12 +48,11 @@ from ..telemetry.spans import record_span
 from .config import ServeConfig, config_from_env
 from .gateway import Gateway
 from .protocol import (
-    MAX_FRAME_BYTES,
+    FrameConnection,
     decode_arrays,
     decode_message,
-    encode_message,
+    encode_frame,
     error_payload,
-    read_frame,
     result_payload,
 )
 from .types import DEFAULT_TENANT, GraphRequest, LaunchRequest
@@ -59,17 +66,14 @@ class FrameServer:
 
     def __init__(self):
         self._server: Optional[asyncio.AbstractServer] = None
-        self._writers = set()
+        #: Each open connection, and the task that waits for its end.
+        self._connections = {}
         #: Frames read so far, over every connection.
         self._frames_read = 0
 
     async def listen(self, host: str, port: int) -> None:
-        # The stream limit only paces the transport here (frames are
-        # read with readexactly); at the frame bound a whole frame
-        # arrives without pause/resume churn.
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=MAX_FRAME_BYTES
-        )
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(self._accept, host, port)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -82,8 +86,8 @@ class FrameServer:
         server, self._server = self._server, None
         if server is not None:
             server.close()
-        for writer in list(self._writers):
-            writer.close()
+        for conn in list(self._connections):
+            conn.close()
         if server is not None:
             await server.wait_closed()
 
@@ -96,45 +100,41 @@ class FrameServer:
 
     # -- per-connection ---------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
+    def _accept(self) -> FrameConnection:
         #: This connection's frames whose reply is not yet written.
         unanswered = set()
+
+        def frame_read(frame) -> None:
+            self._frames_read += 1
+            # Lone: nothing else of this connection unanswered, and
+            # still the last frame read when its handler starts
+            # (handlers start in read order, so none waits behind).
+            seq = None if unanswered else self._frames_read
+            task = asyncio.ensure_future(self._handle_frame(frame, conn, seq))
+            unanswered.add(task)
+            task.add_done_callback(unanswered.discard)
+
+        conn = FrameConnection(frame_read)
+        self._connections[conn] = asyncio.ensure_future(
+            self._handle_connection(conn, unanswered)
+        )
+        return conn
+
+    async def _handle_connection(self, conn: FrameConnection, unanswered) -> None:
         try:
-            while True:
-                try:
-                    frame = await read_frame(reader)
-                except OSError:
-                    break
-                except ServeError as exc:
-                    # The framing is lost (refused prefix, stream ended
-                    # mid-frame): say why, then drop the connection.
-                    await self._send(
-                        encode_message(error_payload(None, exc)),
-                        writer, write_lock,
-                    )
-                    break
-                if frame is None:
-                    break
-                self._frames_read += 1
-                # Lone: nothing else of this connection unanswered, and
-                # still the last frame read when its handler starts
-                # (handlers start in read order, so none waits behind).
-                seq = None if unanswered else self._frames_read
-                task = asyncio.ensure_future(
-                    self._handle_frame(frame, writer, write_lock, seq)
-                )
-                unanswered.add(task)
-                task.add_done_callback(unanswered.discard)
+            end = await conn.ended
+            if isinstance(end, ServeError):
+                # The framing is lost (refused prefix, stream ended
+                # mid-frame): say why, then drop the connection.
+                conn.write_frame(encode_frame(error_payload(None, end)))
             if unanswered:
                 await asyncio.gather(*unanswered, return_exceptions=True)
         finally:
-            self._writers.discard(writer)
-            writer.close()
+            self._connections.pop(conn, None)
+            conn.close()
 
     async def _handle_frame(
-        self, frame: bytes, writer, write_lock, seq: Optional[int]
+        self, frame, conn: FrameConnection, seq: Optional[int]
     ) -> None:
         lone = seq == self._frames_read
         msg_id = trace = None
@@ -149,20 +149,12 @@ class FrameServer:
             _wire_span("serve.wire.decode", t0, trace, len(frame))
             response = await self._dispatch(message, trace, lone)
             t0 = time.perf_counter()
-            reply = encode_message(response)
-            _wire_span("serve.wire.encode", t0, trace, len(reply))
+            reply = encode_frame(response)
+            _wire_span("serve.wire.encode", t0, trace, sum(map(len, reply)))
         except Exception as exc:  # noqa: BLE001 - any failed request is its own reply
-            reply = encode_message(error_payload(msg_id, exc))
-        await self._send(reply, writer, write_lock)
-
-    @staticmethod
-    async def _send(frame: bytes, writer, write_lock) -> None:
-        async with write_lock:
-            try:
-                writer.write(frame)
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass  # client went away; the work already ran
+            reply = encode_frame(error_payload(msg_id, exc))
+        conn.write_frame(reply)
+        await conn.drain()
 
 
 class ServeServer(FrameServer):
@@ -220,8 +212,7 @@ class ServeServer(FrameServer):
             stats = dict(self.gateway.stats(), config=knobs.effective())
             return {"id": msg_id, "ok": True, "stats": stats}
         if op in ("launch", "graph"):
-            cls = LaunchRequest if op == "launch" else GraphRequest
-            request = cls(
+            fields = dict(
                 workload=message.get("workload", ""),
                 tenant=message.get("tenant", DEFAULT_TENANT),
                 backend=message.get("backend", ""),
@@ -229,6 +220,10 @@ class ServeServer(FrameServer):
                 arrays=message["arrays"],
                 trace=trace,
             )
+            if op == "launch":
+                request = LaunchRequest(**fields, owns_arrays=True)
+            else:
+                request = GraphRequest(**fields)
             # A lone request may have run to completion inside submit.
             result = await self.gateway.submit(request, lone=lone).async_result()
             return result_payload(msg_id, result, trace=request.trace)

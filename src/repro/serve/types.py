@@ -82,6 +82,12 @@ class LaunchRequest:
     arguments, ``arrays`` its input arrays.  ``backend`` pins a back-end
     (empty string = the gateway default); requests for different
     back-ends never share a batch.
+
+    ``owns_arrays`` says ``arrays`` belong to this request alone (the
+    TCP server decodes them from the request's own frame): a workload
+    may then compute in them and reply from them.  An in-process
+    caller's arrays (the default, False) are never written; an output
+    the kernel updates is copied once first.
     """
 
     workload: str
@@ -89,6 +95,7 @@ class LaunchRequest:
     backend: str = ""
     params: Dict[str, Any] = field(default_factory=dict)
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
+    owns_arrays: bool = False
     #: Filled at admission: monotonic timestamps for the latency report.
     request_id: int = field(default_factory=_next_request_id)
     submitted_at: float = 0.0

@@ -36,6 +36,17 @@ and the elementwise division is resolved once per (back-end, device,
 kernel, n, tuning generation): a tuning store bumps the generation, so
 the next request resolves again and hot-swap keeps working.
 
+**Where a request computes.**  On a host-addressable lane (every CPU
+back-end) the host arrays are the kernel's arguments: each is wrapped
+as a plain view (:func:`repro.mem.view_plain`), with no allocation and
+no copy in or out, and the reply is the array the kernel wrote.  On a
+lane the host cannot address (``AccGpuCudaSim``, ``AccOmp4TargetSim``)
+arrays are allocated there and copied in and out.  Writes go only to
+memory the request owns: a request decoded from its own wire frame
+(:attr:`~repro.serve.types.LaunchRequest.owns_arrays`) is computed in
+place, an in-process caller's output array (axpy's ``y``, gemm's ``C``)
+is copied once first, and a batch computes in its merged arrays.
+
 Register custom workloads with :func:`register_workload`; the protocol
 layer exposes whatever the registry holds.
 """
@@ -121,18 +132,53 @@ class Workload:
 # ---------------------------------------------------------------------------
 
 
-def _stage(queue, device, host: np.ndarray):
+def _stage(queue, device, host: np.ndarray, *, copy_in: bool = True):
+    """``host`` as kernel memory on ``device``: the array itself as a
+    plain view when the host can address ``device``, else an allocation
+    (filled from ``host`` when ``copy_in``).  ``host`` is aligned and
+    C-contiguous (see :func:`_host`)."""
     from .. import mem
 
+    if device.accessible_from_host:
+        return mem.view_plain(device, host)
     buf = mem.alloc(device, host.shape, dtype=host.dtype, pitched=False)
-    mem.copy(queue, buf, np.ascontiguousarray(host))
+    if copy_in:
+        mem.copy(queue, buf, host)
     return buf
+
+
+def _fetch(queue, buf, host: np.ndarray) -> np.ndarray:
+    """The kernel's result in ``buf``, in ``host``: a plain view of
+    ``host`` already holds it, device memory is copied back."""
+    from .. import mem
+
+    if not isinstance(buf, mem.ViewPlainPtr):
+        mem.copy(queue, host, buf)
+    return host
+
+
+def _host(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as an array a plain view may wrap (itself when it
+    already is one)."""
+    return np.require(arr, requirements=("C", "A"))
+
+
+def _output(requests, name: str) -> np.ndarray:
+    """The merged host array the kernel updates in place: a batch's
+    concatenation, a request's own array, or one copy of an in-process
+    caller's."""
+    arrays = [r.arrays[name] for r in requests]
+    if len(arrays) > 1:
+        return np.concatenate(arrays)
+    if requests[0].owns_arrays:
+        return np.require(arrays[0], requirements=("C", "A", "W"))
+    return np.array(arrays[0], order="C")
 
 
 def _split(requests, merged: np.ndarray, name: str, out_name: str):
     """Per-request slices of a merged 1-d result.  A solo request gets
-    ``merged`` itself (just fetched, nobody else holds it); batched
-    replies are copies, so no reply pins the merged array."""
+    ``merged`` itself (its own memory); batched replies are copies, so
+    no reply pins the merged array."""
     if len(requests) == 1:
         return [{out_name: merged}]
     out, offset = [], 0
@@ -140,14 +186,6 @@ def _split(requests, merged: np.ndarray, name: str, out_name: str):
         size = r.arrays[name].size
         out.append({out_name: merged[offset : offset + size].copy()})
         offset += size
-    return out
-
-
-def _fetch(queue, buf, shape, dtype) -> np.ndarray:
-    from .. import mem
-
-    out = np.empty(shape, dtype=dtype)
-    mem.copy(queue, out, buf)
     return out
 
 
@@ -242,9 +280,8 @@ class AxpyWorkload(Workload):
     def execute(self, requests, acc_type, device):
         alpha = float(requests[0].params.get("alpha", 1.0))
         xs = [r.arrays["x"] for r in requests]
-        ys = [r.arrays["y"] for r in requests]
-        x_host = np.concatenate(xs) if len(xs) > 1 else xs[0]
-        y_host = np.concatenate(ys) if len(ys) > 1 else ys[0]
+        x_host = _host(np.concatenate(xs) if len(xs) > 1 else xs[0])
+        y_host = _output(requests, "y")
         n = x_host.size
         queue = QueueBlocking(device)
         x = _stage(queue, device, x_host)
@@ -256,7 +293,7 @@ class AxpyWorkload(Workload):
                 self.kernel, n, alpha, x, y,
             )
             _launch(queue, task)
-            merged = _fetch(queue, y, y_host.shape, y_host.dtype)
+            merged = _fetch(queue, y, y_host)
         finally:
             x.free()
             y.free()
@@ -282,16 +319,15 @@ class ScaleWorkload(Workload):
         )
 
     def execute(self, requests, acc_type, device):
-        from .. import mem
-
         factor = float(requests[0].params.get("factor", 1.0))
         xs = [r.arrays["x"] for r in requests]
-        x_host = np.concatenate(xs) if len(xs) > 1 else xs[0]
+        x_host = _host(np.concatenate(xs) if len(xs) > 1 else xs[0])
+        out_host = np.empty_like(x_host)
         n = x_host.size
         queue = QueueBlocking(device)
         x = _stage(queue, device, x_host)
-        # The kernel writes every element: no staged zeros.
-        result = mem.alloc(device, x_host.shape, dtype=x_host.dtype, pitched=False)
+        # The kernel writes every element: nothing to stage.
+        result = _stage(queue, device, out_host, copy_in=False)
         try:
             task = create_task_kernel(
                 acc_type,
@@ -299,7 +335,7 @@ class ScaleWorkload(Workload):
                 self.kernel, n, factor, x, result,
             )
             _launch(queue, task)
-            merged = _fetch(queue, result, x_host.shape, x_host.dtype)
+            merged = _fetch(queue, result, out_host)
         finally:
             x.free()
             result.free()
@@ -309,6 +345,14 @@ class ScaleWorkload(Workload):
 # ---------------------------------------------------------------------------
 # GEMM: batch by stacking
 # ---------------------------------------------------------------------------
+
+
+def _stacked(requests, name: str) -> np.ndarray:
+    """A ``(batch, n, n)`` input the kernel only reads: a solo request's
+    own array as a view, else the stack."""
+    if len(requests) == 1:
+        return _host(requests[0].arrays[name][np.newaxis])
+    return np.stack([r.arrays[name] for r in requests])
 
 
 class GemmWorkload(Workload):
@@ -353,20 +397,15 @@ class GemmWorkload(Workload):
         beta = float(requests[0].params.get("beta", 0.0))
         n = requests[0].arrays["A"].shape[0]
         batch = len(requests)
-        A_host = np.ascontiguousarray(
-            np.stack([r.arrays["A"] for r in requests])
-        )
-        B_host = np.ascontiguousarray(
-            np.stack([r.arrays["B"] for r in requests])
-        )
-        C_host = np.ascontiguousarray(
-            np.stack(
-                [
-                    r.arrays.get("C", np.zeros((n, n), dtype=A_host.dtype))
-                    for r in requests
-                ]
-            )
-        )
+        A_host = _stacked(requests, "A")
+        B_host = _stacked(requests, "B")
+        if all("C" in r.arrays for r in requests):
+            C_host = _output(requests, "C").reshape(batch, n, n)
+        else:
+            C_host = np.stack([
+                r.arrays.get("C", np.zeros((n, n), dtype=A_host.dtype))
+                for r in requests
+            ])
         queue = QueueBlocking(device)
         A = _stage(queue, device, A_host)
         B = _stage(queue, device, B_host)
@@ -380,11 +419,13 @@ class GemmWorkload(Workload):
                 batch, n, DEFAULT_ROWS_PER_CHUNK, alpha, beta, A, B, C,
             )
             _launch(queue, task)
-            merged = _fetch(queue, C, C_host.shape, C_host.dtype)
+            merged = _fetch(queue, C, C_host)
         finally:
             A.free()
             B.free()
             C.free()
+        if batch == 1:
+            return [{"C": merged[0]}]
         return [{"C": merged[i].copy()} for i in range(batch)]
 
 

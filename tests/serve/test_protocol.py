@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +14,18 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.errors import ServeError
 from repro.serve.protocol import (
+    JOIN_LIMIT,
     MAX_FRAME_BYTES,
+    STAGING_BYTES,
+    FrameConnection,
     decode_array,
     decode_arrays,
     decode_message,
     encode_array,
     encode_arrays,
+    encode_frame,
     encode_message,
     error_payload,
-    read_frame,
     result_payload,
 )
 from repro.serve.types import LaunchRequest, RetryAfter, ServeResult
@@ -258,50 +262,102 @@ class TestMessageFraming:
             decode_arrays(message["arrays"])
 
 
+class _Transport(asyncio.Transport):
+    """What the reader sees of a socket: writes are recorded."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+        self.closed = False
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+    def pause_reading(self):
+        pass
+
+
+def _feed(conn: FrameConnection, data: bytes) -> None:
+    """``data`` as the transport would deliver it: one ``recv_into``
+    the buffer ``get_buffer`` returns at a time."""
+    view = memoryview(data)
+    while view:
+        buf = conn.get_buffer(-1)
+        if not len(buf):  # asyncio's transports fail the connection too
+            raise RuntimeError("get_buffer() returned an empty buffer")
+        n = min(len(buf), len(view))
+        buf[:n] = view[:n]
+        conn.buffer_updated(n)
+        view = view[n:]
+
+
 class TestReaders:
     """The reader returns whole frames and refuses the same streams
-    whether the bytes arrive at once or a few at a time."""
+    whether the bytes arrive at once, a few at a time, or split across
+    the edge of its staging buffer."""
 
     @staticmethod
     def read_all(data: bytes, eof: bool = True, chunk: int = 0):
-        """Frames (and the error that ended the stream, if any) as the
-        reader sees ``data``, fed whole or ``chunk`` bytes per loop
-        turn."""
-
+        """Frames (as bytes) the reader delivers from ``data``, fed
+        whole or ``chunk`` bytes per transport read; raises the error
+        that ended the stream, if any."""
         step = chunk or len(data) or 1
 
-        async def feed(reader):
-            for i in range(0, len(data), step):
-                reader.feed_data(data[i : i + step])
-                await asyncio.sleep(0)
-            if eof:
-                reader.feed_eof()
-
         async def go():
-            reader = asyncio.StreamReader()
-            feeder = asyncio.ensure_future(feed(reader))
             frames = []
-            try:
-                while True:
-                    frame = await asyncio.wait_for(read_frame(reader), 5)
-                    if frame is None:
-                        return frames
-                    frames.append(frame)
-            finally:
-                await feeder
+            conn = FrameConnection(lambda frame: frames.append(bytes(frame)))
+            conn.connection_made(_Transport())
+            for i in range(0, len(data), step):
+                _feed(conn, data[i : i + step])
+            if eof:
+                conn.eof_received()
+            assert conn.ended.done(), "the reader is waiting for more bytes"
+            if conn.ended.result() is not None:
+                raise conn.ended.result()
+            return frames
 
         return asyncio.run(go())
 
-    @pytest.fixture(params=["asyncio", "trickled"])
+    @pytest.fixture(params=["asyncio", "trickled", "staging-edge"])
     def read(self, request):
-        chunk = 0 if request.param == "asyncio" else 7
-        return lambda data: self.read_all(data, chunk=chunk)
+        # asyncio: all bytes in one transport read; trickled: 7 bytes
+        # per read; staging-edge: reads that end 5 bytes short of the
+        # staging buffer's size.
+        chunk = {"asyncio": 0, "trickled": 7, "staging-edge": STAGING_BYTES - 5}
+        return lambda data: self.read_all(data, chunk=chunk[request.param])
 
     def test_back_to_back_frames_then_clean_eof(self, read):
         a = encode_message({"id": 1})
         b = encode_message({"id": 2, "arrays": encode_arrays({"x": np.arange(5.0)})})
+        big = encode_message(
+            {"id": 3, "arrays": encode_arrays({"x": np.arange(3 * STAGING_BYTES // 8.0)})}
+        )
         assert read(a + b) == [a, b]
+        assert read(a + big + b + big) == [a, big, b, big]
         assert read(b"") == []
+
+    @pytest.mark.parametrize("lead", [-100, -1, 0, 1, 5, 11, 12])
+    def test_large_frame_split_across_the_staging_edge(self, lead):
+        """A large frame starting ``12 - lead`` bytes before the end of
+        the staging buffer (its prefix split when 0 < lead < 12, some
+        body bytes in staging when lead < 0) is handed over to a buffer
+        of its own without losing or repeating a byte."""
+        big = encode_message(
+            {"id": 2, "arrays": encode_arrays({"x": np.arange(20000.0)})}
+        )
+        first = encode_message({"id": 1, "pad": "p" * (STAGING_BYTES - 600)})
+        cut = STAGING_BYTES - 12 + lead - len(first)
+        head = raw_frame(b"{" + b" " * (cut - PREFIX.size - 2) + b"}")
+        stream = head + first + big + first
+        for chunk in (STAGING_BYTES, STAGING_BYTES - 5, 4096):
+            frames = self.read_all(stream, chunk=chunk)
+            assert frames == [head, first, big, first]
 
     def test_truncated_prefix(self, read):
         with pytest.raises(ServeError, match="truncated frame: 5 of 12 prefix"):
@@ -311,6 +367,11 @@ class TestReaders:
         frame = encode_message({"id": 1, "arrays": encode_arrays({"x": np.arange(64.0)})})
         with pytest.raises(ServeError, match="truncated frame: .* body bytes"):
             read(frame[:-100])
+        big = encode_message(
+            {"id": 1, "arrays": encode_arrays({"x": np.arange(STAGING_BYTES / 4)})}
+        )
+        with pytest.raises(ServeError, match="truncated frame: .* body bytes"):
+            read(big[:-100])
 
     def test_foreign_magic(self, read):
         with pytest.raises(ServeError, match="not a protocol frame"):
@@ -318,10 +379,17 @@ class TestReaders:
 
     def test_oversize_refused_without_reading_the_body(self):
         """No EOF is fed and no body exists: a reader that waited for
-        the announced bytes would hang here."""
+        the announced bytes would still be waiting — and none allocates
+        a buffer of the announced size."""
         prefix = PREFIX.pack(MAGIC, 16, MAX_FRAME_BYTES)
-        with pytest.raises(ServeError, match="exceeds"):
-            self.read_all(prefix, eof=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ServeError, match="exceeds"):
+                self.read_all(prefix, eof=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < MAX_FRAME_BYTES // 16, peak
 
     def test_largest_frame_is_accepted(self):
         header_len = 2
@@ -330,6 +398,63 @@ class TestReaders:
         )
         with pytest.raises(ServeError, match="truncated"):  # not "exceeds"
             self.read_all(prefix + b"{}")
+
+    def test_frames_are_private_and_writable(self):
+        """Each frame is a buffer of its own, so decoded arrays are
+        writable views that alias no other frame."""
+        small = encode_message({"id": 1, "arrays": encode_arrays({"x": np.arange(4.0)})})
+        big = encode_message(
+            {"id": 2, "arrays": encode_arrays({"x": np.arange(STAGING_BYTES / 4)})}
+        )
+        frames = []
+
+        async def go():
+            conn = FrameConnection(frames.append)
+            conn.connection_made(_Transport())
+            _feed(conn, small + big + small)
+
+        asyncio.run(go())
+        xs = [decode_arrays(decode_message(f)["arrays"])["x"] for f in frames]
+        for x in xs:
+            assert x.flags.writeable and x.flags.aligned and not x.flags.owndata
+        xs[0][:] = -1.0
+        assert np.array_equal(xs[2], np.arange(4.0))
+        assert not np.shares_memory(xs[0], xs[2])
+
+
+class TestWriter:
+    def test_large_payload_goes_out_part_by_part(self):
+        """A payload of JOIN_LIMIT bytes or more is written without a
+        join: the array's own memory reaches the transport."""
+        x = np.arange(JOIN_LIMIT / 8)
+
+        async def go():
+            conn = FrameConnection(lambda frame: None)
+            transport = _Transport()
+            conn.connection_made(transport)
+            conn.write_frame(encode_frame({"id": 1, "arrays": encode_arrays({"x": x})}))
+            conn.write_frame(encode_frame({"id": 2, "arrays": encode_arrays({"x": x[:4]})}))
+            return transport.writes
+
+        writes = asyncio.run(go())
+        assert len(writes) == 3  # header, array; then one joined frame
+        assert writes[1] == x.tobytes()
+        assert b"".join(writes[:2]) == encode_message(
+            {"id": 1, "arrays": encode_arrays({"x": x})}
+        )
+
+    def test_header_and_offsets_are_aligned(self):
+        arrays = {"a": np.arange(3, dtype=np.int8), "b": np.arange(5.0),
+                  "c": np.arange(2, dtype=np.int16), "d": np.arange(3.0)}
+        frame = encode_message({"id": 1, "arrays": encode_arrays(arrays)})
+        _, header_len, _ = PREFIX.unpack_from(frame)
+        assert (PREFIX.size + header_len) % 8 == 0
+        header = json.loads(frame[PREFIX.size : PREFIX.size + header_len])
+        assert all(e["offset"] % 8 == 0 for e in header["arrays"].values())
+        back = decode_arrays(decode_message(bytearray(frame))["arrays"])
+        for name, arr in arrays.items():
+            assert np.array_equal(back[name], arr)
+            assert back[name].flags.aligned and not back[name].flags.owndata
 
 
 class TestPayloads:

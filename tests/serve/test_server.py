@@ -18,14 +18,13 @@ from repro.serve.protocol import (
     decode_message,
     encode_arrays,
     encode_message,
-    read_frame,
 )
 from repro.serve.server import ServeServer
 from repro.serve.workloads import AxpyWorkload
 from repro.telemetry import tracing
 
 from . import calls
-from .frames import MAGIC, PREFIX, raw_frame
+from .frames import MAGIC, PREFIX, raw_frame, read_frame
 
 
 def run(coro):
