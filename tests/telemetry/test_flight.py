@@ -192,6 +192,20 @@ def test_queue_poison_dump(rec, tmp_path):
     assert "task exploded" in payload["error"]
 
 
+def test_sanitizer_findings_dump(rec, tmp_path):
+    """The third trigger: a sanitized launch with findings dumps once."""
+    from repro.sanitize.demos import run_demo
+
+    report = run_demo("racy-gemm", "AccCpuThreads")
+    assert report.counts_by_kind().get("data-race", 0) > 0
+    dumps = [p for p in os.listdir(tmp_path) if p.startswith("flight-")]
+    assert len(dumps) == 1, dumps
+    with open(tmp_path / dumps[0]) as fh:
+        payload = json.load(fh)
+    assert payload["reason"] == "sanitizer_findings"
+    assert "RacyTiledGemmKernel" in payload["error"]
+
+
 def test_crash_hooks_never_raise_when_inactive():
     flight.on_kernel_crash(None, RuntimeError("x"))
     flight.on_queue_poisoned(None, RuntimeError("x"))
