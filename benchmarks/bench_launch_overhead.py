@@ -210,12 +210,11 @@ def test_indexed_launch_stages_sum_to_the_launch():
     from repro.runtime import (
         get_plan,
         instrument,
-        notify_queue_drain,
         observers,
         scheduler_for,
     )
     from repro.sanitize import _state as sanitize_state
-    from repro.telemetry.spans import NULL_SPAN, Span
+    from repro.telemetry.spans import NULL_SPAN, Span, record_span
 
     n = 256
     acc_type = accelerator("AccCpuOmp2Blocks")
@@ -275,7 +274,7 @@ def test_indexed_launch_stages_sum_to_the_launch():
         dev.note_kernel_launch(grid.seconds)
         t7 = clock()
         region.__exit__(None, None, None)
-        notify_queue_drain(queue)
+        record_span("queue.drain", cat="queue", device=queue.dev)
         t8 = clock()
         spent["plan_lookup"] += t2 - t1
         spent["grid_context"] += t3 - t2

@@ -179,19 +179,17 @@ TRACEPARENT = _declare(
     "REPRO_TRACEPARENT", str, None,
     "W3C `traceparent` (`00-<32 hex>-<16 hex>-01`) seeding this process's distributed-trace "
     "context; malformed values degrade to untraced, never error.")
-TRACE_SAMPLE = _declare(
-    "REPRO_TRACE_SAMPLE", _int(minimum=1), 1,
-    "keep 1 in N completed OK traces in the `/traces` store (default `1`; errors always "
-    "kept); a malformed value warns and keeps all.", strict=False)
 TELEMETRY_HTTP = _declare(
     "REPRO_TELEMETRY_HTTP", _host_port, None,
     "`host:port` of the serving gateway's ops listener: `/metrics`, `/healthz` "
-    "(readiness + this table's effective values), `/traces`; port `0` is ephemeral; a "
-    "malformed value warns and leaves it off.", strict=False)
+    "(readiness + this table's effective values), `/traces` (the last requests in the "
+    "span log, which a running listener keeps); port `0` is ephemeral; a malformed value "
+    "warns and leaves it off.", strict=False)
 FLIGHT_RECORDER_DIR = _declare(
     "REPRO_FLIGHT_RECORDER_DIR", str, None,
-    "directory arming the crash flight recorder: every process dumps its recent events as "
-    "`flight-<pid>-<seq>.json` on kernel crashes, sanitizer findings and poisoned queues.")
+    "directory arming the crash flight recorder: every process dumps the span log's last "
+    "256 records as `flight-<pid>-<seq>.json` on kernel crashes, sanitizer findings and "
+    "poisoned queues.")
 SERVE_HOST = _declare(
     "REPRO_SERVE_HOST", str, "127.0.0.1",
     "bind host of `python -m repro.serve` (default `127.0.0.1`); in-process gateways ignore it.")

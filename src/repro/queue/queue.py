@@ -23,8 +23,7 @@ from typing import Callable, Optional, Protocol, Union
 
 from ..core.errors import KernelError, QueueError
 from ..dev.device import Device
-from ..runtime.instrument import notify_queue_drain
-from ..telemetry.spans import span
+from ..telemetry.spans import record_span, span
 
 __all__ = ["Queue", "QueueBlocking", "QueueNonBlocking", "enqueue", "wait"]
 
@@ -143,11 +142,12 @@ class QueueBlocking(Queue):
             super().enqueue(task)
             return
         execute(self.dev)
-        notify_queue_drain(self)  # a blocking queue drains at every task
+        # A blocking queue drains at every task.
+        record_span("queue.drain", cat="queue", device=self.dev)
 
     def _submit(self, runnable: Callable[[], None]) -> None:
         runnable()
-        notify_queue_drain(self)  # a blocking queue drains at every task
+        record_span("queue.drain", cat="queue", device=self.dev)
 
     def wait(self) -> None:
         # Everything already ran at enqueue time.
@@ -270,7 +270,7 @@ class QueueNonBlocking(Queue):
                     drained = self._pending == 0
                     self._cv.notify_all()
                 if drained:
-                    notify_queue_drain(self)
+                    record_span("queue.drain", cat="queue", device=self.dev)
                 continue
             try:
                 # Poison check under the lock: without it a task could
@@ -296,7 +296,7 @@ class QueueNonBlocking(Queue):
                     drained = self._pending == 0
                     self._cv.notify_all()
                 if drained:
-                    notify_queue_drain(self)
+                    record_span("queue.drain", cat="queue", device=self.dev)
 
     def _raise_pending_error(self) -> None:
         if self._error is not None:

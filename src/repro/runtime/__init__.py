@@ -35,9 +35,6 @@ from . import instrument as _instrument
 from .instrument import (
     CountingObserver,
     ExecutionObserver,
-    notify_plan_cache,
-    notify_queue_drain,
-    notify_sanitizer_report,
     observe,
     observers,
     register_observer,
@@ -110,9 +107,6 @@ __all__ = [
     "unregister_observer",
     "observers",
     "observe",
-    "notify_queue_drain",
-    "notify_plan_cache",
-    "notify_sanitizer_report",
 ]
 
 
@@ -170,7 +164,8 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
 
     Observers see the launch once, as the ``"launch"`` span closing
     (``span.error`` set when the kernel raised; ``attrs["tier"]`` the
-    schedule a tier chose, ``"trial:<schedule>"`` while it measures);
+    schedule a tier chose, ``"trial:<schedule>"`` while it measures;
+    ``attrs["sanitize_findings"]`` on a sanitized launch);
     unobserved, the launch enters the shared ``NULL_SPAN`` and builds
     nothing.
     """
@@ -191,6 +186,10 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
         attrs = {"plan": plan}
         if entry is not None:
             attrs["tier"] = tier if trial is None else "trial:" + trial
+        if grid.monitor is not None:
+            # The sanitizer's scheduler counts its findings in here
+            # before the span closes.
+            grid.monitor.span_attrs = attrs
         region = Span("launch", "launch", device, attrs)
     else:
         region = NULL_SPAN
@@ -217,7 +216,7 @@ def execute_plan(plan, task, device, grid=None, scheduler=None) -> "LaunchPlan":
                 device.note_kernel_launch(seconds)
             crashed = False
     except BaseException as exc:  # noqa: BLE001 - re-raised; only the flight dump is added
-        # The span closed first, so observers (and the flight ring) hold
+        # The span closed first, so observers (and the span log) hold
         # the failed launch.  An observer raising on a clean launch
         # propagates to the caller but is no kernel crash; the dispatch
         # completed either way, so the scheduler pool stays usable.

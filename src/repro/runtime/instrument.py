@@ -1,14 +1,15 @@
 """Execution instrumentation: observer hooks threaded through the runtime.
 
-Every interesting runtime transition — a block finishing, a queue
-draining, a launch plan hitting or missing the cache — is announced to
-the registered :class:`ExecutionObserver` instances.  A *timed region*
-(a launch, a copy, a graph run, a plan build ...) is a
-:class:`~repro.telemetry.spans.Span` and reaches observers once, when it
-closes, through :meth:`ExecutionObserver.on_span_end`.  The bench
-harness and the trace layer consume these hooks instead of wrapping
-user callables, so instrumentation costs nothing when nothing is
-registered (each notify helper returns immediately on the
+Two things reach the registered :class:`ExecutionObserver` instances:
+every *timed region* (a launch, a copy, a graph run, a plan build, a
+queue drain ...) once, when its
+:class:`~repro.telemetry.spans.Span` closes (:meth:`~ExecutionObserver.on_span_end`),
+and every block of an observed launch (:meth:`~ExecutionObserver.on_block_end`).
+Counts the runtime keeps for itself — plan-cache and tuning-cache
+resolutions — are read, not announced (:func:`cache_resolutions`).
+The bench harness and the trace layer consume these hooks instead of
+wrapping user callables, so instrumentation costs nothing when nothing
+is registered (each notify helper returns immediately on the
 empty-observer fast path, and an unobserved region enters the shared
 ``NULL_SPAN``).
 
@@ -32,16 +33,14 @@ __all__ = [
     "observers",
     "observe",
     "notify_block_end",
-    "notify_queue_drain",
-    "notify_plan_cache",
-    "notify_tuning_cache",
-    "notify_sanitizer_report",
     "notify_span_end",
+    "cache_resolutions",
+    "CACHE_KEYS",
 ]
 
 
 class ExecutionObserver:
-    """Protocol for runtime instrumentation (all hooks optional no-ops).
+    """Protocol for runtime instrumentation (both hooks optional no-ops).
 
     Subclass and override the hooks of interest; exceptions raised by an
     observer propagate to the launch/copy/wait that triggered them, so
@@ -55,32 +54,18 @@ class ExecutionObserver:
         Timed only while observers are registered — the unobserved
         dispatch path never reads the clock."""
 
-    def on_queue_drain(self, queue) -> None:
-        """A queue's pending work count reached zero."""
-
-    def on_plan_cache(self, plan, hit: bool) -> None:
-        """A launch plan was resolved: ``hit`` tells cached vs built."""
-
-    def on_tuning_cache(self, kernel, acc_type, hit: bool) -> None:
-        """An ``AutoWorkDiv`` consulted the tuning cache (tuned division
-        served vs heuristic fallback).  The serving workloads memoise
-        their division per tuning generation, so for them this fires
-        once per memo miss, not once per request."""
-
     def on_span_end(self, span) -> None:
         """A timed region closed; ``span`` carries wall and modeled
         durations, its error (if the region raised) and its attributes.
 
         A kernel launch is the span ``"launch"`` (cat ``"launch"``,
-        ``attrs["plan"]`` the :class:`~repro.runtime.plan.LaunchPlan`);
-        a copy/memset is ``"mem.copy"`` / ``"mem.memset"``; a dataflow
-        graph submission is ``"graph.run"`` (``attrs["stats"]`` its
-        :class:`~repro.graph.executor.GraphRunStats`)."""
-
-    def on_sanitizer_report(self, plan, record) -> None:
-        """A sanitized launch finished; ``record`` is its
-        :class:`repro.sanitize.report.LaunchRecord` (findings included,
-        possibly empty)."""
+        ``attrs["plan"]`` the :class:`~repro.runtime.plan.LaunchPlan`;
+        a sanitized launch adds ``attrs["sanitize_findings"]``, the
+        finding count of its finished record); a copy/memset is
+        ``"mem.copy"`` / ``"mem.memset"``; a dataflow graph submission
+        is ``"graph.run"`` (``attrs["stats"]`` its
+        :class:`~repro.graph.executor.GraphRunStats`); a queue whose
+        pending work reached zero is ``"queue.drain"``."""
 
 
 _lock = threading.Lock()
@@ -136,38 +121,6 @@ def notify_block_end(plan, block_idx, seconds: float) -> None:
         o.on_block_end(plan, block_idx, seconds)
 
 
-def notify_queue_drain(queue) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_queue_drain(queue)
-
-
-def notify_plan_cache(plan, hit: bool) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_plan_cache(plan, hit)
-
-
-def notify_tuning_cache(kernel, acc_type, hit: bool) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_tuning_cache(kernel, acc_type, hit)
-
-
-def notify_sanitizer_report(plan, record) -> None:
-    obs = _observers
-    if not obs:
-        return
-    for o in obs:
-        o.on_sanitizer_report(plan, record)
-
-
 def notify_span_end(span) -> None:
     obs = _observers
     if not obs:
@@ -176,12 +129,44 @@ def notify_span_end(span) -> None:
         o.on_span_end(span)
 
 
+#: The keys of :func:`cache_resolutions`, in order.
+CACHE_KEYS = (
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "tuning_cache_hits",
+    "tuning_cache_misses",
+)
+
+
+#: The caches' own count readers, bound on first use (importing the
+#: plan and tuning modules here would be circular).
+_count_readers: Tuple = ()
+
+
+def cache_resolutions() -> Tuple[int, int, int, int]:
+    """Plan-cache (launch and graph plans) and tuning-cache
+    (``auto_divide``) hits and misses since the process started, in
+    :data:`CACHE_KEYS` order — the counts the caches keep themselves.
+    A scoped count is the difference of two readings."""
+    global _count_readers
+    if not _count_readers:
+        from ..tuning import tuning_cache_resolutions
+        from .plan import plan_cache_resolutions
+
+        _count_readers = (plan_cache_resolutions, tuning_cache_resolutions)
+    plan, tuning = _count_readers
+    return plan() + tuning()
+
+
 class CountingObserver(ExecutionObserver):
     """Thread-safe event counters — the bench harness's workhorse.
 
-    ``plan_cache_hit_rate`` is the fraction of launches whose plan came
-    out of the LRU cache, the quantity the launch-overhead bench
-    reports.
+    Launches, blocks, copies and queue drains are counted as their
+    spans close.  The cache counts are the resolutions since the
+    observer was made, read from the caches whenever a span closes:
+    they stop moving once it is unregistered.
+    ``plan_cache_hit_rate`` is the fraction of plan resolutions served
+    from the LRU cache, the quantity the launch-overhead bench reports.
     """
 
     def __init__(self) -> None:
@@ -190,11 +175,8 @@ class CountingObserver(ExecutionObserver):
         self.blocks = 0
         self.copies = 0
         self.queue_drains = 0
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.tuning_cache_hits = 0
-        self.tuning_cache_misses = 0
         self.per_backend: Dict[str, int] = {}
+        self._base = self._caches = cache_resolutions()
 
     def on_span_end(self, span) -> None:
         if span.name == "launch":
@@ -205,40 +187,48 @@ class CountingObserver(ExecutionObserver):
         elif span.cat == "mem":
             with self._lock:
                 self.copies += 1
+        elif span.name == "queue.drain":
+            with self._lock:
+                self.queue_drains += 1
+        self._caches = cache_resolutions()
 
     def on_block_end(self, plan, block_idx, seconds: float) -> None:
         with self._lock:
             self.blocks += 1
 
-    def on_queue_drain(self, queue) -> None:
-        with self._lock:
-            self.queue_drains += 1
+    def _cache_counts(self) -> Dict[str, int]:
+        return {
+            key: now - base
+            for key, now, base in zip(CACHE_KEYS, self._caches, self._base)
+        }
 
-    def on_plan_cache(self, plan, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.plan_cache_hits += 1
-            else:
-                self.plan_cache_misses += 1
+    @property
+    def plan_cache_hits(self) -> int:
+        return self._cache_counts()["plan_cache_hits"]
 
-    def on_tuning_cache(self, kernel, acc_type, hit: bool) -> None:
-        with self._lock:
-            if hit:
-                self.tuning_cache_hits += 1
-            else:
-                self.tuning_cache_misses += 1
+    @property
+    def plan_cache_misses(self) -> int:
+        return self._cache_counts()["plan_cache_misses"]
+
+    @property
+    def tuning_cache_hits(self) -> int:
+        return self._cache_counts()["tuning_cache_hits"]
+
+    @property
+    def tuning_cache_misses(self) -> int:
+        return self._cache_counts()["tuning_cache_misses"]
 
     @property
     def plan_cache_hit_rate(self) -> float:
-        with self._lock:
-            total = self.plan_cache_hits + self.plan_cache_misses
-            return self.plan_cache_hits / total if total else 0.0
+        c = self._cache_counts()
+        total = c["plan_cache_hits"] + c["plan_cache_misses"]
+        return c["plan_cache_hits"] / total if total else 0.0
 
     @property
     def tuning_cache_hit_rate(self) -> float:
-        with self._lock:
-            total = self.tuning_cache_hits + self.tuning_cache_misses
-            return self.tuning_cache_hits / total if total else 0.0
+        c = self._cache_counts()
+        total = c["tuning_cache_hits"] + c["tuning_cache_misses"]
+        return c["tuning_cache_hits"] / total if total else 0.0
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -247,10 +237,7 @@ class CountingObserver(ExecutionObserver):
                 "blocks": self.blocks,
                 "copies": self.copies,
                 "queue_drains": self.queue_drains,
-                "plan_cache_hits": self.plan_cache_hits,
-                "plan_cache_misses": self.plan_cache_misses,
-                "tuning_cache_hits": self.tuning_cache_hits,
-                "tuning_cache_misses": self.tuning_cache_misses,
+                **self._cache_counts(),
                 # A copy: mutating the snapshot must not touch the live
                 # counters.
                 "per_backend": dict(self.per_backend),

@@ -32,9 +32,10 @@ runs that replay wherever the host clock measured it faster than the
 interpreter (:func:`repro.runtime.execute_plan`); ``compiled`` is the
 same replay forced on every launch.
 
-Cache observability: every resolution announces itself through
-:func:`repro.runtime.instrument.notify_plan_cache`, and the module
-keeps global hit/miss counters (:func:`plan_cache_info`).
+Cache observability: the caches count their own hits and misses
+(:func:`plan_cache_info`; :func:`plan_cache_resolutions` since the
+process started), and telemetry reads the counts instead of being told
+of each resolution.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from ..core.properties import AccDevProps
 from ..core.vec import Vec
 from ..core.workdiv import AutoWorkDiv, WorkDivMembers, validate_work_div
 from ..mem.guard import GuardedArray
-from .instrument import notify_plan_cache
 from .scheduler import chunk_indices, resolve_scheduler_override
 
 __all__ = [
@@ -65,6 +65,7 @@ __all__ = [
     "build_plan",
     "clear_plan_cache",
     "plan_cache_info",
+    "plan_cache_resolutions",
     "PLAN_CACHE_MAXSIZE",
     "GraphPlan",
     "get_graph_plan",
@@ -419,10 +420,11 @@ class _PlanLRU:
 
     ``get`` builds outside the lock on a miss (validation and tuning
     lookups are slow, and a build may itself resolve plans), so two
-    racing misses may both build and the later insert wins.  Every
-    resolution is announced to ``on_plan_cache`` observers.  ``epoch``
-    moves whenever a plan leaves the cache (eviction or :meth:`clear`),
-    which is what invalidates task bindings.
+    racing misses may both build and the later insert wins.  The
+    counters only grow; :meth:`clear` moves the zero :meth:`info`
+    counts from.  ``epoch`` moves whenever a plan leaves the cache
+    (eviction or :meth:`clear`), which is what invalidates task
+    bindings.
     """
 
     def __init__(self, maxsize: int):
@@ -431,6 +433,7 @@ class _PlanLRU:
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
+        self._cleared_at = (0, 0)
         self.epoch = 0
 
     def get(self, key: tuple, build: Callable, *build_args):
@@ -441,7 +444,6 @@ class _PlanLRU:
                 self._hits += 1
                 plan.served_from_cache = True
         if plan is not None:
-            notify_plan_cache(plan, True)
             return plan
         plan = build(*build_args)
         plan.key = key
@@ -452,7 +454,6 @@ class _PlanLRU:
             while len(self._plans) > self.maxsize:
                 self._plans.popitem(last=False)
                 self.epoch += 1
-        notify_plan_cache(plan, False)
         return plan
 
     def hit(self, plan):
@@ -464,21 +465,20 @@ class _PlanLRU:
             if self._plans.get(plan.key) is plan:
                 self._plans.move_to_end(plan.key)
         plan.served_from_cache = True
-        notify_plan_cache(plan, True)
         return plan
 
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
-            self._hits = 0
-            self._misses = 0
+            self._cleared_at = (self._hits, self._misses)
             self.epoch += 1
 
     def info(self) -> Dict[str, int]:
         with self._lock:
+            hits0, misses0 = self._cleared_at
             return {
-                "hits": self._hits,
-                "misses": self._misses,
+                "hits": self._hits - hits0,
+                "misses": self._misses - misses0,
                 "size": len(self._plans),
                 "maxsize": self.maxsize,
             }
@@ -491,8 +491,8 @@ _graph_plans = _PlanLRU(GRAPH_PLAN_CACHE_MAXSIZE)
 def get_graph_plan(key: tuple, build: Callable[[], GraphPlan]) -> GraphPlan:
     """The cached-or-built :class:`GraphPlan` for ``key``.
 
-    Announced through ``on_plan_cache`` observers like per-launch
-    plans, so the telemetry hit-rate counters cover graphs.
+    Counted in :func:`plan_cache_resolutions` like per-launch plans, so
+    the telemetry hit-rate counters cover graphs.
     """
     return _graph_plans.get(key, build)
 
@@ -541,8 +541,8 @@ def _key(task, device, forced: Optional[str], generation: Optional[int]) -> tupl
 def get_plan(task, device) -> LaunchPlan:
     """The cached-or-built plan for ``task`` on ``device``.
 
-    Announces the resolution to observers (``on_plan_cache``) and keeps
-    the global hit/miss counters current.  Validation errors raise here
+    Counts the resolution as a hit or a miss (:func:`plan_cache_info`,
+    :func:`plan_cache_resolutions`).  Validation errors raise here
     — a plan that would fail at dispatch is never cached.
 
     The task remembers the plan it resolved to (a weak reference on
@@ -577,5 +577,15 @@ def clear_plan_cache() -> None:
 
 
 def plan_cache_info() -> Dict[str, int]:
-    """``{"hits": ..., "misses": ..., "size": ..., "maxsize": ...}``."""
+    """``{"hits": ..., "misses": ..., "size": ..., "maxsize": ...}``
+    since the last :func:`clear_plan_cache`."""
     return _launch_plans.info()
+
+
+def plan_cache_resolutions() -> Tuple[int, int]:
+    """``(hits, misses)`` of launch and graph plans since the process
+    started (a clear does not reset them)."""
+    return (
+        _launch_plans._hits + _graph_plans._hits,
+        _launch_plans._misses + _graph_plans._misses,
+    )

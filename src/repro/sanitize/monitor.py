@@ -71,6 +71,9 @@ class SanitizeMonitor:
         # block_lin -> {thread_lin: final_epoch}
         self._final_epochs: Dict[int, Dict[int, int]] = {}
         self._aborted_blocks: set = set()
+        #: The observed launch span's attributes (None unobserved): the
+        #: finding count lands there before the span closes.
+        self.span_attrs: Optional[dict] = None
 
     # -- linearisation helpers ------------------------------------------
 

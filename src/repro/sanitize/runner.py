@@ -33,7 +33,6 @@ import numpy as np
 
 from ..core.index import linearize
 from ..core.kernel import kernel_name
-from ..runtime.instrument import notify_sanitizer_report
 from ..runtime.scheduler import Scheduler
 from . import _state
 from .fuzz import make_fuzzed_runner
@@ -86,8 +85,9 @@ class _TriageScheduler(Scheduler):
     A block that trips the bounds checker is abandoned (excluded from
     divergence analysis) and the rest of the grid still runs; any other
     exception stops the launch and propagates.  Either way the findings
-    are finalised into ``record`` and reported before dispatch returns,
-    i.e. before the launch span closes.  Handed to
+    are finalised into ``record`` before dispatch returns, and their
+    count is set on the launch span (``sanitize_findings``) before it
+    closes.  Handed to
     :func:`repro.runtime.execute_plan` per launch; not a
     ``REPRO_SCHEDULER`` choice.
     """
@@ -118,7 +118,8 @@ class _TriageScheduler(Scheduler):
                     if f.seed is None:
                         f.seed = seed
             _state.add_record(record)
-            notify_sanitizer_report(plan, record)
+            if monitor.span_attrs is not None:
+                monitor.span_attrs["sanitize_findings"] = len(record.findings)
 
 
 def run_with_sanitizer(

@@ -46,7 +46,6 @@ from ..runtime.instrument import observers
 from ..telemetry import flight, tracing
 from ..telemetry import http as ops_http
 from ..telemetry.spans import record_span
-from ..telemetry.tracing import trace_store
 from .admission import FairShareAdmission
 from .batcher import Batcher
 from .config import ServeConfig, config_from_env
@@ -312,7 +311,6 @@ class Gateway:
         if self.admission.ready.is_set():  # a freed slot releases queued work
             self._wake()
         record_completion(request.tenant, latency, ok)
-        trace = request.trace
         # The request's own span, announced after the fact (the gateway
         # only learns the endpoints here) — free when unobserved.
         record_span(
@@ -320,7 +318,7 @@ class Gateway:
             now - latency,
             now,
             cat="serve",
-            trace=trace,
+            trace=request.trace,
             error=type(error).__name__ if error is not None else None,
             workload=request.workload,
             tenant=request.tenant,
@@ -329,27 +327,9 @@ class Gateway:
             batch_wait_s=batch_wait,
             held=held,
             path=batch.path,
+            request_id=request.request_id,
+            latency_s=round(latency, 6),
         )
-        if trace is not None or error is not None:
-            trace_store().add(
-                {
-                    "trace_id": trace.trace_id if trace is not None else "",
-                    "request_id": request.request_id,
-                    "workload": request.workload,
-                    "tenant": request.tenant,
-                    "lane": lane.label,
-                    "batch_size": batch_size,
-                    "batch_wait_s": batch_wait,
-                    "held": held,
-                    "latency_s": round(latency, 6),
-                    "error": (
-                        f"{type(error).__name__}: {error}"
-                        if error is not None
-                        else None
-                    ),
-                    "ts": time.time(),
-                }
-            )
         with self._handles_lock:
             handle = self._handles.pop(request.request_id, None)
             if ok:

@@ -1,13 +1,16 @@
 """repro.telemetry — metrics, span profiling and launch analytics.
 
 The always-available observability layer over the Task→Plan→Execute
-runtime: every launch, block, copy, queue drain, cache resolution and
-span reaches a :class:`TelemetryCollector` through the
-:class:`~repro.runtime.instrument.ExecutionObserver` hooks, lands in a
-metrics registry (counters / gauges / histograms with p50/p95/p99
-percentiles, labelled kernel × back-end × device) and in a trace
-buffer exportable as Chrome ``trace_event`` JSON (Perfetto /
-``chrome://tracing``) or Prometheus text.
+runtime: every closed span (launch, copy, graph run, queue drain ...)
+and every block reaches a :class:`TelemetryCollector` through the two
+:class:`~repro.runtime.instrument.ExecutionObserver` hooks and lands in
+a metrics registry (counters / gauges / histograms with p50/p95/p99
+percentiles, labelled kernel × back-end × device); cache resolutions
+are read from the caches' own counts.  Every closed span also becomes
+one JSON-ready record in the span log (:mod:`~repro.telemetry.spanlog`),
+the one ring that the Chrome ``trace_event`` export (Perfetto /
+``chrome://tracing``), the flight recorder and the ops listener's
+``/traces`` read.
 
 Three ways in:
 
@@ -43,7 +46,7 @@ from ._state import (
     maybe_activate_from_env,
     session_collector,
 )
-from .collector import TelemetryCollector, TraceEvent
+from .collector import TelemetryCollector
 from .export import (
     TraceValidationError,
     to_chrome_trace,
@@ -60,11 +63,11 @@ from .metrics import (
     registry,
     reset_registry,
 )
-from . import flight, http, tracing
+from . import flight, http, spanlog, tracing
 from .export import stitch_traces
 from .report import render, summary
 from .spans import NULL_SPAN, Span, record_span, sim_interval, span
-from .tracing import TRACEPARENT_ENV, TraceContext, TraceStore, trace_store
+from .tracing import TRACEPARENT_ENV, TraceContext
 
 __all__ = [
     # activation
@@ -78,7 +81,6 @@ __all__ = [
     "collect",
     # collector
     "TelemetryCollector",
-    "TraceEvent",
     # metrics
     "Counter",
     "Gauge",
@@ -96,10 +98,9 @@ __all__ = [
     # tracing
     "tracing",
     "TraceContext",
-    "TraceStore",
-    "trace_store",
     "TRACEPARENT_ENV",
     # ops surfaces
+    "spanlog",
     "flight",
     "http",
     # export / report
@@ -130,10 +131,16 @@ def collect(
 
     The yielded collector records into its own private metrics registry
     unless one is passed, so concurrent ``collect()`` blocks do not
-    bleed into each other.
+    bleed into each other; the block arms the span log, and the
+    collector's trace is the log's records closed inside it.
     """
     collector = TelemetryCollector(
         label=label, registry=registry, record_blocks=record_blocks
     )
-    with observe(collector):
-        yield collector
+    spanlog.arm()
+    try:
+        with observe(collector):
+            yield collector
+    finally:
+        collector.close()
+        spanlog.disarm()

@@ -65,18 +65,21 @@ def activate(label: str = "session", export_path: Optional[str] = None):
     """Install (or return) the process-wide collector.
 
     Registers a :class:`~repro.telemetry.collector.TelemetryCollector`
-    recording into the global metrics registry, and arms the atexit
-    report.  Idempotent: repeated calls return the same collector.
+    recording into the global metrics registry, arms the span log, and
+    arms the atexit report.  Idempotent: repeated calls return the same
+    collector.
     """
     global _session, _atexit_armed
     with _lock:
         if _session is not None:
             return _session
         from ..runtime.instrument import register_observer
+        from . import spanlog
         from .collector import TelemetryCollector
         from .metrics import registry
 
         _session = TelemetryCollector(label=label, registry=registry())
+        spanlog.arm()
         register_observer(_session)
         if not _atexit_armed:
             atexit.register(_report_at_exit, export_path)
@@ -91,8 +94,11 @@ def deactivate() -> None:
         if _session is None:
             return
         from ..runtime.instrument import unregister_observer
+        from . import spanlog
 
         unregister_observer(_session)
+        _session.close()
+        spanlog.disarm()
         _session = None
 
 

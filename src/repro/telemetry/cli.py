@@ -23,7 +23,7 @@ import runpy
 import sys
 from typing import List, Optional
 
-from ..runtime.instrument import register_observer, unregister_observer
+from . import collect
 from .collector import TelemetryCollector
 from .export import to_prometheus, write_chrome_trace
 from .report import render
@@ -129,12 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    collector = TelemetryCollector(
+    with collect(
         label=args.command,
         record_blocks=bool(getattr(args, "blocks", False)),
-    )
-    register_observer(collector)
-    try:
+    ) as collector:
         if args.command == "run":
             script_argv = [args.script] + list(args.script_args)
             old_argv = sys.argv
@@ -145,8 +143,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sys.argv = old_argv
         else:
             demo_workload(backends=args.backends, n=args.size)
-    finally:
-        unregister_observer(collector)
 
     if args.command != "export":
         print(render(collector))

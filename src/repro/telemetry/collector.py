@@ -1,26 +1,29 @@
-"""The telemetry collector: observer hooks → metrics + trace events.
+"""The telemetry collector: observer hooks → metrics, plus a window on
+the span log.
 
 One :class:`TelemetryCollector` registered as an
 :class:`~repro.runtime.instrument.ExecutionObserver` turns the
-runtime's notifications into:
+runtime's closed spans and blocks into **metrics** in a
+:class:`~repro.telemetry.metrics.MetricsRegistry` — launch/block
+latency histograms, occupancy, modeled-vs-wall second totals, all
+labelled kernel × back-end × device.  Every timed region arrives as one
+closed span (``on_span_end``): a kernel launch (``"launch"``) and a
+graph submission (``"graph.run"``) keep their own metric families, a
+copy or memset additionally counts in ``repro_copies_total``, a queue
+drain counts in ``repro_queue_drains_total`` only, and every other
+span becomes a ``repro_span_seconds`` sample.  A sanitized launch's
+``sanitize_findings`` attribute adds to ``repro_sanitizer_findings_total``.
 
-* **metrics** in a :class:`~repro.telemetry.metrics.MetricsRegistry` —
-  launch/block latency histograms, cache hit counters, occupancy,
-  modeled-vs-wall second totals, all labelled kernel × back-end ×
-  device;
-* **trace events** — a bounded in-memory list the Chrome
-  ``trace_event`` exporter serialises (complete events for launches
-  and spans, instant events for queue drains and sanitizer reports).
+Plan-cache and tuning-cache resolutions are read, not announced: a
+registry source copies the caches' own counts since the collector
+started into ``repro_plan_cache_total`` / ``repro_tuning_cache_total``.
 
-Every timed region arrives as one closed span (``on_span_end``): a
-kernel launch (``"launch"``) and a graph submission (``"graph.run"``)
-keep their own metric families and trace-event shapes, a copy or memset
-additionally counts in ``repro_copies_total``, and every other span
-becomes a ``repro_span_seconds`` sample plus one complete event.
-
-The event list is bounded (:attr:`max_events`); beyond the cap events
-are counted as dropped and the report says so — a truncated trace must
-never masquerade as a complete one.
+The **timeline** is the span log's (:mod:`repro.telemetry.spanlog`):
+a collector remembers where the log stood when it started (and when it
+closed), and :func:`~repro.telemetry.export.to_chrome_trace` exports
+the records in between.  If the ring overwrote some of them,
+:attr:`TelemetryCollector.dropped_events` counts them and the report
+says so — a truncated trace must never masquerade as a complete one.
 """
 
 from __future__ import annotations
@@ -30,10 +33,11 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..core.kernel import kernel_name
-from ..runtime.instrument import ExecutionObserver
+from ..runtime.instrument import ExecutionObserver, cache_resolutions
+from . import spanlog
 from .metrics import MetricsRegistry
 
-__all__ = ["TelemetryCollector", "TraceEvent"]
+__all__ = ["TelemetryCollector"]
 
 #: Thread-execute strategies whose block really runs its threads
 #: concurrently (vs. "single": one host thread sweeps the block).
@@ -44,32 +48,17 @@ _CONCURRENT_THREAD_EXECUTE = ("preemptive", "cooperative")
 _COPY_KINDS = {"mem.copy": "TaskCopy", "mem.memset": "TaskMemset"}
 
 
-class TraceEvent:
-    """One exported trace entry (Chrome ``trace_event`` shaped)."""
-
-    __slots__ = ("name", "cat", "ph", "ts", "dur", "tid", "args")
-
-    def __init__(self, name, cat, ph, ts, dur=0.0, tid=0, args=None):
-        self.name = name
-        self.cat = cat
-        self.ph = ph  # "X" complete | "i" instant
-        self.ts = ts  # microseconds since collector start
-        self.dur = dur  # microseconds (complete events)
-        self.tid = tid
-        self.args = args or {}
-
-    def __repr__(self) -> str:
-        return f"<TraceEvent {self.ph} {self.cat}/{self.name} @{self.ts:.1f}us>"
-
-
 class TelemetryCollector(ExecutionObserver):
-    """Collects every runtime signal into metrics and a trace buffer.
+    """Collects every runtime signal into metrics, and reads its window
+    of the span log.
 
     ``registry`` defaults to a private
     :class:`~repro.telemetry.metrics.MetricsRegistry`, so a
     ``telemetry.collect()`` block sees only its own numbers; the
     environment-activated session collector records into the
-    process-wide registry instead.
+    process-wide registry instead.  :func:`repro.telemetry.collect`
+    and the session arm the span log while they run; :meth:`close`
+    ends the collector's window.
     """
 
     def __init__(
@@ -77,30 +66,51 @@ class TelemetryCollector(ExecutionObserver):
         label: str = "",
         registry: Optional[MetricsRegistry] = None,
         record_blocks: bool = False,
-        max_events: int = 100_000,
     ):
         self.label = label
         self.registry = registry if registry is not None else MetricsRegistry()
         self.record_blocks = record_blocks
-        self.max_events = max_events
-        self.dropped_events = 0
-        self.events: List[TraceEvent] = []
         self._t0 = time.perf_counter()
-        self._lock = threading.Lock()
-        # graph ids whose trace track metadata was already emitted
-        self._graph_tracks: set = set()
+        self._seq0 = spanlog.log().seq
+        self._seq1: Optional[int] = None
+        self._caches0 = cache_resolutions()
+        self.registry.add_source(self._fill_caches)
 
-    # -- event buffer ---------------------------------------------------
+    def _fill_caches(self, registry: MetricsRegistry) -> None:
+        """Registry source: the cache resolutions since the start."""
+        plan_hits, plan_misses, tuning_hits, tuning_misses = (
+            now - base for now, base in zip(cache_resolutions(), self._caches0)
+        )
+        for metric, help_text, hits, misses in (
+            ("repro_plan_cache_total", "launch-plan cache resolutions",
+             plan_hits, plan_misses),
+            ("repro_tuning_cache_total", "AUTO work-div cache resolutions",
+             tuning_hits, tuning_misses),
+        ):
+            for result, n in (("hit", hits), ("miss", misses)):
+                if n:
+                    registry.counter(
+                        metric, help_text, result=result
+                    ).set_total(n)
 
-    def _now_us(self) -> float:
-        return (time.perf_counter() - self._t0) * 1e6
+    def close(self) -> None:
+        """End the window: the span range and the cache counts stop
+        where they are.  Idempotent."""
+        if self._seq1 is None:
+            self._seq1 = spanlog.log().seq
+            self._fill_caches(self.registry)
+            self.registry.remove_source(self._fill_caches)
 
-    def _emit(self, ev: TraceEvent) -> None:
-        with self._lock:
-            if len(self.events) >= self.max_events:
-                self.dropped_events += 1
-                return
-            self.events.append(ev)
+    def window(self) -> Tuple[List[Dict[str, object]], int]:
+        """The span-log records closed in this collector's window that
+        the ring still holds (oldest first), and how many of the window
+        it overwrote."""
+        return spanlog.log().since(self._seq0, self._seq1)
+
+    @property
+    def dropped_events(self) -> int:
+        """Records of the window the ring overwrote."""
+        return self.window()[1]
 
     # -- derived quantities ---------------------------------------------
 
@@ -160,33 +170,12 @@ class TelemetryCollector(ExecutionObserver):
             "repro_launch_modeled_seconds_total",
             "summed modeled launch time", **labels,
         ).inc(modeled)
-        args = {
-            "backend": labels["backend"],
-            "device": labels["device"],
-            "work_div": str(plan.work_div),
-            "schedule": plan.schedule,
-            "modeled_s": modeled,
-            # Device clock at launch begin: lays the modeled timeline
-            # over the wall-clock one.
-            "sim_time_fs": span.sim0_fs,
-            **(span.trace.ids() if span.trace is not None else {}),
-        }
-        tier = span.attrs.get("tier")
-        if tier is not None:
-            # Why this launch ran compiled (or did not): the default
-            # schedule's tier, "trial:<schedule>" while it measures.
-            args["tier"] = tier
-        self._emit(
-            TraceEvent(
-                name=labels["kernel"],
-                cat="launch",
-                ph="X",
-                ts=(span.t0 - self._t0) * 1e6,
-                dur=wall * 1e6,
-                tid=span.thread_id,
-                args=args,
-            )
-        )
+        findings = span.attrs.get("sanitize_findings")
+        if findings is not None:
+            reg.counter(
+                "repro_sanitizer_findings_total", "sanitizer findings",
+                kernel=labels["kernel"], backend=labels["backend"],
+            ).inc(findings)
 
     def on_block_end(self, plan, block_idx, seconds: float) -> None:
         # The executing thread: the main thread for sequential dispatch,
@@ -200,53 +189,10 @@ class TelemetryCollector(ExecutionObserver):
             "repro_block_seconds", "wall per-block latency", **labels
         ).observe(seconds)
         if self.record_blocks:
-            now = self._now_us()
-            self._emit(
-                TraceEvent(
-                    name=f"block {block_idx!r}",
-                    cat="block",
-                    ph="X",
-                    ts=now - seconds * 1e6,
-                    dur=seconds * 1e6,
-                    tid=threading.get_ident(),
-                    args=labels,
-                )
+            spanlog.note(
+                f"block {block_idx!r}", "block",
+                t0=time.perf_counter() - seconds, wall_s=seconds, **labels,
             )
-
-    def on_queue_drain(self, queue) -> None:
-        self.registry.counter(
-            "repro_queue_drains_total", "queue pending count reached zero",
-            device=queue.dev.name,
-        ).inc()
-
-    def on_plan_cache(self, plan, hit: bool) -> None:
-        self.registry.counter(
-            "repro_plan_cache_total", "launch-plan cache resolutions",
-            result="hit" if hit else "miss",
-        ).inc()
-
-    def on_tuning_cache(self, kernel, acc_type, hit: bool) -> None:
-        self.registry.counter(
-            "repro_tuning_cache_total", "AUTO work-div cache resolutions",
-            result="hit" if hit else "miss",
-        ).inc()
-
-    def on_sanitizer_report(self, plan, record) -> None:
-        n = len(record.findings)
-        self.registry.counter(
-            "repro_sanitizer_findings_total", "sanitizer findings",
-            kernel=kernel_name(plan.kernel), backend=plan.acc_type.name,
-        ).inc(n)
-        self._emit(
-            TraceEvent(
-                name="sanitize",
-                cat="sanitize",
-                ph="i",
-                ts=self._now_us(),
-                tid=threading.get_ident(),
-                args={"kernel": record.kernel, "findings": n},
-            )
-        )
 
     def _on_graph_run(self, span) -> None:
         stats = span.attrs["stats"]
@@ -273,62 +219,22 @@ class TelemetryCollector(ExecutionObserver):
             buckets=(0.5, 0.75, 0.9, 1.0, 1.25, 1.5, 2.0, 4.0, 8.0),
             **labels,
         ).observe(stats.overlap_ratio)
-        # Node slices get their own per-graph track (tid) so Perfetto
-        # groups one submission's nodes together regardless of which
-        # queue worker thread actually ran them.
-        tid = 1_000_000 + stats.graph_id
-        with self._lock:
-            new_track = stats.graph_id not in self._graph_tracks
-            self._graph_tracks.add(stats.graph_id)
-        if new_track:
-            self._emit(
-                TraceEvent(
-                    name="thread_name", cat="graph", ph="M", ts=0.0,
-                    tid=tid,
-                    args={"name": f"graph g{stats.graph_id}"},
-                )
-            )
-        base = (span.t0 - self._t0) * 1e6
-        self._emit(
-            TraceEvent(
-                name=f"graph g{stats.graph_id}",
-                cat="graph",
-                ph="X",
-                ts=max(0.0, base),
-                dur=stats.wall_seconds * 1e6,
-                tid=tid,
-                args={
-                    "mode": stats.mode,
-                    "nodes": stats.node_count,
-                    "devices": stats.device_count,
-                    "replayed": stats.replayed,
-                    "critical_path_s": stats.critical_path_seconds,
-                    "overlap_ratio": round(stats.overlap_ratio, 3),
-                    **(span.trace.ids() if span.trace is not None else {}),
-                },
-            )
-        )
-        for nd in stats.nodes:
-            self._emit(
-                TraceEvent(
-                    name=f"#{nd['index']} {nd['label']}",
-                    cat="graph",
-                    ph="X",
-                    ts=max(0.0, base + nd["start"] * 1e6),
-                    dur=nd["duration"] * 1e6,
-                    tid=tid,
-                    args={"kind": nd["kind"], "device": nd["device"]},
-                )
-            )
 
     def on_span_end(self, span) -> None:
-        if span.name == "launch":
+        name = span.name
+        if name == "launch":
             self._on_launch(span)
             return
-        if span.name == "graph.run":
+        if name == "graph.run":
             self._on_graph_run(span)
             return
-        kind = _COPY_KINDS.get(span.name)
+        if name == "queue.drain":
+            self.registry.counter(
+                "repro_queue_drains_total", "queue pending count reached zero",
+                device=span.device.name,
+            ).inc()
+            return
+        kind = _COPY_KINDS.get(name)
         if kind is not None:
             self.registry.counter(
                 "repro_copies_total", "copy/memset tasks",
@@ -336,26 +242,8 @@ class TelemetryCollector(ExecutionObserver):
             ).inc()
         self.registry.histogram(
             "repro_span_seconds", "span wall duration",
-            span=span.name, cat=span.cat,
+            span=name, cat=span.cat,
         ).observe(span.wall_s)
-        args = {str(k): str(v) for k, v in span.attrs.items()}
-        if span.sim_s:
-            args["modeled_s"] = span.sim_s
-        if span.error:
-            args["error"] = span.error
-        if span.trace is not None:
-            args.update(span.trace.ids())
-        self._emit(
-            TraceEvent(
-                name=span.name,
-                cat=span.cat,
-                ph="X",
-                ts=(span.t0 - self._t0) * 1e6,
-                dur=span.wall_s * 1e6,
-                tid=span.thread_id,
-                args=args,
-            )
-        )
 
     # -- aggregate queries ----------------------------------------------
 
@@ -399,5 +287,5 @@ class TelemetryCollector(ExecutionObserver):
     def __repr__(self) -> str:
         return (
             f"<TelemetryCollector {self.label or 'anonymous'}: "
-            f"{len(self.registry)} instruments, {len(self.events)} events>"
+            f"{len(self.registry)} instruments, {len(self.window()[0])} records>"
         )

@@ -4,9 +4,9 @@ Two wire formats, both consumed by standard tools:
 
 * :func:`to_chrome_trace` emits the Trace Event Format (the
   ``traceEvents`` JSON object array) that Perfetto and
-  ``chrome://tracing`` load directly — spans and launches as complete
-  (``"X"``) slices, queue drains and sanitizer reports as instant
-  (``"i"``) markers;
+  ``chrome://tracing`` load directly — each span-log record of a
+  collector's window as a complete (``"X"``) slice, a launch named
+  after its kernel, a graph run with one slice per node;
 * :func:`to_prometheus` renders a
   :class:`~repro.telemetry.metrics.MetricsRegistry` in the Prometheus
   text exposition format (``# HELP`` / ``# TYPE`` headers, cumulative
@@ -34,6 +34,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 from .collector import TelemetryCollector
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .spanlog import PLACEMENT
 
 __all__ = [
     "to_chrome_trace",
@@ -57,12 +58,71 @@ class TraceValidationError(ValueError):
     """An exported trace violates the Trace Event Format."""
 
 
+def _slices(records, t0: float) -> Iterable[dict]:
+    """Chrome events for span-log records: one complete slice per span,
+    a graph run's per-node slices on a track of their own."""
+    tracks = set()
+    for rec in records:
+        kind, cat = rec["kind"], rec["cat"]
+        if kind == "queue.drain" or cat == "flight":
+            continue  # a count and a flight-recorder event, not slices
+        args = {
+            k: v for k, v in rec.items()
+            if k not in PLACEMENT and v is not None
+        }
+        ts = (rec["t0"] - t0) * 1e6
+        event = {
+            "name": kind,
+            "cat": cat,
+            "ph": "X",
+            "ts": max(0.0, ts),
+            "dur": max(0.0, rec["wall_s"] * 1e6),
+            "pid": TRACE_PID,
+            "tid": rec["tid"],
+            "args": args,
+        }
+        if kind == "launch":
+            event["name"] = args.pop("kernel")
+        elif kind == "graph.run":
+            # Node slices get their own per-graph track (tid) so
+            # Perfetto groups one submission's nodes together regardless
+            # of which queue worker thread ran them.
+            gid, nodes = args.pop("graph_id"), args.pop("node_list")
+            tid = event["tid"] = 1_000_000 + gid
+            event["name"] = f"graph g{gid}"
+            if gid not in tracks:
+                tracks.add(gid)
+                yield {
+                    "name": "thread_name", "cat": "graph", "ph": "M",
+                    "ts": 0.0, "pid": TRACE_PID, "tid": tid,
+                    "args": {"name": f"graph g{gid}"},
+                }
+            yield event
+            for nd in nodes:
+                yield {
+                    "name": f"#{nd['index']} {nd['label']}",
+                    "cat": "graph",
+                    "ph": "X",
+                    "ts": max(0.0, ts + nd["start"] * 1e6),
+                    "dur": nd["duration"] * 1e6,
+                    "pid": TRACE_PID,
+                    "tid": tid,
+                    "args": {"kind": nd["kind"], "device": nd["device"]},
+                }
+            continue
+        yield event
+
+
 def to_chrome_trace(collector: TelemetryCollector) -> dict:
-    """The collector's events as a Trace Event Format object.
+    """The span-log records of the collector's window as a Trace Event
+    Format object.
 
     Returns the JSON-ready dict (``{"traceEvents": [...], ...}``);
     serialise with :func:`json.dump` or :func:`write_chrome_trace`.
+    ``otherData.dropped_events`` counts the window's records the ring
+    overwrote.
     """
+    records, dropped = collector.window()
     events: List[dict] = [
         {
             "name": "process_name",
@@ -72,27 +132,13 @@ def to_chrome_trace(collector: TelemetryCollector) -> dict:
             "args": {"name": f"repro telemetry {collector.label}".strip()},
         }
     ]
-    for ev in list(collector.events):
-        entry = {
-            "name": ev.name,
-            "cat": ev.cat,
-            "ph": ev.ph,
-            "ts": max(0.0, ev.ts),
-            "pid": TRACE_PID,
-            "tid": ev.tid,
-            "args": ev.args,
-        }
-        if ev.ph == "X":
-            entry["dur"] = max(0.0, ev.dur)
-        if ev.ph == "i":
-            entry["s"] = "t"  # instant scope: thread
-        events.append(entry)
+    events.extend(_slices(records, collector._t0))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
             "exporter": "repro.telemetry",
-            "dropped_events": collector.dropped_events,
+            "dropped_events": dropped,
             "pid": os.getpid(),
         },
     }

@@ -1,33 +1,34 @@
-"""Crash flight recorder: a bounded ring of recent runtime events,
-dumped to disk when something dies.
+"""Crash flight recorder: the span log's last records, dumped to disk
+when something dies.
 
 Soak-harness failures hours into a run are undiagnosable from a stack
 trace alone — what matters is what the process was *doing* in the
 seconds before.  With ``REPRO_FLIGHT_RECORDER_DIR`` set, every process
-(gateway, tuning-fleet worker, application) keeps a per-process ring
-buffer of recent events — every closed span (launches, copies, fleet
-lease ops ...), queue drains, sanitizer reports, serve
-submissions and scheduler fallbacks — each stamped with its
-:mod:`~repro.telemetry.tracing` ids, and dumps the ring as JSON when:
+(gateway, tuning-fleet worker, application) arms the span log
+(:mod:`repro.telemetry.spanlog`): every closed span (launches, copies,
+queue drains, fleet lease ops ...) becomes a record stamped with its
+:mod:`~repro.telemetry.tracing` ids, next to the recorder's own events
+(serve submissions and scheduler fallbacks through
+:func:`maybe_record`, crashes).  The recorder dumps the last
+:data:`RING_CAPACITY` records as JSON when:
 
 * a kernel launch raises (:func:`repro.runtime.execute_plan`'s error
   path calls :func:`on_kernel_crash`);
-* the sanitizer reports findings (``on_sanitizer_report`` observer
-  hook);
+* a sanitized launch closes with findings (its launch span's
+  ``sanitize_findings`` attribute);
 * a non-blocking queue is poisoned by an asynchronously failing task
   (:mod:`repro.queue.queue` calls :func:`on_queue_poisoned`).
 
 Dumps land as ``flight-<pid>-<seq>.json`` in the configured directory;
 each contains the trigger, the exception text, and the last
-:data:`RING_CAPACITY` events — including the failing launch's
+:data:`RING_CAPACITY` records — including the failing launch's
 ``trace_id``, so the dump joins the stitched trace.
 
 **Hot-path contract**: with the env var unset, :func:`active` is one
 module-global boolean read and every ``maybe_record`` call returns
-immediately.  With it set, the recorder registers itself as an
-:class:`~repro.runtime.instrument.ExecutionObserver` (so spans are
-recorded through the existing hook fan-out — the process is "observed"
-by definition) and each event append is one lock + deque append.
+immediately.  With it set, the process is "observed" by definition:
+the span log and the recorder are registered
+:class:`~repro.runtime.instrument.ExecutionObserver` instances.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ import json
 import os
 import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional
 
 from .. import knobs
 from ..core.kernel import kernel_name
 from ..runtime.instrument import ExecutionObserver
+from . import spanlog
 
 __all__ = [
     "FLIGHT_ENV",
@@ -60,11 +61,8 @@ __all__ = [
 #: it activates the recorder in every process that inherits it.
 FLIGHT_ENV = knobs.FLIGHT_RECORDER_DIR
 
-#: Events kept in the ring (per process).
+#: Records a dump writes (the span log's last ones).
 RING_CAPACITY = 256
-
-#: Span attribute values a ring event keeps (anything else is dropped).
-_JSON_SCALARS = (str, int, float, bool, type(None))
 
 _lock = threading.Lock()
 _recorder: Optional["FlightRecorder"] = None
@@ -72,52 +70,44 @@ _recorder: Optional["FlightRecorder"] = None
 _active = False
 
 
-class FlightRecorder(ExecutionObserver):
-    """The per-process ring buffer + dump writer.
+def _note(kind: str, **fields) -> None:
+    """One recorder event in the span log; ambient trace ids are
+    stamped in."""
+    from . import tracing
 
-    Also an :class:`ExecutionObserver`, so span and sanitizer events
-    arrive through the runtime's existing hook fan-out (block-level
-    hooks stay the base class's no-ops — per-block ring churn would
-    drown the events worth keeping).
+    ctx = tracing.current()
+    if ctx is not None:
+        fields = {**ctx.ids(), **fields}
+    spanlog.note(kind, "flight", **fields)
+
+
+class FlightRecorder(ExecutionObserver):
+    """The dump writer.
+
+    An :class:`ExecutionObserver` only to see a sanitized launch close
+    with findings; the records it dumps are the span log's.
     """
 
-    def __init__(self, directory: str, capacity: int = RING_CAPACITY):
+    def __init__(self, directory: str):
         self.directory = directory
-        self._ring: deque = deque(maxlen=capacity)
-        self._ring_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._seq = 0
+        self._since = spanlog.log().seq
         self.dumps: List[str] = []
 
-    # -- recording -----------------------------------------------------
-
-    def record(self, kind: str, **fields) -> None:
-        """Append one event; ambient trace ids are stamped in."""
-        from . import tracing
-
-        event: Dict[str, object] = {
-            "kind": kind,
-            "ts": time.time(),
-            "pid": os.getpid(),
-        }
-        ctx = tracing.current()
-        if ctx is not None:
-            event.update(ctx.ids())
-        event.update(fields)
-        with self._ring_lock:
-            self._ring.append(event)
-
     def events(self) -> List[Dict[str, object]]:
-        with self._ring_lock:
-            return list(self._ring)
-
-    # -- dumping -------------------------------------------------------
+        """The records a dump would write now: the last
+        :data:`RING_CAPACITY` since the recorder started, oldest first."""
+        log = spanlog.log()
+        start = max(self._since, log.seq - RING_CAPACITY)
+        return log.since(start)[0][-RING_CAPACITY:]
 
     def dump(self, reason: str, error: Optional[str] = None) -> Optional[str]:
-        """Write the ring to ``flight-<pid>-<seq>.json``; returns the
-        path (None when the write itself failed — a crash dump must
-        never raise into the crashing path)."""
-        with self._ring_lock:
-            events = list(self._ring)
+        """Write the last records to ``flight-<pid>-<seq>.json``;
+        returns the path (None when the write itself failed — a crash
+        dump must never raise into the crashing path)."""
+        events = self.events()
+        with self._lock:
             self._seq += 1
             seq = self._seq
         payload = {
@@ -144,38 +134,15 @@ class FlightRecorder(ExecutionObserver):
         self.dumps.append(path)
         return path
 
-    # -- ExecutionObserver hooks ---------------------------------------
-
     def on_span_end(self, span) -> None:
-        # JSON-ready attributes only: a launch span's plan memoises its
-        # last argument tuple, so a ring of plans would keep device
-        # buffers alive (and a graph run's stats hold every node).
-        fields = {
-            k: v for k, v in span.attrs.items() if isinstance(v, _JSON_SCALARS)
-        }
-        if span.device is not None:
-            fields["device"] = span.device.name
-        if span.trace is not None:
-            fields.update(span.trace.ids())
-        self.record(
-            span.name, cat=span.cat, wall_s=span.wall_s, error=span.error,
-            **fields,
-        )
-
-    def on_queue_drain(self, queue) -> None:
-        self.record("queue_drain", device=queue.dev.name)
-
-    def on_sanitizer_report(self, plan, record) -> None:
-        findings = len(record.findings)
-        self.record(
-            "sanitizer_report",
-            kernel=kernel_name(plan.kernel),
-            findings=findings,
-        )
+        findings = span.name == "launch" and span.attrs.get("sanitize_findings")
         if findings:
             self.dump(
                 "sanitizer_findings",
-                error=f"{findings} finding(s) in {record.kernel}",
+                error=(
+                    f"{findings} finding(s) in "
+                    f"{kernel_name(span.attrs['plan'].kernel)}"
+                ),
             )
 
 
@@ -197,9 +164,9 @@ def recorder() -> Optional["FlightRecorder"]:
 def maybe_activate_from_env() -> Optional["FlightRecorder"]:
     """Activate iff ``REPRO_FLIGHT_RECORDER_DIR`` is set.  Idempotent.
 
-    Registers the recorder as an execution observer, so activating it
-    makes the process "observed" — that is the deal: a flight recorder
-    that sees nothing records nothing.
+    Arms the span log, so activating the recorder makes the process
+    "observed" — that is the deal: a flight recorder that sees nothing
+    records nothing.
     """
     directory = knobs.get(FLIGHT_ENV)
     if not directory:
@@ -217,6 +184,9 @@ def activate(directory: str) -> "FlightRecorder":
         from ..runtime.instrument import register_observer
 
         rec = FlightRecorder(directory)
+        # The log first: a launch's record is in the ring before the
+        # recorder dumps on its findings.
+        spanlog.arm()
         register_observer(rec)
         _recorder = rec
         _active = True
@@ -233,6 +203,7 @@ def deactivate() -> None:
         from ..runtime.instrument import unregister_observer
 
         unregister_observer(rec)
+        spanlog.disarm()
         _recorder = None
         _active = False
 
@@ -241,46 +212,33 @@ def maybe_record(kind: str, **fields) -> None:
     """Record one event iff the recorder is active (one boolean read
     otherwise) — the cheap entry point for events that are not a timed
     region (a serve submission, a scheduler fallback)."""
-    if not _active:
-        return
+    if _active:
+        _note(kind, **fields)
+
+
+def _crash(reason: str, exc: BaseException, **fields) -> None:
+    """Record the failure, then dump; never raises (it runs on a failing
+    launch or on a queue's drain thread)."""
     rec = _recorder
-    if rec is not None:
-        rec.record(kind, **fields)
+    if rec is None:
+        return
+    error = f"{type(exc).__name__}: {exc}"
+    try:
+        _note(reason, error=error, **fields)
+        rec.dump(reason, error=error)
+    except Exception:  # noqa: BLE001 - the failure being recorded is the one to report, not the recorder's
+        pass
 
 
 def on_kernel_crash(plan, exc: BaseException) -> None:
     """A launch raised: record + dump.  Called from the runtime's
-    failure path; must never raise."""
-    if not _active:
-        return
-    rec = _recorder
-    if rec is None:
-        return
-    try:
-        rec.record(
-            "kernel_crash",
-            kernel=kernel_name(plan.kernel),
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        rec.dump("kernel_crash", error=f"{type(exc).__name__}: {exc}")
-    except Exception:  # noqa: BLE001 - runs on the launch's failure path: the kernel's error is the one to raise
-        pass
+    failure path."""
+    if _active:
+        _crash("kernel_crash", exc, kernel=kernel_name(plan.kernel))
 
 
 def on_queue_poisoned(queue, exc: BaseException) -> None:
-    """An async queue task failed (queue poisoned): record + dump.
-    Must never raise — it runs on the queue's drain thread."""
-    if not _active:
-        return
-    rec = _recorder
-    if rec is None:
-        return
-    try:
-        rec.record(
-            "queue_poisoned",
-            device=queue.dev.name,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-        rec.dump("queue_poisoned", error=f"{type(exc).__name__}: {exc}")
-    except Exception:  # noqa: BLE001 - runs on the queue's drain thread, which must survive to report the poison
-        pass
+    """An async queue task failed (queue poisoned): record + dump, on
+    the queue's drain thread."""
+    if _active:
+        _crash("queue_poisoned", exc, device=queue.dev.name)

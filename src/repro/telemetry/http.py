@@ -10,9 +10,10 @@ observability surface to ``curl`` / Prometheus / a dashboard:
 * ``/healthz`` — JSON readiness: every registered health provider is
   called and the overall status is 200 only when all report ok (the
   gateway registers its lanes and pump);
-* ``/traces`` — recent completed request traces from the
-  :class:`~repro.telemetry.tracing.TraceStore` (tail-sampled,
-  errors always kept); ``?limit=N`` bounds the reply.
+* ``/traces`` — the last completed requests: the span log's
+  ``serve.request`` records (:mod:`repro.telemetry.spanlog`), newest
+  last; ``?limit=N`` bounds the reply.  A running listener arms the
+  log, so every request is recorded while it serves.
 
 Opt-in via ``REPRO_TELEMETRY_HTTP=host:port`` (``:0`` picks a free
 port; the bound address is printed once) or programmatically::
@@ -37,6 +38,7 @@ from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .. import knobs
+from . import spanlog
 
 __all__ = [
     "TELEMETRY_HTTP_ENV",
@@ -52,6 +54,13 @@ __all__ = [
 #: Environment variable: ``host:port`` to serve the ops endpoints on
 #: (``127.0.0.1:0`` binds an OS-assigned free port).
 TELEMETRY_HTTP_ENV = knobs.TELEMETRY_HTTP
+
+#: The fields of one ``/traces`` entry, read from a ``serve.request``
+#: record.
+TRACE_FIELDS = (
+    "trace_id", "request_id", "workload", "tenant", "lane", "batch_size",
+    "batch_wait_s", "held", "latency_s", "error", "ts",
+)
 
 #: Health providers: name -> callable returning ``(ok, detail_dict)``.
 _health_lock = threading.Lock()
@@ -130,21 +139,25 @@ class _OpsHandler(BaseHTTPRequestHandler):
                     },
                 )
             elif route == "/traces":
-                from .tracing import trace_store
-
                 query = parse_qs(parsed.query)
-                limit = None
+                limit = spanlog.CAPACITY
                 if "limit" in query:
                     try:
                         limit = int(query["limit"][0])
                     except (ValueError, IndexError):
-                        limit = None
-                store = trace_store()
+                        pass
+                records = spanlog.log().recent(limit, kind="serve.request")
                 self._send_json(
                     200,
                     {
-                        "stats": store.stats(),
-                        "traces": store.recent(limit),
+                        "stats": {
+                            "kept": len(records),
+                            "capacity": spanlog.CAPACITY,
+                        },
+                        "traces": [
+                            {k: r.get(k) for k in TRACE_FIELDS}
+                            for r in records
+                        ],
                     },
                 )
             else:
@@ -180,6 +193,7 @@ class OpsServer:
         httpd = ThreadingHTTPServer((self.host, self.port), _OpsHandler)
         httpd.daemon_threads = True
         self._httpd = httpd
+        spanlog.arm()
         self.host, self.port = httpd.server_address[:2]
         self._thread = threading.Thread(
             target=httpd.serve_forever,
@@ -195,6 +209,7 @@ class OpsServer:
         if httpd is not None:
             httpd.shutdown()
             httpd.server_close()
+            spanlog.disarm()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None

@@ -270,6 +270,11 @@ class MetricsRegistry:
         carry over to the registry :func:`reset_registry` swaps in."""
         self._sources.append(fill)
 
+    def remove_source(self, fill: Callable[["MetricsRegistry"], None]) -> None:
+        """Stop running ``fill`` (no-op when it is not a source)."""
+        if fill in self._sources:
+            self._sources.remove(fill)
+
     def _pull(self) -> None:
         for fill in self._sources:
             fill(self)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..comparison.render import render_table
+from . import spanlog
 from .collector import TelemetryCollector
 from .metrics import Histogram
 
@@ -284,6 +285,7 @@ def _counter_total(collector, metric: str) -> float:
 
 def summary(collector: TelemetryCollector) -> Dict[str, object]:
     """The report's aggregates as a plain dict (programmatic access)."""
+    records, dropped = collector.window()
     return {
         "launches": int(_counter_total(collector, "repro_launches_total")),
         "copies": int(_counter_total(collector, "repro_copies_total")),
@@ -307,8 +309,8 @@ def summary(collector: TelemetryCollector) -> Dict[str, object]:
         ),
         "plan_cache_hit_rate": collector.plan_cache_hit_rate,
         "tuning_cache_hit_rate": collector.tuning_cache_hit_rate,
-        "trace_events": len(collector.events),
-        "dropped_events": collector.dropped_events,
+        "trace_events": len(records),
+        "dropped_events": dropped,
     }
 
 
@@ -373,11 +375,11 @@ def render(collector: TelemetryCollector) -> str:
         parts.append("")
         parts.append(render_table(span_rows, "Spans"))
 
-    if collector.dropped_events:
+    if agg["dropped_events"]:
         parts.append("")
         parts.append(
-            f"WARNING: trace buffer full — {collector.dropped_events} "
-            f"event(s) dropped beyond the first {collector.max_events}; "
+            f"WARNING: span log wrapped — {agg['dropped_events']} record(s) "
+            f"older than the last {spanlog.CAPACITY} were dropped; "
             "the exported trace is incomplete."
         )
     return "\n".join(parts)

@@ -12,9 +12,9 @@ opened with :func:`span`::
 and reach every registered
 :class:`~repro.runtime.instrument.ExecutionObserver` through the
 ``on_span_end`` hook when they close — the telemetry collector turns
-them into latency histograms and Chrome ``trace_event`` entries, the
-flight recorder into ring events.  A region that raised closes with
-``error`` set, and its exception is the one the caller sees: an
+them into latency histograms, the span log
+(:mod:`repro.telemetry.spanlog`) into one JSON-ready record each.  A
+region that raised closes with ``error`` set, and its exception is the one the caller sees: an
 observer raising from ``on_span_end`` then is swallowed.
 
 **Hot-path contract**: when no observer is registered, :func:`span`
@@ -186,11 +186,12 @@ def span(name: str, cat: str = "runtime", device=None, **attrs):
 
 def record_span(
     name: str,
-    t0: float,
-    t1: float,
+    t0: Optional[float] = None,
+    t1: Optional[float] = None,
     cat: str = "runtime",
     trace: Optional["tracing.TraceContext"] = None,
     error: Optional[str] = None,
+    device=None,
     **attrs,
 ) -> Optional[Span]:
     """Announce an already-measured region as a closed span.
@@ -198,17 +199,21 @@ def record_span(
     For call sites that know a region's endpoints without having
     wrapped it (the gateway learns a request's span only in the
     completion callback).  ``t0``/``t1`` are ``time.perf_counter``
-    readings; ``trace`` stamps an explicit trace identity (the ambient
-    context is *not* consulted — pass what the request carried).
+    readings, both "now" when omitted (an instant, such as a queue
+    drain); ``trace`` stamps an explicit trace identity (the ambient
+    context is *not* consulted — pass what the request carried);
+    ``device`` names the device, without a modeled-clock reading.
 
     Free when unobserved: one falsy check, returns None.
     """
     if not _instrument._observers:
         return None
-    sp = Span(name, cat, None, attrs)
+    sp = Span(name, cat, device, attrs)
     sp.thread_id = threading.get_ident()
+    if t0 is None:
+        t0 = time.perf_counter()
     sp.t0 = t0
-    sp.t1 = t1
+    sp.t1 = t0 if t1 is None else t1
     sp.trace = trace
     sp.error = error
     notify_span_end(sp)

@@ -16,8 +16,9 @@ owns:
   ``REPRO_TRACEPARENT`` environment variable seeds a child process's
   root context, and serve / fleet frame headers carry the same string
   in a ``trace`` field.
-* **exports** — the collector stamps ``trace_id`` / ``span_id`` /
-  ``parent_id`` into every trace event's ``args``;
+* **exports** — every span-log record carries ``trace_id`` /
+  ``span_id`` / ``parent_id``, so they land in every exported trace
+  event's ``args``, flight-dump event and ``/traces`` entry;
   :func:`repro.telemetry.export.stitch_traces` joins the per-process
   Chrome traces on those ids and draws the cross-process flow arrows.
 
@@ -25,10 +26,6 @@ owns:
 unobserved launch never touches this module; an observed one pays one
 thread-local read.  Context creation (two ``os.urandom`` reads) happens
 per *request*, never per block.
-
-:class:`TraceStore` is the live-ops half: a bounded ring of recently
-completed request summaries, tail-sampled (errors always kept), served
-by the ``/traces`` endpoint of :mod:`repro.telemetry.http`.
 """
 
 from __future__ import annotations
@@ -36,8 +33,7 @@ from __future__ import annotations
 import os
 import re
 import threading
-from collections import deque
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Optional
 
 from .. import knobs
 
@@ -50,8 +46,6 @@ __all__ = [
     "current",
     "set_current",
     "use",
-    "TraceStore",
-    "trace_store",
 ]
 
 #: Environment variable carrying a W3C ``traceparent`` into child
@@ -184,94 +178,3 @@ class use:
         if self.ctx is not None:
             set_current(self._prev)
         return False
-
-
-# ---------------------------------------------------------------------------
-# Completed-trace store (the /traces endpoint's backing)
-# ---------------------------------------------------------------------------
-
-
-class TraceStore:
-    """Bounded ring of recently completed request summaries.
-
-    Tail sampling: every ``sample_every``-th OK trace is kept, plus
-    *every* errored one — the traces worth reading after an incident
-    are exactly the ones that failed.  Summaries are plain dicts
-    (JSON-ready); the heavy span data stays in the collector's event
-    buffer, keyed by ``trace_id``.
-    """
-
-    def __init__(self, capacity: int = 256, sample_every: int = 1):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
-        self.capacity = capacity
-        self.sample_every = sample_every
-        self._lock = threading.Lock()
-        self._traces: deque = deque(maxlen=capacity)
-        self._seen = 0
-        self._sampled_out = 0
-
-    def add(self, summary: Dict[str, object]) -> bool:
-        """Record one completed trace; returns False when tail sampling
-        dropped it (never for errored traces)."""
-        error = bool(summary.get("error"))
-        with self._lock:
-            self._seen += 1
-            if not error and self._seen % self.sample_every != 0:
-                self._sampled_out += 1
-                return False
-            self._traces.append(dict(summary))
-            return True
-
-    def recent(self, limit: Optional[int] = None) -> List[Dict[str, object]]:
-        """Most recent kept summaries, newest last."""
-        with self._lock:
-            items = list(self._traces)
-        if limit is not None:
-            items = items[-max(0, int(limit)):]
-        return items
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "kept": len(self._traces),
-                "seen": self._seen,
-                "sampled_out": self._sampled_out,
-                "capacity": self.capacity,
-                "sample_every": self.sample_every,
-            }
-
-    def clear(self) -> None:
-        with self._lock:
-            self._traces.clear()
-            self._seen = 0
-            self._sampled_out = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
-    def __iter__(self) -> Iterator[Dict[str, object]]:
-        return iter(self.recent())
-
-
-_store_lock = threading.Lock()
-_store: Optional[TraceStore] = None
-
-#: Environment variable: keep 1-in-N OK traces (errors always kept).
-TRACE_SAMPLE_ENV = knobs.TRACE_SAMPLE
-
-
-def trace_store() -> TraceStore:
-    """The process-wide completed-trace store (created on first use;
-    ``REPRO_TRACE_SAMPLE=N`` sets the tail-sampling rate)."""
-    global _store
-    store = _store
-    if store is not None:
-        return store
-    with _store_lock:
-        if _store is None:
-            _store = TraceStore(sample_every=knobs.get(TRACE_SAMPLE_ENV))
-        return _store

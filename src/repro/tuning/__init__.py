@@ -27,6 +27,7 @@ call, which is where the cost is paid once.
 from __future__ import annotations
 
 import contextlib
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple, Union
@@ -69,6 +70,7 @@ from .space import (
 __all__ = [
     "autotune",
     "auto_divide",
+    "tuning_cache_resolutions",
     "resolve_work_div",
     "tuned_schedule",
     "TuningResult",
@@ -467,6 +469,19 @@ def _fallback_count(kernel, schedule: str) -> float:
     )
 
 
+#: ``auto_divide`` consultations of the tuning cache since the process
+#: started: ``[served tuned, fell back to the heuristic]``.
+_resolutions = [0, 0]
+_resolutions_lock = threading.Lock()
+
+
+def tuning_cache_resolutions() -> Tuple[int, int]:
+    """``(hits, misses)``: the :func:`auto_divide` calls a tuning-cache
+    entry served, and those the heuristic served, since the process
+    started."""
+    return tuple(_resolutions)
+
+
 def auto_divide(
     extent: Union[int, Sequence[int], Vec],
     props: AccDevProps,
@@ -490,8 +505,6 @@ def auto_divide(
     the device supports multi-thread blocks, block-level when not), with
     explicit ``block_threads`` / ``thread_elems`` overrides honoured.
     """
-    from ..runtime.instrument import notify_tuning_cache
-
     ext = as_vec(extent)
     if kernel is not None and acc_type is not None:
         if device is None:
@@ -500,14 +513,15 @@ def auto_divide(
             device = get_dev_by_idx(acc_type)
         store = cache if cache is not None else default_cache()
         hit = store.get(kernel, acc_type, device, ext)
+        refit = None
         if hit is not None:
             refit = _refit_for_extent(hit.work_div, ext, props)
-            if refit is not None:
-                notify_tuning_cache(kernel, acc_type, True)
-                return refit
         # A stored winner whose division cannot be refit to this
         # extent counts as a miss: the heuristic serves the launch.
-        notify_tuning_cache(kernel, acc_type, False)
+        with _resolutions_lock:
+            _resolutions[refit is None] += 1
+        if refit is not None:
+            return refit
 
     if acc_type is not None:
         mapping = acc_type.mapping_strategy

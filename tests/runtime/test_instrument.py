@@ -130,16 +130,15 @@ class _HookLog(ExecutionObserver):
 
     def __init__(self):
         self.events = []
+        self.findings = []
 
     def on_span_end(self, span):
         if span.name == "launch":
             self.events.append("launch")
+            self.findings.append(span.attrs.get("sanitize_findings"))
 
     def on_block_end(self, plan, block_idx, seconds):
         self.events.append("block_end")
-
-    def on_sanitizer_report(self, plan, record):
-        self.events.append("sanitizer_report")
 
 
 class _RaisingAxpy(AxpyElementsKernel):
@@ -171,16 +170,18 @@ class TestRouteEquivalence:
         assert np.array_equal(y.as_numpy(), np.full(n, 2.0))
         x.free()
         y.free()
-        return log.events, tuple(a - b for a, b in zip(after, before))
+        return log, tuple(a - b for a, b in zip(after, before))
 
     def test_one_begin_end_pair_around_the_route_s_hooks(self, route):
-        events, _ = self._axpy(get_dev_by_idx(AccCpuSerial, 0), route)
+        log, _ = self._axpy(get_dev_by_idx(AccCpuSerial, 0), route)
         if route == "sanitized":
-            # The triage loop announces no blocks; its report precedes
-            # the launch span's end.
-            assert events == ["sanitizer_report", "launch"]
+            # The triage loop announces no blocks; its finished record's
+            # finding count is on the launch span when it ends.
+            assert log.events == ["launch"]
+            assert log.findings == [0]
         else:
-            assert events == ["block_end"] * self.BLOCKS + ["launch"]
+            assert log.events == ["block_end"] * self.BLOCKS + ["launch"]
+            assert log.findings == [None]
 
     def test_counters_and_modeled_clock_advance_as_on_the_queue(self, route):
         dev = get_dev_by_idx(AccCpuSerial, 0)
@@ -311,15 +312,16 @@ class TestCopyAndQueueHooks:
         with telemetry.collect(record_blocks=True) as t:
             q.enqueue(task)
             mem.memset(q, buf, 1.0)
-        (launch,) = [e for e in t.events if e.cat == "launch"]
-        blocks = [e for e in t.events if e.cat == "block"]
+        events = telemetry.to_chrome_trace(t)["traceEvents"]
+        (launch,) = [e for e in events if e.get("cat") == "launch"]
+        blocks = [e for e in events if e.get("cat") == "block"]
         assert len(blocks) == 2
         # Launch begin precedes its blocks; they finish before its end.
-        assert launch.dur >= 0.0
+        assert launch["dur"] >= 0.0
         for b in blocks:
-            assert launch.ts <= b.ts
-            assert b.ts + b.dur <= launch.ts + launch.dur
-        assert launch.args["backend"] == "AccCpuSerial"
+            assert launch["ts"] <= b["ts"]
+            assert b["ts"] + b["dur"] <= launch["ts"] + launch["dur"]
+        assert launch["args"]["backend"] == "AccCpuSerial"
         assert "AccCpuSerial" in t.render()
         copies = t.registry.instruments("repro_copies_total")
         assert sum(c.value for c in copies) == 1

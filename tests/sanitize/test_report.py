@@ -64,14 +64,15 @@ class TestActivation:
         seen = []
 
         class Obs(ExecutionObserver):
-            def on_sanitizer_report(self, plan, record):
-                seen.append(record)
+            def on_span_end(self, span):
+                if "sanitize_findings" in span.attrs:
+                    seen.append(span.attrs["plan"].kernel)
 
         monkeypatch.setenv(SANITIZE_ENV, "1")
         assert sanitize_active()
         with observe(Obs()):
             _launch(CleanKernel())
-        assert [rec.kernel for rec in seen] == ["CleanKernel"]
+        assert [type(k).__name__ for k in seen] == ["CleanKernel"]
 
     def test_clean_launch_clean_report(self):
         with enabled() as report:
@@ -176,17 +177,20 @@ class TestReportContents:
 
 class TestObserverIntegration:
     def test_on_sanitizer_report_hook_fires(self):
+        """The report reaches observers as the launch span's finding
+        count."""
         seen = []
 
         class Obs(ExecutionObserver):
-            def on_sanitizer_report(self, plan, record):
-                seen.append(record)
+            def on_span_end(self, span):
+                if span.name == "launch":
+                    seen.append(span.attrs.get("sanitize_findings"))
 
         with observe(Obs()):
-            with enabled():
+            with enabled() as report:
                 _launch(RacyKernel())
-        assert len(seen) == 1
-        assert seen[0].kernel == "RacyKernel" and seen[0].findings
+        assert seen == [len(report.launches[0].findings)]
+        assert report.launches[0].kernel == "RacyKernel" and seen[0] > 0
 
     def test_timeline_records_sanitize_event(self):
         from repro import telemetry
@@ -194,10 +198,13 @@ class TestObserverIntegration:
         with telemetry.collect() as t:
             with enabled() as report:
                 _launch(RacyKernel())
-        ev = [e for e in t.events if e.name == "sanitize"]
+        events = telemetry.to_chrome_trace(t)["traceEvents"]
+        ev = [e for e in events if e.get("cat") == "launch"]
         assert len(ev) == 1
-        assert ev[0].args["kernel"] == "RacyKernel"
-        assert ev[0].args["findings"] == len(report.launches[0].findings) > 0
+        assert ev[0]["name"] == "RacyKernel"
+        findings = len(report.launches[0].findings)
+        assert ev[0]["args"]["sanitize_findings"] == findings > 0
+        assert telemetry.summary(t)["sanitizer_findings"] == findings
 
     def test_launch_begin_end_still_fire_when_sanitized(self):
         from repro import CountingObserver

@@ -386,7 +386,9 @@ class TestLoneRequests:
             remote, counts = run(_with_server(server_config, check))
         assert counts["lone"] == counts["inline"] == counts["completed"] == len(pairs)
         paths = [
-            ev.args["path"] for ev in t.events if ev.name == "serve.request"
+            ev["args"]["path"]
+            for ev in telemetry.to_chrome_trace(t)["traceEvents"]
+            if ev["name"] == "serve.request"
         ]
         assert paths == ["inline"] * len(pairs)
         with Gateway(ServeConfig(enable_batching=False)) as gw:
@@ -796,15 +798,15 @@ class TestWireSpans:
                 run(_with_server(server_config, check))
 
         by_name = {}
-        for ev in t.events:
-            by_name.setdefault(ev.name, []).append(ev)
+        for ev in telemetry.to_chrome_trace(t)["traceEvents"]:
+            by_name.setdefault(ev["name"], []).append(ev["args"])
         (request,) = by_name["serve.request"]
         (decode,) = by_name["serve.wire.decode"]
         (encode,) = by_name["serve.wire.encode"]
         for span in (decode, encode):
-            assert span.args["trace_id"] == root.trace_id
-            assert span.args["parent_id"] == request.args["span_id"]
-        sent, received = int(decode.args["bytes"]), int(encode.args["bytes"])
+            assert span["trace_id"] == root.trace_id
+            assert span["parent_id"] == request["span_id"]
+        sent, received = decode["bytes"], encode["bytes"]
         assert x.nbytes + y.nbytes < sent < 1.05 * (x.nbytes + y.nbytes)
         assert y.nbytes < received < 1.05 * y.nbytes
 
@@ -827,3 +829,62 @@ class TestWireSpans:
 
         run(_with_server(server_config, check))
         assert seen == [None, None]  # no context minted for an untraced request
+
+
+class TestTracesEndpoint:
+    """``/traces`` under load: the ops listener reads the span log's last
+    ``serve.request`` records, whether or not a collector runs."""
+
+    REQUESTS = 64
+
+    def _drive(self, server_config, rng, collect):
+        import contextlib
+        import urllib.request
+
+        from repro.telemetry.http import OpsServer
+
+        x, y = rng.standard_normal(256), rng.standard_normal(256)
+
+        async def check(server, client):
+            for i in range(self.REQUESTS + 1):
+                if i == self.REQUESTS - 4:
+                    with pytest.raises(ServeError, match="inline boom"):
+                        await client.launch(
+                            "test_slow_overlap", params={"fail": 1}
+                        )
+                else:
+                    await client.launch(
+                        "axpy", params={"alpha": 2.0},
+                        arrays={"x": x, "y": y},
+                    )
+
+        root = tracing.new_trace()
+        scope = telemetry.collect() if collect else contextlib.nullcontext()
+        with OpsServer() as ops, scope, tracing.use(root):
+            run(_with_server(server_config, check))
+            host, port = ops.address
+            with urllib.request.urlopen(
+                f"http://{host}:{port}/traces?limit=10", timeout=10
+            ) as resp:
+                traces = json.loads(resp.read())["traces"]
+        return root, traces
+
+    @pytest.mark.parametrize("collect", [True, False], ids=["collect", "ops-only"])
+    def test_last_requests_with_their_summary_fields(
+        self, server_config, rng, collect
+    ):
+        from repro.telemetry.http import TRACE_FIELDS
+
+        root, traces = self._drive(server_config, rng, collect)
+        assert len(traces) == 10
+        assert len(TRACE_FIELDS) == 11
+        assert all(set(tr) == set(TRACE_FIELDS) for tr in traces)
+        assert {tr["trace_id"] for tr in traces} == {root.trace_id}
+        failed = [tr for tr in traces if tr["error"]]
+        assert [tr["workload"] for tr in failed] == ["test_slow_overlap"]
+        assert failed[0]["error"] == "RuntimeError"
+        ok = [tr for tr in traces if not tr["error"]]
+        assert {tr["workload"] for tr in ok} == {"axpy"}
+        assert all(tr["latency_s"] > 0 and tr["batch_size"] == 1 for tr in ok)
+        ids = [tr["request_id"] for tr in traces]
+        assert ids == sorted(ids) and len(set(ids)) == 10

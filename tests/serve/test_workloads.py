@@ -238,8 +238,10 @@ class TestPlanReuse:
             def __init__(self):
                 self.seen = {}
 
-            def on_plan_cache(self, plan, hit):
-                self.seen[id(plan)] = plan
+            def on_span_end(self, span):
+                if span.name == "launch":
+                    plan = span.attrs["plan"]
+                    self.seen[id(plan)] = plan
 
         arrays = {name: rng.standard_normal(self.N) for name in names}
         nbytes = arrays["x"].nbytes

@@ -1,4 +1,4 @@
-"""TelemetryCollector: observer hooks → metrics and trace events."""
+"""TelemetryCollector: observer hooks → metrics, and its span-log window."""
 
 from types import SimpleNamespace
 
@@ -18,7 +18,8 @@ from repro import (
     telemetry,
 )
 from repro.kernels.axpy import AxpyKernel
-from repro.telemetry.collector import TelemetryCollector, TraceEvent
+from repro.telemetry import spanlog
+from repro.telemetry.collector import TelemetryCollector
 
 from .conftest import make_noop_task, noop_kernel
 
@@ -29,6 +30,10 @@ def _value(collector, metric, **labels):
         if all(have.get(k) == v for k, v in labels.items()):
             return inst
     return None
+
+
+def _events(collector):
+    return telemetry.to_chrome_trace(collector)["traceEvents"]
 
 
 def _launch_n(queue, task, n):
@@ -113,13 +118,13 @@ class TestLaunchMetrics:
     def test_launch_trace_event_emitted(self, serial_queue):
         with telemetry.collect() as t:
             serial_queue.enqueue(make_noop_task())
-        launches = [e for e in t.events if e.cat == "launch"]
+        launches = [e for e in _events(t) if e.get("cat") == "launch"]
         assert len(launches) == 1
         ev = launches[0]
-        assert ev.ph == "X"
-        assert ev.dur >= 0.0
-        assert ev.args["backend"] == "AccCpuSerial"
-        assert "work_div" in ev.args and "schedule" in ev.args
+        assert ev["ph"] == "X"
+        assert ev["dur"] >= 0.0
+        assert ev["args"]["backend"] == "AccCpuSerial"
+        assert "work_div" in ev["args"] and "schedule" in ev["args"]
 
 
 class TestAuxiliaryHooks:
@@ -144,9 +149,19 @@ class TestAuxiliaryHooks:
         q.destroy()
 
     def test_tuning_cache_hook_rate(self):
-        t = TelemetryCollector()
-        t.on_tuning_cache(noop_kernel, AccCpuSerial, True)
-        t.on_tuning_cache(noop_kernel, AccCpuSerial, False)
+        """Read from ``auto_divide``'s own counts: one tuned division
+        served, one heuristic fallback."""
+        from repro.tuning import auto_divide
+
+        dev = get_dev_by_idx(AccCpuSerial, 0)
+        answers = iter([SimpleNamespace(work_div=WorkDivMembers.make(4, 1, 4)), None])
+        cache = SimpleNamespace(get=lambda *key: next(answers))
+        with telemetry.collect() as t:
+            for _ in range(2):
+                auto_divide(
+                    16, AccCpuSerial.get_acc_dev_props(dev), kernel=noop_kernel,
+                    acc_type=AccCpuSerial, device=dev, cache=cache,
+                )
         assert t.tuning_cache_hit_rate == pytest.approx(0.5)
 
     def test_tuning_cache_none_before_any_auto_launch(self):
@@ -166,17 +181,20 @@ class TestAuxiliaryHooks:
         assert t.tuning_cache_hit_rate is not None
 
     def test_sanitizer_report_hook(self):
-        t = TelemetryCollector()
-        plan = SimpleNamespace(
-            kernel=noop_kernel, acc_type=SimpleNamespace(name="AccCpuSerial")
-        )
-        record = SimpleNamespace(kernel="noop_kernel", findings=[1, 2, 3])
-        t.on_sanitizer_report(plan, record)
+        """A sanitized launch's finding count, read off its launch
+        span."""
+        from repro.sanitize.demos import run_demo
+
+        with telemetry.collect() as t:
+            report = run_demo("racy-gemm", "AccCpuThreads")
+        findings = len(report.launches[0].findings)
         inst = _value(t, "repro_sanitizer_findings_total")
-        assert inst.value == 3
-        instants = [e for e in t.events if e.ph == "i"]
-        assert len(instants) == 1
-        assert instants[0].args == {"kernel": "noop_kernel", "findings": 3}
+        assert inst.value == findings > 0
+        assert dict(inst.labels) == {
+            "kernel": "RacyTiledGemmKernel", "backend": "AccCpuThreads",
+        }
+        (launch,) = [e for e in _events(t) if e.get("cat") == "launch"]
+        assert launch["args"]["sanitize_findings"] == findings
 
     def test_span_end_records_histogram_and_event(self, serial_queue):
         with telemetry.collect() as t:
@@ -187,32 +205,43 @@ class TestAuxiliaryHooks:
             for i in t.registry.instruments("repro_span_seconds")
         ]
         assert "mem.memset" in spans
-        assert any(e.cat == "mem" for e in t.events)
+        assert any(e.get("cat") == "mem" for e in _events(t))
 
 
 class TestEventBuffer:
-    def test_bounded_buffer_counts_drops(self, serial_queue):
+    def test_bounded_buffer_counts_drops(self):
+        """The span log keeps the last CAPACITY records; a window it
+        wrapped says how many it lost."""
+        extra = 3
         with telemetry.collect() as t:
-            t.max_events = 1
-            _launch_n(serial_queue, make_noop_task(), 3)
-        assert len(t.events) == 1
-        assert t.dropped_events >= 2
+            for _ in range(spanlog.CAPACITY + extra):
+                telemetry.record_span("tick", 0.0, 0.0)
+        records, dropped = t.window()
+        assert len(records) == spanlog.CAPACITY
+        assert dropped == t.dropped_events == extra
+        trace = telemetry.to_chrome_trace(t)
+        assert trace["otherData"]["dropped_events"] == extra
 
     def test_record_blocks_emits_block_events(self, serial_queue):
         with telemetry.collect(record_blocks=True) as t:
             serial_queue.enqueue(make_noop_task(blocks=5))
-        blocks = [e for e in t.events if e.cat == "block"]
+        blocks = [e for e in _events(t) if e.get("cat") == "block"]
         assert len(blocks) == 5
-        assert all(e.ph == "X" for e in blocks)
+        assert all(e["ph"] == "X" for e in blocks)
 
     def test_blocks_not_traced_by_default(self, serial_queue):
         with telemetry.collect() as t:
             serial_queue.enqueue(make_noop_task(blocks=5))
-        assert not [e for e in t.events if e.cat == "block"]
+        assert not [e for e in _events(t) if e.get("cat") == "block"]
 
-    def test_trace_event_repr(self):
-        ev = TraceEvent("k", "launch", "X", 1.0, dur=2.0)
-        assert "launch/k" in repr(ev)
+    def test_window_ends_when_the_block_exits(self, serial_queue):
+        with telemetry.collect() as t:
+            serial_queue.enqueue(make_noop_task())
+        with telemetry.collect():
+            serial_queue.enqueue(make_noop_task())
+        assert [r["kind"] for r in t.window()[0]] == [
+            "plan.build", "launch", "queue.drain",
+        ]
 
 
 class TestIsolationAndQueries:

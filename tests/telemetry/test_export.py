@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro import telemetry
-from repro.telemetry.collector import TelemetryCollector
 from repro.telemetry.export import (
     TRACE_PID,
     TraceValidationError,
@@ -44,20 +43,6 @@ class TestChromeTrace:
             assert ev["ts"] >= 0.0
             assert ev["pid"] == TRACE_PID
             assert isinstance(ev["tid"], int)
-
-    def test_instant_events_have_thread_scope(self):
-        t = TelemetryCollector()
-        from types import SimpleNamespace
-
-        plan = SimpleNamespace(
-            kernel="k", acc_type=SimpleNamespace(name="AccCpuSerial")
-        )
-        t.on_sanitizer_report(
-            plan, SimpleNamespace(kernel="k", findings=[])
-        )
-        trace = to_chrome_trace(t)
-        instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
-        assert instants and all(e["s"] == "t" for e in instants)
 
     def test_trace_validates_and_roundtrips_json(self, collected):
         trace = to_chrome_trace(collected)

@@ -6,6 +6,7 @@ import urllib.request
 
 import pytest
 
+from repro import telemetry
 from repro.telemetry import http as ops_http
 from repro.telemetry import tracing
 from repro.telemetry.http import (
@@ -98,15 +99,20 @@ def test_health_provider_exception_counts_as_down():
 
 
 def test_traces_endpoint_tails_store(server):
-    store = tracing.trace_store()
-    store.clear()
+    """A running listener arms the span log; ``/traces`` serves the
+    last ``serve.request`` records, with exactly the summary fields."""
     for i in range(5):
-        store.add({"trace_id": f"t{i}", "workload": "axpy"})
+        telemetry.record_span(
+            "serve.request", 0.0, 0.001, cat="serve",
+            trace=tracing.TraceContext(f"t{i}", "s"), workload="axpy",
+        )
+        telemetry.record_span("serve.other", 0.0, 0.001, cat="serve")
     status, payload = _get_json(server, "/traces?limit=2")
     assert status == 200
     assert [t["trace_id"] for t in payload["traces"]] == ["t3", "t4"]
-    assert payload["stats"]["seen"] == 5
-    store.clear()
+    assert all(set(t) == set(ops_http.TRACE_FIELDS) for t in payload["traces"])
+    assert payload["traces"][0]["latency_s"] is None
+    assert payload["stats"]["kept"] == 2
 
 
 def test_unknown_route_404(server):

@@ -1,5 +1,5 @@
-"""W3C trace-context propagation: traceparent parsing, child spans,
-ambient thread-local context, and the tail-sampled trace store."""
+"""W3C trace-context propagation: traceparent parsing, child spans and
+the ambient thread-local context."""
 
 import re
 import threading
@@ -8,14 +8,11 @@ import pytest
 
 from repro.telemetry import tracing
 from repro.telemetry.tracing import (
-    TRACE_SAMPLE_ENV,
     TRACEPARENT_ENV,
     TraceContext,
-    TraceStore,
     from_env,
     from_traceparent,
     new_trace,
-    trace_store,
 )
 
 
@@ -129,38 +126,3 @@ def test_ambient_context_is_thread_local():
     t.join()
     assert seen["other_thread"] is None
     assert tracing.current() is ctx
-
-
-# -- TraceStore -------------------------------------------------------------
-
-
-def test_trace_store_ring_bound():
-    store = TraceStore(capacity=4)
-    for i in range(10):
-        store.add({"trace_id": f"t{i}"})
-    recent = store.recent()
-    assert len(recent) == 4
-    assert recent[-1]["trace_id"] == "t9"
-    stats = store.stats()
-    assert stats["seen"] == 10
-    assert stats["kept"] == 4  # ring bound; nothing sampled out
-    assert stats["sampled_out"] == 0
-
-
-def test_trace_store_tail_sampling_keeps_errors():
-    store = TraceStore(capacity=64, sample_every=5)
-    for i in range(10):
-        store.add({"trace_id": f"ok{i}"})
-    ok_kept = len(store.recent())
-    assert ok_kept == 2  # 1-in-5
-    store.add({"trace_id": "boom", "error": "KernelError"})
-    kept = [t["trace_id"] for t in store.recent()]
-    assert "boom" in kept  # errors bypass sampling
-
-
-def test_trace_store_singleton_reads_sample_env(monkeypatch):
-    monkeypatch.setenv(TRACE_SAMPLE_ENV, "3")
-    monkeypatch.setattr(tracing, "_store", None)
-    store = trace_store()
-    assert store.sample_every == 3
-    assert trace_store() is store

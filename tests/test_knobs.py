@@ -25,7 +25,6 @@ CASES = {
     knobs.TELEMETRY_EXPORT: ("t.json", "t.json", None),
     knobs.TRACEPARENT: ("00-" + "a" * 32 + "-" + "b" * 16 + "-01",) * 2
     + (None,),
-    knobs.TRACE_SAMPLE: ("3", 3, "often"),
     knobs.TELEMETRY_HTTP: (":0", ("127.0.0.1", 0), "localhost"),
     knobs.FLIGHT_RECORDER_DIR: ("/tmp/flight", "/tmp/flight", None),
     knobs.SERVE_HOST: ("0.0.0.0", "0.0.0.0", None),
@@ -47,7 +46,7 @@ def _bare_env(monkeypatch):
 
 def test_exactly_the_declared_surface():
     assert set(CASES) == set(knobs.KNOBS)
-    assert len(knobs.KNOBS) == 20
+    assert len(knobs.KNOBS) == 19
     assert all(env.startswith(knobs.PREFIX) for env in knobs.KNOBS)
 
 
@@ -204,7 +203,7 @@ def test_effective_reports_sources_and_unrecognised(monkeypatch):
     monkeypatch.setenv(knobs.TUNING_CACHE, "")  # blank = unset
     monkeypatch.setenv("REPRO_SCHEDULAR", "compiled")
     config = knobs.effective()
-    assert len(config["knobs"]) == 20
+    assert len(config["knobs"]) == 19
     assert config["unrecognised"] == ["REPRO_SCHEDULAR"]
     assert config["knobs"][knobs.SCHEDULER] == {
         "value": "compiled", "raw": "compiled", "source": "env",

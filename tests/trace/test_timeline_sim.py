@@ -1,4 +1,4 @@
-"""The launch timeline in the telemetry trace buffer: simulated-clock
+"""The launch timeline in the exported telemetry trace: simulated-clock
 capture and sanitizer finding counts (formerly ``TimelineObserver``)."""
 
 import numpy as np
@@ -14,6 +14,10 @@ from repro import (
     telemetry,
 )
 from repro.kernels.axpy import AxpyKernel
+
+
+def _events(collector):
+    return telemetry.to_chrome_trace(collector)["traceEvents"]
 
 
 def _axpy_task(dev, n=32):
@@ -36,20 +40,20 @@ class TestSimTimeCapture:
         before = dev.sim_time_fs
         with telemetry.collect() as t:
             q.enqueue(task)
-        launch = next(e for e in t.events if e.cat == "launch")
-        assert launch.args["sim_time_fs"] == before
+        launch = next(e for e in _events(t) if e.get("cat") == "launch")
+        assert launch["args"]["sim_time_fs"] == before
         # AxpyKernel describes its cost, so the modeled clock advanced.
-        assert launch.args["modeled_s"] > 0
-        assert dev.sim_time_fs > launch.args["sim_time_fs"]
+        assert launch["args"]["modeled_s"] > 0
+        assert dev.sim_time_fs > launch["args"]["sim_time_fs"]
 
     def test_block_events_have_no_device(self):
         dev = get_dev_by_idx(AccGpuCudaSim, 0)
         q, task = _axpy_task(dev)
         with telemetry.collect(record_blocks=True) as t:
             q.enqueue(task)
-        blocks = [e for e in t.events if e.cat == "block"]
+        blocks = [e for e in _events(t) if e.get("cat") == "block"]
         assert blocks
-        assert all("sim_time_fs" not in e.args for e in blocks)
+        assert all("sim_time_fs" not in e["args"] for e in blocks)
 
 
 class TestSanitizeDetail:
@@ -68,7 +72,7 @@ class TestSanitizeDetail:
         )
         with telemetry.collect() as t:
             report = sanitize_task(task, dev)
-        ev = next(e for e in t.events if e.name == "sanitize")
-        assert ev.args["findings"] == len(report.launches[0].findings)
-        assert ev.args["kernel"] == "AxpyKernel"
+        ev = next(e for e in _events(t) if e.get("cat") == "launch")
+        assert ev["args"]["sanitize_findings"] == len(report.launches[0].findings)
+        assert ev["name"] == "AxpyKernel"
         x.free()

@@ -520,11 +520,15 @@ class TestFleetObservability:
             ring = rec.events()
         finally:
             flight.deactivate()
-        spans = {e.name: e for e in t.events if e.cat == "fleet"}
+        spans = {
+            e["name"]: e["args"]
+            for e in telemetry.to_chrome_trace(t)["traceEvents"]
+            if e.get("cat") == "fleet"
+        }
         assert {"fleet.get", "fleet.lease", "fleet.put"} <= set(spans)
-        assert spans["fleet.lease"].args["trace_id"] == root.trace_id
+        assert spans["fleet.lease"]["trace_id"] == root.trace_id
         kinds = {e["kind"]: e for e in ring if e.get("cat") == "fleet"}
         assert {"fleet.lease", "fleet.put"} <= set(kinds)
         for kind in ("fleet.lease", "fleet.put"):
             assert kinds[kind]["trace_id"] == root.trace_id
-            assert kinds[kind]["key"] == spans["fleet.lease"].args["key"]
+            assert kinds[kind]["key"] == spans["fleet.lease"]["key"]
