@@ -182,8 +182,8 @@ TRACEPARENT = _declare(
 TELEMETRY_HTTP = _declare(
     "REPRO_TELEMETRY_HTTP", _host_port, None,
     "`host:port` of the serving gateway's ops listener: `/metrics`, `/healthz` "
-    "(readiness + this table's effective values), `/traces` (the last requests in the "
-    "span log, which a running listener keeps); port `0` is ephemeral; a malformed value "
+    "(readiness + this table's effective values), `/traces` (the last traced or "
+    "failed requests, from the span log; the launch path stays unobserved); port `0` is ephemeral; a malformed value "
     "warns and leaves it off.", strict=False)
 FLIGHT_RECORDER_DIR = _declare(
     "REPRO_FLIGHT_RECORDER_DIR", str, None,

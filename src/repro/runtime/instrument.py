@@ -163,8 +163,10 @@ class CountingObserver(ExecutionObserver):
 
     Launches, blocks, copies and queue drains are counted as their
     spans close.  The cache counts are the resolutions since the
-    observer was made, read from the caches whenever a span closes:
-    they stop moving once it is unregistered.
+    observer was made, read from the caches on every read while it is
+    registered and whenever a span other than a copy or a drain closes
+    (a launch, graph run or plan build follows each resolution): they
+    stop moving once it is unregistered.
     ``plan_cache_hit_rate`` is the fraction of plan resolutions served
     from the LRU cache, the quantity the launch-overhead bench reports.
     """
@@ -179,17 +181,19 @@ class CountingObserver(ExecutionObserver):
         self._base = self._caches = cache_resolutions()
 
     def on_span_end(self, span) -> None:
+        if span.cat == "mem":
+            with self._lock:
+                self.copies += 1
+            return
+        if span.name == "queue.drain":
+            with self._lock:
+                self.queue_drains += 1
+            return
         if span.name == "launch":
             name = span.attrs["plan"].acc_type.name
             with self._lock:
                 self.launches += 1
                 self.per_backend[name] = self.per_backend.get(name, 0) + 1
-        elif span.cat == "mem":
-            with self._lock:
-                self.copies += 1
-        elif span.name == "queue.drain":
-            with self._lock:
-                self.queue_drains += 1
         self._caches = cache_resolutions()
 
     def on_block_end(self, plan, block_idx, seconds: float) -> None:
@@ -197,6 +201,8 @@ class CountingObserver(ExecutionObserver):
             self.blocks += 1
 
     def _cache_counts(self) -> Dict[str, int]:
+        if self in _observers:
+            self._caches = cache_resolutions()
         return {
             key: now - base
             for key, now, base in zip(CACHE_KEYS, self._caches, self._base)

@@ -43,9 +43,9 @@ import time
 from typing import Dict, Optional
 
 from ..runtime.instrument import observers
-from ..telemetry import flight, tracing
+from ..telemetry import flight, spanlog, tracing
 from ..telemetry import http as ops_http
-from ..telemetry.spans import record_span
+from ..telemetry.spans import closed_span
 from .admission import FairShareAdmission
 from .batcher import Batcher
 from .config import ServeConfig, config_from_env
@@ -312,24 +312,29 @@ class Gateway:
             self._wake()
         record_completion(request.tenant, latency, ok)
         # The request's own span, announced after the fact (the gateway
-        # only learns the endpoints here) — free when unobserved.
-        record_span(
-            "serve.request",
-            now - latency,
-            now,
-            cat="serve",
-            trace=request.trace,
-            error=type(error).__name__ if error is not None else None,
-            workload=request.workload,
-            tenant=request.tenant,
-            lane=lane.label,
-            batch_size=batch_size,
-            batch_wait_s=batch_wait,
-            held=held,
-            path=batch.path,
-            request_id=request.request_id,
-            latency_s=round(latency, 6),
-        )
+        # only learns the endpoints here) — free when nothing observes
+        # and no ops listener keeps the traced and the failed requests.
+        trace = request.trace
+        if observers() or (
+            spanlog.listening() and (trace is not None or error is not None)
+        ):
+            failure = None if ok else f"{type(error).__name__}: {error}"
+            spanlog.announce(
+                closed_span(
+                    "serve.request", now - latency, now, "serve", trace, failure, None,
+                    {
+                        "workload": request.workload,
+                        "tenant": request.tenant,
+                        "lane": lane.label,
+                        "batch_size": batch_size,
+                        "batch_wait_s": batch_wait,
+                        "held": held,
+                        "path": batch.path,
+                        "request_id": request.request_id,
+                        "latency_s": round(latency, 6),
+                    },
+                )
+            )
         with self._handles_lock:
             handle = self._handles.pop(request.request_id, None)
             if ok:

@@ -137,10 +137,10 @@ def collect(
     collector = TelemetryCollector(
         label=label, registry=registry, record_blocks=record_blocks
     )
-    spanlog.arm()
+    spanlog.arm(window=True)
     try:
         with observe(collector):
             yield collector
     finally:
         collector.close()
-        spanlog.disarm()
+        spanlog.disarm(window=True)

@@ -79,7 +79,7 @@ def activate(label: str = "session", export_path: Optional[str] = None):
         from .metrics import registry
 
         _session = TelemetryCollector(label=label, registry=registry())
-        spanlog.arm()
+        spanlog.arm(window=True)
         register_observer(_session)
         if not _atexit_armed:
             atexit.register(_report_at_exit, export_path)
@@ -98,7 +98,7 @@ def deactivate() -> None:
 
         unregister_observer(_session)
         _session.close()
-        spanlog.disarm()
+        spanlog.disarm(window=True)
         _session = None
 
 

@@ -19,11 +19,14 @@ registry source copies the caches' own counts since the collector
 started into ``repro_plan_cache_total`` / ``repro_tuning_cache_total``.
 
 The **timeline** is the span log's (:mod:`repro.telemetry.spanlog`):
-a collector remembers where the log stood when it started (and when it
-closed), and :func:`~repro.telemetry.export.to_chrome_trace` exports
-the records in between.  If the ring overwrote some of them,
-:attr:`TelemetryCollector.dropped_events` counts them and the report
-says so — a truncated trace must never masquerade as a complete one.
+a collector remembers where the log stood when it started, takes the
+records closed since when it closes, and
+:func:`~repro.telemetry.export.to_chrome_trace` exports them.  Block
+records (``record_blocks=True``) carry the collector that asked for
+them, and only that collector's window holds them.  If the ring
+overwrote some of the window, :attr:`TelemetryCollector.dropped_events`
+counts them and the report says so — a truncated trace must never
+masquerade as a complete one.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ class TelemetryCollector(ExecutionObserver):
     ``telemetry.collect()`` block sees only its own numbers; the
     environment-activated session collector records into the
     process-wide registry instead.  :func:`repro.telemetry.collect`
-    and the session arm the span log while they run; :meth:`close`
-    ends the collector's window.
+    and the session arm the span log, with a window, while they run;
+    :meth:`close` ends the collector's window.
     """
 
     def __init__(
@@ -72,7 +75,7 @@ class TelemetryCollector(ExecutionObserver):
         self.record_blocks = record_blocks
         self._t0 = time.perf_counter()
         self._seq0 = spanlog.log().seq
-        self._seq1: Optional[int] = None
+        self._closed: Optional[Tuple[List[Dict[str, object]], int]] = None
         self._caches0 = cache_resolutions()
         self.registry.add_source(self._fill_caches)
 
@@ -94,18 +97,26 @@ class TelemetryCollector(ExecutionObserver):
                     ).set_total(n)
 
     def close(self) -> None:
-        """End the window: the span range and the cache counts stop
-        where they are.  Idempotent."""
-        if self._seq1 is None:
-            self._seq1 = spanlog.log().seq
+        """End the window: its records and the cache counts stop where
+        they are.  Idempotent."""
+        if self._closed is None:
+            self._closed = self.window()
             self._fill_caches(self.registry)
             self.registry.remove_source(self._fill_caches)
 
     def window(self) -> Tuple[List[Dict[str, object]], int]:
         """The span-log records closed in this collector's window that
-        the ring still holds (oldest first), and how many of the window
-        it overwrote."""
-        return spanlog.log().since(self._seq0, self._seq1)
+        the ring still holds (oldest first; block records only if this
+        collector asked for them), and how many of the window it
+        overwrote."""
+        if self._closed is not None:
+            return self._closed
+        records, dropped = spanlog.log().since(self._seq0)
+        mine = id(self)
+        return [
+            r for r in records
+            if r["cat"] != "block" or r.get("collector") == mine
+        ], dropped
 
     @property
     def dropped_events(self) -> int:
@@ -191,7 +202,8 @@ class TelemetryCollector(ExecutionObserver):
         if self.record_blocks:
             spanlog.note(
                 f"block {block_idx!r}", "block",
-                t0=time.perf_counter() - seconds, wall_s=seconds, **labels,
+                t0=time.perf_counter() - seconds, wall_s=seconds,
+                collector=id(self), **labels,
             )
 
     def _on_graph_run(self, span) -> None:

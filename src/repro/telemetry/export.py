@@ -50,6 +50,10 @@ __all__ = [
 #: :func:`stitch_traces` can remap it.
 TRACE_PID = 1
 
+#: Record fields a slice's ``args`` leave out: the placement, and the
+#: collector a block record belongs to.
+_NOT_ARGS = PLACEMENT | {"collector"}
+
 _VALID_PHASES = {"X", "i", "B", "E", "M", "C", "s", "t", "f"}
 _FLOW_PHASES = {"s", "t", "f"}
 
@@ -68,7 +72,7 @@ def _slices(records, t0: float) -> Iterable[dict]:
             continue  # a count and a flight-recorder event, not slices
         args = {
             k: v for k, v in rec.items()
-            if k not in PLACEMENT and v is not None
+            if k not in _NOT_ARGS and v is not None
         }
         ts = (rec["t0"] - t0) * 1e6
         event = {

@@ -62,7 +62,7 @@ __all__ = [
 FLIGHT_ENV = knobs.FLIGHT_RECORDER_DIR
 
 #: Records a dump writes (the span log's last ones).
-RING_CAPACITY = 256
+RING_CAPACITY = spanlog.TAIL
 
 _lock = threading.Lock()
 _recorder: Optional["FlightRecorder"] = None
@@ -97,10 +97,11 @@ class FlightRecorder(ExecutionObserver):
 
     def events(self) -> List[Dict[str, object]]:
         """The records a dump would write now: the last
-        :data:`RING_CAPACITY` since the recorder started, oldest first."""
-        log = spanlog.log()
-        start = max(self._since, log.seq - RING_CAPACITY)
-        return log.since(start)[0][-RING_CAPACITY:]
+        :data:`RING_CAPACITY` since the recorder started, oldest first.
+        Block records (a collector's ``record_blocks``) are left out:
+        one block-traced grid would push every launch out of the dump."""
+        records = spanlog.log().since(self._since)[0]
+        return [r for r in records if r["cat"] != "block"][-RING_CAPACITY:]
 
     def dump(self, reason: str, error: Optional[str] = None) -> Optional[str]:
         """Write the last records to ``flight-<pid>-<seq>.json``;

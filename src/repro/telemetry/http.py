@@ -12,8 +12,10 @@ observability surface to ``curl`` / Prometheus / a dashboard:
   gateway registers its lanes and pump);
 * ``/traces`` — the last completed requests: the span log's
   ``serve.request`` records (:mod:`repro.telemetry.spanlog`), newest
-  last; ``?limit=N`` bounds the reply.  A running listener arms the
-  log, so every request is recorded while it serves.
+  last; ``?limit=N`` bounds the reply.  While a listener runs, the
+  gateway adds the record of every traced or failed request to the
+  log (every request, if the log is armed anyway); the launch path
+  stays unobserved.
 
 Opt-in via ``REPRO_TELEMETRY_HTTP=host:port`` (``:0`` picks a free
 port; the bound address is printed once) or programmatically::
@@ -152,7 +154,7 @@ class _OpsHandler(BaseHTTPRequestHandler):
                     {
                         "stats": {
                             "kept": len(records),
-                            "capacity": spanlog.CAPACITY,
+                            "capacity": spanlog.log().capacity,
                         },
                         "traces": [
                             {k: r.get(k) for k in TRACE_FIELDS}
@@ -193,7 +195,7 @@ class OpsServer:
         httpd = ThreadingHTTPServer((self.host, self.port), _OpsHandler)
         httpd.daemon_threads = True
         self._httpd = httpd
-        spanlog.arm()
+        spanlog.listen()
         self.host, self.port = httpd.server_address[:2]
         self._thread = threading.Thread(
             target=httpd.serve_forever,
@@ -209,7 +211,7 @@ class OpsServer:
         if httpd is not None:
             httpd.shutdown()
             httpd.server_close()
-            spanlog.disarm()
+            spanlog.listen(False)
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None

@@ -20,7 +20,18 @@ a ring of plans would keep device buffers alive).  Every record has
 
 The log observes the runtime only while a reader is armed
 (:func:`arm` / :func:`disarm`, counted): with none, ``span()`` and
-``record_span()`` still return after one falsy check.
+``record_span()`` still return after one falsy check.  The ops
+listener is no such reader: it reads only ``serve.request`` records,
+which the gateway adds itself while the listener runs
+(:func:`listen`, :func:`announce`), so a running listener leaves the
+launch path unobserved.
+
+The ring keeps the last :data:`CAPACITY` records while a collector's
+window is open (``arm(window=True)``: ``collect()``, the session
+collector) and the last :data:`TAIL` otherwise, which is what the
+flight dump and ``/traces`` read.  A record is about 0.4-1 KB, so a
+process that only dumps flight records or serves ``/traces`` holds
+hundreds of KB, not the tens of MB a full window takes.
 """
 
 from __future__ import annotations
@@ -34,17 +45,24 @@ from typing import Dict, List, Optional, Tuple
 from ..core.kernel import kernel_name
 from ..runtime.instrument import (
     ExecutionObserver,
+    notify_span_end,
     register_observer,
     unregister_observer,
 )
 
 __all__ = [
-    "CAPACITY", "PLACEMENT", "SpanLog", "log", "arm", "disarm", "to_record",
-    "note",
+    "CAPACITY", "TAIL", "PLACEMENT", "SpanLog", "log", "arm", "disarm",
+    "listen", "listening", "announce", "to_record", "note",
 ]
 
-#: Records the ring keeps.
-CAPACITY = 8192
+#: Records the ring keeps while a collector's window is open: the bound
+#: the collector's event list had, so a window holds as much history
+#: (the last records now, where the list kept the first).
+CAPACITY = 100_000
+
+#: Records the ring keeps while no window is open: the flight dump's
+#: length, and the ``serve.request`` records ``/traces`` can serve.
+TAIL = 256
 
 #: The fields every record has that place it rather than describe it.
 PLACEMENT = frozenset(("kind", "cat", "ts", "t0", "wall_s", "tid"))
@@ -115,10 +133,23 @@ class SpanLog(ExecutionObserver):
     closed since, and learn how much of it the ring overwrote."""
 
     def __init__(self):
-        self._ring: deque = deque(maxlen=CAPACITY)
+        self._ring: deque = deque(maxlen=TAIL)
         self._lock = threading.Lock()
         self.seq = 0
         self._readers = 0
+        self._windows = 0
+        self._listeners = 0
+
+    @property
+    def capacity(self) -> int:
+        """Records the ring keeps now (:data:`CAPACITY` or :data:`TAIL`)."""
+        return self._ring.maxlen
+
+    def _resize(self) -> None:
+        maxlen = CAPACITY if self._windows else TAIL
+        if self._ring.maxlen != maxlen:
+            with self._lock:
+                self._ring = deque(self._ring, maxlen=maxlen)
 
     def on_span_end(self, span) -> None:
         self.add(to_record(span))
@@ -128,21 +159,13 @@ class SpanLog(ExecutionObserver):
             self._ring.append(record)
             self.seq += 1
 
-    def since(
-        self, seq0: int, seq1: Optional[int] = None
-    ) -> Tuple[List[Dict[str, object]], int]:
-        """The records added after the ``seq0``-th up to the ``seq1``-th
-        (default: the last), and how many of those the ring overwrote."""
+    def since(self, seq0: int) -> Tuple[List[Dict[str, object]], int]:
+        """The records added after the ``seq0``-th, and how many of
+        those the ring overwrote."""
         with self._lock:
-            end = self.seq if seq1 is None else min(seq1, self.seq)
             first = self.seq - len(self._ring)
             start = max(seq0, first)
-            if end <= start:
-                return [], max(0, end - seq0)
-            return (
-                list(itertools.islice(self._ring, start - first, end - first)),
-                start - seq0,
-            )
+            return list(itertools.islice(self._ring, start - first, None)), start - seq0
 
     def recent(
         self, limit: int = CAPACITY, kind: Optional[str] = None
@@ -187,20 +210,48 @@ def log() -> SpanLog:
     return _log
 
 
-def arm() -> SpanLog:
-    """A reader starts: the log observes while any reader is armed."""
+def arm(window: bool = False) -> SpanLog:
+    """A reader starts: the log observes while any reader is armed.  A
+    collector's ``window`` keeps the ring at :data:`CAPACITY` until it
+    is disarmed."""
     with _arm_lock:
         _log._readers += 1
         if _log._readers == 1:
             register_observer(_log)
+        _log._windows += window
+        _log._resize()
     return _log
 
 
-def disarm() -> None:
-    """A reader stops (idempotent past zero)."""
+def disarm(window: bool = False) -> None:
+    """A reader stops (idempotent past zero).  The last window to close
+    shrinks the ring to its last :data:`TAIL` records."""
     with _arm_lock:
         if _log._readers == 0:
             return
         _log._readers -= 1
         if _log._readers == 0:
             unregister_observer(_log)
+        _log._windows = max(0, _log._windows - window)
+        _log._resize()
+
+
+def listen(on: bool = True) -> None:
+    """The ops listener starts (``on=False``: stops): the gateway adds
+    the ``serve.request`` records it serves (:func:`announce`); the log
+    observes nothing for it."""
+    with _arm_lock:
+        _log._listeners = max(0, _log._listeners + (1 if on else -1))
+
+
+def listening() -> bool:
+    """Is an ops listener reading the log?  One attribute read."""
+    return _log._listeners > 0
+
+
+def announce(span) -> None:
+    """Announce a closed span to the observers; if a listener reads the
+    log while the log observes nothing, add the span's record directly."""
+    notify_span_end(span)
+    if _log._listeners and not _log._readers:
+        _log.add(to_record(span))

@@ -43,7 +43,9 @@ from ..runtime import instrument as _instrument
 from ..runtime.instrument import notify_span_end
 from . import tracing
 
-__all__ = ["Span", "span", "record_span", "sim_interval", "NULL_SPAN"]
+__all__ = [
+    "Span", "span", "record_span", "closed_span", "sim_interval", "NULL_SPAN",
+]
 
 _ids_lock = threading.Lock()
 _next_id = 0
@@ -208,15 +210,19 @@ def record_span(
     """
     if not _instrument._observers:
         return None
+    sp = closed_span(name, t0, t1, cat, trace, error, device, attrs)
+    notify_span_end(sp)
+    return sp
+
+
+def closed_span(name, t0, t1, cat, trace, error, device, attrs) -> Span:
+    """The closed span :func:`record_span` announces (same arguments,
+    ``attrs`` a dict), announced to no one."""
     sp = Span(name, cat, device, attrs)
     sp.thread_id = threading.get_ident()
-    if t0 is None:
-        t0 = time.perf_counter()
-    sp.t0 = t0
-    sp.t1 = t0 if t1 is None else t1
-    sp.trace = trace
-    sp.error = error
-    notify_span_end(sp)
+    sp.t0 = time.perf_counter() if t0 is None else t0
+    sp.t1 = sp.t0 if t1 is None else t1
+    sp.trace, sp.error = trace, error
     return sp
 
 

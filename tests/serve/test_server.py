@@ -11,6 +11,7 @@ import pytest
 
 from repro import knobs, telemetry
 from repro.core.errors import ServeError
+from repro.runtime.instrument import observers
 from repro.serve import Gateway, ServeConfig, Workload, register_workload
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
@@ -844,9 +845,11 @@ class TestTracesEndpoint:
         from repro.telemetry.http import OpsServer
 
         x, y = rng.standard_normal(256), rng.standard_normal(256)
+        seen = set()
 
         async def check(server, client):
             for i in range(self.REQUESTS + 1):
+                seen.update(observers())
                 if i == self.REQUESTS - 4:
                     with pytest.raises(ServeError, match="inline boom"):
                         await client.launch(
@@ -860,6 +863,7 @@ class TestTracesEndpoint:
 
         root = tracing.new_trace()
         scope = telemetry.collect() if collect else contextlib.nullcontext()
+        seq = telemetry.spanlog.log().seq
         with OpsServer() as ops, scope, tracing.use(root):
             run(_with_server(server_config, check))
             host, port = ops.address
@@ -867,7 +871,8 @@ class TestTracesEndpoint:
                 f"http://{host}:{port}/traces?limit=10", timeout=10
             ) as resp:
                 traces = json.loads(resp.read())["traces"]
-        return root, traces
+        kinds = {r["kind"] for r in telemetry.spanlog.log().since(seq)[0]}
+        return root, traces, seen, kinds
 
     @pytest.mark.parametrize("collect", [True, False], ids=["collect", "ops-only"])
     def test_last_requests_with_their_summary_fields(
@@ -875,16 +880,27 @@ class TestTracesEndpoint:
     ):
         from repro.telemetry.http import TRACE_FIELDS
 
-        root, traces = self._drive(server_config, rng, collect)
+        root, traces, _, _ = self._drive(server_config, rng, collect)
         assert len(traces) == 10
         assert len(TRACE_FIELDS) == 11
         assert all(set(tr) == set(TRACE_FIELDS) for tr in traces)
         assert {tr["trace_id"] for tr in traces} == {root.trace_id}
         failed = [tr for tr in traces if tr["error"]]
         assert [tr["workload"] for tr in failed] == ["test_slow_overlap"]
-        assert failed[0]["error"] == "RuntimeError"
+        assert failed[0]["error"] == "RuntimeError: inline boom"
         ok = [tr for tr in traces if not tr["error"]]
         assert {tr["workload"] for tr in ok} == {"axpy"}
         assert all(tr["latency_s"] > 0 and tr["batch_size"] == 1 for tr in ok)
         ids = [tr["request_id"] for tr in traces]
         assert ids == sorted(ids) and len(set(ids)) == 10
+
+    def test_listener_alone_leaves_the_launch_path_unobserved(
+        self, server_config, rng
+    ):
+        """With only the ops listener running nothing observes the
+        runtime: no observer is registered while requests run, and the
+        log gains the requests' records and nothing else."""
+        _, traces, seen, kinds = self._drive(server_config, rng, False)
+        assert len(traces) == 10
+        assert seen == set()
+        assert kinds == {"serve.request"}

@@ -234,6 +234,18 @@ class TestEventBuffer:
             serial_queue.enqueue(make_noop_task(blocks=5))
         assert not [e for e in _events(t) if e.get("cat") == "block"]
 
+    def test_block_events_stay_in_the_window_that_asked(self, serial_queue):
+        """Block records carry their collector: a window open beside a
+        block-tracing one sees the launch, not the blocks."""
+        with telemetry.collect() as plain:
+            with telemetry.collect(record_blocks=True) as blocks:
+                serial_queue.enqueue(make_noop_task(blocks=5))
+        cats = [e.get("cat") for e in _events(plain)]
+        assert "launch" in cats and "block" not in cats
+        block_events = [e for e in _events(blocks) if e.get("cat") == "block"]
+        assert len(block_events) == 5
+        assert all("collector" not in e["args"] for e in block_events)
+
     def test_window_ends_when_the_block_exits(self, serial_queue):
         with telemetry.collect() as t:
             serial_queue.enqueue(make_noop_task())

@@ -157,6 +157,26 @@ def test_launches_recorded_while_active(rec):
     assert kinds == ["mem.copy", "queue.drain"]
 
 
+def test_dump_leaves_block_records_out(rec):
+    """A block-traced grid must not push the launches out of a dump."""
+    from repro import telemetry
+
+    dev = get_dev_by_idx(AccCpuSerial, 0)
+    out = mem.alloc(dev, 8)
+    blocks = flight.RING_CAPACITY + 8
+    with telemetry.collect(record_blocks=True) as t:
+        QueueBlocking(dev).enqueue(
+            create_task_kernel(
+                AccCpuSerial, WorkDivMembers.make(blocks, 1, 1), _noop, 8, out
+            )
+        )
+    assert sum(r["cat"] == "block" for r in t.window()[0]) == blocks
+    kinds = [e["kind"] for e in rec.events()]
+    assert "launch" in kinds
+    assert not [e for e in rec.events() if e["cat"] == "block"]
+    out.free()
+
+
 def test_span_events_hold_only_json_ready_values(rec):
     """A launch span carries its plan and a graph run its stats; the
     ring keeps neither (a plan memoises its last argument tuple)."""

@@ -7,8 +7,10 @@ import urllib.request
 import pytest
 
 from repro import telemetry
+from repro.runtime.instrument import observers
 from repro.telemetry import http as ops_http
-from repro.telemetry import tracing
+from repro.telemetry import spanlog, tracing
+from repro.telemetry.spans import closed_span
 from repro.telemetry.http import (
     TELEMETRY_HTTP_ENV,
     OpsServer,
@@ -99,20 +101,25 @@ def test_health_provider_exception_counts_as_down():
 
 
 def test_traces_endpoint_tails_store(server):
-    """A running listener arms the span log; ``/traces`` serves the
-    last ``serve.request`` records, with exactly the summary fields."""
+    """A running listener leaves the runtime unobserved; ``/traces``
+    serves the last ``serve.request`` records the gateway announced,
+    with exactly the summary fields."""
+    assert observers() == ()
+    assert telemetry.record_span("serve.other", 0.0, 0.001) is None
     for i in range(5):
-        telemetry.record_span(
-            "serve.request", 0.0, 0.001, cat="serve",
-            trace=tracing.TraceContext(f"t{i}", "s"), workload="axpy",
+        trace = tracing.TraceContext(f"t{i}", "s")
+        spanlog.announce(
+            closed_span(
+                "serve.request", 0.0, 0.001, "serve", trace, None, None,
+                {"workload": "axpy"},
+            )
         )
-        telemetry.record_span("serve.other", 0.0, 0.001, cat="serve")
     status, payload = _get_json(server, "/traces?limit=2")
     assert status == 200
     assert [t["trace_id"] for t in payload["traces"]] == ["t3", "t4"]
     assert all(set(t) == set(ops_http.TRACE_FIELDS) for t in payload["traces"])
     assert payload["traces"][0]["latency_s"] is None
-    assert payload["stats"]["kept"] == 2
+    assert payload["stats"] == {"kept": 2, "capacity": spanlog.TAIL}
 
 
 def test_unknown_route_404(server):

@@ -7,6 +7,7 @@ import numpy as np
 
 from repro import AccCpuSerial, WorkDivMembers, fn_acc, get_dev_by_idx, mem
 from repro.runtime.instrument import observers
+from repro import telemetry
 from repro.telemetry import record_span, span, spanlog, tracing
 from repro.telemetry.spanlog import SpanLog
 from tests.runtime.routes import launch_via
@@ -18,28 +19,45 @@ def _noop(acc, n, out):
 
 
 def test_ring_bound():
+    """With no collector window open the ring keeps the last TAIL."""
     log = SpanLog()
-    for i in range(spanlog.CAPACITY + 6):
+    assert log.capacity == spanlog.TAIL
+    for i in range(spanlog.TAIL + 6):
         log.add({"kind": "tick", "i": i})
-    assert log.seq == spanlog.CAPACITY + 6
+    assert log.seq == spanlog.TAIL + 6
     kept = log.recent()
-    assert len(kept) == spanlog.CAPACITY
-    assert kept[0]["i"] == 6 and kept[-1]["i"] == spanlog.CAPACITY + 5
-    assert [r["i"] for r in log.recent(2)] == [spanlog.CAPACITY + 4, spanlog.CAPACITY + 5]
+    assert len(kept) == spanlog.TAIL
+    assert kept[0]["i"] == 6 and kept[-1]["i"] == spanlog.TAIL + 5
+    assert [r["i"] for r in log.recent(2)] == [spanlog.TAIL + 4, spanlog.TAIL + 5]
 
 
 def test_since_counts_what_the_ring_overwrote():
     log = SpanLog()
     log.add({"kind": "tick", "i": -1})
     start = log.seq
-    for i in range(spanlog.CAPACITY + 2):
+    for i in range(spanlog.TAIL + 2):
         log.add({"kind": "tick", "i": i})
     records, dropped = log.since(start)
-    assert dropped == 2 and len(records) == spanlog.CAPACITY
+    assert dropped == 2 and len(records) == spanlog.TAIL
     assert records[0]["i"] == 2
-    records, dropped = log.since(start, start + 3)
-    assert [r["i"] for r in records] == [2]
-    assert dropped == 2
+
+
+def test_a_window_keeps_capacity_records_until_it_closes():
+    """A collector's window grows the ring to CAPACITY; when the last
+    window closes the ring shrinks to its last TAIL records, and the
+    closed collector still holds its whole window."""
+    log = spanlog.log()
+    assert log.capacity == spanlog.TAIL
+    n = spanlog.TAIL + 10
+    with telemetry.collect() as t:
+        assert log.capacity == spanlog.CAPACITY
+        for i in range(n):
+            spanlog.note("tick", "test", i=i)
+        assert len(t.window()[0]) == n
+    assert log.capacity == spanlog.TAIL
+    assert [r["i"] for r in log.recent(2)] == [n - 2, n - 1]
+    records, dropped = t.window()
+    assert [r["i"] for r in records] == list(range(n)) and dropped == 0
 
 
 def test_observes_only_while_a_reader_is_armed():
