@@ -20,9 +20,9 @@ framing, so the gateway is what the bounds are about):
 One number is reported and not gated: a **mixed two-lane burst**
 (``AccCpuSerial`` + ``AccCpuOmp2Blocks``, 2000 axpy launches of 4096
 elements from 8 threads, alternating lanes), in-process and over TCP —
-req/s in ``BENCH_serving_two_lanes.json``.  Every batch runs on the
-gateway's loop thread while its lane is idle, so idle lanes wait for
-each other; this is where that shows.
+req/s in ``BENCH_serving_two_lanes.json``.  Both lanes share the
+gateway's loop thread: every batch runs there, one after another, so
+the two lanes never run at the same time; this is where that shows.
 
 The standalone smoke mode drives the full TCP path for CI::
 
@@ -390,7 +390,7 @@ def test_serving_batched_bit_identity():
 
 def test_serving_shutdown_releases_everything():
     """After a drained shutdown: zero worker pools, every handle
-    resolved, the gateway's loop thread and lane threads gone."""
+    resolved, nothing pending, the gateway's loop thread gone."""
     rng = np.random.default_rng(17)
     gateway = Gateway(
         _bench_config(
@@ -422,8 +422,8 @@ def test_serving_shutdown_releases_everything():
 
     assert device_workers() == {}, "leaked block-worker pools"
     assert not gateway._loop_thread.is_alive()
-    for lane in gateway.router.lanes:
-        assert lane.inflight == 0
+    assert gateway.pending() == 0
+    assert sum(lane.requests for lane in gateway.router.lanes) == 64
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +543,8 @@ def _burst_over_tcp(payloads) -> float:
 
 def test_serving_two_lane_burst():
     """Reported, not gated: req/s of a mixed two-lane burst, in-process
-    and over TCP; every result is checked."""
+    and over TCP; every result is checked.  Both lanes share the
+    gateway's loop thread, so their batches run one after another."""
     payloads = _burst_payloads()
     rates = {
         "in_process": BURST_REQUESTS / _burst_in_process(payloads),

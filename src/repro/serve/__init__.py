@@ -6,7 +6,8 @@ into a multi-tenant service:
 * :class:`Gateway` — the in-process engine: weighted fair-share
   admission, batching of compatible small launches (a window of at
   most ``batch_window``, paid only by keys with concurrent requests),
-  and sharding across device lanes, with graceful draining shutdown.
+  and placement on device lanes, every batch run on the gateway's
+  loop thread, with graceful draining shutdown.
 * :class:`ServeHandle` — the awaitable per-request handle (sync
   ``result()`` and ``await handle`` both work).
 * ``python -m repro.serve`` — a TCP server (binary frames) exposing the

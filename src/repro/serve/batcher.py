@@ -16,9 +16,9 @@ otherwise, so a lone request is due at the gateway step that admitted
 it (anything else admitted in that same step still joins it).  Company is
 causal, not temporal.  A request of the key brings it when
 
-* it arrives while an unheld batch of the key is still on its lane
-  (flushed, not yet reported complete through :meth:`Batcher.note_done`)
-  — a hold on that batch would have merged the two; or
+* it arrives while an unheld batch of the key is flushed, not yet
+  completed (not yet reported through :meth:`Batcher.note_done`) — a
+  hold on that batch would have merged the two; or
 * it joins an open batch of the key — within its window, if that batch
   is held.
 
@@ -34,27 +34,34 @@ that stops being concurrent wastes one window before it is let go.
 Two arrivals are deliberately *not* company, because there the hold
 would be manufacturing its own evidence: a request that joins a held
 batch after its deadline (a late step collected it, not the window),
-and a request that arrives while a *held* batch of its key is on a lane
-(that batch is still inside only because it was parked first).
+and a request that arrives while a *held* batch of its key is flushed,
+not yet completed (that batch is still inside only because it was
+parked first).
 Counted, either one lets a client paced at about one window per
 request, delayed once, overlap itself and pay the window on every
 request from then on — a key is then slower under load than alone for
 no reason but the hold.
 
-The memory is bounded: the count of a key's unheld requests on lanes is
-dropped at zero, and at most :data:`MAX_REMEMBERED_KEYS` keys with
-unused company are remembered (oldest evicted first — an evicted key
-merely opens its next batch unheld and is re-learned one batch later).
+Every batch runs on the gateway's loop thread, so a flushed batch is
+completed before the next step begins.  The flushed-not-completed leg
+still decides holds inside one step: a batch that fills to
+``batch_max`` is flushed on the spot, and the key's requests added after
+it in the same step bring company, so the key's next batch opens held.
+
+The memory is bounded: the count of a key's flushed, not yet completed
+unheld requests is dropped at zero, and at most
+:data:`MAX_REMEMBERED_KEYS` keys with unused company are remembered
+(oldest evicted first — an evicted key merely opens its next batch
+unheld and is re-learned one batch later).
 
 The batcher is pure bookkeeping — no threads, no locks, no clock of its
 own.  The gateway's loop steps drive it with explicit timestamps, which
 keeps the flush logic deterministic and directly testable.  Only the
 gateway's loop thread touches this object's state: its steps, a lone
 request stepped through in ``submit`` (which asks :meth:`runs_alone`
-before it adds), and every batch completion — a batch that finished on
-a lane thread is handed to the loop, which calls :meth:`note_done`
-before any of the batch's replies.  Other threads only read the
-:meth:`stats` integers.
+before it adds), and every batch completion — the router calls
+:meth:`note_done` before any of the batch's replies.  Other threads only
+read the :meth:`stats` integers.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ class Batch:
 
     __slots__ = (
         "key", "requests", "workload", "deadline", "backend",
-        "opened_at", "flushed_at", "path",
+        "opened_at", "flushed_at",
     )
 
     def __init__(self, key, workload, backend: str, deadline: float):
@@ -90,9 +97,6 @@ class Batch:
         #: built by hand was never parked, so both are its deadline.
         self.opened_at = deadline
         self.flushed_at = deadline
-        #: Where the router ran it: ``"lane"`` (the lane queue's
-        #: thread) or ``"inline"`` (the submitting thread).
-        self.path = "lane"
 
     @property
     def size(self) -> int:
@@ -121,7 +125,7 @@ class Batcher:
         self._open: Dict[Tuple, Batch] = {}
         #: Batches ready to launch (full, expired, or unbatchable).
         self._ready: List[Batch] = []
-        #: Requests of unheld batches still on a lane, by key.
+        #: Requests of unheld batches flushed, not yet completed, by key.
         self._running: Dict[Tuple, int] = {}
         #: Keys with company their next batch has yet to use, oldest first.
         self._company: Dict[Tuple, None] = {}
@@ -170,7 +174,8 @@ class Batcher:
     def runs_alone(self, request) -> bool:
         """Whether :meth:`add` would give ``request`` an unheld batch of
         its own, due at once: it never batches, or its key has no open
-        batch, no unheld batch on a lane and no company remembered."""
+        batch, no unheld batch flushed and not yet completed, and no
+        company remembered."""
         if not self.enabled or isinstance(request, GraphRequest):
             return True
         key = get_workload(request.workload).batch_key(request)
@@ -182,8 +187,8 @@ class Batcher:
         )
 
     def note_done(self, batch: Batch) -> None:
-        """``batch`` (flushed earlier) finished on its lane: its
-        requests have left the gateway."""
+        """``batch`` (flushed earlier) completed: its requests have left
+        the gateway."""
         if batch.key is None or batch.held:
             return  # only unheld batches are counted while they run
         slot = (batch.key, batch.backend)

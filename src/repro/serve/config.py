@@ -91,12 +91,12 @@ class ServeConfig:
     #: Batching coalescer window in seconds — an upper bound, paid only
     #: by keys with observed company: a batch waits this long for
     #: compatible launches to join it when a request of its key met
-    #: another one in the gateway (still running unheld on a lane, or in
-    #: an open batch it joined in time), now or since the key's previous
-    #: batch opened; a lone request launches at the gateway step that
-    #: admitted it (see :mod:`repro.serve.batcher`).  ``0`` keeps
-    #: admission order but still merges whatever is ready at the same
-    #: step; batching is disabled with ``enable_batching``.
+    #: another one in the gateway (in an unheld batch flushed and not
+    #: yet completed, or in an open batch it joined in time), now or
+    #: since the key's previous batch opened; a lone request launches at
+    #: the gateway step that admitted it (see :mod:`repro.serve.batcher`).
+    #: ``0`` keeps admission order but still merges whatever is ready at
+    #: the same step; batching is disabled with ``enable_batching``.
     batch_window: float = 0.002
     #: Hard cap on requests merged into one batched grid.
     batch_max: int = 64

@@ -1,4 +1,4 @@
-"""The gateway: admission → batching → device sharding, one object.
+"""The gateway: admission → batching → device placement, one object.
 
 :class:`Gateway` is the in-process serving engine.  Clients (threads,
 the asyncio TCP server, the benchmark's simulated fleet) call
@@ -7,31 +7,27 @@ callbacks on one asyncio **loop** drive the pipeline — the TCP server's
 own loop when the server owns the gateway, else one loop thread the
 gateway starts::
 
-    submit() ──> FairShareAdmission ──> Batcher ──> ShardRouter ──> loop thread
-      (offer;        (weighted DRR        (coalesce;   (least-loaded   (lane idle)
-       RetryAfter     + in-flight cap)     window for   lane)          or lane queue
-       when full)                          keys with                   (lane busy)
-       │                                   company)
-       └── lone: the same three stages, stepped in the submit call (path "inline")
+    submit() ──> FairShareAdmission ──> Batcher ──> ShardRouter.submit
+      (offer;        (weighted DRR        (coalesce;   (first lane of the
+       RetryAfter     + in-flight cap)     window for   back-end; the batch
+       when full)                          keys with    runs on the loop
+       │                                   company)     thread)
+       └── lone: the same three stages, stepped in the submit call
 
-A *step* releases what admission allows into the batcher and sends
-every due batch to the router with ``inline=True``.  It runs once per
-loop iteration after an offer, at the earliest batch deadline
-(``call_at``) and after a completion frees an in-flight slot.  A due
-batch runs on the loop thread when its lane's ``running`` lock is free
-and goes to the lane queue only when the lane is busy; a batch that
-finished on a lane thread hands its completion to the loop, once per
-batch (``call_soon_threadsafe``).  So the batcher is only ever touched
-on the loop thread, and admission's release side and every handle's
-resolution happen there too.  A lone request (``submit(request, lone=True)``
-on the loop thread: its sender has nothing else unanswered and nothing
-else waits for the loop) that finds no queued work, an unheld batch of
-its own and an idle lane is stepped through in the submit call itself,
-so the handle comes back resolved.  A lane runs one batch at a time
-either way.  Shutdown is graceful by default: new admissions are
-rejected, queued and parked work drains, lanes close, the gateway's own
-loop thread (if any) stops, and (on request) the per-device worker
-pools are released.
+A *step* releases what admission allows into the batcher and hands
+every due batch to the router, which runs it right there and reports
+it.  A step runs once per loop iteration after an offer, at the
+earliest batch deadline (``call_at``) and after a completion frees an
+in-flight slot.  So every batch runs on the loop thread, one at a time,
+and the batcher, admission's release side and every handle's
+resolution are only ever touched there.  A lone request
+(``submit(request, lone=True)`` on the loop thread: its sender has
+nothing else unanswered and nothing else waits for the loop) that finds
+no queued work and an unheld batch of its own is stepped through in
+the submit call itself, so the handle comes back resolved.  Shutdown is
+graceful by default: new admissions are rejected, queued and parked
+work drains, the gateway's own loop thread (if any) stops, and (on
+request) the per-device worker pools are released.
 """
 
 from __future__ import annotations
@@ -93,7 +89,6 @@ class Gateway:
         self._submitted = 0
         self._completed = 0
         self._failed = 0
-        self._inline = 0
         self._lone = 0
         #: A step is scheduled on the loop and has not started yet.
         self._step_due = False
@@ -109,10 +104,10 @@ class Gateway:
             self._loop_thread.start()
             self._loop_id = self._loop_thread.ident
         self._loop = loop
-        # The loop notes a finished batch before any of its replies, so
-        # a request sent after a reply finds its predecessor gone — or a
-        # solo closed-loop client would look concurrent.
-        self.router = ShardRouter(config, self.batcher.note_done, loop.call_soon_threadsafe)
+        # The router notes a finished batch before any of its replies,
+        # so a request sent after a reply finds its predecessor gone — or
+        # a solo closed-loop client would look concurrent.
+        self.router = ShardRouter(config, self.batcher.note_done)
         self._atexit = atexit.register(self._atexit_shutdown)
         # Live ops endpoints (REPRO_TELEMETRY_HTTP=host:port): the
         # gateway publishes its readiness; the listener is shared by
@@ -145,10 +140,9 @@ class Gateway:
         ``lone`` says the caller has no other request of its own
         unanswered and nothing else waits for its thread (the TCP
         server passes it per frame); it counts only on the loop thread.
-        A lone request that finds no queued work, an unheld batch of
-        its own and an idle lane runs to completion in this call, and
-        the handle comes back resolved; every other request is left to
-        the next step.
+        A lone request that finds no queued work and an unheld batch of
+        its own runs to completion in this call, and the handle comes
+        back resolved; every other request is left to the next step.
         """
         if self._stopped.is_set() or self._draining.is_set():
             raise GatewayClosed("gateway is shutting down")
@@ -194,17 +188,14 @@ class Gateway:
         if batch is None:
             self._wake()
         else:
-            self.router.submit(batch, self._on_request_done, inline=True)
+            self.router.submit(batch, self._on_request_done)
         return handle
 
     def _admit_lone(self, request):
-        """Offer ``request``; when it runs alone on an idle lane, also
-        step it through admission and the batcher as a step would, and
-        return its batch (else ``None``: the next step has it)."""
-        alone = self.batcher.runs_alone(request) and (
-            self.router.pick_lane(request.backend).inflight == 0
-        )
-        if not self.admission.offer(request, release=alone):
+        """Offer ``request``; when it runs alone, also step it through
+        admission and the batcher as a step would, and return its batch
+        (else ``None``: the next step has it)."""
+        if not self.admission.offer(request, release=self.batcher.runs_alone(request)):
             return None
         now = time.perf_counter()
         self.batcher.add(request, now)
@@ -213,7 +204,7 @@ class Gateway:
             if batch.requests[0] is request:
                 mine = batch
             else:  # another key's batch came due meanwhile
-                self.router.submit(batch, self._on_request_done, inline=True)
+                self.router.submit(batch, self._on_request_done)
         return mine
 
     def launch(
@@ -286,7 +277,7 @@ class Gateway:
         else:
             ready = self.batcher.pop_ready(now)
         for batch in ready:
-            self.router.submit(batch, self._on_request_done, inline=True)
+            self.router.submit(batch, self._on_request_done)
         # A superseded timer still fires; its step finds nothing due.
         deadline = self.batcher.next_deadline()
         if deadline is not None and deadline < self._timer_at:
@@ -329,7 +320,6 @@ class Gateway:
                         "batch_size": batch_size,
                         "batch_wait_s": batch_wait,
                         "held": held,
-                        "path": batch.path,
                         "request_id": request.request_id,
                         "latency_s": round(latency, 6),
                     },
@@ -341,7 +331,6 @@ class Gateway:
                 self._completed += 1
             else:
                 self._failed += 1
-            self._inline += batch.path == "inline"
         if handle is None:
             return
         if ok:
@@ -374,7 +363,6 @@ class Gateway:
                 "submitted": self._submitted,
                 "completed": self._completed,
                 "failed": self._failed,
-                "inline": self._inline,
                 "lone": self._lone,
                 "pending": len(self._handles),
             }
@@ -384,7 +372,6 @@ class Gateway:
             "batcher": self.batcher.stats(),
             "lanes": self.router.stats(),
             "queued": self.admission.queued(),
-            "inflight": self.router.inflight(),
             "closed": self.closed,
             "process_cpu_s": time.process_time(),
         }
@@ -403,11 +390,11 @@ class Gateway:
     ) -> bool:
         """Stop the gateway.
 
-        ``drain=True``: reject new admissions, let queued/parked/running
+        ``drain=True``: reject new admissions and let queued and parked
         work finish (bounded by ``timeout``, default
-        ``config.drain_timeout``), then close the lanes.  ``drain=False``
-        fails queued work immediately and only waits for what is already
-        on a lane.  Returns True when everything completed in time;
+        ``config.drain_timeout``).  ``drain=False`` fails queued work
+        immediately and only waits for the batches already parked in
+        the batcher.  Returns True when everything completed in time;
         stragglers' handles are failed with :class:`ServeError` either
         way.  Idempotent.
         """
@@ -437,10 +424,6 @@ class Gateway:
                 self._idle.wait(min(0.05, remaining))
 
         self._stopped.set()
-        # Lanes: wait for whatever already reached a queue, then close;
-        # the loop runs the completions they handed it before it stops.
-        self.router.drain()
-        self.router.close()
         if self._loop_thread is not None:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._loop_thread.join(timeout=5)

@@ -12,9 +12,8 @@ Metric families:
 * ``repro_serve_requests_total{tenant, outcome}`` — queued / rejected /
   completed / failed / cancelled admission outcomes;
 * ``repro_serve_queue_depth{tenant}`` — current admission queue depth;
-* ``repro_serve_inflight{lane}`` — requests executing per device lane;
-* ``repro_serve_batch_size`` — merged-launch occupancy distribution;
-* ``repro_serve_batch_hold_seconds`` — how long each batch sat in the
+* ``repro_serve_batch_size{lane}`` — merged-launch occupancy distribution;
+* ``repro_serve_batch_hold_seconds{lane}`` — how long each batch sat in the
   batcher between opening and flushing (zero-ish for a key without
   company, up to ``batch_window`` for one with);
 * ``repro_serve_latency_seconds{tenant}`` — submit-to-result wall
@@ -33,7 +32,6 @@ __all__ = [
     "record_admission",
     "record_completion",
     "record_batch",
-    "record_inflight",
     "record_retry_delay",
 ]
 
@@ -85,14 +83,6 @@ def record_batch(size: int, lane: str, hold: float) -> None:
         "Seconds a batch was parked in the batcher before launch",
         lane=lane,
     ).observe(hold)
-
-
-def record_inflight(lane: str, delta: int) -> None:
-    registry().gauge(
-        "repro_serve_inflight",
-        "Requests executing per device lane",
-        lane=lane,
-    ).inc(delta)
 
 
 def record_retry_delay(delay: float) -> None:

@@ -26,13 +26,13 @@ itself steps on the server's own event loop, with no thread of its own.
 A frame read while its connection has no other request unanswered, and
 with no frame of any connection read behind it by the time its handler
 starts, is *lone*: the gateway may run it to completion inside
-``submit`` (nothing queued ahead of it, an unheld batch, an idle lane),
-and its reply is built at once.  Every other request is offered and
-waits for the loop's next step — so a pipelining connection's frames,
-and concurrent connections' frames that arrive together, still meet in
-the batcher.  Every batch runs on the event-loop thread while its lane
-is idle, and on the lane's thread when it is busy; a completion on the
-loop thread wakes its frame handler directly.
+``submit`` (nothing queued ahead of it, an unheld batch), and its reply
+is built at once.  Every other request is offered and waits for the
+loop's next step — so a pipelining connection's frames, and concurrent
+connections' frames that arrive together, still meet in the batcher.
+Every batch runs on the event-loop thread, one at a time, so a server
+starts no thread of its own, and a completion wakes its frame handler
+directly.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from repro.serve import (
     ServeConfig,
 )
 
-from . import calls
+from . import Slow, calls
 
 
 @pytest.fixture
@@ -27,35 +27,35 @@ def gateway():
     gw.shutdown(release_pools=False)
 
 
+def _occupy_loop(gw):
+    """Launch a gated ``Slow`` batch and return its handle once it runs
+    on the gateway's loop thread; ``Slow.gate.set()`` lets it finish.
+    Until then every request offered waits for the next step."""
+    Slow.started.clear()
+    Slow.gate.clear()
+    gated = gw.launch("test_slow_overlap", params={"gate": 1})
+    assert Slow.started.wait(timeout=30)
+    return gated
+
+
 def _overlapping_pair(gw, launch):
-    """Two ``launch()`` calls, the second admitted while the first is
-    provably on the (single, busy) lane — so the second brings its key
-    company and is held.  Returns both handles.
-
-    The test holds the lane's ``running`` lock, so the first batch
-    takes the lane queue and waits there instead of running on the
-    gateway's loop thread."""
-
-    def opened():
-        stats = gw.stats()["batcher"]
-        return stats["held"] + stats["immediate"]
-
-    added = calls(gw.batcher, "add")
-    submitted = calls(gw.router, "submit")
-    running = gw.router.lanes[0].running
-    assert running.acquire(timeout=30)
+    """Three ``launch()`` calls, the last parked in a held batch, the
+    way real traffic gets one: the first two are offered while a gated
+    batch occupies the loop thread, so the next step adds both to one
+    open batch, which gives their key company, and the key's next batch
+    opens held.  Returns the pair's handles and the held one."""
+    gated = _occupy_loop(gw)
     try:
-        before = opened()
-        first = launch()
-        assert submitted.acquire(timeout=30)  # the first is on the lane
-        assert gw.router.inflight() == 1
-        second = launch()
-        for _ in range(2):  # both requests reached the batcher
-            assert added.acquire(timeout=30)
-        assert opened() == before + 2
+        pair = [launch(), launch()]
     finally:
-        running.release()
-    return first, second
+        Slow.gate.set()
+    gated.result(timeout=30)
+    assert [h.result(timeout=30).batch_size for h in pair] == [2, 2]
+    added = calls(gw.batcher, "add")
+    held = launch()
+    assert added.acquire(timeout=30)  # the held one reached the batcher
+    assert gw.stats()["batcher"]["held"] == 1
+    return pair, held
 
 
 def _axpy_args(rng, n=128):
@@ -122,17 +122,19 @@ class TestEndToEnd:
         root = tracing.new_trace()
         with Gateway(ServeConfig(batch_window=window)) as gw:
             with telemetry.collect() as t, tracing.use(root):
-                first, last = _overlapping_pair(
+                _, last = _overlapping_pair(
                     gw, lambda: gw.launch("axpy", **_axpy_args(rng))
                 )
-                first.result(timeout=30)
                 last.result(timeout=30)
             health_ok, health = gw._health()
             gw.shutdown(release_pools=False)
         events = telemetry.to_chrome_trace(t)["traceEvents"]
-        spans = [ev for ev in events if ev["name"] == "serve.request"]
-        assert len(spans) == 2
-        assert sorted(ev["args"]["held"] for ev in spans) == [False, True]
+        spans = [
+            ev for ev in events
+            if ev["name"] == "serve.request" and ev["args"]["workload"] == "axpy"
+        ]
+        assert len(spans) == 3
+        assert sorted(ev["args"]["held"] for ev in spans) == [False, False, True]
         (held,) = (ev for ev in spans if ev["args"]["held"])
         assert held["args"]["batch_wait_s"] >= window * 0.9
         # The same span's record, as /traces reads it from the log.
@@ -413,8 +415,9 @@ class TestThreadedClients:
 
     def test_threads_coalesce_without_a_server_and_shut_down_clean(self, rng):
         """An in-process gateway steps on its one loop thread: requests
-        submitted from threads still meet in a batch, and shutdown
-        leaves the loop thread stopped and its loop closed."""
+        that threads submit while a batch occupies that thread meet in
+        one batch at the next step, and shutdown leaves the loop thread
+        stopped and its loop closed."""
         n = 6
         gw = Gateway(
             ServeConfig(
@@ -422,15 +425,9 @@ class TestThreadedClients:
             )
         )
         args = _axpy_args(rng, n=64)
-        lane = gw.router.lanes[0]
-        submitted = calls(gw.router, "submit")
         handles = []
-        assert lane.running.acquire(timeout=30)
+        gated = _occupy_loop(gw)
         try:
-            # The first runs unheld and stays on the (busy) lane, so the
-            # others bring its key company: held until the batch is full.
-            first = gw.launch("axpy", **args)
-            assert submitted.acquire(timeout=30)
             threads = [
                 threading.Thread(
                     target=lambda: handles.append(gw.launch("axpy", **args))
@@ -442,11 +439,13 @@ class TestThreadedClients:
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
-            assert submitted.acquire(timeout=30)  # the full batch flushed
         finally:
-            lane.running.release()
-        results = [h.result(timeout=30) for h in [first] + handles]
-        assert [r.batch_size for r in results] == [1] + [n] * n
+            Slow.gate.set()
+        gated.result(timeout=30)
+        # The first opens the key's batch unheld, the others join it,
+        # and it flushes full: the 30 s window is never waited for.
+        results = [h.result(timeout=30) for h in handles]
+        assert [r.batch_size for r in results] == [n] * n
         expected = 2.0 * args["arrays"]["x"] + args["arrays"]["y"]
         assert all(np.array_equal(r.arrays["y"], expected) for r in results)
         thread = gw._loop_thread
@@ -459,8 +458,8 @@ class TestThreadedClients:
         ones that arrive while it is inside earn the key its window —
         merged launches appear and every result stays bit-identical.
 
-        Doubles as the stress test of the lane -> loop completion
-        hand-off (short switch interval, more threads than cores): one
+        Doubles as the stress test of the thread -> loop hand-off of
+        submissions (short switch interval, more threads than cores): one
         lost note would leave the key "inside" for good, and every later
         request of it would be held."""
         x = rng.standard_normal(64)

@@ -12,7 +12,7 @@ import pytest
 from repro import knobs, telemetry
 from repro.core.errors import ServeError
 from repro.runtime.instrument import observers
-from repro.serve import Gateway, ServeConfig, Workload, register_workload
+from repro.serve import Gateway, ServeConfig, register_workload
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -24,7 +24,7 @@ from repro.serve.server import ServeServer
 from repro.serve.workloads import AxpyWorkload
 from repro.telemetry import tracing
 
-from . import calls
+from . import Slow
 from .frames import MAGIC, PREFIX, raw_frame, read_frame
 
 
@@ -190,7 +190,7 @@ class TestServer:
     def test_stats_count_lone_requests_and_process_cpu(self, server_config, rng):
         """``cpu_us_per_op`` is one division away over the wire: the
         reply carries the server's process CPU seconds and its request
-        counts, lone admissions apart from inline batches."""
+        counts, lone admissions among them."""
         arrays = {"x": rng.standard_normal(8), "y": rng.standard_normal(8)}
 
         async def check(server, client):
@@ -201,7 +201,7 @@ class TestServer:
 
         first, after = run(_with_server(server_config, check))
         counts = after["requests"]
-        assert counts["lone"] == counts["inline"] == counts["completed"] == 3
+        assert counts["lone"] == counts["completed"] == 3
         assert 0 < first["process_cpu_s"] <= after["process_cpu_s"]
 
     def test_remote_validation_error(self, server_config):
@@ -276,52 +276,6 @@ class TestServer:
         assert np.array_equal(remote_y, local.arrays["y"])
 
 
-class _Slow(Workload):
-    """Waits a little inside execute and counts the executions that
-    overlap, per device; ``params["fail"]`` makes it raise, and
-    ``params["gate"]`` sets ``started`` and waits for ``gate`` instead
-    of the little while.  ``threads`` lists the thread of each run."""
-
-    name = "test_slow_overlap"
-    lock = threading.Lock()
-    active: dict = {}
-    most = 0
-    threads: list = []
-    started = threading.Event()
-    gate = threading.Event()
-
-    def validate(self, req):
-        pass
-
-    def batch_key(self, req):
-        return None if req.params.get("fail") else ("test_slow_overlap",)
-
-    def execute(self, requests, acc_type, device):
-        cls = type(self)
-        with cls.lock:
-            cls.active[device] = cls.active.get(device, 0) + 1
-            cls.most = max(cls.most, cls.active[device])
-            cls.threads.append(threading.get_ident())
-        try:
-            if requests[0].params.get("gate"):
-                cls.started.set()
-                assert cls.gate.wait(30)
-            else:
-                threading.Event().wait(0.003)
-            if requests[0].params.get("fail"):
-                raise RuntimeError("inline boom")
-            return [{"n": np.array([len(requests)])} for _ in requests]
-        finally:
-            with cls.lock:
-                cls.active[device] -= 1
-
-
-try:
-    register_workload(_Slow())
-except ServeError:
-    pass  # registered by an earlier import
-
-
 def _serve_stats(server):
     return server.gateway.stats()["requests"]
 
@@ -383,15 +337,8 @@ class TestLoneRequests:
                 replies.append(result.arrays["y"])
             return replies, _serve_stats(server)
 
-        with telemetry.collect() as t:
-            remote, counts = run(_with_server(server_config, check))
-        assert counts["lone"] == counts["inline"] == counts["completed"] == len(pairs)
-        paths = [
-            ev["args"]["path"]
-            for ev in telemetry.to_chrome_trace(t)["traceEvents"]
-            if ev["name"] == "serve.request"
-        ]
-        assert paths == ["inline"] * len(pairs)
+        remote, counts = run(_with_server(server_config, check))
+        assert counts["lone"] == counts["completed"] == len(pairs)
         with Gateway(ServeConfig(enable_batching=False)) as gw:
             for (x, y), got in zip(pairs, remote):
                 local = gw.launch(
@@ -433,11 +380,11 @@ class TestLoneRequests:
             port=0, batch_window=0.0, lanes=(("AccCpuSerial", 0),),
             drain_timeout=30.0,
         )
-        _Slow.most = 0
+        Slow.most = 0
         stop = threading.Event()
 
         def in_process(gateway):
-            # Paced, so the lane is idle part of the time and the TCP
+            # Paced, so nothing is queued part of the time and the TCP
             # client's lone requests get to run inside submit.
             while not stop.wait(0.002):
                 gateway.launch("test_slow_overlap").result(timeout=30)
@@ -454,7 +401,7 @@ class TestLoneRequests:
             return _serve_stats(server)
 
         counts = run(_with_server(config, check))
-        assert _Slow.most == 1
+        assert Slow.most == 1
         assert 0 < counts["lone"] < counts["completed"]
 
     def test_failing_inline_run_fails_only_its_request(self, server_config):
@@ -493,22 +440,18 @@ except ServeError:
 
 
 async def _park_held_batch(gateway, launch):
-    """Two ``launch()`` calls on the loop thread, the second parked in
-    a held batch: the test holds the lane's ``running`` lock, so the
-    first batch takes the lane queue and is still on its lane when the
-    second brings its key company.  Returns both handles."""
-    running = gateway.router.lanes[0].running
-    running.acquire()
-    try:
-        first = launch()
-        await asyncio.sleep(0)  # one loop turn: the step queued it
-        assert gateway.router.inflight() == 1
-        second = launch()
-        await asyncio.sleep(0)
-        assert gateway.stats()["batcher"]["held"] == 1
-    finally:
-        running.release()
-    return first, second
+    """Three ``launch()`` calls on the loop thread, the last parked in a
+    held batch, the way real traffic gets one: the first two are offered
+    before one step, so they join one open batch, which gives their key
+    company, and the key's next batch opens held.  Returns the pair's
+    handles and the held one."""
+    pair = [launch(), launch()]
+    await asyncio.sleep(0)  # one loop turn: the step ran the pair's batch
+    assert [(await h).batch_size for h in pair] == [2, 2]
+    held = launch()
+    await asyncio.sleep(0)
+    assert gateway.stats()["batcher"]["held"] == 1
+    return pair, held
 
 
 def _one_lane(**fields):
@@ -519,9 +462,8 @@ def _one_lane(**fields):
 
 class TestBatchesOnTheLoop:
     """A gateway the server builds steps on the server's own loop and
-    starts no thread: a due batch runs on the loop thread while its
-    lane is idle and takes the lane queue while it is busy; a parked
-    batch flushes at its deadline, or at stop."""
+    starts no thread: every due batch runs on the loop thread, one after
+    another; a parked batch flushes at its deadline, or at stop."""
 
     def test_pipelined_burst_runs_on_the_loop_thread(self, server_config, rng):
         pairs = [
@@ -548,7 +490,7 @@ class TestBatchesOnTheLoop:
         loop_thread, results, counts = run(check())
         assert {thread for thread, _ in _WhereAxpy.runs} == {loop_thread}
         assert max(size for _, size in _WhereAxpy.runs) > 1
-        assert counts["inline"] == counts["completed"] == len(pairs)
+        assert counts["completed"] == len(pairs)
         with Gateway(ServeConfig(enable_batching=False)) as gw:
             for (x, y), got in zip(pairs, results):
                 solo = gw.launch(
@@ -566,51 +508,43 @@ class TestBatchesOnTheLoop:
             before = set(threading.enumerate())
             async with ServeServer(_one_lane(batch_window=window)) as server:
                 gateway = server.gateway
-                first, second = await _park_held_batch(
+                _, held = await _park_held_batch(
                     gateway, lambda: gateway.launch("axpy", **args)
                 )
-                await first
                 # Nothing arrives after it: only the deadline flushes it.
-                result = await second
+                result = await held
                 spawned = set(threading.enumerate()) - before
             return gateway, result, spawned
 
         gateway, result, spawned = run(check())
         assert gateway._loop_thread is None
-        assert not [t.name for t in spawned if t.name.startswith("serve-")]
+        # No thread at all: no gateway loop thread and no lane thread.
+        assert not spawned, sorted(t.name for t in spawned)
         assert result.batch_size == 1 and result.latency >= 0.9 * window
         assert np.array_equal(
             result.arrays["y"], 2.0 * args["arrays"]["x"] + args["arrays"]["y"]
         )
 
-    def test_busy_lane_takes_the_next_batch_on_its_queue(self):
-        _Slow.most = 0
-        _Slow.threads.clear()
-        _Slow.started.clear()
-        _Slow.gate.clear()
+    def test_one_lane_runs_its_batches_in_turn_on_the_loop(self):
+        """A batch offered while another occupies the loop thread waits
+        for the next step: the two never overlap on their lane."""
+        Slow.most = 0
+        Slow.threads.clear()
+        Slow.started.clear()
+        Slow.gate.clear()
         with Gateway(_one_lane(batch_window=0.0)) as gw:
-            lane = gw.router.lanes[0]
-            submitted = calls(gw.router, "submit")
-            assert lane.running.acquire(timeout=30)
+            first = gw.launch("test_slow_overlap", params={"gate": 1})
             try:
-                first = gw.launch("test_slow_overlap", params={"gate": 1})
-                assert submitted.acquire(timeout=30)  # queued behind the lock
-            finally:
-                lane.running.release()
-            try:
-                assert _Slow.started.wait(timeout=30)  # _Slow keeps the lane busy
+                assert Slow.started.wait(timeout=30)  # on the loop thread
                 second = gw.launch("test_slow_overlap")
-                assert submitted.acquire(timeout=30)
-                assert gw.router.inflight() == 2  # on the queue, behind the first
             finally:
-                _Slow.gate.set()
+                Slow.gate.set()
             assert list(second.result(timeout=30).arrays["n"]) == [1]
             first.result(timeout=30)
             loop_thread = gw._loop_thread.ident
             gw.shutdown(release_pools=False)
-        assert _Slow.most == 1
-        assert len(_Slow.threads) == 2 and len(set(_Slow.threads)) == 1
-        assert loop_thread not in _Slow.threads
+        assert Slow.most == 1
+        assert Slow.threads == [loop_thread, loop_thread]
 
     def test_stop_drains_a_parked_batch_and_leaves_no_thread(self, rng):
         window = 30.0
@@ -622,17 +556,16 @@ class TestBatchesOnTheLoop:
             server = ServeServer(_one_lane(batch_window=window))
             await server.start()
             gateway = server.gateway
-            first, second = await _park_held_batch(
+            _, held = await _park_held_batch(
                 gateway, lambda: gateway.launch("axpy", **args)
             )
-            await first
-            assert not second.done()
+            assert not held.done()
             await server.stop()
             left = [
                 t.name for t in set(threading.enumerate()) - before
                 if not t.name.startswith("asyncio_")  # the executor stop() used
             ]
-            return await second, left
+            return await held, left
 
         result, left = run(check())
         assert left == []

@@ -136,7 +136,6 @@ class TestWholeRegistry:
             record_admission,
             record_batch,
             record_completion,
-            record_inflight,
         )
         from repro.telemetry.metrics import registry, reset_registry
 
@@ -146,7 +145,6 @@ class TestWholeRegistry:
             record_admission('we"ird\ntenant', "rejected", depth=9)
             record_completion("alice", 0.003, ok=True)
             record_batch(8, "AccCpuSerial/0", 0.002)
-            record_inflight("AccCpuSerial/0", 1)
             text = to_prometheus(registry())
             _check_conformance(text)
             assert "repro_serve_requests_total" in text
