@@ -136,9 +136,22 @@ def grid_strided_spans(acc, extent: int) -> Iterator[slice]:
     if spans is not None:
         yield from spans(extent)
         return
-    span = get_work_div(acc, Thread, Elems)[0]
-    stride = get_work_div(acc, Grid, Elems)[0]
-    start = get_idx(acc, Grid, Elems)[0]
+    wd = getattr(acc, "work_div", None)
+    if (
+        wd is not None
+        and wd.block_thread_count == 1
+        and getattr(acc, "trace_get_idx", None) is None
+        and getattr(acc, "trace_get_work_div", None) is None
+    ):
+        # One thread per block (every block-level back-end): the thread
+        # sits at its block's index — get_idx without the Vec products.
+        span = wd.thread_elem_extent._c[0]
+        stride = wd.grid_elem_extent._c[0]
+        start = acc.grid_block_idx._c[0] * span
+    else:
+        span = get_work_div(acc, Thread, Elems)[0]
+        stride = get_work_div(acc, Grid, Elems)[0]
+        start = get_idx(acc, Grid, Elems)[0]
     while start < extent:
         yield slice(start, min(start + span, extent))
         start += stride

@@ -29,9 +29,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from ..core.errors import ExtentError, MemorySpaceError
-from ..core.vec import Vec, as_vec
+from ..core.vec import MAX_DIM, Vec, _adopt, as_vec
 from ..dev.device import Device
 from .alignment import pitch_elements
+from .guard import guard
 
 __all__ = ["Buffer", "ViewPlainPtr", "alloc", "alloc_like", "view_plain"]
 
@@ -173,16 +174,18 @@ class Buffer:
             )
         return self._logical()
 
-    def kernel_array(self, device: Device) -> np.ndarray:
+    def kernel_array(self, device: Device, guarded: bool = True) -> np.ndarray:
         """The array a kernel executing on ``device`` works on.
 
         Executors call this while unwrapping kernel arguments; it is the
-        residency check of the offloading model.
+        residency check of the offloading model.  ``guarded=False``
+        skips the negative-index guard (:mod:`repro.mem.guard`): a launch
+        record asks for that where a proof dropped the guard.
         """
         device.require_resident(self)
-        from .guard import guard
-
-        return guard(self._logical())
+        if guarded:
+            return guard(self._logical())
+        return self._logical()
 
     def unsafe_backing(self) -> np.ndarray:
         """The padded backing array regardless of residency.
@@ -252,13 +255,35 @@ class ViewPlainPtr(Buffer):
                 "least one dimension"
             )
         self.dev = dev
-        self.extent = as_vec(host.shape)
+        # A shape is a tuple of non-negative ints: it needs no validation
+        # beyond the dimension bound.
+        self.extent = (
+            _adopt(host.shape) if host.ndim <= MAX_DIM else as_vec(host.shape)
+        )
         self.dtype = host.dtype
-        self.pitch_elems = self.extent[-1]
+        self.pitch_elems = host.shape[-1]
         self._nbytes = host.nbytes
         self._padded = host
         self._freed = False
-        self._buf_id = _host_buf_id(host)
+        self._buf_id = None
+
+    @property
+    def buf_id(self) -> int:
+        """The id of the array the view is of (see :func:`view_plain`),
+        looked up on first use — a request's views on a serving lane
+        never are.  A view freed before that aliases nothing any more
+        and gets a fresh id."""
+        buf_id = self._buf_id
+        if buf_id is None:
+            buf_id = self._buf_id = (
+                _next_buf_id() if self._freed else _host_buf_id(self._padded)
+            )
+        return buf_id
+
+    def _logical(self) -> np.ndarray:
+        if self._freed:
+            raise MemorySpaceError("buffer used after free")
+        return self._padded
 
     def free(self) -> None:
         """Drop the view (idempotent); the memory stays the caller's."""

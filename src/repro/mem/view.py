@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ..core.errors import ExtentError, MemorySpaceError
+from ..core.errors import ExtentError
 from ..core.vec import Vec, as_vec
 from .buf import Buffer
 
@@ -85,13 +85,13 @@ class ViewSubView:
         """Host view of the window (host-resident buffers only)."""
         return self.buf.as_numpy()[self._box]
 
-    def kernel_array(self, device) -> np.ndarray:
+    def kernel_array(self, device, guarded: bool = True) -> np.ndarray:
         """The window a kernel on ``device`` works on (residency
         checked); kernels may therefore take sub-views as arguments.
         The window inherits the buffer's negative-index guard
         (:mod:`repro.mem.guard`): slicing a
         :class:`~repro.mem.guard.GuardedArray` stays guarded."""
-        return self.buf.kernel_array(device)[self._box]
+        return self.buf.kernel_array(device, guarded)[self._box]
 
     def unsafe_backing(self) -> np.ndarray:
         """Window of the backing array (copy-engine privilege)."""

@@ -15,7 +15,11 @@ plan (by a weak reference, valid until the cache is cleared or evicts a
 plan, the forced schedule changes, or — for an ``AutoWorkDiv`` — the
 tuning generation moves).  What a launch derives from its argument
 tuple lives in an :class:`ArgsRecord` on the plan, reused while the
-same tuple comes back.
+same tuple comes back.  What it derives from the tuple's *signature*
+(array dtypes and shapes, scalar types and values) outlives the tuple:
+a new tuple of a signature the plan has launched is bound to the
+arrays it brings, without deriving anything again
+(:meth:`LaunchPlan.record_for`).
 
 A record of an interpreting schedule starts on ``GuardedArray`` views
 (:mod:`repro.mem.guard`).  From the plan's second launch on, the compile
@@ -54,7 +58,9 @@ from ..core.kernel import kernel_name
 from ..core.properties import AccDevProps
 from ..core.vec import Vec
 from ..core.workdiv import AutoWorkDiv, WorkDivMembers, validate_work_div
-from ..mem.guard import GuardedArray
+from ..mem.buf import Buffer
+from ..mem.guard import GuardedArray, guard
+from ..mem.view import ViewSubView
 from .scheduler import chunk_indices, resolve_scheduler_override
 
 __all__ = [
@@ -83,6 +89,10 @@ PLAN_CACHE_MAXSIZE = 512
 #: Upper bound on cached whole-graph plans (each holds its nodes'
 #: :class:`LaunchPlan` and grid contexts, bound into ``node_ops``).
 GRAPH_PLAN_CACHE_MAXSIZE = 64
+
+#: Argument signatures one plan keeps the derived state of; a full table
+#: starts over.
+SIGNATURES_MAX = 32
 
 
 def _thread_runners() -> Dict[str, Callable]:
@@ -116,13 +126,18 @@ class ArgsRecord(GridContext):
     ``guard`` is the record's guard verdict: ``None`` where nothing is
     to be proven (the compiled schedule, sanitizer shadow arguments, no
     ``GuardedArray`` among the arguments), :data:`UNTRACED` until
-    :meth:`prove` ran, then ``"proven"`` or ``"kept: <why>"``.
+    :meth:`prove` ran, then ``"proven"`` or ``"kept: <why>"``; ``kept``
+    the argument positions the proof left guarded (``None``: all).
     ``tier`` is the replay entry whose tier decides how a proven
     record of a :attr:`LaunchPlan.tiered` plan runs, else ``None``.
+
+    ``key`` is the record's argument signature when its plan keeps the
+    derived state past the tuple (:meth:`LaunchPlan.record_for`), else
+    ``None``.
     """
 
     def __init__(self, plan, host_args: tuple, args: tuple, monitor=None,
-                 provable: bool = False):
+                 provable: bool = False, key: Optional[tuple] = None):
         super().__init__(
             plan.device,
             plan.work_div,
@@ -135,7 +150,9 @@ class ArgsRecord(GridContext):
         self.seconds: Optional[float] = None
         self.replay = None
         self.guard: Optional[str] = UNTRACED if provable else None
+        self.kept: Optional[frozenset] = None
         self.tier = None
+        self.key = key
 
     def prove(self, plan) -> None:
         """Settle the guard verdict: re-view every ``GuardedArray``
@@ -152,7 +169,6 @@ class ArgsRecord(GridContext):
         from ..compile.replay import guard_verdict
 
         entry, kept, verdict = guard_verdict(plan, self.args)
-        self.guard = plan.guard = verdict
         if verdict == "proven" and plan.tiered:
             self.replay = self.tier = plan.tier = entry
         if kept is not None:
@@ -161,6 +177,14 @@ class ArgsRecord(GridContext):
                 if type(a) is GuardedArray and pos not in kept else a
                 for pos, a in enumerate(self.args)
             )
+        self.kept = kept
+        # Last: whoever reads the verdict reads what it settled.
+        self.guard = plan.guard = verdict
+
+    def state(self) -> tuple:
+        """What the record derived from its signature, for the next
+        tuple of that signature: no arrays."""
+        return (self.guard, self.kept, self.replay, self.tier, self.seconds)
 
 
 @dataclass
@@ -201,6 +225,9 @@ class LaunchPlan:
     #: The :class:`ArgsRecord` of the last argument tuple launched
     #: through :meth:`record_for`.
     _record: Optional[ArgsRecord] = field(default=None, repr=False)
+    #: argument signature -> :meth:`ArgsRecord.state` of the last record
+    #: of it that was replaced or dropped; see :meth:`record_for`.
+    _signatures: Dict = field(default_factory=dict, repr=False)
     #: worker count -> chunked block_indices; see :meth:`chunks_for`.
     _chunks: Dict[int, list] = field(default_factory=dict, repr=False)
     #: argument signature -> compiled replay closure (or a cached
@@ -231,16 +258,80 @@ class LaunchPlan:
         """The record of ``task``'s argument tuple: the one the last
         launch used when the tuple is the same object (re-enqueueing a
         :class:`~repro.core.kernel.KernelTask` hands over the same
-        tuple), else a new one that replaces it."""
+        tuple), else a new one that replaces it.
+
+        A new record of an interpreting schedule starts from what the
+        plan derived for the tuple's *signature* — the arrays' dtypes
+        and shapes and the scalars' types and values — when a record of
+        that signature was replaced or dropped before: its guard verdict
+        (the positions it proved plain get plain arrays, every other
+        array its ``GuardedArray``), its tier entry and its modeled
+        seconds.  Residency is checked for every tuple.  Scalar values
+        are part of the signature, so a scalar that would flip a traced
+        guard (or the modeled time) is a new signature, proven afresh.
+        Records of the ``compiled`` schedule stay per tuple.
+        """
         record = self._record
-        if record is None or record.host_args is not task.args:
-            record = self._record = self.grid_for(task)
+        if record is not None:
+            if record.host_args is task.args:
+                return record
+            self._keep(record)
+        record = self._record = (
+            self.grid_for(task) if self.schedule == "compiled" else self._bind(task)
+        )
         return record
+
+    def _bind(self, task) -> ArgsRecord:
+        """A record of ``task``'s tuple in the signature table: bound to
+        the state a record of its signature left, else built afresh."""
+        device = self.device
+        args = list(task.args)
+        key = args[:]
+        arrays = ()
+        for pos, a in enumerate(args):
+            if isinstance(a, (Buffer, ViewSubView)):
+                a = args[pos] = a.kernel_array(device, False)
+                key[pos] = (a.dtype, a.shape)
+                arrays += (pos,)
+            elif isinstance(a, np.ndarray):
+                return self.grid_for(task)  # raw arrays pass as they are
+            else:
+                key[pos] = (type(a), a)
+        key = tuple(key)
+        try:
+            state = self._signatures.get(key)
+        except TypeError:  # an unhashable scalar: no signature
+            return self.grid_for(task)
+        if state is None:
+            verdict = kept = replay = tier = seconds = None
+        else:
+            verdict, kept, replay, tier, seconds = state
+        guarded = False
+        for pos in arrays:
+            if kept is None or pos in kept:
+                a = args[pos] = guard(args[pos])
+                guarded = guarded or type(a) is GuardedArray
+        record = ArgsRecord(self, task.args, tuple(args), key=key)
+        if verdict is None:
+            verdict = UNTRACED if guarded else None
+        record.guard, record.kept, record.replay, record.tier, record.seconds = (
+            verdict, kept, replay, tier, seconds
+        )
+        return record
+
+    def _keep(self, record: ArgsRecord) -> None:
+        """Remember ``record``'s derived state under its signature."""
+        if record.key is not None:
+            if len(self._signatures) >= SIGNATURES_MAX:
+                self._signatures.clear()
+            self._signatures[record.key] = record.state()
 
     def drop_record(self) -> None:
         """Forget the last argument tuple (and the device arrays its
-        record holds)."""
-        self._record = None
+        record holds), keeping what was derived from its signature."""
+        record, self._record = self._record, None
+        if record is not None:
+            self._keep(record)
 
     def grid_for(self, task, args=None, monitor=None) -> ArgsRecord:
         """A new record of ``task``'s arguments under this plan, owned

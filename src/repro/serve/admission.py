@@ -29,7 +29,8 @@ from collections import deque
 from typing import Dict, List
 
 from .config import ServeConfig
-from .types import RetryAfter
+from .metrics import record_admission
+from .types import GatewayClosed, RetryAfter
 
 __all__ = ["FairShareAdmission", "TenantState"]
 
@@ -133,12 +134,8 @@ class FairShareAdmission:
         ``release``) the request waits for the gateway's next step and
         False is returned.
         """
-        from .metrics import record_admission
-
         with self._lock:
             if self._closed:
-                from .types import GatewayClosed
-
                 raise GatewayClosed("gateway is shutting down")
             st = self._tenant(request.tenant)
             if len(st.queue) >= self.config.queue_bound:
@@ -159,7 +156,7 @@ class FairShareAdmission:
             # request stays queued like any other.
             released = release and self._next_ready_locked() is request
         record_admission(request.tenant, "queued", depth)
-        if not released:
+        if not released and not self.ready.is_set():
             self.ready.set()
         return released
 
@@ -225,17 +222,25 @@ class FairShareAdmission:
 
     def task_finished(self, tenant: str, seconds: float, ok: bool) -> None:
         """A released request completed; frees the in-flight slot."""
+        self.tasks_finished(((tenant, seconds),), ok)
+
+    def tasks_finished(self, done, ok: bool) -> None:
+        """Released requests completed — ``(tenant, service seconds)``
+        pairs, a batch's members — under one lock; frees their in-flight
+        slots."""
+        waiting = False
         with self._lock:
-            st = self._tenants.get(tenant)
-            if st is None:
-                return
-            st.inflight = max(0, st.inflight - 1)
-            if ok:
-                st.completed += 1
-            else:
-                st.failed += 1
-            st.observe_service(seconds)
-            waiting = bool(st.queue)
+            for tenant, seconds in done:
+                st = self._tenants.get(tenant)
+                if st is None:
+                    continue
+                st.inflight = max(0, st.inflight - 1)
+                if ok:
+                    st.completed += 1
+                else:
+                    st.failed += 1
+                st.observe_service(seconds)
+                waiting = waiting or bool(st.queue)
         if waiting:
             self.ready.set()
 

@@ -58,10 +58,10 @@ The batcher is pure bookkeeping — no threads, no locks, no clock of its
 own.  The gateway's loop steps drive it with explicit timestamps, which
 keeps the flush logic deterministic and directly testable.  Only the
 gateway's loop thread touches this object's state: its steps, a lone
-request stepped through in ``submit`` (which asks :meth:`runs_alone`
-before it adds), and every batch completion — the router calls
-:meth:`note_done` before any of the batch's replies.  Other threads only
-read the :meth:`stats` integers.
+request stepped through in ``submit`` (keyed once, then asked
+:meth:`runs_alone` and added), and every batch completion — the router
+calls :meth:`note_done` before any of the batch's replies.  Other
+threads only read the :meth:`stats` integers.
 """
 
 from __future__ import annotations
@@ -134,19 +134,28 @@ class Batcher:
 
     # -- intake -----------------------------------------------------------
 
-    def add(self, request, now: float) -> None:
-        """Park ``request`` in an open batch or emit it as ready."""
+    def keyed(self, request) -> tuple:
+        """``(workload, slot)`` of ``request``: its slot is ``(batch_key,
+        backend)``, or ``None`` when it never batches.  Keying runs the
+        workload's ``batch_key``; a caller that asks :meth:`runs_alone`
+        first hands the same pair to :meth:`add`."""
         workload = get_workload(request.workload)
-        key = None
-        if self.enabled and not isinstance(request, GraphRequest):
-            key = workload.batch_key(request)
-        if key is None:
+        if not self.enabled or isinstance(request, GraphRequest):
+            return workload, None
+        key = workload.batch_key(request)
+        return workload, (None if key is None else (key, request.backend))
+
+    def add(self, request, now: float, keyed: Optional[tuple] = None) -> None:
+        """Park ``request`` in an open batch or emit it as ready
+        (``keyed``: its :meth:`keyed` pair, when the caller has it)."""
+        workload, slot = keyed or self.keyed(request)
+        if slot is None:
             batch = Batch(None, workload, request.backend, now)
             batch.requests.append(request)
             self._immediate += 1
             self._ready.append(batch)
             return
-        slot = (key, request.backend)
+        key = slot[0]
         batch = self._open.get(slot)
         if slot in self._running or (
             batch is not None and (not batch.held or now <= batch.deadline)
@@ -171,17 +180,13 @@ class Batcher:
             del self._open[slot]
             self._flush(batch, now)
 
-    def runs_alone(self, request) -> bool:
-        """Whether :meth:`add` would give ``request`` an unheld batch of
-        its own, due at once: it never batches, or its key has no open
-        batch, no unheld batch flushed and not yet completed, and no
-        company remembered."""
-        if not self.enabled or isinstance(request, GraphRequest):
+    def runs_alone(self, slot: Optional[tuple]) -> bool:
+        """Whether :meth:`add` would give a request of ``slot`` (see
+        :meth:`keyed`) an unheld batch of its own, due at once: it never
+        batches, or its key has no open batch, no unheld batch flushed
+        and not yet completed, and no company remembered."""
+        if slot is None:
             return True
-        key = get_workload(request.workload).batch_key(request)
-        if key is None:
-            return True
-        slot = (key, request.backend)
         return not (
             slot in self._open or slot in self._running or slot in self._company
         )

@@ -25,6 +25,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..core.errors import ServeError
+from ..telemetry import tracing
 from ..telemetry.spans import record_span
 from .protocol import (
     FrameConnection,
@@ -154,8 +155,6 @@ class ServeClient:
         # Distributed tracing: propagate the caller's ambient context
         # (or the REPRO_TRACEPARENT seed) so the server-side request
         # joins this trace.  Untraced callers add nothing to the frame.
-        from ..telemetry import tracing
-
         ctx = tracing.current() or tracing.from_env()
         retries = 0
         while True:

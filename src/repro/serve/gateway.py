@@ -45,7 +45,7 @@ from ..telemetry.spans import closed_span
 from .admission import FairShareAdmission
 from .batcher import Batcher
 from .config import ServeConfig, config_from_env
-from .metrics import record_completion, record_retry_delay
+from .metrics import record_completions, record_retry_delay
 from .router import ShardRouter
 from .types import (
     GatewayClosed,
@@ -104,10 +104,7 @@ class Gateway:
             self._loop_thread.start()
             self._loop_id = self._loop_thread.ident
         self._loop = loop
-        # The router notes a finished batch before any of its replies,
-        # so a request sent after a reply finds its predecessor gone — or
-        # a solo closed-loop client would look concurrent.
-        self.router = ShardRouter(config, self.batcher.note_done)
+        self.router = ShardRouter(config)
         self._atexit = atexit.register(self._atexit_shutdown)
         # Live ops endpoints (REPRO_TELEMETRY_HTTP=host:port): the
         # gateway publishes its readiness; the listener is shared by
@@ -160,13 +157,14 @@ class Gateway:
             if ctx is None and observers():
                 ctx = tracing.new_trace()
             request.trace = ctx
-        flight.maybe_record(
-            "serve_submit",
-            request_id=request.request_id,
-            workload=request.workload,
-            tenant=request.tenant,
-            **(request.trace.ids() if request.trace is not None else {}),
-        )
+        if flight.active():
+            flight.maybe_record(
+                "serve_submit",
+                request_id=request.request_id,
+                workload=request.workload,
+                tenant=request.tenant,
+                **(request.trace.ids() if request.trace is not None else {}),
+            )
         handle = ServeHandle(request)
         with self._handles_lock:
             self._handles[request.request_id] = handle
@@ -188,23 +186,24 @@ class Gateway:
         if batch is None:
             self._wake()
         else:
-            self.router.submit(batch, self._on_request_done)
+            self.router.submit(batch, self._on_batch_done)
         return handle
 
     def _admit_lone(self, request):
         """Offer ``request``; when it runs alone, also step it through
         admission and the batcher as a step would, and return its batch
         (else ``None``: the next step has it)."""
-        if not self.admission.offer(request, release=self.batcher.runs_alone(request)):
+        keyed = self.batcher.keyed(request)
+        if not self.admission.offer(request, release=self.batcher.runs_alone(keyed[1])):
             return None
         now = time.perf_counter()
-        self.batcher.add(request, now)
+        self.batcher.add(request, now, keyed)
         mine = None
         for batch in self.batcher.pop_ready(now):
             if batch.requests[0] is request:
                 mine = batch
             else:  # another key's batch came due meanwhile
-                self.router.submit(batch, self._on_request_done)
+                self.router.submit(batch, self._on_batch_done)
         return mine
 
     def launch(
@@ -277,7 +276,7 @@ class Gateway:
         else:
             ready = self.batcher.pop_ready(now)
         for batch in ready:
-            self.router.submit(batch, self._on_request_done)
+            self.router.submit(batch, self._on_batch_done)
         # A superseded timer still fires; its step finds nothing due.
         deadline = self.batcher.next_deadline()
         if deadline is not None and deadline < self._timer_at:
@@ -289,64 +288,77 @@ class Gateway:
         self._timer_at = float("inf")
         self._step()
 
-    def _on_request_done(self, request, outputs, error, lane, batch) -> None:
-        """Request completion callback, on the loop thread."""
+    def _on_batch_done(self, batch, outputs, error, lane) -> None:
+        """Batch completion callback, on the loop thread: the batcher
+        hears of it before any reply goes out, so a request sent after a
+        reply finds its predecessor gone (else a solo closed-loop client
+        would look concurrent); then every member is accounted for and
+        resolved."""
+        self.batcher.note_done(batch)
         now = time.perf_counter()
-        latency = max(0.0, now - request.submitted_at)
-        service = max(0.0, now - request.admitted_at)
-        batch_size, held = batch.size, batch.held
-        # Added to the batcher at admission, so this is add -> flush.
-        batch_wait = round(max(0.0, batch.flushed_at - request.admitted_at), 6)
+        requests = batch.requests
+        batch_size = len(requests)
         ok = error is None
-        self.admission.task_finished(request.tenant, service, ok)
+        self.admission.tasks_finished(
+            [(r.tenant, max(0.0, now - r.admitted_at)) for r in requests], ok
+        )
         if self.admission.ready.is_set():  # a freed slot releases queued work
             self._wake()
-        record_completion(request.tenant, latency, ok)
-        # The request's own span, announced after the fact (the gateway
+        with self._handles_lock:
+            handles = [self._handles.pop(r.request_id, None) for r in requests]
+            if ok:
+                self._completed += batch_size
+            else:
+                self._failed += batch_size
+        # A request's own span is announced after the fact (the gateway
         # only learns the endpoints here) — free when nothing observes
         # and no ops listener keeps the traced and the failed requests.
-        trace = request.trace
-        if observers() or (
-            spanlog.listening() and (trace is not None or error is not None)
-        ):
-            failure = None if ok else f"{type(error).__name__}: {error}"
-            spanlog.announce(
-                closed_span(
-                    "serve.request", now - latency, now, "serve", trace, failure, None,
-                    {
-                        "workload": request.workload,
-                        "tenant": request.tenant,
-                        "lane": lane.label,
-                        "batch_size": batch_size,
-                        "batch_wait_s": batch_wait,
-                        "held": held,
-                        "request_id": request.request_id,
-                        "latency_s": round(latency, 6),
-                    },
+        # Spans and metrics are in before any handle resolves.
+        observed, listening = observers(), spanlog.listening()
+        latencies = [max(0.0, now - r.submitted_at) for r in requests]
+        by_tenant: Dict[str, list] = {}
+        for request, latency in zip(requests, latencies):
+            by_tenant.setdefault(request.tenant, []).append(latency)
+            if observed or (listening and (request.trace is not None or not ok)):
+                failure = None if ok else f"{type(error).__name__}: {error}"
+                # Added to the batcher at admission, so this is add -> flush.
+                batch_wait = round(max(0.0, batch.flushed_at - request.admitted_at), 6)
+                spanlog.announce(
+                    closed_span(
+                        "serve.request", now - latency, now, "serve", request.trace,
+                        failure, None,
+                        {
+                            "workload": request.workload,
+                            "tenant": request.tenant,
+                            "lane": lane.label,
+                            "batch_size": batch_size,
+                            "batch_wait_s": batch_wait,
+                            "held": batch.held,
+                            "request_id": request.request_id,
+                            "latency_s": round(latency, 6),
+                        },
+                    )
                 )
-            )
-        with self._handles_lock:
-            handle = self._handles.pop(request.request_id, None)
-            if ok:
-                self._completed += 1
-            else:
-                self._failed += 1
-        if handle is None:
-            return
-        if ok:
+        for tenant, values in by_tenant.items():
+            record_completions(tenant, values, ok)
+        for i, handle in enumerate(handles):
+            if handle is None:
+                continue
+            if not ok:
+                handle._fail(error)
+                continue
+            request = requests[i]
             handle._resolve(
                 ServeResult(
                     request_id=request.request_id,
                     tenant=request.tenant,
                     workload=request.workload,
-                    arrays=outputs,
-                    latency=latency,
+                    arrays=outputs[i],
+                    latency=latencies[i],
                     batch_size=batch_size,
                     lane=lane.label,
                 )
             )
-        else:
-            handle._fail(error)
         if self._draining.is_set():
             with self._idle:
                 self._idle.notify_all()

@@ -31,6 +31,7 @@ from ..telemetry.metrics import registry
 __all__ = [
     "record_admission",
     "record_completion",
+    "record_completions",
     "record_batch",
     "record_retry_delay",
 ]
@@ -56,18 +57,25 @@ def record_admission(tenant: str, outcome: str, depth: Optional[int] = None) -> 
 
 
 def record_completion(tenant: str, latency: float, ok: bool) -> None:
+    record_completions(tenant, (latency,), ok)
+
+
+def record_completions(tenant: str, latencies, ok: bool) -> None:
+    """One batch's requests of ``tenant`` finished, with ``latencies``."""
     reg = registry()
     reg.counter(
         "repro_serve_requests_total",
         "Serving requests by admission outcome",
         tenant=tenant,
         outcome="completed" if ok else "failed",
-    ).inc()
-    reg.histogram(
+    ).inc(len(latencies))
+    histogram = reg.histogram(
         "repro_serve_latency_seconds",
         "Submit-to-result latency per tenant",
         tenant=tenant,
-    ).observe(latency)
+    )
+    for latency in latencies:
+        histogram.observe(latency)
 
 
 def record_batch(size: int, lane: str, hold: float) -> None:

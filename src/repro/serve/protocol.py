@@ -113,6 +113,7 @@ import numpy as np
 from ..core.errors import ServeError
 
 __all__ = [
+    "dtype_name",
     "encode_array",
     "decode_array",
     "encode_arrays",
@@ -147,9 +148,27 @@ _MAGIC = b"RPF1"
 _PREFIX = struct.Struct("!4sII")
 #: Alignment of the payload's start and of every array offset.
 _ALIGN = 8
+#: ``json.dumps(..., separators=(",", ":"))`` without building an
+#: encoder per frame.
+_HEADER_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 # -- arrays -------------------------------------------------------------------
+
+#: dtype -> its name on the wire: ``str(dtype)`` runs numpy's
+#: Python-level naming on every call.  Capped, since the wire picks the
+#: dtypes a server names (past the cap a name is computed each time).
+_dtype_names: Dict[np.dtype, str] = {}
+
+
+def dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)`` (``"float64"``), memoised per dtype."""
+    name = _dtype_names.get(dtype)
+    if name is None:
+        name = str(dtype)
+        if len(_dtype_names) < 256:
+            _dtype_names[dtype] = name
+    return name
 
 
 def encode_array(arr: np.ndarray) -> Dict[str, Any]:
@@ -164,7 +183,7 @@ def encode_array(arr: np.ndarray) -> Dict[str, Any]:
     # caller's array.
     flat = np.ascontiguousarray(arr).reshape(-1)
     return {
-        "dtype": str(arr.dtype),
+        "dtype": dtype_name(arr.dtype),
         "shape": list(arr.shape),
         "data": memoryview(flat.view(np.uint8)).toreadonly(),
     }
@@ -176,13 +195,13 @@ def decode_array(payload: Dict[str, Any]) -> np.ndarray:
         if not isinstance(name, str):
             raise TypeError(f"dtype must be a string, got {name!r}")
         dtype = np.dtype(name)
-        shape = tuple(int(s) for s in shape)
+        shape = tuple(map(int, shape))
         data = memoryview(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ServeError(f"malformed array payload: {exc}") from exc
     if dtype.hasobject or dtype.itemsize == 0:
         raise ServeError(f"refusing dtype {dtype} from the wire")
-    if any(s < 0 for s in shape):
+    if shape and min(shape) < 0:
         raise ServeError(f"array shape {shape} has a negative extent")
     expected = math.prod(shape) * dtype.itemsize
     if data.nbytes != expected:
@@ -257,7 +276,7 @@ def encode_frame(message: Dict[str, Any]) -> List:
             parts.append(data)
             offset += len(data)
         message = dict(message, arrays=placed)
-    header = json.dumps(message, separators=(",", ":")).encode()
+    header = _HEADER_ENCODER.encode(message).encode()
     header += b" " * (-(_PREFIX.size + len(header)) % _ALIGN)
     _check_bound(len(header), offset)
     return [_PREFIX.pack(_MAGIC, len(header), offset) + header, *parts]

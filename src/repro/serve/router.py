@@ -3,10 +3,10 @@
 A **lane** is a placement record — one (back-end, device) pair with
 its accelerator type, its device and two counters.  It owns no queue
 and no thread: :meth:`ShardRouter.submit` runs a batch in the calling
-thread (the gateway's loop thread), then reports it — ``on_batch_done``
-once, then ``on_request_done`` per member request.  So lanes never run
-at the same time, and a batch picks the first lane of its back-end: a
-second lane of one back-end gets no work.
+thread (the gateway's loop thread), then reports it once, with every
+member's outputs.  So lanes never run at the same time, and a batch
+picks the first lane of its back-end: a second lane of one back-end
+gets no work.
 
 An execution error resolves the batch's requests with the error and
 never propagates into the caller: one failing batch fails only its own
@@ -15,7 +15,7 @@ members, and the lane stays usable.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from ..acc.registry import accelerator
 from ..core.errors import ServeError
@@ -39,10 +39,7 @@ class DeviceLane:
         self.device = get_dev_by_idx(self.acc_type, device_idx)
         self.batches = 0
         self.requests = 0
-
-    @property
-    def label(self) -> str:
-        return f"{self.backend}/{self.device_idx}"
+        self.label = f"{backend}/{device_idx}"
 
     def __repr__(self) -> str:
         return f"<DeviceLane {self.label} batches={self.batches}>"
@@ -51,15 +48,7 @@ class DeviceLane:
 class ShardRouter:
     """Placement of batches on the configured lanes, and their runs."""
 
-    def __init__(
-        self,
-        config: ServeConfig,
-        on_batch_done: Optional[Callable[[Batch], None]] = None,
-    ):
-        #: Told about every finished batch before any of its requests is
-        #: reported — so whatever a reply causes is ordered after it
-        #: (the batcher's company rule needs that).
-        self._on_batch_done = on_batch_done
+    def __init__(self, config: ServeConfig):
         lanes = config.lanes
         if not lanes:
             acc = accelerator(DEFAULT_BACKEND)
@@ -94,13 +83,13 @@ class ShardRouter:
 
     # -- dispatch ---------------------------------------------------------
 
-    def submit(self, batch: Batch, on_request_done: Callable) -> DeviceLane:
+    def submit(self, batch: Batch, on_done: Callable) -> DeviceLane:
         """Run ``batch`` on its lane in the calling thread, then report
-        it: ``on_batch_done(batch)`` once, then ``on_request_done(request,
-        result_dict_or_None, error_or_None, lane, batch)`` per member.
+        it once: ``on_done(batch, outputs, error, lane)``, ``outputs``
+        one result dict per member request (``None`` with an error).
 
-        An error is caught and delivered to each member request, so one
-        failing batch fails only its own requests.
+        An error is caught and reported for the batch, so one failing
+        batch fails only its own requests.
         """
         lane = self.pick_lane(batch.backend)
         requests = batch.requests
@@ -117,16 +106,13 @@ class ShardRouter:
         record_batch(len(requests), lane.label, batch.flushed_at - batch.opened_at)
         lane.batches += 1
         lane.requests += len(requests)
-        if self._on_batch_done is not None:
-            self._on_batch_done(batch)
         if error is None and (outputs is None or len(outputs) != len(requests)):
             error = ServeError(
                 f"workload {workload.name!r} returned "
                 f"{0 if outputs is None else len(outputs)} results "
                 f"for {len(requests)} requests"
             )
-        for i, req in enumerate(requests):
-            on_request_done(req, outputs[i] if error is None else None, error, lane, batch)
+        on_done(batch, None if error is not None else outputs, error, lane)
         return lane
 
     # -- lifecycle --------------------------------------------------------

@@ -63,6 +63,7 @@ from ..core.errors import ServeError
 from ..core.kernel import create_task_kernel
 from ..core.vec import Vec
 from ..core.workdiv import MappingStrategy, WorkDivMembers
+from ..graph import Graph
 from ..kernels import (
     DEFAULT_ROWS_PER_CHUNK,
     AxpyElementsKernel,
@@ -70,8 +71,12 @@ from ..kernels import (
     Jacobi2DKernel,
     ScaleKernel,
 )
+from ..mem import ViewPlainPtr, alloc, copy, view_plain
 from ..queue.queue import QueueBlocking
+from ..runtime import launch
+from .. import tuning
 from ..tuning.cache import tuning_generation
+from .protocol import dtype_name
 
 __all__ = [
     "Workload",
@@ -92,12 +97,22 @@ def _require(cond: bool, msg: str) -> None:
 
 def _array(req, name: str, ndim: int) -> np.ndarray:
     arr = req.arrays.get(name)
-    _require(arr is not None, f"{req.workload}: missing array {name!r}")
-    _require(
-        arr.ndim == ndim,
-        f"{req.workload}: array {name!r} must be {ndim}-d, got {arr.ndim}-d",
-    )
+    if arr is None or arr.ndim != ndim:
+        _require(arr is not None, f"{req.workload}: missing array {name!r}")
+        raise ServeError(
+            f"{req.workload}: array {name!r} must be {ndim}-d, got {arr.ndim}-d"
+        )
     return arr
+
+
+#: One blocking queue per lane device: a request's staging copies and
+#: its launch run in the calling thread, so lanes share nothing through
+#: it and a request builds no queue.
+_queues: Dict[object, QueueBlocking] = {}
+
+
+def _queue(device) -> QueueBlocking:
+    return _queues.get(device) or _queues.setdefault(device, QueueBlocking(device))
 
 
 class Workload:
@@ -137,29 +152,27 @@ def _stage(queue, device, host: np.ndarray, *, copy_in: bool = True):
     plain view when the host can address ``device``, else an allocation
     (filled from ``host`` when ``copy_in``).  ``host`` is aligned and
     C-contiguous (see :func:`_host`)."""
-    from .. import mem
-
     if device.accessible_from_host:
-        return mem.view_plain(device, host)
-    buf = mem.alloc(device, host.shape, dtype=host.dtype, pitched=False)
+        return view_plain(device, host)
+    buf = alloc(device, host.shape, dtype=host.dtype, pitched=False)
     if copy_in:
-        mem.copy(queue, buf, host)
+        copy(queue, buf, host)
     return buf
 
 
 def _fetch(queue, buf, host: np.ndarray) -> np.ndarray:
     """The kernel's result in ``buf``, in ``host``: a plain view of
     ``host`` already holds it, device memory is copied back."""
-    from .. import mem
-
-    if not isinstance(buf, mem.ViewPlainPtr):
-        mem.copy(queue, host, buf)
+    if not isinstance(buf, ViewPlainPtr):
+        copy(queue, host, buf)
     return host
 
 
 def _host(arr: np.ndarray) -> np.ndarray:
     """``arr`` as an array a plain view may wrap (itself when it
     already is one)."""
+    if arr.flags.c_contiguous and arr.flags.aligned:  # np.require costs ~2 us
+        return arr
     return np.require(arr, requirements=("C", "A"))
 
 
@@ -167,12 +180,14 @@ def _output(requests, name: str) -> np.ndarray:
     """The merged host array the kernel updates in place: a batch's
     concatenation, a request's own array, or one copy of an in-process
     caller's."""
-    arrays = [r.arrays[name] for r in requests]
-    if len(arrays) > 1:
-        return np.concatenate(arrays)
-    if requests[0].owns_arrays:
-        return np.require(arrays[0], requirements=("C", "A", "W"))
-    return np.array(arrays[0], order="C")
+    if len(requests) > 1:
+        return np.concatenate([r.arrays[name] for r in requests])
+    arr = requests[0].arrays[name]
+    if not requests[0].owns_arrays:
+        return np.array(arr, order="C")
+    if arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable:
+        return arr
+    return np.require(arr, requirements=("C", "A", "W"))
 
 
 def _split(requests, merged: np.ndarray, name: str, out_name: str):
@@ -199,8 +214,6 @@ def _launch(queue, task) -> None:
     the last argument tuple; dropping it keeps a finished request's
     device arrays from outliving ``Buffer.free()``.
     """
-    from ..runtime import launch
-
     ran = []
     queue.enqueue(lambda: ran.append(launch(task, queue.dev)))
     ran[0].drop_record()
@@ -242,11 +255,11 @@ def _elementwise_workdiv(acc_type, device, n: int, kernel) -> WorkDivMembers:
 
 @functools.lru_cache(maxsize=256)
 def _resolve_workdiv(acc_type, device, kernel, n: int, generation: int) -> WorkDivMembers:
-    from ..tuning import auto_divide
-
     props = acc_type.get_acc_dev_props(device)
     workers = _span_workers(acc_type, props)
-    return auto_divide(
+    # Looked up here, on a miss: a patched ``repro.tuning.auto_divide``
+    # counts resolutions.
+    return tuning.auto_divide(
         n,
         props,
         kernel=kernel,
@@ -265,16 +278,17 @@ class AxpyWorkload(Workload):
     def validate(self, req) -> None:
         x = _array(req, "x", 1)
         y = _array(req, "y", 1)
-        _require(x.shape == y.shape, "axpy: x and y extents differ")
-        _require(x.size > 0, "axpy: empty extent")
-        _require(x.dtype == y.dtype, "axpy: x and y dtypes differ")
+        if x.shape != y.shape or not x.size or x.dtype != y.dtype:
+            _require(x.shape == y.shape, "axpy: x and y extents differ")
+            _require(x.size > 0, "axpy: empty extent")
+            raise ServeError("axpy: x and y dtypes differ")
         float(req.params.get("alpha", 1.0))
 
     def batch_key(self, req) -> Tuple:
         return (
             "axpy",
             float(req.params.get("alpha", 1.0)),
-            str(req.arrays["x"].dtype),
+            dtype_name(req.arrays["x"].dtype),
         )
 
     def execute(self, requests, acc_type, device):
@@ -283,7 +297,7 @@ class AxpyWorkload(Workload):
         x_host = _host(np.concatenate(xs) if len(xs) > 1 else xs[0])
         y_host = _output(requests, "y")
         n = x_host.size
-        queue = QueueBlocking(device)
+        queue = _queue(device)
         x = _stage(queue, device, x_host)
         y = _stage(queue, device, y_host)
         try:
@@ -315,7 +329,7 @@ class ScaleWorkload(Workload):
         return (
             "scale",
             float(req.params.get("factor", 1.0)),
-            str(req.arrays["x"].dtype),
+            dtype_name(req.arrays["x"].dtype),
         )
 
     def execute(self, requests, acc_type, device):
@@ -324,7 +338,7 @@ class ScaleWorkload(Workload):
         x_host = _host(np.concatenate(xs) if len(xs) > 1 else xs[0])
         out_host = np.empty_like(x_host)
         n = x_host.size
-        queue = QueueBlocking(device)
+        queue = _queue(device)
         x = _stage(queue, device, x_host)
         # The kernel writes every element: nothing to stage.
         result = _stage(queue, device, out_host, copy_in=False)
@@ -389,7 +403,7 @@ class GemmWorkload(Workload):
             req.arrays["A"].shape[0],
             float(req.params.get("alpha", 1.0)),
             float(req.params.get("beta", 0.0)),
-            str(req.arrays["A"].dtype),
+            dtype_name(req.arrays["A"].dtype),
         )
 
     def execute(self, requests, acc_type, device):
@@ -406,7 +420,7 @@ class GemmWorkload(Workload):
                 r.arrays.get("C", np.zeros((n, n), dtype=A_host.dtype))
                 for r in requests
             ])
-        queue = QueueBlocking(device)
+        queue = _queue(device)
         A = _stage(queue, device, A_host)
         B = _stage(queue, device, B_host)
         C = _stage(queue, device, C_host)
@@ -471,9 +485,6 @@ class HeatEquationWorkload(Workload):
         float(req.params.get("c", 0.2))
 
     def execute(self, requests, acc_type, device):
-        from .. import mem
-        from ..graph import Graph
-
         out = []
         for req in requests:
             plate = np.ascontiguousarray(
@@ -483,8 +494,8 @@ class HeatEquationWorkload(Workload):
             steps = int(req.params.get("steps", 10))
             c = float(req.params.get("c", 0.2))
 
-            src = mem.alloc(device, (h, w))
-            dst = mem.alloc(device, (h, w))
+            src = alloc(device, (h, w))
+            dst = alloc(device, (h, w))
             work_div = _plate_workdiv(acc_type, device, h, w)
             result = np.empty((h, w))
             try:
@@ -526,8 +537,8 @@ def register_workload(workload: Workload) -> Workload:
 
 
 def get_workload(name: str) -> Workload:
-    with _registry_lock:
-        wl = _registry.get(name)
+    # A read needs no lock: registration only ever adds whole entries.
+    wl = _registry.get(name)
     if wl is None:
         raise ServeError(
             f"unknown workload {name!r}; registered: {workload_names()}"

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 import threading
+from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -164,14 +165,15 @@ class Histogram:
                 self._min = value
             if value > self._max:
                 self._max = value
-            for i, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self._bucket_counts[i] += 1
-                    break
+            i = bisect_left(self.bounds, value)
+            if i < len(self.bounds) and value <= self.bounds[i]:  # NaN: no bucket
+                self._bucket_counts[i] += 1
             if len(self._reservoir) < self._reservoir_size:
                 self._reservoir.append(value)
             else:
-                j = self._rng.randrange(self._count)
+                # One C call per observation (``randrange`` is several
+                # Python-level ones): observed on every served request.
+                j = int(self._rng.random() * self._count)
                 if j < self._reservoir_size:
                     self._reservoir[j] = value
 
@@ -262,6 +264,10 @@ class MetricsRegistry:
         self._kinds: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
         self._sources: List[Callable[["MetricsRegistry"], None]] = []
+        #: ``(kind, name, *labels as passed)`` -> instrument: a call site
+        #: asking again (every served request does) takes no lock and
+        #: sorts no labels.
+        self._handles: Dict[tuple, object] = {}
 
     def add_source(self, fill: Callable[["MetricsRegistry"], None]) -> None:
         """Run ``fill(self)`` before every read of the registry
@@ -280,10 +286,16 @@ class MetricsRegistry:
             fill(self)
 
     def _get(self, cls, name: str, help: str, labels: Dict[str, str], **kwargs):
+        handle = (cls, name, *labels.items())
+        inst = self._handles.get(handle)
+        if inst is not None:
+            return inst
         key = (name, _labels_key(labels))
         with self._lock:
             inst = self._instruments.get(key)
             if inst is not None:
+                if inst.kind == cls.kind:
+                    self._handles[handle] = inst
                 return inst
             kind = self._kinds.get(name)
             if kind is not None and kind != cls.kind:
@@ -292,7 +304,7 @@ class MetricsRegistry:
                     f"requested as a {cls.kind}"
                 )
             inst = cls(name, key[1], **kwargs)
-            self._instruments[key] = inst
+            self._instruments[key] = self._handles[handle] = inst
             self._kinds[name] = cls.kind
             if help:
                 self._help[name] = help
@@ -367,6 +379,7 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._instruments.clear()
+            self._handles.clear()
             self._kinds.clear()
             self._help.clear()
 

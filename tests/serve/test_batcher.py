@@ -284,3 +284,31 @@ class TestBoundedMemory:
         assert b.next_deadline() == 1e6
         b.add(_axpy(alpha=float(MAX_REMEMBERED_KEYS + 499)), now=1e6)
         assert sorted(x.held for x in b.flush_all()) == [False, True]
+
+
+
+class TestKeyedOnce:
+    def test_a_lone_request_is_keyed_once(self, monkeypatch):
+        from repro.serve.workloads import AxpyWorkload
+
+        keyed = []
+        real = AxpyWorkload.batch_key
+
+        def counting(self, req):
+            keyed.append(req)
+            return real(self, req)
+
+        monkeypatch.setattr(AxpyWorkload, "batch_key", counting)
+        b = Batcher(window=10.0, batch_max=8)
+        first = _axpy()
+        pair = b.keyed(first)
+        assert b.runs_alone(pair[1])
+        b.add(first, now=0.0, keyed=pair)
+        assert keyed == [first]
+        # A request the step adds, never asked about, is keyed by add.
+        second = _axpy()
+        assert not b.runs_alone(b.keyed(second)[1])
+        b.add(second, now=0.0)
+        assert keyed == [first, second, second]
+        (batch,) = b.pop_ready(now=0.0)
+        assert batch.requests == [first, second]

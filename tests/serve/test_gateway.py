@@ -96,6 +96,42 @@ class TestEndToEnd:
         # The burst lands inside one window: at least one merged batch.
         assert max(r.batch_size for r in results) > 1
 
+    def test_a_batch_of_two_tenants_is_accounted_per_tenant(self, gateway, rng):
+        """A finished batch is settled once: each member's admission slot
+        freed, its completion counted under its own tenant and its
+        latency observed, before its handle resolves."""
+        from repro.telemetry.metrics import registry
+
+        def completed(tenant):
+            return sum(
+                i.value for i in registry().instruments("repro_serve_requests_total")
+                if dict(i.labels) == {"tenant": tenant, "outcome": "completed"}
+            )
+
+        before = {t: completed(t) for t in ("batch-a", "batch-b")}
+        args = _axpy_args(rng)
+        gated = _occupy_loop(gateway)
+        try:
+            handles = [
+                gateway.launch("axpy", tenant=tenant, **args)
+                for tenant in ("batch-a", "batch-b", "batch-b")
+            ]
+        finally:
+            Slow.gate.set()
+        gated.result(timeout=30)
+        results = [h.result(timeout=30) for h in handles]
+        assert [r.batch_size for r in results] == [3, 3, 3]
+        assert completed("batch-a") - before["batch-a"] == 1
+        assert completed("batch-b") - before["batch-b"] == 2
+        tenants = gateway.stats()["tenants"]
+        assert tenants["batch-a"]["inflight"] == 0 and tenants["batch-a"]["completed"] == 1
+        assert tenants["batch-b"]["inflight"] == 0 and tenants["batch-b"]["completed"] == 2
+        latencies = {
+            dict(i.labels)["tenant"]: i.count
+            for i in registry().instruments("repro_serve_latency_seconds")
+        }
+        assert latencies["batch-a"] >= 1 and latencies["batch-b"] >= 2
+
     def test_sequential_solo_launches_pay_no_window(self, rng):
         """A closed-loop client (next launch after the reply) is alone
         every time: no batch of its key is ever opened held.  Asserted

@@ -21,6 +21,7 @@ from repro.serve.protocol import (
     decode_array,
     decode_arrays,
     decode_message,
+    dtype_name,
     encode_array,
     encode_arrays,
     encode_frame,
@@ -502,3 +503,13 @@ class TestRequestDefaults:
     def test_arrays_coerced_to_ndarray(self):
         r = LaunchRequest(workload="axpy", arrays={"x": [1.0, 2.0]})
         assert isinstance(r.arrays["x"], np.ndarray)
+
+
+@pytest.mark.parametrize(
+    "dtype", ["float64", "float32", "int64", ">f8", "complex128", "M8[s]", "M8[ms]"]
+)
+def test_a_memoised_dtype_name_is_str_of_the_dtype(dtype):
+    dt = np.dtype(dtype)
+    for _ in range(2):  # computed, then memoised
+        assert dtype_name(dt) == str(dt)
+        assert encode_array(np.zeros(2, dtype=dt))["dtype"] == str(dt)

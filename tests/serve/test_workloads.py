@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import accelerator, get_dev_by_idx
+from repro import accelerator, create_task_kernel, get_dev_by_idx
 from repro.core.errors import ServeError
 from repro.serve import (
     LaunchRequest,
@@ -260,6 +260,36 @@ class TestPlanReuse:
 
         gc.collect()
         pinned = self.reachable_arrays(plans.seen.values(), nbytes)
+        assert pinned == [], f"{len(pinned)} request-sized arrays outlive the request"
+
+    def test_distinct_signatures_pin_nothing(self, rng):
+        """Requests of distinct signatures (a scalar each) leave one
+        signature state each on the plan, and none of their arrays."""
+        import gc
+
+        from repro.runtime import clear_plan_cache, get_plan
+        from repro.serve.workloads import _elementwise_workdiv
+
+        acc = accelerator("AccCpuSerial")
+        dev = get_dev_by_idx(acc, 0)
+        workload = get_workload("axpy")
+        clear_plan_cache()
+        for alpha in range(self.REQUESTS):
+            req = LaunchRequest(
+                workload="axpy", params={"alpha": float(alpha)},
+                arrays={"x": rng.standard_normal(self.N), "y": rng.standard_normal(self.N)},
+            )
+            _solo(workload, req, acc, dev)
+        wd = _elementwise_workdiv(acc, dev, self.N, workload.kernel)
+        y = np.zeros(self.N)
+        plan = get_plan(
+            create_task_kernel(acc, wd, workload.kernel, self.N, 0.0, y, y), dev
+        )
+        assert plan._record is None
+        assert len(plan._signatures) == self.REQUESTS
+        del req
+        gc.collect()
+        pinned = self.reachable_arrays([plan], y.nbytes)
         assert pinned == [], f"{len(pinned)} request-sized arrays outlive the request"
 
 

@@ -127,6 +127,13 @@ class TestHistogram:
         assert counts == sorted(counts)
         assert counts[-1] == 4
 
+    def test_nan_counts_in_no_bucket(self):
+        h = Histogram("nan_h", buckets=(1.0, 2.0))
+        h.observe(float("nan"))
+        h.observe(1.5)
+        assert h.count == 2
+        assert h.cumulative_buckets() == [(1.0, 0), (2.0, 1)]
+
     def test_observation_above_top_bound_counts_only_in_inf(self):
         h = Histogram("h", buckets=(1.0,))
         h.observe(5.0)
