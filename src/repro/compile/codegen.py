@@ -5,9 +5,10 @@ resolved *before* the kernel runs.  This module is that step for the
 compiled schedule: :func:`lower` turns a
 :class:`~repro.compile.tracer.TraceResult` into Python source once, at
 trace time, and ``compile()``/``exec`` it.  A warm launch then calls
-``program(args)`` — no expression tree is walked, nothing is memoised,
-no state survives the call (serve lanes replay one program
-concurrently).
+``program(args)`` — no expression tree is walked, and no state survives
+the call (serve lanes replay one program concurrently) but one
+process-wide memo: which ``X[span, :] @ B`` layouts are certified to
+run as one whole product (:func:`_span_matmul`).
 
 What the source looks like, for the element-level AXPY
 (``y[span] = alpha * x[span] + y[span]``)::
@@ -89,11 +90,13 @@ Rules the generator keeps:
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..core.errors import KernelError
+from . import metrics
 from .exprs import (
     Arg,
     Const,
@@ -132,8 +135,9 @@ def _chunked_matmul(x, b, chunk: int, dtype):
     ``np.matmul`` over a view whose every matrix has the pointer and
     strides of one interpreted chunk, the short tail (if any) to one
     more product — every BLAS call is an interpreted chunk's, so the
-    bits are too.  (One ``x @ b`` may be blocked
-    differently and is not bit-identical.)"""
+    bits are too.  This is the form of every layout whose whole product
+    is not certified (:func:`_span_matmul`): one ``x @ b`` may be
+    blocked differently, e.g. at 255 rows in chunks of 16."""
     rows, k = x.shape
     m = b.shape[1]
     full = rows - rows % chunk
@@ -145,6 +149,93 @@ def _chunked_matmul(x, b, chunk: int, dtype):
     if full < rows:
         np.matmul(x[full:], b, out=out[full:])
     return out
+
+
+def _whole_matmul(x, b, chunk: int, dtype):
+    """``x @ b`` as one product (``chunk`` unused: the signature is
+    :func:`_chunked_matmul`'s)."""
+    out = np.empty((x.shape[0], b.shape[1]), dtype=dtype)
+    np.matmul(x, b, out=out)
+    return out
+
+
+#: Layouts certified so far -> the product form that runs them.  A full
+#: memo starts over.
+_certificates: Dict[tuple, Callable] = {}
+CERTIFICATES_MAX = 64
+_certify_lock = threading.Lock()
+
+#: Seeds of the random probes one certificate compares on.
+_PROBE_SEEDS = (0, 1)
+
+
+def _span_matmul(x, b, chunk: int, dtype):
+    """``X[span, :] @ B`` as the compiled replay runs it: one whole
+    product where that layout is certified to give the chunked product's
+    bits, else :func:`_chunked_matmul`.
+
+    BLAS's operation order depends on shapes, strides, thread count and
+    build, never on values, so the first call of a layout compares both
+    forms on seeded random operands of that very layout and the verdict
+    holds for every later call (docs/MODEL.md, "Certified products")."""
+    # The BLAS build and its thread count are fixed for the life of the
+    # process (nothing in the package sets them).  A change that sets
+    # BLAS threads at run time must add the thread count to this key.
+    key = (x.shape, x.strides, x.dtype, b.shape, b.strides, b.dtype,
+           chunk, dtype)
+    form = _certificates.get(key)
+    if form is None:
+        form = _certify(key)
+    return form(x, b, chunk, dtype)
+
+
+def _certify(key: tuple) -> Callable:
+    """The product form for ``key``'s layout, probed once and counted
+    (``compile_stats()["matmul"]``)."""
+    with _certify_lock:
+        form = _certificates.get(key)
+        if form is not None:
+            return form
+        xshape, xstrides, xdtype, bshape, bstrides, bdtype, chunk, dtype = key
+        form = _whole_matmul
+        for seed in _PROBE_SEEDS:
+            rng = np.random.default_rng(seed)
+            x = _probe(rng, xshape, xstrides, xdtype)
+            b = _probe(rng, bshape, bstrides, bdtype)
+            if x is None or b is None:
+                form = _chunked_matmul
+                break
+            with np.errstate(all="ignore"):
+                whole = _whole_matmul(x, b, chunk, dtype)
+                chunked = _chunked_matmul(x, b, chunk, dtype)
+            if whole.tobytes() != chunked.tobytes():
+                form = _chunked_matmul
+                break
+        if len(_certificates) >= CERTIFICATES_MAX:
+            _certificates.clear()
+        _certificates[key] = form
+        metrics.note_matmul("whole" if form is _whole_matmul else "chunked")
+        return form
+
+
+def _probe(rng, shape: tuple, strides: tuple, dtype):
+    """Random values in the layout ``shape``/``strides`` of ``dtype``,
+    over a buffer of their own; None when a stride is not a whole number
+    of items (no probe reproduces it)."""
+    item = dtype.itemsize
+    if any(s % item for s in strides):
+        return None
+    ends = [(n - 1) * (s // item) for n, s in zip(shape, strides) if n]
+    lo = sum(min(0, e) for e in ends)
+    size = sum(max(0, e) for e in ends) - lo + 1
+    # Integer and boolean products are exact in any order, so their
+    # probes may truncate to zeros.
+    values = rng.random(size)
+    if dtype.kind == "c":
+        values = values + 1j * rng.random(size)
+    return np.lib.stride_tricks.as_strided(
+        values.astype(dtype)[-lo:], shape, strides, writeable=False
+    )
 
 
 class _Val:
@@ -340,7 +431,7 @@ class _Lowering:
                 (x.shape[2][0], self.sig[node.pos][2][1]),
             )
         return self._new(
-            self._bind("F", _chunked_matmul) + "({0}, {1}, "
+            self._bind("F", _span_matmul) + "({0}, {1}, "
             + self._bind("K", node.chunk) + ", "
             + self._bind("K", dtype) + ")",
             (x, b), probe=np.empty(0, dtype=dtype), shape=shape, fresh=True,

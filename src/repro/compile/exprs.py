@@ -152,7 +152,9 @@ class SpanMatMul(Expr):
 
     The interpreted loop multiplies chunk by chunk, and the chunks are
     cut at the multiples of ``chunk`` (the thread element extent along
-    axis 0), whichever thread runs them; the replay keeps that cut.
+    axis 0), whichever thread runs them; the replay keeps that cut
+    unless the layout is certified to give the same bits as one whole
+    product (:func:`repro.compile.codegen._span_matmul`).
     """
 
     __slots__ = ("value", "pos", "chunk")

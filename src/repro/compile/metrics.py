@@ -13,6 +13,9 @@ announces nothing; the readers pull:
 * and (``"tier"``), per kernel, which way the tier decisions of the
   default schedule went and how many launches a tier ran compiled
   (:meth:`repro.compile.replay.CompiledReplay.note_trial`);
+* and (``"matmul"``), for the process, the certificate verdicts of
+  ``X[span, :] @ B`` layouts: how many run as one whole product, how
+  many keep the interpreter's chunks (:func:`repro.compile.codegen._span_matmul`);
 * the process metrics registry copies the same counts into its
   ``repro_compile_*_total`` counters whenever it is read (a registry
   source, see :meth:`repro.telemetry.metrics.MetricsRegistry.add_source`),
@@ -40,6 +43,7 @@ __all__ = [
     "note_crosscheck",
     "note_guard",
     "note_tier",
+    "note_matmul",
 ]
 
 _lock = threading.Lock()
@@ -165,6 +169,17 @@ def note_tier(counts: KernelCounts, tier: str) -> None:
         counts.tier[tier] += 1
 
 
+#: Certificate verdict (``"whole"`` / ``"chunked"``) -> layouts, for
+#: the process (a certificate is per layout, not per kernel).
+_matmul: Dict[str, int] = {"whole": 0, "chunked": 0}
+
+
+def note_matmul(verdict: str) -> None:
+    """A ``X[span, :] @ B`` layout got its certificate verdict."""
+    with _lock:
+        _matmul[verdict] += 1
+
+
 def compile_stats() -> Dict[str, object]:
     """Snapshot of the process-local compile counters."""
     fallbacks: Dict[str, int] = {}
@@ -193,18 +208,23 @@ def compile_stats() -> Dict[str, object]:
             c.kernel: dict(c.tier, launches=c.tiered)
             for c in every if c.tiered or any(c.tier.values())
         }
+        matmul = dict(_matmul)
     stats["fallbacks"] = fallbacks
     stats["guard"] = guard
     stats["tier"] = tier
+    stats["matmul"] = matmul
     return stats
 
 
 def reset_compile_stats() -> None:
     """Zero the process-local counters (tests and bench warm-up); the
-    registry's ``repro_compile_*_total`` read them, so they rewind too."""
+    registry's ``repro_compile_*_total`` read them, so they rewind too.
+    Product certificates are kept: a layout is not probed again."""
     with _lock:
         for counts in _kernels.values():
             counts._zero()
+        for verdict in _matmul:
+            _matmul[verdict] = 0
 
 
 #: (metric, help, KernelCounts attribute), one counter per kernel each.

@@ -45,8 +45,10 @@ What is representable, and what falls back:
   span;
 * **``@`` on a row span**: ``X[span, :] @ B`` with a 2-d row-span value
   on the left and a whole array argument on the right records one
-  :class:`SpanMatMul` — still per chunk, since the interpreted loop
-  multiplies chunk by chunk.  The right operand is read whole, so no
+  :class:`SpanMatMul` with the loop's chunk rows, since the interpreted
+  loop multiplies chunk by chunk (the replay runs one whole product
+  only where a layout's certificate shows the same bits).  The right
+  operand is read whole, so no
   store may touch it (at trace time), nor may any written argument
   share its memory (per launch).  A span-domain, per-thread or scalar
   right operand, a 1-d span and a traced value on the right of ``@``

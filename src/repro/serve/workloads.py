@@ -211,12 +211,22 @@ def _launch(queue, task) -> None:
     A workload holds one kernel instance, so every same-shape request
     resolves to one cached :class:`~repro.runtime.plan.LaunchPlan` (the
     plan cache keys on kernel identity).  That plan keeps the record of
-    the last argument tuple; dropping it keeps a finished request's
-    device arrays from outliving ``Buffer.free()``.
+    the last argument tuple; dropping it — whether the kernel returned
+    or raised — keeps a finished request's device arrays from outliving
+    ``Buffer.free()``.
     """
     ran = []
-    queue.enqueue(lambda: ran.append(launch(task, queue.dev)))
-    ran[0].drop_record()
+    try:
+        queue.enqueue(lambda: ran.append(launch(task, queue.dev)))
+    finally:
+        if ran:
+            ran[0].drop_record()
+        else:
+            # The launch raised: the plan it resolved is the task's binding.
+            binding = getattr(task, "_plan_binding", None)
+            plan = binding[0]() if binding is not None else None
+            if plan is not None:
+                plan.drop_record()
 
 
 def _span_workers(acc_type, props) -> Optional[int]:

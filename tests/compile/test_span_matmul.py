@@ -1,9 +1,12 @@
-"""Row spans and ``@``: ``X[span, :] @ B`` lowers to a chunked matmul.
+"""Row spans and ``@``: ``X[span, :] @ B`` lowers to a certified product.
 
 The OpenMP-style DGEMM (paper Fig. 5) multiplies row chunks of the
-grid-strided loop.  The compiled replay keeps every chunk's BLAS call —
-one batched ``np.matmul`` over the full chunks, one product for the
-tail — so it is bit-identical to interpretation.  Every form outside
+grid-strided loop.  The compiled replay runs one whole ``x @ b`` for a
+layout (shapes, strides, dtypes, chunk rows) whose certificate — both
+forms compared on two seeded random operands of that layout — matched
+bit for bit; any other layout keeps every chunk's BLAS call (one batched
+``np.matmul`` over the full chunks, one product for the tail).  Either
+way the replay is bit-identical to interpretation.  Every form outside
 ``2-d row span @ whole 2-d array argument`` falls back with its slug.
 """
 
@@ -11,7 +14,8 @@ import numpy as np
 import pytest
 
 from repro import WorkDivMembers
-from repro.compile.codegen import _chunked_matmul
+from repro.compile import codegen, compile_stats, reset_compile_stats
+from repro.compile.codegen import _chunked_matmul, _span_matmul
 from repro.compile.exprs import SpanMatMul, SpanStore
 from repro.compile.tracer import CompileFallback, trace_kernel
 from repro.core.element import grid_strided_spans
@@ -76,6 +80,77 @@ class TestLowering:
             want[s:s + chunk] = x[s:s + chunk] @ b
         got = _chunked_matmul(x, b, chunk, np.dtype(np.float64))
         assert np.array_equal(got, want)
+
+
+# -- certificates ---------------------------------------------------------
+
+
+@pytest.fixture
+def certificates(monkeypatch):
+    """An empty certificate memo and zeroed verdict counts; yields the
+    memo and the list of shapes ``codegen._probe`` was called for."""
+    memo = {}
+    monkeypatch.setattr(codegen, "_certificates", memo)
+    probe = codegen._probe
+    probes = []
+
+    def counted(*args):
+        probes.append(args[1])
+        return probe(*args)
+
+    monkeypatch.setattr(codegen, "_probe", counted)
+    reset_compile_stats()
+    yield memo, probes
+
+
+def _gemm_launch(n, rows, blocks=4, seed=3):
+    rng = np.random.default_rng(seed)
+    A, B, C = rng.random((n, n)), rng.random((n, n)), rng.random((n, n))
+    return assert_bit_identical(
+        GemmOmpStyleKernel(), WorkDivMembers.make(blocks, 1, rows),
+        (n, 1.5, 0.25), [A, B, C],
+        layout=lambda s, b: (s[0], s[1], b[0], b[1], s[2], b[2]),
+    )
+
+
+class TestCertificate:
+    def test_certified_shape_runs_one_whole_product(self, certificates):
+        stats = _gemm_launch(256, 16)
+        assert stats["compiled_launches"] == 1
+        assert stats["matmul"] == {"whole": 1, "chunked": 0}
+
+    def test_failed_certificate_keeps_the_chunks(self, certificates):
+        stats = _gemm_launch(255, 16)
+        assert stats["compiled_launches"] == 1
+        assert stats["matmul"] == {"whole": 0, "chunked": 1}
+        memo, _probes = certificates
+        assert list(memo.values()) == [_chunked_matmul]
+
+    def test_pitched_rows_are_their_own_layout(self, certificates):
+        memo, _probes = certificates
+        rng = np.random.default_rng(5)
+        b = rng.random((256, 256))
+        dense = rng.random((256, 256))
+        pitched = rng.random((256, 259))[:, :256]
+        for x in (dense, pitched):
+            want = np.empty((256, 256))
+            for s in range(0, 256, 16):
+                want[s:s + 16] = x[s:s + 16] @ b
+            got = _span_matmul(x, b, 16, np.dtype(np.float64))
+            assert got.tobytes() == want.tobytes()
+        assert sorted(key[1] for key in memo) == [(2048, 8), (2072, 8)]
+        verdicts = compile_stats()["matmul"]
+        assert sum(verdicts.values()) == 2
+
+    def test_second_launch_probes_nothing(self, certificates):
+        _memo, probes = certificates
+        _gemm_launch(256, 16)
+        assert probes and compile_stats()["matmul"]["whole"] == 1
+        del probes[:]
+        stats = _gemm_launch(256, 16, seed=4)
+        assert stats["compiled_launches"] == 1
+        assert probes == []
+        assert stats["matmul"] == {"whole": 0, "chunked": 0}
 
 
 # -- compiled against interpreted ---------------------------------------

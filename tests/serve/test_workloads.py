@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import accelerator, create_task_kernel, get_dev_by_idx
-from repro.core.errors import ServeError
+from repro.core.errors import KernelError, ServeError
 from repro.serve import (
     LaunchRequest,
     Workload,
@@ -291,6 +291,34 @@ class TestPlanReuse:
         gc.collect()
         pinned = self.reachable_arrays([plan], y.nbytes)
         assert pinned == [], f"{len(pinned)} request-sized arrays outlive the request"
+
+
+    def test_a_raising_request_pins_nothing(self):
+        """A request whose kernel raises lets go of its arguments too
+        (regression: the record stayed on the plan until its next
+        request)."""
+        from repro.runtime import clear_plan_cache, get_plan
+        from repro.serve.workloads import _elementwise_workdiv
+
+        acc = accelerator("AccCpuSerial")
+        dev = get_dev_by_idx(acc, 0)
+        workload = get_workload("axpy")
+        clear_plan_cache()
+        words = np.array(["a", "b", "c"])
+        req = LaunchRequest(
+            workload="axpy", params={"alpha": 2.0},
+            arrays={"x": words, "y": words.copy()},
+        )
+        with pytest.raises(KernelError):
+            _solo(workload, req, acc, dev)
+        wd = _elementwise_workdiv(acc, dev, words.size, workload.kernel)
+        plan = get_plan(
+            create_task_kernel(acc, wd, workload.kernel, words.size, 2.0,
+                               words, words),
+            dev,
+        )
+        assert plan.launches == 1
+        assert plan._record is None
 
 
 @pytest.fixture
