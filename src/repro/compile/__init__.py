@@ -30,7 +30,7 @@ gap without leaving pure numpy:
   once, counted (:mod:`~repro.compile.metrics`) and flight-recorded.
 
 Select it like any other block schedule: ``REPRO_SCHEDULER=compiled``,
-``tune_schedule=True``, or the fleet's evolve genome.  Set
+``tune_schedule=True``, or evolve's schedule genome.  Set
 ``REPRO_COMPILE_CROSSCHECK=1`` to make every compiled launch also run
 interpreted and assert bit-identity.
 """

@@ -25,7 +25,6 @@ __all__ = [
     "ModelError",
     "SanitizerError",
     "ServeError",
-    "TuningFleetError",
     "CompileCrossCheckError",
 ]
 
@@ -119,7 +118,3 @@ class CompileCrossCheckError(KernelError):
     trace-vectorizer mis-compiled the kernel or the kernel's result
     depends on cross-thread execution order — both are findings."""
 
-
-class TuningFleetError(AlpakaError, RuntimeError):
-    """Fleet tuning (:mod:`repro.tuning.fleet`) was misconfigured
-    (:class:`~repro.tuning.fleet.config.FleetConfigError` is one)."""

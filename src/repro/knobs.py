@@ -199,17 +199,10 @@ SERVE_PORT = _declare(
 SERVE_TENANT_WEIGHTS = _declare(
     "REPRO_SERVE_TENANT_WEIGHTS", _weights, None,
     "fair-share admission weights, e.g. `gold:4,free:1`; unlisted tenants weigh `1`.")
-TUNING_FLEET = _declare(
-    "REPRO_TUNING_FLEET",
-    _choice(off="0 off no false", lock="1 lock file flock yes true"),
-    "off",
-    "fleet coordination for `autotune`: `off` (default) or `lock` (lease files next to the "
-    "shared cache); N workers sharing the cache file and tuning one key run exactly one "
-    "measurement, the rest adopt the winner.")
 TUNING_HOF = _declare(
     "REPRO_TUNING_HOF", str, None,
     "path of the evolutionary search's hall of fame (default `./.repro-tuning-hof.json`); "
-    "render it with `python -m repro.tuning.fleet hof`.")
+    "render it with `python -m repro.tuning hof`.")
 BENCH_REPORT_DIR = _declare(
     "REPRO_BENCH_REPORT_DIR", str, None,
     "directory for the benchmarks' tables and `BENCH_<name>.json` (default `benchmarks/out/`).")

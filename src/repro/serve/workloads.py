@@ -253,7 +253,7 @@ def _elementwise_workdiv(acc_type, device, n: int, kernel) -> WorkDivMembers:
     The *tuned* division wins when the tuning cache knows this
     (kernel, back-end, device, extent-bucket): routing through
     :func:`~repro.tuning.auto_divide` is what lets an offline
-    :func:`~repro.tuning.autotune` store (or a fleet cache it shares)
+    :func:`~repro.tuning.autotune` store (or a cache file it shares)
     hot-swap serving launches.  An entry tuned on the performance model
     rather than on the host can be slower than the fixed division.  The
     answer is memoised per

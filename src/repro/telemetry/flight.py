@@ -4,9 +4,9 @@ when something dies.
 Soak-harness failures hours into a run are undiagnosable from a stack
 trace alone — what matters is what the process was *doing* in the
 seconds before.  With ``REPRO_FLIGHT_RECORDER_DIR`` set, every process
-(gateway, tuning-fleet worker, application) arms the span log
+(gateway, tuning worker, application) arms the span log
 (:mod:`repro.telemetry.spanlog`): every closed span (launches, copies,
-queue drains, fleet lease ops ...) becomes a record stamped with its
+queue drains, tuning lease waits ...) becomes a record stamped with its
 :mod:`~repro.telemetry.tracing` ids, next to the recorder's own events
 (serve submissions and scheduler fallbacks through
 :func:`maybe_record`, crashes).  The recorder dumps the last

@@ -231,54 +231,6 @@ def _serve_rows(collector: TelemetryCollector) -> List[Dict[str, object]]:
     return rows
 
 
-def _fleet_rows(collector: TelemetryCollector) -> List[Dict[str, object]]:
-    """One row per fleet coordination mode: how the fleet converged —
-    lookups, lease outcomes, measurements actually run vs. results
-    adopted from siblings, and how long lease losers waited."""
-    modes: Dict[str, Dict[str, int]] = {}
-    for inst in collector.registry.instruments(
-        "repro_tuning_fleet_requests_total"
-    ):
-        labels = dict(inst.labels)
-        mode = labels.get("mode", "?")
-        row = modes.setdefault(mode, {})
-        key = f"{labels.get('op', '?')}:{labels.get('outcome', '?')}"
-        row[key] = row.get(key, 0) + int(inst.value)
-    for metric, name in (
-        ("repro_tuning_fleet_measurements_total", "measured"),
-        ("repro_tuning_fleet_adopted_total", "adopted"),
-    ):
-        for inst in collector.registry.instruments(metric):
-            mode = dict(inst.labels).get("mode", "?")
-            row = modes.setdefault(mode, {})
-            row[name] = row.get(name, 0) + int(inst.value)
-    wait_h = None
-    for inst in collector.registry.instruments(
-        "repro_tuning_fleet_lease_wait_seconds"
-    ):
-        wait_h = inst
-    rows = []
-    for mode in sorted(modes):
-        r = modes[mode]
-        rows.append(
-            {
-                "mode": mode,
-                "gets": r.get("get:hit", 0) + r.get("get:miss", 0),
-                "hits": r.get("get:hit", 0),
-                "leases won": r.get("lease:granted", 0),
-                "leases lost": r.get("lease:denied", 0),
-                "measured": r.get("measured", 0),
-                "adopted": r.get("adopted", 0),
-                "wait p95": _fmt_seconds(
-                    wait_h.percentile(95)
-                    if isinstance(wait_h, Histogram) and wait_h.count
-                    else 0.0
-                ),
-            }
-        )
-    return rows
-
-
 def _counter_total(collector, metric: str) -> float:
     return sum(inst.value for inst in collector.registry.instruments(metric))
 
@@ -300,12 +252,6 @@ def summary(collector: TelemetryCollector) -> Dict[str, object]:
         ),
         "serve_requests": int(
             _counter_total(collector, "repro_serve_requests_total")
-        ),
-        "fleet_measurements": int(
-            _counter_total(collector, "repro_tuning_fleet_measurements_total")
-        ),
-        "fleet_adopted": int(
-            _counter_total(collector, "repro_tuning_fleet_adopted_total")
         ),
         "plan_cache_hit_rate": collector.plan_cache_hit_rate,
         "tuning_cache_hit_rate": collector.tuning_cache_hit_rate,
@@ -361,13 +307,6 @@ def render(collector: TelemetryCollector) -> str:
         parts.append("")
         parts.append(
             render_table(serve_rows, "Serving (per tenant)")
-        )
-
-    fleet_rows = _fleet_rows(collector)
-    if fleet_rows:
-        parts.append("")
-        parts.append(
-            render_table(fleet_rows, "Tuning fleet (per coordination mode)")
         )
 
     span_rows = _span_rows(collector)

@@ -14,7 +14,7 @@ owns:
 * **processes** — :meth:`TraceContext.to_traceparent` serialises to the
   W3C ``traceparent`` wire form (``00-<trace>-<span>-01``); the
   ``REPRO_TRACEPARENT`` environment variable seeds a child process's
-  root context, and serve / fleet frame headers carry the same string
+  root context, and serve frame headers carry the same string
   in a ``trace`` field.
 * **exports** — every span-log record carries ``trace_id`` /
   ``span_id`` / ``parent_id``, so they land in every exported trace

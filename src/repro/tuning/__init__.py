@@ -201,21 +201,19 @@ def autotune(
     the joint (division, schedule) space evolves in one run and no
     post-search sweep happens.
 
-    With the fleet enabled (``REPRO_TUNING_FLEET=lock``, see
-    :mod:`repro.tuning.fleet`), the measurement itself is coordinated
-    across worker processes sharing the cache file: exactly one worker
-    per (kernel, back-end, device, extent-bucket) holds the lease — an
-    ``flock`` the kernel frees when the holder finishes or dies — and
-    measures; the others adopt its published result
-    (``strategy="fleet"``), take the lease themselves once it is free
-    and nothing usable was published, or — if the holder takes longer
-    than ``wait_timeout`` — return the Table 2 heuristic
-    (``strategy="fleet-heuristic"``, zero measurements) and pick the
-    winner up on the next tuning-generation bump.  A cached entry is
-    usable when it refits to ``extent`` and, for ``tune_schedule=True``,
-    carries a schedule.  Each fleet call that runs the search counts in
-    ``repro_tuning_fleet_measurements_total``, each ``"fleet"`` answer
-    in ``repro_tuning_fleet_adopted_total``.
+    A call that misses and will save (``save=True``, ``force=False``)
+    measures once across every process sharing the cache file: it holds
+    the key's lease (:meth:`~repro.tuning.cache.TuningCache.acquire`, an
+    ``flock`` the kernel frees when the holder finishes or dies) while
+    it measures and saves.  A caller that finds the lease held waits
+    for the holder's entry and adopts it as a cache hit, takes the lease
+    itself once it is free and nothing usable was saved, or — when the
+    holder takes longer than
+    :data:`~repro.tuning.cache.LEASE_WAIT_SECONDS` — returns the Table 2
+    heuristic (``strategy="heuristic"``, zero measurements) and picks
+    the holder's result up on the next tuning-generation bump.  A
+    cached entry is usable when it refits to ``extent`` and, for
+    ``tune_schedule=True``, carries a schedule.
     """
     ext = as_vec(extent)
     if device is None:
@@ -236,64 +234,44 @@ def autotune(
             return None
         return _refit_for_extent(entry.work_div, ext, props)
 
-    fleet = None
+    def cached(entry: CachedResult) -> TuningResult:
+        return TuningResult(
+            work_div=fit(entry),
+            seconds=entry.seconds,
+            from_cache=True,
+            source=entry.source,
+            strategy="cache",
+            measurements=0,
+            launches=0,
+            pruned=0,
+            cache_key=key,
+            schedule=entry.schedule,
+        )
+
     lease = contextlib.nullcontext()
     if not force:
-        from .fleet import metrics as fleet_metrics
-        from .fleet.coordinator import maybe_coordinator
-
-        fleet = maybe_coordinator(cache)
-        if fleet is not None:
-            # Freshen the local view: a sibling may have tuned this key
-            # since our cache last read the file.
-            fleet.fetch(key)
-        hit = cache.get(kernel, acc_type, device, ext)
-        refit = fit(hit)
-        if refit is not None:
-            return TuningResult(
-                work_div=refit,
-                seconds=hit.seconds,
-                from_cache=True,
-                source=hit.source,
-                strategy="cache",
-                measurements=0,
-                launches=0,
-                pruned=0,
-                cache_key=key,
-                schedule=hit.schedule,
-            )
-
-    if fleet is not None:
-        adopted, lease = fleet.acquire(key, lambda e: fit(e) is not None)
-        if adopted is not None:
-            fleet_metrics.record_adopted(fleet.mode)
-            return TuningResult(
-                work_div=fit(adopted),
-                seconds=adopted.seconds,
-                from_cache=True,
-                source=adopted.source,
-                strategy="fleet",
-                measurements=0,
-                launches=0,
-                pruned=0,
-                cache_key=key,
-                schedule=adopted.schedule,
-            )
-        if lease is None:
-            # Waited the holder out: answer *now* with the Table 2
-            # heuristic (zero measurements) — the winner's result
-            # arrives later through the tuning-generation bump.
-            return TuningResult(
-                work_div=divide_work(ext, props, acc_type.mapping_strategy),
-                seconds=float("nan"),
-                from_cache=False,
-                source="heuristic",
-                strategy="fleet-heuristic",
-                measurements=0,
-                launches=0,
-                pruned=0,
-                cache_key=key,
-            )
+        hit = cache.get_key(key)
+        if fit(hit) is not None:
+            return cached(hit)
+        if save:
+            adopted, lease = cache.acquire(key, lambda e: fit(e) is not None)
+            if adopted is not None:
+                return cached(adopted)
+            if lease is None:
+                # Waited the holder out: answer *now* with the Table 2
+                # heuristic (zero measurements) — the holder's result
+                # arrives later through the tuning-generation bump.
+                return TuningResult(
+                    work_div=divide_work(ext, props, acc_type.mapping_strategy),
+                    seconds=float("nan"),
+                    from_cache=False,
+                    source="heuristic",
+                    strategy="heuristic",
+                    measurements=0,
+                    launches=0,
+                    pruned=0,
+                    cache_key=key,
+                )
 
     with lease:
         candidates = candidate_divisions(
@@ -412,16 +390,11 @@ def autotune(
             schedule=best_schedule,
             measured_at=time.time(),
         )
-        if fleet is not None:
-            # Publish fleet-wide while still holding the lease: whoever
-            # takes it next (or a sibling polling the cache) finds the
-            # entry and adopts it.
-            fleet.publish(key, entry)
-            fleet_metrics.record_measurement(fleet.mode)
-        else:
-            cache.put(kernel, acc_type, device, ext, entry)
-            if save:
-                cache.save()
+        cache.put_key(key, entry)
+        if save:
+            # Saved while the lease is held: whoever takes it next (or a
+            # process polling the file) finds the entry and adopts it.
+            cache.save()
 
     return TuningResult(
         work_div=best.work_div,

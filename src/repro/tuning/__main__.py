@@ -1,4 +1,4 @@
-"""CLI entry point: ``python -m repro.tuning.fleet``.
+"""CLI entry point: ``python -m repro.tuning``.
 
 One subcommand, ``hof``: render the persisted evolutionary hall of
 fame, latest generation first per run.
@@ -9,14 +9,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ...comparison.render import render_table
+from ..comparison.render import render_table
 from .evolve import default_hof_path, load_hall_of_fame
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.tuning.fleet",
-        description="Fleet tuning reports.",
+        prog="python -m repro.tuning",
+        description="Tuning reports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,22 +20,39 @@ tuner must never fail because a cache rotted); writes are atomic
 (write-temp-then-rename) and **merge-on-write** under an advisory file
 lock, so a crash mid-save cannot destroy earlier results and concurrent
 writer processes storing different kernels cannot silently drop each
-other's entries (the pre-fleet read-modify-write was last-writer-wins).
-Conflicting keys resolve to the entry with the newest ``measured_at``
-stamp, so a fresh re-tune is never reverted by a process still holding
-the superseded result in memory.
+other's entries.  Conflicting keys resolve to the entry with the newest
+``measured_at`` stamp, so a fresh re-tune is never reverted by a process
+still holding the superseded result in memory.
+
+Processes sharing one cache file measure each key once: a tuning run
+holds the key's **lease** (:meth:`TuningCache.acquire`) — an ``flock``
+on a sidecar file (:func:`lease_path`) that the kernel frees when the
+holder closes it *or dies* — and saves its entry before letting go, so
+whoever takes the lease next finds the entry and adopts it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import tempfile
 import threading
+import time
 import warnings
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, Iterator, Optional, Sequence, Union
+from typing import (
+    BinaryIO,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 try:  # advisory locking is POSIX-only; elsewhere saves stay best-effort
     import fcntl
@@ -45,6 +62,7 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
 from .. import knobs
 from ..core.vec import Vec, as_vec
 from ..core.workdiv import WorkDivMembers
+from ..telemetry.spans import span
 
 __all__ = [
     "TUNING_CACHE_ENV",
@@ -62,6 +80,9 @@ __all__ = [
     "bump_tuning_generation",
     "file_lock",
     "flock",
+    "lease_path",
+    "LEASE_WAIT_SECONDS",
+    "LEASE_POLL_SECONDS",
 ]
 
 #: Environment variable overriding where the tuning cache lives.
@@ -73,6 +94,13 @@ DEFAULT_CACHE_FILENAME = ".repro-tuning-cache.json"
 #: Bumped when the on-disk schema changes; mismatching files are
 #: treated as empty rather than misread.
 CACHE_FORMAT_VERSION = 1
+
+#: Seconds a tuning run that finds its key's lease held waits for the
+#: holder's entry before answering with the Table 2 heuristic (it adopts
+#: the holder's result later through the tuning-generation bump).
+LEASE_WAIT_SECONDS = 60.0
+#: Seconds between looks at a held lease and the cache file.
+LEASE_POLL_SECONDS = 0.05
 
 
 _generation = 0
@@ -145,6 +173,12 @@ def file_lock(path: str) -> Iterator[None]:
         return
     with flock(path + ".lock"):
         yield
+
+
+def lease_path(cache_path: str, key: str) -> str:
+    """Sidecar lease-file path for one tuning key."""
+    digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:12]
+    return f"{cache_path}.{digest}.lease"
 
 
 def default_cache_path() -> str:
@@ -384,10 +418,10 @@ class TuningCache:
         tuned a different kernel both keep their results no matter the
         save order.  Conflicting keys are arbitrated by ``measured_at``:
         the newer measurement wins, ties keep the in-memory entry — so a
-        sibling whose in-memory cache lags a fleet re-tune cannot write
-        the superseded entry back over the fresh one.  After an explicit
-        :meth:`clear` the next save skips the merge once: a clear must
-        actually drop entries, not resurrect them from disk.
+        process whose in-memory cache lags another's re-tune cannot
+        write the superseded entry back over the fresh one.  After an
+        explicit :meth:`clear` the next save skips the merge once: a
+        clear must actually drop entries, not resurrect them from disk.
         """
         with self._lock:
             self._load_locked()
@@ -442,10 +476,7 @@ class TuningCache:
         ``measured_at`` arbitration as :meth:`save`); returns how many
         were adopted.  An in-memory entry at least as new as the disk's
         is never dropped — a concurrent writer's file may lag this
-        process's put()s.
-
-        The fleet coordinator polls this in file-lock mode so workers
-        that lost a tuning race pick the winner up from disk."""
+        process's put()s."""
         with self._lock:
             self._loaded = True
             disk = self._read_entries(self.path, warn=False) or {}
@@ -460,6 +491,55 @@ class TuningCache:
         if adopted:
             _bump_generation()
         return adopted
+
+    # -- leases --------------------------------------------------------
+
+    def _look(
+        self, key: str, usable: Callable[[CachedResult], bool]
+    ) -> Tuple[Optional[CachedResult], Optional[BinaryIO]]:
+        """One poll: try the lease, then re-read the file.  A won lease
+        is given back when the file already answers — its previous
+        holder saved before closing it, so measuring again would waste
+        the time of every process sharing the file."""
+        lease = flock(lease_path(self.path, key), wait=False)
+        with contextlib.ExitStack() as give_back:
+            if lease is not None:
+                give_back.enter_context(lease)
+            self.reload()
+            entry = self.get_key(key)
+            if entry is not None and usable(entry):
+                return entry, None
+            give_back.pop_all()  # kept: the caller closes it
+        return None, lease
+
+    def acquire(
+        self, key: str, usable: Callable[[CachedResult], bool]
+    ) -> Tuple[Optional[CachedResult], Optional[ContextManager]]:
+        """Hold ``key``'s lease or adopt an entry another process saved.
+
+        Returns ``(entry, None)`` for an entry ``usable`` accepts,
+        ``(None, lease)`` when this caller holds the lease — measure,
+        :meth:`save`, then close the lease (a ``with`` block) — and
+        ``(None, None)`` when :data:`LEASE_WAIT_SECONDS` passed first.
+        An entry ``usable`` rejects (a schedule-less one for a
+        ``tune_schedule`` caller) counts as no entry: its caller takes
+        the lease and measures.  Without :mod:`fcntl` there is no lease
+        and the caller always measures.
+        """
+        if fcntl is None:
+            return None, contextlib.nullcontext()
+        with span("tuning.lease", cat="tuning", key=key):
+            entry, lease = self._look(key, usable)
+        if entry is None and lease is None:
+            deadline = time.monotonic() + LEASE_WAIT_SECONDS
+            with span("tuning.wait", cat="tuning", key=key):
+                while (
+                    entry is None and lease is None
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(LEASE_POLL_SECONDS)
+                    entry, lease = self._look(key, usable)
+        return entry, lease
 
     # -- access --------------------------------------------------------
 
@@ -487,8 +567,7 @@ class TuningCache:
         return key
 
     def get_key(self, key: str) -> Optional[CachedResult]:
-        """Entry under a pre-computed cache ``key`` (the fleet
-        coordinator works with raw keys — it has no kernel object)."""
+        """Entry under a pre-computed cache ``key``."""
         with self._lock:
             self._load_locked()
             return self._entries.get(key)
@@ -501,12 +580,6 @@ class TuningCache:
             self._entries[key] = result
         _bump_generation()
         return key
-
-    def entries_snapshot(self) -> Dict[str, CachedResult]:
-        """A point-in-time copy of every entry, keyed by cache key."""
-        with self._lock:
-            self._load_locked()
-            return dict(self._entries)
 
     def clear(self) -> None:
         """Drop the in-memory entries (the file is untouched until

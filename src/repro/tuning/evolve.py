@@ -17,7 +17,7 @@ on them.
 Each generation's fittest individuals are appended to a persisted
 **hall of fame** (JSON, ``$REPRO_TUNING_HOF`` or
 ``.repro-tuning-hof.json``), latest generation first in the
-``python -m repro.tuning.fleet hof`` report — the generations view of
+``python -m repro.tuning hof`` report — the generations view of
 the juno genetic optimizer is the exemplar.
 """
 
@@ -30,10 +30,10 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ... import knobs
-from ...core.workdiv import WorkDivMembers
-from ..cache import file_lock
-from ..search import (
+from .. import knobs
+from ..core.workdiv import WorkDivMembers
+from .cache import file_lock
+from .search import (
     PRUNE_RATIO,
     SEARCH_STRATEGIES,
     SearchResult,
@@ -41,7 +41,6 @@ from ..search import (
     _best,
     _prune,
 )
-from .config import HOF_ENV
 
 __all__ = [
     "evolve_search",
@@ -58,7 +57,7 @@ HOF_FORMAT_VERSION = 1
 
 
 def default_hof_path() -> str:
-    return knobs.get(HOF_ENV) or os.path.join(
+    return knobs.get(knobs.TUNING_HOF) or os.path.join(
         os.getcwd(), DEFAULT_HOF_FILENAME
     )
 
@@ -91,7 +90,8 @@ def load_hall_of_fame(path: Optional[str] = None) -> dict:
 
 def _append_run(path: str, run: dict) -> None:
     """Append one run record, read-merge-write atomically under the
-    advisory lock (fleet workers may finish evolve runs concurrently)."""
+    advisory lock (processes sharing the file may finish evolve runs
+    concurrently)."""
     with file_lock(path):
         doc = load_hall_of_fame(path)
         doc["runs"].append(run)

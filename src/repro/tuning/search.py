@@ -265,10 +265,9 @@ def run_search(
 ) -> SearchResult:
     """Dispatch to a named strategy (see :data:`SEARCH_STRATEGIES`)."""
     if strategy == "evolve" and strategy not in SEARCH_STRATEGIES:
-        # The evolutionary strategy lives in the fleet package and
-        # registers itself on import; load it on first demand so this
-        # module stays import-light.
-        from .fleet import evolve  # noqa: F401
+        # The evolutionary strategy registers itself on import; load it
+        # on first demand so this module stays import-light.
+        from . import evolve  # noqa: F401
     try:
         fn = SEARCH_STRATEGIES[strategy]
     except KeyError:

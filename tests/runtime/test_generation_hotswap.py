@@ -1,9 +1,10 @@
 """Hot-swapping tuned divisions under load: launches racing a tuning
 generation bump must stay bit-identical.
 
-The fleet's online re-tuner publishes new divisions while requests are
-in flight; the only synchronisation is the tuning-generation counter
-folded into AUTO plan-cache keys.  These tests hammer that seam."""
+A tuning run (or an entry adopted from a shared cache file) stores new
+divisions while requests are in flight; the only synchronisation is the
+tuning-generation counter folded into AUTO plan-cache keys.  These tests
+hammer that seam."""
 
 import threading
 import time
@@ -79,7 +80,7 @@ class TestHotSwap:
         assert get_plan(task, dev) is not before
 
     def test_adopted_entry_swaps_the_plan_without_clearing(self):
-        """Simulates a fleet adoption: a sibling's entry lands via
+        """Simulates an adoption: another process's entry lands via
         put_key (which bumps the generation) and the very next AUTO
         launch must resolve to it — no clear_plan_cache() anywhere."""
         acc = AccCpuSerial

@@ -147,3 +147,15 @@ class TestEnv:
         assert cli.main(argv) == 0
         for _, _, field, want in RETIRED.values():
             assert getattr(seen["cfg"], field) == want
+
+    def test_retired_online_tuning_variables_are_inert(self, monkeypatch):
+        retired = ["REPRO_SERVE_ONLINE_TUNING"] + [
+            f"REPRO_TUNING_DRIFT_{suffix}"
+            for suffix in ("THRESHOLD", "WINDOW", "COOLDOWN", "BUDGET", "EWMA")
+        ]
+        for var in retired:
+            monkeypatch.setenv(var, "1")
+        assert config_from_env() == ServeConfig()
+        assert set(retired) <= set(knobs.effective()["unrecognised"])
+        with pytest.raises(ServeConfigError):
+            ServeConfig().with_overrides(online_tuning=True)

@@ -30,7 +30,6 @@ CASES = {
     knobs.SERVE_HOST: ("0.0.0.0", "0.0.0.0", None),
     knobs.SERVE_PORT: ("8123", 8123, "http"),
     knobs.SERVE_TENANT_WEIGHTS: ("gold:4, free:1", {"gold": 4.0, "free": 1.0}, "gold=4"),
-    knobs.TUNING_FLEET: ("FLOCK", "lock", "cluster"),
     knobs.TUNING_HOF: ("hof.json", "hof.json", None),
     knobs.BENCH_REPORT_DIR: ("/tmp/out", "/tmp/out", None),
 }
@@ -46,7 +45,7 @@ def _bare_env(monkeypatch):
 
 def test_exactly_the_declared_surface():
     assert set(CASES) == set(knobs.KNOBS)
-    assert len(knobs.KNOBS) == 19
+    assert len(knobs.KNOBS) == 18
     assert all(env.startswith(knobs.PREFIX) for env in knobs.KNOBS)
 
 
@@ -85,16 +84,6 @@ def test_retired_schedule_is_rejected(raw, monkeypatch):
     accepted = "['compile', 'compiled', 'pooled', 'sequential']"
     with pytest.raises(knobs.KnobError, match=knobs.SCHEDULER) as err:
         knobs.get(knobs.SCHEDULER)
-    assert accepted in str(err.value)
-
-
-@pytest.mark.parametrize("raw", ["daemon", "socket", "serve"])
-def test_retired_fleet_daemon_is_rejected(raw, monkeypatch):
-    """The fleet daemon is gone: lease files are the only transport."""
-    monkeypatch.setenv(knobs.TUNING_FLEET, raw)
-    accepted = "['0', '1', 'false', 'file', 'flock', 'lock', 'no', 'off', 'true', 'yes']"
-    with pytest.raises(knobs.KnobError, match=knobs.TUNING_FLEET) as err:
-        knobs.get(knobs.TUNING_FLEET)
     assert accepted in str(err.value)
 
 
@@ -203,7 +192,7 @@ def test_effective_reports_sources_and_unrecognised(monkeypatch):
     monkeypatch.setenv(knobs.TUNING_CACHE, "")  # blank = unset
     monkeypatch.setenv("REPRO_SCHEDULAR", "compiled")
     config = knobs.effective()
-    assert len(config["knobs"]) == 19
+    assert len(config["knobs"]) == 18
     assert config["unrecognised"] == ["REPRO_SCHEDULAR"]
     assert config["knobs"][knobs.SCHEDULER] == {
         "value": "compiled", "raw": "compiled", "source": "env",

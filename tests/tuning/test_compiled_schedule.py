@@ -128,22 +128,19 @@ class TestFleetRoundTrip:
     def test_lock_mode_round_trips_compiled(
         self, compiled_wins, monkeypatch, isolated_cache
     ):
+        """A compiled winner saved under the lease reaches a sibling
+        worker through the shared file, schedule included."""
         from repro.tuning import reset_default_cache
-        from repro.tuning.fleet.config import FLEET_ENV
-        from repro.tuning.fleet.coordinator import reset_coordinator
 
-        monkeypatch.setenv(FLEET_ENV, "lock")
-        reset_coordinator()
         dev, args = _args()
         res = autotune(
             _ElemKernel(), AccCpuOmp2Blocks, 256, args, device=dev,
             strategy="evolve", budget=12, tune_schedule=True,
         )
         assert res.schedule == "compiled"
-        # A sibling worker (fresh in-process cache, same fleet) adopts
-        # the published entry, schedule included.
+        # A sibling worker (fresh in-process cache, same file) adopts
+        # the saved entry, schedule included.
         reset_default_cache()
-        reset_coordinator()
         res2 = autotune(
             _ElemKernel(), AccCpuOmp2Blocks, 256, args, device=dev,
             strategy="evolve", budget=12, tune_schedule=True,

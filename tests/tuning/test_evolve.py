@@ -6,12 +6,12 @@ import pytest
 
 from repro.core.workdiv import WorkDivMembers
 from repro.tuning import SEARCH_STRATEGIES, run_search
-from repro.tuning.fleet.evolve import (
+from repro.knobs import TUNING_HOF
+from repro.tuning.evolve import (
     default_hof_path,
     evolve_search,
     load_hall_of_fame,
 )
-from repro.tuning.fleet.config import HOF_ENV
 
 
 def _grid():
@@ -138,12 +138,12 @@ class TestHallOfFame:
 
     def test_default_path_honours_env(self, monkeypatch, tmp_path):
         target = str(tmp_path / "elsewhere.json")
-        monkeypatch.setenv(HOF_ENV, target)
+        monkeypatch.setenv(TUNING_HOF, target)
         assert default_hof_path() == target
 
 
 class TestRegistration:
-    def test_importing_fleet_registers_evolve(self):
+    def test_importing_evolve_registers_it(self):
         assert SEARCH_STRATEGIES["evolve"] is evolve_search
 
     def test_run_search_routes_hof_kwargs(self, tmp_path):

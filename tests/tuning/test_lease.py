@@ -1,5 +1,5 @@
-"""Coordinator contract: fetch / acquire / publish over flock leases and
-the shared cache, plus the autotune() integration seams."""
+"""The shared cache's lease: ``TuningCache.acquire`` over flock leases
+and the cache file, plus the ``autotune()`` path that takes it."""
 
 import glob
 import os
@@ -10,19 +10,12 @@ import time
 
 import pytest
 
+import repro.tuning.cache as cache_mod
 from repro import AccCpuSerial, QueueBlocking, autotune, fn_acc, get_dev_by_idx
 from repro.core.vec import Vec
 from repro.core.workdiv import WorkDivMembers
-from repro.telemetry.metrics import registry, reset_registry
 from repro.tuning import TuningCache
-from repro.tuning.cache import CachedResult
-from repro.tuning.fleet.config import FLEET_ENV, FleetConfig, FleetConfigError
-from repro.tuning.fleet.coordinator import (
-    FleetCoordinator,
-    lease_path,
-    maybe_coordinator,
-    reset_coordinator,
-)
+from repro.tuning.cache import CachedResult, flock, lease_path
 
 KEY = "k|AccCpuSerial|m:cpu:1x4@3GHz|1024"
 ENTRY = CachedResult(
@@ -33,64 +26,65 @@ ENTRY = CachedResult(
 )
 
 
-def _cfg(**kwargs):
-    defaults = dict(mode="lock", wait_timeout=5.0, poll_interval=0.01)
-    defaults.update(kwargs)
-    return FleetConfig(**defaults)
+@pytest.fixture(autouse=True)
+def _short_polls(monkeypatch):
+    monkeypatch.setattr(cache_mod, "LEASE_WAIT_SECONDS", 5.0)
+    monkeypatch.setattr(cache_mod, "LEASE_POLL_SECONDS", 0.01)
 
 
-def _pair(tmp_path, config=None):
-    """Two coordinators over the same file = two worker processes."""
-    cfg = config or _cfg()
+def _wait_seconds(monkeypatch, seconds):
+    monkeypatch.setattr(cache_mod, "LEASE_WAIT_SECONDS", seconds)
+
+
+def _pair(tmp_path):
+    """Two caches over the same file = two worker processes."""
     path = str(tmp_path / "cache.json")
-    a = FleetCoordinator(TuningCache(path), cfg)
-    b = FleetCoordinator(TuningCache(path), cfg)
-    return a, b
+    return TuningCache(path), TuningCache(path)
+
+
+def _publish(cache, key, entry):
+    cache.put_key(key, entry)
+    cache.save()
 
 
 def _any(entry):
     return True
 
 
-def _count(name, **labels):
-    """Sum of the process registry's ``name`` counters matching labels."""
-    want = set(labels.items())
-    return sum(
-        c.value for c in registry().instruments(name) if want <= set(c.labels)
-    )
-
-
-def _acquire_in_thread(coord, monkeypatch):
-    """Run ``coord.acquire(KEY)`` on a thread; returns (thread, results)
-    once the thread has lost the lease race (its first cache read)."""
+def _acquire_in_thread(cache, monkeypatch):
+    """Run ``cache.acquire(KEY)`` on a thread; returns (thread, results)
+    once the thread has lost the lease race (its first file read)."""
     looked = threading.Event()
-    reload = coord.cache.reload
+    reload = cache.reload
 
     def watched_reload():
         looked.set()
         return reload()
 
-    monkeypatch.setattr(coord.cache, "reload", watched_reload)
+    monkeypatch.setattr(cache, "reload", watched_reload)
     got = []
-    t = threading.Thread(target=lambda: got.append(coord.acquire(KEY, _any)))
+    t = threading.Thread(target=lambda: got.append(cache.acquire(KEY, _any)))
     t.start()
     assert looked.wait(timeout=5.0)
     return t, got
 
 
-class TestFileLock:
+class TestLease:
     def test_fetch_miss_then_published_hit(self, tmp_path):
         a, b = _pair(tmp_path)
-        assert b.fetch(KEY) is None
+        assert b.get_key(KEY) is None
         entry, lease = a.acquire(KEY, _any)
         assert entry is None and lease is not None
         with lease:
-            a.publish(KEY, ENTRY)
+            _publish(a, KEY, ENTRY)
         # B has its own TuningCache object: only a *fresh* read sees it.
-        assert b.fetch(KEY) == ENTRY
+        assert b.get_key(KEY) is None
+        assert b.reload() == 1
+        assert b.get_key(KEY) == ENTRY
 
-    def test_only_one_lease_granted(self, tmp_path):
-        a, b = _pair(tmp_path, _cfg(wait_timeout=0.05))
+    def test_only_one_lease_granted(self, tmp_path, monkeypatch):
+        _wait_seconds(monkeypatch, 0.05)
+        a, b = _pair(tmp_path)
         _, lease = a.acquire(KEY, _any)
         with lease:
             assert b.acquire(KEY, _any) == (None, None)
@@ -105,20 +99,18 @@ class TestFileLock:
         entry, again = b.acquire(KEY, _any)
         assert entry is None and again is not None
         again.close()
-        assert glob.glob(str(tmp_path / "*.lease")) == [
-            lease_path(a.cache.path, KEY)
-        ]
+        assert glob.glob(str(tmp_path / "*.lease")) == [lease_path(a.path, KEY)]
 
     def test_lease_after_publish_is_denied(self, tmp_path):
         """The re-check under the lease: a worker whose cache view
-        predates the holder's publish must not win the now-free lease
-        and re-measure."""
+        predates the holder's save must not win the now-free lease and
+        re-measure."""
         a, b = _pair(tmp_path)
         _, lease = a.acquire(KEY, _any)
         with lease:
-            a.publish(KEY, ENTRY)
+            _publish(a, KEY, ENTRY)
         assert b.acquire(KEY, _any) == (ENTRY, None)
-        assert b.cache.get_key(KEY) == ENTRY  # the re-check adopted it
+        assert b.get_key(KEY) == ENTRY  # the re-check adopted it
 
     def test_unusable_entry_means_take_the_lease(self, tmp_path):
         """An entry the caller cannot use (no schedule for a
@@ -127,7 +119,7 @@ class TestFileLock:
         a, b = _pair(tmp_path)
         _, lease = a.acquire(KEY, _any)
         with lease:
-            a.publish(KEY, ENTRY)
+            _publish(a, KEY, ENTRY)
         entry, lease = b.acquire(KEY, lambda e: e.schedule is not None)
         assert entry is None and lease is not None
         lease.close()
@@ -137,15 +129,16 @@ class TestFileLock:
         _, lease = a.acquire(KEY, _any)
         t, got = _acquire_in_thread(b, monkeypatch)
         with lease:
-            a.publish(KEY, ENTRY)
+            _publish(a, KEY, ENTRY)
         t.join(timeout=5.0)
         assert got == [(ENTRY, None)]
-        assert b.cache.get_key(KEY) == ENTRY
+        assert b.get_key(KEY) == ENTRY
 
     def test_released_lease_passes_to_the_waiter(self, tmp_path, monkeypatch):
-        """A holder that gives up without publishing hands the lease
-        on at once: no 30 s wait ridden out, no heuristic answer."""
-        a, b = _pair(tmp_path, _cfg(wait_timeout=30.0))
+        """A holder that gives up without saving hands the lease on at
+        once: no 30 s wait ridden out, no heuristic answer."""
+        _wait_seconds(monkeypatch, 30.0)
+        a, b = _pair(tmp_path)
         _, lease = a.acquire(KEY, _any)
         t, got = _acquire_in_thread(b, monkeypatch)
         started = time.monotonic()
@@ -156,38 +149,14 @@ class TestFileLock:
         assert entry is None and again is not None
         again.close()
 
-    def test_wait_times_out_while_the_holder_lives(self, tmp_path):
-        a, b = _pair(tmp_path, _cfg(wait_timeout=0.2))
+    def test_wait_times_out_while_the_holder_lives(self, tmp_path, monkeypatch):
+        _wait_seconds(monkeypatch, 0.2)
+        a, b = _pair(tmp_path)
         _, lease = a.acquire(KEY, _any)
         with lease:
             started = time.monotonic()
             assert b.acquire(KEY, _any) == (None, None)
             assert time.monotonic() - started >= 0.2
-
-    def test_lock_mode_needs_flock(self, tmp_path, monkeypatch):
-        """Without fcntl the fleet refuses to run rather than silently
-        coordinating nothing."""
-        import repro.tuning.cache as cache_mod
-
-        monkeypatch.setattr(cache_mod, "fcntl", None)
-        with pytest.raises(FleetConfigError, match="flock"):
-            FleetCoordinator(TuningCache(str(tmp_path / "c.json")), _cfg())
-
-
-class TestMaybeCoordinator:
-    def test_off_by_default(self, tmp_path):
-        # conftest clears REPRO_TUNING_FLEET for every test.
-        assert maybe_coordinator(TuningCache(str(tmp_path / "c.json"))) is None
-
-    def test_lock_mode_from_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(FLEET_ENV, "lock")
-        cache = TuningCache(str(tmp_path / "c.json"))
-        coord = maybe_coordinator(cache)
-        assert isinstance(coord, FleetCoordinator)
-        # Process-wide singleton for the same cache.
-        assert maybe_coordinator(cache) is coord
-        reset_coordinator()
-        assert maybe_coordinator(cache) is not coord
 
 
 class _StubLease:
@@ -200,28 +169,25 @@ class _StubLease:
         self.closed = True
 
 
-class _StubFleet:
-    """Scripted coordinator for driving autotune()'s fleet paths: hands
-    out ``adopted`` when the caller can use it, else ``lease``."""
+class _StubCache(TuningCache):
+    """A cache whose ``acquire`` is scripted: it hands out ``adopted``
+    when the caller can use it, else ``lease``; each save records
+    whether the lease was still held."""
 
-    mode = "stub"
-
-    def __init__(self, lease=None, adopted=None):
+    def __init__(self, path, lease=None, adopted=None):
+        super().__init__(path)
         self.lease = lease
         self.adopted = adopted
-        self.published = []
-
-    def fetch(self, key):
-        return None
+        self.saved_under_lease = []
 
     def acquire(self, key, usable):
         if self.adopted is not None and usable(self.adopted):
             return self.adopted, None
         return None, self.lease
 
-    def publish(self, key, result):
-        # Recorded with whether the lease was still held at the put.
-        self.published.append((key, result, not self.lease.closed))
+    def save(self):
+        self.saved_under_lease.append(not self.lease.closed)
+        return super().save()
 
 
 class _Kern:
@@ -250,15 +216,12 @@ def _tune(dev, args, **kwargs):
     )
 
 
-class TestAutotuneIntegration:
-    def _patch(self, monkeypatch, stub):
-        import repro.tuning.fleet.coordinator as coord_mod
+def _key(dev):
+    return TuningCache.key(_Kern(), AccCpuSerial, dev, 256)
 
-        monkeypatch.setattr(
-            coord_mod, "maybe_coordinator", lambda cache, config=None: stub
-        )
 
-    def test_loser_adopts_the_winners_result(self, monkeypatch):
+class TestAutotuneLease:
+    def test_loser_adopts_the_winners_result(self, tmp_path):
         dev, args = _tune_args()
         adopted = CachedResult(
             work_div=WorkDivMembers(Vec(32), Vec(1), Vec(8)),
@@ -266,24 +229,26 @@ class TestAutotuneIntegration:
             strategy="random",
             source="modeled",
         )
-        stub = _StubFleet(adopted=adopted)
-        self._patch(monkeypatch, stub)
-        res = autotune(_Kern(), AccCpuSerial, 256, args, device=dev)
-        assert res.strategy == "fleet"
+        stub = _StubCache(str(tmp_path / "c.json"), adopted=adopted)
+        res = autotune(_Kern(), AccCpuSerial, 256, args, device=dev, cache=stub)
+        assert res.strategy == "cache"
         assert res.from_cache
         assert res.measurements == 0
         assert res.launches == 0
         assert res.work_div.block_thread_extent == adopted.work_div.block_thread_extent
         assert res.work_div.thread_elem_extent == adopted.work_div.thread_elem_extent
 
-    def test_waited_out_loser_gets_the_heuristic(self, monkeypatch):
+    def test_waited_out_loser_gets_the_heuristic(self, tmp_path, monkeypatch):
         from repro import divide_work
 
+        _wait_seconds(monkeypatch, 0.1)
         dev, args = _tune_args()
-        stub = _StubFleet()
-        self._patch(monkeypatch, stub)
-        res = autotune(_Kern(), AccCpuSerial, 256, args, device=dev)
-        assert res.strategy == "fleet-heuristic"
+        path = str(tmp_path / "c.json")
+        holder = TuningCache(path)
+        _, lease = holder.acquire(_key(dev), _any)
+        with lease:
+            res = _tune(dev, args, cache=TuningCache(path))
+        assert res.strategy == "heuristic"
         assert res.measurements == 0
         assert res.launches == 0
         props = AccCpuSerial.get_acc_dev_props(dev).for_dim(1)
@@ -291,37 +256,36 @@ class TestAutotuneIntegration:
             256, props, AccCpuSerial.mapping_strategy
         )
 
-    def test_winner_publishes_through_the_fleet(self, monkeypatch):
+    def test_winner_saves_under_the_lease(self, tmp_path):
         dev, args = _tune_args()
-        stub = _StubFleet(lease=_StubLease())
-        self._patch(monkeypatch, stub)
-        res = _tune(dev, args)
+        stub = _StubCache(str(tmp_path / "c.json"), lease=_StubLease())
+        res = _tune(dev, args, cache=stub)
         assert not res.from_cache
-        assert len(stub.published) == 1
-        key, entry, held = stub.published[0]
-        assert key == res.cache_key
-        assert held  # published under the lease...
+        assert stub.saved_under_lease == [True]  # saved under the lease...
         assert stub.lease.closed  # ...which the with block then closed
+        entry = TuningCache(stub.path).get_key(res.cache_key)
         assert entry.work_div == res.work_div
         # Fresh measurements are stamped so merge conflicts resolve to
-        # the newest entry fleet-wide.
+        # the newest entry across processes.
         assert entry.measured_at > 0
 
-    def test_failed_search_releases_the_lease(self, monkeypatch):
+    def test_failed_search_releases_the_lease(self, tmp_path):
         dev, args = _tune_args()
-        stub = _StubFleet(lease=_StubLease())
-        self._patch(monkeypatch, stub)
+        path = str(tmp_path / "c.json")
         with pytest.raises(ValueError):
             autotune(
-                _Kern(), AccCpuSerial, 256, args, device=dev, strategy="nope"
+                _Kern(), AccCpuSerial, 256, args, device=dev, strategy="nope",
+                cache=TuningCache(path),
             )
-        assert stub.lease.closed
-        assert stub.published == []
+        lease = flock(lease_path(path, _key(dev)), wait=False)
+        assert lease is not None
+        lease.close()
+        assert not os.path.exists(path)  # nothing saved
 
-    def test_tune_schedule_gap_measures_instead_of_starving(self, monkeypatch):
-        """Regression: a schedule-less fleet entry used to starve
-        tune_schedule callers on the fleet-heuristic forever; such an
-        entry is no answer, so they take the lease and measure."""
+    def test_tune_schedule_gap_measures_instead_of_starving(self, tmp_path):
+        """Regression: a schedule-less shared entry used to starve
+        tune_schedule callers on the heuristic forever; such an entry is
+        no answer, so they take the lease and measure."""
         dev, args = _tune_args()
         schedule_less = CachedResult(
             work_div=WorkDivMembers(Vec(32), Vec(1), Vec(8)),
@@ -329,31 +293,55 @@ class TestAutotuneIntegration:
             strategy="random",
             source="modeled",
         )
-        stub = _StubFleet(lease=_StubLease(), adopted=schedule_less)
-        self._patch(monkeypatch, stub)
-        res = _tune(dev, args, tune_schedule=True)
-        assert res.strategy != "fleet-heuristic"
+        stub = _StubCache(
+            str(tmp_path / "c.json"), lease=_StubLease(), adopted=schedule_less
+        )
+        res = _tune(dev, args, tune_schedule=True, cache=stub)
+        assert res.strategy != "heuristic"
         assert not res.from_cache
         assert res.measurements >= 1
-        # The re-measured entry is published back under the lease.
-        assert len(stub.published) == 1
-        _, entry, held = stub.published[0]
-        assert held
-        assert entry.work_div == res.work_div
+        # The re-measured entry is saved back under the lease.
+        assert stub.saved_under_lease == [True]
+        assert stub.get_key(res.cache_key).work_div == res.work_div
 
-    def test_lock_mode_end_to_end_single_process(self, monkeypatch, tmp_path, isolated_cache):
-        monkeypatch.setenv(FLEET_ENV, "lock")
+    def test_single_process_miss_frees_the_lease_and_never_waits(
+        self, isolated_cache
+    ):
+        from repro import telemetry
+
+        dev, args = _tune_args()
+        with telemetry.collect() as t:
+            res = _tune(dev, args)
+        assert not res.from_cache
+        assert res.measurements >= 1
+        assert isolated_cache.exists()  # saved under the lease
+        names = {
+            e["name"]
+            for e in telemetry.to_chrome_trace(t)["traceEvents"]
+            if e.get("cat") == "tuning"
+        }
+        assert "tuning.lease" in names and "tuning.wait" not in names
+        # The lease is free once the entry is saved, and a sibling adopts.
+        lease = flock(lease_path(str(isolated_cache), res.cache_key), wait=False)
+        assert lease is not None
+        lease.close()
+        sibling = TuningCache(str(isolated_cache))
+        assert sibling.acquire(res.cache_key, _any) == (
+            sibling.get_key(res.cache_key), None
+        )
+
+    def test_without_flock_autotune_measures_and_saves(
+        self, monkeypatch, isolated_cache
+    ):
+        """A host without fcntl has no lease: the call measures and
+        saves unleased, as the cache's file lock degrades."""
+        monkeypatch.setattr(cache_mod, "fcntl", None)
         dev, args = _tune_args()
         res = _tune(dev, args)
         assert not res.from_cache
         assert res.measurements >= 1
-        assert isolated_cache.exists()  # publish() persisted
-        # The lease is free once the measurement is published.
-        lease = lease_path(str(isolated_cache), res.cache_key)
-        sibling = FleetCoordinator(TuningCache(str(isolated_cache)), _cfg())
-        entry, again = sibling.acquire(res.cache_key, _any)
-        assert again is None and entry is not None  # a sibling adopts it
-        assert os.path.exists(lease)
+        assert TuningCache(str(isolated_cache)).get_key(res.cache_key) is not None
+        assert glob.glob(str(isolated_cache) + ".*.lease") == []
 
 
 # The holder runs autotune on a library kernel, so its key is the one
@@ -383,21 +371,18 @@ autotune(AxpyKernel(), AccCpuSerial, n, (n, 2.0, mem.alloc(dev, n), mem.alloc(de
 class TestDeadHolder:
     """ROADMAP aim 3's "a lease holder that dies": the kernel frees a
     dead holder's lease, so a sibling measures at once instead of
-    waiting ``wait_timeout`` out and answering with the heuristic."""
+    waiting the holder out and answering with the heuristic."""
 
     def test_killed_holder_frees_the_lease_at_once(
         self, monkeypatch, tmp_path, isolated_cache
     ):
-        import repro.tuning.fleet.coordinator as coord_mod
         from repro import mem
         from repro.kernels import AxpyKernel
 
-        monkeypatch.setenv(FLEET_ENV, "lock")
+        _wait_seconds(monkeypatch, 30.0)
         script = tmp_path / "holder.py"
         script.write_text(HOLDER)
-        repo = os.path.dirname(
-            os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-        )
+        repo = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (os.path.join(repo, "src"), env.get("PYTHONPATH")) if p
@@ -415,40 +400,28 @@ class TestDeadHolder:
         assert line == "holding", err
         killed = time.monotonic()
 
-        cache = TuningCache(str(isolated_cache))
-        fleet = FleetCoordinator(cache, _cfg(wait_timeout=30.0))
-        monkeypatch.setattr(
-            coord_mod, "maybe_coordinator", lambda cache, config=None: fleet
-        )
         dev = get_dev_by_idx(AccCpuSerial)
         x, y = mem.alloc(dev, n), mem.alloc(dev, n)
         res = autotune(
             AxpyKernel(), AccCpuSerial, n, (n, 2.0, x, y), device=dev,
-            cache=cache, strategy="random", budget=2,
+            cache=TuningCache(str(isolated_cache)), strategy="random", budget=2,
         )
-        assert res.strategy != "fleet-heuristic"
+        assert res.strategy != "heuristic"
         assert res.measurements > 0
         assert time.monotonic() - killed < 2.0
 
 
-class TestFleetCounters:
-    """The fleet table's ``measured`` and ``adopted`` columns count: a
-    fleet autotune that runs the search is one measurement, one that
-    answers ``strategy="fleet"`` is one adoption."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_registry(self):
-        reset_registry()
-        yield
-        reset_registry()
+class TestTwoWorkers:
+    """Two in-process workers with their own views of one file: the one
+    that wins the lease measures, the other waits and adopts its entry
+    as a cache hit."""
 
     def test_winner_measures_and_loser_adopts(self, monkeypatch, isolated_cache):
         import repro.tuning as tuning
-        from repro import ExecutionObserver, observe, telemetry
+        from repro import ExecutionObserver, observe
 
-        monkeypatch.setenv(FLEET_ENV, "lock")
         # Hold the winner inside its search, lease held, until the loser
-        # has lost the lease race and waits for the winner's publish.
+        # has lost the lease race and waits for the winner's save.
         searching, waiting, finish = (threading.Event() for _ in range(3))
         search = tuning.run_search
 
@@ -461,7 +434,7 @@ class TestFleetCounters:
             # The loser's lease attempt closing means it lost the race:
             # its next step is the wait.
             def on_span_end(self, span):
-                if span.name == "fleet.lease" and (
+                if span.name == "tuning.lease" and (
                     threading.current_thread().name == "loser"
                 ):
                     waiting.set()
@@ -486,49 +459,44 @@ class TestFleetCounters:
             winner.join(timeout=10.0)
             loser.join(timeout=10.0)
         assert results["winner"].strategy == "random"
-        assert results["loser"].strategy == "fleet"
-        assert _count("repro_tuning_fleet_measurements_total", mode="lock") == 1
-        assert _count("repro_tuning_fleet_adopted_total", mode="lock") == 1
-
-        # The report's fleet table renders both numbers.
-        with telemetry.collect(registry=registry()) as t:
-            pass
-        lines = telemetry.render(t).split("Tuning fleet")[1].splitlines()
-        header = [c.strip() for c in lines[1].split("|")]
-        row = dict(zip(header, (c.strip() for c in lines[3].split("|"))))
-        assert (row["mode"], row["measured"], row["adopted"]) == ("lock", "1", "1")
-        assert (row["leases won"], row["leases lost"]) == ("1", "1")
+        assert results["winner"].measurements >= 1
+        loser = results["loser"]
+        assert (loser.strategy, loser.from_cache, loser.measurements) == ("cache", True, 0)
+        assert loser.work_div == results["winner"].work_div
 
 
-class TestFleetObservability:
-    """Fleet ops are spans and flight-recorder events in the calling
-    worker, stamped with its trace ids."""
+class TestLeaseObservability:
+    """Lease ops are spans and flight-recorder events in the calling
+    worker, stamped with its trace ids; wait time lands in the report's
+    span table."""
 
-    def test_lock_autotune_records_spans_and_ring_events(
-        self, monkeypatch, tmp_path
-    ):
+    def test_autotune_records_spans_and_ring_events(self, monkeypatch, tmp_path):
         from repro import telemetry
         from repro.telemetry import flight, tracing
 
-        monkeypatch.setenv(FLEET_ENV, "lock")
+        _wait_seconds(monkeypatch, 0.1)
+        dev, args = _tune_args()
+        path = str(tmp_path / "c.json")
+        _, held = TuningCache(path).acquire(_key(dev), _any)
         rec = flight.activate(str(tmp_path / "flight"))
         root = tracing.new_trace()
-        dev, args = _tune_args()
         try:
-            with telemetry.collect() as t, tracing.use(root):
-                _tune(dev, args)
+            with held, telemetry.collect() as t, tracing.use(root):
+                # The lease is held elsewhere: this call waits it out.
+                _tune(dev, args, cache=TuningCache(path))
             ring = rec.events()
         finally:
             flight.deactivate()
         spans = {
             e["name"]: e["args"]
             for e in telemetry.to_chrome_trace(t)["traceEvents"]
-            if e.get("cat") == "fleet"
+            if e.get("cat") == "tuning"
         }
-        assert {"fleet.get", "fleet.lease", "fleet.put"} <= set(spans)
-        assert spans["fleet.lease"]["trace_id"] == root.trace_id
-        kinds = {e["kind"]: e for e in ring if e.get("cat") == "fleet"}
-        assert {"fleet.lease", "fleet.put"} <= set(kinds)
-        for kind in ("fleet.lease", "fleet.put"):
+        assert set(spans) == {"tuning.lease", "tuning.wait"}
+        kinds = {e["kind"]: e for e in ring if e.get("cat") == "tuning"}
+        assert set(kinds) == {"tuning.lease", "tuning.wait"}
+        for kind in kinds:
+            assert spans[kind]["trace_id"] == root.trace_id
             assert kinds[kind]["trace_id"] == root.trace_id
-            assert kinds[kind]["key"] == spans["fleet.lease"]["key"]
+            assert kinds[kind]["key"] == _key(dev)
+        assert "tuning/tuning.wait" in telemetry.render(t)

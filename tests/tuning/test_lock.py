@@ -4,8 +4,7 @@ to the cache, held by an open file (``repro.tuning.cache.flock``)."""
 import os
 import threading
 
-from repro.tuning.cache import flock
-from repro.tuning.fleet.coordinator import lease_path
+from repro.tuning.cache import flock, lease_path
 
 KEY = "kernel|AccCpuSerial|machine:cpu:1x4@3GHz|1024"
 

@@ -160,7 +160,7 @@ class TestPruning:
 
 class TestDispatch:
     def test_known_strategies(self):
-        # "evolve" registers lazily when repro.tuning.fleet is imported
+        # "evolve" registers lazily when repro.tuning.evolve is imported
         # (run_search loads it on first demand), so it may or may not be
         # present depending on what ran before this test.
         assert {"exhaustive", "random", "coordinate"} <= set(SEARCH_STRATEGIES)
