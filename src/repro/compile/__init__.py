@@ -29,10 +29,9 @@ gap without leaving pure numpy:
   interpretation transparently, with the reason classified, logged
   once, counted (:mod:`~repro.compile.metrics`) and flight-recorded.
 
-Select it like any other block schedule: ``REPRO_SCHEDULER=compiled``,
-``tune_schedule=True``, or evolve's schedule genome.  Set
-``REPRO_COMPILE_CROSSCHECK=1`` to make every compiled launch also run
-interpreted and assert bit-identity.
+Select it like any other block schedule: ``REPRO_SCHEDULER=compiled``
+or ``tune_schedule=True``.  Set ``REPRO_COMPILE_CROSSCHECK=1`` to make
+every compiled launch also run interpreted and assert bit-identity.
 """
 
 from __future__ import annotations

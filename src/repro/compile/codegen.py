@@ -165,8 +165,13 @@ _certificates: Dict[tuple, Callable] = {}
 CERTIFICATES_MAX = 64
 _certify_lock = threading.Lock()
 
-#: Seeds of the random probes one certificate compares on.
-_PROBE_SEEDS = (0, 1)
+#: A certificate compares at least ``_PROBES_MIN`` seeded probes, and
+#: more for a small product, up to ``_PROBE_FLOPS`` of products or
+#: ``_PROBES_MAX`` probes: a different order changes an element's bits
+#: only by chance, and a small product has few elements to show it.
+_PROBES_MIN = 2
+_PROBES_MAX = 64
+_PROBE_FLOPS = 1 << 26
 
 
 def _span_matmul(x, b, chunk: int, dtype):
@@ -176,8 +181,9 @@ def _span_matmul(x, b, chunk: int, dtype):
 
     BLAS's operation order depends on shapes, strides, thread count and
     build, never on values, so the first call of a layout compares both
-    forms on seeded random operands of that very layout and the verdict
-    holds for every later call (docs/MODEL.md, "Certified products")."""
+    forms on seeded random operands of that very layout (more of them
+    for a small product) and the verdict holds for every later call
+    (docs/MODEL.md, "Certified products")."""
     # The BLAS build and its thread count are fixed for the life of the
     # process (nothing in the package sets them).  A change that sets
     # BLAS threads at run time must add the thread count to this key.
@@ -198,7 +204,9 @@ def _certify(key: tuple) -> Callable:
             return form
         xshape, xstrides, xdtype, bshape, bstrides, bdtype, chunk, dtype = key
         form = _whole_matmul
-        for seed in _PROBE_SEEDS:
+        flops = max(1, 2 * xshape[0] * xshape[1] * bshape[1])
+        probes = min(_PROBES_MAX, max(_PROBES_MIN, _PROBE_FLOPS // flops))
+        for seed in range(probes):
             rng = np.random.default_rng(seed)
             x = _probe(rng, xshape, xstrides, xdtype)
             b = _probe(rng, bshape, bstrides, bdtype)

@@ -199,10 +199,6 @@ SERVE_PORT = _declare(
 SERVE_TENANT_WEIGHTS = _declare(
     "REPRO_SERVE_TENANT_WEIGHTS", _weights, None,
     "fair-share admission weights, e.g. `gold:4,free:1`; unlisted tenants weigh `1`.")
-TUNING_HOF = _declare(
-    "REPRO_TUNING_HOF", str, None,
-    "path of the evolutionary search's hall of fame (default `./.repro-tuning-hof.json`); "
-    "render it with `python -m repro.tuning hof`.")
 BENCH_REPORT_DIR = _declare(
     "REPRO_BENCH_REPORT_DIR", str, None,
     "directory for the benchmarks' tables and `BENCH_<name>.json` (default `benchmarks/out/`).")

@@ -58,6 +58,7 @@ from .search import (
     SEARCH_STRATEGIES,
     SearchResult,
     Trial,
+    check_strategy,
     run_search,
 )
 from .space import (
@@ -196,10 +197,7 @@ def autotune(
     wall-clock-measured under every strategy its back-end can run
     (sequential, the thread pool and the trace-vectorized ``compiled``
     replay), and the winner is persisted with the entry —
-    AUTO launches then pick it up at plan time.  With
-    ``strategy="evolve"`` the schedule is part of the genome instead:
-    the joint (division, schedule) space evolves in one run and no
-    post-search sweep happens.
+    AUTO launches then pick it up at plan time.
 
     A call that misses and will save (``save=True``, ``force=False``)
     measures once across every process sharing the cache file: it holds
@@ -215,6 +213,8 @@ def autotune(
     cached entry is usable when it refits to ``extent`` and, for
     ``tune_schedule=True``, carries a schedule.
     """
+    # Before the cache: an unknown strategy fails on a hit as on a miss.
+    check_strategy(strategy)
     ext = as_vec(extent)
     if device is None:
         from ..dev.manager import get_dev_by_idx
@@ -337,24 +337,6 @@ def autotune(
                 return None
             return mt if _fallback_count(kernel, sched) == before else None
 
-        extra = {"hof_label": key} if strategy == "evolve" else {}
-        if strategy == "evolve" and tune_schedule:
-            # Evolve searches the joint (division, schedule) space in one
-            # run: the compiled replay, the pools and sequential dispatch
-            # compete as genome values instead of a post-search sweep.
-            candidates_sched = _schedule_candidates(acc_type)
-            if candidates_sched:
-
-                def schedule_objective(wd: WorkDivMembers, sched: str) -> float:
-                    mt = measure_schedule(wd, sched)
-                    if mt is None:
-                        return float("inf")
-                    measured[wd] = mt
-                    return mt.seconds
-
-                extra["schedules"] = candidates_sched
-                extra["schedule_objective"] = schedule_objective
-
         result = run_search(
             strategy,
             candidates,
@@ -363,17 +345,14 @@ def autotune(
             budget=budget,
             seed=seed,
             predicted=predicted or None,
-            **extra,
         )
         best = result.best
         best_mt = measured[best.work_div]
 
-        best_schedule: Optional[str] = getattr(result, "best_schedule", None)
-        schedule_trials: Dict[str, float] = dict(
-            getattr(result, "schedule_trials", {}) or {}
-        )
+        best_schedule: Optional[str] = None
+        schedule_trials: Dict[str, float] = {}
         schedule_launches = 0
-        if tune_schedule and best_schedule is None:
+        if tune_schedule:
             for sched in _schedule_candidates(acc_type):
                 mt = measure_schedule(best.work_div, sched)
                 if mt is not None:

@@ -35,6 +35,7 @@ __all__ = [
     "SearchResult",
     "SEARCH_STRATEGIES",
     "run_search",
+    "check_strategy",
     "PRUNE_RATIO",
 ]
 
@@ -62,12 +63,6 @@ class SearchResult:
     #: Candidates skipped on the strength of the performance model.
     pruned: int = 0
     strategy: str = "?"
-    #: Winning block schedule when the strategy searched the joint
-    #: (division, schedule) space (evolve with ``schedules=...``);
-    #: ``None`` when the schedule axis was not part of the genome.
-    best_schedule: Optional[str] = None
-    #: Best seconds observed per schedule over the joint search.
-    schedule_trials: Dict[str, float] = field(default_factory=dict)
 
     @property
     def measurements(self) -> int:
@@ -264,15 +259,16 @@ def run_search(
     **kwargs,
 ) -> SearchResult:
     """Dispatch to a named strategy (see :data:`SEARCH_STRATEGIES`)."""
-    if strategy == "evolve" and strategy not in SEARCH_STRATEGIES:
-        # The evolutionary strategy registers itself on import; load it
-        # on first demand so this module stays import-light.
-        from . import evolve  # noqa: F401
-    try:
-        fn = SEARCH_STRATEGIES[strategy]
-    except KeyError:
+    return SEARCH_STRATEGIES[check_strategy(strategy)](
+        candidates, objective, **kwargs
+    )
+
+
+def check_strategy(strategy: str) -> str:
+    """``strategy``, or ``ValueError`` when no strategy has that name."""
+    if strategy not in SEARCH_STRATEGIES:
         raise ValueError(
             f"unknown search strategy {strategy!r}; "
             f"known: {sorted(SEARCH_STRATEGIES)}"
-        ) from None
-    return fn(candidates, objective, **kwargs)
+        )
+    return strategy

@@ -125,6 +125,7 @@ def test_map_ufunc_bit_identical(n, blocks, elems, seed):
 @example(n=64, rows=4, blocks=3, seed=2, alpha=-0.3, beta=2.0)   # non-covering
 @example(n=53, rows=4, blocks=3, seed=3, alpha=0.0, beta=0.0)    # both, 0s
 @example(n=5, rows=8, blocks=1, seed=4, alpha=1.5, beta=0.0)     # one short chunk
+@example(n=17, rows=9, blocks=1, seed=0, alpha=1.5, beta=0.0)    # 2 of 289 bits differ
 def test_gemm_omp_style_bit_identical(n, rows, blocks, seed, alpha, beta):
     """Row chunks of any length, a tail or none, one span per thread or
     several: the chunked matmul keeps every interpreted BLAS call."""

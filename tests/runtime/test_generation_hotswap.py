@@ -133,7 +133,7 @@ class TestHotSwap:
                     CachedResult(
                         work_div=wd,
                         seconds=1e-6,
-                        strategy="evolve",
+                        strategy="exhaustive",
                         source="modeled",
                     ),
                 )
@@ -196,7 +196,7 @@ class TestHotSwap:
             default_cache().put_key(
                 key,
                 CachedResult(
-                    work_div=wd, seconds=1e-6, strategy="evolve", source="modeled"
+                    work_div=wd, seconds=1e-6, strategy="exhaustive", source="modeled"
                 ),
             )
             last = wd

@@ -30,7 +30,6 @@ CASES = {
     knobs.SERVE_HOST: ("0.0.0.0", "0.0.0.0", None),
     knobs.SERVE_PORT: ("8123", 8123, "http"),
     knobs.SERVE_TENANT_WEIGHTS: ("gold:4, free:1", {"gold": 4.0, "free": 1.0}, "gold=4"),
-    knobs.TUNING_HOF: ("hof.json", "hof.json", None),
     knobs.BENCH_REPORT_DIR: ("/tmp/out", "/tmp/out", None),
 }
 
@@ -45,7 +44,7 @@ def _bare_env(monkeypatch):
 
 def test_exactly_the_declared_surface():
     assert set(CASES) == set(knobs.KNOBS)
-    assert len(knobs.KNOBS) == 18
+    assert len(knobs.KNOBS) == 17
     assert all(env.startswith(knobs.PREFIX) for env in knobs.KNOBS)
 
 
@@ -192,7 +191,7 @@ def test_effective_reports_sources_and_unrecognised(monkeypatch):
     monkeypatch.setenv(knobs.TUNING_CACHE, "")  # blank = unset
     monkeypatch.setenv("REPRO_SCHEDULAR", "compiled")
     config = knobs.effective()
-    assert len(config["knobs"]) == 18
+    assert len(config["knobs"]) == 17
     assert config["unrecognised"] == ["REPRO_SCHEDULAR"]
     assert config["knobs"][knobs.SCHEDULER] == {
         "value": "compiled", "raw": "compiled", "source": "env",

@@ -1,5 +1,7 @@
 """End-to-end autotuning: search → cache → AUTO resolution."""
 
+import json
+
 import pytest
 
 from repro import (
@@ -15,7 +17,7 @@ from repro import (
     get_dev_by_idx,
 )
 from repro.bench import launch_stats
-from repro.core.workdiv import MappingStrategy, validate_work_div
+from repro.core.workdiv import MappingStrategy, WorkDivMembers, validate_work_div
 from repro.perfmodel import KernelCharacteristics
 from repro.runtime import clear_plan_cache, get_plan
 from repro.tuning import (
@@ -23,6 +25,7 @@ from repro.tuning import (
     auto_divide,
     default_cache,
     measure_division,
+    reset_default_cache,
     resolve_work_div,
 )
 
@@ -149,13 +152,45 @@ class TestAutotune:
         props = acc.get_acc_dev_props(dev).for_dim(1)
         validate_work_div(res.work_div, props)
 
-    def test_unknown_strategy_raises(self):
+    def test_unknown_strategy_raises(self, monkeypatch):
+        """Before the cache is read: a warm hit does not hide an unknown
+        strategy, and a miss raises before it takes the key's lease."""
         acc = AccCpuSerial
         dev, args = _args(acc)
-        with pytest.raises(ValueError):
-            autotune(
-                TunableKernel(), acc, N, args, device=dev, strategy="nope"
-            )
+        k = TunableKernel()
+        autotune(k, acc, N, args, device=dev, strategy="random", budget=4)
+
+        def no_lease(self, key, usable):
+            raise AssertionError(f"lease taken for {key}")
+
+        monkeypatch.setattr(TuningCache, "acquire", no_lease)
+        for extent in (N, 4 * N):  # warm, then cold
+            with pytest.raises(ValueError, match="unknown search strategy"):
+                autotune(k, acc, extent, args, device=dev, strategy="evolve")
+
+    def test_an_evolve_entry_in_an_old_cache_file_is_a_hit(
+        self, isolated_cache
+    ):
+        """A cache file may hold entries the retired evolutionary search
+        stored; the strategy is only a label, so they still answer."""
+        acc = AccCpuSerial
+        dev, args = _args(acc)
+        k = TunableKernel()
+        key = TuningCache.key(k, acc, dev, N)
+        entry = {
+            "grid": [8], "block": [1], "elems": [64], "seconds": 1e-4,
+            "strategy": "evolve", "source": "modeled",
+        }
+        isolated_cache.write_text(
+            json.dumps({"version": 1, "entries": {key: entry}})
+        )
+        reset_default_cache()
+        with launch_stats() as stats:
+            res = autotune(k, acc, N, args, device=dev)
+        assert res.from_cache
+        assert (res.measurements, stats.launches) == (0, 0)
+        assert res.work_div == WorkDivMembers.make(8, 1, 64)
+        assert default_cache().get_key(key).strategy == "evolve"
 
     @pytest.mark.slow
     def test_exhaustive_across_all_backends(self):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -160,9 +161,9 @@ class TestPersistence:
         cache = TuningCache(path)
         cache.put(_kernel_a, AccCpuSerial, dev, 64, ENTRY)
         cache.save()
-        data = json.loads(open(path).read())
+        data = json.loads(Path(path).read_text())
         data["entries"]["bad|key"] = {"grid": "nonsense"}
-        open(path, "w").write(json.dumps(data))
+        Path(path).write_text(json.dumps(data))
         reloaded = TuningCache(path)
         assert len(reloaded) == 1
         assert reloaded.get(_kernel_a, AccCpuSerial, dev, 64) is not None
@@ -175,7 +176,7 @@ class TestPersistence:
         cache.save()
         leftovers = [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
         assert leftovers == []
-        assert json.loads(open(path).read())["version"] >= 1
+        assert json.loads(Path(path).read_text())["version"] >= 1
 
     def test_clear_forgets_entries(self, tmp_path):
         dev = get_dev_by_idx(AccCpuSerial)
@@ -341,7 +342,7 @@ class TestMeasuredAtArbitration:
         cache = TuningCache(path)
         cache.put_key("k", self._entry(2))  # measured_at=0.0 not written
         cache.save()
-        assert "measured_at" not in json.loads(open(path).read())["entries"]["k"]
+        assert "measured_at" not in json.loads(Path(path).read_text())["entries"]["k"]
         assert TuningCache(path).get_key("k").measured_at == 0.0
 
     def test_save_does_not_resurrect_a_stale_entry_over_a_retune(self, tmp_path):

@@ -1,9 +1,9 @@
 """Selecting and persisting the `compiled` schedule through tuning.
 
 The trace-vectorized replay is a first-class block schedule: the
-``tune_schedule=True`` sweep measures it, ``strategy="evolve"`` carries
-it in the genome, the winner persists through the cache (and the fleet
-in lock mode), and AUTO launches pick it up at plan time.
+``tune_schedule=True`` sweep after every search strategy measures it,
+the winner persists through the cache (and reaches a sibling worker
+through the shared file), and AUTO launches pick it up at plan time.
 """
 
 import json
@@ -16,7 +16,13 @@ from repro import get_dev_by_idx, mem
 from repro.acc.cpu import AccCpuOmp2Blocks, AccCpuSerial
 from repro.core.element import grid_strided_spans
 from repro.core.kernel import fn_acc
-from repro.tuning import MeasuredTime, TuningCache, autotune, default_cache
+from repro.tuning import (
+    SEARCH_STRATEGIES,
+    MeasuredTime,
+    TuningCache,
+    autotune,
+    default_cache,
+)
 from repro.tuning import _schedule_candidates
 
 
@@ -98,30 +104,42 @@ class TestSweep:
         assert res2.schedule == "compiled"
 
 
-class TestEvolveGenome:
-    def test_evolve_selects_compiled_without_post_sweep(
-        self, compiled_wins
+class TestPostSweep:
+    @pytest.mark.parametrize("strategy", sorted(SEARCH_STRATEGIES))
+    def test_sweep_follows_every_strategy(
+        self, compiled_wins, strategy
     ):
+        """The schedule is chosen after the division search, on its
+        winner, under every schedule the back-end can run."""
         dev, args = _args()
         res = autotune(
             _ElemKernel(), AccCpuOmp2Blocks, 256, args, device=dev,
-            strategy="evolve", budget=12, tune_schedule=True,
+            strategy=strategy, budget=12, tune_schedule=True,
         )
-        assert res.strategy == "evolve"
+        assert res.strategy == strategy
         assert res.schedule == "compiled"
+        assert set(res.schedule_trials) == set(
+            _schedule_candidates(AccCpuOmp2Blocks)
+        )
+        assert res.measurements == len(res.trials) + len(res.schedule_trials)
         entry = default_cache().get(
             _ElemKernel(), AccCpuOmp2Blocks, dev, 256
         )
-        assert entry is not None
+        assert entry.work_div == res.work_div
         assert entry.schedule == "compiled"
 
-    def test_evolve_without_tune_schedule_stores_none(self, compiled_wins):
+    def test_without_tune_schedule_stores_none(self, compiled_wins):
         dev, args = _args()
         res = autotune(
             _ElemKernel(), AccCpuOmp2Blocks, 256, args, device=dev,
-            strategy="evolve", budget=8,
+            strategy="random", budget=8,
         )
         assert res.schedule is None
+        assert res.schedule_trials == {}
+        entry = default_cache().get(
+            _ElemKernel(), AccCpuOmp2Blocks, dev, 256
+        )
+        assert entry.schedule is None
 
 
 class TestFleetRoundTrip:
@@ -135,7 +153,7 @@ class TestFleetRoundTrip:
         dev, args = _args()
         res = autotune(
             _ElemKernel(), AccCpuOmp2Blocks, 256, args, device=dev,
-            strategy="evolve", budget=12, tune_schedule=True,
+            strategy="random", budget=12, tune_schedule=True,
         )
         assert res.schedule == "compiled"
         # A sibling worker (fresh in-process cache, same file) adopts
@@ -143,7 +161,7 @@ class TestFleetRoundTrip:
         reset_default_cache()
         res2 = autotune(
             _ElemKernel(), AccCpuOmp2Blocks, 256, args, device=dev,
-            strategy="evolve", budget=12, tune_schedule=True,
+            strategy="random", budget=12, tune_schedule=True,
         )
         assert res2.from_cache
         assert res2.schedule == "compiled"
@@ -205,10 +223,7 @@ class TestPlanPickup:
 
 
 class TestFallenBackSchedules:
-    @pytest.mark.parametrize("strategy", ["random", "evolve"])
-    def test_a_schedule_that_fell_back_is_never_stored(
-        self, monkeypatch, strategy
-    ):
+    def test_a_schedule_that_fell_back_is_never_stored(self, monkeypatch):
         """Regression: a kernel the tracer cannot represent sends every
         `compiled` launch to the thread pool.  Even when that
         measurement reads fastest, the tuner must not store `compiled`,
@@ -228,7 +243,7 @@ class TestFallenBackSchedules:
         dev, args = _args(n)
         res = autotune(
             _SharedScratchKernel(), AccCpuOmp2Blocks, n, args, device=dev,
-            strategy=strategy, budget=4, tune_schedule=True,
+            strategy="random", budget=4, tune_schedule=True,
             max_total_elems=64,
         )
         assert res.schedule not in (None, "compiled")

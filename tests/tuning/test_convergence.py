@@ -63,7 +63,6 @@ def _spawn_workers(tmp_path):
         p for p in (os.path.join(repo, "src"), env.get("PYTHONPATH")) if p
     )
     env["REPRO_TUNING_CACHE"] = str(tmp_path / "shared-cache.json")
-    env["REPRO_TUNING_HOF"] = str(tmp_path / "hof.json")
     procs = [
         subprocess.Popen(
             [sys.executable, str(script)],

@@ -160,29 +160,13 @@ class TestPruning:
 
 class TestDispatch:
     def test_known_strategies(self):
-        # "evolve" registers lazily when repro.tuning.evolve is imported
-        # (run_search loads it on first demand), so it may or may not be
-        # present depending on what ran before this test.
-        assert {"exhaustive", "random", "coordinate"} <= set(SEARCH_STRATEGIES)
-        assert set(SEARCH_STRATEGIES) <= {
-            "exhaustive", "random", "coordinate", "evolve",
-        }
-
-    def test_evolve_registers_on_demand(self):
-        res = run_search(
-            "evolve",
-            _divisions(6),
-            _objective_min_at(3),
-            budget=6,
-            hof_path=None,
-        )
-        assert res.strategy == "evolve"
-        assert "evolve" in SEARCH_STRATEGIES
+        assert set(SEARCH_STRATEGIES) == {"exhaustive", "random", "coordinate"}
 
     def test_run_search_dispatches(self):
         res = run_search("exhaustive", _divisions(4), _objective_min_at(2))
         assert res.strategy == "exhaustive"
 
     def test_unknown_strategy_raises(self):
-        with pytest.raises(ValueError, match="unknown search strategy"):
-            run_search("genetic", _divisions(2), _objective_min_at(1))
+        for strategy in ("genetic", "evolve"):
+            with pytest.raises(ValueError, match="unknown search strategy"):
+                run_search(strategy, _divisions(2), _objective_min_at(1))
